@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .qlaurent import (  # noqa: F401
     LaurentPoly,
-    RatLaurentPoly,
     CyclotomicResidue,
     quantum_int,
     quantum_factorial,

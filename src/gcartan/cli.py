@@ -1,14 +1,22 @@
 """Command-line frontend.
 
 Commands: gram, det, verify, irred, twisted, snf, invariants, report, table.
-Global flags: --format {json|csv|latex}, --cache-dir PATH, --workers N,
---force.  GCART_CACHE_DIR overrides the cache location.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+Global flags: --format {json|csv|latex}, --cache-dir PATH, --force, --limit N.
+GCART_CACHE_DIR overrides the cache location.  Cached output is keyed on a
+hash of the package sources, so it never outlives the code that produced it.
+
+Exit codes:
+  0  success
+  1  verification failure: a computed result disagrees with its check
+  2  usage error: bad arguments or input
+  3  internal error: an invariant of the computation itself broke (an
+     inexact division, an inconsistent intermediate result)
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -114,6 +122,16 @@ def _emit(args, payload: dict, csv_fn=None, latex_fn=None) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _source_digest() -> str:
+    """sha256 over the package's *.py sources.  Computed on first use, not at
+    import, so importing the package stays cheap."""
+    h = hashlib.sha256()
+    for f in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 class DiskCache:
     """Content-addressed output cache; atomic write-temp-then-rename."""
 
@@ -122,7 +140,7 @@ class DiskCache:
 
     def key(self, *parts) -> str:
         h = hashlib.sha256()
-        h.update(__version__.encode())
+        h.update(_source_digest().encode())
         for p in parts:
             h.update(b"\0" + str(p).encode())
         return h.hexdigest()
@@ -166,10 +184,10 @@ def _cached_gram(args, ell_or_dg, d):
     cache = _cache_from(args)
     if isinstance(ell_or_dg, int):
         label = f"ell={ell_or_dg}"
-        build = lambda: cartan_graded(ell_or_dg, d, workers=args.workers)  # noqa: E731
+        build = lambda: cartan_graded(ell_or_dg, d)  # noqa: E731
     else:
         label = ell_or_dg.label()
-        build = lambda: gram_matrix(ell_or_dg, d, workers=args.workers)  # noqa: E731
+        build = lambda: gram_matrix(ell_or_dg, d)  # noqa: E731
     key = cache.key("grammatrix", label, d)
     hit = cache.get(key)
     if hit is not None:
@@ -219,7 +237,7 @@ def _size_guard(args, colors: int, d: int) -> None:
 def cmd_gram(args) -> str:
     if args.blocks is not None:
         _require(args, "ell")
-        bs = block_sum(args.blocks, args.ell, workers=args.workers)
+        bs = block_sum(args.blocks, args.ell)
         payload = bs.to_json()
         mat = bs.matrix()
         idx = [cp for _, g in bs.blocks for cp in g.index]
@@ -268,7 +286,7 @@ def cmd_det(args) -> str:
     }
     if args.check:
         _size_guard(args, dg.nodes, args.d)
-        actual = gram_det(dg, args.d, workers=args.workers)
+        actual = gram_det(dg, args.d)
         payload["check"] = {"gram_det_equals_formula": actual == formula}
         if actual != formula:
             payload["check"]["gram_det"] = actual.to_json()
@@ -500,7 +518,7 @@ def cmd_invariants(args) -> str:
 
 def cmd_report(args) -> str:
     _require(args, "p", "r", "d")
-    rep = inv.conjecture_report(args.p, args.r, args.d, budget=args.budget, workers=args.workers)
+    rep = inv.conjecture_report(args.p, args.r, args.d, budget=args.budget)
     text = _emit(args, rep.to_json())
     if not rep.ok:
         raise VerificationFailure(text)
@@ -561,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["json", "csv", "latex"], default="json")
         p.add_argument("--cache-dir", default=None, help="cache directory ('' disables)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         p.add_argument("--force", action="store_true")
         p.add_argument("--limit", type=int, default=2000, help="matrix size guard")
 
@@ -641,7 +658,7 @@ def main(argv=None) -> int:
     cache = _cache_from(args)
     cache_key = None
     if args.command in ("gram", "det", "table", "twisted"):
-        fields = {k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "workers")}
+        fields = {k: v for k, v in sorted(vars(args).items()) if k != "fn"}
         cache_key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
         hit = cache.get(cache_key)
         if hit is not None:
@@ -658,6 +675,9 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         sys.stdout.write(str(exc))
         return 1
+    except (AssertionError, ArithmeticError) as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     sys.stdout.write(text)
     if cache_key is not None:
         cache.put(cache_key, text)

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 from . import partitions as pt
 from .linalg import laurent_det
 from .qcartan import DynkinDiagram, quantized_cartan, type_a
-from .qlaurent import ONE, ZERO, LaurentPoly, RatLaurentPoly
+from .qlaurent import ONE, ZERO, LaurentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +104,23 @@ def _group_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
     return _permanent([[a[i][j] for j in c2] for i in c1])
 
 
-def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, pairing) -> RatLaurentPoly:
-    """The pairing of two y-monomials; zero unless the shapes agree."""
-    if pt.shape(m1) != pt.shape(m2):
-        return RatLaurentPoly()
-    g1 = pt.group_by_size(m1)
-    g2 = pt.group_by_size(m2)
+def _pair_by_size(pairing, g1: dict, g2: dict) -> tuple[LaurentPoly, int]:
+    # the y-pairing of two monomials of one shape, given by their colors
+    # grouped by part size: one permanent and one factor s^{m_s} per size
     num = ONE
     den = 1
     for s, colors1 in g1.items():
         num = num * _group_permanent(pairing, s, colors1, g2[s])
         den *= s ** len(colors1)
-    return num.to_rational() * Fraction(1, den)
+    return num, den
+
+
+def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, pairing) -> tuple[LaurentPoly, int]:
+    """The pairing of two y-monomials as (integer numerator, denominator),
+    meaning numerator / denominator; zero unless the shapes agree."""
+    if pt.shape(m1) != pt.shape(m2):
+        return ZERO, 1
+    return _pair_by_size(pairing, pt.group_by_size(m1), pt.group_by_size(m2))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +215,7 @@ class GramMatrix:
 class _Assembly:
     """Shared state for building one Gram matrix and its determinant."""
 
-    def __init__(self, dg: DynkinDiagram, d: int, workers: int = 1):
+    def __init__(self, dg: DynkinDiagram, d: int):
         self.diagram = dg
         self.d = d
         self.pairing = CartanPairing(dg)
@@ -219,7 +224,6 @@ class _Assembly:
         self.block_members = {
             lam: [cp for cp in self.index if pt.shape(cp) == lam] for lam in self.shapes
         }
-        self.workers = max(1, workers)
         self._blocks: dict[pt.Partition, tuple[int, list[list[LaurentPoly]]]] | None = None
 
     # -- y-Gram blocks --------------------------------------------------------
@@ -227,25 +231,11 @@ class _Assembly:
     def y_blocks(self) -> dict:
         """Per shape: (denominator prod(s^m_s), integer permanent matrix)."""
         if self._blocks is None:
-            if self.workers > 1 and len(self.index) > 60:
-                self._blocks = self._y_blocks_parallel()
-            else:
-                self._blocks = {
-                    lam: _y_block(self.pairing, lam, tuple(members))
-                    for lam, members in self.block_members.items()
-                }
+            self._blocks = {
+                lam: _y_block(self.pairing, members)
+                for lam, members in self.block_members.items()
+            }
         return self._blocks
-
-    def _y_blocks_parallel(self) -> dict:
-        from concurrent.futures import ProcessPoolExecutor
-
-        items = sorted(
-            self.block_members.items(), key=lambda kv: -len(kv[1]) ** 2
-        )
-        args = [(self.pairing, lam, tuple(members)) for lam, members in items]
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            results = list(pool.map(_y_block_task, args))
-        return {lam: res for (lam, _), res in zip(items, results)}
 
     # -- the transition matrix x -> y ------------------------------------------
 
@@ -354,30 +344,21 @@ class _Assembly:
         return q
 
 
-def _y_block(pairing, lam: pt.Partition, members: tuple) -> tuple[int, list[list[LaurentPoly]]]:
-    den = 1
-    for s, m in pt.mults(lam).items():
-        den *= s**m
+def _y_block(pairing, members: list) -> tuple[int, list[list[LaurentPoly]]]:
+    # all members share one shape, hence one denominator
     k = len(members)
     groups = [pt.group_by_size(cp) for cp in members]
-    sizes = sorted(set(lam))
+    den = 1
     block = [[ZERO] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            p = ONE
-            for s in sizes:
-                p = p * _group_permanent(pairing, s, groups[i][s], groups[j][s])
+            p, den = _pair_by_size(pairing, groups[i], groups[j])
             block[i][j] = p
             block[j][i] = p
     return den, block
 
 
-def _y_block_task(args):
-    pairing, lam, members = args
-    return _y_block(pairing, lam, members)
-
-
-def gram_matrix(dg: DynkinDiagram, d: int, workers: int = 1) -> GramMatrix:
+def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:
     """The Gram matrix of the degree-d weight space on the lattice x-basis.
 
     For dg = A_{ell-1} this is the graded Cartan matrix of a weight-d block
@@ -385,16 +366,16 @@ def gram_matrix(dg: DynkinDiagram, d: int, workers: int = 1) -> GramMatrix:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _Assembly(dg, d, workers).matrix()
+    return _Assembly(dg, d).matrix()
 
 
-def cartan_graded(ell: int, d: int, workers: int = 1) -> GramMatrix:
+def cartan_graded(ell: int, d: int) -> GramMatrix:
     """C^v_{ell,d} with the type-A label attached."""
-    g = gram_matrix(type_a(ell), d, workers)
+    g = gram_matrix(type_a(ell), d)
     return GramMatrix(f"ell={ell}", d, g.index, g.entries)
 
 
-def gram_det(dg: DynkinDiagram, d: int, method: str = "factored", workers: int = 1) -> LaurentPoly:
+def gram_det(dg: DynkinDiagram, d: int, method: str = "factored") -> LaurentPoly:
     """Exact determinant of gram_matrix(dg, d).
 
     "factored" exploits the run-time-verified unitriangular change of basis
@@ -402,7 +383,7 @@ def gram_det(dg: DynkinDiagram, d: int, method: str = "factored", workers: int =
     matrix.  Both are generic exact algorithms; neither consults any closed
     determinant formula.
     """
-    asm = _Assembly(dg, d, workers)
+    asm = _Assembly(dg, d)
     if method == "factored":
         return asm.det()
     if method == "dense":
@@ -410,27 +391,27 @@ def gram_det(dg: DynkinDiagram, d: int, method: str = "factored", workers: int =
     raise ValueError(f"unknown method {method!r}")
 
 
-def gram_det_at_one(dg: DynkinDiagram, d: int, workers: int = 1) -> int:
+def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
     """Exact determinant of the Gram matrix at v=1 (integer elimination per
     block; no closed formula involved)."""
-    return _Assembly(dg, d, workers).det_at_one()
+    return _Assembly(dg, d).det_at_one()
 
 
-def gram_field_invariants(dg: DynkinDiagram, d: int, workers: int = 1):
+def gram_field_invariants(dg: DynkinDiagram, d: int):
     """Invariant factors of gram_matrix(dg, d) over Q[v,v^-1].
 
     Rational numbers are units of Q[v,v^-1], so the unitriangular change of
     basis (runtime-checked) and the per-block scalar denominators are both
     unimodular: the Gram matrix is equivalent to the direct sum of the
     integer y-pairing blocks.  Each small block is eliminated generically and
-    the block invariants are recombined as one diagonal matrix.  Elimination
+    the block invariants are recombined by snf_of_diagonal.  Elimination
     on the assembled matrix itself suffers catastrophic coefficient swell
     beyond ~15 rows; this route is exact and fast, and the two are
     cross-checked on small cases in the test suite.
     """
     from .snf import snf_laurent_field, snf_of_diagonal
 
-    asm = _Assembly(dg, d, workers)
+    asm = _Assembly(dg, d)
     asm.check_unitriangular()
     invs = []
     for lam in asm.shapes:
@@ -480,14 +461,14 @@ class BlockSum:
         }
 
 
-def block_sum(n: int, ell: int, workers: int = 1) -> BlockSum:
+def block_sum(n: int, ell: int) -> BlockSum:
     """One Gram matrix per block (rho, d) of rank n; the core only sets the
     label, the matrix depends on the weight alone."""
     out = []
     cache: dict[int, GramMatrix] = {}
     for lbl in pt.blocks(n, ell):
         if lbl.weight not in cache:
-            cache[lbl.weight] = cartan_graded(ell, lbl.weight, workers)
+            cache[lbl.weight] = cartan_graded(ell, lbl.weight)
         out.append((lbl, cache[lbl.weight]))
     return BlockSum(ell, n, tuple(out))
 

@@ -458,7 +458,7 @@ class ConjectureReport:
         }
 
 
-def conjecture_report(p: int, r: int, d: int, budget: int = 5000, workers: int = 1) -> ConjectureReport:
+def conjecture_report(p: int, r: int, d: int, budget: int = 5000) -> ConjectureReport:
     """Run the layered verification of the graded invariant-factor conjecture
     for C^v_{p^r, d}.
 
@@ -473,11 +473,11 @@ def conjecture_report(p: int, r: int, d: int, budget: int = 5000, workers: int =
     """
     start = time.monotonic()
     ell = p**r
-    gm = cartan_graded(ell, d, workers=workers)
+    gm = cartan_graded(ell, d)
     graded_rhs = graded_hill_values(p, r, d)
     layers = []
 
-    det = gram_det(type_a(ell), d, workers=workers)
+    det = gram_det(type_a(ell), d)
     prod = ONE
     for val in graded_rhs:
         prod = prod * val
@@ -489,7 +489,7 @@ def conjecture_report(p: int, r: int, d: int, budget: int = 5000, workers: int =
         )
     )
 
-    snf_c = gram_field_invariants(type_a(ell), d, workers=workers)
+    snf_c = gram_field_invariants(type_a(ell), d)
     theorem_ok = snf_mod.multiset_equal_up_to_units(
         snf_c, snf_mod.snf_of_diagonal(bracket_product_values(ell, d))
     )

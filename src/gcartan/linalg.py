@@ -1,7 +1,7 @@
 """Exact determinants of matrices over Z and Z[v,v^-1].
 
-Fraction-free Bareiss elimination; every interior division is exact and is
-asserted to be so.  Numerical stability is irrelevant here — exactness is the
+Fraction-free Bareiss elimination; every interior division is exact, and is
+checked to be so.  Numerical stability is irrelevant here — exactness is the
 whole point — so pivoting only chases sparsity.
 """
 
@@ -39,7 +39,8 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
             for j in range(k + 1, n):
                 num = pivot * row_i[j] - mik * row_k[j]
                 q, r = divmod(num, prev)
-                assert r == 0
+                if r:
+                    raise ArithmeticError("Bareiss division failed")
                 row_i[j] = q
             row_i[k] = 0
         prev = pivot
@@ -87,7 +88,8 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                 if prev is not ONE:
                     for j in range(k + 1, n):
                         q = divide_exact(pivot * m[i][j], prev)
-                        assert q is not None, "Bareiss division failed"
+                        if q is None:
+                            raise ArithmeticError("Bareiss division failed")
                         m[i][j] = q
                 else:
                     for j in range(k + 1, n):
@@ -99,31 +101,13 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                         m[i][j] = num
                     else:
                         q = divide_exact(num, prev)
-                        assert q is not None, "Bareiss division failed"
+                        if q is None:
+                            raise ArithmeticError("Bareiss division failed")
                         m[i][j] = q
             m[i][k] = ZERO
         prev = pivot
     det = m[n - 1][n - 1]
     return (det if sign == 1 else -det).shift(shift)
-
-
-def identity_matrix(n: int) -> list[list[LaurentPoly]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b) -> list[list[LaurentPoly]]:
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ZERO
-            for k in range(mid):
-                if not a[i][k].is_zero and not b[k][j].is_zero:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def sym_power_matrix(f: Sequence[Sequence[int]], m: int) -> list[list[int]]:

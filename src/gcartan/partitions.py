@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _cartesian
 from typing import Iterable, Iterator
 
 Partition = tuple  # tuple[int, ...], weakly decreasing, positive entries
@@ -178,11 +177,6 @@ def blocks(n: int, ell: int) -> tuple[BlockLabel, ...]:
             if is_ell_core(rho, ell):
                 out.append(BlockLabel(rho, d, ell))
     return tuple(out)
-
-
-def block_of(lam: Partition, ell: int) -> BlockLabel:
-    rho = ell_core(lam, ell)
-    return BlockLabel(rho, (size(lam) - size(rho)) // ell, ell)
 
 
 def residue_content(b: BlockLabel, p: int) -> dict[int, int]:
@@ -391,7 +385,3 @@ def group_by_size(cp: ColoredPartition) -> dict[int, tuple[int, ...]]:
         out.setdefault(s, []).append(c)
     return {s: tuple(cs) for s, cs in out.items()}
 
-
-def refinements_by_parts(lam: Partition) -> Iterator[tuple[Partition, ...]]:
-    """One partition of each part of lam (the per-part refinement choices)."""
-    return _cartesian(*(enum_partitions(p) for p in lam))

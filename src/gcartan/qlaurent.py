@@ -1,10 +1,10 @@
-"""Exact arithmetic in Z[v,v^-1] and Q[v,v^-1].
+"""Exact arithmetic in Z[v,v^-1].
 
 Laurent polynomials are kept in canonical sparse form: a map from integer
-exponent to nonzero coefficient.  Coefficients are arbitrary-precision
-(``int`` for ``LaurentPoly``, ``fractions.Fraction`` for ``RatLaurentPoly``),
-so every operation here is exact.  On top of the ring arithmetic this module
-provides the quantum integers ``[n]_s``, Gaussian binomials, cyclotomic
+exponent to nonzero ``int`` coefficient.  Coefficients are arbitrary-precision,
+so every operation here is exact; a rational multiple is carried as an integer
+polynomial and a separate integer denominator.  On top of the ring arithmetic
+this module provides the quantum integers ``[n]_s``, Gaussian binomials, cyclotomic
 polynomials, the bar involution ``v -> v^-1``, unit normalization, and exact
 vanishing tests at roots of unity (computed in Z[v]/Phi_m(v), never in
 floating point).
@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
-
-
-def _normalized(terms: dict) -> dict:
-    return {e: c for e, c in terms.items() if c}
 
 
 class LaurentPoly:
@@ -207,11 +203,6 @@ class LaurentPoly:
     def is_bar_invariant(self) -> bool:
         return all(self._terms.get(-e, 0) == c for e, c in self._terms.items())
 
-    def to_rational(self) -> "RatLaurentPoly":
-        out = RatLaurentPoly.__new__(RatLaurentPoly)
-        out._terms = {e: Fraction(c) for e, c in self._terms.items()}
-        return out
-
     # -- presentation ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -243,161 +234,11 @@ class LaurentPoly:
         return LaurentPoly({int(e): int(c) for e, c in obj["terms"].items()})
 
 
-class RatLaurentPoly:
-    """A Laurent polynomial over Q, with reduced Fraction coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, Fraction | int] | None = None):
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[int(e)] = c
-        self._terms = t
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatLaurentPoly):
-            return self._terms == other._terms
-        if isinstance(other, LaurentPoly):
-            return self._terms == {e: Fraction(c) for e, c in other._terms.items()}
-        if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: Fraction(other)} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other) -> RatLaurentPoly:
-        other = _coerce_rat_poly(other)
-        if other is None:
-            return NotImplemented
-        r = dict(self._terms)
-        for e, c in other._terms.items():
-            s = r.get(e, 0) + c
-            if s:
-                r[e] = s
-            else:
-                r.pop(e, None)
-        out = RatLaurentPoly.__new__(RatLaurentPoly)
-        out._terms = r
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RatLaurentPoly:
-        out = RatLaurentPoly.__new__(RatLaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other) -> RatLaurentPoly:
-        other = _coerce_rat_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> RatLaurentPoly:
-        other = _coerce_rat_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> RatLaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RatLaurentPoly()
-            out = RatLaurentPoly.__new__(RatLaurentPoly)
-            out._terms = {e: c * other for e, c in self._terms.items()}
-            return out
-        other = _coerce_rat_poly(other)
-        if other is None:
-            return NotImplemented
-        r: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = r.get(e, 0) + c1 * c2
-                if s:
-                    r[e] = s
-                else:
-                    del r[e]
-        out = RatLaurentPoly.__new__(RatLaurentPoly)
-        out._terms = r
-        return out
-
-    __rmul__ = __mul__
-
-    def bar(self) -> RatLaurentPoly:
-        out = RatLaurentPoly.__new__(RatLaurentPoly)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
-
-    def at_one(self) -> Fraction:
-        return sum(self._terms.values(), Fraction(0))
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
-
-    def to_laurent(self) -> LaurentPoly:
-        """Reduce to LaurentPoly; fails unless every denominator is 1."""
-        if not self.is_integral:
-            raise ValueError(f"{self} has non-integer coefficients")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: c.numerator for e, c in self._terms.items()}
-        return out
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self._terms.items(), reverse=True):
-            vpow = "" if e == 0 else ("v" if e == 1 else f"v^{e}")
-            body = f"{abs(c)}" + (f"*{vpow}" if vpow else "")
-            bits.append((("+ " if c > 0 else "- ") if bits else ("" if c > 0 else "-")) + body)
-        return " ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"RatLaurentPoly({self})"
-
-    def to_json(self) -> dict:
-        def enc(c: Fraction) -> str:
-            return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-        return {"terms": {str(e): enc(c) for e, c in sorted(self._terms.items())}}
-
-    @staticmethod
-    def from_json(obj: dict) -> RatLaurentPoly:
-        return RatLaurentPoly({int(e): Fraction(c) for e, c in obj["terms"].items()})
-
-
 def _coerce_int_poly(x):
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, int):
         return LaurentPoly({0: x})
-    return None
-
-
-def _coerce_rat_poly(x):
-    if isinstance(x, RatLaurentPoly):
-        return x
-    if isinstance(x, LaurentPoly):
-        return x.to_rational()
-    if isinstance(x, (int, Fraction)):
-        return RatLaurentPoly({0: x})
     return None
 
 
@@ -446,7 +287,8 @@ def quantum_binomial(n: int, m: int, s: int = 1) -> LaurentPoly:
     num = quantum_factorial(n, s)
     den = quantum_factorial(m, s) * quantum_factorial(n - m, s)
     q = divide_exact(num, den)
-    assert q is not None, "Gaussian binomial divisibility failed"
+    if q is None:
+        raise ArithmeticError("Gaussian binomial divisibility failed")
     return q
 
 
@@ -459,7 +301,8 @@ def cyclotomic(m: int) -> LaurentPoly:
     for d in range(1, m):
         if m % d == 0:
             num = divide_exact(num, cyclotomic(d))
-            assert num is not None
+            if num is None:
+                raise ArithmeticError(f"Phi_{d} does not divide v^{m} - 1")
     return num
 
 

@@ -11,20 +11,14 @@ multiset comparison.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .linalg import laurent_det
-from .qlaurent import (
-    ONE,
-    ZERO,
-    LaurentPoly,
-    RatLaurentPoly,
-    divide_exact,
-    normalize_unit,
-)
+from .partitions import prime_divisors
+from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit
 
 RING_ZINT = "ZInt"
 RING_QLAURENT = "QLaurent"
@@ -89,21 +83,27 @@ def multiset_equal_up_to_units(a: InvariantMultiset, b: InvariantMultiset) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _chain_fix_int(diag: list[int]) -> list[int]:
-    # diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)); sweep until the
-    # divisibility chain holds, zeros last
-    d = sorted((abs(x) for x in diag if x))
+def _chain_fix(d: list, gcd, divisible, quotient) -> list:
+    """Turn the nonzero diagonal d into a divisibility chain, in place.
+
+    diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)), with lcm(a,b) =
+    quotient(a, gcd(a,b)) * b; divisible(b, a) says whether a divides b.
+    After the pairs (i, j > i) have been swept, d_i divides every later
+    entry, and swaps among later entries keep that, so one sweep suffices.
+    """
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if not divisible(d[j], d[i]):
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, quotient(d[i], g) * d[j]
+    return d
+
+
+def _chain_fix_int(diag: Sequence[int]) -> list[int]:
+    # smallest first, so most pairs already divide; zeros last
+    d = sorted(abs(x) for x in diag if x)
     zeros = len(diag) - len(d)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = math.gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] // g * d[j]
-                    changed = True
-        d.sort()
+    _chain_fix(d, math.gcd, lambda b, a: b % a == 0, operator.floordiv)
     return d + [0] * zeros
 
 
@@ -241,19 +241,8 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
     n = len(matrix)
     if det_abs <= 0:
         raise ValueError("det_abs must be the positive |det| of a nonsingular matrix")
-    rest = det_abs
-    primes = []
-    f = 2
-    while f * f <= rest and f < 100000:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
     out = [1] * n
-    for p in primes:
+    for p in prime_divisors(det_abs):
         bound = 64
         while True:
             vals = _local_valuations(matrix, p, bound)
@@ -271,34 +260,9 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
 
 
 def snf_int_diagonal(values: Sequence[int]) -> InvariantMultiset:
-    """Invariant factors of diag(values) over Z, prime by prime: at each
-    prime the k-th invariant factor takes the k-th smallest valuation."""
-    vals = [abs(v) for v in values]
-    zeros = sum(1 for v in vals if v == 0)
-    vals = [v for v in vals if v]
-    primes: set[int] = set()
-    for v in vals:
-        f = 2
-        while f * f <= v:
-            if v % f == 0:
-                primes.add(f)
-                while v % f == 0:
-                    v //= f
-            f += 1
-        if v > 1:
-            primes.add(v)
-    out = [1] * len(vals)
-    for p in sorted(primes):
-        exps = []
-        for v in vals:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            exps.append(e)
-        for i, e in enumerate(sorted(exps)):
-            out[i] *= p**e
-    return InvariantMultiset(RING_ZINT, tuple(out + [0] * zeros))
+    """Invariant factors of diag(values) over Z, by gcd/lcm swaps on the
+    diagonal; no elimination and no factoring."""
+    return InvariantMultiset(RING_ZINT, tuple(_chain_fix_int(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +271,9 @@ def snf_int_diagonal(values: Sequence[int]) -> InvariantMultiset:
 #
 # Q[v,v^-1] is the localization of the Euclidean domain Q[v] at the powers of
 # v; the Euclidean size of an element is the exponent span of its v-cleared
-# form.  Entries are carried as (LaurentPoly, Fraction scale) pairs would be
-# overkill: RatLaurentPoly suffices, with row/column rescaling by units
-# (nonzero rationals times v^k) to keep coefficients small.
+# form.  Entries stay integer Laurent polynomials: nonzero integers and powers
+# of v are units of this ring, so pseudo-division may scale a row or column by
+# an integer, and stripping content and v-powers keeps coefficients small.
 
 
 def _span(p: LaurentPoly) -> int:
@@ -379,7 +343,7 @@ def _strip_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
     return out
 
 
-def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly | RatLaurentPoly]]) -> InvariantMultiset:
+def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly]]) -> InvariantMultiset:
     """Invariant factors over Q[v,v^-1], unit-normalized to primitive integer
     polynomials with lowest exponent 0 and positive leading coefficient.
 
@@ -390,20 +354,7 @@ def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly | RatLaurentPoly]]) 
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("matrix must be square")
-    m: list[list[LaurentPoly]] = []
-    for row in matrix:
-        cleared = []
-        denlcm = 1
-        for e in row:
-            if isinstance(e, RatLaurentPoly):
-                for c in e.terms.values():
-                    denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-        for e in row:
-            if isinstance(e, RatLaurentPoly):
-                cleared.append((e * denlcm).to_laurent())
-            else:
-                cleared.append(e * denlcm)
-        m.append(_strip_row(cleared))
+    m = [_strip_row(list(row)) for row in matrix]
 
     def scale_col(j: int, s: int, lo: int) -> None:
         for row in m:
@@ -485,11 +436,22 @@ def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly | RatLaurentPoly]]) 
     return InvariantMultiset.polys([m[i][i] for i in range(n)], RING_QLAURENT)
 
 
+def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    q = divide_exact(a, b)
+    if q is None:
+        raise ArithmeticError(f"{b} does not divide {a} in Z[v,v^-1]")
+    return q
+
+
 def snf_of_diagonal(values: Sequence[LaurentPoly]) -> InvariantMultiset:
-    """Field-ring invariant factors of diag(values)."""
-    n = len(values)
-    m = [[values[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-    return snf_laurent_field(m)
+    """Field-ring invariant factors of diag(values), by gcd/lcm swaps on the
+    diagonal.  Each lcm a/gcd(a,b) * b stays in Z[v,v^-1]: the gcd is
+    primitive, so by Gauss's lemma it divides a there, not only over Q."""
+    d = sorted(
+        (canonical_poly(x, primitive=True) for x in values if not x.is_zero), key=_span
+    )
+    _chain_fix(d, _poly_gcd, _divides_field, _exact_quotient)
+    return InvariantMultiset.polys(d + [ZERO] * (len(values) - len(d)), RING_QLAURENT)
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +626,10 @@ def try_diagonalize_zlaurent(
 
 
 def _success_sanity(matrix, diag) -> None:
-    n = len(matrix)
-    dm = [[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-    if not multiset_equal_up_to_units(snf_laurent_field(dm), snf_laurent_field(matrix)):
+    if not multiset_equal_up_to_units(snf_of_diagonal(diag), snf_laurent_field(matrix)):
         raise AssertionError("diagonalization changed the field-ring invariants")
     a = snf_int([[e.at_one() for e in row] for row in matrix])
-    b = snf_int([[e.at_one() for e in row] for row in dm])
-    if a.elements != b.elements:
+    if a.elements != snf_int_diagonal([e.at_one() for e in diag]).elements:
         raise AssertionError("diagonalization changed the v=1 invariants")
 
 

@@ -67,6 +67,37 @@ class TestGramCommand:
         assert code1 == code2 == 0 and out1 == out2
 
 
+class TestCacheKey:
+    def test_key_changes_with_source_digest(self, monkeypatch):
+        # a code change must not be served output cached by older code
+        cache = cli.DiskCache(None)
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        before = cache.key("output", "det", "{}")
+        assert cache.key("output", "det", "{}") == before
+        monkeypatch.setattr(cli, "_source_digest", lambda: "1" * 64)
+        assert cache.key("output", "det", "{}") != before
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [AssertionError, ArithmeticError, ZeroDivisionError])
+    def test_internal_error_exits_3(self, capsys, cache_dir, monkeypatch, error):
+        def broken(args):
+            raise error("inexact division")
+
+        monkeypatch.setattr(cli, "cmd_table", broken)
+        code, out, err = run(capsys, "table", "--ell", "2", "--cache-dir", cache_dir)
+        assert code == 3 and out == ""
+        assert "internal error" in err and "inexact division" in err
+
+    def test_value_error_is_still_usage(self, capsys, cache_dir, monkeypatch):
+        def bad_input(args):
+            raise ValueError("d must be nonnegative")
+
+        monkeypatch.setattr(cli, "cmd_table", bad_input)
+        code, _, err = run(capsys, "table", "--ell", "2", "--cache-dir", cache_dir)
+        assert code == 2 and "d must be nonnegative" in err
+
+
 class TestDetCommand:
     def test_value_and_check(self, capsys, cache_dir):
         code, out, _ = run(

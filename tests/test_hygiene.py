@@ -1,0 +1,57 @@
+"""Checks over the package's source text rather than its behaviour."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gcartan"
+# where a use of a package function may live
+SEARCHED = ("src", "tests", "demos", "perfbench")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_no_assert_statements():
+    # exactness checks must survive `python -O`, which strips every assert
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/gcartan: {found}"
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Identifiers a node reads: names, attributes, imported names, and
+    strings (the benchmark looks functions up by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def test_every_top_level_definition_is_used():
+    # a use inside the definition itself (recursion) does not count
+    uses: dict[str, set[tuple[Path, int]]] = {}
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            for k, stmt in enumerate(_parse(path).body):
+                for name in _used_names(stmt):
+                    uses.setdefault(name, set()).add((path, k))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for k, stmt in enumerate(_parse(path).body):
+            defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if isinstance(stmt, defs) and not uses.get(stmt.name, set()) - {(path, k)}:
+                unused.append(f"{path.stem}.{stmt.name}")
+    assert not unused, f"defined in src/gcartan but used nowhere: {unused}"

@@ -9,7 +9,6 @@ from gcartan.qlaurent import (
     CyclotomicResidue,
     LaurentPoly,
     QProduct,
-    RatLaurentPoly,
     cyclotomic,
     divide_exact,
     kss_bracket,
@@ -74,14 +73,6 @@ class TestRingBasics:
     def test_json_roundtrip(self):
         p = LaurentPoly({10**20: 3, -5: -(10**30)})
         assert LaurentPoly.from_json(p.to_json()) == p
-
-    def test_rational_roundtrip_and_reduction(self):
-        r = RatLaurentPoly({2: Fraction(1, 3), 0: 2})
-        assert RatLaurentPoly.from_json(r.to_json()) == r
-        assert not r.is_integral
-        with pytest.raises(ValueError):
-            r.to_laurent()
-        assert (r * 3).to_laurent() == LaurentPoly({2: 1, 0: 6})
 
 
 class TestBarAndSubst:
@@ -210,10 +201,13 @@ class TestUnitsAndDivision:
         with pytest.raises(ValueError):
             normalize_unit(ZERO)
 
-    @given(small_polys, st.integers(min_value=-4, max_value=4), st.booleans())
+    @given(
+        small_polys.filter(lambda p: not p.is_zero),
+        st.integers(min_value=-4, max_value=4),
+        st.booleans(),
+    )
     @settings(max_examples=60, deadline=None)
     def test_normalize_unit_reconstructs(self, a, k, neg):
-        a = a + ONE  # ensure nonzero
         a = a.shift(k) * (-1 if neg else 1)
         unit, canon = normalize_unit(a)
         assert unit * canon == a

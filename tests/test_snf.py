@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gcartan.gram import cartan_graded, gram_matrix
 from gcartan.linalg import int_det, laurent_det
@@ -34,6 +36,26 @@ def random_laurent_matrix(rng, n):
         )
 
     return [[poly() for _ in range(n)] for _ in range(n)]
+
+
+# zeros, units and shared cyclotomic factors, so that gcds are nontrivial and
+# values repeat; plus small arbitrary polynomials
+DIAGONAL_ENTRIES = st.one_of(
+    st.sampled_from(
+        [
+            ZERO,
+            ONE,
+            LaurentPoly({3: -2}),
+            quantum_int(2),
+            quantum_int(3),
+            quantum_int(2) * quantum_int(2),
+            quantum_int(2) * quantum_int(3) * 3,
+            quantum_int(2, 2),
+            quantum_int(4),
+        ]
+    ),
+    st.dictionaries(st.integers(-2, 2), st.integers(-4, 4), max_size=3).map(LaurentPoly),
+)
 
 
 class TestSnfInt:
@@ -80,6 +102,39 @@ class TestSnfInt:
     def test_certified_rejects_wrong_det(self):
         with pytest.raises(AssertionError):
             snf_int_certified([[2, 0], [0, 2]], 8)
+
+    def test_certified_factors_primes_beyond_trial_bound(self):
+        # a prime above 10^5 must not be mistaken for a cofactor to skip
+        p = 100003
+        assert snf_int_certified([[p, 0], [0, p]], p * p).elements == (p, p)
+        assert snf_int_certified([[2 * p, 0], [0, p]], 2 * p * p).elements == (p, 2 * p)
+
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_matches_general_property(self, vals):
+        n = len(vals)
+        dense = [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        got = snf_int_diagonal(vals).elements
+        assert got == snf_int(dense).elements
+        if all(vals):
+            # the local method shares no code with the gcd/lcm chain
+            prod = 1
+            for v in vals:
+                prod *= abs(v)
+            assert got == snf_int_certified(dense, prod).elements
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certified_matches_general_property(self, m):
+        d = int_det(m)
+        assume(d != 0)
+        assert snf_int_certified(m, abs(d)).elements == snf_int(m).elements
 
 
 class TestSnfLaurentField:
@@ -139,6 +194,13 @@ class TestSnfLaurentField:
         vals = [quantum_int(3), ONE, quantum_int(2)]
         ms = snf_of_diagonal(vals)
         assert ms.elements[0] == ONE  # gcd is 1
+
+    @given(st.lists(DIAGONAL_ENTRIES, min_size=1, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_snf_of_diagonal_matches_dense_property(self, vals):
+        n = len(vals)
+        dense = [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+        assert snf_of_diagonal(vals) == snf_laurent_field(dense)
 
 
 class TestTryDiagonalize:
