@@ -411,14 +411,35 @@ def cmd_twisted(args) -> str:
     )
 
 
+def _int_entry(x) -> int:
+    if type(x) is not int:  # JSON true and 2.7 are not integers
+        raise ValueError(f"not an integer: {x!r}")
+    return x
+
+
 def _read_matrix(path: str):
-    with open(path) as fh:
-        obj = json.load(fh)
-    if "rows" in obj:
-        return [list(map(int, row)) for row in obj["rows"]]
-    if "entries" in obj:
-        return [[LaurentPoly.from_json(e) for e in row] for row in obj["entries"]]
-    raise UsageError("matrix JSON needs 'rows' (integers) or 'entries' (Laurent polynomials)")
+    """A square matrix from JSON: {"rows": integer rows} or {"entries": rows
+    of Laurent polynomials as LaurentPoly.to_json writes them}.  Anything
+    else, or an unreadable file, is a usage error."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read a matrix from {path}: {exc}") from None
+    if isinstance(obj, dict) and "rows" in obj:
+        rows, parse = obj["rows"], _int_entry
+    elif isinstance(obj, dict) and "entries" in obj:
+        rows, parse = obj["entries"], LaurentPoly.from_json
+    else:
+        raise UsageError("matrix JSON needs 'rows' (integers) or 'entries' (Laurent polynomials)")
+    if not isinstance(rows, list) or any(
+        not isinstance(r, list) or len(r) != len(rows) for r in rows
+    ):
+        raise UsageError("the matrix must be a square list of rows")
+    try:
+        return [[parse(x) for x in row] for row in rows]
+    except ValueError as exc:
+        raise UsageError(f"bad matrix entry: {exc}") from None
 
 
 def cmd_snf(args) -> str:
@@ -461,7 +482,7 @@ def cmd_snf(args) -> str:
     elif args.ring == "zlaurent":
         if not all(isinstance(x, LaurentPoly) for row in m for x in row):
             raise UsageError("--ring zlaurent needs a Laurent matrix ('entries')")
-        res = snf_mod.try_diagonalize_zlaurent(m, budget=args.budget)
+        res = snf_mod.try_diagonalize_zlaurent(m)
         if res.success:
             ms = res.diagonal
             status = "VERIFIED"
@@ -472,7 +493,7 @@ def cmd_snf(args) -> str:
                 "ring": args.ring,
                 "invariants": [],
                 "status": "INCONCLUSIVE",
-                "checks": {"elementary_steps": res.steps},
+                "checks": {"elementary_steps": res.steps, "stopped": res.stopped},
             }
             return _emit(args, payload)
     else:
@@ -518,7 +539,7 @@ def cmd_invariants(args) -> str:
 
 def cmd_report(args) -> str:
     _require(args, "p", "r", "d")
-    rep = inv.conjecture_report(args.p, args.r, args.d, budget=args.budget)
+    rep = inv.conjecture_report(args.p, args.r, args.d)
     text = _emit(args, rep.to_json())
     if not rep.ok:
         raise VerificationFailure(text)
@@ -620,9 +641,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_twisted)
 
     s = sub.add_parser("snf", help="invariant factors of a matrix from JSON")
-    s.add_argument("--input")
-    s.add_argument("--ring", choices=["zint", "qlaurent", "zlaurent"])
-    s.add_argument("--budget", type=int, default=50000)
+    s.add_argument("--input", help='JSON file: {"rows": integer rows} or {"entries": Laurent rows}')
+    s.add_argument(
+        "--ring",
+        choices=["zint", "qlaurent", "zlaurent"],
+        help="zlaurent runs a greedy diagonalizer: VERIFIED, or INCONCLUSIVE with "
+        "the reason it stopped (stalled, or its step cap)",
+    )
     common(s)
     s.set_defaults(fn=cmd_snf)
 
@@ -638,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--p", type=int)
     r.add_argument("--r", type=int)
     r.add_argument("--d", type=int)
-    r.add_argument("--budget", type=int, default=50000)
     common(r)
     r.set_defaults(fn=cmd_report)
 

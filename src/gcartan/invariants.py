@@ -458,7 +458,15 @@ class ConjectureReport:
         }
 
 
-def conjecture_report(p: int, r: int, d: int, budget: int = 5000) -> ConjectureReport:
+_DIAG_STOPS = {
+    "stalled": "greedy reduction stalled: no elementary step clears the pivot line",
+    "budget": "greedy reduction hit its step cap",
+}
+
+
+def conjecture_report(
+    p: int, r: int, d: int, budget: int = snf_mod.DIAG_BUDGET
+) -> ConjectureReport:
     """Run the layered verification of the graded invariant-factor conjecture
     for C^v_{p^r, d}.
 
@@ -467,9 +475,12 @@ def conjecture_report(p: int, r: int, d: int, budget: int = 5000) -> ConjectureR
     Q[v,v^-1]; its bracket-product sub-check is theorem-backed, the
     I^v-multiset check is the conjecture's field-ring shadow.  Layer 3:
     invariant factors at v=1 against the ungraded multiset (a theorem when
-    r <= p).  Layer 4: heuristic diagonalization over Z[v,v^-1]; Success with
-    a matching multiset verifies the conjecture at this size, anything else
-    is inconclusive by design.
+    r <= p).  Layer 4: greedy diagonalization over Z[v,v^-1], which stops at
+    its first stall or after `budget` steps; its details give the steps and
+    why it stopped.  Success with the conjectured multiset verifies the
+    conjecture at this size (VERIFIED).  Any other diagonal, or a stop with
+    all three earlier checks holding, is CONSISTENT; a stop otherwise is
+    INCONCLUSIVE.  No outcome of this layer refutes the conjecture.
     """
     start = time.monotonic()
     ell = p**r
@@ -533,11 +544,12 @@ def conjecture_report(p: int, r: int, d: int, budget: int = 5000) -> ConjectureR
         # the heuristic proved nothing either way; the complete-ring
         # necessary conditions all hold, so the conjecture stands consistent
         status = "CONSISTENT"
-        extra = {"note": "reduction budget exhausted; field and v=1 invariants agree"}
+        extra = {"note": f"{_DIAG_STOPS[diag.stopped]}; field and v=1 invariants agree"}
     else:
         status = "INCONCLUSIVE"
-        extra = {"note": "greedy reduction exhausted its budget"}
-    layers.append(LayerResult("integral-diagonalization", status, {"steps": diag.steps, **extra}))
+        extra = {"note": _DIAG_STOPS[diag.stopped]}
+    details = {"steps": diag.steps, "stopped": diag.stopped, **extra}
+    layers.append(LayerResult("integral-diagonalization", status, details))
 
     elapsed = int((time.monotonic() - start) * 1000)
     return ConjectureReport(p, r, d, tuple(layers), elapsed)

@@ -13,6 +13,7 @@ floating point).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -231,7 +232,21 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj: dict) -> LaurentPoly:
-        return LaurentPoly({int(e): int(c) for e, c in obj["terms"].items()})
+        """Inverse of to_json.  Exponents and coefficients must be integers
+        or integer strings, not bools or floats; anything else raises
+        ValueError."""
+        terms = obj.get("terms") if isinstance(obj, dict) else None
+        if not isinstance(terms, dict):
+            raise ValueError(f"expected {{'terms': {{exponent: coefficient}}}}, got {obj!r}")
+        return LaurentPoly({_json_int(e): _json_int(c) for e, c in terms.items()})
+
+
+def _json_int(x) -> int:
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    if type(x) is not int:  # JSON true and 2.5 are not integers
+        raise ValueError(f"not an integer: {x!r}")
+    return x
 
 
 def _coerce_int_poly(x):

@@ -230,6 +230,40 @@ class TestSnfCommand:
         assert code == 0
         assert json.loads(out)["status"] == "VERIFIED"
 
+    def test_zlaurent_inconclusive_says_why(self, capsys, tmp_path, cache_dir):
+        from gcartan.gram import cartan_graded
+
+        f = tmp_path / "m.json"
+        entries = [[e.to_json() for e in row] for row in cartan_graded(3, 3).entries]
+        f.write_text(json.dumps({"entries": entries}))
+        code, out, _ = run(
+            capsys, "snf", "--input", str(f), "--ring", "zlaurent", "--cache-dir", cache_dir
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["status"] == "INCONCLUSIVE" and obj["checks"]["stopped"] == "stalled"
+
+    @pytest.mark.parametrize(
+        "text, ring",
+        [
+            ('{"rows": [[2.7, 0], [0, 4.9]]}', "zint"),
+            ('{"rows": [[true, 0], [0, 2]]}', "zint"),
+            ('{"entries": [[{"terms": {"0": 2.5}}]]}', "qlaurent"),
+            ('{"entries": [[{"0": "1"}]]}', "zlaurent"),
+            ('{"rows": [[1, 0], [0]]}', "zint"),
+            (None, "zint"),
+        ],
+        ids=["float", "bool", "float-coefficient", "no-terms", "ragged", "missing-file"],
+    )
+    def test_malformed_input_is_usage_error(self, capsys, tmp_path, cache_dir, text, ring):
+        f = tmp_path / "m.json"
+        if text is not None:
+            f.write_text(text)
+        code, out, err = run(
+            capsys, "snf", "--input", str(f), "--ring", ring, "--cache-dir", cache_dir
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestInvariantsCommand:
     def test_prime_power(self, capsys, cache_dir):

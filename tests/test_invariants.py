@@ -220,6 +220,23 @@ class TestConjectureReport:
         for lay in rep.layers[1:]:
             assert lay.status in ("VERIFIED", "CONSISTENT", "INCONCLUSIVE")
 
+    @pytest.mark.parametrize(
+        "p, r, d, status, stopped",
+        [
+            (2, 1, 4, "VERIFIED", "cleared"),
+            (3, 1, 2, "VERIFIED", "cleared"),
+            (2, 2, 2, "VERIFIED", "cleared"),
+            (5, 1, 2, "VERIFIED", "cleared"),
+            (3, 1, 3, "CONSISTENT", "stalled"),
+            (2, 2, 3, "CONSISTENT", "stalled"),
+        ],
+    )
+    def test_integral_diagonalization_status(self, p, r, d, status, stopped):
+        # criterion 8 accepts VERIFIED or CONSISTENT alike; this pins which
+        lay = conjecture_report(p, r, d).layer("integral-diagonalization")
+        assert (lay.status, lay.details["stopped"]) == (status, stopped)
+        assert ("stalled" in lay.details.get("note", "")) == (stopped == "stalled")
+
 
 def test_graded_invariant_record():
     g = GradedInvariant(quantum_int(2), "GradedHill", (2, 1), (1,))

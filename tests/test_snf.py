@@ -215,6 +215,7 @@ class TestTryDiagonalize:
     def test_one_by_one(self):
         res = try_diagonalize_zlaurent([[quantum_int(2)]])
         assert res.success and res.diagonal.elements == (LaurentPoly({2: 1, 0: 1}),)
+        assert res.stopped == "cleared"
 
     def test_c22_reduces_to_conjectured_invariants(self):
         c = gram_matrix(DynkinDiagram("A", 1), 2).entries
@@ -227,6 +228,14 @@ class TestTryDiagonalize:
         c = cartan_graded(3, 2).entries
         res = try_diagonalize_zlaurent(c, budget=1)
         assert res.status == "inconclusive" and res.diagonal is None
+        assert res.stopped == "budget"
+
+    def test_stops_at_first_stall(self):
+        # no elementary step clears C^v_{3,3} greedily; the reducer must say
+        # so at once instead of spending its budget
+        res = try_diagonalize_zlaurent(cartan_graded(3, 3).entries)
+        assert res.status == "inconclusive" and res.stopped == "stalled"
+        assert res.steps < 100
 
     def test_sanity_checks_run_on_success(self):
         rng = random.Random(31)
