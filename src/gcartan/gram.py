@@ -18,11 +18,24 @@ be integral, symmetric, and bar-invariant.
 For type A_{ell-1} the resulting matrix IS the graded Cartan matrix of a
 weight-d block at quantum characteristic ell.
 
-The determinant has a fast exact route: the x-to-y change of basis is
-unitriangular (verified at run time, not assumed), and the y-Gram matrix is
-block diagonal over underlying partitions, so det G is the product of the
-block determinants, each computed by generic fraction-free elimination.  No
-closed determinant formula enters this computation.
+The determinant and the invariant factors go through that structure.  The
+x-to-y change of basis is unitriangular (verified at run time, not
+assumed), so it is unimodular.  The y-Gram matrix is block diagonal by shape
+lam, and the block of lam is, up to the scalar prod_s s^{m_s}, the Kronecker
+product over the distinct part sizes s (largest first) of the permanent
+matrices P_s(m_s) = (perm [X]_s[c, c']), indexed by the colour multisets c
+of size m_s.  That the members of each shape run in the matching row-major
+order is checked from the indices every time the factors are taken.  Hence
+
+    det(A (x) B) = det(A)^{dim B} det(B)^{dim A},
+    SNF(A (x) B) = SNF(diag(a_i b_j))   (a, b the invariant factors of A, B,
+                                         over a principal ideal domain),
+
+and every factor is eliminated generically.  P_s(m) is Sym^m([X]_s) up to
+a diagonal of multiplicity factorials, but det Sym^m = det^binom is the
+determinant theorem under test, so it is never used: no closed determinant
+formula enters this computation.  The dense y-blocks are built only for the
+full matrix.
 """
 
 from __future__ import annotations
@@ -31,10 +44,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import combinations_with_replacement, product
+from typing import Mapping
 
 from . import partitions as pt
-from .linalg import laurent_det
+from .linalg import int_det, laurent_det
 from .qcartan import DynkinDiagram, quantized_cartan, type_a
 from .qlaurent import ONE, ZERO, LaurentPoly
 
@@ -94,12 +108,14 @@ def _permanent(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return f[(1 << n) - 1]
 
 
-@lru_cache(maxsize=None)
 def _group_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
     # the permanent only depends on the two color multisets; A^{(s)} is
-    # symmetric, so the key can be ordered
-    if c2 < c1:
-        c1, c2 = c2, c1
+    # symmetric, so the cache key is ordered before the lookup
+    return _ordered_permanent(pairing, s, *sorted((c1, c2)))
+
+
+@lru_cache(maxsize=None)
+def _ordered_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
     a = pairing.matrix(s)
     return _permanent([[a[i][j] for j in c2] for i in c1])
 
@@ -225,11 +241,50 @@ class _Assembly:
             lam: [cp for cp in self.index if pt.shape(cp) == lam] for lam in self.shapes
         }
         self._blocks: dict[pt.Partition, tuple[int, list[list[LaurentPoly]]]] | None = None
+        self._factors: dict[tuple[int, int], list[list[LaurentPoly]]] = {}
 
     # -- y-Gram blocks --------------------------------------------------------
 
+    def kron_factors(self, lam: pt.Partition) -> tuple[int, dict]:
+        """The y-block of shape lam as (denominator prod(s^m_s), factors): the
+        block is the Kronecker product of the factors, in order, over the
+        denominator.  factors maps (s, m_s) to P_s(m_s) for each distinct part
+        size s, largest first; P_s(m) is memoised per (s, m).
+
+        The Kronecker form needs the shape's members in the row-major order of
+        the per-size colour-multiset lists.  That is checked on every call,
+        from the indices alone, and a mismatch raises AssertionError.
+        """
+        sizes = pt.mults(lam)  # parts in descending order, so largest first
+        lists = [self._multisets(m) for m in sizes.values()]
+        kron_order = [
+            tuple((s, c) for s, colors in zip(sizes, combo) for c in colors)
+            for combo in product(*lists)
+        ]
+        if kron_order != self.block_members[lam]:
+            raise AssertionError(f"members of shape {lam} are not in Kronecker order")
+        den = 1
+        factors = {}
+        for (s, m), colors in zip(sizes.items(), lists):
+            if (s, m) not in self._factors:
+                k = len(colors)
+                f = [[ZERO] * k for _ in range(k)]
+                for i, a in enumerate(colors):
+                    for j in range(i, k):
+                        f[i][j] = f[j][i] = _group_permanent(self.pairing, s, a, colors[j])
+                self._factors[s, m] = f
+            factors[s, m] = self._factors[s, m]
+            den *= s**m
+        return den, factors
+
+    def _multisets(self, m: int) -> tuple[tuple[int, ...], ...]:
+        # colour multisets of size m as descending tuples, in descending
+        # lexicographic order, built independently of pt.colorings
+        return tuple(combinations_with_replacement(range(self.pairing.colors - 1, -1, -1), m))
+
     def y_blocks(self) -> dict:
-        """Per shape: (denominator prod(s^m_s), integer permanent matrix)."""
+        """Per shape: (denominator prod(s^m_s), dense integer permanent
+        matrix); only the full matrix needs these."""
         if self._blocks is None:
             self._blocks = {
                 lam: _y_block(self.pairing, members)
@@ -309,16 +364,31 @@ class _Assembly:
             self.diagram.label(), self.d, self.index, tuple(tuple(r) for r in rows)
         )
 
-    def det(self) -> LaurentPoly:
-        """det G = prod over shapes of det(y-block): the change of basis is
-        unitriangular, so it contributes determinant 1 (checked above)."""
+    def _kron_det(self, factor_det, one):
+        """(numerator, denominator) of det G, from the Kronecker factors of
+        every shape: det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the
+        unitriangular change of basis contributes 1 (checked here).
+        factor_det runs generic elimination on each distinct factor once."""
         self.check_unitriangular()
-        num = ONE
+        dets = {}
+        num = one
         den = 1
         for lam in self.shapes:
-            d_block, block = self.y_blocks()[lam]
-            num = num * laurent_det(block)
-            den *= d_block ** len(block)
+            d_block, factors = self.kron_factors(lam)
+            dim = math.prod(len(f) for f in factors.values())
+            for key, f in factors.items():
+                if key not in dets:
+                    dets[key] = factor_det(f)
+                num = num * dets[key] ** (dim // len(f))
+            den *= d_block**dim
+        return num, den
+
+    def det(self) -> LaurentPoly:
+        """det G = prod over shapes of the Kronecker-factored block
+        determinants, each factor by Bareiss elimination (laurent_det).  The
+        identity det Sym^m = det^binom is never used: it is the theorem under
+        test."""
+        num, den = self._kron_det(laurent_det, ONE)
         out = {}
         for e, c in num.terms.items():
             q, r = divmod(c, den)
@@ -328,16 +398,10 @@ class _Assembly:
         return LaurentPoly(out)
 
     def det_at_one(self) -> int:
-        """det G evaluated at v=1, via integer elimination per block."""
-        from .linalg import int_det
-
-        self.check_unitriangular()
-        num = 1
-        den = 1
-        for lam in self.shapes:
-            d_block, block = self.y_blocks()[lam]
-            num *= int_det([[e.at_one() for e in row] for row in block])
-            den *= d_block ** len(block)
+        """det G evaluated at v=1, via integer elimination per factor."""
+        num, den = self._kron_det(
+            lambda f: int_det([[e.at_one() for e in row] for row in f]), 1
+        )
         q, r = divmod(num, den)
         if r:
             raise AssertionError("block determinant product is not integral")
@@ -403,20 +467,29 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     Rational numbers are units of Q[v,v^-1], so the unitriangular change of
     basis (runtime-checked) and the per-block scalar denominators are both
     unimodular: the Gram matrix is equivalent to the direct sum of the
-    integer y-pairing blocks.  Each small block is eliminated generically and
-    the block invariants are recombined by snf_of_diagonal.  Elimination
-    on the assembled matrix itself suffers catastrophic coefficient swell
-    beyond ~15 rows; this route is exact and fast, and the two are
-    cross-checked on small cases in the test suite.
+    integer y-pairing blocks, each a Kronecker product of permanent matrices
+    P_s(m_s).  Over a principal ideal domain the Smith form of A (x) B is that
+    of diag(a_i b_j), a and b the invariant factors of A and B.  So each
+    distinct factor is eliminated generically once (snf_laurent_field), the
+    products of factor invariants are formed per shape, and everything is
+    recombined by snf_of_diagonal.  Elimination on the assembled matrix
+    suffers catastrophic coefficient swell beyond ~15 rows; the dense and
+    factored routes are cross-checked on small cases in the test suite.
     """
     from .snf import snf_laurent_field, snf_of_diagonal
 
     asm = _Assembly(dg, d)
     asm.check_unitriangular()
+    factor_invs = {}
     invs = []
     for lam in asm.shapes:
-        _, block = asm.y_blocks()[lam]
-        invs.extend(snf_laurent_field(block).elements)
+        _, factors = asm.kron_factors(lam)
+        diag = [ONE]
+        for key, f in factors.items():
+            if key not in factor_invs:
+                factor_invs[key] = snf_laurent_field(f).elements
+            diag = [a * b for a in diag for b in factor_invs[key]]
+        invs.extend(diag)
     return snf_of_diagonal(invs)
 
 

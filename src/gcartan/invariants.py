@@ -481,24 +481,31 @@ def conjecture_report(
     conjecture at this size (VERIFIED).  Any other diagonal, or a stop with
     all three earlier checks holding, is CONSISTENT; a stop otherwise is
     INCONCLUSIVE.  No outcome of this layer refutes the conjecture.
+
+    Every layer's details carry `elapsed_ms`, the time since the previous
+    layer ended (the full matrix is assembled in layer 3, which layer 4
+    reuses), and `dim`, the dimension of the Gram matrix.
     """
     start = time.monotonic()
     ell = p**r
-    gm = cartan_graded(ell, d)
+    dim = pt.u_count(ell - 1, d)
     graded_rhs = graded_hill_values(p, r, d)
     layers = []
+    last = start
+
+    def layer(name: str, status: str, details: dict) -> None:
+        # each layer is charged the time since the previous one ended
+        nonlocal last
+        now = time.monotonic()
+        timing = {"elapsed_ms": int((now - last) * 1000), "dim": dim}
+        last = now
+        layers.append(LayerResult(name, status, {**details, **timing}))
 
     det = gram_det(type_a(ell), d)
     prod = ONE
     for val in graded_rhs:
         prod = prod * val
-    layers.append(
-        LayerResult(
-            "determinant",
-            "VERIFIED" if det == prod else "FAILED",
-            {"theorem": True},
-        )
-    )
+    layer("determinant", "VERIFIED" if det == prod else "FAILED", {"theorem": True})
 
     snf_c = gram_field_invariants(type_a(ell), d)
     theorem_ok = snf_mod.multiset_equal_up_to_units(
@@ -511,22 +518,21 @@ def conjecture_report(
         status = "FAILED"
     else:
         status = "VERIFIED" if conj_ok else "FAILED"
-    layers.append(
-        LayerResult(
-            "field-invariants",
-            status,
-            {"theorem_subcheck": theorem_ok, "conjecture_check": conj_ok},
-        )
+    layer(
+        "field-invariants",
+        status,
+        {"theorem_subcheck": theorem_ok, "conjecture_check": conj_ok},
     )
 
+    # the full x-basis matrix is assembled here, so this layer's time
+    # includes the assembly that the next layer reuses
+    gm = cartan_graded(ell, d)
     snf_z = snf_mod.snf_int(gm.at_one())
     int_ok = snf_z.elements == snf_mod.snf_int_diagonal(hill_values(p, r, d)).elements
-    layers.append(
-        LayerResult(
-            "integer-invariants",
-            "VERIFIED" if int_ok else "FAILED",
-            {"theorem": r <= p, "conjectural": r > p},
-        )
+    layer(
+        "integer-invariants",
+        "VERIFIED" if int_ok else "FAILED",
+        {"theorem": r <= p, "conjectural": r > p},
     )
 
     diag = snf_mod.try_diagonalize_zlaurent(gm.entries, budget=budget)
@@ -549,7 +555,7 @@ def conjecture_report(
         status = "INCONCLUSIVE"
         extra = {"note": _DIAG_STOPS[diag.stopped]}
     details = {"steps": diag.steps, "stopped": diag.stopped, **extra}
-    layers.append(LayerResult("integral-diagonalization", status, details))
+    layer("integral-diagonalization", status, details)
 
     elapsed = int((time.monotonic() - start) * 1000)
     return ConjectureReport(p, r, d, tuple(layers), elapsed)

@@ -582,13 +582,15 @@ def try_diagonalize_zlaurent(
             for i in range(k + 1, n):
                 q = _reducing_quotient(m[i][k], piv)
                 if q is not None:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[k])]
+                    # a zero in the pivot row leaves the entry as it is
+                    m[i] = [a if b.is_zero else a - q * b for a, b in zip(m[i], m[k])]
                     progress = True
             for j in range(k + 1, n):
                 q = _reducing_quotient(m[k][j], piv)
                 if q is not None:
                     for row in m:
-                        row[j] = row[j] - q * row[k]
+                        if not row[k].is_zero:
+                            row[j] = row[j] - q * row[k]
                     progress = True
             row_clear = all(m[i][k].is_zero for i in range(k + 1, n))
             col_clear = all(m[k][j].is_zero for j in range(k + 1, n))

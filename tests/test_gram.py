@@ -8,10 +8,12 @@ from gcartan.gram import (
     CartanPairing,
     GramMatrix,
     IdentityPairing,
+    _Assembly,
     block_sum,
     cartan_graded,
     gram_det,
     gram_det_at_one,
+    gram_field_invariants,
     gram_matrix,
     k_pair,
     schur_in_x,
@@ -20,9 +22,11 @@ from gcartan.gram import (
     x_monomial_expansion,
     y_pair,
 )
-from gcartan.linalg import laurent_det
+from gcartan.invariants import bracket_product_values
+from gcartan.linalg import int_det, laurent_det
 from gcartan.qcartan import DynkinDiagram, shapovalov_det_formula, type_a
 from gcartan.qlaurent import ONE, LaurentPoly, quantum_int
+from gcartan.snf import multiset_equal_up_to_units, snf_of_diagonal
 
 
 class TestXExpansion:
@@ -144,9 +148,60 @@ class TestGramDeterminant:
             for d in range(dmax + 1):
                 assert gram_det_at_one(dg, d) == gram_det(dg, d).at_one()
 
+    def test_det_at_one_against_dense(self):
+        # integer Bareiss on the whole matrix at v=1 shares no factoring
+        for dg, dmax in self.CASES:
+            for d in range(dmax + 1):
+                assert gram_det_at_one(dg, d) == int_det(gram_matrix(dg, d).at_one())
+
     def test_full_bareiss_against_blocks(self):
         g = gram_matrix(DynkinDiagram("A", 2), 4)
         assert laurent_det(g.entries) == gram_det(DynkinDiagram("A", 2), 4)
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+class TestKroneckerFactors:
+    @pytest.mark.parametrize(
+        "dg, dmax",
+        [(DynkinDiagram("A", n), 4) for n in range(1, 5)]
+        + [(DynkinDiagram("D", 4), 3), (DynkinDiagram("E", 6), 2)],
+    )
+    def test_dense_block_is_kron_of_factors(self, dg, dmax):
+        for d in range(dmax + 1):
+            asm = _Assembly(dg, d)
+            for lam, (den, block) in asm.y_blocks().items():
+                f_den, factors = asm.kron_factors(lam)
+                prod = [[ONE]]
+                for f in factors.values():
+                    prod = _kron(prod, f)
+                assert (f_den, prod) == (den, block), (dg, d, lam)
+
+    def test_factors_are_memoised_per_size_and_multiplicity(self):
+        asm = _Assembly(DynkinDiagram("A", 2), 5)
+        _, f1 = asm.kron_factors((3, 1, 1))
+        _, f2 = asm.kron_factors((3, 2))
+        assert list(f1) == [(3, 1), (1, 2)] and list(f2) == [(3, 1), (2, 1)]
+        assert f1[3, 1] is f2[3, 1]
+        assert len(f1[1, 2]) == 3  # colour multisets of size 2 from 2 colours
+
+    def test_permuted_members_fail_the_order_check(self, monkeypatch):
+        asm = _Assembly(DynkinDiagram("A", 2), 3)
+        lam = (2, 1)
+        members = asm.block_members[lam]
+        monkeypatch.setitem(asm.block_members, lam, members[1:] + members[:1])
+        with pytest.raises(AssertionError, match="Kronecker order"):
+            asm.kron_factors(lam)
+        with pytest.raises(AssertionError):
+            asm.det()
+
+    def test_field_invariants_match_bracket_products(self):
+        # the theorem-backed sub-check at ell=4, d=5: the dense 30-row block
+        # of shape (2,1,1,1) alone did not finish the field SNF in 60 s
+        got = gram_field_invariants(type_a(4), 5)
+        assert multiset_equal_up_to_units(got, snf_of_diagonal(bracket_product_values(4, 5)))
 
 
 class TestBlockSum:

@@ -214,6 +214,14 @@ class TestConjectureReport:
         assert j["params"]["ell"] == 2 and len(j["layers"]) == 4
         assert "elapsed_ms" in j
 
+    def test_layers_carry_time_and_dimension(self):
+        rep = conjecture_report(3, 1, 3)
+        for lay in rep.layers:
+            assert lay.details["dim"] == pt.u_count(2, 3) == 10
+            assert 0 <= lay.details["elapsed_ms"] <= rep.elapsed_ms
+            assert lay.to_json()["dim"] == 10
+        assert sum(lay.details["elapsed_ms"] for lay in rep.layers) <= rep.elapsed_ms
+
     def test_statuses_at_least_consistent(self):
         rep = conjecture_report(3, 1, 2)
         assert rep.layer("determinant").status == "VERIFIED"
