@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from typing import Mapping
 
 from . import partitions as pt
@@ -84,28 +84,30 @@ class IdentityPairing:
         return ((ONE,),)
 
 
-def _permanent(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Permanent by subset dynamic programming, O(n 2^n) ring operations."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    f = [ZERO] * (1 << n)
-    f[0] = ONE
-    for mask in range(1, 1 << n):
-        i = mask.bit_count() - 1
+def _permanent(a, rows: tuple, cols: tuple) -> LaurentPoly:
+    """perm (a[i][j]) for i in rows, j in cols, colours that may repeat.
+
+    Dynamic programming over how many columns of each colour are used: for
+    such counts u, with r the colour of row |u| and m_b the number of columns
+    of colour b,  f(u) = sum_b f(u - e_b) a[r][b] (m_b - u_b + 1).  There are
+    prod (m_b + 1) <= 2^len(cols) states.
+    """
+    colours = sorted(set(cols))
+    mults = [cols.count(b) for b in colours]
+    # states u in the order of itertools.product, which is increasing in the
+    # index sum_t u_t strides[t]; f[index] = f(u)
+    strides = [math.prod(m + 1 for m in mults[t + 1:]) for t in range(len(mults))]
+    f = [ONE]
+    for used in islice(product(*(range(m + 1) for m in mults)), 1, None):
+        row = a[rows[sum(used) - 1]]
         acc = ZERO
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            j = low.bit_length() - 1
-            e = rows[i][j]
-            if not e.is_zero:
-                prev = f[mask ^ low]
+        for t, b in enumerate(colours):
+            if used[t] and not row[b].is_zero:
+                prev = f[len(f) - strides[t]]
                 if not prev.is_zero:
-                    acc = acc + e * prev
-            rest ^= low
-        f[mask] = acc
-    return f[(1 << n) - 1]
+                    acc = acc + prev * row[b] * (mults[t] - used[t] + 1)
+        f.append(acc)
+    return f[-1]
 
 
 def _group_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
@@ -116,8 +118,7 @@ def _group_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _ordered_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
-    a = pairing.matrix(s)
-    return _permanent([[a[i][j] for j in c2] for i in c1])
+    return _permanent(pairing.matrix(s), c1, c2)
 
 
 def _pair_by_size(pairing, g1: dict, g2: dict) -> tuple[LaurentPoly, int]:
@@ -314,17 +315,28 @@ class _Assembly:
     # -- products ---------------------------------------------------------------
 
     def matrix(self) -> GramMatrix:
+        """The Gram matrix on the x-basis, accumulated in integers: entry
+        (i, j) is sum over shapes lam of sum ta tb block[a][b] / den_lam, so
+        with L_i the lcm of the denominators of expansion i and K the lcm of
+        the den_lam it is an integer sum divided once by K L_i L_j."""
         blocks = self.y_blocks()
+        common = math.lcm(*(den for den, _ in blocks.values()))
         local = {
             lam: {cp: k for k, cp in enumerate(members)}
             for lam, members in self.block_members.items()
         }
         supports = []
+        scales = []
         for exp in self.expansions():
-            by_shape: dict[pt.Partition, list[tuple[int, Fraction]]] = {}
+            scale = math.lcm(*(c.denominator for c in exp.values()))
+            by_shape: dict[pt.Partition, list[tuple[int, int]]] = {}
             for cp, coeff in exp.items():
-                by_shape.setdefault(pt.shape(cp), []).append((local[pt.shape(cp)][cp], coeff))
+                lam = pt.shape(cp)
+                by_shape.setdefault(lam, []).append(
+                    (local[lam][cp], coeff.numerator * (scale // coeff.denominator))
+                )
             supports.append(by_shape)
+            scales.append(scale)
 
         n = len(self.index)
         rows: list[list[LaurentPoly]] = [[ZERO] * n for _ in range(n)]
@@ -332,29 +344,33 @@ class _Assembly:
             si = supports[i]
             for j in range(i, n):
                 sj = supports[j]
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for lam, left in si.items():
                     right = sj.get(lam)
                     if right is None:
                         continue
                     den, block = blocks[lam]
+                    weight = common // den
                     for a, ta in left:
                         row = block[a]
+                        ta *= weight
                         for b, tb in right:
                             e = row[b]
                             if e.is_zero:
                                 continue
-                            w = ta * tb / den
+                            w = ta * tb
                             for ex, c in e._terms.items():
                                 acc[ex] = acc.get(ex, 0) + c * w
+                den_ij = common * scales[i] * scales[j]
                 entry_terms = {}
                 for ex, c in acc.items():
                     if c:
-                        if c.denominator != 1:
+                        q, r = divmod(c, den_ij)
+                        if r:
                             raise AssertionError(
                                 f"non-integral Gram entry at {(i, j)}: bug in the pairing"
                             )
-                        entry_terms[ex] = c.numerator
+                        entry_terms[ex] = q
                 e = LaurentPoly(entry_terms)
                 if not e.is_bar_invariant():
                     raise AssertionError(f"Gram entry {(i, j)} is not bar-invariant")
@@ -385,9 +401,10 @@ class _Assembly:
 
     def det(self) -> LaurentPoly:
         """det G = prod over shapes of the Kronecker-factored block
-        determinants, each factor by Bareiss elimination (laurent_det).  The
-        identity det Sym^m = det^binom is never used: it is the theorem under
-        test."""
+        determinants, each distinct factor by the generic multi-modular
+        determinant (laurent_det: evaluation mod p, F_p elimination, Newton
+        interpolation, CRT under a Hadamard bound).  The identity
+        det Sym^m = det^binom is never used: it is the theorem under test."""
         num, den = self._kron_det(laurent_det, ONE)
         out = {}
         for e, c in num.terms.items():
@@ -443,9 +460,10 @@ def gram_det(dg: DynkinDiagram, d: int, method: str = "factored") -> LaurentPoly
     """Exact determinant of gram_matrix(dg, d).
 
     "factored" exploits the run-time-verified unitriangular change of basis
-    and block structure; "dense" runs Bareiss elimination on the assembled
-    matrix.  Both are generic exact algorithms; neither consults any closed
-    determinant formula.
+    and the Kronecker-factored shape blocks; "dense" runs laurent_det on the
+    assembled matrix.  Both are generic exact algorithms (laurent_det is
+    evaluation and interpolation mod Mersenne primes under a Hadamard bound);
+    neither consults any closed determinant formula.
     """
     asm = _Assembly(dg, d)
     if method == "factored":

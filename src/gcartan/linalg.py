@@ -1,15 +1,25 @@
 """Exact determinants of matrices over Z and Z[v,v^-1].
 
-Fraction-free Bareiss elimination; every interior division is exact, and is
-checked to be so.  Numerical stability is irrelevant here — exactness is the
-whole point — so pivoting only chases sparsity.
+int_det is fraction-free Bareiss elimination over Z; every interior division
+is exact, and is checked to be so.  laurent_det is a multi-modular kernel:
+evaluation mod p at enough points, F_p elimination at each, Newton
+interpolation, CRT over fixed Mersenne primes and a symmetric lift under a
+Hadamard coefficient bound (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 5).  Every bound is an integer, so no result rests on rounding,
+and a bound the prime table cannot cover raises instead of guessing.
 """
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact
+from .qlaurent import ONE, ZERO, LaurentPoly
+
+# exponents k of Mersenne primes 2^k - 1 (primality by Lucas-Lehmer is
+# checked in the test suite, never at run time), smallest first
+MERSENNE_EXPONENTS = (521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -48,66 +58,161 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square matrix over Z[v,v^-1].
+    """Exact determinant of a square matrix over Z[v,v^-1], by evaluation
+    and interpolation modulo Mersenne primes.
 
-    Rows are first scaled by units v^-k to land in Z[v]; Bareiss elimination
-    then keeps every entry in Z[v], and the scaling is undone at the end.
+    Rows are scaled by units v^-lo_i into Z[v], and when every exponent is a
+    multiple of some step g, v^g is renamed u.  The determinant is then v^shift
+    times a polynomial P(u) of degree at most D, the sum of the row exponent
+    spans.  P is evaluated at the D+1 nodes t = 0..D mod p (one power table
+    per node, F_p elimination per node) and recovered by Newton
+    interpolation.  When every entry is bar-invariant, so is the determinant,
+    and the matrix is a polynomial matrix in w = u + u^-1 of row degrees
+    hi_i: the value at w = t serves both points z, z^-1 with z + z^-1 = t,
+    and D/2 + 1 nodes suffice.
+
+    Every coefficient c of the result satisfies |c| <= B, where
+    B^2 = prod_rows sum_j ||m_ij||_1^2 (Hadamard's inequality on the unit
+    circle).  The moduli are the fewest primes of MERSENNE_EXPONENTS whose
+    product exceeds 2B, combined by CRT, and each coefficient is lifted to the
+    symmetric range.  A bound beyond the table raises ArithmeticError.
     """
     n = len(matrix)
     if n == 0:
         return ONE
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    shift = 0
-    m: list[list[LaurentPoly]] = []
+    bar = all(e.is_bar_invariant() for row in matrix for e in row)
+    lows = []
+    step = 0
+    bound_sq = 1
     for row in matrix:
-        if all(e.is_zero for e in row):
+        nonzero = [e for e in row if not e.is_zero]
+        if not nonzero:
             return ZERO
-        k = min(e.min_exp for e in row if not e.is_zero)
-        shift += k
-        m.append([e.shift(-k) for e in row])
+        bound_sq *= sum(sum(abs(c) for _, c in e) ** 2 for e in nonzero)
+        lo = 0 if bar else min(e.min_exp for e in nonzero)
+        lows.append(lo)
+        step = math.gcd(step, *(k - lo for e in nonzero for k, _ in e))
+    # row i lies in v^lo_i Z[u, u^-1] for u = v^step, so the determinant is
+    # v^shift P(u); each entry becomes dense coefficients from u^0 (when
+    # bar-invariant, c_k is the coefficient of u^k + u^-k)
+    step = step or 1
+    degree = 0
+    width = 1
+    rows = []
+    for row, lo in zip(matrix, lows):
+        dense = [
+            tuple(e.coefficient(lo + k * step) for k in range((e.max_exp - lo) // step + 1))
+            if e else ()
+            for e in row
+        ]
+        span = max(map(len, dense)) - 1
+        degree += span
+        width = max(width, span + 1)
+        rows.append(dense)
+    modulus = 1
+    coeffs: list[int] = []
+    for p in _moduli(bound_sq):
+        residues = _interpolate_mod(rows, width, degree, bar, p)
+        if modulus == 1:
+            coeffs = residues
+        else:
+            inv = pow(modulus, -1, p)
+            coeffs = [a + modulus * ((b - a) * inv % p) for a, b in zip(coeffs, residues)]
+        modulus *= p
+    # coeffs run from u^0 up, or from u^-degree up when bar-invariant
+    shift = -degree * step if bar else sum(lows)
+    half = modulus // 2
+    return LaurentPoly({
+        shift + k * step: c - modulus if c > half else c for k, c in enumerate(coeffs) if c
+    })
 
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        # pivot on the sparsest nonzero entry in the column (row swaps only)
-        best = None
-        for i in range(k, n):
-            e = m[i][k]
-            if not e.is_zero and (best is None or len(e) < len(m[best][k])):
-                best = i
-        if best is None:
-            return ZERO
-        if best != k:
-            m[k], m[best] = m[best], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            if mik.is_zero:
-                if prev is not ONE:
-                    for j in range(k + 1, n):
-                        q = divide_exact(pivot * m[i][j], prev)
-                        if q is None:
-                            raise ArithmeticError("Bareiss division failed")
-                        m[i][j] = q
-                else:
-                    for j in range(k + 1, n):
-                        m[i][j] = pivot * m[i][j]
+
+def _moduli(bound_sq: int) -> list[int]:
+    # the product M of the moduli must exceed 2B, i.e. M^2 > 4 B^2: the
+    # smallest single prime that does, else the largest primes first
+    need = 4 * bound_sq
+    primes = [(1 << k) - 1 for k in MERSENNE_EXPONENTS]
+    for p in primes:
+        if p * p > need:
+            return [p]
+    chosen = []
+    product = 1
+    for p in reversed(primes):
+        chosen.append(p)
+        product *= p
+        if product * product > need:
+            return chosen
+    raise ArithmeticError("determinant coefficient bound exceeds the Mersenne prime table")
+
+
+def _interpolate_mod(rows, width: int, degree: int, bar: bool, p: int) -> list[int]:
+    """Coefficients mod p of the determinant of the dense coefficient rows:
+    of P(u) from u^0 up, or, when bar, of the Laurent polynomial from
+    u^-degree up to u^degree.  The nodes 0..degree are distinct mod p, since
+    degree is far below the smallest table prime."""
+    values = []
+    for t in range(degree + 1):
+        # powers t^k, or when bar T_k(t) = z^k + z^-k with T_0 = 2 (but the
+        # constant coefficient counts once) and T_{k+1} = t T_k - T_{k-1}
+        table = [1, t]
+        for k in range(1, width - 1):
+            if bar:
+                table.append((t * table[k] - (table[k - 1] if k > 1 else 2)) % p)
             else:
-                for j in range(k + 1, n):
-                    num = pivot * m[i][j] - mik * m[k][j]
-                    if prev is ONE:
-                        m[i][j] = num
-                    else:
-                        q = divide_exact(num, prev)
-                        if q is None:
-                            raise ArithmeticError("Bareiss division failed")
-                        m[i][j] = q
-            m[i][k] = ZERO
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return (det if sign == 1 else -det).shift(shift)
+                table.append(t * table[k] % p)
+        values.append(_det_mod([[sum(map(mul, cs, table)) % p for cs in row] for row in rows], p))
+    # Newton coefficients on the nodes 0..degree: c_j = (forward difference
+    # Delta^j of the values at 0) / j!
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            values[i] -= values[i - 1]
+    inv_fact = pow(math.factorial(degree) % p, -1, p)
+    newton = [0] * (degree + 1)
+    for j in range(degree, -1, -1):
+        newton[j] = values[j] * inv_fact % p
+        inv_fact = inv_fact * j % p
+    # Horner on the Newton form: acc <- acc * (x - i) + c_i, with x = u, or
+    # x = u + u^-1 on the Laurent coefficients
+    acc = [newton[degree]]
+    for i in range(degree - 1, -1, -1):
+        if bar:
+            nxt = [0, 0] + acc
+            for e, a in enumerate(acc):
+                nxt[e] += a
+                nxt[e + 1] -= i * a
+            nxt[len(acc) // 2 + 1] += newton[i]
+        else:
+            nxt = [0] + acc
+            for e, a in enumerate(acc):
+                nxt[e] -= i * a
+            nxt[0] += newton[i]
+        acc = [a % p for a in nxt]
+    return acc
+
+
+def _det_mod(m: list[list[int]], p: int) -> int:
+    """Determinant mod p by Gaussian elimination over F_p; m is overwritten."""
+    n = len(m)
+    det = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        row_k = m[k]
+        det = det * row_k[k] % p
+        inv = pow(row_k[k], -1, p)
+        tail = row_k[k + 1:]
+        for row_i in m[k + 1:]:
+            f = row_i[k]
+            if f:
+                f = f * inv % p
+                row_i[k + 1:] = [(x - f * y) % p for x, y in zip(row_i[k + 1:], tail)]
+    return det
 
 
 def sym_power_matrix(f: Sequence[Sequence[int]], m: int) -> list[list[int]]:

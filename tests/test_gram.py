@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from gcartan.gram import (
     GramMatrix,
     IdentityPairing,
     _Assembly,
+    _permanent,
     block_sum,
     cartan_graded,
     gram_det,
@@ -157,6 +159,37 @@ class TestGramDeterminant:
     def test_full_bareiss_against_blocks(self):
         g = gram_matrix(DynkinDiagram("A", 2), 4)
         assert laurent_det(g.entries) == gram_det(DynkinDiagram("A", 2), 4)
+
+
+class TestPermanent:
+    def test_repeated_colours_against_permutation_sum(self):
+        # row and column colour multisets with repeats, 1 to 3 colours, m <= 6
+        rng = random.Random(11)
+
+        def entry():
+            if rng.random() < 0.2:
+                return LaurentPoly()
+            return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(2)})
+
+        for k in (1, 2, 3):
+            for m in range(7):
+                for _ in range(2):
+                    a = [[entry() for _ in range(k)] for _ in range(k)]
+                    rows = tuple(sorted(rng.randrange(k) for _ in range(m)))
+                    cols = tuple(rng.randrange(k) for _ in range(m))
+                    want = LaurentPoly()
+                    for perm in itertools.permutations(range(m)):
+                        term = ONE
+                        for i, j in enumerate(perm):
+                            term = term * a[rows[i]][cols[j]]
+                        want = want + term
+                    assert _permanent(a, rows, cols) == want, (k, rows, cols)
+
+    def test_distinct_colours(self):
+        # every colour once: the plain 2x2 permanent ad + bc
+        a = [[LaurentPoly({1: 1}), LaurentPoly({0: 2})], [LaurentPoly({0: 3}), LaurentPoly({-1: 1})]]
+        assert _permanent(a, (0, 1), (0, 1)) == LaurentPoly({0: 7})
+        assert _permanent(a, (0, 0), (1, 1)) == LaurentPoly({0: 8})
 
 
 def _kron(a, b):

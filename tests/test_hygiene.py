@@ -55,3 +55,22 @@ def test_every_top_level_definition_is_used():
             if isinstance(stmt, defs) and not uses.get(stmt.name, set()) - {(path, k)}:
                 unused.append(f"{path.stem}.{stmt.name}")
     assert not unused, f"defined in src/gcartan but used nowhere: {unused}"
+
+
+def test_linalg_bounds_are_integral():
+    # the determinant kernel's exactness rests on integer bounds: no float
+    # literal, float() call, math.sqrt/math.log or ** 0.5 (or ** (1 / 2)) in
+    # linalg.py
+    banned = {"float", "sqrt", "log", "log2", "log10"}
+    found = []
+    for node in ast.walk(_parse(PACKAGE / "linalg.py")):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and (
+            _used_names(node) & banned
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)):
+            found.append((node.lineno, ast.unparse(node)))
+    assert not found, f"floating point in src/gcartan/linalg.py (line, what): {found}"

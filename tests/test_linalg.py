@@ -1,0 +1,144 @@
+"""The multi-modular Laurent determinant against independent references."""
+
+from itertools import permutations
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcartan import linalg
+from gcartan.gram import _Assembly
+from gcartan.linalg import MERSENNE_EXPONENTS, int_det, laurent_det
+from gcartan.qcartan import type_a
+from gcartan.qlaurent import ONE, ZERO, LaurentPoly
+
+
+def leibniz(m):
+    """det m as the signed sum over all permutations."""
+    n = len(m)
+    total = ZERO
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ONE if inversions % 2 == 0 else -ONE
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+def at(poly, v):
+    return sum(c * v**e for e, c in poly)
+
+
+coefficients = st.integers(-6, 6)
+polys = st.dictionaries(st.integers(-3, 3), coefficients, max_size=3).map(LaurentPoly)
+bar_polys = polys.map(lambda p: p + p.bar())
+
+
+@st.composite
+def laurent_matrices(draw):
+    n = draw(st.integers(0, 5))
+    entries = bar_polys if draw(st.booleans()) else polys
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n:
+        kind = draw(st.sampled_from(["plain", "zero row", "repeated row"]))
+        i = draw(st.integers(0, n - 1))
+        if kind == "zero row":
+            m[i] = [ZERO] * n
+        elif kind == "repeated row" and n > 1:
+            m[i] = list(m[(i + 1) % n])
+    return m
+
+
+class TestLaurentDet:
+    @settings(max_examples=80, deadline=None)
+    @given(laurent_matrices())
+    def test_matches_leibniz(self, m):
+        assert laurent_det(m) == leibniz(m)
+
+    def test_bar_invariant_and_general_nodes_agree(self):
+        # scaling a row by v^3 leaves the bar-invariant route for the general one
+        m = [[LaurentPoly({1: 2, -1: 2}), LaurentPoly({0: -1})],
+             [LaurentPoly({0: -1}), LaurentPoly({2: 1, 0: 5, -2: 1})]]
+        scaled = [[e.shift(3) for e in m[0]], m[1]]
+        assert laurent_det(scaled) == laurent_det(m).shift(3) == leibniz(scaled)
+
+    def test_large_coefficients_need_a_larger_prime(self, monkeypatch):
+        big = 2**300
+        m = [[LaurentPoly({0: big + 1, 2: -big}), LaurentPoly({-1: 3 * big})],
+             [LaurentPoly({1: big - 7}), LaurentPoly({0: -big, 1: 5})]]
+        used = []
+        interpolate = linalg._interpolate_mod
+
+        def spy(rows, width, degree, bar, p):
+            used.append(p)
+            return interpolate(rows, width, degree, bar, p)
+
+        monkeypatch.setattr(linalg, "_interpolate_mod", spy)
+        assert laurent_det(m) == leibniz(m)
+        assert used and min(used) > 2**521 - 1
+
+    def test_crt_over_several_primes(self, monkeypatch):
+        big = 2**300
+        m = [[LaurentPoly({0: big, 1: -3}), LaurentPoly({0: big - 1}), LaurentPoly({2: big})],
+             [LaurentPoly({-1: -big}), LaurentPoly({0: 7}), LaurentPoly({0: big + 5})],
+             [LaurentPoly({1: big}), LaurentPoly({0: -big, 1: big}), LaurentPoly({0: 1})]]
+        used = []
+        interpolate = linalg._interpolate_mod
+
+        def spy(rows, width, degree, bar, p):
+            used.append(p)
+            return interpolate(rows, width, degree, bar, p)
+
+        monkeypatch.setattr(linalg, "_interpolate_mod", spy)
+        monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (521, 607))
+        assert laurent_det(m) == leibniz(m)
+        assert len(used) == 2
+
+    def test_bound_beyond_the_table_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (521,))
+        with pytest.raises(ArithmeticError):
+            laurent_det([[LaurentPoly({0: 2**600})]])
+
+    def test_sparse_high_degree_entries(self):
+        # every exponent a multiple of 40: [2]_40 on the diagonal of A_3
+        q = LaurentPoly({40: 1, -40: 1})
+        m = [[q, -ONE, ZERO], [-ONE, q, -ONE], [ZERO, -ONE, q]]
+        assert laurent_det(m) == leibniz(m)
+
+    def test_largest_factor_against_int_det_at_two(self):
+        # P_1(4) at ell=5, the 35-row factor of shape 1^4, with rows scaled
+        # into Z[v] and evaluated at v=2
+        _, factors = _Assembly(type_a(5), 4).kron_factors((1, 1, 1, 1))
+        f = factors[1, 4]
+        assert len(f) == 35
+        lows = [min(e.min_exp for e in row if not e.is_zero) for row in f]
+        at_two = [[at(e.shift(-lo), 2) for e in row] for row, lo in zip(f, lows)]
+        det = laurent_det(f).shift(-sum(lows))
+        assert det.min_exp >= 0
+        assert at(det, 2) == int_det(at_two)
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError):
+            laurent_det([[ONE, ZERO]])
+        with pytest.raises(ValueError):
+            laurent_det([[ONE, ZERO], [ONE]])
+
+    def test_empty_matrix(self):
+        assert laurent_det([]) == ONE
+
+
+def test_mersenne_table_is_prime():
+    # Lucas-Lehmer: 2^k - 1 (k an odd prime) is prime iff s_{k-2} = 0, where
+    # s_0 = 4 and s_{i+1} = s_i^2 - 2 mod 2^k - 1; reduced by folding the bits
+    for k in MERSENNE_EXPONENTS:
+        assert all(k % q for q in range(2, isqrt(k) + 1)), k
+        m = (1 << k) - 1
+        s = 4
+        for _ in range(k - 2):
+            s = s * s - 2
+            s = (s & m) + (s >> k)
+            s = (s & m) + (s >> k)
+        assert s % m == 0, k
+    assert list(MERSENNE_EXPONENTS) == sorted(MERSENNE_EXPONENTS)
