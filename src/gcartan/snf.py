@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .linalg import laurent_det
-from .partitions import prime_divisors
+from .partitions import p_adic_split, prime_divisors
 from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit
 
 RING_ZINT = "ZInt"
@@ -170,85 +170,108 @@ def snf_int(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     return InvariantMultiset(RING_ZINT, tuple(_chain_fix_int([m[i][i] for i in range(n)])))
 
 
-def _local_valuations(matrix: Sequence[Sequence[int]], p: int, bound: int) -> list[int] | None:
-    """p-adic valuations of the invariant factors, by elimination mod p^bound.
+def _pack(row: Sequence[int], width: int) -> int:
+    """One int whose width-byte slots hold the non-negative entries of row,
+    the first entry in the lowest slot."""
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]), "little")
 
-    Layered elimination: clear every pivot that is a unit mod p, then divide
-    the remaining Schur complement (all entries divisible by p) by p and
-    recurse one valuation level up.  All arithmetic is on residues, one lost
-    precision digit per level; returns None when precision runs out.
+
+def _unpack(packed: int, width: int, n: int) -> list[int]:
+    raw = packed.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, width * n, width)]
+
+
+def _local_valuations(matrix: Sequence[Sequence[int]], p: int, digits: int) -> list[int] | None:
+    """p-adic valuations of the invariant factors, by elimination mod p^digits.
+
+    Layered elimination: at level L the block is a residue matrix mod p^k,
+    k = digits - L.  Every row is packed into one int with W-bit slots, one
+    per column, so clearing a column from a row is one big-integer
+    multiply-add.  Columns are searched in order for a row whose entry is a
+    unit mod p; that row is reduced, scaled so the pivot is 1, and each other
+    open row R_i with entry x is cleared by R_i += (p^k - x) * R_pivot.  All
+    slots stay non-negative and rows are reduced only when they become
+    pivots, so a slot holds at most a residue plus n products of two
+    residues: W is the bit length of p^k + n (p^k - 1)^2, rounded up to whole
+    bytes, and no carry crosses a slot within a level.  Each pivot is an
+    invariant of valuation L.  The open rows and the columns that held no
+    unit form the Schur complement, all divisible by p: it is divided by p
+    and taken one level up, mod p^(k-1).  Returns None when the precision
+    runs out with a block left, which happens only if an invariant has
+    valuation >= digits; for a nonsingular matrix digits = v_p(det) + 1 is
+    always enough.
     """
-    prec = bound
-    mod = p**prec
-    m = [[x % mod for x in row] for row in matrix]
+    mod = p**digits
+    rows = [[x % mod for x in row] for row in matrix]
     vals: list[int] = []
     level = 0
-    while m:
-        n = len(m)
-        k = 0
-        while k < n:
-            # any entry that is a unit mod p can serve as the pivot
-            found = None
-            for i in range(k, n):
-                row = m[i]
-                for j in range(k, n):
-                    if row[j] % p:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                break
-            bi, bj = found
-            if bi != k:
-                m[k], m[bi] = m[bi], m[k]
-            if bj != k:
-                for row in m:
-                    row[k], row[bj] = row[bj], row[k]
-            inv_u = pow(m[k][k], -1, mod)
-            rk = [(x * inv_u) % mod for x in m[k]]
-            m[k] = rk
-            for i in range(k + 1, n):
-                x = m[i][k]
+    while rows:
+        n = len(rows)
+        width = ((mod + n * (mod - 1) ** 2).bit_length() + 7) // 8
+        slot = 8 * width
+        mask = (1 << slot) - 1
+        packed = [_pack(row, width) for row in rows]
+        open_rows = list(range(n))
+        no_unit: list[int] = []
+        for c in range(n):
+            at = c * slot
+            col = [(packed[i] >> at) & mask for i in open_rows]
+            k = next((t for t, x in enumerate(col) if x % p), None)
+            if k is None:
+                no_unit.append(c)
+                continue
+            pivot = open_rows.pop(k)
+            del col[k]
+            entries = _unpack(packed[pivot], width, n)
+            inv = pow(entries[c], -1, mod)
+            prow = _pack([x * inv % mod for x in entries], width)
+            for i, x in zip(open_rows, col):
+                x %= mod
                 if x:
-                    m[i] = [(a - x * b) % mod for a, b in zip(m[i], rk)]
-            # rows below are zero in column k now, so column clearing only
-            # touches row k itself
-            for j in range(k + 1, n):
-                rk[j] = 0
+                    packed[i] += (mod - x) * prow
             vals.append(level)
-            k += 1
-        if k == n:
-            return sorted(vals)
-        # remaining block is divisible by p: peel one valuation level
-        prec -= 1
-        if prec <= 0:
+        if not open_rows:
+            return vals
+        # the remaining block is divisible by p: peel one valuation level
+        digits -= 1
+        if not digits:
             return None
+        rows = []
+        for i in open_rows:
+            entries = _unpack(packed[i], width, n)
+            rows.append([entries[c] % mod // p for c in no_unit])
         mod //= p
-        m = [[m[i][j] // p for j in range(k, n)] for i in range(k, n)]
         level += 1
-    return sorted(vals)
+    return vals
 
 
 def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> InvariantMultiset:
     """Invariant factors of a nonsingular integer matrix with known |det|.
 
-    Works prime by prime modulo p^B (fast fixed-size arithmetic) over the
-    prime support of det_abs, then certifies exactness by checking that the
-    product of the assembled invariants equals |det|.  Only the supplied
-    determinant is trusted, and only through that final identity.
+    Works prime by prime over the prime support of det_abs, by elimination
+    mod p^k on packed rows (see `_local_valuations`).  No invariant has
+    valuation above v = v_p(det_abs), so k = v + 1 digits always suffice;
+    the first try uses min(8, v + 1) digits and each retry doubles k up to
+    that cap.  Running out of precision at the cap means the matrix is
+    singular or det_abs is wrong, and raises ArithmeticError.  Exactness is
+    certified by checking that the product of the assembled invariants
+    equals |det|.  Only the supplied determinant is trusted, and only
+    through that final identity.
     """
     n = len(matrix)
     if det_abs <= 0:
         raise ValueError("det_abs must be the positive |det| of a nonsingular matrix")
     out = [1] * n
     for p in prime_divisors(det_abs):
-        bound = 64
-        while True:
-            vals = _local_valuations(matrix, p, bound)
-            if vals is not None:
-                break
-            bound *= 4
+        cap = p_adic_split(det_abs, p)[1] + 1
+        digits = min(8, cap)
+        while (vals := _local_valuations(matrix, p, digits)) is None:
+            if digits == cap:
+                raise ArithmeticError(
+                    f"the local Smith form at p={p} needs more than {cap} digits: "
+                    "the matrix is singular or det_abs is not its |det|"
+                )
+            digits = min(2 * digits, cap)
         for i, e in enumerate(vals):
             out[i] *= p**e
     prod = 1

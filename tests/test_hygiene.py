@@ -57,13 +57,12 @@ def test_every_top_level_definition_is_used():
     assert not unused, f"defined in src/gcartan but used nowhere: {unused}"
 
 
-def test_linalg_bounds_are_integral():
-    # the determinant kernel's exactness rests on integer bounds: no float
-    # literal, float() call, math.sqrt/math.log or ** 0.5 (or ** (1 / 2)) in
-    # linalg.py
+def _float_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, what) for every float literal, float() call, math.sqrt/math.log
+    or ** 0.5 (or ** (1 / 2)) in a module."""
     banned = {"float", "sqrt", "log", "log2", "log10"}
     found = []
-    for node in ast.walk(_parse(PACKAGE / "linalg.py")):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append((node.lineno, repr(node.value)))
         elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and (
@@ -73,4 +72,17 @@ def test_linalg_bounds_are_integral():
         elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
               and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)):
             found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_linalg_bounds_are_integral():
+    # the determinant kernel's exactness rests on integer bounds
+    found = _float_uses(PACKAGE / "linalg.py")
     assert not found, f"floating point in src/gcartan/linalg.py (line, what): {found}"
+
+
+def test_snf_bounds_are_integral():
+    # the local Smith form's slot width and precision cap are integer bounds:
+    # a rounded width would let a carry cross a slot
+    found = _float_uses(PACKAGE / "snf.py")
+    assert not found, f"floating point in src/gcartan/snf.py (line, what): {found}"

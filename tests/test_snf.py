@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gcartan import snf
 from gcartan.gram import cartan_graded, gram_matrix
 from gcartan.linalg import int_det, laurent_det
+from gcartan.partitions import p_adic_split, prime_divisors
 from gcartan.qcartan import DynkinDiagram
 from gcartan.qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit, quantum_int
 from gcartan.snf import (
@@ -56,6 +58,34 @@ DIAGONAL_ENTRIES = st.one_of(
     ),
     st.dictionaries(st.integers(-2, 2), st.integers(-4, 4), max_size=3).map(LaurentPoly),
 )
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _unimodular_times_diagonal(draw):
+    """(U D V, |det|) with D a diagonal of products of powers of 2, 3 and 5
+    and U, V products of elementary integer row and column additions."""
+    n = draw(st.integers(1, 6))
+    exps = st.integers(0, 12)
+    diag = [2 ** draw(exps) * 3 ** draw(exps) * 5 ** draw(exps) for _ in range(n)]
+    m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    idx = st.integers(0, n - 1)
+    ops = draw(st.lists(st.tuples(idx, idx, st.integers(-3, 3), st.booleans()), max_size=3 * n))
+    for i, j, c, on_rows in ops:
+        if i == j:
+            continue
+        if on_rows:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        else:
+            for row in m:
+                row[i] += c * row[j]
+    det = 1
+    for x in diag:
+        det *= x
+    return m, det
 
 
 class TestSnfInt:
@@ -135,6 +165,55 @@ class TestSnfInt:
         d = int_det(m)
         assume(d != 0)
         assert snf_int_certified(m, abs(d)).elements == snf_int(m).elements
+
+    def test_certified_rejects_singular_matrix(self):
+        # a singular matrix with a positive det_abs must fail at the
+        # precision cap v_p(det_abs) + 1, not retry forever
+        with pytest.raises(ArithmeticError):
+            snf_int_certified([[2, 0], [0, 0]], 2)
+        with pytest.raises(ArithmeticError):
+            snf_int_certified([[1, 2], [2, 4]], 4)
+
+    @pytest.mark.parametrize(
+        "diag, u, v",
+        [
+            ([1, 3, 3**40], [[1, 2, 3], [0, 1, 4], [0, 0, 1]], [[1, 0, 0], [5, 1, 0], [-2, 3, 1]]),
+            ([2, 2**70], [[2, 1], [1, 1]], [[3, -2], [-1, 1]]),
+        ],
+    )
+    def test_certified_retries_beyond_first_precision(self, monkeypatch, diag, u, v):
+        # the largest local invariant needs more digits than the first try
+        n = len(diag)
+        d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        m = _matmul(_matmul(u, d), v)
+        det = 1
+        for x in diag:
+            det *= x
+        (p,) = prime_divisors(det)
+        cap = p_adic_split(det, p)[1] + 1
+        tries = []
+        local = snf._local_valuations
+
+        def record(matrix, q, digits):
+            got = local(matrix, q, digits)
+            tries.append((digits, got is None))
+            return got
+
+        monkeypatch.setattr(snf, "_local_valuations", record)
+        assert snf_int_certified(m, det).elements == snf_int(m).elements
+        assert tries[0][1], "the first precision already sufficed"
+        assert tries[-1][0] <= cap and not tries[-1][1]
+
+    @given(_unimodular_times_diagonal())
+    @settings(max_examples=60, deadline=None)
+    def test_certified_matches_general_on_smooth_diagonals(self, case):
+        m, det = case
+        assert snf_int_certified(m, det).elements == snf_int(m).elements
+
+    def test_certified_matches_general_on_cartan_matrix(self):
+        m = cartan_graded(4, 3).at_one()
+        det = abs(int_det(m))
+        assert snf_int_certified(m, det).elements == snf_int(m).elements
 
 
 class TestSnfLaurentField:
