@@ -34,8 +34,11 @@ order is checked from the indices every time the factors are taken.  Hence
 and every factor is eliminated generically.  P_s(m) is Sym^m([X]_s) up to
 a diagonal of multiplicity factorials, but det Sym^m = det^binom is the
 determinant theorem under test, so it is never used: no closed determinant
-formula enters this computation.  The dense y-blocks are built only for the
-full matrix.
+formula enters this computation.  Each P_s(m) is computed once per process,
+column by column: column c' is one expansion of prod_{i in c'} (sum_j
+[X]_s[j][i] e_j), whose coefficient of e^c times prod_j mult_c(j)! is the
+permanent.  The dense y-blocks, built only for the full matrix, are the
+Kronecker products of the factors.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product
-from typing import Mapping
+from itertools import combinations_with_replacement, product
+from typing import Mapping, Sequence
 
 from . import partitions as pt
 from .linalg import int_det, laurent_det
@@ -84,60 +87,65 @@ class IdentityPairing:
         return ((ONE,),)
 
 
-def _permanent(a, rows: tuple, cols: tuple) -> LaurentPoly:
-    """perm (a[i][j]) for i in rows, j in cols, colours that may repeat.
-
-    Dynamic programming over how many columns of each colour are used: for
-    such counts u, with r the colour of row |u| and m_b the number of columns
-    of colour b,  f(u) = sum_b f(u - e_b) a[r][b] (m_b - u_b + 1).  There are
-    prod (m_b + 1) <= 2^len(cols) states.
-    """
-    colours = sorted(set(cols))
-    mults = [cols.count(b) for b in colours]
-    # states u in the order of itertools.product, which is increasing in the
-    # index sum_t u_t strides[t]; f[index] = f(u)
-    strides = [math.prod(m + 1 for m in mults[t + 1:]) for t in range(len(mults))]
-    f = [ONE]
-    for used in islice(product(*(range(m + 1) for m in mults)), 1, None):
-        row = a[rows[sum(used) - 1]]
-        acc = ZERO
-        for t, b in enumerate(colours):
-            if used[t] and not row[b].is_zero:
-                prev = f[len(f) - strides[t]]
-                if not prev.is_zero:
-                    acc = acc + prev * row[b] * (mults[t] - used[t] + 1)
-        f.append(acc)
-    return f[-1]
-
-
-def _group_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
-    # the permanent only depends on the two color multisets; A^{(s)} is
-    # symmetric, so the cache key is ordered before the lookup
-    return _ordered_permanent(pairing, s, *sorted((c1, c2)))
+@lru_cache(maxsize=None)
+def _multisets(colors: int, m: int) -> tuple[tuple[int, ...], ...]:
+    # colour multisets of size m as descending tuples, in descending
+    # lexicographic order, built independently of pt.colorings
+    return tuple(combinations_with_replacement(range(colors - 1, -1, -1), m))
 
 
 @lru_cache(maxsize=None)
-def _ordered_permanent(pairing, s: int, c1: tuple, c2: tuple) -> LaurentPoly:
-    return _permanent(pairing.matrix(s), c1, c2)
+def permanent_matrix(pairing, s: int, m: int) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """P_s(m) = (perm [X]_s[c, c']), indexed by the colour multisets c, c' of
+    size m in the order of _multisets; computed once per (pairing, s, m).
 
-
-def _pair_by_size(pairing, g1: dict, g2: dict) -> tuple[LaurentPoly, int]:
-    # the y-pairing of two monomials of one shape, given by their colors
-    # grouped by part size: one permanent and one factor s^{m_s} per size
-    num = ONE
-    den = 1
-    for s, colors1 in g1.items():
-        num = num * _group_permanent(pairing, s, colors1, g2[s])
-        den *= s ** len(colors1)
-    return num, den
+    A bijection from the positions of c to the positions of c' is a map from
+    c' onto the colours of c, and each such map comes from prod_j mult_c(j)!
+    bijections.  So column c' is one expansion of prod_{i in c'} (sum_j
+    [X]_s[j][i] e_j) in commuting variables e_j, and entry (c, c') is the
+    coefficient of e^c times prod_j mult_c(j)!.
+    """
+    a = pairing.matrix(s)
+    k = pairing.colors
+    sets = _multisets(k, m)
+    # per colour i, the nonzero entries a[j][i] of its linear form
+    forms = [[(j, a[j][i]) for j in range(k) if not a[j][i].is_zero] for i in range(k)]
+    row_keys = []
+    for c in sets:
+        counts = tuple(c.count(j) for j in range(k))
+        row_keys.append((counts, math.prod(math.factorial(u) for u in counts)))
+    cols = []
+    for col in sets:
+        expansion = {(0,) * k: ONE}
+        for i in col:
+            nxt: dict[tuple[int, ...], LaurentPoly] = {}
+            for mono, coeff in expansion.items():
+                for j, x in forms[i]:
+                    key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                    term = coeff * x
+                    nxt[key] = nxt[key] + term if key in nxt else term
+            expansion = nxt
+        cols.append(
+            [expansion[counts] * w if counts in expansion else ZERO for counts, w in row_keys]
+        )
+    return tuple(zip(*cols))
 
 
 def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, pairing) -> tuple[LaurentPoly, int]:
     """The pairing of two y-monomials as (integer numerator, denominator),
-    meaning numerator / denominator; zero unless the shapes agree."""
+    meaning numerator / denominator; zero unless the shapes agree.  The
+    numerator is one entry of P_s(m_s) per part size s."""
     if pt.shape(m1) != pt.shape(m2):
         return ZERO, 1
-    return _pair_by_size(pairing, pt.group_by_size(m1), pt.group_by_size(m2))
+    g2 = pt.group_by_size(m2)
+    num = ONE
+    den = 1
+    for s, colors in pt.group_by_size(m1).items():
+        m = len(colors)
+        sets = _multisets(pairing.colors, m)
+        num = num * permanent_matrix(pairing, s, m)[sets.index(colors)][sets.index(g2[s])]
+        den *= s**m
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +249,22 @@ class _Assembly:
         self.block_members = {
             lam: [cp for cp in self.index if pt.shape(cp) == lam] for lam in self.shapes
         }
-        self._blocks: dict[pt.Partition, tuple[int, list[list[LaurentPoly]]]] | None = None
-        self._factors: dict[tuple[int, int], list[list[LaurentPoly]]] = {}
+        self._blocks: dict[pt.Partition, tuple[int, Sequence[Sequence[LaurentPoly]]]] | None = None
 
     # -- y-Gram blocks --------------------------------------------------------
 
     def kron_factors(self, lam: pt.Partition) -> tuple[int, dict]:
         """The y-block of shape lam as (denominator prod(s^m_s), factors): the
         block is the Kronecker product of the factors, in order, over the
-        denominator.  factors maps (s, m_s) to P_s(m_s) for each distinct part
-        size s, largest first; P_s(m) is memoised per (s, m).
+        denominator.  factors maps (s, m_s) to P_s(m_s) = permanent_matrix
+        for each distinct part size s, largest first.
 
         The Kronecker form needs the shape's members in the row-major order of
         the per-size colour-multiset lists.  That is checked on every call,
         from the indices alone, and a mismatch raises AssertionError.
         """
         sizes = pt.mults(lam)  # parts in descending order, so largest first
-        lists = [self._multisets(m) for m in sizes.values()]
+        lists = [_multisets(self.pairing.colors, m) for m in sizes.values()]
         kron_order = [
             tuple((s, c) for s, colors in zip(sizes, combo) for c in colors)
             for combo in product(*lists)
@@ -266,42 +273,36 @@ class _Assembly:
             raise AssertionError(f"members of shape {lam} are not in Kronecker order")
         den = 1
         factors = {}
-        for (s, m), colors in zip(sizes.items(), lists):
-            if (s, m) not in self._factors:
-                k = len(colors)
-                f = [[ZERO] * k for _ in range(k)]
-                for i, a in enumerate(colors):
-                    for j in range(i, k):
-                        f[i][j] = f[j][i] = _group_permanent(self.pairing, s, a, colors[j])
-                self._factors[s, m] = f
-            factors[s, m] = self._factors[s, m]
+        for s, m in sizes.items():
+            factors[s, m] = permanent_matrix(self.pairing, s, m)
             den *= s**m
         return den, factors
 
-    def _multisets(self, m: int) -> tuple[tuple[int, ...], ...]:
-        # colour multisets of size m as descending tuples, in descending
-        # lexicographic order, built independently of pt.colorings
-        return tuple(combinations_with_replacement(range(self.pairing.colors - 1, -1, -1), m))
-
     def y_blocks(self) -> dict:
-        """Per shape: (denominator prod(s^m_s), dense integer permanent
-        matrix); only the full matrix needs these."""
+        """Per shape: (denominator prod(s^m_s), dense integer block), the block
+        being the Kronecker product of kron_factors; only the full matrix
+        needs these."""
         if self._blocks is None:
-            self._blocks = {
-                lam: _y_block(self.pairing, members)
-                for lam, members in self.block_members.items()
-            }
+            self._blocks = {}
+            for lam in self.shapes:
+                den, factors = self.kron_factors(lam)
+                fs = list(factors.values()) or [((ONE,),)]
+                block = fs[0]
+                for f in fs[1:]:
+                    block = [
+                        [x * y if x and y else ZERO for x in ra for y in rb]
+                        for ra in block
+                        for rb in f
+                    ]
+                self._blocks[lam] = den, block
         return self._blocks
 
     # -- the transition matrix x -> y ------------------------------------------
 
-    def expansions(self) -> list[dict]:
-        return [dict(x_monomial_expansion(cp).combination) for cp in self.index]
-
     def check_unitriangular(self) -> None:
         """The x->y change of basis must be unitriangular under any order
         refining 'strictly finer shape comes later'; verified, not assumed."""
-        for cp, exp in zip(self.index, self.expansions()):
+        for cp in self.index:
             comb = x_monomial_expansion(cp).combination
             if comb.get(cp, None) != 1:
                 raise AssertionError(f"diagonal coefficient of {cp} is not 1")
@@ -327,7 +328,8 @@ class _Assembly:
         }
         supports = []
         scales = []
-        for exp in self.expansions():
+        for x in self.index:
+            exp = x_monomial_expansion(x).combination
             scale = math.lcm(*(c.denominator for c in exp.values()))
             by_shape: dict[pt.Partition, list[tuple[int, int]]] = {}
             for cp, coeff in exp.items():
@@ -423,20 +425,6 @@ class _Assembly:
         if r:
             raise AssertionError("block determinant product is not integral")
         return q
-
-
-def _y_block(pairing, members: list) -> tuple[int, list[list[LaurentPoly]]]:
-    # all members share one shape, hence one denominator
-    k = len(members)
-    groups = [pt.group_by_size(cp) for cp in members]
-    den = 1
-    block = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            p, den = _pair_by_size(pairing, groups[i], groups[j])
-            block[i][j] = p
-            block[j][i] = p
-    return den, block
 
 
 def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:

@@ -31,7 +31,9 @@ class LaurentPoly:
             for e, c in terms.items():
                 if not isinstance(e, int):
                     raise TypeError(f"exponent {e!r} is not an integer")
-                if isinstance(c, Fraction):
+                if type(c) is int:
+                    pass  # the common case; Fraction's ABC check is slow
+                elif isinstance(c, Fraction):
                     if c.denominator != 1:
                         raise TypeError(f"coefficient {c} is not an integer")
                     c = c.numerator

@@ -6,18 +6,24 @@ greedy diagonalizer over Z[v,v^-1] (which is NOT a PID: it reports Success,
 cross-checked against both complete invariants, or Inconclusive at its first
 stall or step cap, and never claims a negative), determinantal-ideal gcds as
 extra necessary conditions, and unit-normalized multiset comparison.
+
+Diagonal matrices take no elimination: over Z by gcd/lcm swaps, over
+Q[v,v^-1] by factor refinement into a pairwise coprime base and a sort of
+each base element's exponents.  The certified integer engine works prime by
+prime over the support of a supplied |det|, after one rank pass at a prime
+outside it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Sequence
 
 from .linalg import laurent_det
-from .partitions import p_adic_split, prime_divisors
+from .partitions import is_prime, p_adic_split, prime_divisors
 from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit
 
 RING_ZINT = "ZInt"
@@ -83,28 +89,21 @@ def multiset_equal_up_to_units(a: InvariantMultiset, b: InvariantMultiset) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _chain_fix(d: list, gcd, divisible, quotient) -> list:
-    """Turn the nonzero diagonal d into a divisibility chain, in place.
+def _chain_fix_int(diag: Sequence[int]) -> list[int]:
+    """The nonzero |diag| as a divisibility chain, zeros last.
 
-    diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)), with lcm(a,b) =
-    quotient(a, gcd(a,b)) * b; divisible(b, a) says whether a divides b.
-    After the pairs (i, j > i) have been swept, d_i divides every later
-    entry, and swaps among later entries keep that, so one sweep suffices.
+    diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)).  After the pairs
+    (i, j > i) have been swept, d_i divides every later entry, and swaps
+    among later entries keep that, so one sweep suffices.  Smallest first,
+    so most pairs already divide.
     """
+    d = sorted(abs(x) for x in diag if x)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
-            if not divisible(d[j], d[i]):
-                g = gcd(d[i], d[j])
-                d[i], d[j] = g, quotient(d[i], g) * d[j]
-    return d
-
-
-def _chain_fix_int(diag: Sequence[int]) -> list[int]:
-    # smallest first, so most pairs already divide; zeros last
-    d = sorted(abs(x) for x in diag if x)
-    zeros = len(diag) - len(d)
-    _chain_fix(d, math.gcd, lambda b, a: b % a == 0, operator.floordiv)
-    return d + [0] * zeros
+            if d[j] % d[i]:
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+    return d + [0] * (len(diag) - len(d))
 
 
 def snf_int(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
@@ -255,12 +254,24 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
     that cap.  Running out of precision at the cap means the matrix is
     singular or det_abs is wrong, and raises ArithmeticError.  Exactness is
     certified by checking that the product of the assembled invariants
-    equals |det|.  Only the supplied determinant is trusted, and only
-    through that final identity.
+    equals |det|.
+
+    One rank pass comes first: elimination mod the smallest prime q that
+    does not divide det_abs must find a full-rank matrix, else the matrix is
+    singular (or q divides its |det|) and ArithmeticError is raised.  This
+    catches a singular matrix whose det_abs has no prime to work at, such
+    as det_abs = 1.  det_abs is still trusted for its prime support: a prime
+    of the true |det| that det_abs lacks, other than q, goes unseen.
     """
     n = len(matrix)
     if det_abs <= 0:
         raise ValueError("det_abs must be the positive |det| of a nonsingular matrix")
+    q = next(r for r in count(2) if det_abs % r and is_prime(r))
+    if _local_valuations(matrix, q, 1) is None:
+        raise ArithmeticError(
+            f"the matrix is singular mod {q}, a prime that does not divide det_abs: "
+            "the matrix is singular or det_abs is not its |det|"
+        )
     out = [1] * n
     for p in prime_divisors(det_abs):
         cap = p_adic_split(det_abs, p)[1] + 1
@@ -466,15 +477,72 @@ def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q
 
 
+def _coprime_base(values: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """A pairwise coprime base over Q[v,v^-1] of canonical primitive nonunits
+    such that every value is a unit times a product of their powers (factor
+    refinement, Bach, Driscoll & Shallit, J. Algorithms 15, 1993).
+
+    Each value is divided by the base elements that divide it; where one
+    does not but shares a factor g with the value, it is replaced by g and
+    its cofactor, which are refined like new values, as is the value's
+    cofactor.  Every split lowers the total degree, so this ends."""
+    base: list[LaurentPoly] = []
+    for x in values:
+        todo = [x]
+        while todo:
+            a = todo.pop()
+            for b in base:
+                while (q := divide_exact(a, b)) is not None:
+                    a = q
+            if not _span(a):
+                continue
+            for i, b in enumerate(base):
+                g = _poly_gcd(a, b)
+                if _span(g):
+                    del base[i]
+                    todo += [g, _exact_quotient(b, g), _exact_quotient(a, g)]
+                    break
+            else:
+                base.append(a)
+    return base
+
+
 def snf_of_diagonal(values: Sequence[LaurentPoly]) -> InvariantMultiset:
-    """Field-ring invariant factors of diag(values), by gcd/lcm swaps on the
-    diagonal.  Each lcm a/gcd(a,b) * b stays in Z[v,v^-1]: the gcd is
-    primitive, so by Gauss's lemma it divides a there, not only over Q."""
-    d = sorted(
-        (canonical_poly(x, primitive=True) for x in values if not x.is_zero), key=_span
-    )
-    _chain_fix(d, _poly_gcd, _divides_field, _exact_quotient)
-    return InvariantMultiset.polys(d + [ZERO] * (len(values) - len(d)), RING_QLAURENT)
+    """Field-ring invariant factors of diag(values), by factor refinement.
+
+    Over a coprime base (see `_coprime_base`) of the distinct canonical
+    values, every value is a product of base powers, so for each base
+    element the exponents sorted ascending are its exponents in the
+    invariants d_1 | d_2 | ...: the i-th invariant is the product of the
+    base elements to their i-th exponents.  A value that is not a unit after
+    its base powers are divided out raises ArithmeticError.  Quotients stay
+    in Z[v,v^-1]: the values and base elements are primitive, so by Gauss's
+    lemma a divisor over Q divides there too."""
+    counts = Counter(canonical_poly(x, primitive=True) for x in values if not x.is_zero)
+    base = _coprime_base(sorted(counts, key=_span))
+    columns: list[list[int]] = [[] for _ in base]
+    for x, mult in counts.items():
+        for b, col in zip(base, columns):
+            e = 0
+            while (q := divide_exact(x, b)) is not None:
+                x, e = q, e + 1
+            col += [e] * mult
+        if _span(x):
+            raise ArithmeticError(f"{x} is left after dividing out the coprime base")
+    for col in columns:
+        col.sort()
+    powers: dict[tuple[int, ...], LaurentPoly] = {}
+    invs = []
+    for i in range(sum(counts.values())):
+        exps = tuple(col[i] for col in columns)
+        if exps not in powers:
+            p = ONE
+            for b, e in zip(base, exps):
+                if e:
+                    p = p * b**e
+            powers[exps] = p
+        invs.append(powers[exps])
+    return InvariantMultiset.polys(invs + [ZERO] * (len(values) - len(invs)), RING_QLAURENT)
 
 
 # ---------------------------------------------------------------------------

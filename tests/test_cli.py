@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,3 +326,32 @@ class TestJsonRoundTrips:
 
         g = gram_matrix(DynkinDiagram("A", 2), 2)
         assert GramMatrix.from_json(json.loads(json.dumps(g.to_json()))) == g
+
+
+class TestOptimisedInterpreter:
+    # exactness checks raise rather than assert, so `python -O`, which strips
+    # every assert, must run the same pipeline to the same output
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", "--ell", "3", "--d", "3"],
+            ["report", "--p", "2", "--r", "1", "--d", "3"],
+        ],
+        ids=["det", "report"],
+    )
+    def test_same_output_under_dash_o(self, argv):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "gcartan.cli", *argv, "--cache-dir", ""],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            # wall-clock fields differ between any two runs, -O or not
+            outs.append(re.sub(rb'"elapsed_ms": [0-9]+', b'"elapsed_ms": _', proc.stdout))
+        assert outs[0] and outs[0] == outs[1]

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from gcartan.gram import (
     GramMatrix,
     IdentityPairing,
     _Assembly,
-    _permanent,
     block_sum,
     cartan_graded,
     gram_det,
@@ -18,6 +19,7 @@ from gcartan.gram import (
     gram_field_invariants,
     gram_matrix,
     k_pair,
+    permanent_matrix,
     schur_in_x,
     schur_orthonormality,
     x_expand,
@@ -161,39 +163,75 @@ class TestGramDeterminant:
         assert laurent_det(g.entries) == gram_det(DynkinDiagram("A", 2), 4)
 
 
+def _brute_permanent(a, rows, cols):
+    """perm (a[r][c]) for r in rows, c in cols, as the sum over all
+    bijections of positions; colours may repeat."""
+    out = LaurentPoly()
+    for perm in itertools.permutations(range(len(cols))):
+        term = ONE
+        for r, j in zip(rows, perm):
+            term = term * a[r][cols[j]]
+        out = out + term
+    return out
+
+
+@dataclass(frozen=True)
+class _MatrixPairing:
+    """A pairing family with one fixed matrix for every s."""
+
+    entries: tuple
+
+    @property
+    def colors(self):
+        return len(self.entries)
+
+    def matrix(self, s):
+        return self.entries
+
+
+def _random_pairing(seed, k):
+    # not symmetric, with zeros, so neither is assumed
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.25:
+            return LaurentPoly()
+        return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(2)})
+
+    return _MatrixPairing(tuple(tuple(entry() for _ in range(k)) for _ in range(k)))
+
+
 class TestPermanent:
+    PAIRINGS = [CartanPairing(DynkinDiagram("A", n)) for n in (1, 2, 3)] + [
+        IdentityPairing(),
+        _random_pairing(11, 2),
+        _random_pairing(12, 3),
+    ]
+
     def test_repeated_colours_against_permutation_sum(self):
-        # row and column colour multisets with repeats, 1 to 3 colours, m <= 6
-        rng = random.Random(11)
-
-        def entry():
-            if rng.random() < 0.2:
-                return LaurentPoly()
-            return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(2)})
-
-        for k in (1, 2, 3):
-            for m in range(7):
-                for _ in range(2):
-                    a = [[entry() for _ in range(k)] for _ in range(k)]
-                    rows = tuple(sorted(rng.randrange(k) for _ in range(m)))
-                    cols = tuple(rng.randrange(k) for _ in range(m))
-                    want = LaurentPoly()
-                    for perm in itertools.permutations(range(m)):
-                        term = ONE
-                        for i, j in enumerate(perm):
-                            term = term * a[rows[i]][cols[j]]
-                        want = want + term
-                    assert _permanent(a, rows, cols) == want, (k, rows, cols)
+        # every entry of P_s(m) for 1 to 3 colours and m <= 5; rows and
+        # columns are the colour multisets in the order of the colourings of
+        # the shape 1^m
+        for pairing in self.PAIRINGS:
+            k = pairing.colors
+            for s in (1, 2):
+                a = pairing.matrix(s)
+                for m in range(6):
+                    sets = [tuple(c for _, c in cp) for cp in pt.colorings((1,) * m, k)]
+                    got = permanent_matrix(pairing, s, m)
+                    assert len(got) == len(sets)
+                    for c, row in zip(sets, got):
+                        assert len(row) == len(sets)
+                        for c2, e in zip(sets, row):
+                            assert e == _brute_permanent(a, c, c2), (pairing, s, c, c2)
 
     def test_distinct_colours(self):
+        a = ((LaurentPoly({1: 1}), LaurentPoly({0: 2})), (LaurentPoly({0: 3}), LaurentPoly({-1: 1})))
+        p = permanent_matrix(_MatrixPairing(a), 1, 2)  # rows (1,1), (1,0), (0,0)
         # every colour once: the plain 2x2 permanent ad + bc
-        a = [[LaurentPoly({1: 1}), LaurentPoly({0: 2})], [LaurentPoly({0: 3}), LaurentPoly({-1: 1})]]
-        assert _permanent(a, (0, 1), (0, 1)) == LaurentPoly({0: 7})
-        assert _permanent(a, (0, 0), (1, 1)) == LaurentPoly({0: 8})
-
-
-def _kron(a, b):
-    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+        assert p[1][1] == LaurentPoly({0: 7})
+        # rows of colour 0 against columns of colour 1: 2! a[0][1]^2
+        assert p[2][0] == LaurentPoly({0: 8})
 
 
 class TestKroneckerFactors:
@@ -203,14 +241,27 @@ class TestKroneckerFactors:
         + [(DynkinDiagram("D", 4), 3), (DynkinDiagram("E", 6), 2)],
     )
     def test_dense_block_is_kron_of_factors(self, dg, dmax):
+        # each entry of a y-block is the product over part sizes s of the
+        # permanents of the two members' colours of size s, summed over
+        # permutations here; the block's denominator is prod s^m_s
+        pairing = CartanPairing(dg)
+        perms = {}
         for d in range(dmax + 1):
             asm = _Assembly(dg, d)
             for lam, (den, block) in asm.y_blocks().items():
-                f_den, factors = asm.kron_factors(lam)
-                prod = [[ONE]]
-                for f in factors.values():
-                    prod = _kron(prod, f)
-                assert (f_den, prod) == (den, block), (dg, d, lam)
+                sizes = pt.mults(lam)
+                assert den == math.prod(s**m for s, m in sizes.items()), (dg, d, lam)
+                groups = [pt.group_by_size(cp) for cp in asm.block_members[lam]]
+                assert len(block) == len(groups)
+                for gx, row in zip(groups, block):
+                    for gy, e in zip(groups, row):
+                        want = ONE
+                        for s in sizes:
+                            key = (s, gx[s], gy[s])
+                            if key not in perms:
+                                perms[key] = _brute_permanent(pairing.matrix(s), gx[s], gy[s])
+                            want = want * perms[key]
+                        assert e == want, (dg, d, lam)
 
     def test_factors_are_memoised_per_size_and_multiplicity(self):
         asm = _Assembly(DynkinDiagram("A", 2), 5)

@@ -33,6 +33,14 @@ class TestRingBasics:
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):
             LaurentPoly({0: Fraction(1, 2)})
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 2.0})
+        with pytest.raises(TypeError):
+            LaurentPoly({1.0: 1})
+
+    def test_accepts_integral_fractions(self):
+        p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(0, 3)})
+        assert p.terms == {0: 2} and type(p.terms[0]) is int
 
     def test_equality_is_term_equality(self):
         assert LaurentPoly({1: 1, -1: 1}) == LaurentPoly({-1: 1, 1: 1})

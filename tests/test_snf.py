@@ -60,6 +60,17 @@ DIAGONAL_ENTRIES = st.one_of(
 )
 
 
+@st.composite
+def _quantum_product(draw):
+    """Zero, or a unit of Q[v,v^-1] (c v^k) times up to three [n]_s."""
+    if draw(st.integers(0, 5)) == 0:
+        return ZERO
+    p = LaurentPoly({draw(st.integers(-3, 3)): draw(st.sampled_from([1, -1, 2, -3]))})
+    for n, s in draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=3)):
+        p = p * quantum_int(n, s)
+    return p
+
+
 def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
@@ -167,12 +178,23 @@ class TestSnfInt:
         assert snf_int_certified(m, abs(d)).elements == snf_int(m).elements
 
     def test_certified_rejects_singular_matrix(self):
-        # a singular matrix with a positive det_abs must fail at the
-        # precision cap v_p(det_abs) + 1, not retry forever
+        # a singular matrix with a positive det_abs must raise, not retry
+        # forever; the rank pass catches these two
         with pytest.raises(ArithmeticError):
             snf_int_certified([[2, 0], [0, 0]], 2)
         with pytest.raises(ArithmeticError):
             snf_int_certified([[1, 2], [2, 4]], 4)
+        # nonsingular mod 3, but the invariant 4 needs 3 digits at p=2 and
+        # det_abs = 2 caps the precision at 2: it fails at the cap
+        with pytest.raises(ArithmeticError, match="more than 2 digits"):
+            snf_int_certified([[2, 0], [0, 4]], 2)
+
+    @pytest.mark.parametrize("m", [[[0]], [[1, 1], [1, 1]]])
+    def test_certified_rejects_singular_matrix_with_unit_det(self, m):
+        # det_abs = 1 has no prime to work at, so only the rank pass at q=2
+        # sees that these are singular; without it they came out (1,) and (1, 1)
+        with pytest.raises(ArithmeticError, match="singular mod 2"):
+            snf_int_certified(m, 1)
 
     @pytest.mark.parametrize(
         "diag, u, v",
@@ -196,7 +218,8 @@ class TestSnfInt:
 
         def record(matrix, q, digits):
             got = local(matrix, q, digits)
-            tries.append((digits, got is None))
+            if q == p:  # not the rank pass, which runs at a prime not dividing det
+                tries.append((digits, got is None))
             return got
 
         monkeypatch.setattr(snf, "_local_valuations", record)
@@ -277,6 +300,19 @@ class TestSnfLaurentField:
     @given(st.lists(DIAGONAL_ENTRIES, min_size=1, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_snf_of_diagonal_matches_dense_property(self, vals):
+        n = len(vals)
+        dense = [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+        assert snf_of_diagonal(vals) == snf_laurent_field(dense)
+
+    @given(
+        st.lists(_quantum_product(), min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_snf_of_diagonal_matches_dense_on_quantum_products(self, vals):
+        # values drawn with repeats from a few products of [n]_s, which share
+        # cyclotomic factors, so the coprime base has to split and regroup them
         n = len(vals)
         dense = [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)]
         assert snf_of_diagonal(vals) == snf_laurent_field(dense)
