@@ -4,6 +4,8 @@ Commands: gram, det, verify, irred, twisted, snf, invariants, report, table.
 Global flags: --format {json|csv|latex}, --cache-dir PATH, --force, --limit N.
 GCART_CACHE_DIR overrides the cache location.  Cached output is keyed on a
 hash of the package sources, so it never outlives the code that produced it.
+While a cache directory is active, each invocation ends by writing one line
+"# cache: H hit(s), M miss(es)" to stderr; stdout does not change.
 
 Exit codes:
   0  success
@@ -133,10 +135,13 @@ def _source_digest() -> str:
 
 
 class DiskCache:
-    """Content-addressed output cache; atomic write-temp-then-rename."""
+    """Content-addressed output cache; atomic write-temp-then-rename.  Counts
+    the hits and misses of its lookups."""
 
     def __init__(self, root: Path | None):
         self.root = root
+        self.hits = 0
+        self.misses = 0
 
     def key(self, *parts) -> str:
         h = hashlib.sha256()
@@ -150,7 +155,9 @@ class DiskCache:
             return None
         f = self.root / key[:2] / key
         if f.is_file():
+            self.hits += 1
             return f.read_text()
+        self.misses += 1
         return None
 
     def put(self, key: str, text: str) -> None:
@@ -170,7 +177,7 @@ class DiskCache:
 
 
 def _cache_from(args) -> DiskCache:
-    root = args.cache_dir or os.environ.get("GCART_CACHE_DIR")
+    root = args.cache_dir if args.cache_dir is not None else os.environ.get("GCART_CACHE_DIR")
     if root is None:
         default = Path.home() / ".cache" / "gcart"
         return DiskCache(default)
@@ -180,8 +187,9 @@ def _cache_from(args) -> DiskCache:
 
 
 def _cached_gram(args, ell_or_dg, d):
-    """Gram matrices are cached at matrix granularity as JSON."""
-    cache = _cache_from(args)
+    """Gram matrices are cached at matrix granularity as JSON, in the
+    invocation's one cache."""
+    cache = args.cache
     if isinstance(ell_or_dg, int):
         label = f"ell={ell_or_dg}"
         build = lambda: cartan_graded(ell_or_dg, d)  # noqa: E731
@@ -679,10 +687,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cache = _cache_from(args)
+    args.cache = _cache_from(args)
+    try:
+        return _run(args)
+    finally:
+        if args.cache.root is not None:
+            sys.stderr.write(
+                f"# cache: {args.cache.hits} hit(s), {args.cache.misses} miss(es)\n"
+            )
+
+
+def _run(args) -> int:
+    cache = args.cache
     cache_key = None
     if args.command in ("gram", "det", "table", "twisted"):
-        fields = {k: v for k, v in sorted(vars(args).items()) if k != "fn"}
+        fields = {k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "cache")}
         cache_key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
         hit = cache.get(cache_key)
         if hit is not None:

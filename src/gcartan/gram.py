@@ -11,9 +11,16 @@ monomials with the same underlying partition this telescopes to
     < y^{(i)}_lam , y^{(j)}_lam >  =  sum over size-preserving bijections pi
                                       of prod_k [a_{i_k, j_pi(k)}]_{r_k} / r_k,
 
-a product of permanents, one per part size.  Everything is assembled over
-exact rationals; entries of the Gram matrix on the x-basis are asserted to
-be integral, symmetric, and bar-invariant.
+a product of permanents, one per part size.
+
+The Gram matrix on the x-basis is G = T Y T^t, with T the x-to-y change of
+basis (rational, sparse, unitriangular) and Y the block-diagonal y-Gram
+matrix.  It is formed row by row as a sparse product: for each row i and
+each shape in its support, the half-product t_i Y runs over the nonzero
+entries of the block rows, and is scattered through an inverted index of
+T's columns into the rows j >= i that share a y-column with it.  Everything
+accumulates in integers over one common denominator per entry; each entry
+is checked to be integral and bar-invariant, and is stored symmetrically.
 
 For type A_{ell-1} the resulting matrix IS the graded Cartan matrix of a
 weight-d block at quantum characteristic ell.
@@ -38,7 +45,8 @@ formula enters this computation.  Each P_s(m) is computed once per process,
 column by column: column c' is one expansion of prod_{i in c'} (sum_j
 [X]_s[j][i] e_j), whose coefficient of e^c times prod_j mult_c(j)! is the
 permanent.  The dense y-blocks, built only for the full matrix, are the
-Kronecker products of the factors.
+Kronecker products of the factors; the sparse product reads only their
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -316,12 +324,34 @@ class _Assembly:
     # -- products ---------------------------------------------------------------
 
     def matrix(self) -> GramMatrix:
-        """The Gram matrix on the x-basis, accumulated in integers: entry
-        (i, j) is sum over shapes lam of sum ta tb block[a][b] / den_lam, so
-        with L_i the lcm of the denominators of expansion i and K the lcm of
-        the den_lam it is an integer sum divided once by K L_i L_j."""
+        """The Gram matrix on the x-basis as the sparse product G = T Y T^t,
+        formed row by row (Gustavson's row-wise sparse product).
+
+        T is the x -> y change of basis and Y the block-diagonal y-Gram
+        matrix of y_blocks.  Row i of T times the lcm L_i of its
+        denominators is an integer vector t_i, and the block of shape lam
+        times K / den_lam, K the lcm of the den_lam, is an integer matrix.
+        For each shape lam in the support of row i, the half-product
+        H = sum_a t_ia (K / den_lam) Y_lam[a] runs over the nonzero entries
+        of the block rows, and each H[b] times t_jb is added to the
+        accumulator of every row j >= i that holds y-column b of lam, found
+        in an inverted index of T's columns.  So the work follows the
+        nonzeros of T and Y.  Only the accumulators that received a
+        contribution are finished: entry (i, j) is the accumulator divided
+        by K L_i L_j, and a remainder in any coefficient, or an entry that
+        is not bar-invariant, raises AssertionError.  Every other entry is
+        the shared ZERO.
+        """
         blocks = self.y_blocks()
         common = math.lcm(*(den for den, _ in blocks.values()))
+        # per shape: the nonzero entries of each block row, weighted to K / den
+        sparse = {
+            lam: (
+                common // den,
+                [[(b, y._terms) for b, y in enumerate(row) if y] for row in block],
+            )
+            for lam, (den, block) in blocks.items()
+        }
         local = {
             lam: {cp: k for k, cp in enumerate(members)}
             for lam, members in self.block_members.items()
@@ -342,30 +372,38 @@ class _Assembly:
 
         n = len(self.index)
         rows: list[list[LaurentPoly]] = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            si = supports[i]
-            for j in range(i, n):
-                sj = supports[j]
-                acc: dict[int, int] = {}
-                for lam, left in si.items():
-                    right = sj.get(lam)
-                    if right is None:
-                        continue
-                    den, block = blocks[lam]
-                    weight = common // den
-                    for a, ta in left:
-                        row = block[a]
-                        ta *= weight
-                        for b, tb in right:
-                            e = row[b]
-                            if e.is_zero:
-                                continue
-                            w = ta * tb
-                            for ex, c in e._terms.items():
-                                acc[ex] = acc.get(ex, 0) + c * w
+        # per shape and y-column b: [(j, t_jb)] over the rows j >= i seen so far
+        holders = {lam: [[] for _ in members] for lam, members in self.block_members.items()}
+        for i in range(n - 1, -1, -1):
+            support = supports[i]
+            for lam, left in support.items():
+                cols = holders[lam]
+                for b, t in left:
+                    cols[b].append((i, t))
+            acc: dict[int, dict[int, int]] = {}
+            for lam, left in support.items():
+                weight, block_rows = sparse[lam]
+                cols = holders[lam]
+                half: dict[int, dict[int, int]] = {}
+                for a, t in left:
+                    t *= weight
+                    for b, y in block_rows[a]:
+                        hb = half.get(b)
+                        if hb is None:
+                            hb = half[b] = {}
+                        for ex, c in y.items():
+                            hb[ex] = hb.get(ex, 0) + t * c
+                for b, hb in half.items():
+                    for j, t in cols[b]:
+                        aj = acc.get(j)
+                        if aj is None:
+                            aj = acc[j] = {}
+                        for ex, c in hb.items():
+                            aj[ex] = aj.get(ex, 0) + c * t
+            for j, aj in acc.items():
                 den_ij = common * scales[i] * scales[j]
                 entry_terms = {}
-                for ex, c in acc.items():
+                for ex, c in aj.items():
                     if c:
                         q, r = divmod(c, den_ij)
                         if r:
@@ -373,6 +411,8 @@ class _Assembly:
                                 f"non-integral Gram entry at {(i, j)}: bug in the pairing"
                             )
                         entry_terms[ex] = q
+                if not entry_terms:
+                    continue
                 e = LaurentPoly(entry_terms)
                 if not e.is_bar_invariant():
                     raise AssertionError(f"Gram entry {(i, j)} is not bar-invariant")

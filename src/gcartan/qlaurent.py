@@ -414,38 +414,39 @@ class CyclotomicResidue:
         return self.residue.is_zero
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # Phi_m = v^deg + sum_{k < deg} c_k v^k as deg and the nonzero (deg - k, c_k)
+    phi = cyclotomic(m)._terms
+    deg = max(phi)
+    return deg, tuple((deg - k, c) for k, c in sorted(phi.items()) if k < deg)
+
+
 def reduce_mod_cyclotomic(a: LaurentPoly, m: int) -> CyclotomicResidue:
     """Reduce a (cleared of its v-power denominator) modulo Phi_m(v).
 
     Since v is invertible modulo Phi_m, clearing the denominator does not
     change whether the value at a primitive m-th root of unity is zero; in
-    fact v^m = 1 there, so exponents fold modulo m before the division.
+    fact v^m = 1 there, so exponents fold modulo m into a dense list of m
+    coefficients first.  That list is then reduced from its top degree down
+    against Phi_m, which is monic, so the reduction stays over Z.
     """
     if m < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if a.is_zero:
         return CyclotomicResidue(m, ZERO)
-    phi = cyclotomic(m).terms
-    dphi = max(phi)
-    r: dict[int, int] = {}
+    r = [0] * m
     for e, c in a._terms.items():
-        e %= m
-        s = r.get(e, 0) + c
-        if s:
-            r[e] = s
-        else:
-            del r[e]
-    while r and max(r) >= dphi:
-        dr = max(r)
-        c = r[dr]  # Phi_m is monic, so the reduction stays over Z
-        for e, cp in phi.items():
-            ee = e + dr - dphi
-            s = r.get(ee, 0) - c * cp
-            if s:
-                r[ee] = s
-            else:
-                r.pop(ee, None)
-    return CyclotomicResidue(m, LaurentPoly(r))
+        r[e % m] += c
+    deg, tail = _cyclotomic_tail(m)
+    for top in range(m - 1, deg - 1, -1):
+        c = r[top]
+        if c:
+            for gap, cp in tail:
+                r[top - gap] -= c * cp
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = {e: c for e, c in enumerate(r[:deg]) if c}
+    return CyclotomicResidue(m, out)
 
 
 def vanishes_at_primitive_root(a: LaurentPoly, m: int) -> bool:

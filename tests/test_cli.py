@@ -72,6 +72,22 @@ class TestGramCommand:
         assert code1 == code2 == 0 and out1 == out2
 
 
+class TestCacheCounts:
+    def test_miss_then_hit(self, capsys, cache_dir):
+        # the first run looks up the output and then the matrix, both absent;
+        # the second finds the output
+        args = ("gram", "--ell", "3", "--d", "2", "--cache-dir", cache_dir)
+        code1, out1, err1 = run(capsys, *args)
+        code2, out2, err2 = run(capsys, *args)
+        assert code1 == code2 == 0 and out1 == out2
+        assert err1 == "# cache: 0 hit(s), 2 miss(es)\n"
+        assert err2 == "# cache: 1 hit(s), 0 miss(es)\n"
+
+    def test_no_line_without_a_cache(self, capsys):
+        code, out, err = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
+        assert code == 0 and out and err == ""
+
+
 class TestCacheKey:
     def test_key_changes_with_source_digest(self, monkeypatch):
         # a code change must not be served output cached by older code

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcartan import cli
 from gcartan import partitions as pt
 from gcartan.gram import (
     CartanPairing,
@@ -286,6 +287,58 @@ class TestKroneckerFactors:
         # of shape (2,1,1,1) alone did not finish the field SNF in 60 s
         got = gram_field_invariants(type_a(4), 5)
         assert multiset_equal_up_to_units(got, snf_of_diagonal(bracket_product_values(4, 5)))
+
+
+class TestAssembly:
+    @pytest.mark.parametrize(
+        "dg, dmax",
+        [(DynkinDiagram("A", n), 4) for n in range(1, 5)]
+        + [(DynkinDiagram("D", 4), 3), (DynkinDiagram("E", 6), 2)],
+    )
+    def test_entries_are_pairwise_sums_of_y_pairs(self, dg, dmax):
+        # entry (i, j) = sum over monomials a of x_i and b of x_j of
+        # coeff_a coeff_b <y_a, y_b>, summed here pair by pair, with no
+        # blocks, no shared denominators and no sparse index
+        pairing = CartanPairing(dg)
+        for d in range(dmax + 1):
+            g = gram_matrix(dg, d)
+            exps = [x_monomial_expansion(cp).combination.items() for cp in g.index]
+            for i in range(g.size):
+                for j in range(i, g.size):
+                    want: dict[int, Fraction] = {}
+                    for ya, ca in exps[i]:
+                        for yb, cb in exps[j]:
+                            num, den = y_pair(ya, yb, pairing)
+                            for e, c in num.terms.items():
+                                want[e] = want.get(e, 0) + ca * cb * c / den
+                    want = {e: c for e, c in want.items() if c}
+                    assert g.entries[i][j].terms == want, (dg, d, i, j)
+                    assert g.entries[j][i].terms == want, (dg, d, j, i)
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            # x_2 = y_2 + y_1^2 / 2, so entry (0, 0) of A_1 at d=2 gains delta / 4
+            (ONE, "non-integral Gram entry"),
+            (LaurentPoly({1: 4}), "not bar-invariant"),
+        ],
+        ids=["non-integral", "not-bar-invariant"],
+    )
+    def test_broken_block_entry_is_caught(self, monkeypatch, tmp_path, capsys, delta, message):
+        original = _Assembly.y_blocks
+
+        def perturbed(self):
+            blocks = dict(original(self))
+            den, block = blocks[(1, 1)]
+            blocks[(1, 1)] = den, [[block[0][0] + delta]]
+            return blocks
+
+        monkeypatch.setattr(_Assembly, "y_blocks", perturbed)
+        with pytest.raises(AssertionError, match=message):
+            gram_matrix(DynkinDiagram("A", 1), 2)
+        code = cli.main(["gram", "--ell", "2", "--d", "2", "--cache-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and "internal error" in err and message in err
 
 
 class TestBlockSum:

@@ -86,3 +86,14 @@ def test_snf_bounds_are_integral():
     # a rounded width would let a carry cross a slot
     found = _float_uses(PACKAGE / "snf.py")
     assert not found, f"floating point in src/gcartan/snf.py (line, what): {found}"
+
+
+def test_gram_and_qlaurent_are_float_free():
+    # the Gram assembly divides exactly and the cyclotomic residues decide
+    # vanishing at roots of unity: neither may round
+    found = {
+        name: uses
+        for name in ("gram.py", "qlaurent.py")
+        if (uses := _float_uses(PACKAGE / name))
+    }
+    assert not found, f"floating point in src/gcartan (line, what): {found}"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -268,6 +270,35 @@ class TestRootOfUnityVanishing:
                     a = reduce_mod_cyclotomic(quantum_int(n, s).shift(n * s), ell).residue
                     b = reduce_mod_cyclotomic(quantum_int(n, s + ell).shift(n * (s + ell)), ell).residue
                     assert a == b
+
+    def test_residue_is_the_long_division_remainder(self):
+        # v^m = 1 modulo Phi_m, so shifting every exponent by a multiple of m
+        # keeps the residue; after the shift a is a polynomial, whose
+        # remainder under long division by the monic Phi_m is the residue
+        rng = random.Random(30)
+        for _ in range(600):
+            m = rng.randint(1, 30)
+            a = LaurentPoly(
+                {rng.randint(-80, 80): rng.randint(-20, 20) for _ in range(rng.randint(0, 10))}
+            )
+            want = ZERO if a.is_zero else _long_division_remainder(a, m)
+            got = reduce_mod_cyclotomic(a, m)
+            assert got.m == m and got.residue == want, (a, m)
+
+
+def _long_division_remainder(a, m):
+    shift = -(a.min_exp // m) * m if a.min_exp < 0 else 0
+    rem = [0] * (a.max_exp + shift + 1)
+    for e, c in a.terms.items():
+        rem[e + shift] = c
+    phi = cyclotomic(m).terms
+    deg = max(phi)
+    while len(rem) > deg:
+        c = rem.pop()  # Phi_m is monic: the quotient term is c v^(len(rem) - deg)
+        for e, cp in phi.items():
+            if e < deg:
+                rem[len(rem) - deg + e] -= c * cp
+    return LaurentPoly(dict(enumerate(rem)))
 
 
 class TestQProduct:
