@@ -453,40 +453,36 @@ def _read_matrix(path: str):
 def cmd_snf(args) -> str:
     _require(args, "input", "ring")
     m = _read_matrix(args.input)
-    n = len(m)
     checks: dict = {}
     if args.ring == "zint":
         if not all(isinstance(x, int) for row in m for x in row):
             raise UsageError("--ring zint needs an integer matrix ('rows')")
         ms = snf_mod.snf_int(m)
         status = "VERIFIED"
-        if n <= 30:
-            d = int_det(m)
-            prod = 1
-            for x in ms.elements:
-                prod *= x
-            checks["product_equals_abs_det"] = prod == abs(d)
+        prod = 1
+        for x in ms.elements:
+            prod *= x
+        checks["product_equals_abs_det"] = prod == abs(int_det(m))
         checks["divisibility_chain"] = all(
             b == 0 or (a != 0 and b % a == 0) for a, b in zip(ms.elements, ms.elements[1:])
-        ) if all(ms.elements) else True
+        )
     elif args.ring == "qlaurent":
         if not all(isinstance(x, LaurentPoly) for row in m for x in row):
             raise UsageError("--ring qlaurent needs a Laurent matrix ('entries')")
         ms = snf_mod.snf_laurent_field(m)
         status = "VERIFIED"
-        if n <= 20:
-            d = laurent_det(m)
-            prod = LaurentPoly.const(1)
-            for x in ms.elements:
-                prod = prod * x
-            if d.is_zero:
-                checks["product_matches_det_up_to_unit"] = prod.is_zero
-            else:
-                ratio_ok = (
-                    not prod.is_zero
-                    and normalize_unit(prod)[1] == snf_mod.canonical_poly(d, primitive=True)
-                )
-                checks["product_matches_det_up_to_unit"] = ratio_ok
+        d = laurent_det(m)
+        prod = LaurentPoly.const(1)
+        for x in ms.elements:
+            prod = prod * x
+        if d.is_zero:
+            checks["product_matches_det_up_to_unit"] = prod.is_zero
+        else:
+            ratio_ok = (
+                not prod.is_zero
+                and normalize_unit(prod)[1] == snf_mod.canonical_poly(d, primitive=True)
+            )
+            checks["product_matches_det_up_to_unit"] = ratio_ok
     elif args.ring == "zlaurent":
         if not all(isinstance(x, LaurentPoly) for row in m for x in row):
             raise UsageError("--ring zlaurent needs a Laurent matrix ('entries')")

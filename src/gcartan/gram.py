@@ -484,21 +484,15 @@ def cartan_graded(ell: int, d: int) -> GramMatrix:
     return GramMatrix(f"ell={ell}", d, g.index, g.entries)
 
 
-def gram_det(dg: DynkinDiagram, d: int, method: str = "factored") -> LaurentPoly:
+def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     """Exact determinant of gram_matrix(dg, d).
 
-    "factored" exploits the run-time-verified unitriangular change of basis
-    and the Kronecker-factored shape blocks; "dense" runs laurent_det on the
-    assembled matrix.  Both are generic exact algorithms (laurent_det is
-    evaluation and interpolation mod Mersenne primes under a Hadamard bound);
-    neither consults any closed determinant formula.
+    Exploits the run-time-verified unitriangular change of basis and the
+    Kronecker-factored shape blocks: laurent_det (evaluation and
+    interpolation mod Mersenne primes under a Hadamard bound) runs once on
+    each distinct factor.  No closed determinant formula is consulted.
     """
-    asm = _Assembly(dg, d)
-    if method == "factored":
-        return asm.det()
-    if method == "dense":
-        return laurent_det(asm.matrix().entries)
-    raise ValueError(f"unknown method {method!r}")
+    return _Assembly(dg, d).det()
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:

@@ -7,11 +7,16 @@ cross-checked against both complete invariants, or Inconclusive at its first
 stall or step cap, and never claims a negative), determinantal-ideal gcds as
 extra necessary conditions, and unit-normalized multiset comparison.
 
-Diagonal matrices take no elimination: over Z by gcd/lcm swaps, over
-Q[v,v^-1] by factor refinement into a pairwise coprime base and a sort of
-each base element's exponents.  The certified integer engine works prime by
-prime over the support of a supplied |det|, after one rank pass at a prime
-outside it.
+The three dense engines share one elimination loop (`_diagonalize`): pivot
+on an entry of least size, clear its column by row operations, clear its row
+the same way on the transpose, and repeat until the matrix is diagonal.  Each
+engine supplies only its size key and its one-row reduction, and finishes on
+the diagonal (Kannan & Bachem, SIAM J. Comput. 8, 1979: diagonalize first,
+then restore divisibility).  Diagonal matrices take no elimination: over Z
+by gcd/lcm swaps, over Q[v,v^-1] by factor refinement into a pairwise
+coprime base and a sort of each base element's exponents.  The certified
+integer engine works prime by prime over the support of a supplied |det|,
+after one rank pass at a prime outside it.
 """
 
 from __future__ import annotations
@@ -85,6 +90,76 @@ def multiset_equal_up_to_units(a: InvariantMultiset, b: InvariantMultiset) -> bo
 
 
 # ---------------------------------------------------------------------------
+# the shared elimination loop
+# ---------------------------------------------------------------------------
+
+
+def _clear_column(m: list[list], reduce) -> bool:
+    """Reduce each row of m below the first that is nonzero in column 0 by
+    the pivot row m[0]; whether any row changed."""
+    prow = m[0]
+    changed = False
+    for i in range(1, len(m)):
+        if m[i][0] and (new := reduce(m[i], prow)) is not None:
+            m[i] = new
+            changed = True
+    return changed
+
+
+def _diagonalize(
+    m: list[list], key, reduce, budget: int | None = None
+) -> tuple[list | None, int, str]:
+    """Diagonalize the square list of rows m by pivot passes.
+
+    A pass pivots on the first nonzero entry of least key(e) in m, scanning
+    row by row, and moves it to (0, 0).  It clears the pivot's column with
+    the row operations reduce(row, m[0]), which return the new row or None
+    to leave the row alone; then it transposes m, clears again (this clears
+    the pivot's row) and transposes back.  Once the pivot's row and column
+    are clear (at once if m is zero), the pivot joins the diagonal and the
+    passes go on in the trailing block.  Returns (diagonal, steps, stopped):
+    steps is the number of passes, and stopped is "cleared" (the diagonal
+    is equivalent to m), "stalled" (a pass changed nothing while the pivot's
+    row or column is not clear) or "budget" (past `budget` passes); the
+    diagonal is None unless cleared.
+    """
+    diag = []
+    steps = 0
+    # a unit has the least key in each ring here, so the scan may stop at one
+    one = next((e**0 for row in m for e in row if e), None)
+    unit_key = None if one is None else key(one)
+    while m:
+        steps += 1
+        if budget is not None and steps > budget:
+            return None, steps, "budget"
+        best = None
+        for i, row in enumerate(m):
+            c = min(map(key, filter(None, row)), default=None)
+            if c is not None and (best is None or c < best_key):
+                best, best_key = i, c
+                if c == unit_key:
+                    break
+        if best is not None:
+            m[0], m[best] = m[best], m[0]
+            j = next(j for j, e in enumerate(m[0]) if e and key(e) == best_key)
+            if j:
+                for row in m:
+                    row[0], row[j] = row[j], row[0]
+            progress = _clear_column(m, reduce)
+            if any(m[0][1:]):
+                m = [list(col) for col in zip(*m)]
+                progress = _clear_column(m, reduce) or progress
+                m = [list(col) for col in zip(*m)]
+            if any(row[0] for row in m[1:]) or any(m[0][1:]):
+                if not progress:
+                    return None, steps, "stalled"
+                continue
+        diag.append(m[0][0])
+        m = [row[1:] for row in m[1:]]
+    return diag, steps, "cleared"
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
@@ -106,67 +181,27 @@ def _chain_fix_int(diag: Sequence[int]) -> list[int]:
     return d + [0] * (len(diag) - len(d))
 
 
+def _reduce_int(row: list[int], prow: list[int]) -> list[int] | None:
+    q = row[0] // prow[0]
+    return [a - q * b for a, b in zip(row, prow)] if q else None
+
+
 def snf_int(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Classic pivoting diagonalization (gcd descent on the smallest entry),
-    then the divisibility chain is restored by pairwise gcd/lcm swaps on the
-    diagonal, which is an equivalence of diagonal matrices.
+    The shared loop (`_diagonalize`) pivots on the entry of least absolute
+    value and clears with floor quotients, which is gcd descent; then the
+    divisibility chain is restored by gcd/lcm swaps on the diagonal
+    (`_chain_fix_int`), an equivalence of diagonal matrices.
     """
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("matrix must be square")
     m = [list(map(int, r)) for r in matrix]
-
-    for k in range(n):
-        while True:
-            # smallest nonzero entry of the trailing submatrix (early out on 1)
-            best = None
-            bestval = 0
-            for i in range(k, n):
-                row = m[i]
-                for j in range(k, n):
-                    x = row[j]
-                    if x:
-                        if x < 0:
-                            x = -x
-                        if best is None or x < bestval:
-                            best, bestval = (i, j), x
-                            if x == 1:
-                                break
-                if bestval == 1:
-                    break
-            if best is None:
-                break
-            bi, bj = best
-            if bi != k:
-                m[k], m[bi] = m[bi], m[k]
-            if bj != k:
-                for row in m:
-                    row[k], row[bj] = row[bj], row[k]
-            piv = m[k][k]
-            clean = True
-            rk = m[k]
-            for i in range(k + 1, n):
-                x = m[i][k]
-                if x:
-                    q = x // piv
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], rk)]
-                    if m[i][k]:
-                        clean = False
-            for j in range(k + 1, n):
-                x = rk[j]
-                if x:
-                    q = x // piv
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[k]
-                    if rk[j]:
-                        clean = False
-            if clean:
-                break
-    return InvariantMultiset(RING_ZINT, tuple(_chain_fix_int([m[i][i] for i in range(n)])))
+    diag, _, stopped = _diagonalize(m, abs, _reduce_int)
+    if stopped != "cleared":
+        raise ArithmeticError(f"integer elimination {stopped}")
+    return InvariantMultiset(RING_ZINT, tuple(_chain_fix_int(diag)))
 
 
 def _pack(row: Sequence[int], width: int) -> int:
@@ -352,11 +387,6 @@ def _pseudo_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, Laurent
     return LaurentPoly(q).shift(sa - sb), LaurentPoly(ra).shift(sa), scale
 
 
-def _divides_field(a: LaurentPoly, b: LaurentPoly) -> bool:
-    """Whether b divides a over Q[v,v^-1]."""
-    return _pseudo_divmod(a, b)[1].is_zero
-
-
 def _strip_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
     # integer content and a common v-power are units over Q[v,v^-1]
     g = 0
@@ -377,97 +407,36 @@ def _strip_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
     return out
 
 
+def _reduce_field(row: list[LaurentPoly], prow: list[LaurentPoly]):
+    q, _, scale = _pseudo_divmod(row[0], prow[0])
+    if q.is_zero:
+        return None
+    if scale != 1:
+        row = [e * scale for e in row]
+    return _strip_row([a - q * b for a, b in zip(row, prow)])
+
+
 def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly]]) -> InvariantMultiset:
     """Invariant factors over Q[v,v^-1], unit-normalized to primitive integer
     polynomials with lowest exponent 0 and positive leading coefficient.
 
-    Fraction-free: reductions use pseudo-division (scaling a row or column by
-    an integer is a unit operation over this ring), and every updated row and
-    column is stripped of integer content to keep coefficients small.
+    The shared loop (`_diagonalize`) pivots on the entry of least (exponent
+    span, term count) and reduces fraction-free by pseudo-division: scaling
+    a row by an integer is a unit operation over this ring, and every
+    updated row is stripped of integer content and a common v-power to keep
+    coefficients small.  Divisibility is not repaired during elimination;
+    the diagonal it leaves is finished by `snf_of_diagonal` (diagonalize
+    first, then restore divisibility, as in Kannan & Bachem, SIAM J. Comput.
+    8, 1979).
     """
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("matrix must be square")
     m = [_strip_row(list(row)) for row in matrix]
-
-    def scale_col(j: int, s: int, lo: int) -> None:
-        for row in m:
-            if not row[j].is_zero:
-                row[j] = LaurentPoly({e: c * s for e, c in row[j]._terms.items()})
-        if lo:
-            for row in m:
-                row[j] = row[j].shift(-lo)
-
-    def strip_col(j: int) -> None:
-        g = 0
-        lo = None
-        for row in m:
-            e = row[j]
-            if not e.is_zero:
-                g = math.gcd(g, e.content())
-                lo = e.min_exp if lo is None else min(lo, e.min_exp)
-        if g > 1 or lo:
-            for row in m:
-                if not row[j].is_zero:
-                    row[j] = LaurentPoly({ex - lo: c // g for ex, c in row[j]._terms.items()})
-
-    for k in range(n):
-        while True:
-            best = None
-            best_key = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    e = m[i][j]
-                    if not e.is_zero:
-                        key = (_span(e), len(e._terms))
-                        if best is None or key < best_key:
-                            best, best_key = (i, j), key
-            if best is None:
-                break
-            bi, bj = best
-            if bi != k:
-                m[k], m[bi] = m[bi], m[k]
-            if bj != k:
-                for row in m:
-                    row[k], row[bj] = row[bj], row[k]
-            piv = m[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    q, r, scale = _pseudo_divmod(m[i][k], piv)
-                    if scale != 1:
-                        m[i] = [e * scale for e in m[i]]
-                    if not q.is_zero:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-                    m[i] = _strip_row(m[i])
-                    if not m[i][k].is_zero:
-                        dirty = True
-            for j in range(k + 1, n):
-                if not m[k][j].is_zero:
-                    q, r, scale = _pseudo_divmod(m[k][j], piv)
-                    if scale != 1:
-                        scale_col(j, scale, 0)
-                    if not q.is_zero:
-                        for row in m:
-                            row[j] = row[j] - q * row[k]
-                    strip_col(j)
-                    if not m[k][j].is_zero:
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    e = m[i][j]
-                    if not e.is_zero and not _divides_field(e, piv):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[k] = [a + b for a, b in zip(m[k], m[offender])]
-    return InvariantMultiset.polys([m[i][i] for i in range(n)], RING_QLAURENT)
+    diag, _, stopped = _diagonalize(m, lambda e: (_span(e), len(e._terms)), _reduce_field)
+    if stopped != "cleared":
+        raise ArithmeticError(f"field-ring elimination {stopped}")
+    return snf_of_diagonal(diag)
 
 
 def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -624,10 +593,18 @@ def _reducing_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly | None:
     return None if q is None or q.is_zero else q
 
 
+def _reduce_zlaurent(row: list[LaurentPoly], prow: list[LaurentPoly]):
+    q = _reducing_quotient(row[0], prow[0])
+    if q is None:
+        return None
+    # a zero in the pivot row leaves the entry as it is
+    return [a if b.is_zero else a - q * b for a, b in zip(row, prow)]
+
+
 def try_diagonalize_zlaurent(
     matrix: Sequence[Sequence[LaurentPoly]], budget: int = DIAG_BUDGET
 ) -> DiagonalizationResult:
-    """Greedy elementary reduction over Z[v,v^-1].
+    """Greedy elementary reduction over Z[v,v^-1], by the shared loop.
 
     Pivots on the lowest-complexity entry (smallest exponent span, then
     fewest terms, then smallest coefficient sum) and clears its row and
@@ -644,53 +621,9 @@ def try_diagonalize_zlaurent(
     if any(len(r) != n for r in matrix):
         raise ValueError("matrix must be square")
     m = [list(row) for row in matrix]
-    steps = 0
-
-    for k in range(n):
-        while True:
-            steps += 1
-            if steps > budget:
-                return DiagonalizationResult("inconclusive", None, steps, "budget")
-            best = None
-            best_key = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    e = m[i][j]
-                    if not e.is_zero:
-                        key = _complexity(e)
-                        if best is None or key < best_key:
-                            best, best_key = (i, j), key
-            if best is None:
-                break  # zero block
-            bi, bj = best
-            if bi != k:
-                m[k], m[bi] = m[bi], m[k]
-            if bj != k:
-                for row in m:
-                    row[k], row[bj] = row[bj], row[k]
-            piv = m[k][k]
-            progress = False
-            for i in range(k + 1, n):
-                q = _reducing_quotient(m[i][k], piv)
-                if q is not None:
-                    # a zero in the pivot row leaves the entry as it is
-                    m[i] = [a if b.is_zero else a - q * b for a, b in zip(m[i], m[k])]
-                    progress = True
-            for j in range(k + 1, n):
-                q = _reducing_quotient(m[k][j], piv)
-                if q is not None:
-                    for row in m:
-                        if not row[k].is_zero:
-                            row[j] = row[j] - q * row[k]
-                    progress = True
-            row_clear = all(m[i][k].is_zero for i in range(k + 1, n))
-            col_clear = all(m[k][j].is_zero for j in range(k + 1, n))
-            if row_clear and col_clear:
-                break
-            if not progress:
-                return DiagonalizationResult("inconclusive", None, steps, "stalled")
-
-    diag = [m[i][i] for i in range(n)]
+    diag, steps, stopped = _diagonalize(m, _complexity, _reduce_zlaurent, budget)
+    if stopped != "cleared":
+        return DiagonalizationResult("inconclusive", None, steps, stopped)
     result = InvariantMultiset.polys(
         [canonical_poly(e) if not e.is_zero else ZERO for e in diag], RING_ZLAURENT
     )
@@ -712,27 +645,12 @@ def _success_sanity(matrix, diag) -> None:
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """gcd over Q[v,v^-1], returned primitive with lowest exponent 0."""
-    if a.is_zero:
-        return canonical_poly(b, primitive=True) if not b.is_zero else ZERO
-    a = canonical_poly(a, primitive=True)
+    """gcd over Q[v,v^-1], returned primitive with lowest exponent 0: Euclid
+    on pseudo-remainders, each made canonical primitive."""
     while not b.is_zero:
         b = canonical_poly(b, primitive=True)
-        # pseudo-remainder keeps everything integral
-        if a.max_exp < b.max_exp:
-            a, b = b, a
-            continue
-        lead = b.coefficient(b.max_exp)
-        r = a * lead ** (a.max_exp - b.max_exp + 1)
-        while not r.is_zero and r.max_exp >= b.max_exp:
-            c = r.coefficient(r.max_exp)
-            q, rem = divmod(c, lead)
-            if rem:
-                r = r * lead
-                continue
-            r = r - b.shift(r.max_exp - b.max_exp) * q
-        a, b = b, r
-    return canonical_poly(a, primitive=True)
+        a, b = b, _pseudo_divmod(a, b)[1]
+    return canonical_poly(a, primitive=True) if not a.is_zero else ZERO
 
 
 def det_ideal_gcds(matrix: Sequence[Sequence[LaurentPoly]], max_dim: int = 9) -> list[LaurentPoly]:

@@ -264,6 +264,37 @@ class TestSnfCommand:
         obj = json.loads(out)
         assert obj["status"] == "INCONCLUSIVE" and obj["checks"]["stopped"] == "stalled"
 
+    def test_zint_checks_the_product_above_thirty_rows(self, capsys, tmp_path, cache_dir):
+        # 36 rows: the product-versus-determinant check used to stop at 30
+        # rows and still report VERIFIED
+        from gcartan.gram import cartan_graded
+
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": cartan_graded(3, 5).at_one()}))
+        code, out, _ = run(
+            capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", cache_dir
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["status"] == "VERIFIED" and len(obj["invariants"]) == 36
+        assert obj["checks"]["product_equals_abs_det"] is True
+
+    def test_qlaurent_checks_the_product_above_twenty_rows(self, capsys, tmp_path, cache_dir):
+        # 21 rows: the check used to stop at 20 rows and still report VERIFIED
+        from gcartan.gram import CartanPairing, permanent_matrix
+        from gcartan.qcartan import type_a
+
+        f = tmp_path / "m.json"
+        p = permanent_matrix(CartanPairing(type_a(4)), 1, 5)
+        f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in p]}))
+        code, out, _ = run(
+            capsys, "snf", "--input", str(f), "--ring", "qlaurent", "--cache-dir", cache_dir
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["status"] == "VERIFIED" and len(obj["invariants"]) == 21
+        assert obj["checks"]["product_matches_det_up_to_unit"] is True
+
     @pytest.mark.parametrize(
         "text, ring",
         [

@@ -246,6 +246,23 @@ class TestConjectureReport:
         assert ("stalled" in lay.details.get("note", "")) == (stopped == "stalled")
 
 
+    @pytest.mark.parametrize(
+        "p, r, d, status, steps, stopped",
+        [
+            (3, 1, 4, "CONSISTENT", 18, "stalled"),
+            (5, 1, 3, "CONSISTENT", 54, "stalled"),
+            (2, 2, 3, "CONSISTENT", 13, "stalled"),
+            (2, 1, 4, "VERIFIED", 9, "cleared"),
+            (5, 1, 2, "VERIFIED", 19, "cleared"),
+        ],
+    )
+    def test_integral_diagonalization_steps(self, p, r, d, status, steps, stopped):
+        # the diagonalizer's pass count and stop reason at the five
+        # conjecture-report benchmark points
+        lay = conjecture_report(p, r, d).layer("integral-diagonalization")
+        assert (lay.status, lay.details["steps"], lay.details["stopped"]) == (status, steps, stopped)
+
+
 def test_graded_invariant_record():
     g = GradedInvariant(quantum_int(2), "GradedHill", (2, 1), (1,))
     j = g.to_json()

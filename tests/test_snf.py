@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -99,6 +101,35 @@ def _unimodular_times_diagonal(draw):
     return m, det
 
 
+@st.composite
+def _often_singular(draw, entries, zero, max_rows=4):
+    """Square matrices of 1..max_rows rows whose rows may be zeroed or
+    replaced by a multiple of an earlier row, so many are singular."""
+    n = draw(st.integers(1, max_rows))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "multiple"]))
+        if kind == "zero":
+            m[i] = [zero] * n
+        elif kind == "multiple" and i:
+            c = draw(entries)
+            m[i] = [c * x for x in m[draw(st.integers(0, i - 1))]]
+    return m
+
+
+def _determinantal_divisors(m):
+    """gcd of all k x k minors by integer Bareiss (int_det), k = 1..n."""
+    n = len(m)
+    out = []
+    for k in range(1, n + 1):
+        g = 0
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                g = math.gcd(g, int_det([[m[i][j] for j in cols] for i in rows]))
+        out.append(g)
+    return out
+
+
 class TestSnfInt:
     def test_examples(self):
         assert snf_int([[1, 0], [0, 1]]).elements == (1, 1)
@@ -176,6 +207,15 @@ class TestSnfInt:
         d = int_det(m)
         assume(d != 0)
         assert snf_int_certified(m, abs(d)).elements == snf_int(m).elements
+
+    @given(_often_singular(st.integers(-9, 9), 0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_determinantal_divisors_property(self, m):
+        # d_k = D_k / D_(k-1), D_k the gcd of the k x k minors, and 0 once
+        # D_k is 0; singular matrices and zero rows included
+        divisors = [1] + _determinantal_divisors(m)
+        want = tuple(b // a if b else 0 for a, b in zip(divisors, divisors[1:]))
+        assert snf_int(m).elements == want
 
     def test_certified_rejects_singular_matrix(self):
         # a singular matrix with a positive det_abs must raise, not retry
@@ -388,6 +428,21 @@ class TestDetIdealGcds:
                 expect = canonical_poly(prev * inv[k], primitive=True)
                 assert gcds[k] == expect
                 prev = prev * inv[k]
+
+    @given(_often_singular(DIAGONAL_ENTRIES, ZERO, max_rows=3))
+    @settings(max_examples=25, deadline=None)
+    def test_ratios_reproduce_field_invariants_when_singular(self, m):
+        # the test above skips singular matrices; here they are the point
+        assume(laurent_det(m).is_zero)
+        gcds = det_ideal_gcds(m)
+        inv = snf_laurent_field(m).elements
+        prev = ONE
+        for k in range(len(m)):
+            if inv[k].is_zero:
+                assert gcds[k].is_zero
+            else:
+                prev = prev * inv[k]
+                assert gcds[k] == canonical_poly(prev, primitive=True)
 
     def test_size_guard(self):
         eye = [[ONE if i == j else ZERO for j in range(12)] for i in range(12)]
