@@ -147,9 +147,9 @@ def _diagonalize(
                     row[0], row[j] = row[j], row[0]
             progress = _clear_column(m, reduce)
             if any(m[0][1:]):
-                m = [list(col) for col in zip(*m)]
+                m = list(map(list, zip(*m)))
                 progress = _clear_column(m, reduce) or progress
-                m = [list(col) for col in zip(*m)]
+                m = list(map(list, zip(*m)))
             if any(row[0] for row in m[1:]) or any(m[0][1:]):
                 if not progress:
                     return None, steps, "stalled"
@@ -182,7 +182,7 @@ def _chain_fix_int(diag: Sequence[int]) -> list[int]:
 
 
 def _reduce_int(row: list[int], prow: list[int]) -> list[int] | None:
-    q = row[0] // prow[0]
+    q = (2 * row[0] + prow[0]) // (2 * prow[0])
     return [a - q * b for a, b in zip(row, prow)] if q else None
 
 
@@ -190,9 +190,10 @@ def snf_int(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
     The shared loop (`_diagonalize`) pivots on the entry of least absolute
-    value and clears with floor quotients, which is gcd descent; then the
-    divisibility chain is restored by gcd/lcm swaps on the diagonal
-    (`_chain_fix_int`), an equivalence of diagonal matrices.
+    value and clears with nearest-integer quotients (gcd descent, each
+    remainder at most half the pivot); then the divisibility chain is
+    restored by gcd/lcm swaps on the diagonal (`_chain_fix_int`), an
+    equivalence of diagonal matrices.
     """
     n = len(matrix)
     if any(len(r) != n for r in matrix):
