@@ -38,7 +38,11 @@ order is checked from the indices every time the factors are taken.  Hence
     SNF(A (x) B) = SNF(diag(a_i b_j))   (a, b the invariant factors of A, B,
                                          over a principal ideal domain),
 
-and every factor is eliminated generically.  P_s(m) is Sym^m([X]_s) up to
+and every factor is eliminated generically.  For the determinant, a factor
+that the colour reversal i -> k-1-i of the k colours fixes entrywise (checked
+on every call; in type A it is the diagram automorphism) is first split by a
+congruence into a plus and a minus block of about half its size, and each
+block is eliminated.  P_s(m) is Sym^m([X]_s) up to
 a diagonal of multiplicity factorials, but det Sym^m = det^binom is the
 determinant theorem under test, so it is never used: no closed determinant
 formula enters this computation.  Each P_s(m) is computed once per process,
@@ -137,6 +141,42 @@ def permanent_matrix(pairing, s: int, m: int) -> tuple[tuple[LaurentPoly, ...], 
             [expansion[counts] * w if counts in expansion else ZERO for counts, w in row_keys]
         )
     return tuple(zip(*cols))
+
+
+def _reversal(colors: int, m: int) -> tuple[int, ...]:
+    # position in _multisets(colors, m) of each multiset's image under the
+    # colour reversal i -> colors - 1 - i
+    sets = _multisets(colors, m)
+    pos = {c: i for i, c in enumerate(sets)}
+    return tuple(pos[tuple(colors - 1 - i for i in reversed(c))] for c in sets)
+
+
+def _reversal_split(f, sigma):
+    """(plus, minus, pairs) for a square matrix f that the involution sigma of
+    its index set fixes, f[sigma a][sigma b] == f[a][b] for all a, b (checked
+    from the entries); None if it does not, or if sigma moves nothing.
+
+    The congruence with the basis e_a + e_sigma(a) (one a per pair that sigma
+    swaps), e_g (the indices it fixes), e_a - e_sigma(a) is block diagonal.
+    plus is its first block, with entries |orbit a| sum_{b' in orbit b}
+    f[a][b'], and minus its second block halved, f[a][b] - f[a][sigma b].
+    The change of basis has determinant +-2^pairs, so
+
+        det f = det(plus) det(minus) / 2^pairs.
+    """
+    n = len(f)
+    if all(sigma[a] == a for a in range(n)) or any(
+        f[sigma[a]][sigma[b]] != f[a][b] for a in range(n) for b in range(n)
+    ):
+        return None
+    pairs = [a for a in range(n) if a < sigma[a]]
+    reps = pairs + [a for a in range(n) if a == sigma[a]]
+    plus = []
+    for a in reps:
+        row = [f[a][b] if b == sigma[b] else f[a][b] + f[a][sigma[b]] for b in reps]
+        plus.append(row if a == sigma[a] else [2 * x for x in row])
+    minus = [[f[a][b] - f[a][sigma[b]] for b in pairs] for a in pairs]
+    return plus, minus, len(pairs)
 
 
 def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, pairing) -> tuple[LaurentPoly, int]:
@@ -422,11 +462,15 @@ class _Assembly:
             self.diagram.label(), self.d, self.index, tuple(tuple(r) for r in rows)
         )
 
-    def _kron_det(self, factor_det, one):
-        """(numerator, denominator) of det G, from the Kronecker factors of
-        every shape: det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the
-        unitriangular change of basis contributes 1 (checked here).
-        factor_det runs generic elimination on each distinct factor once."""
+    def _kron_det(self, evaluate, factor_det, one):
+        """det G from the Kronecker factors of every shape:
+        det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the unitriangular
+        change of basis contributes 1 (checked here).
+
+        Each distinct factor is computed once: its entries are mapped by
+        evaluate, the result is split by the colour reversal where
+        _reversal_split finds that it fixes them, and factor_det runs generic
+        elimination on each part (or on the whole factor)."""
         self.check_unitriangular()
         dets = {}
         num = one
@@ -434,37 +478,47 @@ class _Assembly:
         for lam in self.shapes:
             d_block, factors = self.kron_factors(lam)
             dim = math.prod(len(f) for f in factors.values())
-            for key, f in factors.items():
-                if key not in dets:
-                    dets[key] = factor_det(f)
-                num = num * dets[key] ** (dim // len(f))
+            for (s, m), f in factors.items():
+                if (s, m) not in dets:
+                    values = evaluate(f)
+                    split = _reversal_split(values, _reversal(self.pairing.colors, m))
+                    if split is None:
+                        dets[s, m] = factor_det(values)
+                    else:
+                        plus, minus, pairs = split
+                        dets[s, m] = _exact_quotient(
+                            factor_det(plus) * factor_det(minus), 2**pairs
+                        )
+                num = num * dets[s, m] ** (dim // len(f))
             den *= d_block**dim
-        return num, den
+        return _exact_quotient(num, den)
 
     def det(self) -> LaurentPoly:
         """det G = prod over shapes of the Kronecker-factored block
-        determinants, each distinct factor by the generic multi-modular
-        determinant (laurent_det: evaluation mod p, F_p elimination, Newton
+        determinants, each distinct factor, or each half of its colour
+        reversal split, by the generic multi-modular determinant
+        (laurent_det: evaluation mod p, F_p elimination, Newton
         interpolation, CRT under a Hadamard bound).  The identity
         det Sym^m = det^binom is never used: it is the theorem under test."""
-        num, den = self._kron_det(laurent_det, ONE)
-        out = {}
-        for e, c in num.terms.items():
-            q, r = divmod(c, den)
-            if r:
-                raise AssertionError("block determinant product is not integral")
-            out[e] = q
-        return LaurentPoly(out)
+        return self._kron_det(lambda f: f, laurent_det, ONE)
 
     def det_at_one(self) -> int:
-        """det G evaluated at v=1, via integer elimination per factor."""
-        num, den = self._kron_det(
-            lambda f: int_det([[e.at_one() for e in row] for row in f]), 1
+        """det G evaluated at v=1, via integer elimination per factor, each
+        factor evaluated at v=1 before it is split."""
+        return self._kron_det(
+            lambda f: [[e.at_one() for e in row] for row in f], int_det, 1
         )
-        q, r = divmod(num, den)
+
+
+def _exact_quotient(x, q: int):
+    """x / q for an integer or a LaurentPoly x, which q must divide exactly
+    (AssertionError otherwise)."""
+    if isinstance(x, int):
+        out, r = divmod(x, q)
         if r:
-            raise AssertionError("block determinant product is not integral")
-        return q
+            raise AssertionError(f"determinant not divisible by {q}")
+        return out
+    return LaurentPoly({e: _exact_quotient(c, q) for e, c in x})
 
 
 def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:
@@ -488,16 +542,19 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     """Exact determinant of gram_matrix(dg, d).
 
     Exploits the run-time-verified unitriangular change of basis and the
-    Kronecker-factored shape blocks: laurent_det (evaluation and
-    interpolation mod Mersenne primes under a Hadamard bound) runs once on
-    each distinct factor.  No closed determinant formula is consulted.
+    Kronecker-factored shape blocks.  Each distinct factor is computed once:
+    where the colour reversal fixes its entries (checked, see
+    _reversal_split), laurent_det (evaluation and interpolation mod Mersenne
+    primes under a Hadamard bound) runs on its plus and minus blocks, else on
+    the whole factor.  No closed determinant formula is consulted.
     """
     return _Assembly(dg, d).det()
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
-    """Exact determinant of the Gram matrix at v=1 (integer elimination per
-    block; no closed formula involved)."""
+    """Exact determinant of the Gram matrix at v=1: integer elimination on
+    each distinct factor at v=1, or on the two blocks of its colour reversal
+    split; no closed formula involved."""
     return _Assembly(dg, d).det_at_one()
 
 

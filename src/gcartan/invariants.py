@@ -76,10 +76,20 @@ def graded_hill(p: int, r: int, lam: pt.Partition) -> LaurentPoly:
         raise ValueError(f"p must be prime, got {p}")
     if r < 1:
         raise ValueError("r must be >= 1")
-    out = ONE
+    # dense coefficients from v^low up; [n]_s = sum_{t<n} v^{(n-1)s - 2ts}
+    # makes each new coefficient the sum of a window of n old ones spaced 2s
+    # apart, formed as a difference of running sums along each class mod 2s
+    low = 0
+    coeffs = [1]
     for n, s in _graded_hill_factors(p, r, lam):
-        out = out * quantum_int(n, s)
-    return out
+        step = 2 * s
+        low -= (n - 1) * s
+        coeffs += [0] * ((n - 1) * step)
+        for i in range(step, len(coeffs)):
+            coeffs[i] += coeffs[i - step]
+        for i in range(len(coeffs) - 1, n * step - 1, -1):
+            coeffs[i] -= coeffs[i - n * step]
+    return LaurentPoly({low + i: c for i, c in enumerate(coeffs) if c})
 
 
 def kor_invariant(ell: int, lam: pt.Partition) -> int:

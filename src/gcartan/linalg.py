@@ -2,10 +2,10 @@
 
 int_det is fraction-free Bareiss elimination over Z; every interior division
 is exact, and is checked to be so.  laurent_det is a multi-modular kernel:
-evaluation mod p at enough points, F_p elimination at each, Newton
-interpolation, CRT over fixed Mersenne primes and a symmetric lift under a
-Hadamard coefficient bound (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 5).  Every bound is an integer, so no result rests on rounding,
+evaluation mod p at enough points, F_p elimination at each (on the upper
+triangle only when the matrix is symmetric), Newton interpolation, CRT over
+fixed Mersenne primes and a symmetric lift under a Hadamard coefficient bound
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).  Every bound is an integer, so no result rests on rounding,
 and a bound the prime table cannot cover raises instead of guessing.
 """
 
@@ -65,7 +65,8 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     multiple of some step g, v^g is renamed u.  The determinant is then v^shift
     times a polynomial P(u) of degree at most D, the sum of the row exponent
     spans.  P is evaluated at the D+1 nodes t = 0..D mod p (one power table
-    per node, F_p elimination per node) and recovered by Newton
+    per node, F_p elimination per node, symmetric elimination on the upper
+    triangle when the coefficient rows are symmetric) and recovered by Newton
     interpolation.  When every entry is bar-invariant, so is the determinant,
     and the matrix is a polynomial matrix in w = u + u^-1 of row degrees
     hi_i: the value at w = t serves both points z, z^-1 with z + z^-1 = t,
@@ -151,7 +152,10 @@ def _interpolate_mod(rows, width: int, degree: int, bar: bool, p: int) -> list[i
     """Coefficients mod p of the determinant of the dense coefficient rows:
     of P(u) from u^0 up, or, when bar, of the Laurent polynomial from
     u^-degree up to u^degree.  The nodes 0..degree are distinct mod p, since
-    degree is far below the smallest table prime."""
+    degree is far below the smallest table prime.  When the coefficient rows
+    are symmetric, only the upper triangle is evaluated and eliminated."""
+    n = len(rows)
+    symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
     values = []
     for t in range(degree + 1):
         # powers t^k, or when bar T_k(t) = z^k + z^-k with T_0 = 2 (but the
@@ -162,7 +166,11 @@ def _interpolate_mod(rows, width: int, degree: int, bar: bool, p: int) -> list[i
                 table.append((t * table[k] - (table[k - 1] if k > 1 else 2)) % p)
             else:
                 table.append(t * table[k] % p)
-        values.append(_det_mod([[sum(map(mul, cs, table)) % p for cs in row] for row in rows], p))
+        if symmetric:
+            upper = [[sum(map(mul, cs, table)) % p for cs in row[i:]] for i, row in enumerate(rows)]
+            values.append(_sym_det_mod(upper, p))
+        else:
+            values.append(_det_mod([[sum(map(mul, cs, table)) % p for cs in row] for row in rows], p))
     # Newton coefficients on the nodes 0..degree: c_j = (forward difference
     # Delta^j of the values at 0) / j!
     for j in range(1, degree + 1):
@@ -212,6 +220,48 @@ def _det_mod(m: list[list[int]], p: int) -> int:
             if f:
                 f = f * inv % p
                 row_i[k + 1:] = [(x - f * y) % p for x, y in zip(row_i[k + 1:], tail)]
+    return det
+
+
+def _sym_det_mod(upper: list[list[int]], p: int) -> int:
+    """Determinant mod p of the symmetric matrix whose row i, from the
+    diagonal on, is upper[i]: symmetric elimination (A = L D L^t) on the upper
+    triangle only.
+
+    A row is left unreduced until it becomes the pivot row.  Row k of the
+    Schur complement is then a_kx - sum_{l<k} (a_lk / d_l) a_lx over the
+    reduced pivot rows l, one dot product and one residue per entry.  A zero
+    pivot in a nonzero row k, with a_kj != 0, is repaired by the congruence
+    row/col k += c row/col j, which keeps the determinant and makes the pivot
+    2c a_kj + c^2 a_jj: nonzero for c = 1 or c = 2, since p is odd.  A zero
+    row k makes the matrix singular.
+    """
+    n = len(upper)
+    # cols[x]: entry x of every reduced pivot row so far; inverses: 1/d_l
+    cols: list[list[int]] = [[] for _ in range(n)]
+    inverses: list[int] = []
+
+    def reduced(i: int, k: int) -> list[int]:
+        # entries k.. of row i after the pivots 0..k-1; a_ix = a_xi for x < i
+        f = [a * w % p for a, w in zip(cols[i], inverses)]
+        row = [upper[x][i - x] for x in range(k, i)] + upper[i]
+        return [(a - sum(map(mul, f, cols[x]))) % p for x, a in enumerate(row, k)]
+
+    det = 1
+    for k in range(n):
+        row = reduced(k, k)
+        if not row[0]:
+            j = next((j for j in range(1, n - k) if row[j]), None)
+            if j is None:
+                return 0
+            other = reduced(k + j, k)
+            c = 1 if (2 * row[j] + other[j]) % p else 2
+            row = [(a + c * b) % p for a, b in zip(row, other)]
+            row[0] = (row[0] + c * row[j]) % p
+        det = det * row[0] % p
+        inverses.append(pow(row[0], -1, p))
+        for x, a in enumerate(row[1:], k + 1):
+            cols[x].append(a)
     return det
 
 

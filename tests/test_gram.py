@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from gcartan import cli
+from gcartan import cli, gram
 from gcartan import partitions as pt
 from gcartan.gram import (
     CartanPairing,
     GramMatrix,
     IdentityPairing,
     _Assembly,
+    _reversal,
+    _reversal_split,
     block_sum,
     cartan_graded,
     gram_det,
@@ -166,6 +168,75 @@ class TestGramDeterminant:
     def test_full_bareiss_against_blocks(self):
         g = gram_matrix(DynkinDiagram("A", 2), 4)
         assert laurent_det(g.entries) == gram_det(DynkinDiagram("A", 2), 4)
+
+    def test_matches_formula_at_ell_6_d_4(self):
+        # the 70-row factor P_1(4) of A_5, split by the colour reversal
+        assert gram_det(type_a(6), 4) == shapovalov_det_formula(type_a(6), 4)
+
+
+class TestColourReversalSplit:
+    """gram._reversal_split: det f = det(plus) det(minus) / 2^pairs wherever
+    the colour reversal fixes f, and no split where the entries say it does
+    not."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_split_against_unsplit(self, rank):
+        # every P_s(m) with s m <= 4, the factors of the Gram matrices of
+        # degree at most 4
+        pairing = CartanPairing(DynkinDiagram("A", rank))
+        for s, m in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]:
+            f = permanent_matrix(pairing, s, m)
+            sigma = _reversal(rank, m)
+            plus, minus, pairs = _reversal_split(f, sigma)
+            assert pairs == len(minus) == sum(a < sigma[a] for a in range(len(f)))
+            assert len(plus) + len(minus) == len(f)
+            assert laurent_det(plus) * laurent_det(minus) == 2**pairs * laurent_det(f)
+            at_one = [[e.at_one() for e in row] for row in f]
+            plus1, minus1, pairs1 = _reversal_split(at_one, sigma)
+            assert pairs1 == pairs
+            assert int_det(plus1) * int_det(minus1) == 2**pairs * int_det(at_one)
+
+    @pytest.mark.parametrize("dg", [DynkinDiagram("D", 4), DynkinDiagram("E", 6)])
+    def test_entries_decline_the_split(self, dg):
+        # the reversal moves multisets here, but is no symmetry of the entries
+        for s, m in [(1, 1), (1, 2), (2, 1)]:
+            sigma = _reversal(dg.nodes, m)
+            assert any(sigma[a] != a for a in range(len(sigma)))
+            assert _reversal_split(permanent_matrix(CartanPairing(dg), s, m), sigma) is None
+
+    def test_one_perturbed_entry_declines_the_split(self):
+        f = [list(row) for row in permanent_matrix(CartanPairing(DynkinDiagram("A", 3)), 1, 2)]
+        sigma = _reversal(3, 2)
+        assert _reversal_split(f, sigma) is not None
+        f[0][1] = f[0][1] + ONE
+        assert _reversal_split(f, sigma) is None
+
+    def test_one_colour_is_not_split(self):
+        f = permanent_matrix(CartanPairing(DynkinDiagram("A", 1)), 1, 3)
+        assert _reversal_split(f, _reversal(1, 3)) is None
+
+    @pytest.mark.parametrize(
+        "dg, d, splits",
+        [(DynkinDiagram("A", 3), 3, True), (DynkinDiagram("D", 4), 2, False),
+         (DynkinDiagram("E", 6), 2, False), (DynkinDiagram("A", 1), 4, False)],
+    )
+    def test_every_factor_is_checked(self, monkeypatch, dg, d, splits):
+        # det and det_at_one put every distinct factor through the check
+        seen = []
+        check = gram._reversal_split
+
+        def spy(f, sigma):
+            out = check(f, sigma)
+            seen.append(out is not None)
+            return out
+
+        monkeypatch.setattr(gram, "_reversal_split", spy)
+        asm = _Assembly(dg, d)
+        assert asm.det() == shapovalov_det_formula(dg, d)
+        assert asm.det_at_one() == shapovalov_det_formula(dg, d).at_one()
+        factors = {key for lam in asm.shapes for key in asm.kron_factors(lam)[1]}
+        assert len(seen) == 2 * len(factors)
+        assert all(seen) if splits else not any(seen)
 
 
 def _brute_permanent(a, rows, cols):

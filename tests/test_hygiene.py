@@ -97,3 +97,21 @@ def test_gram_and_qlaurent_are_float_free():
         if (uses := _float_uses(PACKAGE / name))
     }
     assert not found, f"floating point in src/gcartan (line, what): {found}"
+
+
+def test_checked_determinant_is_formula_free():
+    # gram_det and laurent_det confirm the closed determinant formula and the
+    # conjectured diagonals: they may not call on them
+    formulas = {
+        "shapovalov_det_formula",
+        "twisted_det_formula",
+        "det_quantized",
+        "classical_det",
+        "bracket_product_values",
+    }
+    found = {
+        name: sorted(n for n in _used_names(_parse(PACKAGE / name))
+                     if n in formulas or "hill" in n.lower())
+        for name in ("gram.py", "linalg.py")
+    }
+    assert not any(found.values()), f"closed formulas referenced: {found}"

@@ -3,6 +3,7 @@ import pytest
 from gcartan import partitions as pt
 from gcartan.invariants import (
     BunkaitoComponent,
+    _graded_hill_factors,
     GradedInvariant,
     asy_Q,
     bracket_product_values,
@@ -41,6 +42,16 @@ class TestHill:
         assert graded_hill(3, 2, ()) == ONE
         assert graded_hill(2, 2, (2,)) == quantum_int(2, 2)
         assert graded_hill(2, 1, (1, 1)) == quantum_int(2) * quantum_int(4)
+
+    def test_graded_is_the_product_of_its_brackets(self):
+        # the window sums against plain multiplication of the brackets
+        for p, r in ((2, 1), (2, 3), (3, 2), (5, 1)):
+            for n in range(0, 9):
+                for lam in pt.enum_partitions(n):
+                    want = ONE
+                    for m, s in _graded_hill_factors(p, r, lam):
+                        want = want * quantum_int(m, s)
+                    assert graded_hill(p, r, lam) == want, (p, r, lam)
 
     def test_graded_specializes_to_ungraded(self):
         for p in (2, 3, 5):

@@ -1,5 +1,6 @@
 """The multi-modular Laurent determinant against independent references."""
 
+import random
 from itertools import permutations
 from math import isqrt
 
@@ -127,6 +128,88 @@ class TestLaurentDet:
 
     def test_empty_matrix(self):
         assert laurent_det([]) == ONE
+
+
+def _symmetric_mod(rng, n, p, kind):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice([0, 0, 1, -1, 2, rng.randrange(p)]) % p
+    if kind == "zero diagonal":
+        for i in range(n):
+            m[i][i] = 0
+    elif kind == "singular" and n:
+        # row and column j repeat row and column i (or are zero when n = 1)
+        i, j = rng.randrange(n), rng.randrange(n)
+        for x in range(n):
+            m[j][x] = m[i][x] if i != j else 0
+        for x in range(n):
+            m[x][j] = m[x][i] if i != j else 0
+    return m
+
+
+class TestSymmetricKernel:
+    """linalg._sym_det_mod, the upper-triangle elimination, against the
+    full Gaussian elimination linalg._det_mod."""
+
+    def test_against_full_elimination(self):
+        rng = random.Random(20261018)
+        singular = 0
+        for p in (3, 7, (1 << 521) - 1):
+            for n in range(9):
+                for kind in ("plain", "zero diagonal", "singular"):
+                    for _ in range(12):
+                        m = _symmetric_mod(rng, n, p, kind)
+                        want = linalg._det_mod([row[:] for row in m], p) % p
+                        upper = [row[i:] for i, row in enumerate(m)]
+                        assert linalg._sym_det_mod(upper, p) == want, (p, kind, m)
+                        singular += want == 0
+        assert singular > 100
+
+    @pytest.mark.parametrize(
+        "m, p, det",
+        [
+            ([[0, 1], [1, 0]], 7, 6),  # c = 1: pivot 2 a_01
+            ([[0, 1], [1, 1]], 3, 2),  # c = 1 gives 2 + 1 = 0 mod 3, so c = 2
+            ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], 5, 0),  # a zero row after the repair
+            ([[0, 0, 2], [0, 3, 0], [2, 0, 0]], 7, 7 - 12 % 7),
+        ],
+    )
+    def test_zero_pivot_repairs(self, m, p, det):
+        assert linalg._sym_det_mod([row[i:] for i, row in enumerate(m)], p) == det
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(polys, min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_symmetric_laurent_matrices_match_leibniz(self, m):
+        for i in range(len(m)):
+            for j in range(i):
+                m[i][j] = m[j][i]
+        assert laurent_det(m) == leibniz(m)
+
+    def test_only_symmetric_rows_take_the_symmetric_kernel(self, monkeypatch):
+        calls = {"sym": 0, "full": 0}
+        sym, full = linalg._sym_det_mod, linalg._det_mod
+
+        def spy_sym(upper, p):
+            calls["sym"] += 1
+            return sym(upper, p)
+
+        def spy_full(m, p):
+            calls["full"] += 1
+            return full(m, p)
+
+        monkeypatch.setattr(linalg, "_sym_det_mod", spy_sym)
+        monkeypatch.setattr(linalg, "_det_mod", spy_full)
+        q = LaurentPoly({1: 1, -1: 1})
+        symmetric = [[q, -ONE], [-ONE, q]]
+        assert laurent_det(symmetric) == leibniz(symmetric)
+        assert calls["sym"] and not calls["full"]
+        calls["sym"] = 0
+        skew = [[q, -ONE], [ONE, q]]
+        assert laurent_det(skew) == leibniz(skew)
+        assert calls["full"] and not calls["sym"]
 
 
 def test_mersenne_table_is_prime():
