@@ -649,8 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--ring",
         choices=["zint", "qlaurent", "zlaurent"],
-        help="zlaurent runs a greedy diagonalizer: VERIFIED, or INCONCLUSIVE with "
-        "the reason it stopped (stalled, or its step cap)",
+        help="zint takes the local Smith form at the primes of |det| for a "
+        "nonsingular matrix, dense elimination for a singular one; zlaurent runs a "
+        "greedy diagonalizer: VERIFIED, or INCONCLUSIVE with the reason it stopped "
+        "(stalled, or its step cap)",
     )
     common(s)
     s.set_defaults(fn=cmd_snf)

@@ -485,9 +485,11 @@ def conjecture_report(
     Q[v,v^-1]; its bracket-product sub-check is theorem-backed, the
     I^v-multiset check is the conjecture's field-ring shadow.  Layer 3:
     invariant factors at v=1 against the ungraded multiset (a theorem when
-    r <= p).  Layer 4: greedy diagonalization over Z[v,v^-1], which stops at
-    its first stall or after `budget` steps; its details give the steps and
-    why it stopped.  Success with the conjectured multiset verifies the
+    r <= p), by the local Smith form at the primes of |det C(1)|; when
+    layer 1 is VERIFIED its determinant at v=1 supplies that |det|, else
+    `snf_int` computes it.  Layer 4: greedy diagonalization over
+    Z[v,v^-1], which stops at its first stall or after `budget` steps; its
+    details give the steps and why it stopped.  Success with the conjectured multiset verifies the
     conjecture at this size (VERIFIED).  Any other diagonal, or a stop with
     all three earlier checks holding, is CONSISTENT; a stop otherwise is
     INCONCLUSIVE.  No outcome of this layer refutes the conjecture.
@@ -512,10 +514,8 @@ def conjecture_report(
         layers.append(LayerResult(name, status, {**details, **timing}))
 
     det = gram_det(type_a(ell), d)
-    prod = ONE
-    for val in graded_rhs:
-        prod = prod * val
-    layer("determinant", "VERIFIED" if det == prod else "FAILED", {"theorem": True})
+    det_ok = det == math.prod(graded_rhs, start=ONE)
+    layer("determinant", "VERIFIED" if det_ok else "FAILED", {"theorem": True})
 
     snf_c = gram_field_invariants(type_a(ell), d)
     theorem_ok = snf_mod.multiset_equal_up_to_units(
@@ -524,20 +524,18 @@ def conjecture_report(
     conj_ok = snf_mod.multiset_equal_up_to_units(
         snf_c, snf_mod.snf_of_diagonal(graded_rhs)
     )
-    if not theorem_ok:
-        status = "FAILED"
-    else:
-        status = "VERIFIED" if conj_ok else "FAILED"
     layer(
         "field-invariants",
-        status,
+        "VERIFIED" if theorem_ok and conj_ok else "FAILED",
         {"theorem_subcheck": theorem_ok, "conjecture_check": conj_ok},
     )
 
     # the full x-basis matrix is assembled here, so this layer's time
-    # includes the assembly that the next layer reuses
+    # includes the assembly that the next layer reuses.  Only a determinant
+    # that layer 1 has checked is handed to the local engine.
     gm = cartan_graded(ell, d)
-    snf_z = snf_mod.snf_int(gm.at_one())
+    c1 = gm.at_one()
+    snf_z = snf_mod.snf_int_certified(c1, abs(det.at_one())) if det_ok else snf_mod.snf_int(c1)
     int_ok = snf_z.elements == snf_mod.snf_int_diagonal(hill_values(p, r, d)).elements
     layer(
         "integer-invariants",

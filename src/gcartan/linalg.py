@@ -264,33 +264,3 @@ def _sym_det_mod(upper: list[list[int]], p: int) -> int:
             cols[x].append(a)
     return det
 
-
-def sym_power_matrix(f: Sequence[Sequence[int]], m: int) -> list[list[int]]:
-    """The matrix of Sym^m(f) on the monomial basis of Sym^m(k^n).
-
-    Basis elements are weakly increasing index tuples of length m; the image
-    of e_T is the product of the images of its factors, expanded in the
-    symmetric algebra.
-    """
-    from itertools import combinations_with_replacement
-
-    n = len(f)
-    basis = list(combinations_with_replacement(range(n), m))
-    pos = {T: idx for idx, T in enumerate(basis)}
-    out = [[0] * len(basis) for _ in range(len(basis))]
-    for col, T in enumerate(basis):
-        # expand prod_{i in T} (sum_j f[j][i] e_j) into monomials
-        acc: dict[tuple, int] = {(): 1}
-        for i in T:
-            nxt: dict[tuple, int] = {}
-            for mono, c in acc.items():
-                for j in range(n):
-                    cij = f[j][i]
-                    if cij:
-                        key = tuple(sorted(mono + (j,)))
-                        nxt[key] = nxt.get(key, 0) + c * cij
-            acc = nxt
-        for mono, c in acc.items():
-            if c:
-                out[pos[mono]][col] += c
-    return out

@@ -242,18 +242,7 @@ def p_adic_split(n: int, p: int) -> tuple[int, int]:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and prime_divisors(p) == (p,)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

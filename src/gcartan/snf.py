@@ -7,16 +7,21 @@ cross-checked against both complete invariants, or Inconclusive at its first
 stall or step cap, and never claims a negative), determinantal-ideal gcds as
 extra necessary conditions, and unit-normalized multiset comparison.
 
-The three dense engines share one elimination loop (`_diagonalize`): pivot
-on an entry of least size, clear its column by row operations, clear its row
-the same way on the transpose, and repeat until the matrix is diagonal.  Each
+Over Z, `snf_int_certified` is the engine for a nonsingular matrix with
+known |det| (Storjohann's local Smith form, Algorithms for Matrix Canonical
+Forms, ETH 2000); the conjecture report gives it the determinant its first
+layer checked.  `snf_int` computes |det| by Bareiss for every other caller
+and hands a singular matrix, whose rank the local engine cannot certify,
+to dense elimination.
+
+The dense engines share one elimination loop (`_diagonalize`): pivot on an
+entry of least size, clear its column by row operations, clear its row the
+same way on the transpose, and repeat until the matrix is diagonal.  Each
 engine supplies only its size key and its one-row reduction, and finishes on
 the diagonal (Kannan & Bachem, SIAM J. Comput. 8, 1979: diagonalize first,
 then restore divisibility).  Diagonal matrices take no elimination: over Z
 by gcd/lcm swaps, over Q[v,v^-1] by factor refinement into a pairwise
-coprime base and a sort of each base element's exponents.  The certified
-integer engine works prime by prime over the support of a supplied |det|,
-after one rank pass at a prime outside it.
+coprime base and a sort of each base element's exponents.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Sequence
 
-from .linalg import laurent_det
-from .partitions import is_prime, p_adic_split, prime_divisors
+from .linalg import int_det, laurent_det
+from .partitions import is_prime, p_adic_split
 from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit
 
 RING_ZINT = "ZInt"
@@ -92,6 +97,14 @@ def multiset_equal_up_to_units(a: InvariantMultiset, b: InvariantMultiset) -> bo
 # ---------------------------------------------------------------------------
 # the shared elimination loop
 # ---------------------------------------------------------------------------
+
+
+def _require_square(matrix: Sequence[Sequence]) -> int:
+    """The row count of matrix, which must be square (ValueError if not)."""
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ValueError("matrix must be square")
+    return n
 
 
 def _clear_column(m: list[list], reduce) -> bool:
@@ -164,21 +177,22 @@ def _diagonalize(
 # ---------------------------------------------------------------------------
 
 
-def _chain_fix_int(diag: Sequence[int]) -> list[int]:
-    """The nonzero |diag| as a divisibility chain, zeros last.
+def snf_int_diagonal(values: Sequence[int]) -> InvariantMultiset:
+    """Invariant factors of diag(values) over Z, zeros last, by gcd/lcm
+    swaps on the diagonal; no elimination and no factoring.
 
     diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)).  After the pairs
     (i, j > i) have been swept, d_i divides every later entry, and swaps
     among later entries keep that, so one sweep suffices.  Smallest first,
     so most pairs already divide.
     """
-    d = sorted(abs(x) for x in diag if x)
+    d = sorted(abs(x) for x in values if x)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             if d[j] % d[i]:
                 g = math.gcd(d[i], d[j])
                 d[i], d[j] = g, d[i] // g * d[j]
-    return d + [0] * (len(diag) - len(d))
+    return InvariantMultiset(RING_ZINT, tuple(d + [0] * (len(values) - len(d))))
 
 
 def _reduce_int(row: list[int], prow: list[int]) -> list[int] | None:
@@ -187,22 +201,30 @@ def _reduce_int(row: list[int], prow: list[int]) -> list[int] | None:
 
 
 def snf_int(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Invariant factors d_1 | d_2 | ... of a square integer matrix, zeros
+    last, for callers that do not hold |det|: a Bareiss |det| (`int_det`,
+    which rejects a non-square matrix) sends a nonsingular matrix to
+    `snf_int_certified` and a singular one to `_snf_int_dense`, the one path
+    that handles singular input.
+    """
+    det = int_det(matrix)
+    return snf_int_certified(matrix, abs(det)) if det else _snf_int_dense(matrix)
+
+
+def _snf_int_dense(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
+    """Invariant factors of any square integer matrix by dense elimination.
 
     The shared loop (`_diagonalize`) pivots on the entry of least absolute
     value and clears with nearest-integer quotients (gcd descent, each
     remainder at most half the pivot); then the divisibility chain is
-    restored by gcd/lcm swaps on the diagonal (`_chain_fix_int`), an
+    restored by gcd/lcm swaps on the diagonal (`snf_int_diagonal`), an
     equivalence of diagonal matrices.
     """
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise ValueError("matrix must be square")
     m = [list(map(int, r)) for r in matrix]
     diag, _, stopped = _diagonalize(m, abs, _reduce_int)
     if stopped != "cleared":
         raise ArithmeticError(f"integer elimination {stopped}")
-    return InvariantMultiset(RING_ZINT, tuple(_chain_fix_int(diag)))
+    return snf_int_diagonal(diag)
 
 
 def _pack(row: Sequence[int], width: int) -> int:
@@ -216,7 +238,9 @@ def _unpack(packed: int, width: int, n: int) -> list[int]:
     return [int.from_bytes(raw[j : j + width], "little") for j in range(0, width * n, width)]
 
 
-def _local_valuations(matrix: Sequence[Sequence[int]], p: int, digits: int) -> list[int] | None:
+def _local_valuations(
+    matrix: Sequence[Sequence[int]], p: int, digits: int
+) -> list[int] | int | None:
     """p-adic valuations of the invariant factors, by elimination mod p^digits.
 
     Layered elimination: at level L the block is a residue matrix mod p^k,
@@ -235,6 +259,11 @@ def _local_valuations(matrix: Sequence[Sequence[int]], p: int, digits: int) -> l
     runs out with a block left, which happens only if an invariant has
     valuation >= digits; for a nonsingular matrix digits = v_p(det) + 1 is
     always enough.
+
+    p need not be prime.  A pivot candidate that shares a proper factor with
+    p ends the elimination, which returns that factor gcd(candidate, p).
+    Without one, every candidate is a unit or zero mod p, so every prime of
+    p sees the same elimination and the valuations hold at each of them.
     """
     mod = p**digits
     rows = [[x % mod for x in row] for row in matrix]
@@ -252,6 +281,8 @@ def _local_valuations(matrix: Sequence[Sequence[int]], p: int, digits: int) -> l
             at = c * slot
             col = [(packed[i] >> at) & mask for i in open_rows]
             k = next((t for t, x in enumerate(col) if x % p), None)
+            if k is not None and (g := math.gcd(col[k], p)) > 1:
+                return g
             if k is None:
                 no_unit.append(c)
                 continue
@@ -280,17 +311,33 @@ def _local_valuations(matrix: Sequence[Sequence[int]], p: int, digits: int) -> l
     return vals
 
 
+# the product of the primes below 2^10
+_SMALL_PRIMORIAL = math.prod(filter(is_prime, range(1 << 10)))
+
+
+def _coprime_split(p: int, g: int) -> list[int]:
+    """g and the largest divisor of p prime to g, without 1s: for a divisor
+    g of p, coprime moduli whose primes are those of p."""
+    rest = p
+    while (h := math.gcd(rest, g)) > 1:
+        rest //= h
+    return [m for m in (g, rest) if m > 1]
+
+
 def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> InvariantMultiset:
     """Invariant factors of a nonsingular integer matrix with known |det|.
 
-    Works prime by prime over the prime support of det_abs, by elimination
-    mod p^k on packed rows (see `_local_valuations`).  No invariant has
-    valuation above v = v_p(det_abs), so k = v + 1 digits always suffice;
-    the first try uses min(8, v + 1) digits and each retry doubles k up to
-    that cap.  Running out of precision at the cap means the matrix is
-    singular or det_abs is wrong, and raises ArithmeticError.  Exactness is
-    certified by checking that the product of the assembled invariants
-    equals |det|.
+    Works modulus by modulus, by elimination mod p^k on packed rows (see
+    `_local_valuations`), and factors nothing.  The first moduli are the
+    product of the primes of det_abs below 2^10 and the part of det_abs
+    prime to them; where the elimination meets a proper factor g of a
+    modulus p, p is replaced by g and the part of p prime to g
+    (`_coprime_split`).  No invariant has valuation above v = v_p(det_abs),
+    so k = v + 1 digits always suffice; the first try uses min(8, v + 1)
+    digits and each retry doubles k up to that cap.  Running out of
+    precision at the cap means the matrix is singular or det_abs is wrong,
+    and raises ArithmeticError.  Exactness is certified by checking that
+    the product of the assembled invariants equals |det|.
 
     One rank pass comes first: elimination mod the smallest prime q that
     does not divide det_abs must find a full-rank matrix, else the matrix is
@@ -299,7 +346,7 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
     as det_abs = 1.  det_abs is still trusted for its prime support: a prime
     of the true |det| that det_abs lacks, other than q, goes unseen.
     """
-    n = len(matrix)
+    n = _require_square(matrix)
     if det_abs <= 0:
         raise ValueError("det_abs must be the positive |det| of a nonsingular matrix")
     q = next(r for r in count(2) if det_abs % r and is_prime(r))
@@ -308,8 +355,10 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
             f"the matrix is singular mod {q}, a prime that does not divide det_abs: "
             "the matrix is singular or det_abs is not its |det|"
         )
+    moduli = _coprime_split(det_abs, math.gcd(det_abs, _SMALL_PRIMORIAL))
     out = [1] * n
-    for p in prime_divisors(det_abs):
+    while moduli:
+        p = moduli.pop()
         cap = p_adic_split(det_abs, p)[1] + 1
         digits = min(8, cap)
         while (vals := _local_valuations(matrix, p, digits)) is None:
@@ -319,20 +368,14 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
                     "the matrix is singular or det_abs is not its |det|"
                 )
             digits = min(2 * digits, cap)
+        if isinstance(vals, int):  # a proper factor of p
+            moduli += _coprime_split(p, vals)
+            continue
         for i, e in enumerate(vals):
             out[i] *= p**e
-    prod = 1
-    for x in out:
-        prod *= x
-    if prod != det_abs:
+    if math.prod(out) != det_abs:
         raise AssertionError("local Smith forms do not account for |det|")
     return InvariantMultiset(RING_ZINT, tuple(sorted(out)))
-
-
-def snf_int_diagonal(values: Sequence[int]) -> InvariantMultiset:
-    """Invariant factors of diag(values) over Z, by gcd/lcm swaps on the
-    diagonal; no elimination and no factoring."""
-    return InvariantMultiset(RING_ZINT, tuple(_chain_fix_int(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +473,7 @@ def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly]]) -> InvariantMulti
     first, then restore divisibility, as in Kannan & Bachem, SIAM J. Comput.
     8, 1979).
     """
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise ValueError("matrix must be square")
+    _require_square(matrix)
     m = [_strip_row(list(row)) for row in matrix]
     diag, _, stopped = _diagonalize(m, lambda e: (_span(e), len(e._terms)), _reduce_field)
     if stopped != "cleared":
@@ -618,9 +659,7 @@ def try_diagonalize_zlaurent(
     ended: "cleared", "stalled" or "budget".  On Success the result is
     cross-checked against the complete field-ring and v=1 invariants.
     """
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise ValueError("matrix must be square")
+    _require_square(matrix)
     m = [list(row) for row in matrix]
     diag, steps, stopped = _diagonalize(m, _complexity, _reduce_zlaurent, budget)
     if stopped != "cleared":

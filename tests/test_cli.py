@@ -230,6 +230,18 @@ class TestSnfCommand:
         assert obj["invariants"] == ["2", "6"] and obj["status"] == "VERIFIED"
         assert obj["checks"]["product_equals_abs_det"] is True
 
+    def test_zint_singular(self, capsys, tmp_path, cache_dir):
+        # a singular matrix takes the dense loop, the only path that gives zeros
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": [[2, 4], [1, 2]]}))
+        code, out, _ = run(
+            capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", cache_dir
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["invariants"] == ["1", "0"] and obj["status"] == "VERIFIED"
+        assert obj["checks"] == {"product_equals_abs_det": True, "divisibility_chain": True}
+
     def test_qlaurent(self, capsys, tmp_path, cache_dir):
         f = tmp_path / "m.json"
         entries = [[quantum_int(2).to_json(), LaurentPoly().to_json()],

@@ -1,5 +1,6 @@
 import pytest
 
+from gcartan import invariants, snf
 from gcartan import partitions as pt
 from gcartan.invariants import (
     BunkaitoComponent,
@@ -272,6 +273,29 @@ class TestConjectureReport:
         # conjecture-report benchmark points
         lay = conjecture_report(p, r, d).layer("integral-diagonalization")
         assert (lay.status, lay.details["steps"], lay.details["stopped"]) == (status, steps, stopped)
+
+    @pytest.mark.parametrize(
+        "p, r, d, last",
+        [(2, 1, 4, "VERIFIED"), (3, 1, 3, "CONSISTENT"), (5, 1, 2, "VERIFIED"),
+         (2, 2, 3, "CONSISTENT")],
+    )
+    def test_no_dense_integer_elimination(self, monkeypatch, p, r, d, last):
+        # the integer layer and the diagonalizer's v=1 cross-check see only
+        # nonsingular matrices, which the local engine takes
+        def refuse(matrix):
+            raise AssertionError("a nonsingular matrix reached the dense loop")
+
+        monkeypatch.setattr(snf, "_snf_int_dense", refuse)
+        rep = conjecture_report(p, r, d)
+        assert [lay.status for lay in rep.layers] == ["VERIFIED"] * 3 + [last]
+
+    def test_wrong_determinant_fails_its_layer_only(self, monkeypatch):
+        # an unchecked determinant is not handed to the local engine: the
+        # integer layer computes its own |det| and still verifies
+        monkeypatch.setattr(invariants, "gram_det", lambda dg, d: ONE)
+        rep = conjecture_report(3, 1, 3)
+        assert rep.layer("determinant").status == "FAILED"
+        assert rep.layer("integer-invariants").status == "VERIFIED"
 
 
 def test_graded_invariant_record():

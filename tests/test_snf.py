@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gcartan import snf
 from gcartan.gram import cartan_graded, gram_matrix
+from gcartan.invariants import hill_values
 from gcartan.linalg import int_det, laurent_det
 from gcartan.partitions import p_adic_split, prime_divisors
 from gcartan.qcartan import DynkinDiagram
@@ -17,6 +18,7 @@ from gcartan.snf import (
     RING_ZINT,
     RING_ZLAURENT,
     InvariantMultiset,
+    _snf_int_dense,
     canonical_poly,
     det_ideal_gcds,
     multiset_equal_up_to_units,
@@ -78,12 +80,13 @@ def _matmul(a, b):
 
 
 @st.composite
-def _unimodular_times_diagonal(draw):
-    """(U D V, |det|) with D a diagonal of products of powers of 2, 3 and 5
-    and U, V products of elementary integer row and column additions."""
+def _unimodular_times_diagonal(draw, primes=(2, 3, 5), top=12):
+    """(U D V, |det|) with D a diagonal of products of powers (at most top)
+    of the primes and U, V products of elementary integer row and column
+    additions."""
     n = draw(st.integers(1, 6))
-    exps = st.integers(0, 12)
-    diag = [2 ** draw(exps) * 3 ** draw(exps) * 5 ** draw(exps) for _ in range(n)]
+    exps = st.integers(0, top)
+    diag = [math.prod(p ** draw(exps) for p in primes) for _ in range(n)]
     m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     idx = st.integers(0, n - 1)
     ops = draw(st.lists(st.tuples(idx, idx, st.integers(-3, 3), st.booleans()), max_size=3 * n))
@@ -157,7 +160,7 @@ class TestSnfInt:
         for _ in range(60):
             vals = [rng.randint(0, 40) for _ in range(rng.randint(1, 6))]
             n = len(vals)
-            full = snf_int([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            full = _snf_int_dense([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
             assert snf_int_diagonal(vals).elements == full.elements
 
     def test_certified_matches_general(self):
@@ -169,7 +172,7 @@ class TestSnfInt:
                 d = int_det(m)
                 if d:
                     break
-            assert snf_int_certified(m, abs(d)).elements == snf_int(m).elements
+            assert snf_int_certified(m, abs(d)).elements == _snf_int_dense(m).elements
 
     def test_certified_rejects_wrong_det(self):
         with pytest.raises(AssertionError):
@@ -187,7 +190,7 @@ class TestSnfInt:
         n = len(vals)
         dense = [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
         got = snf_int_diagonal(vals).elements
-        assert got == snf_int(dense).elements
+        assert got == _snf_int_dense(dense).elements
         if all(vals):
             # the local method shares no code with the gcd/lcm chain
             prod = 1
@@ -206,7 +209,7 @@ class TestSnfInt:
     def test_certified_matches_general_property(self, m):
         d = int_det(m)
         assume(d != 0)
-        assert snf_int_certified(m, abs(d)).elements == snf_int(m).elements
+        assert snf_int_certified(m, abs(d)).elements == _snf_int_dense(m).elements
 
     @given(_often_singular(st.integers(-9, 9), 0))
     @settings(max_examples=80, deadline=None)
@@ -216,6 +219,27 @@ class TestSnfInt:
         divisors = [1] + _determinantal_divisors(m)
         want = tuple(b // a if b else 0 for a, b in zip(divisors, divisors[1:]))
         assert snf_int(m).elements == want
+        assert _snf_int_dense(m).elements == want
+
+    def test_dense_loop_only_for_singular_input(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("a nonsingular matrix reached the dense loop")
+
+        monkeypatch.setattr(snf, "_snf_int_dense", refuse)
+        assert snf_int([[3, 4], [4, 8]]).elements == (1, 8)
+        assert snf_int(cartan_graded(3, 4).at_one()).elements == snf_int_diagonal(
+            hill_values(3, 1, 4)
+        ).elements
+        with pytest.raises(AssertionError, match="dense loop"):
+            snf_int([[2, 4], [1, 2]])
+
+    @pytest.mark.parametrize(
+        "m", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]],
+        ids=["2x3", "3x2", "ragged"],
+    )
+    def test_certified_rejects_non_square(self, m):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            snf_int_certified(m, 3)
 
     def test_certified_rejects_singular_matrix(self):
         # a singular matrix with a positive det_abs must raise, not retry
@@ -263,7 +287,7 @@ class TestSnfInt:
             return got
 
         monkeypatch.setattr(snf, "_local_valuations", record)
-        assert snf_int_certified(m, det).elements == snf_int(m).elements
+        assert snf_int_certified(m, det).elements == _snf_int_dense(m).elements
         assert tries[0][1], "the first precision already sufficed"
         assert tries[-1][0] <= cap and not tries[-1][1]
 
@@ -271,12 +295,40 @@ class TestSnfInt:
     @settings(max_examples=60, deadline=None)
     def test_certified_matches_general_on_smooth_diagonals(self, case):
         m, det = case
-        assert snf_int_certified(m, det).elements == snf_int(m).elements
+        assert snf_int_certified(m, det).elements == _snf_int_dense(m).elements
+
+    @given(_unimodular_times_diagonal((2, 1031, 1033), 3))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_splits_unfactored_moduli(self, case):
+        # 1031 and 1033 lie above 2^10, so they stay in the unfactored part
+        # of det_abs, which is split where the elimination meets a proper
+        # factor of a modulus
+        m, det = case
+        assert snf_int_certified(m, det).elements == _snf_int_dense(m).elements
+
+    def test_large_prime_factors_are_not_factored(self, monkeypatch):
+        # the last |det| is 2 * 13 * 47 * 67 * 4310719579914596281, a prime
+        # that trial division would take hours to find: the local engine
+        # takes it whole as a modulus
+        moduli = set()
+        local = snf._local_valuations
+
+        def record(matrix, p, digits):
+            moduli.add(p)
+            return local(matrix, p, digits)
+
+        monkeypatch.setattr(snf, "_local_valuations", record)
+        rng = random.Random(1)
+        for n, hi in [(4, 100), (5, 1000), (6, 1000), (6, 10**4)]:
+            m = random_int_matrix(rng, n, -hi, hi)
+            assert snf_int(m).elements == _snf_int_dense(m).elements
+        assert abs(int_det(m)) == 2 * 13 * 47 * 67 * 4310719579914596281
+        assert 4310719579914596281 in moduli
 
     def test_certified_matches_general_on_cartan_matrix(self):
         m = cartan_graded(4, 3).at_one()
         det = abs(int_det(m))
-        assert snf_int_certified(m, det).elements == snf_int(m).elements
+        assert snf_int_certified(m, det).elements == _snf_int_dense(m).elements
 
 
 def _diagonal_divisors(vals):
