@@ -1,0 +1,160 @@
+"""Stage times of the v=1 path, point by point.
+
+    python3 bench/stages.py [--points 7,4 9,4 ...] [--repeat N] [--out PATH]
+
+Run from any directory; the package is imported from the `src/` next to
+this script.  For each (ell, d) point, each repeat runs in a fresh
+interpreter, so process-wide caches start cold as they do for every `gcart`
+call, and is killed after CAP_S seconds.  It times the four stages of
+criterion 7 in the order the integer-snf benchmark workload runs them:
+
+    assembly           gram.cartan_graded(ell, d)
+    at_one             GramMatrix.at_one()
+    gram_det_at_one    |gram.gram_det_at_one(type_a(ell), d)|
+    snf_int_certified  snf.snf_int_certified(C(1), |det|)
+
+and records a digest of the invariants, so that two runs can be checked to
+agree on the output as well as compared on time.  The default points are
+the three of the integer-snf workload and the v=1 frontier points.
+
+One run appends one record to the JSON file --out (default BENCH_stages.json
+at the repository root): {"runs": [record, ...]}.  A record holds the git
+revision, whether src/ differs from it, a SHA-256 of src/, the Python
+version, the machine, nproc, the load average before and after, and per
+point: dim, every sample's seconds per stage, the median per stage, and the
+invariants digest, or the error that stopped the point.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+STAGES = ("assembly", "at_one", "gram_det_at_one", "snf_int_certified")
+# integer-snf workload points, then the v=1 frontier
+POINTS = ((7, 4), (5, 5), (3, 8), (9, 4), (7, 5), (4, 7), (5, 6))
+# seconds allowed per sample; every default point takes under 3 s
+CAP_S = 120.0
+
+CHILD = """
+import hashlib, json, sys, time
+from gcartan import gram, snf
+from gcartan.qcartan import type_a
+ell, d = int(sys.argv[1]), int(sys.argv[2])
+t = [time.perf_counter()]
+g = gram.cartan_graded(ell, d)
+t.append(time.perf_counter())
+m = g.at_one()
+t.append(time.perf_counter())
+det = abs(gram.gram_det_at_one(type_a(ell), d))
+t.append(time.perf_counter())
+inv = snf.snf_int_certified(m, det)
+t.append(time.perf_counter())
+digest = hashlib.sha256(repr(inv.elements).encode()).hexdigest()
+print(json.dumps({"dim": g.size, "seconds": [b - a for a, b in zip(t, t[1:])],
+                  "invariants_sha256": digest}))
+"""
+
+
+def _git(*args: str) -> str | None:
+    try:
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def source_digest() -> str:
+    h = hashlib.sha256()
+    for path in sorted(SRC.rglob("*.py")):
+        h.update(str(path.relative_to(SRC)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def run_point(ell: int, d: int) -> dict:
+    """One fresh-interpreter sample of the point: dim, seconds per stage and
+    the invariants digest, or {"error": ...}."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(ell), str(d)],
+            env=env, capture_output=True, text=True, timeout=CAP_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"error": f"over the cap of {CAP_S} s"}
+    if proc.returncode:
+        return {"error": proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else "failed"}
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**out, "seconds": {k: round(x, 6) for k, x in zip(STAGES, out["seconds"])}}
+
+
+def measure(ell: int, d: int, repeat: int) -> dict:
+    samples = [run_point(ell, d) for _ in range(repeat)]
+    failed = next((s for s in samples if "error" in s), None)
+    if failed is not None:
+        return {"point": [ell, d], "error": failed["error"]}
+    digests = {s["invariants_sha256"] for s in samples}
+    if len(digests) != 1:
+        return {"point": [ell, d], "error": "samples disagree on the invariants"}
+    return {
+        "point": [ell, d],
+        "dim": samples[0]["dim"],
+        "seconds": {k: statistics.median(s["seconds"][k] for s in samples) for k in STAGES},
+        "samples": [s["seconds"] for s in samples],
+        "invariants_sha256": digests.pop(),
+    }
+
+
+def _point(text: str) -> tuple[int, int]:
+    try:
+        ell, d = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected ell,d, got {text!r}") from None
+    if ell < 2 or d < 0:
+        raise argparse.ArgumentTypeError(f"need ell >= 2 and d >= 0, got {text!r}")
+    return ell, d
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--points", nargs="+", type=_point, default=list(POINTS), metavar="ELL,D")
+    ap.add_argument("--repeat", type=int, default=3, help="fresh interpreters per point")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_stages.json")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+
+    load_before = os.getloadavg()[0]
+    points = []
+    for ell, d in args.points:
+        rec = measure(ell, d, args.repeat)
+        points.append(rec)
+        shown = rec.get("error") or " ".join(f"{k} {v:.3f}" for k, v in rec["seconds"].items())
+        print(f"({ell},{d}) {shown}", file=sys.stderr)
+    record = {
+        "git_revision": _git("rev-parse", "HEAD"),
+        "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+        "src_sha256": source_digest(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "loadavg_1m": [load_before, os.getloadavg()[0]],
+        "repeat": args.repeat,
+        "points": points,
+    }
+    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
+    args.out.write_text(json.dumps({"runs": runs + [record]}, indent=1) + "\n")
+    return 1 if any("error" in p for p in points) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,13 +59,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 from . import partitions as pt
 from .linalg import int_det, laurent_det
 from .qcartan import DynkinDiagram, quantized_cartan, type_a
 from .qlaurent import ONE, ZERO, LaurentPoly
+from .snf import _slot_width, _unpack
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +377,42 @@ class _Assembly:
         of the block rows, and each H[b] times t_jb is added to the
         accumulator of every row j >= i that holds y-column b of lam, found
         in an inverted index of T's columns.  So the work follows the
-        nonzeros of T and Y.  Only the accumulators that received a
-        contribution are finished: entry (i, j) is the accumulator divided
-        by K L_i L_j, and a remainder in any coefficient, or an entry that
-        is not bar-invariant, raises AssertionError.  Every other entry is
-        the shared ZERO.
+        nonzeros of T and Y.
+
+        Every y-block entry, half-product and accumulator is one
+        Kronecker-packed int: the coefficient of v^e, signed, sits in the
+        W-bit slot e + E, where E is the largest |exponent| in Y, so adding
+        two polynomials or scaling one by an integer is one big-integer
+        operation.  No coefficient may reach into the next slot.  A
+        coefficient of the half-product for lam is at most N_lam (K /
+        den_lam) y_lam in absolute value, and one of an accumulator at most
+
+            B = sum over lam of N_lam^2 (K / den_lam) y_lam,
+
+        N_lam the largest 1-norm of a row of (t_i) on the y-columns of lam
+        and y_lam the largest |coefficient| in Y_lam: the bound (max row
+        1-norm of T)^2 max(K / den) max |y| taken shape by shape.  W is the
+        bit length of B plus a sign bit, rounded up as `snf._slot_width`
+        rounds, so a finished accumulator plus 2^(W-1) in every slot has
+        every slot in [0, 2^W) and is read off whole by `snf._unpack`.
+
+        Only the accumulators that received a contribution are finished,
+        each decoded once: entry (i, j) is the accumulator divided by
+        K L_i L_j, a remainder in any coefficient raises AssertionError, and
+        so does an entry that is not bar-invariant (its slots are not a
+        palindrome).  The packing changes how the sums are stored, not
+        their values, so these checks see the same coefficients as an
+        unpacked sum would.  Every other entry is the shared ZERO.
         """
         blocks = self.y_blocks()
         common = math.lcm(*(den for den, _ in blocks.values()))
-        # per shape: the nonzero entries of each block row, weighted to K / den
-        sparse = {
-            lam: (
-                common // den,
-                [[(b, y._terms) for b, y in enumerate(row) if y] for row in block],
-            )
-            for lam, (den, block) in blocks.items()
-        }
         local = {
             lam: {cp: k for k, cp in enumerate(members)}
             for lam, members in self.block_members.items()
         }
         supports = []
         scales = []
+        norms: dict[pt.Partition, int] = {}
         for x in self.index:
             exp = x_monomial_expansion(x).combination
             scale = math.lcm(*(c.denominator for c in exp.values()))
@@ -409,6 +424,42 @@ class _Assembly:
                 )
             supports.append(by_shape)
             scales.append(scale)
+            for lam, left in by_shape.items():
+                norms[lam] = max(norms.get(lam, 0), sum(abs(t) for _, t in left))
+
+        # the packing: slot ex + top of W = 8 * width bits holds the
+        # coefficient of v^ex (see above)
+        terms = {
+            lam: [y._terms for row in block for y in row if y._terms]
+            for lam, (_, block) in blocks.items()
+        }
+        top = max(map(abs, chain.from_iterable(chain.from_iterable(terms.values()))), default=0)
+        bound = sum(
+            norms.get(lam, 0) ** 2
+            * (common // den)
+            * max(map(abs, chain.from_iterable(t.values() for t in terms[lam])), default=0)
+            for lam, (den, _) in blocks.items()
+        )
+        width = _slot_width(2 * bound + 1)  # B and a sign bit
+        bits = 8 * width
+        slots = 2 * top + 1
+        half = 1 << (bits - 1)
+        bias = half * (((1 << (bits * slots)) - 1) // ((1 << bits) - 1))  # half in every slot
+        # per shape: K / den and the packed nonzero entries of each block row
+        sparse = {
+            lam: (
+                common // den,
+                [
+                    [
+                        (b, sum(c << bits * (ex + top) for ex, c in y._terms.items()))
+                        for b, y in enumerate(row)
+                        if y._terms
+                    ]
+                    for row in block
+                ],
+            )
+            for lam, (den, block) in blocks.items()
+        }
 
         n = len(self.index)
         rows: list[list[LaurentPoly]] = [[ZERO] * n for _ in range(n)]
@@ -420,42 +471,37 @@ class _Assembly:
                 cols = holders[lam]
                 for b, t in left:
                     cols[b].append((i, t))
-            acc: dict[int, dict[int, int]] = {}
+            acc: dict[int, int] = {}
             for lam, left in support.items():
                 weight, block_rows = sparse[lam]
                 cols = holders[lam]
-                half: dict[int, dict[int, int]] = {}
+                halves: dict[int, int] = {}
                 for a, t in left:
                     t *= weight
                     for b, y in block_rows[a]:
-                        hb = half.get(b)
-                        if hb is None:
-                            hb = half[b] = {}
-                        for ex, c in y.items():
-                            hb[ex] = hb.get(ex, 0) + t * c
-                for b, hb in half.items():
+                        halves[b] = halves.get(b, 0) + t * y
+                for b, h in halves.items():
                     for j, t in cols[b]:
-                        aj = acc.get(j)
-                        if aj is None:
-                            aj = acc[j] = {}
-                        for ex, c in hb.items():
-                            aj[ex] = aj.get(ex, 0) + c * t
-            for j, aj in acc.items():
+                        acc[j] = acc.get(j, 0) + h * t
+            for j, packed in acc.items():
+                if not packed:
+                    continue
                 den_ij = common * scales[i] * scales[j]
+                coeffs = _unpack(packed + bias, width, slots)
                 entry_terms = {}
-                for ex, c in aj.items():
-                    if c:
-                        q, r = divmod(c, den_ij)
+                for ex, x in enumerate(coeffs, -top):
+                    if x != half:
+                        q, r = divmod(x - half, den_ij)
                         if r:
                             raise AssertionError(
                                 f"non-integral Gram entry at {(i, j)}: bug in the pairing"
                             )
                         entry_terms[ex] = q
-                if not entry_terms:
-                    continue
-                e = LaurentPoly(entry_terms)
-                if not e.is_bar_invariant():
+                if coeffs != coeffs[::-1]:
                     raise AssertionError(f"Gram entry {(i, j)} is not bar-invariant")
+                # every coefficient is a nonzero int: skip the constructor's checks
+                e = LaurentPoly.__new__(LaurentPoly)
+                e._terms = entry_terms
                 rows[i][j] = e
                 rows[j][i] = e
         return GramMatrix(

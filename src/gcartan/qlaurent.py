@@ -371,12 +371,43 @@ def normalize_unit(a: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     return LaurentPoly({k: sign}), canonical
 
 
+def sub_product(a: LaurentPoly, q: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a - q*b, in one pass that subtracts each term product of q and b from
+    a copy of a's terms; equal to a - q * b, without its product and its
+    intermediate sum."""
+    r = dict(a._terms)
+    for e1, c1 in q._terms.items():
+        for e2, c2 in b._terms.items():
+            e = e1 + e2
+            s = r.get(e, 0) - c1 * c2
+            if s:
+                r[e] = s
+            else:
+                del r[e]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = r
+    return out
+
+
 def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
-    """Return q with a = q*b if q exists in Z[v,v^-1], else None."""
+    """Return q with a = q*b if q exists in Z[v,v^-1], else None.  A monomial
+    b = c v^k divides a exactly when c divides every coefficient of a, and
+    is handled term by term; any other b by long division."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
+    if len(b._terms) == 1:
+        ((k, c),) = b._terms.items()
+        t = {}
+        for e, x in a._terms.items():
+            y, rem = divmod(x, c)
+            if rem:
+                return None
+            t[e - k] = y
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._terms = t
+        return out
     shift = a.min_exp - b.min_exp
     ra = a.shift(-a.min_exp).terms
     rb = b.shift(-b.min_exp).terms

@@ -12,7 +12,8 @@ known |det| (Storjohann's local Smith form, Algorithms for Matrix Canonical
 Forms, ETH 2000); the conjecture report gives it the determinant its first
 layer checked.  `snf_int` computes |det| by Bareiss for every other caller
 and hands a singular matrix, whose rank the local engine cannot certify,
-to dense elimination.
+to dense elimination (`snf_int_with_det` is that route for a caller that
+has already computed |det|).
 
 The dense engines share one elimination loop (`_diagonalize`): pivot on an
 entry of least size, clear its column by row operations, clear its row the
@@ -27,6 +28,8 @@ coprime base and a sort of each base element's exponents.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, count
@@ -34,7 +37,7 @@ from typing import Sequence
 
 from .linalg import int_det, laurent_det
 from .partitions import is_prime, p_adic_split
-from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit
+from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit, sub_product
 
 RING_ZINT = "ZInt"
 RING_QLAURENT = "QLaurent"
@@ -203,12 +206,18 @@ def _reduce_int(row: list[int], prow: list[int]) -> list[int] | None:
 def snf_int(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     """Invariant factors d_1 | d_2 | ... of a square integer matrix, zeros
     last, for callers that do not hold |det|: a Bareiss |det| (`int_det`,
-    which rejects a non-square matrix) sends a nonsingular matrix to
-    `snf_int_certified` and a singular one to `_snf_int_dense`, the one path
-    that handles singular input.
+    which rejects a non-square matrix) goes to `snf_int_with_det`.
     """
-    det = int_det(matrix)
-    return snf_int_certified(matrix, abs(det)) if det else _snf_int_dense(matrix)
+    return snf_int_with_det(matrix, abs(int_det(matrix)))
+
+
+def snf_int_with_det(matrix: Sequence[Sequence[int]], det_abs: int) -> InvariantMultiset:
+    """Invariant factors of a square integer matrix whose |det| is det_abs,
+    for a caller that also needs |det| for itself: `snf_int_certified` when
+    det_abs > 0, and `_snf_int_dense`, the one path that handles singular
+    input, when det_abs == 0.
+    """
+    return snf_int_certified(matrix, det_abs) if det_abs else _snf_int_dense(matrix)
 
 
 def _snf_int_dense(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
@@ -227,15 +236,48 @@ def _snf_int_dense(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     return snf_int_diagonal(diag)
 
 
+# unsigned array typecodes by item size in bytes, for 1, 2, 4 and 8
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for slots that must hold every integer in [0, bound]:
+    the least of 1, 2, 4 and 8 bytes that does, else the least whole number
+    of bytes.  The first four widths are the item sizes of `array`, which
+    packs and unpacks a whole row in C (see `_pack`)."""
+    nbytes = (bound.bit_length() + 7) // 8
+    return next((w for w in (1, 2, 4, 8) if nbytes <= w), nbytes)
+
+
 def _pack(row: Sequence[int], width: int) -> int:
     """One int whose width-byte slots hold the non-negative entries of row,
-    the first entry in the lowest slot."""
-    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]), "little")
+    the first entry in the lowest slot.
+
+    A width of 1, 2, 4 or 8 bytes (as `_slot_width` picks) goes through an
+    unsigned `array` of that item size, byteswapped on big-endian hosts, so
+    the row is converted in one C call; an entry that does not fit raises
+    OverflowError there.  Any other width takes the per-entry route."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]), "little")
+    packed = array(code, row)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
 
 
 def _unpack(packed: int, width: int, n: int) -> list[int]:
+    """The n width-byte slots of packed, lowest first: the inverse of `_pack`,
+    by an `array` of the slot's item size where there is one."""
     raw = packed.to_bytes(width * n, "little")
-    return [int.from_bytes(raw[j : j + width], "little") for j in range(0, width * n, width)]
+    code = _TYPECODES.get(width)
+    if code is None:
+        return [int.from_bytes(raw[j : j + width], "little") for j in range(0, width * n, width)]
+    slots = array(code, raw)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _local_valuations(
@@ -245,20 +287,29 @@ def _local_valuations(
 
     Layered elimination: at level L the block is a residue matrix mod p^k,
     k = digits - L.  Every row is packed into one int with W-bit slots, one
-    per column, so clearing a column from a row is one big-integer
+    per column (`_pack`), so clearing a column from a row is one big-integer
     multiply-add.  Columns are searched in order for a row whose entry is a
     unit mod p; that row is reduced, scaled so the pivot is 1, and each other
-    open row R_i with entry x is cleared by R_i += (p^k - x) * R_pivot.  All
-    slots stay non-negative and rows are reduced only when they become
-    pivots, so a slot holds at most a residue plus n products of two
-    residues: W is the bit length of p^k + n (p^k - 1)^2, rounded up to whole
-    bytes, and no carry crosses a slot within a level.  Each pivot is an
-    invariant of valuation L.  The open rows and the columns that held no
-    unit form the Schur complement, all divisible by p: it is divided by p
-    and taken one level up, mod p^(k-1).  Returns None when the precision
-    runs out with a block left, which happens only if an invariant has
-    valuation >= digits; for a nonsingular matrix digits = v_p(det) + 1 is
-    always enough.
+    open row R_i with entry x is cleared by R_i += (p^k - x) * R_pivot.  Each
+    pivot is an invariant of valuation L.  The open rows and the columns that
+    held no unit form the Schur complement, all divisible by p: it is
+    divided by p and taken one level up, mod p^(k-1).  Returns None when the
+    precision runs out with a block left, which happens only if an invariant
+    has valuation >= digits; for a nonsingular matrix digits = v_p(det) + 1
+    is always enough.
+
+    Slots.  All slots stay non-negative and rows are reduced only when they
+    become pivots, so a slot holds at most a residue plus n products of two
+    residues, p^k + n (p^k - 1)^2, and no carry crosses a slot within a
+    level.  W is that bound's width rounded up to 1, 2, 4 or 8 bytes, or to
+    whole bytes above 8 (`_slot_width`), so that rows of up to 8-byte slots
+    are packed and unpacked by `array` in C.  Column c of a row is read as
+    (row & (mask << at)) >> at when 2c < n and as (row >> at) & mask
+    otherwise, at = cW: each read touches the c slots below the column or
+    the n - c from it up, whichever is fewer.  A wider slot only leaves more
+    room, and either read gives the same slot, so no residue depends on
+    them: every check of `snf_int_certified` (the rank pass, the precision
+    cap and the product against |det|) sees the same values at any width.
 
     p need not be prime.  A pivot candidate that shares a proper factor with
     p ends the elimination, which returns that factor gcd(candidate, p).
@@ -271,7 +322,7 @@ def _local_valuations(
     level = 0
     while rows:
         n = len(rows)
-        width = ((mod + n * (mod - 1) ** 2).bit_length() + 7) // 8
+        width = _slot_width(mod + n * (mod - 1) ** 2)
         slot = 8 * width
         mask = (1 << slot) - 1
         packed = [_pack(row, width) for row in rows]
@@ -279,7 +330,11 @@ def _local_valuations(
         no_unit: list[int] = []
         for c in range(n):
             at = c * slot
-            col = [(packed[i] >> at) & mask for i in open_rows]
+            if 2 * c < n:
+                window = mask << at
+                col = [(packed[i] & window) >> at for i in open_rows]
+            else:
+                col = [(packed[i] >> at) & mask for i in open_rows]
             k = next((t for t, x in enumerate(col) if x % p), None)
             if k is not None and (g := math.gcd(col[k], p)) > 1:
                 return g
@@ -457,7 +512,7 @@ def _reduce_field(row: list[LaurentPoly], prow: list[LaurentPoly]):
         return None
     if scale != 1:
         row = [e * scale for e in row]
-    return _strip_row([a - q * b for a, b in zip(row, prow)])
+    return _strip_row([sub_product(a, q, b) for a, b in zip(row, prow)])
 
 
 def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly]]) -> InvariantMultiset:
@@ -640,7 +695,7 @@ def _reduce_zlaurent(row: list[LaurentPoly], prow: list[LaurentPoly]):
     if q is None:
         return None
     # a zero in the pivot row leaves the entry as it is
-    return [a if b.is_zero else a - q * b for a, b in zip(row, prow)]
+    return [a if b.is_zero else sub_product(a, q, b) for a, b in zip(row, prow)]
 
 
 def try_diagonalize_zlaurent(

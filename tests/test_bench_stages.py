@@ -1,0 +1,39 @@
+"""Smoke test of the stage-time script bench/stages.py."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_stages_script_writes_a_run(tmp_path):
+    out = tmp_path / "stages.json"
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "stages.py"),
+             "--points", "2,2", "--repeat", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())["runs"]
+    assert len(runs) == 2  # each run appends its record
+    run = runs[-1]
+    assert {"git_revision", "src_modified", "src_sha256", "python", "points"} <= set(run)
+    (point,) = run["points"]
+    assert point["point"] == [2, 2] and point["dim"] == 2
+    stages = ["assembly", "at_one", "gram_det_at_one", "snf_int_certified"]
+    assert list(point["seconds"]) == stages
+    assert all(t >= 0 for t in point["seconds"].values())
+    assert len(point["samples"]) == 1 and len(point["invariants_sha256"]) == 64
+
+
+def test_stages_script_rejects_a_bad_point(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "stages.py"),
+         "--points", "7", "--out", str(tmp_path / "stages.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and "expected ell,d" in proc.stderr
+    assert not (tmp_path / "stages.json").exists()

@@ -242,6 +242,34 @@ class TestSnfCommand:
         assert obj["invariants"] == ["1", "0"] and obj["status"] == "VERIFIED"
         assert obj["checks"] == {"product_equals_abs_det": True, "divisibility_chain": True}
 
+    @pytest.mark.parametrize(
+        "rows, want", [([[3, 4], [4, 8]], ["1", "8"]), ([[2, 4], [1, 2]], ["1", "0"])],
+        ids=["nonsingular", "singular"],
+    )
+    def test_zint_runs_bareiss_once(self, capsys, tmp_path, cache_dir, monkeypatch, rows, want):
+        # one |det| serves the route and the product check: a second
+        # Bareiss on the full matrix took 5 s at 315 rows
+        from gcartan import linalg, snf
+
+        calls = []
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return linalg.int_det(matrix)
+
+        monkeypatch.setattr(cli, "int_det", counted)
+        monkeypatch.setattr(snf, "int_det", counted)
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": rows}))
+        code, out, _ = run(
+            capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", cache_dir
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["invariants"] == want and obj["status"] == "VERIFIED"
+        assert obj["checks"]["product_equals_abs_det"] is True
+        assert calls == [2]
+
     def test_qlaurent(self, capsys, tmp_path, cache_dir):
         f = tmp_path / "m.json"
         entries = [[quantum_int(2).to_json(), LaurentPoly().to_json()],

@@ -408,6 +408,27 @@ class TestAssembly:
                     assert g.entries[i][j].terms == want, (dg, d, i, j)
                     assert g.entries[j][i].terms == want, (dg, d, j, i)
 
+    @pytest.mark.parametrize("dg, d", [(DynkinDiagram("D", 4), 3), (DynkinDiagram("E", 6), 2)])
+    def test_scaled_blocks_scale_the_matrix(self, monkeypatch, dg, d):
+        # G = T Y T^t is linear in Y, so scaling every y-block entry by f
+        # scales G by f.  f = 2^200 + 1 makes every packed slot wider than
+        # 8 bytes; D4 and E6 have negative coefficients, so signed slots
+        # are decoded across the whole range
+        f = 2**200 + 1
+        want = gram_matrix(dg, d)
+        assert any(c < 0 for row in want.entries for e in row for c in e.terms.values())
+        original = _Assembly.y_blocks
+
+        def scaled(self):
+            return {
+                lam: (den, [[y * f for y in row] for row in block])
+                for lam, (den, block) in original(self).items()
+            }
+
+        monkeypatch.setattr(_Assembly, "y_blocks", scaled)
+        got = gram_matrix(dg, d)
+        assert got.entries == tuple(tuple(e * f for e in row) for row in want.entries)
+
     @pytest.mark.parametrize(
         "delta, message",
         [

@@ -20,6 +20,7 @@ from gcartan.qlaurent import (
     quantum_int,
     reduce_mod_cyclotomic,
     su_bracket,
+    sub_product,
     vanishes_at_primitive_root,
 )
 
@@ -240,6 +241,40 @@ class TestUnitsAndDivision:
         b = b + ONE
         assume(not b.is_zero)  # b = -1 gives 0, which divides nothing
         assert divide_exact(a * b, b) == a
+
+    @given(
+        small_polys,
+        st.integers(-6, 6),
+        st.sampled_from([-6, -2, -1, 1, 3, 4]),
+        st.integers(-6, 6),
+        st.integers(-9, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_divide_exact_by_a_monomial(self, a, k, c, e, x):
+        # the monomial path: exact division inverts the product, and a
+        # coefficient that c does not divide leaves no quotient
+        m = LaurentPoly({k: c})
+        assert divide_exact(a * m, m) == a
+        q = divide_exact(a, m)
+        if q is None:
+            assert any(y % c for y in a.terms.values())
+        else:
+            assert q * m == a
+        if x % c:
+            assert divide_exact(a * m + LaurentPoly({e: x}), m) is None
+
+
+class TestSubProduct:
+    @given(small_polys, small_polys, small_polys)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_difference_of_product(self, a, q, b):
+        got = sub_product(a, q, b)
+        assert got == a - q * b
+        assert 0 not in got.terms.values()
+
+    def test_cancels_to_zero(self):
+        q = LaurentPoly({1: 2, -1: -1})
+        assert sub_product(q * quantum_int(3), q, quantum_int(3)).is_zero
 
 
 class TestRootOfUnityVanishing:

@@ -330,6 +330,50 @@ class TestSnfInt:
         det = abs(int_det(m))
         assert snf_int_certified(m, det).elements == _snf_int_dense(m).elements
 
+    def test_certified_with_slots_wider_than_eight_bytes(self, monkeypatch):
+        # 2^40 + 15 is prime: at that modulus the slot bound p^k + n (p^k - 1)^2
+        # needs more than 8 bytes, so those rows take the per-entry route,
+        # while the rank pass and the modulus 6 use array-packed slots
+        p = 2**40 + 15
+        widths = set()
+        pack = snf._pack
+
+        def record(row, width):
+            widths.add(width)
+            return pack(row, width)
+
+        monkeypatch.setattr(snf, "_pack", record)
+        u = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
+        v = [[1, 0, 0], [4, 1, 0], [-3, 2, 1]]
+        m = _matmul(_matmul(u, [[1, 0, 0], [0, p, 0], [0, 0, 6 * p * p]]), v)
+        assert snf_int_certified(m, 6 * p**3).elements == (1, p, 6 * p * p)
+        assert snf_int_certified(m, 6 * p**3).elements == _snf_int_dense(m).elements
+        assert max(widths) > 8 and min(widths) <= 8
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 3, 9, 16])
+    def test_round_trip(self, width):
+        # 1, 2, 4 and 8 bytes go through array, 3, 9 and 16 entry by entry
+        top = (1 << (8 * width)) - 1
+        row = [0, top, 1, top - 1, top >> 1, 0]
+        packed = snf._pack(row, width)
+        assert packed == sum(x << (8 * width * k) for k, x in enumerate(row))
+        assert snf._unpack(packed, width, len(row)) == row
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+    def test_entry_too_wide_for_its_slot(self, width):
+        with pytest.raises(OverflowError):
+            snf._pack([1, 1 << (8 * width)], width)
+
+    @pytest.mark.parametrize(
+        "bound, width",
+        [(0, 1), (255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4), (2**24, 4),
+         (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8), (2**64, 9), (2**72, 10)],
+    )
+    def test_slot_width(self, bound, width):
+        assert snf._slot_width(bound) == width
+
 
 def _diagonal_divisors(vals):
     """D_k of diag(vals) over Q[v,v^-1], k = 1..n: the gcd of the nonzero
