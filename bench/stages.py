@@ -14,15 +14,21 @@ criterion 7 in the order the integer-snf benchmark workload runs them:
     snf_int_certified  snf.snf_int_certified(C(1), |det|)
 
 and records a digest of the invariants, so that two runs can be checked to
-agree on the output as well as compared on time.  The default points are
-the three of the integer-snf workload and the v=1 frontier points.
+agree on the output as well as compared on time.  It also records every
+elimination pass of the local Smith engine (`snf._local_valuations`, wrapped
+from outside the package, as perfbench/spans.py wraps its spans): the bit
+length of the modulus, the digits, and the outcome, "ok", "short" (the
+precision ran out) or "split" (a proper factor of the modulus was met).
+The default points are the three of the integer-snf workload and the v=1
+frontier points.
 
 One run appends one record to the JSON file --out (default BENCH_stages.json
 at the repository root): {"runs": [record, ...]}.  A record holds the git
 revision, whether src/ differs from it, a SHA-256 of src/, the Python
 version, the machine, nproc, the load average before and after, and per
-point: dim, every sample's seconds per stage, the median per stage, and the
-invariants digest, or the error that stopped the point.
+point: dim, every sample's seconds per stage, the median per stage, every
+sample's local passes, and the invariants digest, or the error that stopped
+the point.
 """
 
 from __future__ import annotations
@@ -50,6 +56,14 @@ import hashlib, json, sys, time
 from gcartan import gram, snf
 from gcartan.qcartan import type_a
 ell, d = int(sys.argv[1]), int(sys.argv[2])
+passes = []
+local = snf._local_valuations
+def record(matrix, p, digits):
+    got = local(matrix, p, digits)
+    outcome = "short" if got is None else "split" if isinstance(got, int) else "ok"
+    passes.append([p.bit_length(), digits, outcome])
+    return got
+snf._local_valuations = record
 t = [time.perf_counter()]
 g = gram.cartan_graded(ell, d)
 t.append(time.perf_counter())
@@ -61,7 +75,7 @@ inv = snf.snf_int_certified(m, det)
 t.append(time.perf_counter())
 digest = hashlib.sha256(repr(inv.elements).encode()).hexdigest()
 print(json.dumps({"dim": g.size, "seconds": [b - a for a, b in zip(t, t[1:])],
-                  "invariants_sha256": digest}))
+                  "passes": passes, "invariants_sha256": digest}))
 """
 
 
@@ -110,6 +124,7 @@ def measure(ell: int, d: int, repeat: int) -> dict:
         "dim": samples[0]["dim"],
         "seconds": {k: statistics.median(s["seconds"][k] for s in samples) for k in STAGES},
         "samples": [s["seconds"] for s in samples],
+        "passes": [s["passes"] for s in samples],
         "invariants_sha256": digests.pop(),
     }
 

@@ -63,7 +63,7 @@ from itertools import chain, combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 from . import partitions as pt
-from .linalg import int_det, laurent_det
+from .linalg import _int_det_multimodular, laurent_det
 from .qcartan import DynkinDiagram, quantized_cartan, type_a
 from .qlaurent import ONE, ZERO, LaurentPoly
 from .snf import _slot_width, _unpack
@@ -211,15 +211,16 @@ class XExpansion:
 
 
 @lru_cache(maxsize=None)
-def _x_single(n: int, color: int) -> tuple[tuple[pt.ColoredPartition, Fraction], ...]:
-    # x_n = sum over partitions kappa of n of y_kappa / prod_u m_u(kappa)!
+def _x_single(n: int, color: int) -> tuple[tuple[pt.ColoredPartition, int], ...]:
+    # x_n = sum over partitions kappa of n of y_kappa / prod_u m_u(kappa)!,
+    # as integer numerators over n! (each prod_u m_u(kappa)! divides n!)
     out = []
     for kappa in pt.enum_partitions(n):
         denom = 1
         for m in pt.mults(kappa).values():
             denom *= math.factorial(m)
         cp = pt.colored_partition((k, color) for k in kappa)
-        out.append((cp, Fraction(1, denom)))
+        out.append((cp, math.factorial(n) // denom))
     return tuple(out)
 
 
@@ -227,22 +228,28 @@ def x_expand(n: int, color: int = 0) -> XExpansion:
     """The expansion of a single generator x_n^{(color)}."""
     if n < 1:
         raise ValueError("n must be positive")
-    return XExpansion(((n, color),), dict(_x_single(n, color)))
+    den = math.factorial(n)
+    return XExpansion(((n, color),), {cp: Fraction(w, den) for cp, w in _x_single(n, color)})
 
 
 @lru_cache(maxsize=None)
 def x_monomial_expansion(cp: pt.ColoredPartition) -> XExpansion:
-    """The multiplicative extension of x_expand to an x-monomial."""
-    acc: dict[pt.ColoredPartition, Fraction] = {(): Fraction(1)}
+    """The multiplicative extension of x_expand to an x-monomial.  The
+    numerators are summed as integers over the common denominator prod_i
+    n_i! of the factors x_{n_i}, and each coefficient becomes a Fraction
+    once, at the end."""
+    acc: dict[pt.ColoredPartition, int] = {(): 1}
+    den = 1
     for s, c in cp:
+        den *= math.factorial(s)
         single = _x_single(s, c)
-        nxt: dict[pt.ColoredPartition, Fraction] = {}
+        nxt: dict[pt.ColoredPartition, int] = {}
         for k1, v1 in acc.items():
             for k2, v2 in single:
                 k = pt.merge_colored(k1, k2)
-                nxt[k] = nxt.get(k, Fraction(0)) + v1 * v2
+                nxt[k] = nxt.get(k, 0) + v1 * v2
         acc = nxt
-    return XExpansion(cp, acc)
+    return XExpansion(cp, {k: Fraction(v, den) for k, v in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +274,7 @@ class GramMatrix:
         return self.entries[i][j]
 
     def at_one(self) -> list[list[int]]:
-        return [[e.at_one() for e in row] for row in self.entries]
+        return [[0 if e is ZERO else e.at_one() for e in row] for row in self.entries]
 
     def to_json(self) -> dict:
         return {
@@ -549,10 +556,12 @@ class _Assembly:
         return self._kron_det(lambda f: f, laurent_det, ONE)
 
     def det_at_one(self) -> int:
-        """det G evaluated at v=1, via integer elimination per factor, each
-        factor evaluated at v=1 before it is split."""
+        """det G evaluated at v=1: each factor is evaluated at v=1 before it
+        is split, and each part goes to the multi-modular kernel of
+        laurent_det (F_p elimination under a Hadamard bound, CRT over
+        Mersenne primes, symmetric lift)."""
         return self._kron_det(
-            lambda f: [[e.at_one() for e in row] for row in f], int_det, 1
+            lambda f: [[e.at_one() for e in row] for row in f], _int_det_multimodular, 1
         )
 
 
@@ -598,9 +607,10 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
-    """Exact determinant of the Gram matrix at v=1: integer elimination on
-    each distinct factor at v=1, or on the two blocks of its colour reversal
-    split; no closed formula involved."""
+    """Exact determinant of the Gram matrix at v=1: the multi-modular kernel
+    of laurent_det (F_p elimination, CRT, symmetric lift under a Hadamard
+    bound) on each distinct factor at v=1, or on the two blocks of its
+    colour reversal split; no closed formula involved."""
     return _Assembly(dg, d).det_at_one()
 
 
@@ -665,7 +675,7 @@ class BlockSum:
         return out
 
     def at_one(self) -> list[list[int]]:
-        return [[e.at_one() for e in row] for row in self.matrix()]
+        return [[0 if e is ZERO else e.at_one() for e in row] for row in self.matrix()]
 
     def to_json(self) -> dict:
         return {

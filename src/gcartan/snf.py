@@ -379,6 +379,21 @@ def _coprime_split(p: int, g: int) -> list[int]:
     return [m for m in (g, rest) if m > 1]
 
 
+def _first_digits(p: int, n: int, cap: int) -> int:
+    """Digits of the first try at modulus p on n rows: the most digits k <=
+    cap whose first level in `_local_valuations` packs rows in slots as wide
+    as those of min(8, cap) digits."""
+
+    def width(k: int) -> int:
+        return _slot_width(p**k + n * (p**k - 1) ** 2)
+
+    digits = min(8, cap)
+    first = width(digits)
+    while digits < cap and width(digits + 1) == first:
+        digits += 1
+    return digits
+
+
 def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> InvariantMultiset:
     """Invariant factors of a nonsingular integer matrix with known |det|.
 
@@ -388,8 +403,11 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
     prime to them; where the elimination meets a proper factor g of a
     modulus p, p is replaced by g and the part of p prime to g
     (`_coprime_split`).  No invariant has valuation above v = v_p(det_abs),
-    so k = v + 1 digits always suffice; the first try uses min(8, v + 1)
-    digits and each retry doubles k up to that cap.  Running out of
+    so k = v + 1 digits always suffice.  The first try uses the most digits
+    up to that cap whose first-level slots are as wide as those of
+    min(8, v + 1) digits (`_first_digits`): the same slot width means the
+    same big-integer sizes, so the extra digits cost nothing.  Each retry
+    doubles k up to the cap.  Running out of
     precision at the cap means the matrix is singular or det_abs is wrong,
     and raises ArithmeticError.  Exactness is certified by checking that
     the product of the assembled invariants equals |det|.
@@ -415,7 +433,7 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
     while moduli:
         p = moduli.pop()
         cap = p_adic_split(det_abs, p)[1] + 1
-        digits = min(8, cap)
+        digits = _first_digits(p, n, cap)
         while (vals := _local_valuations(matrix, p, digits)) is None:
             if digits == cap:
                 raise ArithmeticError(

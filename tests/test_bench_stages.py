@@ -27,6 +27,10 @@ def test_stages_script_writes_a_run(tmp_path):
     assert list(point["seconds"]) == stages
     assert all(t >= 0 for t in point["seconds"].values())
     assert len(point["samples"]) == 1 and len(point["invariants_sha256"]) == 64
+    # the local passes of the one sample, as [modulus bits, digits, outcome]:
+    # C(1) = [[3, 4], [4, 8]] has |det| 2^3, so the rank pass runs mod 3,
+    # then one pass mod 2 at the cap of 4 digits
+    assert point["passes"] == [[[2, 1, "ok"], [2, 4, "ok"]]]
 
 
 def test_stages_script_rejects_a_bad_point(tmp_path):

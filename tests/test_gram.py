@@ -66,6 +66,34 @@ class TestXExpansion:
                     assert pt.shape(other) < pt.shape(cp)
 
 
+    def test_integer_sums_match_a_fraction_reference(self):
+        # every coloured partition with d <= 8 and 3 colours, against the
+        # coefficient products summed in Fractions term by term
+        def single(n, color):
+            out = {}
+            for kappa in pt.enum_partitions(n):
+                den = math.prod(math.factorial(m) for m in pt.mults(kappa).values())
+                out[pt.colored_partition((k, color) for k in kappa)] = Fraction(1, den)
+            return out
+
+        def reference(cp):
+            acc = {(): Fraction(1)}
+            for s, c in cp:
+                nxt = {}
+                for k1, v1 in acc.items():
+                    for k2, v2 in single(s, c).items():
+                        k = pt.merge_colored(k1, k2)
+                        nxt[k] = nxt.get(k, Fraction(0)) + v1 * v2
+                acc = nxt
+            return acc
+
+        for d in range(9):
+            for cp in pt.enum_colored(d, 3):
+                got = x_monomial_expansion(cp).combination
+                assert got == reference(cp), cp
+                assert all(type(c) is Fraction for c in got.values())
+
+
 class TestYPair:
     def test_examples(self):
         a1 = CartanPairing(DynkinDiagram("A", 1))
@@ -129,6 +157,25 @@ class TestGramMatrix:
         m = g.at_one()
         for k in range(1, g.size + 1):
             assert int_det([row[:k] for row in m[:k]]) > 0
+
+    def test_at_one_skips_the_shared_zero(self, monkeypatch):
+        # only the nonzero entries are evaluated; ZERO maps to 0 directly
+        g = cartan_graded(3, 3)
+        want = [[sum(c for _, c in e) for e in row] for row in g.entries]
+        calls = []
+        at_one = LaurentPoly.at_one
+
+        def spy(self):
+            calls.append(self)
+            return at_one(self)
+
+        monkeypatch.setattr(LaurentPoly, "at_one", spy)
+        assert g.at_one() == want
+        assert len(calls) == sum(not e.is_zero for row in g.entries for e in row) < g.size**2
+        calls.clear()
+        bs = block_sum(6, 3)
+        assert bs.at_one() == [[sum(c for _, c in e) for e in row] for row in bs.matrix()]
+        assert all(not e.is_zero for e in calls)
 
     def test_json_roundtrip(self):
         g = gram_matrix(DynkinDiagram("A", 2), 2)

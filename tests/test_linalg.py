@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcartan import linalg
-from gcartan.gram import _Assembly
+from gcartan.gram import CartanPairing, _Assembly, _reversal, _reversal_split, permanent_matrix
 from gcartan.linalg import MERSENNE_EXPONENTS, int_det, laurent_det
-from gcartan.qcartan import type_a
+from gcartan.qcartan import DynkinDiagram, type_a
 from gcartan.qlaurent import ONE, ZERO, LaurentPoly
 
 
@@ -210,6 +210,85 @@ class TestSymmetricKernel:
         skew = [[q, -ONE], [ONE, q]]
         assert laurent_det(skew) == leibniz(skew)
         assert calls["full"] and not calls["sym"]
+
+
+def _symmetric_int(rng, n, kind, lo=-9, hi=9):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(lo, hi)
+    if kind == "zero row" and n:
+        i = rng.randrange(n)
+        for x in range(n):
+            m[i][x] = m[x][i] = 0
+    elif kind == "singular" and n > 1:
+        # row and column j repeat row and column i
+        i, j = rng.sample(range(n), 2)
+        for x in range(n):
+            m[j][x] = m[i][x]
+        for x in range(n):
+            m[x][j] = m[x][i]
+    return m
+
+
+class TestIntDetMod:
+    """linalg._int_det_multimodular, the kernel of laurent_det on integer matrices
+    (F_p elimination, CRT over the prime table, symmetric lift), against
+    Bareiss int_det."""
+
+    def test_random_symmetric_matrices(self):
+        rng = random.Random(20261018)
+        signs = set()
+        for n in range(13):
+            for kind in ("plain", "zero row", "singular"):
+                for _ in range(6):
+                    m = _symmetric_int(rng, n, kind)
+                    want = int_det(m)
+                    assert linalg._int_det_multimodular(m) == want, (kind, m)
+                    signs.add((want > 0) - (want < 0))
+        assert signs == {-1, 0, 1}
+
+
+    def test_bound_that_needs_two_table_primes(self, monkeypatch):
+        # Hadamard's bound of this matrix is above 2^4502, and the largest
+        # table prime has 4423 bits: the product of two primes is needed
+        rng = random.Random(3)
+        big = 2**1500
+        m = _symmetric_int(rng, 3, "plain", -big, big)
+        m[0][0] = -big
+        counts = []
+        moduli = linalg._moduli
+
+        def spy(bound_sq):
+            out = moduli(bound_sq)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(linalg, "_moduli", spy)
+        assert linalg._int_det_multimodular(m) == int_det(m)
+        assert counts == [2]
+
+    def test_non_square_or_non_symmetric_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg._int_det_multimodular([[1, 2]])
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg._int_det_multimodular([[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize(
+        "dg",
+        [DynkinDiagram("A", r) for r in range(2, 7)] + [DynkinDiagram("D", 4), DynkinDiagram("E", 6)],
+        ids=str,
+    )
+    def test_every_factor_and_reversal_half_at_one(self, dg):
+        # every P_s(m) with s m <= 4 at v=1, and the two halves of its colour
+        # reversal split where there is one
+        pairing = CartanPairing(dg)
+        for s, m in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]:
+            f = [[e.at_one() for e in row] for row in permanent_matrix(pairing, s, m)]
+            split = _reversal_split(f, _reversal(dg.nodes, m))
+            parts = [f] if split is None else [f, split[0], split[1]]
+            for part in parts:
+                assert linalg._int_det_multimodular(part) == int_det(part)
 
 
 def test_mersenne_table_is_prime():

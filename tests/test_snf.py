@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcartan import snf
-from gcartan.gram import cartan_graded, gram_matrix
+from gcartan.gram import cartan_graded, gram_det_at_one, gram_matrix
 from gcartan.invariants import hill_values
 from gcartan.linalg import int_det, laurent_det
 from gcartan.partitions import p_adic_split, prime_divisors
-from gcartan.qcartan import DynkinDiagram
+from gcartan.qcartan import DynkinDiagram, type_a
 from gcartan.qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit, quantum_int
 from gcartan.snf import (
     RING_QLAURENT,
@@ -290,6 +290,43 @@ class TestSnfInt:
         assert snf_int_certified(m, det).elements == _snf_int_dense(m).elements
         assert tries[0][1], "the first precision already sufficed"
         assert tries[-1][0] <= cap and not tries[-1][1]
+
+    @pytest.mark.parametrize("case", ["cartan 3,8", "synthetic"])
+    def test_certified_makes_one_pass_per_modulus(self, monkeypatch, case):
+        # the first try takes the most digits that keep the slot width of
+        # min(8, cap) digits: at (3,8) 17 digits at p=3, where 8 digits fall
+        # short of the largest valuation; in the synthetic case 15 digits at
+        # p=2 (4-byte slots on 3 rows) cover the valuation 12
+        if case == "synthetic":
+            u = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
+            v = [[1, 0, 0], [4, 1, 0], [-3, 2, 1]]
+            m = _matmul(_matmul(u, [[1, 0, 0], [0, 8, 0], [0, 0, 2**12 * 5]]), v)
+            det = 2**15 * 5
+            want = (1, 8, 2**12 * 5)
+        else:
+            m = cartan_graded(3, 8).at_one()
+            det = abs(gram_det_at_one(type_a(3), 8))
+            want = snf_int_diagonal(hill_values(3, 1, 8)).elements
+        passes = []
+        local = snf._local_valuations
+
+        def record(matrix, p, digits):
+            got = local(matrix, p, digits)
+            passes.append((p, digits, got))
+            return got
+
+        monkeypatch.setattr(snf, "_local_valuations", record)
+        assert snf_int_certified(m, det).elements == want
+        rank, *local_passes = passes
+        assert det % rank[0] and rank[1] == 1
+        moduli = [p for p, _, _ in local_passes]
+        assert len(moduli) == len(set(moduli)) and all(det % p == 0 for p in moduli)
+        assert all(got is not None for _, _, got in local_passes)
+        if case == "synthetic":
+            # the modulus 10 = 2 * 5 is split where the elimination meets 2
+            assert [(p, k) for p, k, _ in local_passes] == [(10, 2), (2, 15), (5, 2)]
+        else:
+            assert [(p, k) for p, k, _ in local_passes] == [(3, 17)]
 
     @given(_unimodular_times_diagonal())
     @settings(max_examples=60, deadline=None)
