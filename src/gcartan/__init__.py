@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .qlaurent import (  # noqa: F401
     LaurentPoly,
-    CyclotomicResidue,
     quantum_int,
     quantum_factorial,
     quantum_binomial,
@@ -41,7 +40,6 @@ from .gram import (  # noqa: F401
     gram_det,
     cartan_graded,
     block_sum,
-    k_pair,
     schur_in_x,
     schur_orthonormality,
 )
@@ -50,7 +48,6 @@ from .snf import (  # noqa: F401
     snf_int,
     snf_laurent_field,
     try_diagonalize_zlaurent,
-    det_ideal_gcds,
     multiset_equal_up_to_units,
 )
 from .invariants import (  # noqa: F401

@@ -229,8 +229,7 @@ def _finite_diagram(args) -> qc.DynkinDiagram:
     raise UsageError("give either --diagram or --ell")
 
 
-def _size_guard(args, colors: int, d: int) -> None:
-    n = pt.u_count(colors, d)
+def _size_guard(args, n: int) -> None:
     if n > args.limit and not args.force:
         raise UsageError(
             f"matrix would be {n} x {n} (> {args.limit}); pass --force to proceed"
@@ -245,6 +244,9 @@ def _size_guard(args, colors: int, d: int) -> None:
 def cmd_gram(args) -> str:
     if args.blocks is not None:
         _require(args, "ell")
+        _size_guard(
+            args, sum(pt.u_count(args.ell - 1, b.weight) for b in pt.blocks(args.blocks, args.ell))
+        )
         bs = block_sum(args.blocks, args.ell)
         payload = bs.to_json()
         mat = bs.matrix()
@@ -257,11 +259,11 @@ def cmd_gram(args) -> str:
         )
     _require(args, "d")
     if args.ell is not None and args.diagram is None:
-        _size_guard(args, args.ell - 1, args.d)
+        _size_guard(args, pt.u_count(args.ell - 1, args.d))
         g = _cached_gram(args, args.ell, args.d)
     else:
         dg = _finite_diagram(args)
-        _size_guard(args, dg.nodes, args.d)
+        _size_guard(args, pt.u_count(dg.nodes, args.d))
         g = _cached_gram(args, dg, args.d)
     return _emit(
         args,
@@ -293,7 +295,7 @@ def cmd_det(args) -> str:
         "factored": _det_factored_parts(dg, args.d),
     }
     if args.check:
-        _size_guard(args, dg.nodes, args.d)
+        _size_guard(args, pt.u_count(dg.nodes, args.d))
         actual = gram_det(dg, args.d)
         payload["check"] = {"gram_det_equals_formula": actual == formula}
         if actual != formula:

@@ -11,7 +11,12 @@ monomials with the same underlying partition this telescopes to
     < y^{(i)}_lam , y^{(j)}_lam >  =  sum over size-preserving bijections pi
                                       of prod_k [a_{i_k, j_pi(k)}]_{r_k} / r_k,
 
-a product of permanents, one per part size.
+a product of permanents, one per part size.  The matrices ([a_ij]_m) form a
+pairing family: CartanPairing takes them from the quantized Cartan matrices
+[X]_m of a finite diagram, and IdentityPairing is one colour with every
+weight 1, the K-pairing, under which x_n is the complete homogeneous h_n and
+the pairing is the Hall inner product.  One assembly, _Assembly, takes a
+family and builds the Gram matrix of either kind.
 
 The Gram matrix on the x-basis is G = T Y T^t, with T the x-to-y change of
 basis (rational, sparse, unitriangular) and Y the block-diagonal y-Gram
@@ -23,7 +28,9 @@ accumulates in integers over one common denominator per entry; each entry
 is checked to be integral and bar-invariant, and is stored symmetrically.
 
 For type A_{ell-1} the resulting matrix IS the graded Cartan matrix of a
-weight-d block at quantum characteristic ell.
+weight-d block at quantum characteristic ell.  For IdentityPairing it is the
+matrix of <h_lam, h_mu>, on which schur_orthonormality checks S G S^t = I
+exactly, S the Jacobi-Trudi rows of the Schur elements.
 
 The determinant and the invariant factors go through that structure.  The
 x-to-y change of basis is unitriangular (verified at run time, not
@@ -60,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import partitions as pt
 from .linalg import _int_det_multimodular, laurent_det
@@ -84,17 +91,26 @@ class CartanPairing:
     def colors(self) -> int:
         return self.diagram.nodes
 
+    @property
+    def label(self) -> str:
+        return self.diagram.label()
+
     def matrix(self, s: int):
         return quantized_cartan(self.diagram, s).entries
 
 
 @dataclass(frozen=True)
 class IdentityPairing:
-    """A^{(s)} = (1): the single-color pairing with trivial weights."""
+    """A^{(s)} = (1): the single-color pairing with trivial weights, the
+    K-pairing (the Hall inner product, with x_n = h_n)."""
 
     @property
     def colors(self) -> int:
         return 1
+
+    @property
+    def label(self) -> str:
+        return "K"
 
     def matrix(self, s: int):
         return ((ONE,),)
@@ -202,14 +218,6 @@ def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, pairing) -> tuple[L
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XExpansion:
-    """An x-basis monomial written in the y-monomial basis."""
-
-    index: pt.ColoredPartition
-    combination: Mapping[pt.ColoredPartition, Fraction]
-
-
 @lru_cache(maxsize=None)
 def _x_single(n: int, color: int) -> tuple[tuple[pt.ColoredPartition, int], ...]:
     # x_n = sum over partitions kappa of n of y_kappa / prod_u m_u(kappa)!,
@@ -224,20 +232,12 @@ def _x_single(n: int, color: int) -> tuple[tuple[pt.ColoredPartition, int], ...]
     return tuple(out)
 
 
-def x_expand(n: int, color: int = 0) -> XExpansion:
-    """The expansion of a single generator x_n^{(color)}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    den = math.factorial(n)
-    return XExpansion(((n, color),), {cp: Fraction(w, den) for cp, w in _x_single(n, color)})
-
-
 @lru_cache(maxsize=None)
-def x_monomial_expansion(cp: pt.ColoredPartition) -> XExpansion:
-    """The multiplicative extension of x_expand to an x-monomial.  The
-    numerators are summed as integers over the common denominator prod_i
-    n_i! of the factors x_{n_i}, and each coefficient becomes a Fraction
-    once, at the end."""
+def x_monomial_expansion(cp: pt.ColoredPartition) -> dict[pt.ColoredPartition, Fraction]:
+    """An x-monomial in the y-monomial basis: the product over its parts
+    x_{n_i} of their expansions _x_single.  The numerators are summed as
+    integers over the common denominator prod_i n_i!, and each coefficient
+    becomes a Fraction once, at the end."""
     acc: dict[pt.ColoredPartition, int] = {(): 1}
     den = 1
     for s, c in cp:
@@ -249,7 +249,7 @@ def x_monomial_expansion(cp: pt.ColoredPartition) -> XExpansion:
                 k = pt.merge_colored(k1, k2)
                 nxt[k] = nxt.get(k, 0) + v1 * v2
         acc = nxt
-    return XExpansion(cp, {k: Fraction(v, den) for k, v in acc.items()})
+    return {k: Fraction(v, den) for k, v in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +269,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return len(self.index)
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
 
     def at_one(self) -> list[list[int]]:
         return [[0 if e is ZERO else e.at_one() for e in row] for row in self.entries]
@@ -294,13 +291,13 @@ class GramMatrix:
 
 
 class _Assembly:
-    """Shared state for building one Gram matrix and its determinant."""
+    """Shared state for building the Gram matrix of one pairing family in
+    degree d, and its determinant."""
 
-    def __init__(self, dg: DynkinDiagram, d: int):
-        self.diagram = dg
+    def __init__(self, pairing, d: int):
+        self.pairing = pairing
         self.d = d
-        self.pairing = CartanPairing(dg)
-        self.index = pt.enum_colored(d, dg.nodes)
+        self.index = pt.enum_colored(d, pairing.colors)
         self.shapes = pt.enum_partitions(d)
         self.block_members = {
             lam: [cp for cp in self.index if pt.shape(cp) == lam] for lam in self.shapes
@@ -359,7 +356,7 @@ class _Assembly:
         """The x->y change of basis must be unitriangular under any order
         refining 'strictly finer shape comes later'; verified, not assumed."""
         for cp in self.index:
-            comb = x_monomial_expansion(cp).combination
+            comb = x_monomial_expansion(cp)
             if comb.get(cp, None) != 1:
                 raise AssertionError(f"diagonal coefficient of {cp} is not 1")
             lam = pt.shape(cp)
@@ -421,7 +418,7 @@ class _Assembly:
         scales = []
         norms: dict[pt.Partition, int] = {}
         for x in self.index:
-            exp = x_monomial_expansion(x).combination
+            exp = x_monomial_expansion(x)
             scale = math.lcm(*(c.denominator for c in exp.values()))
             by_shape: dict[pt.Partition, list[tuple[int, int]]] = {}
             for cp, coeff in exp.items():
@@ -511,9 +508,7 @@ class _Assembly:
                 e._terms = entry_terms
                 rows[i][j] = e
                 rows[j][i] = e
-        return GramMatrix(
-            self.diagram.label(), self.d, self.index, tuple(tuple(r) for r in rows)
-        )
+        return GramMatrix(self.pairing.label, self.d, self.index, tuple(tuple(r) for r in rows))
 
     def _kron_det(self, evaluate, factor_det, one):
         """det G from the Kronecker factors of every shape:
@@ -584,7 +579,7 @@ def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _Assembly(dg, d).matrix()
+    return _Assembly(CartanPairing(dg), d).matrix()
 
 
 def cartan_graded(ell: int, d: int) -> GramMatrix:
@@ -603,7 +598,7 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     primes under a Hadamard bound) runs on its plus and minus blocks, else on
     the whole factor.  No closed determinant formula is consulted.
     """
-    return _Assembly(dg, d).det()
+    return _Assembly(CartanPairing(dg), d).det()
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
@@ -611,7 +606,7 @@ def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
     of laurent_det (F_p elimination, CRT, symmetric lift under a Hadamard
     bound) on each distinct factor at v=1, or on the two blocks of its
     colour reversal split; no closed formula involved."""
-    return _Assembly(dg, d).det_at_one()
+    return _Assembly(CartanPairing(dg), d).det_at_one()
 
 
 def gram_field_invariants(dg: DynkinDiagram, d: int):
@@ -631,7 +626,7 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     """
     from .snf import snf_laurent_field, snf_of_diagonal
 
-    asm = _Assembly(dg, d)
+    asm = _Assembly(CartanPairing(dg), d)
     asm.check_unitriangular()
     factor_invs = {}
     invs = []
@@ -700,51 +695,8 @@ def block_sum(n: int, ell: int) -> BlockSum:
 
 
 # ---------------------------------------------------------------------------
-# the single-color K-pairing and the Schur orthonormality oracle
+# the Schur orthonormality oracle on the K-Gram matrix of IdentityPairing
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _xexp_shape(lam: pt.Partition) -> tuple[tuple[pt.Partition, Fraction], ...]:
-    exp = x_monomial_expansion(pt.colored_partition((k, 0) for k in lam)).combination
-    return tuple((pt.shape(cp), c) for cp, c in exp.items())
-
-
-@lru_cache(maxsize=None)
-def _k_weight(lam: pt.Partition) -> Fraction:
-    # <y_lam, y_lam>_K = prod_s m_s! / s^{m_s}
-    out = Fraction(1)
-    for s, m in pt.mults(lam).items():
-        out *= Fraction(math.factorial(m), s**m)
-    return out
-
-
-def _to_y_shape(f: Mapping[pt.Partition, int]) -> dict[pt.Partition, Fraction]:
-    out: dict[pt.Partition, Fraction] = {}
-    for lam, c in f.items():
-        if not c:
-            continue
-        for mu, w in _xexp_shape(tuple(lam)):
-            out[mu] = out.get(mu, Fraction(0)) + c * w
-    return {k: v for k, v in out.items() if v}
-
-
-def k_pair(f: Mapping[pt.Partition, int], g: Mapping[pt.Partition, int]) -> LaurentPoly:
-    """The K-pairing of two single-color x-polynomials (dicts partition -> int).
-
-    The derivation weights are all 1, so this is y_pair with the 1x1 identity
-    family, extended bilinearly through the x-expansion.
-    """
-    fy = _to_y_shape(f)
-    gy = _to_y_shape(g)
-    acc = Fraction(0)
-    for lam, cf in fy.items():
-        cg = gy.get(lam)
-        if cg is not None:
-            acc += cf * cg * _k_weight(lam)
-    if acc.denominator != 1:
-        raise AssertionError("K-pairing of lattice elements must be an integer")
-    return LaurentPoly.const(acc.numerator)
 
 
 @lru_cache(maxsize=None)
@@ -778,13 +730,20 @@ def schur_in_x(lam: pt.Partition) -> tuple[tuple[pt.Partition, int], ...]:
 
 
 def schur_orthonormality(nmax: int) -> bool:
-    """Check k_pair(s_lam, s_mu) = delta for all lam, mu of size <= nmax."""
+    """Check S G S^t = I exactly over Z[v,v^-1] for every n <= nmax.
+
+    G is the degree-n Gram matrix of IdentityPairing, built by the same
+    assembly as every Cartan Gram matrix; row lam of S holds the coefficients
+    of the Jacobi-Trudi element schur_in_x(lam) on G's x-monomials.  The
+    entries are compared as Laurent polynomials, so a stray power of v fails
+    the check instead of vanishing at v=1."""
     for n in range(nmax + 1):
-        pars = pt.enum_partitions(n)
-        schurs = [dict(schur_in_x(lam)) for lam in pars]
-        for i, si in enumerate(schurs):
-            for j in range(i, len(schurs)):
-                want = 1 if i == j else 0
-                if k_pair(si, schurs[j]) != LaurentPoly.const(want):
+        g = _Assembly(IdentityPairing(), n).matrix()
+        pos = {tuple(s for s, _ in cp): k for k, cp in enumerate(g.index)}
+        rows = [[(pos[mu], c) for mu, c in schur_in_x(lam)] for lam in pt.enum_partitions(n)]
+        for i, si in enumerate(rows):
+            half = [sum((g.entries[a][b] * c for a, c in si), ZERO) for b in range(g.size)]
+            for j in range(i, len(rows)):
+                if sum((half[b] * c for b, c in rows[j]), ZERO) != (ONE if i == j else ZERO):
                     return False
     return True

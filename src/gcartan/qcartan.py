@@ -191,9 +191,12 @@ def irreducible_at(dg: DynkinDiagram, ell: int, mode: str = "closed_form") -> bo
     closed_form: gcd(ell, 2n) in {1, 2} for A_{n-1}; ell not divisible by
     4 / 3 / 4 / 60 for D_m / E_6 / E_7 / E_8.
 
-    exact: no det [X]_k vanishes at exp(2*pi*i/ell).  Since v^ell = 1 modulo
-    Phi_ell(v), the value of [n]_k there depends only on k mod ell, so
-    checking 1 <= k <= ell suffices; this reduction is unit-tested.
+    exact: no det [X]_k vanishes at zeta = exp(2*pi*i/ell).  Since v^ell = 1
+    modulo Phi_ell(v), the value of [n]_k there depends only on k mod ell, so
+    1 <= k <= ell suffices.  And [n]_k(v) = [n]_1(v^k), so det [X]_k(zeta) =
+    det [X]_1(zeta^k), where zeta^k is a primitive m-th root for m =
+    ell / gcd(ell, k): det [X]_1 is tested at every divisor m of ell.  Both
+    reductions are unit-tested.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -205,8 +208,9 @@ def irreducible_at(dg: DynkinDiagram, ell: int, mode: str = "closed_form") -> bo
         divisor = {6: 3, 7: 4, 8: 60}[dg.rank]
         return ell % divisor != 0
     if mode == "exact":
+        det = det_quantized(dg, 1)
         return not any(
-            vanishes_at_primitive_root(det_quantized(dg, k), ell) for k in range(1, ell + 1)
+            vanishes_at_primitive_root(det, m) for m in range(1, ell + 1) if ell % m == 0
         )
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -48,10 +47,6 @@ class LaurentPoly:
     @staticmethod
     def const(c: int) -> LaurentPoly:
         return LaurentPoly({0: c})
-
-    @staticmethod
-    def monomial(coeff: int, exp: int) -> LaurentPoly:
-        return LaurentPoly({exp: coeff})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -433,18 +428,6 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     return LaurentPoly(q).shift(shift)
 
 
-@dataclass(frozen=True)
-class CyclotomicResidue:
-    """A residue in Z[v]/Phi_m(v): exact arithmetic at a primitive m-th root."""
-
-    m: int
-    residue: LaurentPoly
-
-    @property
-    def is_zero(self) -> bool:
-        return self.residue.is_zero
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     # Phi_m = v^deg + sum_{k < deg} c_k v^k as deg and the nonzero (deg - k, c_k)
@@ -453,8 +436,9 @@ def _cyclotomic_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return deg, tuple((deg - k, c) for k, c in sorted(phi.items()) if k < deg)
 
 
-def reduce_mod_cyclotomic(a: LaurentPoly, m: int) -> CyclotomicResidue:
-    """Reduce a (cleared of its v-power denominator) modulo Phi_m(v).
+def reduce_mod_cyclotomic(a: LaurentPoly, m: int) -> LaurentPoly:
+    """Reduce a (cleared of its v-power denominator) modulo Phi_m(v): the
+    residue in Z[v]/Phi_m(v), as a polynomial of degree below deg Phi_m.
 
     Since v is invertible modulo Phi_m, clearing the denominator does not
     change whether the value at a primitive m-th root of unity is zero; in
@@ -465,7 +449,7 @@ def reduce_mod_cyclotomic(a: LaurentPoly, m: int) -> CyclotomicResidue:
     if m < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if a.is_zero:
-        return CyclotomicResidue(m, ZERO)
+        return ZERO
     r = [0] * m
     for e, c in a._terms.items():
         r[e % m] += c
@@ -477,7 +461,7 @@ def reduce_mod_cyclotomic(a: LaurentPoly, m: int) -> CyclotomicResidue:
                 r[top - gap] -= c * cp
     out = LaurentPoly.__new__(LaurentPoly)
     out._terms = {e: c for e, c in enumerate(r[:deg]) if c}
-    return CyclotomicResidue(m, out)
+    return out
 
 
 def vanishes_at_primitive_root(a: LaurentPoly, m: int) -> bool:

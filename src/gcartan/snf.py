@@ -4,8 +4,8 @@ Smith normal form over Z and over Q[v,v^-1] (both genuine principal-ideal
 settings, so the invariant factors are complete equivalence invariants), a
 greedy diagonalizer over Z[v,v^-1] (which is NOT a PID: it reports Success,
 cross-checked against both complete invariants, or Inconclusive at its first
-stall or step cap, and never claims a negative), determinantal-ideal gcds as
-extra necessary conditions, and unit-normalized multiset comparison.
+stall or step cap, and never claims a negative), and unit-normalized
+multiset comparison.
 
 Over Z, `snf_int_certified` is the engine for a nonsingular matrix with
 known |det| (Storjohann's local Smith form, Algorithms for Matrix Canonical
@@ -32,10 +32,10 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import count
 from typing import Sequence
 
-from .linalg import int_det, laurent_det
+from .linalg import int_det
 from .partitions import is_prime, p_adic_split
 from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit, sub_product
 
@@ -764,29 +764,3 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         b = canonical_poly(b, primitive=True)
         a, b = b, _pseudo_divmod(a, b)[1]
     return canonical_poly(a, primitive=True) if not a.is_zero else ZERO
-
-
-def det_ideal_gcds(matrix: Sequence[Sequence[LaurentPoly]], max_dim: int = 9) -> list[LaurentPoly]:
-    """gcd over Q[v,v^-1] of all k x k minors, for k = 1..n.
-
-    The ratios gcd_k / gcd_{k-1} reproduce the field-ring invariant factors;
-    these are unimodular-equivalence invariants used as necessary conditions.
-    Guarded by max_dim: the number of minors explodes combinatorially.
-    """
-    n = len(matrix)
-    if n > max_dim:
-        raise ValueError(f"matrix dimension {n} exceeds max_dim={max_dim}")
-    out = []
-    for k in range(1, n + 1):
-        g = ZERO
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                minor = laurent_det([[matrix[i][j] for j in cols] for i in rows])
-                if not minor.is_zero:
-                    g = _poly_gcd(g, minor)
-                if g == ONE:
-                    break
-            if g == ONE:
-                break
-        out.append(g)
-    return out

@@ -64,6 +64,16 @@ class TestGramCommand:
             capsys, "gram", "--ell", "5", "--d", "3", "--limit", "10", "--cache-dir", cache_dir
         )
         assert code == 2 and "--force" in err
+        # the whole block sum is guarded: rank 8 at ell=2 has blocks of
+        # weights 4 and 1, 5 + 1 rows in all, each within a limit of 5
+        args = ("gram", "--blocks", "8", "--ell", "2", "--cache-dir", cache_dir)
+        for limit in ("3", "5"):
+            code, out, err = run(capsys, *args, "--limit", limit)
+            assert code == 2 and f"6 x 6 (> {limit})" in err and "--force" in err and not out
+            code, out, _ = run(capsys, *args, "--limit", limit, "--force")
+            assert code == 0 and len(json.loads(out)["blocks"]) == 2
+        code, _, _ = run(capsys, *args, "--limit", "6")
+        assert code == 0
 
     def test_cache_idempotent(self, capsys, cache_dir):
         args = ("gram", "--ell", "3", "--d", "2", "--cache-dir", cache_dir)
@@ -166,6 +176,18 @@ class TestVerifyCommand:
             code, out, _ = run(capsys, *argv, "--cache-dir", cache_dir)
             assert code == 0, argv
             assert json.loads(out)["ok"] is True
+
+    def test_schur_orth_output(self, capsys, cache_dir):
+        for nmax in range(9):
+            code, out, err = run(
+                capsys, "verify", "schur-orth", "--nmax", str(nmax), "--cache-dir", cache_dir
+            )
+            assert code == 0
+            assert out == (
+                '{\n  "identity": "schur-orth",\n  "ok": true,\n'
+                f'  "params": {{\n    "nmax": {nmax}\n  }}\n}}\n'
+            )
+            assert err == "# cache: 0 hit(s), 0 miss(es)\n"
 
     def test_unknown_identity(self, capsys, cache_dir):
         code, _, err = run(capsys, "verify", "nope", "--cache-dir", cache_dir)

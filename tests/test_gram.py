@@ -25,11 +25,9 @@ from gcartan.gram import (
     gram_det_at_one,
     gram_field_invariants,
     gram_matrix,
-    k_pair,
     permanent_matrix,
     schur_in_x,
     schur_orthonormality,
-    x_expand,
     x_monomial_expansion,
     y_pair,
 )
@@ -42,10 +40,10 @@ from gcartan.snf import multiset_equal_up_to_units, snf_of_diagonal
 
 class TestXExpansion:
     def test_first_coefficients(self):
-        assert dict(x_expand(1, 0).combination) == {((1, 0),): Fraction(1)}
-        e2 = dict(x_expand(2, 0).combination)
+        assert x_monomial_expansion(((1, 0),)) == {((1, 0),): Fraction(1)}
+        e2 = x_monomial_expansion(((2, 0),))
         assert e2 == {((2, 0),): Fraction(1), ((1, 0), (1, 0)): Fraction(1, 2)}
-        e3 = dict(x_expand(3, 1).combination)
+        e3 = x_monomial_expansion(((3, 1),))
         assert e3 == {
             ((3, 1),): Fraction(1),
             ((2, 1), (1, 1)): Fraction(1),
@@ -53,13 +51,13 @@ class TestXExpansion:
         }
 
     def test_monomial_extension(self):
-        exp = x_monomial_expansion(((2, 0), (1, 1))).combination
+        exp = x_monomial_expansion(((2, 0), (1, 1)))
         assert exp[((2, 0), (1, 1))] == 1
         assert exp[((1, 1), (1, 0), (1, 0))] == Fraction(1, 2)
 
     def test_diagonal_coefficient_is_one(self):
         for cp in pt.enum_colored(5, 2):
-            comb = x_monomial_expansion(cp).combination
+            comb = x_monomial_expansion(cp)
             assert comb[cp] == 1
             for other in comb:
                 if other != cp:
@@ -89,7 +87,7 @@ class TestXExpansion:
 
         for d in range(9):
             for cp in pt.enum_colored(d, 3):
-                got = x_monomial_expansion(cp).combination
+                got = x_monomial_expansion(cp)
                 assert got == reference(cp), cp
                 assert all(type(c) is Fraction for c in got.values())
 
@@ -278,7 +276,7 @@ class TestColourReversalSplit:
             return out
 
         monkeypatch.setattr(gram, "_reversal_split", spy)
-        asm = _Assembly(dg, d)
+        asm = _Assembly(CartanPairing(dg), d)
         assert asm.det() == shapovalov_det_formula(dg, d)
         assert asm.det_at_one() == shapovalov_det_formula(dg, d).at_one()
         factors = {key for lam in asm.shapes for key in asm.kron_factors(lam)[1]}
@@ -370,7 +368,7 @@ class TestKroneckerFactors:
         pairing = CartanPairing(dg)
         perms = {}
         for d in range(dmax + 1):
-            asm = _Assembly(dg, d)
+            asm = _Assembly(CartanPairing(dg), d)
             for lam, (den, block) in asm.y_blocks().items():
                 sizes = pt.mults(lam)
                 assert den == math.prod(s**m for s, m in sizes.items()), (dg, d, lam)
@@ -387,7 +385,7 @@ class TestKroneckerFactors:
                         assert e == want, (dg, d, lam)
 
     def test_factors_are_memoised_per_size_and_multiplicity(self):
-        asm = _Assembly(DynkinDiagram("A", 2), 5)
+        asm = _Assembly(CartanPairing(DynkinDiagram("A", 2)), 5)
         _, f1 = asm.kron_factors((3, 1, 1))
         _, f2 = asm.kron_factors((3, 2))
         assert list(f1) == [(3, 1), (1, 2)] and list(f2) == [(3, 1), (2, 1)]
@@ -395,7 +393,7 @@ class TestKroneckerFactors:
         assert len(f1[1, 2]) == 3  # colour multisets of size 2 from 2 colours
 
     def test_permuted_members_fail_the_order_check(self, monkeypatch):
-        asm = _Assembly(DynkinDiagram("A", 2), 3)
+        asm = _Assembly(CartanPairing(DynkinDiagram("A", 2)), 3)
         lam = (2, 1)
         members = asm.block_members[lam]
         monkeypatch.setitem(asm.block_members, lam, members[1:] + members[:1])
@@ -442,7 +440,7 @@ class TestAssembly:
         pairing = CartanPairing(dg)
         for d in range(dmax + 1):
             g = gram_matrix(dg, d)
-            exps = [x_monomial_expansion(cp).combination.items() for cp in g.index]
+            exps = [x_monomial_expansion(cp).items() for cp in g.index]
             for i in range(g.size):
                 for j in range(i, g.size):
                     want: dict[int, Fraction] = {}
@@ -525,6 +523,24 @@ class TestBlockSum:
             off += g.size
 
 
+def _n_matrix_count(rows, cols):
+    """The number of matrices over the nonnegative integers with row sums
+    rows and column sums cols, by choosing the first row and recursing."""
+    if not rows:
+        return int(not any(cols))
+    return sum(
+        _n_matrix_count(rows[1:], tuple(c - x for c, x in zip(cols, first)))
+        for first in itertools.product(*(range(c + 1) for c in cols))
+        if sum(first) == rows[0]
+    )
+
+
+def _k_gram(n):
+    """The K-Gram matrix of degree n as (partitions, entries)."""
+    g = _Assembly(IdentityPairing(), n).matrix()
+    return [tuple(s for s, _ in cp) for cp in g.index], g.entries
+
+
 class TestKPairingAndSchur:
     def test_jacobi_trudi(self):
         assert dict(schur_in_x(())) == {(): 1}
@@ -534,13 +550,35 @@ class TestKPairingAndSchur:
         assert dict(schur_in_x((2, 1))) == {(2, 1): 1, (3,): -1}
 
     def test_k_pair_examples(self):
-        assert k_pair({(): 1}, {(): 1}) == ONE
-        assert k_pair({(1,): 1}, {(1,): 1}) == ONE
-        # complete homogeneous pairing: <h_lam, h_mu> counts nonnegative
-        # integer matrices with row sums lam and column sums mu
-        assert k_pair({(2,): 1}, {(2,): 1}) == ONE
-        assert k_pair({(2,): 1}, {(1, 1): 1}) == ONE
-        assert k_pair({(1, 1): 1}, {(1, 1): 1}) == LaurentPoly.const(2)
+        assert _k_gram(0) == ([()], ((ONE,),))
+        assert _k_gram(1) == ([(1,)], ((ONE,),))
+        # <h_2, h_2> = <h_2, h_1^2> = 1 and <h_1^2, h_1^2> = 2
+        assert _k_gram(2) == ([(2,), (1, 1)], ((ONE, ONE), (ONE, LaurentPoly.const(2))))
+
+    def test_k_gram_counts_n_matrices(self):
+        # x_n = h_n, and <h_lam, h_mu> counts the matrices over N with row
+        # sums lam and column sums mu
+        for n in range(7):
+            index, entries = _k_gram(n)
+            assert sorted(index) == sorted(pt.enum_partitions(n))
+            for lam, row in zip(index, entries):
+                for mu, e in zip(index, row):
+                    assert e == LaurentPoly.const(_n_matrix_count(lam, mu)), (lam, mu)
 
     def test_orthonormality_small(self):
         assert schur_orthonormality(5)
+
+    @pytest.mark.parametrize(
+        "weight", [LaurentPoly.const(2), quantum_int(3) - 2 * ONE], ids=["two", "one-at-v=1"]
+    )
+    def test_oracle_sees_the_assembly(self, monkeypatch, weight):
+        # a weight other than 1 breaks orthonormality in degree 1; [3] - 2 is
+        # 1 at v=1, so only the exact comparison over Z[v,v^-1] catches it
+        monkeypatch.setattr(IdentityPairing, "matrix", lambda self, s: ((weight,),))
+        permanent_matrix.cache_clear()
+        try:
+            assert not schur_orthonormality(3)
+        finally:
+            monkeypatch.undo()
+            permanent_matrix.cache_clear()
+        assert schur_orthonormality(3)

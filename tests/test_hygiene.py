@@ -5,8 +5,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gcartan"
-# where a use of a package function may live
-SEARCHED = ("src", "tests", "demos", "perfbench")
+# where a use of a package function or method may live
+SEARCHED = ("src", "tests", "demos", "perfbench", "bench")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -40,20 +40,47 @@ def _used_names(node: ast.AST) -> set[str]:
     return out
 
 
-def test_every_top_level_definition_is_used():
-    # a use inside the definition itself (recursion) does not count
-    uses: dict[str, set[tuple[Path, int]]] = {}
+def _searched_modules():
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
-            for k, stmt in enumerate(_parse(path).body):
-                for name in _used_names(stmt):
-                    uses.setdefault(name, set()).add((path, k))
+            yield path, _parse(path)
+
+
+def _public_methods(module: ast.Module):
+    """(class name, method) for every public method of a top-level class."""
+    for cls in module.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name[0] != "_":
+                    yield cls.name, fn
+
+
+def test_every_top_level_definition_is_used():
+    # a use inside the definition itself (recursion) does not count.  A
+    # public method is used where it is read as an attribute or named in a
+    # string (getattr, monkeypatch.setattr)
+    uses: dict[str, set[tuple[Path, int]]] = {}
+    attribute_uses: dict[str, set[tuple[Path, int]]] = {}
+    for path, module in _searched_modules():
+        for k, stmt in enumerate(module.body):
+            for name in _used_names(stmt):
+                uses.setdefault(name, set()).add((path, k))
+        for node in ast.walk(module):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attribute_uses.setdefault(node.attr, set()).add((path, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                attribute_uses.setdefault(node.value, set()).add((path, node.lineno))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for k, stmt in enumerate(_parse(path).body):
+        module = _parse(path)
+        for k, stmt in enumerate(module.body):
             defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             if isinstance(stmt, defs) and not uses.get(stmt.name, set()) - {(path, k)}:
                 unused.append(f"{path.stem}.{stmt.name}")
+        for cls, fn in _public_methods(module):
+            own = {(path, line) for line in range(fn.lineno, fn.end_lineno + 1)}
+            if not attribute_uses.get(fn.name, set()) - own:
+                unused.append(f"{path.stem}.{cls}.{fn.name}")
     assert not unused, f"defined in src/gcartan but used nowhere: {unused}"
 
 

@@ -111,7 +111,7 @@ class TestLaurentDet:
     def test_largest_factor_against_int_det_at_two(self):
         # P_1(4) at ell=5, the 35-row factor of shape 1^4, with rows scaled
         # into Z[v] and evaluated at v=2
-        _, factors = _Assembly(type_a(5), 4).kron_factors((1, 1, 1, 1))
+        _, factors = _Assembly(CartanPairing(type_a(5)), 4).kron_factors((1, 1, 1, 1))
         f = factors[1, 4]
         assert len(f) == 35
         lows = [min(e.min_exp for e in row if not e.is_zero) for row in f]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gcartan.qlaurent import (
     ONE,
     ZERO,
-    CyclotomicResidue,
     LaurentPoly,
     QProduct,
     cyclotomic,
@@ -293,9 +292,10 @@ class TestRootOfUnityVanishing:
                     assert vanishes_at_primitive_root(quantum_int(n, s), ell) == expected
 
     def test_residue_type(self):
+        # the residue is the reduced polynomial itself
         res = reduce_mod_cyclotomic(quantum_int(3), 2)
-        assert isinstance(res, CyclotomicResidue)
-        assert res.m == 2 and res.residue == LaurentPoly.const(3)
+        assert isinstance(res, LaurentPoly) and res == LaurentPoly.const(3)
+        assert reduce_mod_cyclotomic(ZERO, 5) is ZERO
 
     def test_periodicity_in_s_mod_ell(self):
         # v^ell = 1 mod Phi_ell, so [n]_{s+ell} and [n]_s agree there; this
@@ -303,8 +303,8 @@ class TestRootOfUnityVanishing:
         for ell in (2, 3, 4, 5, 6):
             for n in (2, 3, 4):
                 for s in range(1, ell + 1):
-                    a = reduce_mod_cyclotomic(quantum_int(n, s).shift(n * s), ell).residue
-                    b = reduce_mod_cyclotomic(quantum_int(n, s + ell).shift(n * (s + ell)), ell).residue
+                    a = reduce_mod_cyclotomic(quantum_int(n, s).shift(n * s), ell)
+                    b = reduce_mod_cyclotomic(quantum_int(n, s + ell).shift(n * (s + ell)), ell)
                     assert a == b
 
     def test_residue_is_the_long_division_remainder(self):
@@ -319,7 +319,7 @@ class TestRootOfUnityVanishing:
             )
             want = ZERO if a.is_zero else _long_division_remainder(a, m)
             got = reduce_mod_cyclotomic(a, m)
-            assert got.m == m and got.residue == want, (a, m)
+            assert got == want, (a, m)
 
 
 def _long_division_remainder(a, m):
