@@ -19,7 +19,9 @@ elimination pass of the local Smith engine (`snf._local_valuations`, wrapped
 from outside the package, as perfbench/spans.py wraps its spans): the bit
 length of the modulus, the digits, and the outcome, "ok", "short" (the
 precision ran out) or "split" (a proper factor of the modulus was met).
-The default points are the three of the integer-snf workload and the v=1
+Likewise it records every choice of moduli for the multi-modular
+determinant (`linalg._moduli`): the bit length of the Hadamard bound B and
+of each prime chosen.  The default points are the three of the integer-snf workload and the v=1
 frontier points.
 
 One run appends one record to the JSON file --out (default BENCH_stages.json
@@ -27,8 +29,8 @@ at the repository root): {"runs": [record, ...]}.  A record holds the git
 revision, whether src/ differs from it, a SHA-256 of src/, the Python
 version, the machine, nproc, the load average before and after, and per
 point: dim, every sample's seconds per stage, the median per stage, every
-sample's local passes, and the invariants digest, or the error that stopped
-the point.
+sample's local passes and moduli, and the invariants digest, or the error
+that stopped the point.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ POINTS = ((7, 4), (5, 5), (3, 8), (9, 4), (7, 5), (4, 7), (5, 6))
 CAP_S = 120.0
 
 CHILD = """
-import hashlib, json, sys, time
-from gcartan import gram, snf
+import hashlib, json, math, sys, time
+from gcartan import gram, linalg, snf
 from gcartan.qcartan import type_a
 ell, d = int(sys.argv[1]), int(sys.argv[2])
 passes = []
@@ -64,6 +66,13 @@ def record(matrix, p, digits):
     passes.append([p.bit_length(), digits, outcome])
     return got
 snf._local_valuations = record
+moduli = []
+choose = linalg._moduli
+def record_moduli(bound_sq):
+    got = choose(bound_sq)
+    moduli.append([math.isqrt(bound_sq).bit_length(), [p.bit_length() for p in got]])
+    return got
+linalg._moduli = record_moduli
 t = [time.perf_counter()]
 g = gram.cartan_graded(ell, d)
 t.append(time.perf_counter())
@@ -75,7 +84,7 @@ inv = snf.snf_int_certified(m, det)
 t.append(time.perf_counter())
 digest = hashlib.sha256(repr(inv.elements).encode()).hexdigest()
 print(json.dumps({"dim": g.size, "seconds": [b - a for a, b in zip(t, t[1:])],
-                  "passes": passes, "invariants_sha256": digest}))
+                  "passes": passes, "moduli": moduli, "invariants_sha256": digest}))
 """
 
 
@@ -125,6 +134,7 @@ def measure(ell: int, d: int, repeat: int) -> dict:
         "seconds": {k: statistics.median(s["seconds"][k] for s in samples) for k in STAGES},
         "samples": [s["seconds"] for s in samples],
         "passes": [s["passes"] for s in samples],
+        "moduli": [s["moduli"] for s in samples],
         "invariants_sha256": digests.pop(),
     }
 

@@ -401,12 +401,13 @@ class _Assembly:
         every slot in [0, 2^W) and is read off whole by `snf._unpack`.
 
         Only the accumulators that received a contribution are finished,
-        each decoded once: entry (i, j) is the accumulator divided by
-        K L_i L_j, a remainder in any coefficient raises AssertionError, and
-        so does an entry that is not bar-invariant (its slots are not a
-        palindrome).  The packing changes how the sums are stored, not
-        their values, so these checks see the same coefficients as an
-        unpacked sum would.  Every other entry is the shared ZERO.
+        each decoded once.  An entry that is not bar-invariant (its slots are
+        not a palindrome) raises AssertionError.  Otherwise entry (i, j) is
+        the accumulator divided by K L_i L_j, slot by slot from v^0 up and
+        mirrored to v^-1 down, and a remainder raises AssertionError.  The
+        packing changes how the sums are stored, not their values, so these
+        checks see the same coefficients as an unpacked sum would.  Every
+        other entry is the shared ZERO.
         """
         blocks = self.y_blocks()
         common = math.lcm(*(den for den, _ in blocks.values()))
@@ -492,17 +493,17 @@ class _Assembly:
                     continue
                 den_ij = common * scales[i] * scales[j]
                 coeffs = _unpack(packed + bias, width, slots)
+                if coeffs != coeffs[::-1]:
+                    raise AssertionError(f"Gram entry {(i, j)} is not bar-invariant")
                 entry_terms = {}
-                for ex, x in enumerate(coeffs, -top):
+                for ex, x in enumerate(coeffs[top:]):
                     if x != half:
                         q, r = divmod(x - half, den_ij)
                         if r:
                             raise AssertionError(
                                 f"non-integral Gram entry at {(i, j)}: bug in the pairing"
                             )
-                        entry_terms[ex] = q
-                if coeffs != coeffs[::-1]:
-                    raise AssertionError(f"Gram entry {(i, j)} is not bar-invariant")
+                        entry_terms[ex] = entry_terms[-ex] = q
                 # every coefficient is a nonzero int: skip the constructor's checks
                 e = LaurentPoly.__new__(LaurentPoly)
                 e._terms = entry_terms
@@ -553,8 +554,8 @@ class _Assembly:
     def det_at_one(self) -> int:
         """det G evaluated at v=1: each factor is evaluated at v=1 before it
         is split, and each part goes to the multi-modular kernel of
-        laurent_det (F_p elimination under a Hadamard bound, CRT over
-        Mersenne primes, symmetric lift)."""
+        laurent_det (F_p elimination modulo primes sized to a Hadamard
+        bound, symmetric lift)."""
         return self._kron_det(
             lambda f: [[e.at_one() for e in row] for row in f], _int_det_multimodular, 1
         )
@@ -594,9 +595,9 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     Exploits the run-time-verified unitriangular change of basis and the
     Kronecker-factored shape blocks.  Each distinct factor is computed once:
     where the colour reversal fixes its entries (checked, see
-    _reversal_split), laurent_det (evaluation and interpolation mod Mersenne
-    primes under a Hadamard bound) runs on its plus and minus blocks, else on
-    the whole factor.  No closed determinant formula is consulted.
+    _reversal_split), laurent_det (evaluation and interpolation modulo primes
+    sized to a Hadamard bound) runs on its plus and minus blocks, else on the
+    whole factor.  No closed determinant formula is consulted.
     """
     return _Assembly(CartanPairing(dg), d).det()
 

@@ -3,30 +3,56 @@
 int_det is fraction-free Bareiss elimination over Z; every interior division
 is exact, and is checked to be so.  laurent_det is a multi-modular kernel:
 evaluation mod p at enough points, F_p elimination at each (on the upper
-triangle only when the matrix is symmetric), Newton interpolation, CRT over
-fixed Mersenne primes and a symmetric lift under a Hadamard coefficient bound
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+triangle only when the matrix is symmetric), Newton interpolation, CRT and a
+symmetric lift under a Hadamard coefficient bound B (von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 5).  The modulus is the smallest
+prime of PRIMES above 2B.  The table holds one prime per 30 bits up to 2190
+bits and five Mersenne primes up to 4423 bits; only a bound past the largest
+takes a product of primes.
 
 Its prime loop, CRT and lift (`_lift`) also serve symmetric integer matrices
 (`_int_det_multimodular`): the Gram determinant at v=1 takes its factors
-that way, 3 to 4 times faster than by Bareiss.  On a whole Cartan matrix at
-v=1 Hadamard's bound is far above |det| (2048 against 469 bits at ell=7,
-d=4) and Bareiss is the faster, so `snf_int` and the command line keep
-int_det.  Every bound is an integer, so no result rests on rounding, and a
-bound the prime table cannot cover raises instead of guessing.
+that way, 6 times faster than by Bareiss at ell=9, d=4 (0.055 against
+0.34 s).  On a whole Cartan matrix at v=1 Hadamard's bound is far above
+|det| (2047 against 469 bits at ell=7, d=4) and Bareiss is the faster (2.1
+against 2.6 s), so `snf_int` and the command line keep int_det.  Every
+bound is an integer, so no result rests on rounding, and a bound the prime
+table cannot cover raises instead of guessing.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from operator import mul
 from typing import Sequence
 
 from .qlaurent import ONE, ZERO, LaurentPoly
 
-# exponents k of Mersenne primes 2^k - 1 (primality by Lucas-Lehmer is
-# checked in the test suite, never at run time), smallest first
-MERSENNE_EXPONENTS = (521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+# The moduli of laurent_det, smallest first: for b = 30, 60, ..., 2190 (one
+# prime per 30-bit digit of a CPython int) the largest Proth prime below 2^b,
+# which is 2^b - d 2^(b/2) + 1 for the least d that makes it prime, stored
+# as (b, d); then the Mersenne primes 2^k - 1 above them, stored as k.  Each
+# is certified in the test suite (Proth's theorem, Lucas-Lehmer), never at
+# import: PRIMES is built by shifts alone.
+PROTH_LADDER = (
+    (30, 3), (60, 10), (90, 3), (120, 85), (150, 162), (180, 25), (210, 38), (240, 4),
+    (270, 159), (300, 97), (330, 162), (360, 4), (390, 138), (420, 300), (450, 54),
+    (480, 213), (510, 36), (540, 105), (570, 11), (600, 109), (630, 249), (660, 217),
+    (690, 258), (720, 459), (750, 29), (780, 40), (810, 437), (840, 183), (870, 171),
+    (900, 166), (930, 99), (960, 238), (990, 941), (1020, 540), (1050, 68), (1080, 459),
+    (1110, 288), (1140, 1744), (1170, 557), (1200, 489), (1230, 258), (1260, 2766),
+    (1290, 258), (1320, 190), (1350, 419), (1380, 412), (1410, 393), (1440, 286),
+    (1470, 173), (1500, 537), (1530, 456), (1560, 120), (1590, 558), (1620, 4), (1650, 773),
+    (1680, 120), (1710, 203), (1740, 99), (1770, 171), (1800, 3039), (1830, 462),
+    (1860, 61), (1890, 347), (1920, 456), (1950, 1349), (1980, 274), (2010, 71),
+    (2040, 1011), (2070, 761), (2100, 939), (2130, 924), (2160, 603), (2190, 431),
+)
+MERSENNE_EXPONENTS = (2203, 2281, 3217, 4253, 4423)
+PRIMES = tuple(
+    [(1 << b) - (d << b // 2) + 1 for b, d in PROTH_LADDER]
+    + [(1 << k) - 1 for k in MERSENNE_EXPONENTS]
+)
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -66,7 +92,7 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
 
 def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix over Z[v,v^-1], by evaluation
-    and interpolation modulo Mersenne primes.
+    and interpolation modulo primes of PRIMES.
 
     Rows are scaled by units v^-lo_i into Z[v], and when every exponent is a
     multiple of some step g, v^g is renamed u.  The determinant is then v^shift
@@ -81,9 +107,10 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
 
     Every coefficient c of the result satisfies |c| <= B, where
     B^2 = prod_rows sum_j ||m_ij||_1^2 (Hadamard's inequality on the unit
-    circle).  The moduli are the fewest primes of MERSENNE_EXPONENTS whose
-    product exceeds 2B, combined by CRT, and each coefficient is lifted to the
-    symmetric range.  A bound beyond the table raises ArithmeticError.
+    circle).  The modulus is the smallest prime of PRIMES above 2B, within
+    30 bits of 2B up to 2190 bits; past the largest prime, the largest primes
+    whose product exceeds 2B, combined by CRT.  Each coefficient is lifted to
+    the symmetric range.  A bound beyond the table raises ArithmeticError.
     """
     n = len(matrix)
     if n == 0:
@@ -164,29 +191,30 @@ def _lift(bound_sq: int, residues) -> list[int]:
 
 
 def _moduli(bound_sq: int) -> list[int]:
-    # the product M of the moduli must exceed 2B, i.e. M^2 > 4 B^2: the
-    # smallest single prime that does, else the largest primes first
-    need = 4 * bound_sq
-    primes = [(1 << k) - 1 for k in MERSENNE_EXPONENTS]
-    for p in primes:
-        if p * p > need:
-            return [p]
+    # the product M of the moduli must exceed 2B, i.e. M > isqrt(4 B^2): the
+    # smallest single prime of PRIMES that does, at most 30 bits above 2B up
+    # to the top of the ladder, else the largest primes first
+    root = math.isqrt(4 * bound_sq)
+    i = bisect_right(PRIMES, root)
+    if i < len(PRIMES):
+        return [PRIMES[i]]
     chosen = []
     product = 1
-    for p in reversed(primes):
+    for p in reversed(PRIMES):
         chosen.append(p)
         product *= p
-        if product * product > need:
+        if product > root:
             return chosen
-    raise ArithmeticError("determinant coefficient bound exceeds the Mersenne prime table")
+    raise ArithmeticError("determinant coefficient bound exceeds the prime table")
 
 
 def _interpolate_mod(rows, width: int, degree: int, bar: bool, p: int) -> list[int]:
     """Coefficients mod p of the determinant of the dense coefficient rows:
     of P(u) from u^0 up, or, when bar, of the Laurent polynomial from
     u^-degree up to u^degree.  The nodes 0..degree are distinct mod p, since
-    degree is far below the smallest table prime.  When the coefficient rows
-    are symmetric, only the upper triangle is evaluated and eliminated."""
+    degree is far below the smallest table prime, which is above 2^29.  When
+    the coefficient rows are symmetric, only the upper triangle is evaluated
+    and eliminated."""
     n = len(rows)
     symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
     values = []

@@ -31,6 +31,10 @@ def test_stages_script_writes_a_run(tmp_path):
     # C(1) = [[3, 4], [4, 8]] has |det| 2^3, so the rank pass runs mod 3,
     # then one pass mod 2 at the cap of 4 digits
     assert point["passes"] == [[[2, 1, "ok"], [2, 4, "ok"]]]
+    # the moduli of the one sample, as [bits of B, [bits of each prime]]:
+    # the 1x1 factors P_2(1) and P_1(2) are 2 and 8 at v=1, and each gets
+    # the 30-bit prime at the foot of the table
+    assert point["moduli"] == [[[2, [30]], [4, [30]]]]
 
 
 def test_stages_script_rejects_a_bad_point(tmp_path):

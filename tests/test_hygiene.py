@@ -142,3 +142,30 @@ def test_checked_determinant_is_formula_free():
         for name in ("gram.py", "linalg.py")
     }
     assert not any(found.values()), f"closed formulas referenced: {found}"
+
+
+def test_prime_tables_are_literals():
+    # import does no primality work: the prime tables of linalg.py are
+    # literals of int constants (certified in tests/test_linalg.py), and no
+    # statement outside a function calls anything but the tuple that packs
+    # PRIMES from them by shifts
+    module = _parse(PACKAGE / "linalg.py")
+    values = {
+        stmt.targets[0].id: stmt.value
+        for stmt in module.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
+    }
+    for name in ("PROTH_LADDER", "MERSENNE_EXPONENTS"):
+        node = values[name]
+        leaves = [n for n in ast.walk(node) if not isinstance(n, (ast.Tuple, ast.Load))]
+        assert leaves and all(
+            isinstance(n, ast.Constant) and type(n.value) is int for n in leaves
+        ), name
+    calls = [
+        ast.unparse(node.func)
+        for stmt in module.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+    ]
+    assert calls == ["tuple"], calls

@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcartan import linalg
-from gcartan.gram import CartanPairing, _Assembly, _reversal, _reversal_split, permanent_matrix
-from gcartan.linalg import MERSENNE_EXPONENTS, int_det, laurent_det
+from gcartan.gram import (
+    CartanPairing,
+    _Assembly,
+    _reversal,
+    _reversal_split,
+    gram_det_at_one,
+    permanent_matrix,
+)
+from gcartan.linalg import PRIMES, int_det, laurent_det
 from gcartan.qcartan import DynkinDiagram, type_a
 from gcartan.qlaurent import ONE, ZERO, LaurentPoly
 
@@ -81,7 +88,9 @@ class TestLaurentDet:
         assert used and min(used) > 2**521 - 1
 
     def test_crt_over_several_primes(self, monkeypatch):
-        big = 2**300
+        # entries near 2^1500 put 2B above 2^4500, past the largest prime
+        # (4423 bits): two primes and a CRT are needed
+        big = 2**1500
         m = [[LaurentPoly({0: big, 1: -3}), LaurentPoly({0: big - 1}), LaurentPoly({2: big})],
              [LaurentPoly({-1: -big}), LaurentPoly({0: 7}), LaurentPoly({0: big + 5})],
              [LaurentPoly({1: big}), LaurentPoly({0: -big, 1: big}), LaurentPoly({0: 1})]]
@@ -93,14 +102,14 @@ class TestLaurentDet:
             return interpolate(rows, width, degree, bar, p)
 
         monkeypatch.setattr(linalg, "_interpolate_mod", spy)
-        monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (521, 607))
         assert laurent_det(m) == leibniz(m)
         assert len(used) == 2
 
-    def test_bound_beyond_the_table_raises(self, monkeypatch):
-        monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (521,))
+    def test_bound_beyond_the_table_raises(self):
+        # 2B above the product of every table prime
+        top = sum(p.bit_length() for p in PRIMES)
         with pytest.raises(ArithmeticError):
-            laurent_det([[LaurentPoly({0: 2**600})]])
+            laurent_det([[LaurentPoly({0: 2**top})]])
 
     def test_sparse_high_degree_entries(self):
         # every exponent a multiple of 40: [2]_40 on the diagonal of A_3
@@ -291,16 +300,75 @@ class TestIntDetMod:
                 assert linalg._int_det_multimodular(part) == int_det(part)
 
 
-def test_mersenne_table_is_prime():
-    # Lucas-Lehmer: 2^k - 1 (k an odd prime) is prime iff s_{k-2} = 0, where
-    # s_0 = 4 and s_{i+1} = s_i^2 - 2 mod 2^k - 1; reduced by folding the bits
-    for k in MERSENNE_EXPONENTS:
-        assert all(k % q for q in range(2, isqrt(k) + 1)), k
-        m = (1 << k) - 1
-        s = 4
-        for _ in range(k - 2):
-            s = s * s - 2
-            s = (s & m) + (s >> k)
-            s = (s & m) + (s >> k)
-        assert s % m == 0, k
-    assert list(MERSENNE_EXPONENTS) == sorted(MERSENNE_EXPONENTS)
+class TestPrimeTable:
+    """linalg.PRIMES: every entry certified prime, and the choice that
+    _moduli makes from it."""
+
+    # for each Proth prime N of the ladder, in order, a witness a with
+    # a^((N-1)/2) = -1 mod N (the least prime quadratic non-residue)
+    PROTH_WITNESSES = (
+        3, 5, 3, 5, 3, 5, 7, 5, 3, 7, 3, 5, 3, 3, 3, 3, 3, 3, 5, 5, 3, 13, 3, 3, 5, 5, 7, 3, 3, 5, 3,
+        11, 5, 3, 13, 3, 3, 11, 7, 3, 3, 3, 3, 5, 5, 7, 3, 7, 11, 3, 3, 3, 3, 7, 7, 3, 11, 3, 3,
+        3, 3, 5, 7, 3, 5, 19, 5, 3, 5, 3, 3, 3, 5,
+    )
+
+    def test_every_entry_is_certified(self):
+        assert list(PRIMES) == sorted(set(PRIMES))
+        mersenne = [p for p in PRIMES if not p & (p + 1)]
+        proth = [p for p in PRIMES if p & (p + 1)]
+        assert len(proth) == len(self.PROTH_WITNESSES)
+        for N, a in zip(proth, self.PROTH_WITNESSES):
+            # Proth's theorem: N = k 2^n + 1 with k odd and k < 2^n is prime
+            # if a^((N-1)/2) = -1 mod N for some a
+            n = ((N - 1) & (1 - N)).bit_length() - 1
+            k = (N - 1) >> n
+            assert k % 2 == 1 and k < 1 << n, N
+            assert pow(a, (N - 1) // 2, N) == N - 1, N
+        for m in mersenne:
+            # Lucas-Lehmer: 2^k - 1 (k an odd prime) is prime iff
+            # s_{k-2} = 0, where s_0 = 4 and s_{i+1} = s_i^2 - 2 mod 2^k - 1;
+            # reduced by folding the bits
+            k = m.bit_length()
+            assert all(k % q for q in range(2, isqrt(k) + 1)), k
+            s = 4
+            for _ in range(k - 2):
+                s = s * s - 2
+                s = (s & m) + (s >> k)
+                s = (s & m) + (s >> k)
+            assert s % m == 0, k
+        # one prime per 30 bits from 30 bits to the top of the ladder and the
+        # first Mersenne prime above it
+        bits = [p.bit_length() for p in PRIMES[: len(proth) + 1]]
+        assert bits[0] <= 30 and max(b - a for a, b in zip(bits, bits[1:])) <= 30
+
+    def test_smallest_prime_above_2b(self):
+        # bounds drawn across the ladder, and at each prime's edge: 4 B^2
+        # one below p^2 (p serves) and three above (it does not)
+        rng = random.Random(20261018)
+        bounds = [rng.getrandbits(rng.randrange(1, 4380)) | 1 for _ in range(300)]
+        bounds += [x for p in PRIMES for x in ((p * p - 1) // 4, (p * p + 3) // 4)]
+        for bound_sq in bounds:
+            want = next((p for p in PRIMES if p * p > 4 * bound_sq), None)
+            if want is None:
+                continue
+            assert linalg._moduli(bound_sq) == [want]
+            if want <= PRIMES[len(self.PROTH_WITNESSES)]:  # up to the ladder's top
+                assert want.bit_length() <= isqrt(4 * bound_sq).bit_length() + 30, bound_sq
+
+    def test_every_factor_half_at_9_4_gets_a_close_prime(self, monkeypatch):
+        # 2B of the 170-row plus half of P_1(4) at v=1 has 1289 bits, past
+        # 2^1279 - 1; every factor and half gets one prime within 30 bits of
+        # 2B
+        calls = []
+        moduli = linalg._moduli
+
+        def spy(bound_sq):
+            out = moduli(bound_sq)
+            calls.append((isqrt(4 * bound_sq).bit_length(), [p.bit_length() for p in out]))
+            return out
+
+        monkeypatch.setattr(linalg, "_moduli", spy)
+        gram_det_at_one(type_a(9), 4)
+        assert calls and any(two_b > 1279 for two_b, _ in calls)
+        for two_b, (bits,) in calls:
+            assert bits <= two_b + 30, (two_b, bits)
