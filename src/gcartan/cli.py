@@ -2,9 +2,13 @@
 
 Commands: gram, det, verify, irred, twisted, snf, invariants, report, table.
 Global flags: --format {json|csv|latex}, --cache-dir PATH, --force, --limit N.
-GCART_CACHE_DIR overrides the cache location.  Cached output is keyed on a
-hash of the package sources, so it never outlives the code that produced it.
-While a cache directory is active, each invocation ends by writing one line
+The cache lives in --cache-dir, else in GCART_CACHE_DIR, else in
+~/.cache/gcart; an empty path disables it.  It holds the output text of gram,
+det, table and twisted, and each such invocation makes exactly one lookup.
+The key is a hash of the package sources, so a cached output never outlives
+the code that produced it, together with the command and every argument but
+the cache's location (--force and --limit included).  While a cache
+directory is active, each invocation ends by writing one line
 "# cache: H hit(s), M miss(es)" to stderr; stdout does not change.
 
 Exit codes:
@@ -186,27 +190,6 @@ def _cache_from(args) -> DiskCache:
     return DiskCache(Path(root))
 
 
-def _cached_gram(args, ell_or_dg, d):
-    """Gram matrices are cached at matrix granularity as JSON, in the
-    invocation's one cache."""
-    cache = args.cache
-    if isinstance(ell_or_dg, int):
-        label = f"ell={ell_or_dg}"
-        build = lambda: cartan_graded(ell_or_dg, d)  # noqa: E731
-    else:
-        label = ell_or_dg.label()
-        build = lambda: gram_matrix(ell_or_dg, d)  # noqa: E731
-    key = cache.key("grammatrix", label, d)
-    hit = cache.get(key)
-    if hit is not None:
-        from .gram import GramMatrix
-
-        return GramMatrix.from_json(json.loads(hit))
-    g = build()
-    cache.put(key, json.dumps(g.to_json(), sort_keys=True))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -260,11 +243,11 @@ def cmd_gram(args) -> str:
     _require(args, "d")
     if args.ell is not None and args.diagram is None:
         _size_guard(args, pt.u_count(args.ell - 1, args.d))
-        g = _cached_gram(args, args.ell, args.d)
+        g = cartan_graded(args.ell, args.d)
     else:
         dg = _finite_diagram(args)
         _size_guard(args, pt.u_count(dg.nodes, args.d))
-        g = _cached_gram(args, dg, args.d)
+        g = gram_matrix(dg, args.d)
     return _emit(
         args,
         g.to_json(),
@@ -357,11 +340,11 @@ def cmd_verify(args) -> str:
 
         ok = schur_orthonormality(args.nmax)
     elif name == "nformula":
-        ok = True
-        for p_ in range(2, args.pmax + 1):
-            for d_ in range(args.dmax + 1):
-                for s_ in range(1, d_ + 1):
-                    qc.exponent_N(p_ - 1, d_, s_)  # raises on mismatch
+        ok = all(
+            qc.exponent_formulas_agree(p_ - 1, d_)
+            for p_ in range(2, args.pmax + 1)
+            for d_ in range(args.dmax + 1)
+        )
     elif name == "folding":
         _require(args, "diagram")
         td = qc.parse_diagram(args.diagram)
@@ -703,7 +686,11 @@ def _run(args) -> int:
     cache = args.cache
     cache_key = None
     if args.command in ("gram", "det", "table", "twisted"):
-        fields = {k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "cache")}
+        # where the cache lives never changes an output; --force and --limit
+        # stay in the key, so a refused request is never served a forced run
+        fields = {
+            k: v for k, v in vars(args).items() if k not in ("fn", "cache", "cache_dir")
+        }
         cache_key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
         hit = cache.get(cache_key)
         if hit is not None:

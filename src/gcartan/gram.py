@@ -281,14 +281,6 @@ class GramMatrix:
             "entries": [e.to_json() for row in self.entries for e in row],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "GramMatrix":
-        index = tuple(tuple((int(s), int(c)) for s, c in cp) for cp in obj["index"])
-        n = len(index)
-        flat = [LaurentPoly.from_json(e) for e in obj["entries"]]
-        rows = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        return GramMatrix(obj["diagram"], obj["d"], index, rows)
-
 
 class _Assembly:
     """Shared state for building the Gram matrix of one pairing family in
@@ -535,12 +527,12 @@ class _Assembly:
                         dets[s, m] = factor_det(values)
                     else:
                         plus, minus, pairs = split
-                        dets[s, m] = _exact_quotient(
+                        dets[s, m] = _divide_by_int(
                             factor_det(plus) * factor_det(minus), 2**pairs
                         )
                 num = num * dets[s, m] ** (dim // len(f))
             den *= d_block**dim
-        return _exact_quotient(num, den)
+        return _divide_by_int(num, den)
 
     def det(self) -> LaurentPoly:
         """det G = prod over shapes of the Kronecker-factored block
@@ -561,7 +553,7 @@ class _Assembly:
         )
 
 
-def _exact_quotient(x, q: int):
+def _divide_by_int(x, q: int):
     """x / q for an integer or a LaurentPoly x, which q must divide exactly
     (AssertionError otherwise)."""
     if isinstance(x, int):
@@ -569,7 +561,7 @@ def _exact_quotient(x, q: int):
         if r:
             raise AssertionError(f"determinant not divisible by {q}")
         return out
-    return LaurentPoly({e: _exact_quotient(c, q) for e, c in x})
+    return LaurentPoly({e: _divide_by_int(c, q) for e, c in x})
 
 
 def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:

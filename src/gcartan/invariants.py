@@ -241,14 +241,7 @@ def rhs_multiset(kind: str, p: int, r: int, d: int) -> snf_mod.InvariantMultiset
 # ---------------------------------------------------------------------------
 
 
-def _first_diff(a: Counter, b: Counter):
-    for k in sorted(set(a) | set(b), key=repr):
-        if a[k] != b[k]:
-            return k, a[k], b[k]
-    return None
-
-
-def verify_conjcheck(p: int, r: int, dmax: int, explain: bool = False):
+def verify_conjcheck(p: int, r: int, dmax: int) -> bool:
     """prod_s [ell]_s^{N_{ell,d,s}} = prod_{s,lam} I^v_{p,r}(lam)^{u(ell-2,d-s)}
     for every d <= dmax, compared exactly via canonical cyclotomic factorization
     (direct expansion is infeasible at the required exponents)."""
@@ -262,11 +255,11 @@ def verify_conjcheck(p: int, r: int, dmax: int, explain: bool = False):
             for n, s in _graded_hill_factors(p, r, lam):
                 rhs.mul_bracket(n, s, mult)
         if lhs != rhs:
-            return (False, ("d", d, lhs.key(), rhs.key())) if explain else False
-    return (True, None) if explain else True
+            return False
+    return True
 
 
-def verify_tsaigo(p: int, r: int, d: int, u: int, explain: bool = False):
+def verify_tsaigo(p: int, r: int, d: int, u: int) -> bool:
     """The valuation multiset identity: over lam in Par(d), parts n not
     divisible by p^r and 1 <= k <= m_n(lam) with a_p(k) = u, the multisets
     {nu_p(n)} and {nu_p(k) % r} coincide.
@@ -292,11 +285,10 @@ def verify_tsaigo(p: int, r: int, d: int, u: int, explain: bool = False):
                 if ak == u:
                     left[nun] += 1
                     right[nuk % r] += 1
-    ok = left == right
-    return (ok, None if ok else _first_diff(left, right)) if explain else ok
+    return left == right
 
 
-def verify_saigo2(ell: int, n: int, explain: bool = False):
+def verify_saigo2(ell: int, n: int) -> bool:
     """CUT images over all blocks match RED images of class-regular partitions."""
     left: Counter = Counter()
     right: Counter = Counter()
@@ -305,11 +297,10 @@ def verify_saigo2(ell: int, n: int, explain: bool = False):
             left[pt.cut(lam, ell)] += mult
     for lam in pt.enum_class_regular(n, ell):
         right[pt.red(lam, ell)] += 1
-    ok = left == right
-    return (ok, None if ok else _first_diff(left, right)) if explain else ok
+    return left == right
 
 
-def verify_bhmulti(ell: int, n: int, explain: bool = False):
+def verify_bhmulti(ell: int, n: int) -> bool:
     """Bessenrodt-Hill: {r_ell(lam) : lam class-regular} equals the blockwise
     composite Hill multiset."""
     left: Counter = Counter()
@@ -319,11 +310,10 @@ def verify_bhmulti(ell: int, n: int, explain: bool = False):
     for b in pt.blocks(n, ell):
         for lam, mult in _weighted_partitions(ell, b.weight):
             right[composite_hill(ell, lam)] += mult
-    ok = left == right
-    return (ok, None if ok else _first_diff(left, right)) if explain else ok
+    return left == right
 
 
-def verify_conjequiv(p: int, r: int, n: int, explain: bool = False):
+def verify_conjequiv(p: int, r: int, n: int) -> bool:
     """The graded multiset identity: blockwise I^v values equal
     {r^v_{p,r}(lam) : lam class-regular}, as exact Laurent polynomials."""
     ell = p**r
@@ -334,8 +324,7 @@ def verify_conjequiv(p: int, r: int, n: int, explain: bool = False):
             left[graded_hill(p, r, lam)] += mult
     for lam in pt.enum_class_regular(n, ell):
         right[graded_kor(p, r, lam)] += 1
-    ok = left == right
-    return (ok, None if ok else _first_diff(left, right)) if explain else ok
+    return left == right
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,17 @@ bits and five Mersenne primes up to 4423 bits; only a bound past the largest
 takes a product of primes.
 
 Its prime loop, CRT and lift (`_lift`) also serve symmetric integer matrices
-(`_int_det_multimodular`): the Gram determinant at v=1 takes its factors
-that way, 6 times faster than by Bareiss at ell=9, d=4 (0.055 against
-0.34 s).  On a whole Cartan matrix at v=1 Hadamard's bound is far above
-|det| (2047 against 469 bits at ell=7, d=4) and Bareiss is the faster (2.1
-against 2.6 s), so `snf_int` and the command line keep int_det.  Every
-bound is an integer, so no result rests on rounding, and a bound the prime
-table cannot cover raises instead of guessing.
+(`_int_det_multimodular`).  Neither integer determinant wins everywhere, so
+each caller picks the one it uses.  On a whole Cartan matrix C(1) at v=1,
+Bareiss against the kernel took 0.07-0.09/0.02-0.03 s at (ell, d) = (7,3),
+0.18-0.26/0.22-0.26 s at (4,5), 3.2-3.6/8.6-10.5 s at (5,5), 5.2-5.9/8.6-8.8 s
+at (7,4) and 1.9-2.4/17-18 s at (3,8) (two runs each, shared 2-core machine,
+CPython 3.11): there Hadamard's bound is far above |det| (2047 against 469
+bits at (7,4)).  So `snf_int` and the command line keep int_det, while the
+Gram determinant at v=1 takes its factors by the kernel, 6 times faster
+than by Bareiss at (9,4) (0.055 against 0.34 s).  Every bound is an
+integer, so no result rests on rounding, and a bound the prime table cannot
+cover raises instead of guessing.
 """
 
 from __future__ import annotations

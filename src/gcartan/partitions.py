@@ -179,18 +179,6 @@ def blocks(n: int, ell: int) -> tuple[BlockLabel, ...]:
     return tuple(out)
 
 
-def residue_content(b: BlockLabel, p: int) -> dict[int, int]:
-    """The residue multiset beta_{rho,d}: contents of rho's boxes mod p,
-    plus d copies of every residue."""
-    if b.ell != p:
-        raise ValueError("residue modulus must match the block's ell")
-    out = {r: b.weight for r in range(p)}
-    for i, row in enumerate(b.core, start=1):
-        for j in range(1, row + 1):
-            out[(j - i) % p] += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the CUT / INFL / RED / Sort operators and p-adic splittings
 # ---------------------------------------------------------------------------

@@ -146,6 +146,11 @@ def _exponents_multipartition(colors: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def exponent_formulas_agree(colors: int, d: int) -> bool:
+    """Whether the two closed forms of N agree at every step s of degree d."""
+    return _exponents_binomial(colors, d) == _exponents_multipartition(colors, d)
+
+
 def exponent_N(colors: int, d: int, s: int) -> int:
     """The determinant exponent N for `colors` node colors, degree d, step s.
 

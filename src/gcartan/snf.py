@@ -658,13 +658,14 @@ def _complexity(p: LaurentPoly):
     return (max(t) - min(t), len(t), sum(map(abs, t.values())))
 
 
-def _end_reduce(e: LaurentPoly, piv: LaurentPoly) -> tuple[LaurentPoly, bool]:
-    """Shrink e by monomial multiples of piv, working from both exponent ends.
+def _end_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly:
+    """Shrink e by monomial multiples of piv, working from both exponent ends,
+    while each step makes e simpler, and return the sum of those monomials.
 
     Coefficient division is Euclidean (floor quotients, remainders allowed),
     so this also grinds down end coefficients, not just end exponents.
     """
-    changed = False
+    q: dict[int, int] = {}
     guard = 0
     while not e.is_zero and guard < 256:
         guard += 1
@@ -673,26 +674,16 @@ def _end_reduce(e: LaurentPoly, piv: LaurentPoly) -> tuple[LaurentPoly, bool]:
         lo_e, lo_p = min(te), min(tp)
         if hi_e - lo_e < hi_p - lo_p:
             break
-        ch = te[hi_e] // tp[hi_p]
-        if ch:
-            nxt = e - piv.shift(hi_e - hi_p) * ch
-            if _complexity_lt(nxt, e):
-                e = nxt
-                changed = True
-                continue
-        cl = te[lo_e] // tp[lo_p]
-        if cl:
-            nxt = e - piv.shift(lo_e - lo_p) * cl
-            if _complexity_lt(nxt, e):
-                e = nxt
-                changed = True
-                continue
-        break
-    return e, changed
-
-
-def _complexity_lt(a: LaurentPoly, b: LaurentPoly) -> bool:
-    return a.is_zero or _complexity(a) < _complexity(b)
+        for k, c in ((hi_e - hi_p, te[hi_e] // tp[hi_p]), (lo_e - lo_p, te[lo_e] // tp[lo_p])):
+            if c:
+                nxt = e - piv.shift(k) * c
+                if nxt.is_zero or _complexity(nxt) < _complexity(e):
+                    break
+        else:
+            break
+        e = nxt
+        q[k] = q.get(k, 0) + c
+    return LaurentPoly(q)
 
 
 def _reducing_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly | None:
@@ -703,9 +694,8 @@ def _reducing_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly | None:
         return None
     q = divide_exact(e, piv)
     if q is None:
-        r, changed = _end_reduce(e, piv)
-        q = divide_exact(e - r, piv) if changed else None
-    return None if q is None or q.is_zero else q
+        q = _end_quotient(e, piv)
+    return None if q.is_zero else q
 
 
 def _reduce_zlaurent(row: list[LaurentPoly], prow: list[LaurentPoly]):
@@ -753,7 +743,7 @@ def _success_sanity(matrix, diag) -> None:
 
 
 # ---------------------------------------------------------------------------
-# determinantal-ideal gcds
+# polynomial gcd over Q[v,v^-1]
 # ---------------------------------------------------------------------------
 
 

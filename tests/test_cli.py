@@ -84,14 +84,33 @@ class TestGramCommand:
 
 class TestCacheCounts:
     def test_miss_then_hit(self, capsys, cache_dir):
-        # the first run looks up the output and then the matrix, both absent;
-        # the second finds the output
+        # each run looks up its output once: absent the first time, found
+        # the second
         args = ("gram", "--ell", "3", "--d", "2", "--cache-dir", cache_dir)
         code1, out1, err1 = run(capsys, *args)
         code2, out2, err2 = run(capsys, *args)
         assert code1 == code2 == 0 and out1 == out2
-        assert err1 == "# cache: 0 hit(s), 2 miss(es)\n"
+        assert err1 == "# cache: 0 hit(s), 1 miss(es)\n"
         assert err2 == "# cache: 1 hit(s), 0 miss(es)\n"
+
+    def test_key_leaves_out_the_location_but_not_the_guard(self, capsys, cache_dir, monkeypatch):
+        # the cache's location never changes an output, so a trailing slash
+        # or the same path from GCART_CACHE_DIR finds the first run's entry
+        args = ("gram", "--ell", "3", "--d", "2")
+        code1, out1, err1 = run(capsys, *args, "--cache-dir", cache_dir)
+        code2, out2, err2 = run(capsys, *args, "--cache-dir", cache_dir + "/")
+        monkeypatch.setenv("GCART_CACHE_DIR", cache_dir)
+        code3, out3, err3 = run(capsys, *args)
+        assert code1 == code2 == code3 == 0 and out1 == out2 == out3
+        assert err1 == "# cache: 0 hit(s), 1 miss(es)\n"
+        assert err2 == err3 == "# cache: 1 hit(s), 0 miss(es)\n"
+        # --force is in the key: a forced run's entry never answers a request
+        # the size guard refuses
+        args = ("gram", "--ell", "5", "--d", "3", "--limit", "10")
+        code, out, _ = run(capsys, *args, "--force")
+        assert code == 0 and out
+        code, out, err = run(capsys, *args)
+        assert code == 2 and not out and "--force" in err
 
     def test_no_line_without_a_cache(self, capsys):
         code, out, err = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
@@ -196,6 +215,24 @@ class TestVerifyCommand:
     def test_missing_params(self, capsys, cache_dir):
         code, _, err = run(capsys, "verify", "conjcheck", "--p", "2", "--cache-dir", cache_dir)
         assert code == 2 and "missing required" in err
+
+    def test_nformula_disagreement_is_a_verification_failure(self, capsys, cache_dir, monkeypatch):
+        # the command checks that the two closed forms of N agree, so a
+        # disagreement exits 1 with its payload, not 3 as an internal error
+        real = cli.qc._exponents_multipartition
+
+        def off_by_one(colors, d):
+            out = list(real(colors, d))
+            out[-1] += d == 3
+            return tuple(out)
+
+        monkeypatch.setattr(cli.qc, "_exponents_multipartition", off_by_one)
+        code, out, _ = run(
+            capsys, "verify", "nformula", "--pmax", "4", "--dmax", "6", "--cache-dir", cache_dir
+        )
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["ok"] is False and obj["params"] == {"pmax": 4, "dmax": 6}
 
     def test_failure_exit_code(self, capsys, cache_dir, monkeypatch):
         # plumbing test: a failing verifier must yield exit code 1
@@ -426,15 +463,6 @@ class TestTableCommand:
             capsys, "table", "--ell", "3", "--dmax", "2", "--format", "latex", "--cache-dir", cache_dir
         )
         assert code == 0 and "tabular" in out
-
-
-class TestJsonRoundTrips:
-    def test_gram_roundtrip(self, capsys, cache_dir):
-        from gcartan.gram import GramMatrix, gram_matrix
-        from gcartan.qcartan import DynkinDiagram
-
-        g = gram_matrix(DynkinDiagram("A", 2), 2)
-        assert GramMatrix.from_json(json.loads(json.dumps(g.to_json()))) == g
 
 
 class TestOptimisedInterpreter:

@@ -14,7 +14,6 @@ from gcartan import cli, gram
 from gcartan import partitions as pt
 from gcartan.gram import (
     CartanPairing,
-    GramMatrix,
     IdentityPairing,
     _Assembly,
     _reversal,
@@ -174,10 +173,6 @@ class TestGramMatrix:
         bs = block_sum(6, 3)
         assert bs.at_one() == [[sum(c for _, c in e) for e in row] for row in bs.matrix()]
         assert all(not e.is_zero for e in calls)
-
-    def test_json_roundtrip(self):
-        g = gram_matrix(DynkinDiagram("A", 2), 2)
-        assert GramMatrix.from_json(g.to_json()) == g
 
 
 class TestGramDeterminant:

@@ -5,8 +5,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gcartan"
-# where a use of a package function or method may live
-SEARCHED = ("src", "tests", "demos", "perfbench", "bench")
+# where a use of a package function or method may live: a use in tests alone
+# does not keep a definition alive
+SEARCHED = ("src", "demos", "perfbench", "bench")
+# definitions only tests use, kept on purpose as references: each with the
+# test that compares against it
+TEST_REFERENCES = {
+    "gram.y_pair": "test_gram.py::TestYPair::test_examples",
+    "partitions.multipartitions": "test_partitions.py::TestCounting::test_u_count_matches_enumeration",
+    "partitions.has_rim_hook": "test_partitions.py::TestCores::test_idempotent_and_hook_free",
+    "qcartan.DynkinDiagram.classical_det": "test_qcartan.py::TestDiagrams::test_classical_dets",
+    "qlaurent.LaurentPoly.bar": "test_gram.py::TestYPair::test_bar_invariance",
+    "qlaurent.QProduct.expand": "test_qlaurent.py::TestQProduct::test_matches_expansion",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -81,7 +92,16 @@ def test_every_top_level_definition_is_used():
             own = {(path, line) for line in range(fn.lineno, fn.end_lineno + 1)}
             if not attribute_uses.get(fn.name, set()) - own:
                 unused.append(f"{path.stem}.{cls}.{fn.name}")
-    assert not unused, f"defined in src/gcartan but used nowhere: {unused}"
+    unexpected = sorted(set(unused) - set(TEST_REFERENCES))
+    assert not unexpected, f"defined in src/gcartan but used nowhere outside tests: {unexpected}"
+    stale = sorted(set(TEST_REFERENCES) - set(unused))
+    assert not stale, f"used outside tests now, or gone; drop from TEST_REFERENCES: {stale}"
+    for name, test in TEST_REFERENCES.items():
+        file, *path = test.split("::")
+        node = _parse(ROOT / "tests" / file)
+        for part in path:
+            node = next(n for n in node.body if getattr(n, "name", None) == part)
+        assert name.rsplit(".", 1)[-1] in _used_names(node), f"{test} does not use {name}"
 
 
 def _float_uses(path: Path) -> list[tuple[int, str]]:

@@ -179,10 +179,6 @@ class TestIdentityVerifiers:
         assert verify_conjequiv(3, 1, 0)
         assert verify_conjequiv(2, 2, 6)
 
-    def test_explain_mode(self):
-        ok, diff = verify_saigo2(3, 5, explain=True)
-        assert ok and diff is None
-
 
 class TestBunkaito:
     def test_small(self):

@@ -84,15 +84,6 @@ class TestBlocks:
         with pytest.raises(ValueError):
             pt.BlockLabel((2,), 1, 2)  # (2) has a removable 2-hook
 
-    def test_residue_content(self):
-        assert pt.residue_content(pt.BlockLabel((), 1, 2), 2) == {0: 1, 1: 1}
-        assert pt.residue_content(pt.BlockLabel((1,), 0, 3), 3) == {0: 1, 1: 0, 2: 0}
-        # boxes of (3,1) have contents 0, 1, 2, -1
-        assert pt.residue_content(pt.BlockLabel((3, 1), 0, 3), 3) == {0: 1, 1: 1, 2: 2}
-        assert pt.residue_content(pt.BlockLabel((1, 1), 1, 3), 3) == {0: 2, 1: 1, 2: 2}
-        with pytest.raises(ValueError):
-            pt.residue_content(pt.BlockLabel((1,), 0, 3), 2)
-
     def test_json(self):
         b = pt.blocks(5, 3)[0]
         j = b.to_json()
