@@ -56,7 +56,6 @@ from .invariants import (  # noqa: F401
     kor_invariant,
     graded_kor,
     asy_Q,
-    rhs_multiset,
     verify_conjcheck,
     verify_tsaigo,
     verify_saigo2,

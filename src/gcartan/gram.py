@@ -96,7 +96,7 @@ class CartanPairing:
         return self.diagram.label()
 
     def matrix(self, s: int):
-        return quantized_cartan(self.diagram, s).entries
+        return quantized_cartan(self.diagram, s)
 
 
 @dataclass(frozen=True)
@@ -661,9 +661,6 @@ class BlockSum:
                     out[off + i][off + j] = g.entries[i][j]
             off += g.size
         return out
-
-    def at_one(self) -> list[list[int]]:
-        return [[0 if e is ZERO else e.at_one() for e in row] for row in self.matrix()]
 
     def to_json(self) -> dict:
         return {

@@ -35,13 +35,19 @@ from .qlaurent import ONE, LaurentPoly, QProduct, quantum_int
 # ---------------------------------------------------------------------------
 
 
-def hill_invariant(p: int, r: int, lam: pt.Partition) -> int:
-    """I_{p,r}(lam): the power of p with
-    log_p = sum over n not in p^r Z of ((r - nu_p(n)) m_n + sum_t floor(m_n / p^t))."""
+def _check_p_r(p: int, r: int) -> None:
+    """The invariants I_{p,r} and I^v_{p,r} are defined for prime p and
+    r >= 1 only: ValueError otherwise."""
     if not pt.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if r < 1:
         raise ValueError("r must be >= 1")
+
+
+def hill_invariant(p: int, r: int, lam: pt.Partition) -> int:
+    """I_{p,r}(lam): the power of p with
+    log_p = sum over n not in p^r Z of ((r - nu_p(n)) m_n + sum_t floor(m_n / p^t))."""
+    _check_p_r(p, r)
     ell = p**r
     e = 0
     for n, m in pt.mults(lam).items():
@@ -72,10 +78,7 @@ def _graded_hill_factors(p: int, r: int, lam: pt.Partition) -> tuple[tuple[int, 
 def graded_hill(p: int, r: int, lam: pt.Partition) -> LaurentPoly:
     """I^v_{p,r}(lam) = prod over n not in p^r Z, 1 <= k <= m_n(lam) of
     [p^{r + nu_p(k) - nu_p(n)}]_{a_p(k) p^{nu_p(n)}}.  At v=1 this is I_{p,r}."""
-    if not pt.is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _check_p_r(p, r)
     # dense coefficients from v^low up; [n]_s = sum_{t<n} v^{(n-1)s - 2ts}
     # makes each new coefficient the sum of a window of n old ones spaced 2s
     # apart, formed as a difference of running sums along each class mod 2s
@@ -123,10 +126,7 @@ def graded_kor(p: int, r: int, lam: pt.Partition) -> LaurentPoly:
     such parts anyway); with this reading the identity
     r^v_{p,r} = I^v_{p,r} o RED_ell holds for every partition.
     """
-    if not pt.is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _check_p_r(p, r)
     ell = p**r
     out = ONE
     for k, m in sorted(pt.mults(lam).items()):
@@ -223,19 +223,6 @@ def bracket_product_values(ell: int, d: int) -> list[LaurentPoly]:
     return out
 
 
-def rhs_multiset(kind: str, p: int, r: int, d: int) -> snf_mod.InvariantMultiset:
-    """The conjectured invariant multiset in canonical form.
-
-    Cardinality equals the matrix dimension u(p^r - 1, d); the s=0 boundary
-    contributes u(p^r - 2, d) unit invariants.
-    """
-    if kind == "Hill":
-        return snf_mod.InvariantMultiset.integers(hill_values(p, r, d))
-    if kind == "GradedHill":
-        return snf_mod.InvariantMultiset.polys(graded_hill_values(p, r, d), snf_mod.RING_ZLAURENT)
-    raise ValueError(f"unknown multiset kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # identity verifiers
 # ---------------------------------------------------------------------------
@@ -245,6 +232,7 @@ def verify_conjcheck(p: int, r: int, dmax: int) -> bool:
     """prod_s [ell]_s^{N_{ell,d,s}} = prod_{s,lam} I^v_{p,r}(lam)^{u(ell-2,d-s)}
     for every d <= dmax, compared exactly via canonical cyclotomic factorization
     (direct expansion is infeasible at the required exponents)."""
+    _check_p_r(p, r)
     ell = p**r
     for d in range(dmax + 1):
         lhs = QProduct()
@@ -268,8 +256,7 @@ def verify_tsaigo(p: int, r: int, d: int, u: int) -> bool:
     through the CUT_{p^r} multiset (which removes them), and the identity is
     false without the exclusion.
     """
-    if not pt.is_prime(p):
-        raise ValueError("p must be prime")
+    _check_p_r(p, r)
     if u < 1 or u % p == 0:
         raise ValueError("u must be a positive integer not divisible by p")
     ell = p**r

@@ -59,14 +59,20 @@ PRIMES = tuple(
 )
 
 
+def _require_square(matrix: Sequence[Sequence]) -> int:
+    """The row count of matrix, which must be square (ValueError if not)."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    return n
+
+
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by Bareiss elimination."""
-    n = len(matrix)
+    n = _require_square(matrix)
     if n == 0:
         return 1
     m = [list(map(int, row)) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -116,11 +122,8 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     whose product exceeds 2B, combined by CRT.  Each coefficient is lifted to
     the symmetric range.  A bound beyond the table raises ArithmeticError.
     """
-    n = len(matrix)
-    if n == 0:
+    if not _require_square(matrix):
         return ONE
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
     bar = all(e.is_bar_invariant() for row in matrix for e in row)
     lows = []
     step = 0
@@ -162,9 +165,7 @@ def _int_det_multimodular(matrix: Sequence[Sequence[int]]) -> int:
     (`_sym_det_mod`) modulo the table primes that Hadamard's bound
     B^2 = prod_rows sum_j m_ij^2 asks for, CRT and a symmetric lift.  A zero
     row gives 0; a matrix that is not symmetric raises ValueError."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
+    n = _require_square(matrix)
     if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
     bound_sq = 1

@@ -28,15 +28,6 @@ def partition(parts: Iterable[int]) -> Partition:
     return t
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
-def mult(lam: Partition, k: int) -> int:
-    """m_k(lam): the number of parts equal to k."""
-    return sum(1 for p in lam if p == k)
-
-
 def mults(lam: Partition) -> dict[int, int]:
     out: dict[int, int] = {}
     for p in lam:
@@ -157,10 +148,6 @@ class BlockLabel:
             raise ValueError(f"{self.core} is not a {self.ell}-core")
         if self.weight < 0:
             raise ValueError("weight must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return size(self.core) + self.ell * self.weight
 
     def to_json(self) -> dict:
         return {"core": list(self.core), "weight": self.weight, "ell": self.ell}

@@ -85,26 +85,17 @@ def type_a(ell: int) -> DynkinDiagram:
     return DynkinDiagram("A", ell - 1)
 
 
-@dataclass(frozen=True)
-class QuantizedCartan:
-    """[X]_s = ([a_ij]_s): entrywise quantum integers of the Cartan matrix."""
-
-    base: DynkinDiagram
-    s: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def quantized_cartan(dg: DynkinDiagram, s: int) -> QuantizedCartan:
-    a = dg.cartan_matrix()
-    rows = tuple(tuple(quantum_int(x, s) for x in row) for row in a)
-    return QuantizedCartan(dg, s, rows)
+def quantized_cartan(dg: DynkinDiagram, s: int) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of [X]_s = ([a_ij]_s): entrywise quantum integers of the
+    Cartan matrix."""
+    return tuple(tuple(quantum_int(x, s) for x in row) for row in dg.cartan_matrix())
 
 
 @lru_cache(maxsize=None)
 def det_quantized(dg: DynkinDiagram, s: int) -> LaurentPoly:
     """det [X]_s, exactly."""
-    return laurent_det(quantized_cartan(dg, s).entries)
+    return laurent_det(quantized_cartan(dg, s))
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +104,21 @@ def det_quantized(dg: DynkinDiagram, s: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _exponents_binomial(colors: int, d: int) -> tuple[int, ...]:
+def _exponents_binomial(f: tuple[int, ...], d: int) -> tuple[int, ...]:
     # N_s = sum over partitions lam of d of
-    #       (m_s(lam)/colors) * prod_u C(m_u + colors - 1, m_u),
-    # computed in the rearranged integer form
-    #       C(m_s + colors - 1, m_s - 1) * prod_{u != s} C(m_u + colors - 1, m_u).
+    #       (m_s(lam)/f_s) * prod_u C(m_u + f_u - 1, m_u),
+    # with f_u = f[u - 1] >= 1 colors for the parts of size u, computed in the
+    # rearranged integer form
+    #       C(m_s + f_s - 1, m_s - 1) * prod_{u != s} C(m_u + f_u - 1, m_u).
     out = [0] * (d + 1)
     for lam in pt.enum_partitions(d):
         ms = pt.mults(lam)
         full = 1
-        for m in ms.values():
-            full *= math.comb(m + colors - 1, m)
+        for u, m in ms.items():
+            full *= math.comb(m + f[u - 1] - 1, m)
         for s, m in ms.items():
-            term = math.comb(m + colors - 1, m - 1)
-            rest = full // math.comb(m + colors - 1, m)
-            out[s] += term * rest
+            top = m + f[s - 1] - 1
+            out[s] += math.comb(top, m - 1) * (full // math.comb(top, m))
     return tuple(out)
 
 
@@ -148,7 +139,7 @@ def _exponents_multipartition(colors: int, d: int) -> tuple[int, ...]:
 
 def exponent_formulas_agree(colors: int, d: int) -> bool:
     """Whether the two closed forms of N agree at every step s of degree d."""
-    return _exponents_binomial(colors, d) == _exponents_multipartition(colors, d)
+    return _exponents_binomial((colors,) * d, d) == _exponents_multipartition(colors, d)
 
 
 def exponent_N(colors: int, d: int, s: int) -> int:
@@ -166,7 +157,7 @@ def exponent_N(colors: int, d: int, s: int) -> int:
         raise ValueError("s must be >= 1")
     if s > d:
         return 0
-    a = _exponents_binomial(colors, d)[s]
+    a = _exponents_binomial((colors,) * d, d)[s]
     b = _exponents_multipartition(colors, d)[s]
     if a != b:
         raise AssertionError(
@@ -175,14 +166,19 @@ def exponent_N(colors: int, d: int, s: int) -> int:
     return a
 
 
+def _power_product(factor, exponents) -> LaurentPoly:
+    """prod_{s=1}^{d} factor(s)^{exponents[s - 1]}, skipping zero exponents."""
+    out = ONE
+    for s, n in enumerate(exponents, 1):
+        if n:
+            out = out * factor(s) ** n
+    return out
+
+
 def shapovalov_det_formula(dg: DynkinDiagram, d: int) -> LaurentPoly:
     """prod_{s=1}^{d} (det [X]_s)^{N_{|I|,d,s}} as an explicit Laurent polynomial."""
-    out = ONE
-    for s in range(1, d + 1):
-        n = exponent_N(dg.nodes, d, s)
-        if n:
-            out = out * det_quantized(dg, s) ** n
-    return out
+    exponents = [exponent_N(dg.nodes, d, s) for s in range(1, d + 1)]
+    return _power_product(lambda s: det_quantized(dg, s), exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +310,6 @@ class TwistedDiagram:
             return (1, 3)
         raise ValueError("A^(2)_{2n} has no folding data here")
 
-    def label(self) -> str:
-        return {
-            "A2_odd": f"tA2:{self.n}",
-            "A2_even": f"tA2e:{self.n}",
-            "D2": f"tD2:{self.n}",
-            "E6_2": "tE6",
-            "D4_3": "tD4",
-        }[self.kind]
-
     def __str__(self) -> str:
         return {
             "A2_odd": f"A^(2)_{2 * self.n - 1}",
@@ -333,35 +320,16 @@ class TwistedDiagram:
         }[self.kind]
 
 
-def twisted_exponent(td: TwistedDiagram, d: int, s: int) -> int:
-    """N_{X,d,s} = sum_lam (m_s(lam)/f_s) prod_i C(f_i - 1 + m_i, m_i)."""
-    if s > d:
-        return 0
-    out = 0
-    for lam in pt.enum_partitions(d):
-        ms = pt.mults(lam)
-        if s not in ms:
-            continue
-        term = math.comb(td.f(s) - 1 + ms[s], ms[s] - 1)
-        for i, m in ms.items():
-            if i != s:
-                term *= math.comb(td.f(i) - 1 + m, m)
-        out += term
-    return out
-
-
 def twisted_det_formula(td: TwistedDiagram, d: int) -> LaurentPoly:
-    """The CONJECTURAL twisted determinant prod_{s=1}^{d} gamma_{X,s}^{N_{X,d,s}}.
+    """The CONJECTURAL twisted determinant prod_{s=1}^{d} gamma_{X,s}^{N_{X,d,s}},
+    where N_{X,d,s} = sum_lam (m_s(lam)/f_s) prod_i C(f_i - 1 + m_i, m_i) is
+    the binomial exponent sum with f_i = f_{X,i}.
 
     This evaluates a conjectured closed formula; no twisted Gram matrix is
     computed anywhere in this package.
     """
-    out = ONE
-    for s in range(1, d + 1):
-        n = twisted_exponent(td, d, s)
-        if n:
-            out = out * td.gamma(s) ** n
-    return out
+    f = tuple(td.f(i) for i in range(1, d + 1))
+    return _power_product(td.gamma, _exponents_binomial(f, d)[1:])
 
 
 def folding_det_check(td: TwistedDiagram, t: int) -> bool:

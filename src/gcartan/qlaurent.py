@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
@@ -30,13 +29,7 @@ class LaurentPoly:
             for e, c in terms.items():
                 if not isinstance(e, int):
                     raise TypeError(f"exponent {e!r} is not an integer")
-                if type(c) is int:
-                    pass  # the common case; Fraction's ABC check is slow
-                elif isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise TypeError(f"coefficient {c} is not an integer")
-                    c = c.numerator
-                elif not isinstance(c, int):
+                if not isinstance(c, int):
                     raise TypeError(f"coefficient {c!r} is not an integer")
                 if c:
                     t[e] = c
@@ -256,7 +249,6 @@ def _coerce_int_poly(x):
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-V = LaurentPoly({1: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
 
-from .linalg import int_det
+from .linalg import _require_square, int_det
 from .partitions import is_prime, p_adic_split
 from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit, sub_product
 
@@ -69,12 +69,6 @@ class InvariantMultiset:
     elements: tuple
 
     @staticmethod
-    def integers(values: Sequence[int]) -> "InvariantMultiset":
-        return InvariantMultiset(
-            RING_ZINT, tuple(sorted((abs(v) for v in values), key=lambda v: (v == 0, v)))
-        )
-
-    @staticmethod
     def polys(values: Sequence[LaurentPoly], ring: str = RING_QLAURENT) -> "InvariantMultiset":
         primitive = ring == RING_QLAURENT
         canon = [canonical_poly(v, primitive=primitive) if v else ZERO for v in values]
@@ -100,14 +94,6 @@ def multiset_equal_up_to_units(a: InvariantMultiset, b: InvariantMultiset) -> bo
 # ---------------------------------------------------------------------------
 # the shared elimination loop
 # ---------------------------------------------------------------------------
-
-
-def _require_square(matrix: Sequence[Sequence]) -> int:
-    """The row count of matrix, which must be square (ValueError if not)."""
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise ValueError("matrix must be square")
-    return n
 
 
 def _clear_column(m: list[list], reduce) -> bool:

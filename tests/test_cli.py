@@ -158,6 +158,20 @@ class TestDetCommand:
         assert LaurentPoly.from_json(obj["value"]) == quantum_int(2) ** 2 * quantum_int(2, 2)
         assert obj["check"] == {"gram_det_equals_formula": True}
 
+    def test_check_mismatch(self, capsys, cache_dir, monkeypatch):
+        # a Gram determinant that differs from the closed formula exits 1
+        # with both in the payload and the pair on stderr
+        monkeypatch.setattr(cli, "gram_det", lambda dg, d: LaurentPoly.const(3))
+        code, out, err = run(
+            capsys, "det", "--ell", "2", "--d", "2", "--check", "--cache-dir", cache_dir
+        )
+        assert code == 1
+        check = json.loads(out)["check"]
+        assert check["gram_det_equals_formula"] is False
+        assert LaurentPoly.from_json(check["gram_det"]) == LaurentPoly.const(3)
+        formula = quantum_int(2) ** 2 * quantum_int(2, 2)
+        assert f"determinant mismatch:\n  formula: {formula}\n  gram:    3\n" in err
+
     def test_e8(self, capsys, cache_dir):
         from gcartan.qlaurent import cyclotomic
 
@@ -233,6 +247,20 @@ class TestVerifyCommand:
         assert code == 1
         obj = json.loads(out)
         assert obj["ok"] is False and obj["params"] == {"pmax": 4, "dmax": 6}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("conjcheck", "--p", "4", "--r", "1", "--dmax", "4"), "p must be prime, got 4"),
+            (("conjcheck", "--p", "6", "--r", "1", "--dmax", "4"), "p must be prime, got 6"),
+            (("tsaigo", "--p", "2", "--r", "0", "--d", "5", "--u", "1"), "r must be >= 1"),
+            (("tsaigo", "--p", "2", "--r", "-1", "--d", "5", "--u", "1"), "r must be >= 1"),
+        ],
+    )
+    def test_out_of_range_p_r_is_usage(self, capsys, cache_dir, argv, message):
+        # I^v_{p,r} is defined for prime p and r >= 1 only
+        code, out, err = run(capsys, "verify", *argv, "--cache-dir", cache_dir)
+        assert code == 2 and not out and message in err
 
     def test_failure_exit_code(self, capsys, cache_dir, monkeypatch):
         # plumbing test: a failing verifier must yield exit code 1
@@ -437,6 +465,21 @@ class TestInvariantsCommand:
         rows = {r["provenance"]: r for r in json.loads(out)["invariants"]}
         assert set(rows) == {"KOR", "Hill", "ASY"}
 
+    def test_csv(self, capsys, cache_dir):
+        code, out, _ = run(
+            capsys,
+            "invariants", "--p", "2", "--r", "1", "--partition", "1,1", "--format", "csv",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 0
+        assert out == (
+            "Hill,8\n"
+            "GradedHill,1*v^4 + 2*v^2 + 2*v^0 + 2*v^-2 + 1*v^-4\n"
+            "KOR,2\n"
+            "GradedKOR,1*v^1 + 1*v^-1\n"
+            "ASY,1*v^4 + 2*v^2 + 2*v^0 + 2*v^-2 + 1*v^-4\n"
+        )
+
 
 class TestReportCommand:
     def test_report(self, capsys, cache_dir):
@@ -463,6 +506,19 @@ class TestTableCommand:
             capsys, "table", "--ell", "3", "--dmax", "2", "--format", "latex", "--cache-dir", cache_dir
         )
         assert code == 0 and "tabular" in out
+
+    def test_csv(self, capsys, cache_dir):
+        code, out, _ = run(
+            capsys, "table", "--ell", "2", "--dmax", "3", "--format", "csv", "--cache-dir", cache_dir
+        )
+        assert code == 0
+        assert out == (
+            "d,dimension,determinant\n"
+            "0,1,1\n"
+            "1,1,([2])^1\n"
+            "2,2,([2])^2 ([2]_{2})^1\n"
+            "3,3,([2])^4 ([2]_{2})^1 ([2]_{3})^1\n"
+        )
 
 
 class TestOptimisedInterpreter:

@@ -57,6 +57,67 @@ def _searched_modules():
             yield path, _parse(path)
 
 
+# a function, lambda or comprehension: a name it binds shadows a definition
+# of the package inside it
+_SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def _bound_names(scope: ast.AST) -> set[str]:
+    """The names a scope binds: its parameters, and every assignment, loop,
+    with, except or comprehension target and nested definition in its body
+    outside nested scopes."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        out = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x}
+        todo = [scope.body] if isinstance(scope, ast.Lambda) else list(scope.body)
+    else:
+        out, todo = set(), [g.target for g in scope.generators]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif not isinstance(node, _SCOPES):
+            if isinstance(node, ast.ExceptHandler) and node.name:
+                out.add(node.name)
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _reads(node: ast.AST, strings: bool, bound: frozenset = frozenset()):
+    """(kind, identifier, line) for every read in node that may name a
+    definition of the package: an attribute ("attr"), an imported name
+    ("import"), a bare name that no enclosing scope binds ("name") and, where
+    `strings`, a string constant ("str")."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield "name", node.id, node.lineno
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield "attr", node.attr, node.lineno
+    elif isinstance(node, ast.alias):
+        yield "import", node.name.rsplit(".", 1)[-1], node.lineno
+    elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield "str", node.value, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, strings, bound)
+
+
+def _top_level_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function or class, or the
+    names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _public_methods(module: ast.Module):
     """(class name, method) for every public method of a top-level class."""
     for cls in module.body:
@@ -67,27 +128,37 @@ def _public_methods(module: ast.Module):
 
 
 def test_every_top_level_definition_is_used():
-    # a use inside the definition itself (recursion) does not count.  A
-    # public method is used where it is read as an attribute or named in a
-    # string (getattr, monkeypatch.setattr)
+    # Every function, class and module constant of src/gcartan, and every
+    # public method of its classes, must be read outside itself and outside
+    # tests.  What counts as a read:
+    # - an attribute, or a name in an import, except the re-exports of
+    #   __init__.py, which only publish a name;
+    # - a bare name, unless an enclosing function, lambda or comprehension
+    #   binds that name (parameter, assignment, loop or comprehension target),
+    #   so a local `mult` does not keep a function `mult` alive;
+    # - a string constant under perfbench/ and bench/ only, where the spans and
+    #   the stage bench look functions up by name.
+    # A method counts only attribute and string reads.  Its name is not tied
+    # to its class: two classes that define one method name keep each other
+    # alive, so a method that only its namesake's callers read passes here.
     uses: dict[str, set[tuple[Path, int]]] = {}
     attribute_uses: dict[str, set[tuple[Path, int]]] = {}
     for path, module in _searched_modules():
+        strings = path.relative_to(ROOT).parts[0] in ("perfbench", "bench")
         for k, stmt in enumerate(module.body):
-            for name in _used_names(stmt):
+            if path == PACKAGE / "__init__.py" and isinstance(stmt, ast.ImportFrom):
+                continue
+            for kind, name, line in _reads(stmt, strings):
                 uses.setdefault(name, set()).add((path, k))
-        for node in ast.walk(module):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attribute_uses.setdefault(node.attr, set()).add((path, node.lineno))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                attribute_uses.setdefault(node.value, set()).add((path, node.lineno))
+                if kind in ("attr", "str"):
+                    attribute_uses.setdefault(name, set()).add((path, line))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = _parse(path)
         for k, stmt in enumerate(module.body):
-            defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            if isinstance(stmt, defs) and not uses.get(stmt.name, set()) - {(path, k)}:
-                unused.append(f"{path.stem}.{stmt.name}")
+            for name in _top_level_names(stmt):
+                if not uses.get(name, set()) - {(path, k)}:
+                    unused.append(f"{path.stem}.{name}")
         for cls, fn in _public_methods(module):
             own = {(path, line) for line in range(fn.lineno, fn.end_lineno + 1)}
             if not attribute_uses.get(fn.name, set()) - own:
@@ -102,6 +173,15 @@ def test_every_top_level_definition_is_used():
         for part in path:
             node = next(n for n in node.body if getattr(n, "name", None) == part)
         assert name.rsplit(".", 1)[-1] in _used_names(node), f"{test} does not use {name}"
+
+
+def test_bound_names_and_strings_are_not_reads():
+    # the guard's own rules, on a function that binds `mult` as a parameter,
+    # `size` as a loop target and `n` as a comprehension target
+    code = "def f(mult):\n    for size in part:\n        g([n for n in mult], size, 'h')\n"
+    stmt = ast.parse(code).body[0]
+    assert {name for _, name, _ in _reads(stmt, False)} == {"part", "g"}
+    assert {name for _, name, _ in _reads(stmt, True)} == {"part", "g", "h"}
 
 
 def _float_uses(path: Path) -> list[tuple[int, str]]:

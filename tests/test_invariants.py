@@ -17,7 +17,6 @@ from gcartan.invariants import (
     hill_invariant,
     hill_values,
     kor_invariant,
-    rhs_multiset,
     verify_bhmulti,
     verify_conjcheck,
     verify_conjequiv,
@@ -119,11 +118,9 @@ class TestAsy:
 
 class TestMultisets:
     def test_rhs_examples(self):
-        ms = rhs_multiset("GradedHill", 2, 1, 1)
-        assert len(ms) == 1
-        ms0 = rhs_multiset("GradedHill", 3, 1, 0)
-        assert len(ms0) == 1  # the 0x0... weight-0 block is 1-dimensional
-        assert rhs_multiset("Hill", 2, 1, 2).elements == (1, 8)
+        assert graded_hill_values(2, 1, 1) == [quantum_int(2)]
+        assert graded_hill_values(3, 1, 0) == [ONE]  # the weight-0 block is 1-dimensional
+        assert sorted(hill_values(2, 1, 2)) == [1, 8]
 
     def test_cardinality_matches_dimension(self):
         # |multiset| = u(ell-1, d): necessary for any equivalence claim
@@ -292,6 +289,37 @@ class TestConjectureReport:
         rep = conjecture_report(3, 1, 3)
         assert rep.layer("determinant").status == "FAILED"
         assert rep.layer("integer-invariants").status == "VERIFIED"
+
+    def test_other_diagonal_is_consistent(self, monkeypatch):
+        # Z[v,v^-1] is not a PID, so a diagonal other than the conjectured
+        # representative refutes nothing
+        real = snf.try_diagonalize_zlaurent
+
+        def other_diagonal(matrix, budget):
+            res = real(matrix, budget=budget)
+            ones = snf.InvariantMultiset.polys([ONE] * len(matrix), snf.RING_ZLAURENT)
+            return snf.DiagonalizationResult(res.status, ones, res.steps, res.stopped)
+
+        monkeypatch.setattr(snf, "try_diagonalize_zlaurent", other_diagonal)
+        rep = conjecture_report(2, 1, 2)
+        assert [lay.status for lay in rep.layers] == ["VERIFIED"] * 3 + ["CONSISTENT"]
+        lay = rep.layer("integral-diagonalization")
+        assert lay.details["stopped"] == "cleared" and lay.details["multiset_match"] is False
+        assert lay.details["note"] == "diagonal found but not the conjectured representative"
+
+    def test_stop_after_a_failed_layer_is_inconclusive(self, monkeypatch):
+        # a stalled diagonalizer is CONSISTENT only while the field and v=1
+        # layers hold; here the field layer's theorem check fails
+        monkeypatch.setattr(
+            invariants, "bracket_product_values", lambda ell, d: [ONE] * pt.u_count(ell - 1, d)
+        )
+        rep = conjecture_report(3, 1, 3)
+        assert [lay.status for lay in rep.layers] == [
+            "VERIFIED", "FAILED", "VERIFIED", "INCONCLUSIVE"
+        ]
+        lay = rep.layer("integral-diagonalization")
+        assert lay.details["stopped"] == "stalled"
+        assert lay.details["note"] == invariants._DIAG_STOPS["stalled"]
 
 
 def test_graded_invariant_record():

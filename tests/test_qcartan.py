@@ -95,14 +95,14 @@ class TestDiagrams:
 class TestQuantizedCartan:
     def test_entries(self):
         q = quantized_cartan(DynkinDiagram("A", 2), 2)
-        assert q.entries[0][0] == quantum_int(2, 2)
-        assert q.entries[0][1] == -ONE
+        assert q[0][0] == quantum_int(2, 2)
+        assert q[0][1] == -ONE
 
     def test_at_one_is_classical(self):
         for dg in (DynkinDiagram("A", 3), DynkinDiagram("D", 5), DynkinDiagram("E", 6)):
             for s in (1, 3):
                 q = quantized_cartan(dg, s)
-                assert [[e.at_one() for e in row] for row in q.entries] == [
+                assert [[e.at_one() for e in row] for row in q] == [
                     list(r) for r in dg.cartan_matrix()
                 ]
 

@@ -645,13 +645,13 @@ class TestMultisets:
         assert multiset_equal_up_to_units(x, y)
 
     def test_ring_mismatch(self):
-        a = InvariantMultiset.integers([1, 2])
+        a = snf_int_diagonal([1, 2])
         b = InvariantMultiset.polys([ONE], RING_QLAURENT)
         with pytest.raises(ValueError):
             multiset_equal_up_to_units(a, b)
 
     def test_json(self):
-        a = InvariantMultiset.integers([2, 1])
+        a = snf_int_diagonal([2, 1])
         assert a.to_json() == {"ring": RING_ZINT, "elements": ["1", "2"]}
         b = InvariantMultiset.polys([quantum_int(2)], RING_ZLAURENT)
         assert b.to_json()["ring"] == RING_ZLAURENT
