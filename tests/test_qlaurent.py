@@ -36,11 +36,16 @@ class TestRingBasics:
         with pytest.raises(TypeError):
             LaurentPoly({0: Fraction(1, 2)})
         with pytest.raises(TypeError):
-            LaurentPoly({0: Fraction(4, 2)})
-        with pytest.raises(TypeError):
             LaurentPoly({0: 2.0})
         with pytest.raises(TypeError):
             LaurentPoly({1.0: 1})
+
+    def test_rejects_integral_fractions(self):
+        # Coefficients are exact ints; a Fraction is refused even when integral.
+        with pytest.raises(TypeError):
+            LaurentPoly({0: Fraction(4, 2)})
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 1, 1: Fraction(0, 3)})
 
     def test_equality_is_term_equality(self):
         assert LaurentPoly({1: 1, -1: 1}) == LaurentPoly({-1: 1, 1: 1})
