@@ -370,14 +370,15 @@ def cmd_verify(args) -> str:
 def cmd_irred(args) -> str:
     _require(args, "ell")
     dg = _finite_diagram(args)
-    closed = qc.irreducible_at(dg, args.ell, "closed_form")
-    payload = {"diagram": dg.label(), "ell": args.ell, "irreducible": closed, "mode": args.mode}
-    if args.mode in ("exact", "both"):
+    # both reports the closed form and cross-checks it against the exact test
+    value = qc.irreducible_at(dg, args.ell, "exact" if args.mode == "exact" else "closed_form")
+    payload = {"diagram": dg.label(), "ell": args.ell, "irreducible": value, "mode": args.mode}
+    if args.mode == "both":
         exact = qc.irreducible_at(dg, args.ell, "exact")
-        payload["modes"] = {"closed_form": closed, "exact": exact}
-        if exact != closed:
+        payload["modes"] = {"closed_form": value, "exact": exact}
+        if exact != value:
             raise VerificationFailure(_emit(args, payload))
-    return _emit(args, payload, csv_fn=lambda out: out.write(f"{dg.label()},{args.ell},{closed}\n"))
+    return _emit(args, payload, csv_fn=lambda out: out.write(f"{dg.label()},{args.ell},{value}\n"))
 
 
 def cmd_twisted(args) -> str:

@@ -27,7 +27,7 @@ from . import partitions as pt
 from . import snf as snf_mod
 from .gram import cartan_graded, gram_det, gram_field_invariants
 from .qcartan import exponent_N, type_a
-from .qlaurent import ONE, LaurentPoly, QProduct, quantum_int
+from .qlaurent import ONE, LaurentPoly, QProduct, bracket_product
 
 
 # ---------------------------------------------------------------------------
@@ -77,22 +77,11 @@ def _graded_hill_factors(p: int, r: int, lam: pt.Partition) -> tuple[tuple[int, 
 
 def graded_hill(p: int, r: int, lam: pt.Partition) -> LaurentPoly:
     """I^v_{p,r}(lam) = prod over n not in p^r Z, 1 <= k <= m_n(lam) of
-    [p^{r + nu_p(k) - nu_p(n)}]_{a_p(k) p^{nu_p(n)}}.  At v=1 this is I_{p,r}."""
+    [p^{r + nu_p(k) - nu_p(n)}]_{a_p(k) p^{nu_p(n)}}, expanded by
+    `bracket_product` from the same factors `verify_conjcheck` compares in
+    factored form.  At v=1 this is I_{p,r}."""
     _check_p_r(p, r)
-    # dense coefficients from v^low up; [n]_s = sum_{t<n} v^{(n-1)s - 2ts}
-    # makes each new coefficient the sum of a window of n old ones spaced 2s
-    # apart, formed as a difference of running sums along each class mod 2s
-    low = 0
-    coeffs = [1]
-    for n, s in _graded_hill_factors(p, r, lam):
-        step = 2 * s
-        low -= (n - 1) * s
-        coeffs += [0] * ((n - 1) * step)
-        for i in range(step, len(coeffs)):
-            coeffs[i] += coeffs[i - step]
-        for i in range(len(coeffs) - 1, n * step - 1, -1):
-            coeffs[i] -= coeffs[i - n * step]
-    return LaurentPoly({low + i: c for i, c in enumerate(coeffs) if c})
+    return bracket_product(_graded_hill_factors(p, r, lam))
 
 
 def kor_invariant(ell: int, lam: pt.Partition) -> int:
@@ -128,15 +117,15 @@ def graded_kor(p: int, r: int, lam: pt.Partition) -> LaurentPoly:
     """
     _check_p_r(p, r)
     ell = p**r
-    out = ONE
-    for k, m in sorted(pt.mults(lam).items()):
+    factors = []
+    for k, m in pt.mults(lam).items():
         if k % ell == 0:
             continue
         nuk = pt.p_adic_split(k, p)[1]
         for t in range(1, m // ell + 1):
             at, nut = pt.p_adic_split(t, p)
-            out = out * quantum_int(p ** (r - nuk + nut), at * p**nuk)
-    return out
+            factors.append((p ** (r - nuk + nut), at * p**nuk))
+    return bracket_product(factors)
 
 
 def asy_Q(ell: int, lam: pt.Partition) -> LaurentPoly:
@@ -144,14 +133,14 @@ def asy_Q(ell: int, lam: pt.Partition) -> LaurentPoly:
     [ell^{1 + nu_ell(k)}]_{a_ell(k)}."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    out = ONE
-    for n, m in sorted(pt.mults(lam).items()):
+    factors = []
+    for n, m in pt.mults(lam).items():
         if n % ell == 0:
             continue
         for k in range(1, m + 1):
             ak, nuk = pt.p_adic_split(k, ell)
-            out = out * quantum_int(ell ** (1 + nuk), ak)
-    return out
+            factors.append((ell ** (1 + nuk), ak))
+    return bracket_product(factors)
 
 
 def composite_hill(ell: int, lam: pt.Partition) -> int:
@@ -195,32 +184,27 @@ def _weighted_partitions(ell: int, d: int) -> Iterator[tuple[pt.Partition, int]]
                 yield lam, mult
 
 
-def graded_hill_values(p: int, r: int, d: int) -> list[LaurentPoly]:
-    """The conjectured diagonal entries for C^v_{p^r, d}, with multiplicity."""
-    ell = p**r
+def _weighted_values(value, ell: int, d: int) -> list:
+    """value(lam) for each (lam, mult) of `_weighted_partitions`, repeated
+    mult times."""
     out = []
     for lam, mult in _weighted_partitions(ell, d):
-        out.extend([graded_hill(p, r, lam)] * mult)
+        out.extend([value(lam)] * mult)
     return out
+
+
+def graded_hill_values(p: int, r: int, d: int) -> list[LaurentPoly]:
+    """The conjectured diagonal entries for C^v_{p^r, d}, with multiplicity."""
+    return _weighted_values(lambda lam: graded_hill(p, r, lam), p**r, d)
 
 
 def hill_values(p: int, r: int, d: int) -> list[int]:
-    ell = p**r
-    out = []
-    for lam, mult in _weighted_partitions(ell, d):
-        out.extend([hill_invariant(p, r, lam)] * mult)
-    return out
+    return _weighted_values(lambda lam: hill_invariant(p, r, lam), p**r, d)
 
 
 def bracket_product_values(ell: int, d: int) -> list[LaurentPoly]:
     """The theorem-backed field-ring diagonal: prod_i [ell]_i^{m_i(lam)}."""
-    out = []
-    for lam, mult in _weighted_partitions(ell, d):
-        v = ONE
-        for i, m in pt.mults(lam).items():
-            v = v * quantum_int(ell, i) ** m
-        out.extend([v] * mult)
-    return out
+    return _weighted_values(lambda lam: bracket_product((ell, i) for i in lam), ell, d)
 
 
 # ---------------------------------------------------------------------------
@@ -275,43 +259,39 @@ def verify_tsaigo(p: int, r: int, d: int, u: int) -> bool:
     return left == right
 
 
-def verify_saigo2(ell: int, n: int) -> bool:
-    """CUT images over all blocks match RED images of class-regular partitions."""
+def _blockwise_equals_class_regular(ell: int, n: int, blockwise, class_regular) -> bool:
+    """Whether {blockwise(lam)} over the weighted partitions of every block of
+    rank n equals {class_regular(lam) : lam in CRP_ell(n)} as multisets.  The
+    class-regular side goes first: it refuses an ell below 2 with ValueError."""
+    right = Counter(class_regular(lam) for lam in pt.enum_class_regular(n, ell))
     left: Counter = Counter()
-    right: Counter = Counter()
     for b in pt.blocks(n, ell):
         for lam, mult in _weighted_partitions(ell, b.weight):
-            left[pt.cut(lam, ell)] += mult
-    for lam in pt.enum_class_regular(n, ell):
-        right[pt.red(lam, ell)] += 1
+            left[blockwise(lam)] += mult
     return left == right
+
+
+def verify_saigo2(ell: int, n: int) -> bool:
+    """CUT images over all blocks match RED images of class-regular partitions."""
+    return _blockwise_equals_class_regular(
+        ell, n, lambda lam: pt.cut(lam, ell), lambda lam: pt.red(lam, ell)
+    )
 
 
 def verify_bhmulti(ell: int, n: int) -> bool:
     """Bessenrodt-Hill: {r_ell(lam) : lam class-regular} equals the blockwise
     composite Hill multiset."""
-    left: Counter = Counter()
-    right: Counter = Counter()
-    for lam in pt.enum_class_regular(n, ell):
-        left[kor_invariant(ell, lam)] += 1
-    for b in pt.blocks(n, ell):
-        for lam, mult in _weighted_partitions(ell, b.weight):
-            right[composite_hill(ell, lam)] += mult
-    return left == right
+    return _blockwise_equals_class_regular(
+        ell, n, lambda lam: composite_hill(ell, lam), lambda lam: kor_invariant(ell, lam)
+    )
 
 
 def verify_conjequiv(p: int, r: int, n: int) -> bool:
     """The graded multiset identity: blockwise I^v values equal
     {r^v_{p,r}(lam) : lam class-regular}, as exact Laurent polynomials."""
-    ell = p**r
-    left: Counter = Counter()
-    right: Counter = Counter()
-    for b in pt.blocks(n, ell):
-        for lam, mult in _weighted_partitions(ell, b.weight):
-            left[graded_hill(p, r, lam)] += mult
-    for lam in pt.enum_class_regular(n, ell):
-        right[graded_kor(p, r, lam)] += 1
-    return left == right
+    return _blockwise_equals_class_regular(
+        p**r, n, lambda lam: graded_hill(p, r, lam), lambda lam: graded_kor(p, r, lam)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -239,53 +239,31 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def psi_set(p: int, r: int, a: int) -> tuple[Partition, ...]:
-    """Psi^{p,r}_a: partitions of a into parts p^h with 0 <= h < r,
-    subject to the base-p digit inequalities of its definition.
+    """Psi^{p,r}_a: the partitions of a into parts p^h with 0 <= h < r.
 
-    Writing a = sum a_i p^i with 0 <= a_j < p for j < r-1 and a_{r-1} free,
-    a candidate nu must satisfy, for every 0 <= k < r,
+    Its definition writes a = sum a_i p^i with 0 <= a_j < p for j < r-1 and
+    a_{r-1} free, and asks of nu that, for every 0 <= k < r,
     sum_{h>=k} a_h p^{h-k} >= sum_{h>=k} m_{p^h}(nu) p^{h-k}, with equality
-    at k = 0.  (Given the k=0 equality the inequalities are automatic, which
-    recovers the characterization as all of CRP_{p^r}(a) with parts in p^N.)
+    at k = 0.  The left side is floor(a / p^k) and, once the k=0 equality
+    holds, the right side is an integer at most a / p^k, so every inequality
+    holds: Psi^{p,r}_a is all of CRP_{p^r}(a) with parts in p^N.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if r < 1 or a < 1:
         raise ValueError("need r >= 1 and a >= 1")
-    digits = []
-    rest = a
-    for _ in range(r - 1):
-        digits.append(rest % p)
-        rest //= p
-    digits.append(rest)  # top digit unbounded
-
-    powers = [p**h for h in range(r)]
-    out = []
-    for counts in _digit_counts(a, powers):
-        ok = all(
-            sum(digits[h] * p ** (h - k) for h in range(k, r))
-            >= sum(counts[h] * p ** (h - k) for h in range(k, r))
-            for k in range(r)
-        )
-        if ok and sum(c * q for c, q in zip(counts, powers)) == a:
-            lam = []
-            for h in range(r - 1, -1, -1):
-                lam.extend([powers[h]] * counts[h])
-            out.append(tuple(lam))
-    out.sort(reverse=True)
-    return tuple(out)
+    return tuple(sorted(_power_partitions(a, [p**h for h in range(r)]), reverse=True))
 
 
-def _digit_counts(a: int, powers: list[int]) -> Iterator[tuple[int, ...]]:
-    # all ways to write a as sum counts[h] * powers[h]
+def _power_partitions(a: int, powers: list[int]) -> Iterator[Partition]:
+    # all partitions of a into parts from powers, ascending from powers[0] = 1
     if len(powers) == 1:
-        if a % powers[0] == 0:
-            yield (a // powers[0],)
+        yield (1,) * a
         return
     top = powers[-1]
     for c in range(a // top + 1):
-        for rest in _digit_counts(a - c * top, powers[:-1]):
-            yield rest + (c,)
+        for rest in _power_partitions(a - c * top, powers[:-1]):
+            yield (top,) * c + rest
 
 
 # ---------------------------------------------------------------------------

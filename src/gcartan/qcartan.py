@@ -10,6 +10,7 @@ E_8 attaches node 8 to node 5 of a path of 7.  Internally nodes are 0-based.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -123,6 +124,13 @@ def _exponents_binomial(f: tuple[int, ...], d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _part_counts(k: int) -> tuple[int, ...]:
+    # entry s is sum over lam of k of m_s(lam), the parts of size s in Par(k)
+    counts = Counter(s for lam in pt.enum_partitions(k) for s in lam)
+    return tuple(counts[s] for s in range(k + 1))
+
+
+@lru_cache(maxsize=None)
 def _exponents_multipartition(colors: int, d: int) -> tuple[int, ...]:
     # N_s = sum over colors-tuples of partitions with total size d of
     # m_s(lam_1); marginalizing the other components counts them with
@@ -131,9 +139,8 @@ def _exponents_multipartition(colors: int, d: int) -> tuple[int, ...]:
     for k in range(d + 1):
         rest = pt.u_count(colors - 1, d - k)
         if rest:
-            for lam in pt.enum_partitions(k):
-                for s, m in pt.mults(lam).items():
-                    out[s] += m * rest
+            for s, m in enumerate(_part_counts(k)):
+                out[s] += m * rest
     return tuple(out)
 
 
@@ -196,8 +203,9 @@ def irreducible_at(dg: DynkinDiagram, ell: int, mode: str = "closed_form") -> bo
     modulo Phi_ell(v), the value of [n]_k there depends only on k mod ell, so
     1 <= k <= ell suffices.  And [n]_k(v) = [n]_1(v^k), so det [X]_k(zeta) =
     det [X]_1(zeta^k), where zeta^k is a primitive m-th root for m =
-    ell / gcd(ell, k): det [X]_1 is tested at every divisor m of ell.  Both
-    reductions are unit-tested.
+    ell / gcd(ell, k): det [X]_1 is tested at every divisor m of ell, by
+    exact division by Phi_m (`vanishes_at_primitive_root`).  Both reductions
+    are unit-tested.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")

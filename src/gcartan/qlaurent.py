@@ -4,10 +4,10 @@ Laurent polynomials are kept in canonical sparse form: a map from integer
 exponent to nonzero ``int`` coefficient.  Coefficients are arbitrary-precision,
 so every operation here is exact; a rational multiple is carried as an integer
 polynomial and a separate integer denominator.  On top of the ring arithmetic
-this module provides the quantum integers ``[n]_s``, Gaussian binomials, cyclotomic
-polynomials, the bar involution ``v -> v^-1``, unit normalization, and exact
-vanishing tests at roots of unity (computed in Z[v]/Phi_m(v), never in
-floating point).
+this module provides the quantum integers ``[n]_s`` and their products,
+Gaussian binomials, cyclotomic polynomials, the bar involution ``v -> v^-1``,
+unit normalization, and exact vanishing tests at roots of unity (by exact
+division by Phi_m(v), never in floating point).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class LaurentPoly:
@@ -272,14 +272,34 @@ def quantum_int(n: int, s: int = 1) -> LaurentPoly:
     return LaurentPoly({(n + 1 - 2 * k) * s: 1 for k in range(1, n + 1)})
 
 
+def bracket_product(factors: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """prod [n]_s over the (n, s) pairs of `factors`, each with n, s >= 1.
+
+    The product is kept as dense coefficients from its lowest exponent up.
+    As [n]_s = sum_{t<n} v^{(n-1)s - 2ts}, multiplying by it makes each new
+    coefficient the sum of a window of n old ones spaced 2s apart, formed as
+    a difference of running sums along each residue class mod 2s.
+    """
+    low = 0
+    coeffs = [1]
+    for n, s in factors:
+        if n < 1 or s < 1:
+            raise ValueError(f"bracket products take [n]_s with n, s >= 1, got [{n}]_{s}")
+        step = 2 * s
+        low -= (n - 1) * s
+        coeffs += [0] * ((n - 1) * step)
+        for i in range(step, len(coeffs)):
+            coeffs[i] += coeffs[i - step]
+        for i in range(len(coeffs) - 1, n * step - 1, -1):
+            coeffs[i] -= coeffs[i - n * step]
+    return LaurentPoly({low + i: c for i, c in enumerate(coeffs) if c})
+
+
 def quantum_factorial(n: int, s: int = 1) -> LaurentPoly:
     """[n]_s! = prod_{m=1}^{n} [m]_s."""
     if n < 0:
         raise ValueError("quantum factorial needs n >= 0")
-    out = ONE
-    for m in range(1, n + 1):
-        out = out * quantum_int(m, s)
-    return out
+    return bracket_product((m, s) for m in range(1, n + 1))
 
 
 def quantum_binomial(n: int, m: int, s: int = 1) -> LaurentPoly:
@@ -420,45 +440,11 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     return LaurentPoly(q).shift(shift)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # Phi_m = v^deg + sum_{k < deg} c_k v^k as deg and the nonzero (deg - k, c_k)
-    phi = cyclotomic(m)._terms
-    deg = max(phi)
-    return deg, tuple((deg - k, c) for k, c in sorted(phi.items()) if k < deg)
-
-
-def reduce_mod_cyclotomic(a: LaurentPoly, m: int) -> LaurentPoly:
-    """Reduce a (cleared of its v-power denominator) modulo Phi_m(v): the
-    residue in Z[v]/Phi_m(v), as a polynomial of degree below deg Phi_m.
-
-    Since v is invertible modulo Phi_m, clearing the denominator does not
-    change whether the value at a primitive m-th root of unity is zero; in
-    fact v^m = 1 there, so exponents fold modulo m into a dense list of m
-    coefficients first.  That list is then reduced from its top degree down
-    against Phi_m, which is monic, so the reduction stays over Z.
-    """
-    if m < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    if a.is_zero:
-        return ZERO
-    r = [0] * m
-    for e, c in a._terms.items():
-        r[e % m] += c
-    deg, tail = _cyclotomic_tail(m)
-    for top in range(m - 1, deg - 1, -1):
-        c = r[top]
-        if c:
-            for gap, cp in tail:
-                r[top - gap] -= c * cp
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._terms = {e: c for e, c in enumerate(r[:deg]) if c}
-    return out
-
-
 def vanishes_at_primitive_root(a: LaurentPoly, m: int) -> bool:
-    """True iff a vanishes at exp(2*pi*i/m), decided exactly in Z[v]/Phi_m(v)."""
-    return reduce_mod_cyclotomic(a, m).is_zero
+    """True iff a vanishes at exp(2*pi*i/m).  Phi_m is monic and is the
+    minimal polynomial of that root, so a vanishes there exactly when Phi_m
+    divides a in Z[v,v^-1]."""
+    return divide_exact(a, cyclotomic(m)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,36 @@ class TestIrredCommand:
         )
         assert code == 0 and json.loads(out)["irreducible"] is True
 
+    def test_each_mode_against_a_disagreeing_closed_form(self, capsys, cache_dir, monkeypatch):
+        # the exact test finds A_4 reducible at ell = 10; the patched closed
+        # form says irreducible.  exact reports the exact answer alone, and
+        # only both cross-checks
+        real = cli.qc.irreducible_at
+        calls = []
+
+        def patched(dg, ell, mode):
+            calls.append(mode)
+            return not real(dg, ell, mode) if mode == "closed_form" else real(dg, ell, mode)
+
+        monkeypatch.setattr(cli.qc, "irreducible_at", patched)
+        base = ("irred", "--diagram", "A:4", "--ell", "10", "--cache-dir", cache_dir)
+        expected = {
+            "closed_form": (0, True, ["closed_form"]),
+            "exact": (0, False, ["exact"]),
+            "both": (1, True, ["closed_form", "exact"]),
+        }
+        for mode, (want_code, want, want_calls) in expected.items():
+            calls.clear()
+            code, out, _ = run(capsys, *base, "--mode", mode)
+            obj = json.loads(out)
+            assert (code, obj["irreducible"], obj["mode"], calls) == (want_code, want, mode, want_calls)
+            if mode == "both":
+                assert obj["modes"] == {"closed_form": True, "exact": False}
+            else:
+                assert "modes" not in obj
+        code, out, _ = run(capsys, *base, "--mode", "exact", "--format", "csv")
+        assert (code, out) == (0, "A:4,10,False\n")
+
 
 class TestTwistedCommand:
     def test_banner_and_value(self, capsys, cache_dir):

@@ -216,7 +216,7 @@ def test_snf_bounds_are_integral():
 
 
 def test_gram_and_qlaurent_are_float_free():
-    # the Gram assembly divides exactly and the cyclotomic residues decide
+    # the Gram assembly divides exactly and exact division by Phi_m decides
     # vanishing at roots of unity: neither may round
     found = {
         name: uses
@@ -242,6 +242,13 @@ def test_checked_determinant_is_formula_free():
         for name in ("gram.py", "linalg.py")
     }
     assert not any(found.values()), f"closed formulas referenced: {found}"
+
+
+def test_one_bracket_expander():
+    # every closed-form bracket product of invariants.py is expanded by
+    # qlaurent.bracket_product, not by multiplying quantum integers
+    found = _used_names(_parse(PACKAGE / "invariants.py")) & {"quantum_int", "quantum_factorial"}
+    assert not found, f"src/gcartan/invariants.py reads {sorted(found)}"
 
 
 def test_prime_tables_are_literals():

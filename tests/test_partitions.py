@@ -168,6 +168,34 @@ class TestPsiSets:
                     }
                     assert set(pt.psi_set(p, r, a)) == brute, (p, r, a)
 
+    def test_literal_definition(self):
+        # the digit inequalities of the definition, applied to every partition
+        # of a into parts p^h with h < r: a = sum_i a_i p^i with a_j < p for
+        # j < r-1, and sum_{h>=k} a_h p^{h-k} >= sum_{h>=k} m_{p^h} p^{h-k}
+        # for every k < r, with equality at k = 0
+        for p in (2, 3, 5):
+            for r in (1, 2, 3):
+                powers = [p**h for h in range(r)]
+                for a in range(1, 21):
+                    digits, rest = [], a
+                    for _ in range(r - 1):
+                        digits.append(rest % p)
+                        rest //= p
+                    digits.append(rest)
+                    want = []
+                    for lam in pt.enum_partitions(a):
+                        if not set(lam) <= set(powers):
+                            continue
+                        m = [lam.count(q) for q in powers]
+                        tails = [
+                            (sum(digits[h] * p ** (h - k) for h in range(k, r)),
+                             sum(m[h] * p ** (h - k) for h in range(k, r)))
+                            for k in range(r)
+                        ]
+                        if tails[0][0] == tails[0][1] and all(x >= y for x, y in tails):
+                            want.append(lam)
+                    assert pt.psi_set(p, r, a) == tuple(want), (p, r, a)
+
 
 class TestColored:
     def test_counts_match_u(self):

@@ -10,6 +10,7 @@ from gcartan.qlaurent import (
     ZERO,
     LaurentPoly,
     QProduct,
+    bracket_product,
     cyclotomic,
     divide_exact,
     kss_bracket,
@@ -17,7 +18,6 @@ from gcartan.qlaurent import (
     quantum_binomial,
     quantum_factorial,
     quantum_int,
-    reduce_mod_cyclotomic,
     su_bracket,
     sub_product,
     vanishes_at_primitive_root,
@@ -161,6 +161,26 @@ class TestQuantumIntegers:
                 assert lhs == rhs
 
 
+class TestBracketProduct:
+    def test_matches_the_product_of_quantum_ints(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            factors = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 6))]
+            want = ONE
+            for n, s in factors:
+                want = want * quantum_int(n, s)
+            assert bracket_product(factors) == want, factors
+        assert bracket_product([(1, 5)]) == ONE
+        assert bracket_product([]) == ONE
+
+    def test_refuses_brackets_below_one(self):
+        for n, s in ((0, 1), (-2, 1), (3, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                bracket_product([(2, 1), (n, s)])
+        with pytest.raises(ValueError):
+            quantum_factorial(3, 0)
+
+
 class TestCyclotomic:
     def test_small_table(self):
         assert cyclotomic(1) == LaurentPoly({1: 1, 0: -1})
@@ -294,11 +314,10 @@ class TestRootOfUnityVanishing:
                     expected = (2 * n * s) % ell == 0 and (2 * s) % ell != 0
                     assert vanishes_at_primitive_root(quantum_int(n, s), ell) == expected
 
-    def test_residue_type(self):
-        # the residue is the reduced polynomial itself
-        res = reduce_mod_cyclotomic(quantum_int(3), 2)
-        assert isinstance(res, LaurentPoly) and res == LaurentPoly.const(3)
-        assert reduce_mod_cyclotomic(ZERO, 5) is ZERO
+    def test_zero_vanishes_and_the_index_is_checked(self):
+        assert vanishes_at_primitive_root(ZERO, 5)
+        with pytest.raises(ValueError):
+            vanishes_at_primitive_root(ONE, 0)
 
     def test_periodicity_in_s_mod_ell(self):
         # v^ell = 1 mod Phi_ell, so [n]_{s+ell} and [n]_s agree there; this
@@ -306,23 +325,24 @@ class TestRootOfUnityVanishing:
         for ell in (2, 3, 4, 5, 6):
             for n in (2, 3, 4):
                 for s in range(1, ell + 1):
-                    a = reduce_mod_cyclotomic(quantum_int(n, s).shift(n * s), ell)
-                    b = reduce_mod_cyclotomic(quantum_int(n, s + ell).shift(n * (s + ell)), ell)
-                    assert a == b
+                    a = quantum_int(n, s).shift(n * s)
+                    b = quantum_int(n, s + ell).shift(n * (s + ell))
+                    assert divide_exact(a - b, cyclotomic(ell)) is not None
 
-    def test_residue_is_the_long_division_remainder(self):
+    def test_vanishing_is_a_zero_long_division_remainder(self):
         # v^m = 1 modulo Phi_m, so shifting every exponent by a multiple of m
         # keeps the residue; after the shift a is a polynomial, whose
-        # remainder under long division by the monic Phi_m is the residue
+        # remainder under long division by the monic Phi_m is zero exactly
+        # when a vanishes at a primitive m-th root of unity
         rng = random.Random(30)
         for _ in range(600):
             m = rng.randint(1, 30)
             a = LaurentPoly(
                 {rng.randint(-80, 80): rng.randint(-20, 20) for _ in range(rng.randint(0, 10))}
             )
-            want = ZERO if a.is_zero else _long_division_remainder(a, m)
-            got = reduce_mod_cyclotomic(a, m)
-            assert got == want, (a, m)
+            for b in (a, a * cyclotomic(m)):  # the product vanishes
+                want = b.is_zero or _long_division_remainder(b, m).is_zero
+                assert vanishes_at_primitive_root(b, m) == want, (b, m)
 
 
 def _long_division_remainder(a, m):
