@@ -1,14 +1,26 @@
 """Command-line frontend.
 
 Commands: gram, det, verify, irred, twisted, snf, invariants, report, table.
-Global flags: --format {json|csv|latex}, --cache-dir PATH, --force, --limit N.
+Every command takes --format and --cache-dir PATH.  --format offers only
+what the command renders: json, csv and latex for gram, det, twisted and
+table; json and csv for verify, irred and invariants; json alone for snf and
+report.  The commands that build a Gram matrix, gram, det (with --check) and
+report, refuse one of more than --limit N rows (default 2000) unless given
+--force; no other command takes either flag.
+
+Matrix JSON has one shape: `gram` writes "entries" as a list of rows of
+Laurent polynomials (LaurentPoly.to_json), and `snf --input` reads that key
+for --ring qlaurent and zlaurent, and "rows", a list of integer rows, for
+--ring zint.
+
 The cache lives in --cache-dir, else in GCART_CACHE_DIR, else in
-~/.cache/gcart; an empty path disables it.  It holds the output text of gram,
-det, table and twisted, and each such invocation makes exactly one lookup.
-The key is a hash of the package sources, so a cached output never outlives
-the code that produced it, together with the command and every argument but
-the cache's location (--force and --limit included).  While a cache
-directory is active, each invocation ends by writing one line
+~/.cache/gcart; an empty path disables it.  It holds the runs of gram, det,
+table and twisted that succeed, stdout and the notes written to stderr alike,
+so a hit replays both; each such invocation makes exactly one lookup.  The
+key is a hash of the package sources, so a cached run never outlives the
+code that produced it, together with the command and every argument but the
+cache's location (--force and --limit included).  While a cache directory is
+active, each invocation ends by writing one line
 "# cache: H hit(s), M miss(es)" to stderr; stdout does not change.
 
 Exit codes:
@@ -22,10 +34,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,7 +50,7 @@ from . import invariants as inv
 from . import partitions as pt
 from . import qcartan as qc
 from . import snf as snf_mod
-from .gram import block_sum, cartan_graded, gram_det, gram_matrix
+from .gram import block_sum, gram_det, gram_matrix, schur_orthonormality
 from .linalg import int_det, laurent_det
 from .qlaurent import LaurentPoly, normalize_unit, quantum_int
 
@@ -99,7 +113,7 @@ def _cp_str(cp) -> str:
     return " ".join(f"{s}.{c}" for s, c in cp)
 
 
-def _matrix_latex(out, index, entries) -> None:
+def _matrix_latex(out, entries) -> None:
     out.write("\\begin{pmatrix}\n")
     for row in entries:
         out.write(" & ".join(poly_latex(e) for e in row) + " \\\\\n")
@@ -107,20 +121,21 @@ def _matrix_latex(out, index, entries) -> None:
 
 
 def _emit(args, payload: dict, csv_fn=None, latex_fn=None) -> str:
+    """The output text in args.format; the parser offers a command only the
+    formats it passes a renderer for."""
     if args.format == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
-    if args.format == "csv":
-        if csv_fn is None:
-            raise UsageError("this command has no csv rendering")
-        csv_fn(buf)
-    elif args.format == "latex":
-        if latex_fn is None:
-            raise UsageError("this command has no latex rendering")
-        latex_fn(buf)
-    else:
-        raise UsageError(f"unknown format {args.format}")
+    {"csv": csv_fn, "latex": latex_fn}[args.format](buf)
     return buf.getvalue()
+
+
+def _checked(text: str, ok: bool) -> str:
+    """A command's output text, raised as a VerificationFailure (exit 1) when
+    its check failed."""
+    if not ok:
+        raise VerificationFailure(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +216,16 @@ def _require(args, *names):
         raise UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
-def _finite_diagram(args) -> qc.DynkinDiagram:
+def _finite_diagram(args) -> tuple[qc.DynkinDiagram, str]:
+    """The finite diagram of --diagram, else A_{ell-1} for --ell, and its
+    label in outputs: the diagram's own, or "ell=N"."""
     if args.diagram is not None:
         dg = qc.parse_diagram(args.diagram)
         if not isinstance(dg, qc.DynkinDiagram):
             raise UsageError(f"{args.diagram} is a twisted diagram; this command needs a finite one")
-        return dg
+        return dg, dg.label()
     if args.ell is not None:
-        return qc.type_a(args.ell)
+        return qc.type_a(args.ell), f"ell={args.ell}"
     raise UsageError("give either --diagram or --ell")
 
 
@@ -231,28 +248,18 @@ def cmd_gram(args) -> str:
             args, sum(pt.u_count(args.ell - 1, b.weight) for b in pt.blocks(args.blocks, args.ell))
         )
         bs = block_sum(args.blocks, args.ell)
-        payload = bs.to_json()
-        mat = bs.matrix()
-        idx = [cp for _, g in bs.blocks for cp in g.index]
-        return _emit(
-            args,
-            payload,
-            csv_fn=lambda out: _matrix_csv(out, idx, mat),
-            latex_fn=lambda out: _matrix_latex(out, idx, mat),
-        )
-    _require(args, "d")
-    if args.ell is not None and args.diagram is None:
-        _size_guard(args, pt.u_count(args.ell - 1, args.d))
-        g = cartan_graded(args.ell, args.d)
+        payload, idx, mat = bs.to_json(), [cp for _, g in bs.blocks for cp in g.index], bs.matrix()
     else:
-        dg = _finite_diagram(args)
+        _require(args, "d")
+        dg, label = _finite_diagram(args)
         _size_guard(args, pt.u_count(dg.nodes, args.d))
         g = gram_matrix(dg, args.d)
+        payload, idx, mat = {**g.to_json(), "diagram": label}, g.index, g.entries
     return _emit(
         args,
-        g.to_json(),
-        csv_fn=lambda out: _matrix_csv(out, g.index, g.entries),
-        latex_fn=lambda out: _matrix_latex(out, g.index, g.entries),
+        payload,
+        csv_fn=lambda out: _matrix_csv(out, idx, mat),
+        latex_fn=lambda out: _matrix_latex(out, mat),
     )
 
 
@@ -267,118 +274,100 @@ def _det_factored_parts(dg: qc.DynkinDiagram, d: int) -> list[dict]:
     return parts
 
 
+def _factored_latex(parts: list[dict]) -> str:
+    return " ".join(f"({p['det_factor']})^{{{p['exponent']}}}" for p in parts) or "1"
+
+
 def cmd_det(args) -> str:
     _require(args, "d")
-    dg = _finite_diagram(args)
+    dg, label = _finite_diagram(args)
     formula = qc.shapovalov_det_formula(dg, args.d)
     payload = {
-        "diagram": dg.label() if args.diagram else f"ell={args.ell}",
+        "diagram": label,
         "d": args.d,
         "value": formula.to_json(),
         "factored": _det_factored_parts(dg, args.d),
     }
+    ok = True
     if args.check:
         _size_guard(args, pt.u_count(dg.nodes, args.d))
         actual = gram_det(dg, args.d)
-        payload["check"] = {"gram_det_equals_formula": actual == formula}
-        if actual != formula:
+        ok = actual == formula
+        payload["check"] = {"gram_det_equals_formula": ok}
+        if not ok:
             payload["check"]["gram_det"] = actual.to_json()
             sys.stderr.write(
                 f"determinant mismatch:\n  formula: {formula}\n  gram:    {actual}\n"
             )
-            raise VerificationFailure(_emit(args, payload))
 
     def latex_fn(out):
-        bits = [
-            f"({p['det_factor']})^{{{p['exponent']}}}" for p in payload["factored"]
-        ] or ["1"]
-        out.write(" ".join(bits) + " = " + poly_latex(formula) + "\n")
+        out.write(_factored_latex(payload["factored"]) + " = " + poly_latex(formula) + "\n")
 
     def csv_fn(out):
         out.write(_entry_str(formula) + "\n")
 
-    return _emit(args, payload, csv_fn=csv_fn, latex_fn=latex_fn)
+    return _checked(_emit(args, payload, csv_fn=csv_fn, latex_fn=latex_fn), ok)
 
 
-VERIFY_IDENTITIES = {
-    "conjcheck": ("p", "r", "dmax"),
-    "tsaigo": ("p", "r", "d", "u"),
-    "saigo2": ("ell", "n"),
-    "bhmulti": ("ell", "n"),
-    "conjequiv": ("p", "r", "n"),
-    "bunkaito": ("p", "r", "d"),
-    "schur-orth": ("nmax",),
-    "nformula": ("pmax", "dmax"),
-    "folding": ("diagram", "tmax"),
+def _verify_bunkaito(a) -> dict:
+    rep = inv.bunkaito_decompose(a.p, a.r, a.d)
+    return {"ok": rep.verified, "components": len(rep.components), "total": rep.total}
+
+
+def _verify_nformula(a) -> dict:
+    if a.pmax < 2 or a.dmax < 0:
+        raise ValueError("nformula needs pmax >= 2 and dmax >= 0")
+    pairs = ((p, d) for p in range(2, a.pmax + 1) for d in range(a.dmax + 1))
+    return {"ok": all(qc.exponent_formulas_agree(p - 1, d) for p, d in pairs)}
+
+
+def _verify_folding(a) -> dict:
+    td = qc.parse_diagram(a.diagram)
+    if not isinstance(td, qc.TwistedDiagram):
+        raise UsageError("folding needs a twisted diagram label")
+    if a.tmax < 1:
+        raise ValueError("tmax must be >= 1")
+    return {"ok": all(qc.folding_det_check(td, t) for t in range(1, a.tmax + 1))}
+
+
+# identity -> (the options it needs, its check: args -> {"ok": bool, details})
+VERIFY = {
+    "conjcheck": (("p", "r", "dmax"), lambda a: {"ok": inv.verify_conjcheck(a.p, a.r, a.dmax)}),
+    "tsaigo": (("p", "r", "d", "u"), lambda a: {"ok": inv.verify_tsaigo(a.p, a.r, a.d, a.u)}),
+    "saigo2": (("ell", "n"), lambda a: {"ok": inv.verify_saigo2(a.ell, a.n)}),
+    "bhmulti": (("ell", "n"), lambda a: {"ok": inv.verify_bhmulti(a.ell, a.n)}),
+    "conjequiv": (("p", "r", "n"), lambda a: {"ok": inv.verify_conjequiv(a.p, a.r, a.n)}),
+    "bunkaito": (("p", "r", "d"), _verify_bunkaito),
+    "schur-orth": (("nmax",), lambda a: {"ok": schur_orthonormality(a.nmax)}),
+    "nformula": (("pmax", "dmax"), _verify_nformula),
+    "folding": (("diagram", "tmax"), _verify_folding),
 }
 
 
 def cmd_verify(args) -> str:
     name = args.identity
-    if name not in VERIFY_IDENTITIES:
-        raise UsageError(
-            f"unknown identity {name!r}; choose from {', '.join(sorted(VERIFY_IDENTITIES))}"
-        )
-    _require(args, *(p for p in VERIFY_IDENTITIES[name] if p != "diagram"))
-    detail: dict = {}
-    if name == "conjcheck":
-        ok = inv.verify_conjcheck(args.p, args.r, args.dmax)
-    elif name == "tsaigo":
-        ok = inv.verify_tsaigo(args.p, args.r, args.d, args.u)
-    elif name == "saigo2":
-        ok = inv.verify_saigo2(args.ell, args.n)
-    elif name == "bhmulti":
-        ok = inv.verify_bhmulti(args.ell, args.n)
-    elif name == "conjequiv":
-        ok = inv.verify_conjequiv(args.p, args.r, args.n)
-    elif name == "bunkaito":
-        rep = inv.bunkaito_decompose(args.p, args.r, args.d)
-        ok = rep.verified
-        detail = {"components": len(rep.components), "total": rep.total}
-    elif name == "schur-orth":
-        from .gram import schur_orthonormality
-
-        ok = schur_orthonormality(args.nmax)
-    elif name == "nformula":
-        ok = all(
-            qc.exponent_formulas_agree(p_ - 1, d_)
-            for p_ in range(2, args.pmax + 1)
-            for d_ in range(args.dmax + 1)
-        )
-    elif name == "folding":
-        _require(args, "diagram")
-        td = qc.parse_diagram(args.diagram)
-        if not isinstance(td, qc.TwistedDiagram):
-            raise UsageError("folding needs a twisted diagram label")
-        ok = all(qc.folding_det_check(td, t) for t in range(1, args.tmax + 1))
-    payload = {
-        "identity": name,
-        "params": {
-            k: getattr(args, k)
-            for k in VERIFY_IDENTITIES[name]
-            if getattr(args, k, None) is not None
-        },
-        "ok": bool(ok),
-        **detail,
-    }
-    text = _emit(args, payload, csv_fn=lambda out: out.write(f"{name},{ok}\n"))
-    if not ok:
-        raise VerificationFailure(text)
-    return text
+    if name not in VERIFY:
+        raise UsageError(f"unknown identity {name!r}; choose from {', '.join(sorted(VERIFY))}")
+    params, check = VERIFY[name]
+    _require(args, *params)
+    payload = {"identity": name, "params": {k: getattr(args, k) for k in params}, **check(args)}
+    ok = payload["ok"]
+    return _checked(_emit(args, payload, csv_fn=lambda out: out.write(f"{name},{ok}\n")), ok)
 
 
 def cmd_irred(args) -> str:
     _require(args, "ell")
-    dg = _finite_diagram(args)
+    dg, _ = _finite_diagram(args)
     # both reports the closed form and cross-checks it against the exact test
     value = qc.irreducible_at(dg, args.ell, "exact" if args.mode == "exact" else "closed_form")
     payload = {"diagram": dg.label(), "ell": args.ell, "irreducible": value, "mode": args.mode}
+    ok = True
     if args.mode == "both":
         exact = qc.irreducible_at(dg, args.ell, "exact")
         payload["modes"] = {"closed_form": value, "exact": exact}
-        if exact != value:
-            raise VerificationFailure(_emit(args, payload))
-    return _emit(args, payload, csv_fn=lambda out: out.write(f"{dg.label()},{args.ell},{value}\n"))
+        ok = exact == value
+    text = _emit(args, payload, csv_fn=lambda out: out.write(f"{dg.label()},{args.ell},{value}\n"))
+    return _checked(text, ok)
 
 
 def cmd_twisted(args) -> str:
@@ -411,25 +400,23 @@ def _int_entry(x) -> int:
     return x
 
 
-def _read_matrix(path: str):
-    """A square matrix from JSON: {"rows": integer rows} or {"entries": rows
-    of Laurent polynomials as LaurentPoly.to_json writes them}.  Anything
+def _read_matrix(path: str, ring: str):
+    """The square matrix --ring `ring` works on, from a JSON object: its
+    "rows", a list of integer rows, for zint; its "entries", a list of rows
+    of Laurent polynomials as LaurentPoly.to_json writes them, for qlaurent
+    and zlaurent.  `gcart gram` writes "entries" in that shape.  Anything
     else, or an unreadable file, is a usage error."""
+    key, parse = ("rows", _int_entry) if ring == "zint" else ("entries", LaurentPoly.from_json)
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read a matrix from {path}: {exc}") from None
-    if isinstance(obj, dict) and "rows" in obj:
-        rows, parse = obj["rows"], _int_entry
-    elif isinstance(obj, dict) and "entries" in obj:
-        rows, parse = obj["entries"], LaurentPoly.from_json
-    else:
-        raise UsageError("matrix JSON needs 'rows' (integers) or 'entries' (Laurent polynomials)")
+    rows = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(rows, list) or any(
         not isinstance(r, list) or len(r) != len(rows) for r in rows
     ):
-        raise UsageError("the matrix must be a square list of rows")
+        raise UsageError(f"--ring {ring} reads '{key}', a square list of rows")
     try:
         return [[parse(x) for x in row] for row in rows]
     except ValueError as exc:
@@ -438,68 +425,42 @@ def _read_matrix(path: str):
 
 def cmd_snf(args) -> str:
     _require(args, "input", "ring")
-    m = _read_matrix(args.input)
-    checks: dict = {}
+    m = _read_matrix(args.input, args.ring)
     if args.ring == "zint":
-        if not all(isinstance(x, int) for row in m for x in row):
-            raise UsageError("--ring zint needs an integer matrix ('rows')")
         # one Bareiss |det| serves both the route and the product check
         det_abs = abs(int_det(m))
         ms = snf_mod.snf_int_with_det(m, det_abs)
-        status = "VERIFIED"
-        prod = 1
-        for x in ms.elements:
-            prod *= x
-        checks["product_equals_abs_det"] = prod == det_abs
-        checks["divisibility_chain"] = all(
-            b == 0 or (a != 0 and b % a == 0) for a, b in zip(ms.elements, ms.elements[1:])
-        )
+        checks = {
+            "product_equals_abs_det": math.prod(ms.elements) == det_abs,
+            "divisibility_chain": all(
+                b == 0 or (a != 0 and b % a == 0) for a, b in zip(ms.elements, ms.elements[1:])
+            ),
+        }
     elif args.ring == "qlaurent":
-        if not all(isinstance(x, LaurentPoly) for row in m for x in row):
-            raise UsageError("--ring qlaurent needs a Laurent matrix ('entries')")
         ms = snf_mod.snf_laurent_field(m)
-        status = "VERIFIED"
         d = laurent_det(m)
-        prod = LaurentPoly.const(1)
-        for x in ms.elements:
-            prod = prod * x
+        prod = math.prod(ms.elements, start=LaurentPoly.const(1))
         if d.is_zero:
-            checks["product_matches_det_up_to_unit"] = prod.is_zero
+            ok = prod.is_zero
         else:
-            ratio_ok = (
-                not prod.is_zero
-                and normalize_unit(prod)[1] == snf_mod.canonical_poly(d, primitive=True)
+            ok = not prod.is_zero and (
+                normalize_unit(prod)[1] == snf_mod.canonical_poly(d, primitive=True)
             )
-            checks["product_matches_det_up_to_unit"] = ratio_ok
-    elif args.ring == "zlaurent":
-        if not all(isinstance(x, LaurentPoly) for row in m for x in row):
-            raise UsageError("--ring zlaurent needs a Laurent matrix ('entries')")
-        res = snf_mod.try_diagonalize_zlaurent(m)
-        if res.success:
-            ms = res.diagonal
-            status = "VERIFIED"
-            checks["elementary_steps"] = res.steps
-        else:
-            payload = {
-                "matrix": args.input,
-                "ring": args.ring,
-                "invariants": [],
-                "status": "INCONCLUSIVE",
-                "checks": {"elementary_steps": res.steps, "stopped": res.stopped},
-            }
-            return _emit(args, payload)
+        checks = {"product_matches_det_up_to_unit": ok}
     else:
-        raise UsageError(f"unknown ring {args.ring!r}")
+        res = snf_mod.try_diagonalize_zlaurent(m)
+        ms = res.diagonal
+        checks = {"elementary_steps": res.steps}
+        if not res.success:
+            checks["stopped"] = res.stopped
     payload = {
         "matrix": args.input,
         "ring": args.ring,
-        "invariants": ms.to_json()["elements"],
-        "status": status,
+        "invariants": [] if ms is None else ms.to_json()["elements"],
+        "status": "INCONCLUSIVE" if ms is None else "VERIFIED",
         "checks": checks,
     }
-    if checks and not all(v for v in checks.values() if isinstance(v, bool)):
-        raise VerificationFailure(_emit(args, payload))
-    return _emit(args, payload)
+    return _checked(_emit(args, payload), all(v for v in checks.values() if isinstance(v, bool)))
 
 
 def cmd_invariants(args) -> str:
@@ -531,16 +492,14 @@ def cmd_invariants(args) -> str:
 
 def cmd_report(args) -> str:
     _require(args, "p", "r", "d")
+    inv._check_p_r(args.p, args.r)
+    _size_guard(args, pt.u_count(args.p**args.r - 1, args.d))
     rep = inv.conjecture_report(args.p, args.r, args.d)
-    text = _emit(args, rep.to_json())
-    if not rep.ok:
-        raise VerificationFailure(text)
-    return text
+    return _checked(_emit(args, rep.to_json()), rep.ok)
 
 
 def cmd_table(args) -> str:
-    dg = _finite_diagram(args)
-    label = dg.label() if args.diagram else f"ell={args.ell}"
+    dg, label = _finite_diagram(args)
     rows = []
     for d in range(args.dmax + 1):
         rows.append(
@@ -555,9 +514,7 @@ def cmd_table(args) -> str:
     def latex_fn(out):
         out.write("\\begin{tabular}{rrl}\n  $d$ & $\\dim$ & $\\det$ \\\\ \\hline\n")
         for row in rows:
-            det = " ".join(
-                f"({p['det_factor']})^{{{p['exponent']}}}" for p in row["determinant"]
-            ) or "1"
+            det = _factored_latex(row["determinant"])
             out.write(f"  {row['d']} & {row['dimension']} & ${det}$ \\\\\n")
         out.write("\\end{tabular}\n")
 
@@ -589,18 +546,21 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"gcart {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv", "latex"], default="json")
+    def common(p, formats, guard=False):
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--cache-dir", default=None, help="cache directory ('' disables)")
-        p.add_argument("--force", action="store_true")
-        p.add_argument("--limit", type=int, default=2000, help="matrix size guard")
+        if guard:
+            p.add_argument("--force", action="store_true")
+            p.add_argument("--limit", type=int, default=2000, help="matrix size guard")
+
+    every, no_latex = ["json", "csv", "latex"], ["json", "csv"]
 
     g = sub.add_parser("gram", help="graded Cartan / Gram matrices")
     g.add_argument("--diagram")
     g.add_argument("--ell", type=int)
     g.add_argument("--d", type=int)
     g.add_argument("--blocks", type=int, metavar="N", help="direct sum over blocks of rank N")
-    common(g)
+    common(g, every, guard=True)
     g.set_defaults(fn=cmd_gram)
 
     d = sub.add_parser("det", help="graded Cartan determinants")
@@ -608,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--ell", type=int)
     d.add_argument("--d", type=int)
     d.add_argument("--check", action="store_true", help="cross-check against the Gram matrix")
-    common(d)
+    common(d, every, guard=True)
     d.set_defaults(fn=cmd_det)
 
     v = sub.add_parser("verify", help="verify a supported identity")
@@ -616,24 +576,28 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("p", "r", "d", "dmax", "u", "ell", "n", "nmax", "pmax", "tmax"):
         v.add_argument(f"--{flag}", type=int)
     v.add_argument("--diagram")
-    common(v)
+    common(v, no_latex)
     v.set_defaults(fn=cmd_verify)
 
     i = sub.add_parser("irred", help="irreducibility of the specialized basic module")
     i.add_argument("--diagram")
     i.add_argument("--ell", type=int)
     i.add_argument("--mode", choices=["closed_form", "exact", "both"], default="both")
-    common(i)
+    common(i, no_latex)
     i.set_defaults(fn=cmd_irred)
 
     t = sub.add_parser("twisted", help="conjectured twisted determinants")
     t.add_argument("--diagram")
     t.add_argument("--d", type=int)
-    common(t)
+    common(t, every)
     t.set_defaults(fn=cmd_twisted)
 
     s = sub.add_parser("snf", help="invariant factors of a matrix from JSON")
-    s.add_argument("--input", help='JSON file: {"rows": integer rows} or {"entries": Laurent rows}')
+    s.add_argument(
+        "--input",
+        help='JSON file: {"rows": integer rows} for zint, {"entries": rows of Laurent '
+        "polynomials} for qlaurent and zlaurent, the shape `gcart gram` writes",
+    )
     s.add_argument(
         "--ring",
         choices=["zint", "qlaurent", "zlaurent"],
@@ -642,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
         "greedy diagonalizer: VERIFIED, or INCONCLUSIVE with the reason it stopped "
         "(stalled, or its step cap)",
     )
-    common(s)
+    common(s, ["json"])
     s.set_defaults(fn=cmd_snf)
 
     q = sub.add_parser("invariants", help="closed-form invariants of a partition")
@@ -650,21 +614,21 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--r", type=int)
     q.add_argument("--ell", type=int)
     q.add_argument("--partition", help="comma-separated parts, e.g. 3,1,1")
-    common(q)
+    common(q, no_latex)
     q.set_defaults(fn=cmd_invariants)
 
     r = sub.add_parser("report", help="layered conjecture verification report")
     r.add_argument("--p", type=int)
     r.add_argument("--r", type=int)
     r.add_argument("--d", type=int)
-    common(r)
+    common(r, ["json"], guard=True)
     r.set_defaults(fn=cmd_report)
 
     tb = sub.add_parser("table", help="determinant table for a range of weights")
     tb.add_argument("--diagram")
     tb.add_argument("--ell", type=int)
     tb.add_argument("--dmax", type=int, default=4)
-    common(tb)
+    common(tb, every)
     tb.set_defaults(fn=cmd_table)
 
     return ap
@@ -695,26 +659,29 @@ def _run(args) -> int:
         cache_key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
         hit = cache.get(cache_key)
         if hit is not None:
-            sys.stdout.write(hit)
+            run = json.loads(hit)
+            sys.stderr.write(run["stderr"])
+            sys.stdout.write(run["stdout"])
             return 0
+    # the command's notes to stderr are kept, so that a cache hit replays them
+    notes, text, code = io.StringIO(), "", 0
     try:
-        text = args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        with contextlib.redirect_stderr(notes):
+            text = args.fn(args)
+    except (UsageError, ValueError) as exc:
+        notes.write(f"error: {exc}\n")
+        code = 2
     except VerificationFailure as exc:
-        sys.stdout.write(str(exc))
-        return 1
+        text, code = str(exc), 1
     except (AssertionError, ArithmeticError) as exc:
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        return 3
+        notes.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        code = 3
+    finally:
+        sys.stderr.write(notes.getvalue())
     sys.stdout.write(text)
-    if cache_key is not None:
-        cache.put(cache_key, text)
-    return 0
+    if code == 0 and cache_key is not None:
+        cache.put(cache_key, json.dumps({"stdout": text, "stderr": notes.getvalue()}))
+    return code
 
 
 if __name__ == "__main__":

@@ -278,7 +278,7 @@ class GramMatrix:
             "diagram": self.label,
             "d": self.d,
             "index": [[list(pair) for pair in cp] for cp in self.index],
-            "entries": [e.to_json() for row in self.entries for e in row],
+            "entries": [[e.to_json() for e in row] for row in self.entries],
         }
 
 
@@ -727,6 +727,8 @@ def schur_orthonormality(nmax: int) -> bool:
     of the Jacobi-Trudi element schur_in_x(lam) on G's x-monomials.  The
     entries are compared as Laurent polynomials, so a stray power of v fails
     the check instead of vanishing at v=1."""
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     for n in range(nmax + 1):
         g = _Assembly(IdentityPairing(), n).matrix()
         pos = {tuple(s for s, _ in cp): k for k, cp in enumerate(g.index)}

@@ -217,6 +217,8 @@ def verify_conjcheck(p: int, r: int, dmax: int) -> bool:
     for every d <= dmax, compared exactly via canonical cyclotomic factorization
     (direct expansion is infeasible at the required exponents)."""
     _check_p_r(p, r)
+    if dmax < 0:
+        raise ValueError("dmax must be >= 0")
     ell = p**r
     for d in range(dmax + 1):
         lhs = QProduct()

@@ -184,6 +184,8 @@ def _power_product(factor, exponents) -> LaurentPoly:
 
 def shapovalov_det_formula(dg: DynkinDiagram, d: int) -> LaurentPoly:
     """prod_{s=1}^{d} (det [X]_s)^{N_{|I|,d,s}} as an explicit Laurent polynomial."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
     exponents = [exponent_N(dg.nodes, d, s) for s in range(1, d + 1)]
     return _power_product(lambda s: det_quantized(dg, s), exponents)
 

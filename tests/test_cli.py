@@ -30,15 +30,16 @@ class TestGramCommand:
         assert code == 0
         obj = json.loads(out)
         assert obj["d"] == 2 and obj["diagram"] == "ell=2"
-        entries = [LaurentPoly.from_json(e) for e in obj["entries"]]
-        assert entries[0] == LaurentPoly({2: 1, 0: 1, -2: 1})
-        assert entries[1] == quantum_int(2) ** 2
+        # entries are rows, the shape `snf --input` reads
+        entries = [[LaurentPoly.from_json(e) for e in row] for row in obj["entries"]]
+        assert entries[0][0] == LaurentPoly({2: 1, 0: 1, -2: 1})
+        assert entries[0][1] == quantum_int(2) ** 2
 
     def test_trivial_weight(self, capsys, cache_dir):
         code, out, _ = run(capsys, "gram", "--diagram", "A:1", "--d", "0", "--cache-dir", cache_dir)
         assert code == 0
         obj = json.loads(out)
-        assert obj["entries"] == [{"terms": {"0": "1"}}]
+        assert obj["entries"] == [[{"terms": {"0": "1"}}]]
 
     def test_blocks_mode(self, capsys, cache_dir):
         code, out, _ = run(
@@ -74,6 +75,22 @@ class TestGramCommand:
             assert code == 0 and len(json.loads(out)["blocks"]) == 2
         code, _, _ = run(capsys, *args, "--limit", "6")
         assert code == 0
+
+    @pytest.mark.parametrize("ring", ["qlaurent", "zlaurent"])
+    def test_output_is_snf_input(self, capsys, tmp_path, ring):
+        # the matrix JSON gram writes is the one snf --input reads
+        from gcartan.gram import cartan_graded
+        from gcartan.snf import snf_laurent_field
+
+        code, out, _ = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
+        assert code == 0
+        f = tmp_path / "g.json"
+        f.write_text(out)
+        code, out, err = run(capsys, "snf", "--input", str(f), "--ring", ring, "--cache-dir", "")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        want = snf_laurent_field(cartan_graded(3, 2).entries).to_json()["elements"]
+        assert obj["status"] == "VERIFIED" and obj["invariants"] == want
 
     def test_cache_idempotent(self, capsys, cache_dir):
         args = ("gram", "--ell", "3", "--d", "2", "--cache-dir", cache_dir)
@@ -172,6 +189,21 @@ class TestDetCommand:
         formula = quantum_int(2) ** 2 * quantum_int(2, 2)
         assert f"determinant mismatch:\n  formula: {formula}\n  gram:    3\n" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "latex"])
+    def test_check_mismatch_exits_1_in_every_format(self, capsys, fmt, monkeypatch):
+        # the failure prints the text the format renders, not a usage error
+        argv = ("det", "--ell", "2", "--d", "2", "--format", fmt, "--cache-dir", "")
+        code, want, _ = run(capsys, *argv)
+        assert code == 0 and want
+        monkeypatch.setattr(cli, "gram_det", lambda dg, d: LaurentPoly.const(1))
+        code, out, err = run(capsys, *argv, "--check")
+        assert (code, out) == (1, want) and err.startswith("determinant mismatch:\n")
+
+    def test_negative_weight_is_usage(self, capsys):
+        # the empty product over s <= d would claim determinant 1
+        code, out, err = run(capsys, "det", "--ell", "3", "--d", "-1", "--cache-dir", "")
+        assert (code, out, err) == (2, "", "error: d must be >= 0\n")
+
     def test_e8(self, capsys, cache_dir):
         from gcartan.qlaurent import cyclotomic
 
@@ -262,6 +294,22 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", *argv, "--cache-dir", cache_dir)
         assert code == 2 and not out and message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("conjcheck", "--p", "2", "--r", "1", "--dmax", "-1"), "dmax must be >= 0"),
+            (("schur-orth", "--nmax", "-1"), "nmax must be >= 0"),
+            (("nformula", "--pmax", "1", "--dmax", "4"), "pmax >= 2"),
+            (("nformula", "--pmax", "4", "--dmax", "-1"), "dmax >= 0"),
+            (("folding", "--diagram", "tD4", "--tmax", "0"), "tmax must be >= 1"),
+        ],
+        ids=["conjcheck-dmax", "schur-orth-nmax", "nformula-pmax", "nformula-dmax", "folding-tmax"],
+    )
+    def test_empty_range_is_usage(self, capsys, argv, message):
+        # a check over an empty range checks nothing, so it may not report ok
+        code, out, err = run(capsys, "verify", *argv, "--cache-dir", "")
+        assert code == 2 and not out and message in err
+
     def test_failure_exit_code(self, capsys, cache_dir, monkeypatch):
         # plumbing test: a failing verifier must yield exit code 1
         monkeypatch.setattr(cli.inv, "verify_saigo2", lambda ell, n: False)
@@ -317,6 +365,19 @@ class TestIrredCommand:
         assert (code, out) == (0, "A:4,10,False\n")
 
 
+    def test_disagreement_exits_1_in_csv(self, capsys, monkeypatch):
+        real = cli.qc.irreducible_at
+        monkeypatch.setattr(
+            cli.qc,
+            "irreducible_at",
+            lambda dg, ell, mode: real(dg, ell, mode) ^ (mode == "closed_form"),
+        )
+        code, out, _ = run(
+            capsys, "irred", "--diagram", "A:4", "--ell", "10", "--format", "csv", "--cache-dir", ""
+        )
+        assert (code, out) == (1, "A:4,10,True\n")
+
+
 class TestTwistedCommand:
     def test_banner_and_value(self, capsys, cache_dir):
         code, out, _ = run(
@@ -327,6 +388,16 @@ class TestTwistedCommand:
         assert obj["status"] == "CONJECTURAL"
         assert LaurentPoly.from_json(obj["value"]) == quantum_int(3)
         assert obj["epsilon"] == 1
+
+    def test_cache_hit_replays_the_note(self, capsys, cache_dir):
+        args = ("twisted", "--diagram", "tA2:3", "--d", "2", "--format", "csv")
+        args += ("--cache-dir", cache_dir)
+        note = "# CONJECTURAL: evaluated from an unproven closed formula\n"
+        code1, out1, err1 = run(capsys, *args)
+        code2, out2, err2 = run(capsys, *args)
+        assert code1 == code2 == 0 and out1 == out2
+        assert err1 == note + "# cache: 0 hit(s), 1 miss(es)\n"
+        assert err2 == note + "# cache: 1 hit(s), 0 miss(es)\n"
 
     def test_requires_twisted_label(self, capsys, cache_dir):
         code, _, err = run(
@@ -522,6 +593,28 @@ class TestReportCommand:
         assert obj["params"] == {"p": 2, "r": 1, "d": 3, "ell": 2}
 
 
+    @staticmethod
+    def _never(*args, **kwargs):
+        raise AssertionError("the report ran")
+
+    def test_unrendered_format_is_refused_before_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.inv, "conjecture_report", self._never)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--p", "5", "--r", "1", "--d", "3", "--format", "csv"])
+        assert exc.value.code == 2 and "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_size_guard(self, capsys, monkeypatch):
+        # the Gram matrix at p=2, r=1, d=4 has 5 rows
+        argv = ("report", "--p", "2", "--r", "1", "--d", "4", "--limit", "4", "--cache-dir", "")
+        real = cli.inv.conjecture_report
+        monkeypatch.setattr(cli.inv, "conjecture_report", self._never)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "5 x 5 (> 4)" in err and "--force" in err
+        monkeypatch.setattr(cli.inv, "conjecture_report", real)
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and json.loads(out)["params"]["d"] == 4
+
+
 class TestTableCommand:
     def test_json(self, capsys, cache_dir):
         code, out, _ = run(
@@ -549,6 +642,51 @@ class TestTableCommand:
             "2,2,([2])^2 ([2]_{2})^1\n"
             "3,3,([2])^4 ([2]_{2})^1 ([2]_{3})^1\n"
         )
+
+
+class TestOptionPolicy:
+    # a tiny valid invocation of each command; a new command needs one here
+    TINY = {
+        "gram": ["--ell", "2", "--d", "1"],
+        "det": ["--ell", "2", "--d", "1", "--check"],
+        "verify": ["schur-orth", "--nmax", "1"],
+        "irred": ["--ell", "2"],
+        "twisted": ["--diagram", "tD4", "--d", "1"],
+        "snf": ["--ring", "zint", "--input"],
+        "invariants": ["--ell", "2", "--partition", "1"],
+        "report": ["--p", "2", "--r", "1", "--d", "1"],
+        "table": ["--ell", "2", "--dmax", "1"],
+    }
+
+    @staticmethod
+    def _commands():
+        ap = cli.build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, cli.argparse._SubParsersAction)]
+        return sub.choices
+
+    @staticmethod
+    def _option(parser, flag):
+        found = [a for a in parser._actions if flag in a.option_strings]
+        return found[0] if found else None
+
+    def test_every_offered_format_renders(self, capsys, tmp_path):
+        # the parser offers a command only the formats it renders, so every
+        # choice it offers runs to exit 0
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps({"rows": [[2]]}))
+        commands = self._commands()
+        assert set(commands) == set(self.TINY)
+        for name, parser in commands.items():
+            argv = [name, *self.TINY[name]] + ([str(matrix)] if name == "snf" else [])
+            for fmt in self._option(parser, "--format").choices:
+                code, out, err = run(capsys, *argv, "--format", fmt, "--cache-dir", "")
+                assert (code, bool(out)) == (0, True), (name, fmt, err)
+
+    def test_size_guard_only_where_a_gram_matrix_is_built(self):
+        commands = self._commands()
+        for flag in ("--limit", "--force"):
+            takers = {name for name, parser in commands.items() if self._option(parser, flag)}
+            assert takers == {"gram", "det", "report"}, flag
 
 
 class TestOptimisedInterpreter:

@@ -559,6 +559,11 @@ class TestKPairingAndSchur:
     def test_orthonormality_small(self):
         assert schur_orthonormality(5)
 
+    def test_orthonormality_refuses_an_empty_range(self):
+        # no degree to check is not a pass
+        with pytest.raises(ValueError, match="nmax must be >= 0"):
+            schur_orthonormality(-1)
+
     @pytest.mark.parametrize(
         "weight", [LaurentPoly.const(2), quantum_int(3) - 2 * ONE], ids=["two", "one-at-v=1"]
     )

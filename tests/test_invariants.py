@@ -143,6 +143,11 @@ class TestIdentityVerifiers:
         assert verify_conjcheck(5, 1, 0)
         assert verify_conjcheck(2, 2, 5) and verify_conjcheck(3, 1, 5)
 
+    def test_conjcheck_refuses_an_empty_range(self):
+        # no degree to check is not a pass
+        with pytest.raises(ValueError, match="dmax must be >= 0"):
+            verify_conjcheck(2, 1, -1)
+
     def test_conjcheck_matches_direct_expansion(self):
         for p, r, d in ((2, 1, 3), (3, 1, 3), (2, 2, 3)):
             ell = p**r

@@ -163,6 +163,11 @@ class TestExponents:
         assert shapovalov_det_formula(a1, 1) == quantum_int(2)
         assert shapovalov_det_formula(a1, 2) == quantum_int(2) ** 2 * quantum_int(2, 2)
 
+    def test_shapovalov_formula_refuses_negative_d(self):
+        # an empty product over s <= d would claim 1
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            shapovalov_det_formula(DynkinDiagram("A", 1), -1)
+
     def test_sym_power_det_lemma(self):
         # det Sym^m(f) = (det f)^C(n+m-1, m-1)
         rng = random.Random(7)
