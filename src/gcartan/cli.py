@@ -1,6 +1,13 @@
 """Command-line frontend.
 
 Commands: gram, det, verify, irred, twisted, snf, invariants, report, table.
+Each command, and each identity of verify, declares in its parser exactly
+the options it reads, and a missing, foreign or mixed option exits 2 before
+any work.  verify's options follow the identity:
+`gcart verify conjcheck --p 2 --r 1 --dmax 4`.  Two rules the parser cannot
+state stay in their commands: gram --blocks takes --ell, not --diagram, and
+invariants takes --p and --r, or --ell.
+
 Every command takes --format and --cache-dir PATH.  --format offers only
 what the command renders: json, csv and latex for gram, det, twisted and
 table; json and csv for verify, irred and invariants; json alone for snf and
@@ -210,23 +217,33 @@ def _cache_from(args) -> DiskCache:
 # ---------------------------------------------------------------------------
 
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+def _label(kind: type, name: str):
+    """The type= converter of a --diagram that must name a `name` diagram,
+    one of `kind`: the label as given, which verify folding echoes in its
+    params, or argparse's usage error."""
+
+    def convert(text: str) -> str:
+        try:
+            dg = qc.parse_diagram(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not isinstance(dg, kind):
+            raise argparse.ArgumentTypeError(f"{text} is not a {name} diagram label")
+        return text
+
+    return convert
+
+
+FINITE, TWISTED = _label(qc.DynkinDiagram, "finite"), _label(qc.TwistedDiagram, "twisted")
 
 
 def _finite_diagram(args) -> tuple[qc.DynkinDiagram, str]:
     """The finite diagram of --diagram, else A_{ell-1} for --ell, and its
     label in outputs: the diagram's own, or "ell=N"."""
-    if args.diagram is not None:
-        dg = qc.parse_diagram(args.diagram)
-        if not isinstance(dg, qc.DynkinDiagram):
-            raise UsageError(f"{args.diagram} is a twisted diagram; this command needs a finite one")
-        return dg, dg.label()
-    if args.ell is not None:
+    if args.diagram is None:
         return qc.type_a(args.ell), f"ell={args.ell}"
-    raise UsageError("give either --diagram or --ell")
+    dg = qc.parse_diagram(args.diagram)
+    return dg, dg.label()
 
 
 def _size_guard(args, n: int) -> None:
@@ -243,14 +260,14 @@ def _size_guard(args, n: int) -> None:
 
 def cmd_gram(args) -> str:
     if args.blocks is not None:
-        _require(args, "ell")
+        if args.diagram is not None:
+            raise UsageError("--blocks sums the blocks of --ell; it takes no --diagram")
         _size_guard(
             args, sum(pt.u_count(args.ell - 1, b.weight) for b in pt.blocks(args.blocks, args.ell))
         )
         bs = block_sum(args.blocks, args.ell)
         payload, idx, mat = bs.to_json(), [cp for _, g in bs.blocks for cp in g.index], bs.matrix()
     else:
-        _require(args, "d")
         dg, label = _finite_diagram(args)
         _size_guard(args, pt.u_count(dg.nodes, args.d))
         g = gram_matrix(dg, args.d)
@@ -279,7 +296,6 @@ def _factored_latex(parts: list[dict]) -> str:
 
 
 def cmd_det(args) -> str:
-    _require(args, "d")
     dg, label = _finite_diagram(args)
     formula = qc.shapovalov_det_formula(dg, args.d)
     payload = {
@@ -323,14 +339,13 @@ def _verify_nformula(a) -> dict:
 
 def _verify_folding(a) -> dict:
     td = qc.parse_diagram(a.diagram)
-    if not isinstance(td, qc.TwistedDiagram):
-        raise UsageError("folding needs a twisted diagram label")
     if a.tmax < 1:
         raise ValueError("tmax must be >= 1")
     return {"ok": all(qc.folding_det_check(td, t) for t in range(1, a.tmax + 1))}
 
 
-# identity -> (the options it needs, its check: args -> {"ok": bool, details})
+# identity -> (the options it reads, all required, each an int but folding's
+# --diagram; its check: args -> {"ok": bool, details})
 VERIFY = {
     "conjcheck": (("p", "r", "dmax"), lambda a: {"ok": inv.verify_conjcheck(a.p, a.r, a.dmax)}),
     "tsaigo": (("p", "r", "d", "u"), lambda a: {"ok": inv.verify_tsaigo(a.p, a.r, a.d, a.u)}),
@@ -346,17 +361,13 @@ VERIFY = {
 
 def cmd_verify(args) -> str:
     name = args.identity
-    if name not in VERIFY:
-        raise UsageError(f"unknown identity {name!r}; choose from {', '.join(sorted(VERIFY))}")
     params, check = VERIFY[name]
-    _require(args, *params)
     payload = {"identity": name, "params": {k: getattr(args, k) for k in params}, **check(args)}
     ok = payload["ok"]
     return _checked(_emit(args, payload, csv_fn=lambda out: out.write(f"{name},{ok}\n")), ok)
 
 
 def cmd_irred(args) -> str:
-    _require(args, "ell")
     dg, _ = _finite_diagram(args)
     # both reports the closed form and cross-checks it against the exact test
     value = qc.irreducible_at(dg, args.ell, "exact" if args.mode == "exact" else "closed_form")
@@ -371,10 +382,7 @@ def cmd_irred(args) -> str:
 
 
 def cmd_twisted(args) -> str:
-    _require(args, "diagram", "d")
     td = qc.parse_diagram(args.diagram)
-    if not isinstance(td, qc.TwistedDiagram):
-        raise UsageError(f"{args.diagram} is not a twisted diagram label")
     value = qc.twisted_det_formula(td, args.d)
     payload = {
         "status": "CONJECTURAL",
@@ -424,7 +432,6 @@ def _read_matrix(path: str, ring: str):
 
 
 def cmd_snf(args) -> str:
-    _require(args, "input", "ring")
     m = _read_matrix(args.input, args.ring)
     if args.ring == "zint":
         # one Bareiss |det| serves both the route and the product check
@@ -463,35 +470,53 @@ def cmd_snf(args) -> str:
     return _checked(_emit(args, payload), all(v for v in checks.values() if isinstance(v, bool)))
 
 
+def _invariant_table(args) -> list[tuple]:
+    """(provenance, params, function of (*params, partition)) for each
+    invariant that the option set --p --r, or --ell, reports, in order."""
+    if args.ell is None:
+        pr, ell = (args.p, args.r), (args.p**args.r,)
+        return [
+            ("Hill", pr, inv.hill_invariant),
+            ("GradedHill", pr, inv.graded_hill),
+            ("KOR", ell, inv.kor_invariant),
+            ("GradedKOR", pr, inv.graded_kor),
+            ("ASY", ell, inv.asy_Q),
+        ]
+    ell = (args.ell,)
+    return [
+        ("KOR", ell, inv.kor_invariant),
+        ("Hill", ell, inv.composite_hill),
+        ("ASY", ell, inv.asy_Q),
+    ]
+
+
 def cmd_invariants(args) -> str:
-    _require(args, "partition")
+    given = [f"--{k}" for k in ("p", "r", "ell") if getattr(args, k) is not None]
+    if given not in (["--p", "--r"], ["--ell"]):
+        raise UsageError(f"give --p and --r, or --ell; got {' '.join(given) or 'neither'}")
     lam = pt.partition(int(x) for x in args.partition.split(",") if x.strip())
-    rows = []
-    if args.p is not None and args.r is not None:
-        ell = args.p**args.r
-        rows.append(inv.GradedInvariant(inv.hill_invariant(args.p, args.r, lam), "Hill", (args.p, args.r), lam))
-        rows.append(inv.GradedInvariant(inv.graded_hill(args.p, args.r, lam), "GradedHill", (args.p, args.r), lam))
-        rows.append(inv.GradedInvariant(inv.kor_invariant(ell, lam), "KOR", (ell,), lam))
-        rows.append(inv.GradedInvariant(inv.graded_kor(args.p, args.r, lam), "GradedKOR", (args.p, args.r), lam))
-        rows.append(inv.GradedInvariant(inv.asy_Q(ell, lam), "ASY", (ell,), lam))
-    elif args.ell is not None:
-        rows.append(inv.GradedInvariant(inv.kor_invariant(args.ell, lam), "KOR", (args.ell,), lam))
-        rows.append(inv.GradedInvariant(inv.composite_hill(args.ell, lam), "Hill", (args.ell,), lam))
-        rows.append(inv.GradedInvariant(inv.asy_Q(args.ell, lam), "ASY", (args.ell,), lam))
-    else:
-        raise UsageError("give --p and --r, or --ell")
-    payload = {"partition": list(lam), "invariants": [r.to_json() for r in rows]}
+    rows = [(prov, params, f(*params, lam)) for prov, params, f in _invariant_table(args)]
+    payload = {
+        "partition": list(lam),
+        "invariants": [
+            {
+                "value": str(v) if isinstance(v, int) else v.to_json(),
+                "provenance": prov,
+                "params": list(params),
+                "partition": list(lam),
+            }
+            for prov, params, v in rows
+        ],
+    }
 
     def csv_fn(out):
-        for r in rows:
-            v = r.value if isinstance(r.value, int) else _entry_str(r.value)
-            out.write(f"{r.provenance},{v}\n")
+        for prov, _, v in rows:
+            out.write(f"{prov},{v if isinstance(v, int) else _entry_str(v)}\n")
 
     return _emit(args, payload, csv_fn=csv_fn)
 
 
 def cmd_report(args) -> str:
-    _require(args, "p", "r", "d")
     inv._check_p_r(args.p, args.r)
     _size_guard(args, pt.u_count(args.p**args.r - 1, args.d))
     rep = inv.conjecture_report(args.p, args.r, args.d)
@@ -499,6 +524,8 @@ def cmd_report(args) -> str:
 
 
 def cmd_table(args) -> str:
+    if args.dmax < 0:
+        raise ValueError("dmax must be >= 0")
     dg, label = _finite_diagram(args)
     rows = []
     for d in range(args.dmax + 1):
@@ -555,51 +582,60 @@ def build_parser() -> argparse.ArgumentParser:
 
     every, no_latex = ["json", "csv", "latex"], ["json", "csv"]
 
+    def diagram_or_ell(p):
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--diagram", type=FINITE)
+        one.add_argument("--ell", type=int)
+
     g = sub.add_parser("gram", help="graded Cartan / Gram matrices")
-    g.add_argument("--diagram")
-    g.add_argument("--ell", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--blocks", type=int, metavar="N", help="direct sum over blocks of rank N")
+    diagram_or_ell(g)
+    one = g.add_mutually_exclusive_group(required=True)
+    one.add_argument("--d", type=int)
+    one.add_argument("--blocks", type=int, metavar="N", help="direct sum over blocks of rank N")
     common(g, every, guard=True)
     g.set_defaults(fn=cmd_gram)
 
     d = sub.add_parser("det", help="graded Cartan determinants")
-    d.add_argument("--diagram")
-    d.add_argument("--ell", type=int)
-    d.add_argument("--d", type=int)
+    diagram_or_ell(d)
+    d.add_argument("--d", type=int, required=True)
     d.add_argument("--check", action="store_true", help="cross-check against the Gram matrix")
     common(d, every, guard=True)
     d.set_defaults(fn=cmd_det)
 
     v = sub.add_parser("verify", help="verify a supported identity")
-    v.add_argument("identity")
-    for flag in ("p", "r", "d", "dmax", "u", "ell", "n", "nmax", "pmax", "tmax"):
-        v.add_argument(f"--{flag}", type=int)
-    v.add_argument("--diagram")
-    common(v, no_latex)
-    v.set_defaults(fn=cmd_verify)
+    identities = v.add_subparsers(dest="identity", required=True)
+    for name, (params, _) in VERIFY.items():
+        # full names only: one identity's option may be a prefix of another's
+        # (--n of --nmax), and a foreign option must not pass as its own
+        vi = identities.add_parser(name, allow_abbrev=False)
+        for k in params:
+            vi.add_argument(f"--{k}", type=TWISTED if k == "diagram" else int, required=True)
+        common(vi, no_latex)
+        vi.set_defaults(fn=cmd_verify)
 
     i = sub.add_parser("irred", help="irreducibility of the specialized basic module")
-    i.add_argument("--diagram")
-    i.add_argument("--ell", type=int)
+    i.add_argument("--diagram", type=FINITE)
+    i.add_argument("--ell", type=int, required=True)
     i.add_argument("--mode", choices=["closed_form", "exact", "both"], default="both")
     common(i, no_latex)
     i.set_defaults(fn=cmd_irred)
 
     t = sub.add_parser("twisted", help="conjectured twisted determinants")
-    t.add_argument("--diagram")
-    t.add_argument("--d", type=int)
+    t.add_argument("--diagram", type=TWISTED, required=True)
+    t.add_argument("--d", type=int, required=True)
     common(t, every)
     t.set_defaults(fn=cmd_twisted)
 
     s = sub.add_parser("snf", help="invariant factors of a matrix from JSON")
     s.add_argument(
         "--input",
+        required=True,
         help='JSON file: {"rows": integer rows} for zint, {"entries": rows of Laurent '
         "polynomials} for qlaurent and zlaurent, the shape `gcart gram` writes",
     )
     s.add_argument(
         "--ring",
+        required=True,
         choices=["zint", "qlaurent", "zlaurent"],
         help="zint takes the local Smith form at the primes of |det| for a "
         "nonsingular matrix, dense elimination for a singular one; zlaurent runs a "
@@ -613,20 +649,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int)
     q.add_argument("--r", type=int)
     q.add_argument("--ell", type=int)
-    q.add_argument("--partition", help="comma-separated parts, e.g. 3,1,1")
+    q.add_argument("--partition", required=True, help="comma-separated parts, e.g. 3,1,1")
     common(q, no_latex)
     q.set_defaults(fn=cmd_invariants)
 
     r = sub.add_parser("report", help="layered conjecture verification report")
-    r.add_argument("--p", type=int)
-    r.add_argument("--r", type=int)
-    r.add_argument("--d", type=int)
+    for k in ("p", "r", "d"):
+        r.add_argument(f"--{k}", type=int, required=True)
     common(r, ["json"], guard=True)
     r.set_defaults(fn=cmd_report)
 
     tb = sub.add_parser("table", help="determinant table for a range of weights")
-    tb.add_argument("--diagram")
-    tb.add_argument("--ell", type=int)
+    diagram_or_ell(tb)
     tb.add_argument("--dmax", type=int, default=4)
     common(tb, every)
     tb.set_defaults(fn=cmd_table)

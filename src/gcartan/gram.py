@@ -67,13 +67,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
-from typing import Sequence
 
 from . import partitions as pt
 from .linalg import _int_det_multimodular, laurent_det
 from .qcartan import DynkinDiagram, quantized_cartan, type_a
 from .qlaurent import ONE, ZERO, LaurentPoly
-from .snf import _slot_width, _unpack
+from .snf import _slot_width, _unpack, snf_laurent_field, snf_of_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,6 @@ class _Assembly:
         self.block_members = {
             lam: [cp for cp in self.index if pt.shape(cp) == lam] for lam in self.shapes
         }
-        self._blocks: dict[pt.Partition, tuple[int, Sequence[Sequence[LaurentPoly]]]] | None = None
 
     # -- y-Gram blocks --------------------------------------------------------
 
@@ -327,20 +325,19 @@ class _Assembly:
         """Per shape: (denominator prod(s^m_s), dense integer block), the block
         being the Kronecker product of kron_factors; only the full matrix
         needs these."""
-        if self._blocks is None:
-            self._blocks = {}
-            for lam in self.shapes:
-                den, factors = self.kron_factors(lam)
-                fs = list(factors.values()) or [((ONE,),)]
-                block = fs[0]
-                for f in fs[1:]:
-                    block = [
-                        [x * y if x and y else ZERO for x in ra for y in rb]
-                        for ra in block
-                        for rb in f
-                    ]
-                self._blocks[lam] = den, block
-        return self._blocks
+        blocks = {}
+        for lam in self.shapes:
+            den, factors = self.kron_factors(lam)
+            fs = list(factors.values()) or [((ONE,),)]
+            block = fs[0]
+            for f in fs[1:]:
+                block = [
+                    [x * y if x and y else ZERO for x in ra for y in rb]
+                    for ra in block
+                    for rb in f
+                ]
+            blocks[lam] = den, block
+        return blocks
 
     # -- the transition matrix x -> y ------------------------------------------
 
@@ -617,8 +614,6 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     suffers catastrophic coefficient swell beyond ~15 rows; the dense and
     factored routes are cross-checked on small cases in the test suite.
     """
-    from .snf import snf_laurent_field, snf_of_diagonal
-
     asm = _Assembly(CartanPairing(dg), d)
     asm.check_unitriangular()
     factor_invs = {}

@@ -151,25 +151,6 @@ def composite_hill(ell: int, lam: pt.Partition) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class GradedInvariant:
-    """A computed invariant with its provenance, for structured output."""
-
-    value: object  # LaurentPoly or int
-    provenance: str  # Hill | GradedHill | KOR | GradedKOR | ASY
-    params: tuple
-    source: pt.Partition
-
-    def to_json(self) -> dict:
-        v = self.value.to_json() if isinstance(self.value, LaurentPoly) else str(self.value)
-        return {
-            "value": v,
-            "provenance": self.provenance,
-            "params": list(self.params),
-            "partition": list(self.source),
-        }
-
-
 # ---------------------------------------------------------------------------
 # right-hand multisets (with the s=0 boundary term)
 # ---------------------------------------------------------------------------
@@ -316,19 +297,6 @@ class BunkaitoReport:
     components: tuple[BunkaitoComponent, ...]
     total: int
     verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "d": self.d,
-            "components": [
-                {"e": c.weight, "pairs": [list(x) for x in c.pairs], "mult": c.multiplicity}
-                for c in self.components
-            ],
-            "total": self.total,
-            "verified": self.verified,
-        }
 
 
 def _types(m: int, p: int, min_d: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:

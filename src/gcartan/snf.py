@@ -713,9 +713,7 @@ def try_diagonalize_zlaurent(
     diag, steps, stopped = _diagonalize(m, _complexity, _reduce_zlaurent, budget)
     if stopped != "cleared":
         return DiagonalizationResult("inconclusive", None, steps, stopped)
-    result = InvariantMultiset.polys(
-        [canonical_poly(e) if not e.is_zero else ZERO for e in diag], RING_ZLAURENT
-    )
+    result = InvariantMultiset.polys(diag, RING_ZLAURENT)
     _success_sanity(matrix, diag)
     return DiagonalizationResult("success", result, steps, "cleared")
 

@@ -12,7 +12,10 @@ from gcartan.qlaurent import LaurentPoly, quantum_int
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # the parser's refusal of a usage error
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -255,12 +258,16 @@ class TestVerifyCommand:
             assert err == "# cache: 0 hit(s), 0 miss(es)\n"
 
     def test_unknown_identity(self, capsys, cache_dir):
-        code, _, err = run(capsys, "verify", "nope", "--cache-dir", cache_dir)
-        assert code == 2 and "unknown identity" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "nope", "--cache-dir", cache_dir])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "argument identity: invalid choice: 'nope'" in err
 
     def test_missing_params(self, capsys, cache_dir):
-        code, _, err = run(capsys, "verify", "conjcheck", "--p", "2", "--cache-dir", cache_dir)
-        assert code == 2 and "missing required" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "conjcheck", "--p", "2", "--cache-dir", cache_dir])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "required: --r, --dmax" in err
 
     def test_nformula_disagreement_is_a_verification_failure(self, capsys, cache_dir, monkeypatch):
         # the command checks that the two closed forms of N agree, so a
@@ -643,13 +650,27 @@ class TestTableCommand:
             "3,3,([2])^4 ([2]_{2})^1 ([2]_{3})^1\n"
         )
 
+    def test_negative_dmax_is_usage(self, capsys):
+        # an empty range of weights would print a table of no rows
+        code, out, err = run(capsys, "table", "--ell", "3", "--dmax", "-1", "--cache-dir", "")
+        assert (code, out, err) == (2, "", "error: dmax must be >= 0\n")
+
 
 class TestOptionPolicy:
-    # a tiny valid invocation of each command; a new command needs one here
+    # a tiny valid invocation of each command, and of each identity of
+    # verify; a new command or identity needs one here
     TINY = {
         "gram": ["--ell", "2", "--d", "1"],
         "det": ["--ell", "2", "--d", "1", "--check"],
-        "verify": ["schur-orth", "--nmax", "1"],
+        "verify conjcheck": ["--p", "2", "--r", "1", "--dmax", "2"],
+        "verify tsaigo": ["--p", "2", "--r", "1", "--d", "2", "--u", "1"],
+        "verify saigo2": ["--ell", "2", "--n", "2"],
+        "verify bhmulti": ["--ell", "2", "--n", "2"],
+        "verify conjequiv": ["--p", "2", "--r", "1", "--n", "2"],
+        "verify bunkaito": ["--p", "2", "--r", "1", "--d", "2"],
+        "verify schur-orth": ["--nmax", "1"],
+        "verify nformula": ["--pmax", "2", "--dmax", "1"],
+        "verify folding": ["--diagram", "tD4", "--tmax", "1"],
         "irred": ["--ell", "2"],
         "twisted": ["--diagram", "tD4", "--d", "1"],
         "snf": ["--ring", "zint", "--input"],
@@ -658,11 +679,55 @@ class TestOptionPolicy:
         "table": ["--ell", "2", "--dmax", "1"],
     }
 
-    @staticmethod
-    def _commands():
-        ap = cli.build_parser()
-        (sub,) = [a for a in ap._actions if isinstance(a, cli.argparse._SubParsersAction)]
-        return sub.choices
+    # (argv, what the refusal says), each exiting 2 before any work
+    REFUSED = [
+        # a foreign, mixed or out-of-range option, which used to pass
+        (("verify", "schur-orth", "--nmax", "2", "--p", "5"), "unrecognized arguments: --p 5"),
+        # another identity's --p does not abbreviate --pmax
+        (
+            ("verify", "nformula", "--pmax", "2", "--dmax", "1", "--p", "5"),
+            "unrecognized arguments: --p 5",
+        ),
+        (
+            ("det", "--diagram", "A:2", "--ell", "5", "--d", "1"),
+            "argument --ell: not allowed with argument --diagram",
+        ),
+        (
+            ("gram", "--blocks", "2", "--ell", "2", "--d", "7"),
+            "argument --d: not allowed with argument --blocks",
+        ),
+        (
+            ("gram", "--blocks", "2", "--ell", "2", "--diagram", "E:6"),
+            "argument --diagram: not allowed with argument --ell",
+        ),
+        (("gram", "--blocks", "2", "--diagram", "E:6"), "it takes no --diagram"),
+        (
+            ("invariants", "--p", "2", "--r", "1", "--ell", "6", "--partition", "1,1"),
+            "got --p --r --ell",
+        ),
+        (("invariants", "--p", "2", "--ell", "6", "--partition", "1"), "got --p --ell"),
+        (("table", "--ell", "3", "--dmax", "-1"), "dmax must be >= 0"),
+        # refused before as well, now by the parser
+        (("verify", "nope"), "argument identity: invalid choice: 'nope'"),
+        (("verify", "conjcheck", "--p", "2"), "required: --r, --dmax"),
+        (("det", "--diagram", "tD4", "--d", "1"), "--diagram: tD4 is not a finite"),
+        (("twisted", "--diagram", "A:3", "--d", "1"), "--diagram: A:3 is not a twisted"),
+    ]
+
+    @classmethod
+    def _commands(cls, parser=None, path=()):
+        """{command path: parser} for every parser that runs a command, each
+        identity of verify its own."""
+        parser = parser or cli.build_parser()
+        subs = [a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction)]
+        if not subs:
+            return {" ".join(path): parser}
+        return {
+            leaf: p
+            for sub in subs
+            for name, child in sub.choices.items()
+            for leaf, p in cls._commands(child, path + (name,)).items()
+        }
 
     @staticmethod
     def _option(parser, flag):
@@ -677,7 +742,7 @@ class TestOptionPolicy:
         commands = self._commands()
         assert set(commands) == set(self.TINY)
         for name, parser in commands.items():
-            argv = [name, *self.TINY[name]] + ([str(matrix)] if name == "snf" else [])
+            argv = [*name.split(), *self.TINY[name]] + ([str(matrix)] if name == "snf" else [])
             for fmt in self._option(parser, "--format").choices:
                 code, out, err = run(capsys, *argv, "--format", fmt, "--cache-dir", "")
                 assert (code, bool(out)) == (0, True), (name, fmt, err)
@@ -687,6 +752,37 @@ class TestOptionPolicy:
         for flag in ("--limit", "--force"):
             takers = {name for name, parser in commands.items() if self._option(parser, flag)}
             assert takers == {"gram", "det", "report"}, flag
+
+    def test_each_identity_declares_exactly_its_options(self):
+        # verify conjcheck takes --p --r --dmax, all required, and no option
+        # that only another identity reads
+        commands = self._commands()
+        for name, (params, _) in cli.VERIFY.items():
+            actions = commands[f"verify {name}"]._actions
+            flags = {a.option_strings[-1] for a in actions} - {"--help"}
+            assert flags == {f"--{k}" for k in params} | {"--format", "--cache-dir"}, name
+            required = {a.option_strings[-1] for a in actions if a.required}
+            assert required == {f"--{k}" for k in params}, name
+
+    @staticmethod
+    def _never(*args, **kwargs):
+        raise AssertionError("a refused invocation did work")
+
+    @pytest.mark.parametrize(
+        "argv, message", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED]
+    )
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
+        # work would raise AssertionError, an exit 3
+        for module, fn in [
+            (cli, "block_sum"), (cli, "gram_matrix"), (cli, "schur_orthonormality"),
+            (cli.qc, "shapovalov_det_formula"), (cli.qc, "twisted_det_formula"),
+            (cli.qc, "exponent_N"), (cli.qc, "exponent_formulas_agree"),
+            (cli.pt, "u_count"), (cli.inv, "hill_invariant"), (cli.inv, "kor_invariant"),
+            (cli.inv, "verify_conjcheck"),
+        ]:
+            monkeypatch.setattr(module, fn, self._never)
+        code, out, err = run(capsys, *argv, "--cache-dir", "")
+        assert (code, out) == (2, "") and message in err, err
 
 
 class TestOptimisedInterpreter:

@@ -5,7 +5,6 @@ from gcartan import partitions as pt
 from gcartan.invariants import (
     BunkaitoComponent,
     _graded_hill_factors,
-    GradedInvariant,
     asy_Q,
     bracket_product_values,
     bunkaito_decompose,
@@ -197,10 +196,6 @@ class TestBunkaito:
         assert bunkaito_decompose(2, 2, 6).verified
         assert bunkaito_decompose(3, 1, 5).verified
 
-    def test_json(self):
-        j = bunkaito_decompose(2, 1, 3).to_json()
-        assert j["verified"] is True and j["components"]
-
 
 class TestConjectureReport:
     def test_trivial_case_all_verified(self):
@@ -325,9 +320,3 @@ class TestConjectureReport:
         lay = rep.layer("integral-diagonalization")
         assert lay.details["stopped"] == "stalled"
         assert lay.details["note"] == invariants._DIAG_STOPS["stalled"]
-
-
-def test_graded_invariant_record():
-    g = GradedInvariant(quantum_int(2), "GradedHill", (2, 1), (1,))
-    j = g.to_json()
-    assert j["provenance"] == "GradedHill" and j["partition"] == [1]
