@@ -571,7 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
         "of symmetric-group and Iwahori-Hecke blocks.",
     )
     ap.add_argument("--version", action="version", version=f"gcart {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # full option names only: a prefix (--d of irred's --diagram) is refused, not expanded
+    full_names = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=full_names)
 
     def common(p, formats, guard=False):
         p.add_argument("--format", choices=formats, default="json")
@@ -603,11 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_det)
 
     v = sub.add_parser("verify", help="verify a supported identity")
-    identities = v.add_subparsers(dest="identity", required=True)
+    identities = v.add_subparsers(dest="identity", required=True, parser_class=full_names)
     for name, (params, _) in VERIFY.items():
-        # full names only: one identity's option may be a prefix of another's
-        # (--n of --nmax), and a foreign option must not pass as its own
-        vi = identities.add_parser(name, allow_abbrev=False)
+        vi = identities.add_parser(name)
         for k in params:
             vi.add_argument(f"--{k}", type=TWISTED if k == "diagram" else int, required=True)
         common(vi, no_latex)

@@ -43,14 +43,15 @@ order is checked from the indices every time the factors are taken.  Hence
 
     det(A (x) B) = det(A)^{dim B} det(B)^{dim A},
     SNF(A (x) B) = SNF(diag(a_i b_j))   (a, b the invariant factors of A, B,
-                                         over a principal ideal domain),
+                                         over a principal ideal domain).
 
-and every factor is eliminated generically.  For the determinant, a factor
-that the colour reversal i -> k-1-i of the k colours fixes entrywise (checked
-on every call; in type A it is the diagram automorphism) is first split by a
-congruence into a plus and a minus block of about half its size, and each
-block is eliminated.  P_s(m) is Sym^m([X]_s) up to
-a diagonal of multiplicity factorials, but det Sym^m = det^binom is the
+Over Q[v,v^-1], the invariant factors come from the Smith form of each
+k x k matrix [X]_s by Cauchy-Binet for permanents (gram_field_invariants).
+For the determinant, a factor that the colour reversal i -> k-1-i fixes
+entrywise (checked on every call; in type A it is the diagram automorphism)
+is split by a congruence into a plus and a minus block of about half its
+size; the factor, or each block, is eliminated.  P_s(m) is Sym^m([X]_s) up
+to a diagonal of multiplicity factorials, but det Sym^m = det^binom is the
 determinant theorem under test, so it is never used: no closed determinant
 formula enters this computation.  Each P_s(m) is computed once per process,
 column by column: column c' is one expansion of prod_{i in c'} (sum_j
@@ -602,30 +603,32 @@ def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
 def gram_field_invariants(dg: DynkinDiagram, d: int):
     """Invariant factors of gram_matrix(dg, d) over Q[v,v^-1].
 
-    Rational numbers are units of Q[v,v^-1], so the unitriangular change of
-    basis (runtime-checked) and the per-block scalar denominators are both
-    unimodular: the Gram matrix is equivalent to the direct sum of the
-    integer y-pairing blocks, each a Kronecker product of permanent matrices
-    P_s(m_s).  Over a principal ideal domain the Smith form of A (x) B is that
-    of diag(a_i b_j), a and b the invariant factors of A and B.  So each
-    distinct factor is eliminated generically once (snf_laurent_field), the
-    products of factor invariants are formed per shape, and everything is
-    recombined by snf_of_diagonal.  Elimination on the assembled matrix
-    suffers catastrophic coefficient swell beyond ~15 rows; the dense and
-    factored routes are cross-checked on small cases in the test suite.
+    Rationals are units of Q[v,v^-1], so the unitriangular change of basis
+    (runtime-checked) and the per-block denominators are unimodular: the
+    Gram matrix is equivalent to the direct sum of the Kronecker products of
+    the permanent matrices P_s(m_s).  Over a principal ideal domain the Smith
+    form of A (x) B is that of diag(a_i b_j), a and b those of A and B.
+
+    No P_s(m) is eliminated.  Cauchy-Binet for permanents (Minc, Permanents,
+    1978) gives P_m(AB) = P_m(A) W^-1 P_m(B) for P_m(A) = (perm A[c, c']) on
+    the colour multisets of size m, W = diag(prod_j mult_c(j)!) a unit; so
+    P_m(U) is invertible with U.  Hence U [X]_s V = D makes P_s(m)
+    equivalent to P_m(D) = W diag(prod_{i in c} D_i): [X]_s is eliminated
+    once per part size s (snf_laurent_field), and these products stand for
+    each factor.
     """
     asm = _Assembly(CartanPairing(dg), d)
     asm.check_unitriangular()
-    factor_invs = {}
-    invs = []
-    for lam in asm.shapes:
-        _, factors = asm.kron_factors(lam)
-        diag = [ONE]
-        for key, f in factors.items():
-            if key not in factor_invs:
-                factor_invs[key] = snf_laurent_field(f).elements
-            diag = [a * b for a in diag for b in factor_invs[key]]
-        invs.extend(diag)
+    smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
+    factor_invs = {
+        (s, m): [math.prod((smith[s][i] for i in c), start=ONE) for c in _multisets(dg.nodes, m)]
+        for s, m in {key for lam in asm.shapes for key in pt.mults(lam).items()}
+    }
+    invs = [
+        math.prod(values, start=ONE)
+        for lam in asm.shapes
+        for values in product(*(factor_invs[key] for key in pt.mults(lam).items()))
+    ]
     return snf_of_diagonal(invs)
 
 

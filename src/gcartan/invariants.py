@@ -291,9 +291,6 @@ class BunkaitoComponent:
 
 @dataclass(frozen=True)
 class BunkaitoReport:
-    p: int
-    r: int
-    d: int
     components: tuple[BunkaitoComponent, ...]
     total: int
     verified: bool
@@ -347,9 +344,7 @@ def bunkaito_decompose(p: int, r: int, d: int) -> BunkaitoReport:
                 rebuilt[lam] += mult
         e += 1
 
-    return BunkaitoReport(
-        p, r, d, tuple(components), sum(direct.values()), rebuilt == direct
-    )
+    return BunkaitoReport(tuple(components), sum(direct.values()), rebuilt == direct)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +403,10 @@ def conjecture_report(
 
     Layer 1 (theorem): the determinant of the Gram matrix equals the product
     of the conjectured invariants.  Layer 2: invariant factors over
-    Q[v,v^-1]; its bracket-product sub-check is theorem-backed, the
-    I^v-multiset check is the conjecture's field-ring shadow.  Layer 3:
+    Q[v,v^-1], read off the Smith form of each [X]_s by Cauchy-Binet for
+    permanents; its theorem-backed bracket-product sub-check checks that
+    combinatorics, not an independent elimination of the Kronecker factors,
+    and the I^v-multiset check is the conjecture's field-ring shadow.  Layer 3:
     invariant factors at v=1 against the ungraded multiset (a theorem when
     r <= p), by the local Smith form at the primes of |det C(1)|; when
     layer 1 is VERIFIED its determinant at v=1 supplies that |det|, else

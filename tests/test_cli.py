@@ -707,6 +707,10 @@ class TestOptionPolicy:
         ),
         (("invariants", "--p", "2", "--ell", "6", "--partition", "1"), "got --p --ell"),
         (("table", "--ell", "3", "--dmax", "-1"), "dmax must be >= 0"),
+        # no command reads an abbreviated option: irred's --diagram does not
+        # take det's --d, nor det's --check a --che
+        (("irred", "--d", "3", "--ell", "2"), "unrecognized arguments: --d 3"),
+        (("det", "--ell", "3", "--d", "2", "--che"), "unrecognized arguments: --che"),
         # refused before as well, now by the parser
         (("verify", "nope"), "argument identity: invalid choice: 'nope'"),
         (("verify", "conjcheck", "--p", "2"), "required: --r, --dmax"),

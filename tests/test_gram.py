@@ -32,9 +32,9 @@ from gcartan.gram import (
 )
 from gcartan.invariants import bracket_product_values
 from gcartan.linalg import int_det, laurent_det
-from gcartan.qcartan import DynkinDiagram, shapovalov_det_formula, type_a
+from gcartan.qcartan import DynkinDiagram, quantized_cartan, shapovalov_det_formula, type_a
 from gcartan.qlaurent import ONE, LaurentPoly, quantum_int
-from gcartan.snf import multiset_equal_up_to_units, snf_of_diagonal
+from gcartan.snf import multiset_equal_up_to_units, snf_laurent_field, snf_of_diagonal
 
 
 class TestXExpansion:
@@ -346,6 +346,61 @@ class TestPermanent:
         assert p[2][0] == LaurentPoly({0: 8})
 
 
+class TestCauchyBinet:
+    @staticmethod
+    def _laurent_matmul(a, b):
+        return tuple(
+            tuple(sum((x * y for x, y in zip(row, col)), LaurentPoly()) for col in zip(*b))
+            for row in a
+        )
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_permanent_power_of_a_product(self, k, m):
+        # P_m(AB) = P_m(A) W^-1 P_m(B), W = diag(prod_j mult_c(j)!), on random
+        # Laurent matrices; times det W, so every entry stays in Z[v,v^-1]
+        for seed in range(3):
+            a = _random_pairing(100 * k + 10 * m + seed, k)
+            b = _random_pairing(200 * k + 10 * m + seed, k)
+            ab = _MatrixPairing(self._laurent_matmul(a.entries, b.entries))
+            sets = gram._multisets(k, m)
+            w = [math.prod(math.factorial(c.count(j)) for j in range(k)) for c in sets]
+            det_w = math.prod(w)
+            pa, pb = permanent_matrix(a, 1, m), permanent_matrix(b, 1, m)
+            scaled = [[x * (det_w // we) for x, we in zip(row, w)] for row in pa]
+            assert self._laurent_matmul(scaled, pb) == tuple(
+                tuple(x * det_w for x in row) for row in permanent_matrix(ab, 1, m)
+            )
+
+    @pytest.mark.parametrize(
+        "ell, d", [(ell, d) for ell in (2, 3, 4) for d in range(5)] + [(5, 4), (4, 5)]
+    )
+    def test_transfer_equals_elimination_of_each_factor(self, ell, d):
+        # each distinct factor (at most 35 rows at these points): the products
+        # of the Smith form of [X]_s over the colour multisets against its own
+        # elimination; and the whole result against the per-factor
+        # eliminations, recombined
+        dg = type_a(ell)
+        asm = _Assembly(CartanPairing(dg), d)
+        smith = {}
+        eliminated = {}
+        invs = []
+        for lam in asm.shapes:
+            diag = [ONE]
+            for (s, m), f in asm.kron_factors(lam)[1].items():
+                if (s, m) not in eliminated:
+                    if s not in smith:
+                        smith[s] = snf_laurent_field(quantized_cartan(dg, s)).elements
+                    transfer = [
+                        math.prod((smith[s][i] for i in c), start=ONE)
+                        for c in gram._multisets(dg.nodes, m)
+                    ]
+                    eliminated[s, m] = snf_laurent_field(f).elements
+                    assert snf_of_diagonal(transfer).elements == eliminated[s, m], (s, m)
+                diag = [x * y for x in diag for y in eliminated[s, m]]
+            invs.extend(diag)
+        assert gram_field_invariants(dg, d) == snf_of_diagonal(invs)
+
+
 class TestKroneckerFactors:
     @pytest.mark.parametrize(
         "dg, dmax",
@@ -400,10 +455,9 @@ class TestKroneckerFactors:
         assert multiset_equal_up_to_units(got, snf_of_diagonal(bracket_product_values(4, 5)))
 
     def test_field_invariants_at_ell_6_d_4_in_time(self):
-        # the 70-row factor P_1(4) at ell=6 kept the field SNF busy for over
-        # 11 minutes while it repaired divisibility during elimination; it
-        # takes under a second now.  A subprocess with a timeout makes a
-        # regression fail instead of hang.
+        # eliminating the 70-row factor P_1(4) at ell=6 once took over 11
+        # minutes; a subprocess with a timeout makes any return of that swell
+        # fail instead of hang
         code = (
             "from gcartan.gram import gram_field_invariants\n"
             "from gcartan.invariants import bracket_product_values\n"

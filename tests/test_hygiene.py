@@ -244,6 +244,18 @@ def test_checked_determinant_is_formula_free():
     assert not any(found.values()), f"closed formulas referenced: {found}"
 
 
+def test_field_invariants_eliminate_no_permanent_factor():
+    # layer 2 reads each factor's invariants off the Smith form of [X]_s
+    # (Cauchy-Binet for permanents): it never builds a P_s(m) to eliminate it
+    module = _parse(PACKAGE / "gram.py")
+    fn = next(
+        node for node in module.body
+        if isinstance(node, ast.FunctionDef) and node.name == "gram_field_invariants"
+    )
+    found = _used_names(fn) & {"permanent_matrix", "kron_factors"}
+    assert not found, f"gram_field_invariants reads {sorted(found)}"
+
+
 def test_one_bracket_expander():
     # every closed-form bracket product of invariants.py is expanded by
     # qlaurent.bracket_product, not by multiplying quantum integers
