@@ -1,4 +1,4 @@
-"""Stage times of the v=1 path, point by point.
+"""Stage times of the v=1 path and of the per-shape Laurent path, point by point.
 
     python3 bench/stages.py [--points 7,4 9,4 ...] [--repeat N] [--out PATH]
 
@@ -13,7 +13,21 @@ criterion 7 in the order the integer-snf benchmark workload runs them:
     gram_det_at_one    |gram.gram_det_at_one(type_a(ell), d)|
     snf_int_certified  snf.snf_int_certified(C(1), |det|)
 
-and records a digest of the invariants, so that two runs can be checked to
+then the three stages of the per-shape path that the block-det-field
+workload runs:
+
+    factor_dets        every laurent_det call of gram.gram_det(type_a(ell), d),
+                       on a Kronecker factor or a half of its colour reversal
+                       split
+    det_product        the rest of gram_det: the splits, and the product of
+                       the factor determinants' Kronecker powers
+    field_invariants   gram.gram_field_invariants(type_a(ell), d)
+
+The factors P_s(m) are memoised, and the v=1 stages have built them, so
+det_product does not include building them.  Each laurent_det call is
+recorded as [rows, nodes, [bits of each modulus], seconds], its nodes being
+the F_p eliminations it runs per modulus.  A digest of the v=1 invariants,
+of the determinant and of the field invariants lets two runs be checked to
 agree on the output as well as compared on time.  It also records every
 elimination pass of the local Smith engine (`snf._local_valuations`, wrapped
 from outside the package, as perfbench/spans.py wraps its spans): the bit
@@ -21,16 +35,17 @@ length of the modulus, the digits, and the outcome, "ok", "short" (the
 precision ran out) or "split" (a proper factor of the modulus was met).
 Likewise it records every choice of moduli for the multi-modular
 determinant (`linalg._moduli`): the bit length of the Hadamard bound B and
-of each prime chosen.  The default points are the three of the integer-snf workload and the v=1
-frontier points.
+of each prime chosen during the v=1 stages.  The default points are the
+three of the block-det-field workload, the three of the integer-snf workload
+and the v=1 frontier points.
 
 One run appends one record to the JSON file --out (default BENCH_stages.json
 at the repository root): {"runs": [record, ...]}.  A record holds the git
 revision, whether src/ differs from it, a SHA-256 of src/, the Python
 version, the machine, nproc, the load average before and after, and per
 point: dim, every sample's seconds per stage, the median per stage, every
-sample's local passes and moduli, and the invariants digest, or the error
-that stopped the point.
+sample's local passes, moduli and laurent_det calls, and the digests, or the
+error that stopped the point.
 """
 
 from __future__ import annotations
@@ -47,11 +62,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-STAGES = ("assembly", "at_one", "gram_det_at_one", "snf_int_certified")
-# integer-snf workload points, then the v=1 frontier
-POINTS = ((7, 4), (5, 5), (3, 8), (9, 4), (7, 5), (4, 7), (5, 6))
-# seconds allowed per sample; every default point takes under 3 s
-CAP_S = 120.0
+STAGES = (
+    "assembly", "at_one", "gram_det_at_one", "snf_int_certified",
+    "factor_dets", "det_product", "field_invariants",
+)
+DIGESTS = ("invariants_sha256", "det_sha256", "field_invariants_sha256")
+# block-det-field points (its det points are (5,4) and (4,5)), integer-snf
+# points, then the v=1 frontier
+POINTS = ((5, 4), (4, 5), (2, 12), (7, 4), (5, 5), (3, 8), (9, 4), (7, 5), (4, 7), (5, 6))
+# seconds allowed per sample; factor_dets at (9,4) and (7,5), 70-140 s on a
+# shared 2-core machine, is the slowest stage of the default points
+CAP_S = 300.0
 
 CHILD = """
 import hashlib, json, math, sys, time
@@ -73,6 +94,28 @@ def record_moduli(bound_sq):
     moduli.append([math.isqrt(bound_sq).bit_length(), [p.bit_length() for p in got]])
     return got
 linalg._moduli = record_moduli
+eliminations = [0]
+def counted(kernel):
+    def run(m, p):
+        eliminations[0] += 1
+        return kernel(m, p)
+    return run
+linalg._sym_det_mod = counted(linalg._sym_det_mod)
+linalg._det_mod = counted(linalg._det_mod)
+factor_dets = []
+laurent_det = linalg.laurent_det
+def record_det(matrix):
+    seen, chosen = eliminations[0], len(moduli)
+    t0 = time.perf_counter()
+    got = laurent_det(matrix)
+    took = time.perf_counter() - t0
+    bits = [b for _, primes in moduli[chosen:] for b in primes]
+    nodes = (eliminations[0] - seen) // max(len(bits), 1)
+    factor_dets.append([len(matrix), nodes, bits, round(took, 6)])
+    return got
+gram.laurent_det = record_det
+def sha(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
 t = [time.perf_counter()]
 g = gram.cartan_graded(ell, d)
 t.append(time.perf_counter())
@@ -82,9 +125,20 @@ det = abs(gram.gram_det_at_one(type_a(ell), d))
 t.append(time.perf_counter())
 inv = snf.snf_int_certified(m, det)
 t.append(time.perf_counter())
-digest = hashlib.sha256(repr(inv.elements).encode()).hexdigest()
-print(json.dumps({"dim": g.size, "seconds": [b - a for a, b in zip(t, t[1:])],
-                  "passes": passes, "moduli": moduli, "invariants_sha256": digest}))
+moduli_at_one = list(moduli)
+gdet = gram.gram_det(type_a(ell), d)
+t_det = time.perf_counter() - t[-1]
+field = gram.gram_field_invariants(type_a(ell), d)
+field_s = time.perf_counter() - t[-1] - t_det
+factor_s = sum(x[-1] for x in factor_dets)
+print(json.dumps({"dim": g.size,
+                  "seconds": [b - a for a, b in zip(t, t[1:])]
+                             + [factor_s, t_det - factor_s, field_s],
+                  "passes": passes, "moduli": moduli_at_one, "factor_dets": factor_dets,
+                  "invariants_sha256": sha(inv.elements),
+                  "det_sha256": sha(sorted(gdet.terms.items())),
+                  "field_invariants_sha256":
+                      sha([sorted(e.terms.items()) for e in field.elements])}))
 """
 
 
@@ -125,9 +179,9 @@ def measure(ell: int, d: int, repeat: int) -> dict:
     failed = next((s for s in samples if "error" in s), None)
     if failed is not None:
         return {"point": [ell, d], "error": failed["error"]}
-    digests = {s["invariants_sha256"] for s in samples}
-    if len(digests) != 1:
-        return {"point": [ell, d], "error": "samples disagree on the invariants"}
+    digests = {k: {s[k] for s in samples} for k in DIGESTS}
+    if any(len(v) != 1 for v in digests.values()):
+        return {"point": [ell, d], "error": "samples disagree on an output"}
     return {
         "point": [ell, d],
         "dim": samples[0]["dim"],
@@ -135,7 +189,8 @@ def measure(ell: int, d: int, repeat: int) -> dict:
         "samples": [s["seconds"] for s in samples],
         "passes": [s["passes"] for s in samples],
         "moduli": [s["moduli"] for s in samples],
-        "invariants_sha256": digests.pop(),
+        "factor_dets": [s["factor_dets"] for s in samples],
+        **{k: v.pop() for k, v in digests.items()},
     }
 
 

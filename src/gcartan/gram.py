@@ -615,17 +615,19 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     P_m(U) is invertible with U.  Hence U [X]_s V = D makes P_s(m)
     equivalent to P_m(D) = W diag(prod_{i in c} D_i): [X]_s is eliminated
     once per part size s (snf_laurent_field), and these products stand for
-    each factor.
+    each factor.  No product is expanded: each diagonal entry goes to
+    snf_of_diagonal as its tuple of factors D_s[i], over the parts of the
+    shape, and the factor refinement runs on the few distinct D_s[i].
     """
     asm = _Assembly(CartanPairing(dg), d)
     asm.check_unitriangular()
     smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
     factor_invs = {
-        (s, m): [math.prod((smith[s][i] for i in c), start=ONE) for c in _multisets(dg.nodes, m)]
+        (s, m): [tuple(smith[s][i] for i in c) for c in _multisets(dg.nodes, m)]
         for s, m in {key for lam in asm.shapes for key in pt.mults(lam).items()}
     }
     invs = [
-        math.prod(values, start=ONE)
+        tuple(chain.from_iterable(values))
         for lam in asm.shapes
         for values in product(*(factor_invs[key] for key in pt.mults(lam).items()))
     ]

@@ -5,7 +5,12 @@ is exact, and is checked to be so.  laurent_det is a multi-modular kernel:
 evaluation mod p at enough points, F_p elimination at each (on the upper
 triangle only when the matrix is symmetric), Newton interpolation, CRT and a
 symmetric lift under a Hadamard coefficient bound B (von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 5).  The modulus is the smallest
+Gerhard, Modern Computer Algebra, ch. 5).  When the entries' exponent
+parities split into row and column parities (checked from the entries), the
+determinant is even or odd, and half the points suffice.  Every Kronecker
+factor of a Gram matrix with more than two rows, and every half of its colour
+reversal split, is so graded at each (ell, d) checked in the tests; a few 1-
+and 2-row ones are not, and take all the points.  The modulus is the smallest
 prime of PRIMES above 2B.  The table holds one prime per 30 bits up to 2190
 bits and five Mersenne primes up to 4423 bits; only a bound past the largest
 takes a product of primes.
@@ -107,13 +112,22 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     Rows are scaled by units v^-lo_i into Z[v], and when every exponent is a
     multiple of some step g, v^g is renamed u.  The determinant is then v^shift
     times a polynomial P(u) of degree at most D, the sum of the row exponent
-    spans.  P is evaluated at the D+1 nodes t = 0..D mod p (one power table
-    per node, F_p elimination per node, symmetric elimination on the upper
-    triangle when the coefficient rows are symmetric) and recovered by Newton
-    interpolation.  When every entry is bar-invariant, so is the determinant,
-    and the matrix is a polynomial matrix in w = u + u^-1 of row degrees
-    hi_i: the value at w = t serves both points z, z^-1 with z + z^-1 = t,
-    and D/2 + 1 nodes suffice.
+    spans.  When every entry is bar-invariant, so is the determinant, and the
+    matrix is a polynomial matrix in w = u + u^-1 of row degrees hi_i; P is
+    then a polynomial in w of degree at most D = sum hi_i, and the value at
+    w = t serves both points z, z^-1 with z + z^-1 = t.  P is evaluated at
+    D + 1 nodes t = 0..D mod p (one power table per node, F_p elimination
+    per node, symmetric elimination on the upper triangle when the
+    coefficient rows are symmetric) and recovered by Newton interpolation.
+
+    Half the nodes serve when the matrix is parity graded: every entry
+    (i, j) has exponents (in u, or degree in w) of one parity, which is
+    rho_i + kappa_j mod 2 for some row parities rho and column parities
+    kappa (`_parity_grading` looks for them from the entries).  Then
+    A(-x) = R A(x) K with R = diag((-1)^rho_i) and K = diag((-1)^kappa_j),
+    so det A(-x) = (-1)^e det A(x) with e = sum rho + sum kappa mod 2, and
+    P(x) = x^e Q(x^2) with Q of degree N = floor((D - e) / 2).  Q is
+    interpolated from P(t) / t^e at the N + 1 nodes x = t^2, t = e..N + e.
 
     Every coefficient c of the result satisfies |c| <= B, where
     B^2 = prod_rows sum_j ||m_ij||_1^2 (Hadamard's inequality on the unit
@@ -153,10 +167,52 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         degree += span
         width = max(width, span + 1)
         rows.append(dense)
-    coeffs = _lift(bound_sq, lambda p: _interpolate_mod(rows, width, degree, bar, p))
+    parity = _parity_grading(rows)
+    coeffs = _lift(bound_sq, lambda p: _interpolate_mod(rows, width, degree, bar, parity, p))
     # coeffs run from u^0 up, or from u^-degree up when bar-invariant
     shift = -degree * step if bar else sum(lows)
     return LaurentPoly({shift + k * step: c for k, c in enumerate(coeffs) if c})
+
+
+def _parity_grading(rows) -> int | None:
+    """e = sum rho + sum kappa mod 2 for row and column parities with every
+    nonzero coefficient c_k of entry (i, j) at k = rho_i + kappa_j mod 2, or
+    None when the dense coefficient rows have no such grading.
+
+    Each nonzero entry ties rho_i to kappa_j; the ties are followed through
+    each connected component of the bipartite graph of nonzero entries from
+    one row (or column) set to 0, and a tie that closes a cycle with the
+    wrong parity rules the grading out.  The choice within a component is
+    free only up to flipping all of it, which changes e by its row count
+    plus its column count; when those differ the determinant is 0 (no
+    permutation stays inside the nonzero entries), so e is then moot."""
+    n = len(rows)
+    # nodes 0..n-1 are the rows, n..2n-1 the columns
+    ties: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for i, row in enumerate(rows):
+        for j, cs in enumerate(row):
+            even, odd = any(cs[::2]), any(cs[1::2])
+            if even and odd:
+                return None
+            if even or odd:
+                ties[i].append((n + j, odd))
+                ties[n + j].append((i, odd))
+    label: list[int | None] = [None] * (2 * n)
+    for root in range(2 * n):
+        if label[root] is not None:
+            continue
+        label[root] = 0
+        todo = [root]
+        while todo:
+            a = todo.pop()
+            for b, odd in ties[a]:
+                want = label[a] ^ odd
+                if label[b] is None:
+                    label[b] = want
+                    todo.append(b)
+                elif label[b] != want:
+                    return None
+    return sum(label) % 2
 
 
 def _int_det_multimodular(matrix: Sequence[Sequence[int]]) -> int:
@@ -213,17 +269,32 @@ def _moduli(bound_sq: int) -> list[int]:
     raise ArithmeticError("determinant coefficient bound exceeds the prime table")
 
 
-def _interpolate_mod(rows, width: int, degree: int, bar: bool, p: int) -> list[int]:
+def _interpolate_mod(
+    rows, width: int, degree: int, bar: bool, parity: int | None, p: int
+) -> list[int]:
     """Coefficients mod p of the determinant of the dense coefficient rows:
-    of P(u) from u^0 up, or, when bar, of the Laurent polynomial from
-    u^-degree up to u^degree.  The nodes 0..degree are distinct mod p, since
-    degree is far below the smallest table prime, which is above 2^29.  When
-    the coefficient rows are symmetric, only the upper triangle is evaluated
-    and eliminated."""
+    of P(u) from u^0 up to u^degree, or, when bar, of the Laurent polynomial
+    from u^-degree up to u^degree.
+
+    P is a polynomial in X = u, or X = w = u + u^-1 when bar.  Without a
+    parity grading (parity None), P is interpolated at the nodes
+    t = 0..degree; with one, P(X) = X^parity Q(X^2), and Q is interpolated
+    from P(t) / t^parity at the nodes x = t^2, t = parity..N + parity with
+    N = floor((degree - parity) / 2).  Either way the nodes are distinct
+    mod p, since t is far below p / 2 (the smallest table prime is above
+    2^29).  When the coefficient rows are symmetric, only the upper triangle
+    is evaluated and eliminated."""
     n = len(rows)
     symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
+    first, power = (0, 1) if parity is None else (parity, 2)
+    ts = range(first, first + (degree - first) // power + 1)
+    # inverses of 1..2 max(ts) + 1, one multiplication each: p = (p // k) k +
+    # p % k gives 1/k = -(p // k) / (p % k), and p % k < k
+    inv = [0, 1]
+    for k in range(2, 2 * first + 2 * len(ts)):
+        inv.append(-(p // k) * inv[p % k] % p)
     values = []
-    for t in range(degree + 1):
+    for t in ts:
         # powers t^k, or when bar T_k(t) = z^k + z^-k with T_0 = 2 (but the
         # constant coefficient counts once) and T_{k+1} = t T_k - T_{k-1}
         table = [1, t]
@@ -234,36 +305,37 @@ def _interpolate_mod(rows, width: int, degree: int, bar: bool, p: int) -> list[i
                 table.append(t * table[k] % p)
         if symmetric:
             upper = [[sum(map(mul, cs, table)) % p for cs in row[i:]] for i, row in enumerate(rows)]
-            values.append(_sym_det_mod(upper, p))
+            value = _sym_det_mod(upper, p)
         else:
-            values.append(_det_mod([[sum(map(mul, cs, table)) % p for cs in row] for row in rows], p))
-    # Newton coefficients on the nodes 0..degree: c_j = (forward difference
-    # Delta^j of the values at 0) / j!
-    for j in range(1, degree + 1):
-        for i in range(degree, j - 1, -1):
-            values[i] -= values[i - 1]
-    inv_fact = pow(math.factorial(degree) % p, -1, p)
-    newton = [0] * (degree + 1)
-    for j in range(degree, -1, -1):
-        newton[j] = values[j] * inv_fact % p
-        inv_fact = inv_fact * j % p
-    # Horner on the Newton form: acc <- acc * (x - i) + c_i, with x = u, or
-    # x = u + u^-1 on the Laurent coefficients
-    acc = [newton[degree]]
-    for i in range(degree - 1, -1, -1):
-        if bar:
-            nxt = [0, 0] + acc
-            for e, a in enumerate(acc):
-                nxt[e] += a
-                nxt[e + 1] -= i * a
-            nxt[len(acc) // 2 + 1] += newton[i]
-        else:
-            nxt = [0] + acc
-            for e, a in enumerate(acc):
-                nxt[e] -= i * a
-            nxt[0] += newton[i]
+            value = _det_mod([[sum(map(mul, cs, table)) % p for cs in row] for row in rows], p)
+        values.append(value * inv[t] % p if first else value)
+    # Newton coefficients by divided differences, in place: the gap
+    # x_i - x_{i-j} is j for x = t, and j (t_i + t_{i-j}) for x = t^2
+    for j in range(1, len(ts)):
+        for i in range(len(ts) - 1, j - 1, -1):
+            gap = inv[j] if power == 1 else inv[j] * inv[ts[i] + ts[i - j]] % p
+            values[i] = (values[i] - values[i - 1]) * gap % p
+    # Horner on the Newton form, acc <- acc (x - x_i) + c_i, gives Q's
+    # coefficients in x; P's in X are every power-th from X^first on
+    acc: list[int] = []
+    for i in range(len(ts) - 1, -1, -1):
+        x = ts[i] ** power
+        nxt = [0] + acc
+        for e, a in enumerate(acc):
+            nxt[e] -= x * a
+        nxt[0] += values[i]
         acc = [a % p for a in nxt]
-    return acc
+    coeffs = [0] * (degree + 1)
+    coeffs[first::power] = acc
+    if not bar:
+        return coeffs
+    # P(w) to the Laurent coefficients of u^-degree..u^degree, by Horner on
+    # w = u + u^-1
+    laurent = [0] * (2 * degree + 1)
+    for k in range(degree, -1, -1):
+        laurent = [(a + b) % p for a, b in zip(laurent[1:] + [0], [0] + laurent[:-1])]
+        laurent[degree] = (laurent[degree] + coeffs[k]) % p
+    return laurent
 
 
 def _det_mod(m: list[list[int]], p: int) -> int:

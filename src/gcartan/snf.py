@@ -577,28 +577,40 @@ def _coprime_base(values: Sequence[LaurentPoly]) -> list[LaurentPoly]:
     return base
 
 
-def snf_of_diagonal(values: Sequence[LaurentPoly]) -> InvariantMultiset:
+def snf_of_diagonal(values: Sequence[LaurentPoly | tuple[LaurentPoly, ...]]) -> InvariantMultiset:
     """Field-ring invariant factors of diag(values), by factor refinement.
 
-    Over a coprime base (see `_coprime_base`) of the distinct canonical
-    values, every value is a product of base powers, so for each base
-    element the exponents sorted ascending are its exponents in the
-    invariants d_1 | d_2 | ...: the i-th invariant is the product of the
-    base elements to their i-th exponents.  A value that is not a unit after
-    its base powers are divided out raises ArithmeticError.  Quotients stay
-    in Z[v,v^-1]: the values and base elements are primitive, so by Gauss's
+    Each value is a LaurentPoly or a tuple of factors whose product it is
+    (a LaurentPoly x is the 1-tuple (x,); the empty tuple is 1, a tuple with
+    a zero factor is 0).  Over a coprime base (see `_coprime_base`) of the
+    distinct canonical factors, every factor is a unit times a product of
+    base powers: its exponent vector is found once, and each value's vector
+    is the sum of its factors' vectors.  For each base element, the values'
+    exponents sorted ascending are its exponents in the invariants
+    d_1 | d_2 | ...: the i-th invariant is the product of the base elements
+    to their i-th exponents.  A factor that is not a unit after its base
+    powers are divided out raises ArithmeticError.  Quotients stay in
+    Z[v,v^-1]: the factors and base elements are primitive, so by Gauss's
     lemma a divisor over Q divides there too."""
-    counts = Counter(canonical_poly(x, primitive=True) for x in values if not x.is_zero)
-    base = _coprime_base(sorted(counts, key=_span))
-    columns: list[list[int]] = [[] for _ in base]
-    for x, mult in counts.items():
-        for b, col in zip(base, columns):
+    entries = [x if isinstance(x, tuple) else (x,) for x in values]
+    counts = Counter(fs for fs in entries if not any(f.is_zero for f in fs))
+    canon = {f: canonical_poly(f, primitive=True) for f in {f for fs in counts for f in fs}}
+    base = _coprime_base(sorted(set(canon.values()), key=_span))
+    vectors: dict[LaurentPoly, list[int]] = {}
+    for x in set(canon.values()):
+        vec = vectors[x] = []
+        for b in base:
             e = 0
             while (q := divide_exact(x, b)) is not None:
                 x, e = q, e + 1
-            col += [e] * mult
+            vec.append(e)
         if _span(x):
             raise ArithmeticError(f"{x} is left after dividing out the coprime base")
+    columns: list[list[int]] = [[] for _ in base]
+    for fs, mult in counts.items():
+        vec = map(sum, zip([0] * len(base), *(vectors[canon[f]] for f in fs)))
+        for col, e in zip(columns, vec):
+            col += [e] * mult
     for col in columns:
         col.sort()
     powers: dict[tuple[int, ...], LaurentPoly] = {}

@@ -23,10 +23,12 @@ def test_stages_script_writes_a_run(tmp_path):
     assert {"git_revision", "src_modified", "src_sha256", "python", "points"} <= set(run)
     (point,) = run["points"]
     assert point["point"] == [2, 2] and point["dim"] == 2
-    stages = ["assembly", "at_one", "gram_det_at_one", "snf_int_certified"]
+    stages = ["assembly", "at_one", "gram_det_at_one", "snf_int_certified",
+              "factor_dets", "det_product", "field_invariants"]
     assert list(point["seconds"]) == stages
     assert all(t >= 0 for t in point["seconds"].values())
     assert len(point["samples"]) == 1 and len(point["invariants_sha256"]) == 64
+    assert len(point["det_sha256"]) == 64 and len(point["field_invariants_sha256"]) == 64
     # the local passes of the one sample, as [modulus bits, digits, outcome]:
     # C(1) = [[3, 4], [4, 8]] has |det| 2^3, so the rank pass runs mod 3,
     # then one pass mod 2 at the cap of 4 digits
@@ -35,6 +37,13 @@ def test_stages_script_writes_a_run(tmp_path):
     # the 1x1 factors P_2(1) and P_1(2) are 2 and 8 at v=1, and each gets
     # the 30-bit prime at the foot of the table
     assert point["moduli"] == [[[2, [30]], [4, [30]]]]
+    # the laurent_det calls of gram_det, as [rows, nodes, [bits of each
+    # modulus], seconds]: P_2(1) = ([2]_2) is odd in u = v^2, so one node
+    # serves its degree 1; P_1(2) = (2 [2]^2) = (2 u + 4 + 2 u^-1) for
+    # u = v^2 mixes parities and takes both nodes of degree 1
+    (calls,) = point["factor_dets"]
+    assert [c[:3] for c in calls] == [[1, 1, [30]], [1, 2, [30]]]
+    assert all(c[3] >= 0 for c in calls)
 
 
 def test_stages_script_rejects_a_bad_point(tmp_path):

@@ -401,6 +401,29 @@ class TestCauchyBinet:
         assert gram_field_invariants(dg, d) == snf_of_diagonal(invs)
 
 
+    @pytest.mark.parametrize(
+        "dg, d",
+        [(type_a(ell), d) for ell in (2, 3, 4) for d in range(5)]
+        + [(type_a(5), 4), (type_a(2), 12), (type_a(3), 6), (type_a(4), 5)]
+        + [(DynkinDiagram("D", 4), d) for d in range(4)]
+        + [(DynkinDiagram("E", 6), d) for d in range(3)],
+        ids=str,
+    )
+    def test_factored_products_equal_expanded(self, dg, d):
+        # gram_field_invariants hands snf_of_diagonal each diagonal entry as
+        # its tuple of Smith-form factors; the same products expanded give
+        # the same invariants
+        asm = _Assembly(CartanPairing(dg), d)
+        smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
+        expanded = [
+            math.prod((smith[s][i] for (s, _), c in zip(keys, combo) for i in c), start=ONE)
+            for lam in asm.shapes
+            for keys in [list(pt.mults(lam).items())]
+            for combo in itertools.product(*(gram._multisets(dg.nodes, m) for _, m in keys))
+        ]
+        assert gram_field_invariants(dg, d) == snf_of_diagonal(expanded)
+
+
 class TestKroneckerFactors:
     @pytest.mark.parametrize(
         "dg, dmax",

@@ -1,5 +1,6 @@
 """The multi-modular Laurent determinant against independent references."""
 
+import hashlib
 import random
 from itertools import permutations
 from math import isqrt
@@ -14,6 +15,7 @@ from gcartan.gram import (
     _Assembly,
     _reversal,
     _reversal_split,
+    gram_det,
     gram_det_at_one,
     permanent_matrix,
 )
@@ -79,9 +81,9 @@ class TestLaurentDet:
         used = []
         interpolate = linalg._interpolate_mod
 
-        def spy(rows, width, degree, bar, p):
+        def spy(rows, width, degree, bar, parity, p):
             used.append(p)
-            return interpolate(rows, width, degree, bar, p)
+            return interpolate(rows, width, degree, bar, parity, p)
 
         monkeypatch.setattr(linalg, "_interpolate_mod", spy)
         assert laurent_det(m) == leibniz(m)
@@ -97,9 +99,9 @@ class TestLaurentDet:
         used = []
         interpolate = linalg._interpolate_mod
 
-        def spy(rows, width, degree, bar, p):
+        def spy(rows, width, degree, bar, parity, p):
             used.append(p)
-            return interpolate(rows, width, degree, bar, p)
+            return interpolate(rows, width, degree, bar, parity, p)
 
         monkeypatch.setattr(linalg, "_interpolate_mod", spy)
         assert laurent_det(m) == leibniz(m)
@@ -137,6 +139,141 @@ class TestLaurentDet:
 
     def test_empty_matrix(self):
         assert laurent_det([]) == ONE
+
+
+@st.composite
+def graded_matrices(draw):
+    """(matrix, g, e): entry (i, j) a sum of c v^(g k) over k = rho_i +
+    kappa_j mod 2, for random row and column parities rho and kappa and a
+    step g; either symmetric and bar-invariant (kappa = rho), or general,
+    row i times v^(g o_i) for a random o_i.  Every term of the determinant
+    is then c v^(g k) with k = e = sum rho + sum kappa + sum o mod 2."""
+    n = draw(st.integers(1, 5))
+    step = draw(st.integers(1, 3))
+    symmetric = draw(st.booleans())
+    bits = st.integers(0, 1)
+    rho = [draw(bits) for _ in range(n)]
+    kappa = rho if symmetric else [draw(bits) for _ in range(n)]
+
+    def entry(parity):
+        halves = draw(st.lists(st.integers(-2, 2), max_size=2, unique=True))
+        e = LaurentPoly({step * (2 * k + parity): draw(coefficients) for k in halves})
+        return e + e.bar() if symmetric else e
+
+    m = [[entry((r + k) % 2) for k in kappa] for r in rho]
+    shifts = [0 if symmetric else draw(st.integers(-2, 2)) for _ in range(n)]
+    for i in range(n):
+        if symmetric:
+            m[i][:i] = [m[j][i] for j in range(i)]
+        else:
+            m[i] = [e.shift(step * shifts[i]) for e in m[i]]
+    return m, step, (sum(rho) + sum(kappa) + sum(shifts)) % 2
+
+
+def _count_eliminations(monkeypatch):
+    calls = {"sym": 0, "full": 0}
+    sym, full = linalg._sym_det_mod, linalg._det_mod
+
+    def spy_sym(upper, p):
+        calls["sym"] += 1
+        return sym(upper, p)
+
+    def spy_full(m, p):
+        calls["full"] += 1
+        return full(m, p)
+
+    monkeypatch.setattr(linalg, "_sym_det_mod", spy_sym)
+    monkeypatch.setattr(linalg, "_det_mod", spy_full)
+    return calls
+
+
+class TestParityGrading:
+    """laurent_det on matrices whose exponent parities split into row and
+    column parities: det A(-x) = (-1)^e det A(x), and half the nodes serve."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(graded_matrices())
+    def test_graded_matrices_match_leibniz(self, case):
+        m, step, e = case
+        det = leibniz(m)
+        assert laurent_det(m) == det
+        assert all(k % step == 0 and k // step % 2 == e for k, _ in det), (det, step, e)
+
+    Q = LaurentPoly({1: 1, -1: 1})  # [2] = v + v^-1
+
+    @pytest.mark.parametrize(
+        "m, nodes, kernel",
+        [
+            # the Cartan matrix of A_2: [2]^2 - 1 is even in w = v + v^-1, of
+            # degree 2, so 2 nodes instead of 3
+            ([[Q, -ONE], [-ONE, Q]], 2, "sym"),
+            # that of A_3: [2]^3 - 2 [2] is odd, of degree 3, so 2 nodes
+            # (t = 1, 2) instead of 4
+            ([[Q, -ONE, ZERO], [-ONE, Q, -ONE], [ZERO, -ONE, Q]], 2, "sym"),
+            # exponents in steps of 2 and rows shifted by v^0 and v^2: in u = v^2
+            # the determinant is u P(u) with P = 2 u^3 - 4 u odd and of degree
+            # at most 3 + 1, so 2 nodes instead of 5
+            ([[LaurentPoly({2: 1, 6: 2}), LaurentPoly({0: 5})],
+              [LaurentPoly({4: 1}), LaurentPoly({2: 1})]], 2, "full"),
+            # one off-grade entry, v^2 + v^4 + v^6 (u^0 + u^1 + u^2 after its
+            # row's shift), breaks the grading: the full 6 nodes of degree 3 + 2
+            ([[LaurentPoly({2: 1, 6: 2}), LaurentPoly({0: 5})],
+              [LaurentPoly({4: 1}), LaurentPoly({2: 1, 4: 1, 6: 1})]], 6, "full"),
+            # the same in the symmetric bar-invariant Cartan matrix of A_2:
+            # the off-grade entry [2] - 1 costs the full 3 nodes
+            ([[Q, -ONE], [-ONE, Q - ONE]], 3, "sym"),
+        ],
+    )
+    def test_node_count(self, monkeypatch, m, nodes, kernel):
+        calls = _count_eliminations(monkeypatch)
+        assert laurent_det(m) == leibniz(m)
+        assert calls == {"sym": 0, "full": 0, kernel: nodes}
+
+    @pytest.mark.parametrize(
+        "ell, m, half, rows, nodes, full, digest",
+        [
+            # the odd 9-row minus half of P_1(5) at ell=4: degree 45 in w,
+            # 23 nodes instead of 46
+            (4, 5, 1, 9, 23, 46,
+             "ba616b44ca1e9c119044203a9438668cb6ae648fb48a612c3dcb8bf61dbda306"),
+            # the even 19-row plus half of P_1(4) at ell=5: degree 76, 39
+            # nodes instead of 77
+            (5, 4, 0, 19, 39, 77,
+             "80615385fb7564d2795bf6db58a75cf37ce3f9a9ba82045298711abf63e779c1"),
+        ],
+    )
+    def test_reversal_halves(self, monkeypatch, ell, m, half, rows, nodes, full, digest):
+        # the digest is of the determinant as computed on all the nodes
+        # before the grading was used; the full-node route must still give it
+        f = permanent_matrix(CartanPairing(type_a(ell)), 1, m)
+        part = _reversal_split(f, _reversal(ell - 1, m))[half]
+        assert len(part) == rows
+        calls = _count_eliminations(monkeypatch)
+        det = laurent_det(part)
+        assert calls == {"sym": nodes, "full": 0}
+        assert hashlib.sha256(repr(sorted(det.terms.items())).encode()).hexdigest() == digest
+        monkeypatch.setattr(linalg, "_parity_grading", lambda rows: None)
+        assert laurent_det(part) == det
+        assert calls == {"sym": nodes + full, "full": 0}
+
+    @pytest.mark.parametrize(
+        "dg, d",
+        [(type_a(5), 4), (type_a(4), 5), (type_a(3), 6), (DynkinDiagram("D", 4), 3),
+         (DynkinDiagram("E", 6), 2)],
+        ids=str,
+    )
+    def test_gram_factors_of_more_than_two_rows_are_graded(self, monkeypatch, dg, d):
+        seen = []
+        interpolate = linalg._interpolate_mod
+
+        def spy(rows, width, degree, bar, parity, p):
+            seen.append((len(rows), parity))
+            return interpolate(rows, width, degree, bar, parity, p)
+
+        monkeypatch.setattr(linalg, "_interpolate_mod", spy)
+        gram_det(dg, d)
+        assert any(n > 2 for n, _ in seen)
+        assert all(parity is not None for n, parity in seen if n > 2), seen
 
 
 def _symmetric_mod(rng, n, p, kind):
@@ -198,19 +335,7 @@ class TestSymmetricKernel:
         assert laurent_det(m) == leibniz(m)
 
     def test_only_symmetric_rows_take_the_symmetric_kernel(self, monkeypatch):
-        calls = {"sym": 0, "full": 0}
-        sym, full = linalg._sym_det_mod, linalg._det_mod
-
-        def spy_sym(upper, p):
-            calls["sym"] += 1
-            return sym(upper, p)
-
-        def spy_full(m, p):
-            calls["full"] += 1
-            return full(m, p)
-
-        monkeypatch.setattr(linalg, "_sym_det_mod", spy_sym)
-        monkeypatch.setattr(linalg, "_det_mod", spy_full)
+        calls = _count_eliminations(monkeypatch)
         q = LaurentPoly({1: 1, -1: 1})
         symmetric = [[q, -ONE], [-ONE, q]]
         assert laurent_det(symmetric) == leibniz(symmetric)

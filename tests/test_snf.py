@@ -12,7 +12,15 @@ from gcartan.invariants import hill_values
 from gcartan.linalg import int_det, laurent_det
 from gcartan.partitions import p_adic_split, prime_divisors
 from gcartan.qcartan import DynkinDiagram, type_a
-from gcartan.qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit, quantum_int
+from gcartan.qlaurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    cyclotomic,
+    divide_exact,
+    normalize_unit,
+    quantum_int,
+)
 from gcartan.snf import (
     RING_QLAURENT,
     RING_ZINT,
@@ -535,6 +543,47 @@ class TestSnfLaurentField:
         # values drawn with repeats from a few products of [n]_s, which share
         # cyclotomic factors, so the coprime base has to split and regroup them
         _assert_divisor_ratios(snf_of_diagonal(vals).elements, _diagonal_divisors(vals))
+
+
+# factors of a diagonal entry: zero, units of Q[v,v^-1] (+-v^k, +-n),
+# quantum integers and cyclotomics, which share factors with one another
+_FACTORS = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        lambda k, c: LaurentPoly({k: c}), st.integers(-3, 3), st.sampled_from([1, -1, 2, -3])
+    ),
+    st.builds(quantum_int, st.integers(1, 6), st.integers(1, 3)),
+    st.builds(cyclotomic, st.integers(1, 12)),
+)
+
+
+class TestFactoredDiagonal:
+    """snf_of_diagonal on entries given as tuples of factors: the Smith form
+    of the diagonal of their products."""
+
+    @given(
+        st.lists(_FACTORS, min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(
+                st.lists(st.sampled_from(pool), max_size=4).map(tuple), min_size=1, max_size=6
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_factored_equals_expanded(self, entries, plain_one_tuples):
+        # entries drawn with repeats from a small pool, so factors repeat
+        # within an entry and across entries; some 1-tuples as plain values
+        expanded = [math.prod(fs, start=ONE) for fs in entries]
+        factored = [
+            fs[0] if plain_one_tuples and len(fs) == 1 else fs for fs in entries
+        ]
+        assert snf_of_diagonal(factored) == snf_of_diagonal(expanded)
+
+    def test_empty_and_zero_tuples(self):
+        q2 = quantum_int(2)
+        got = snf_of_diagonal([(), (q2, ZERO), (q2, q2), (LaurentPoly({2: -3}),)])
+        assert got == snf_of_diagonal([ONE, ZERO, q2 * q2, ONE])
+        assert got.elements == (ONE, ONE, canonical_poly(q2 * q2, primitive=True), ZERO)
 
 
 class TestTryDiagonalize:
