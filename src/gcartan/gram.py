@@ -19,9 +19,10 @@ the pairing is the Hall inner product.  One assembly, _Assembly, takes a
 family and builds the Gram matrix of either kind.
 
 The Gram matrix on the x-basis is G = T Y T^t, with T the x-to-y change of
-basis (rational, sparse, unitriangular) and Y the block-diagonal y-Gram
-matrix.  It is formed row by row as a sparse product: for each row i and
-each shape in its support, the half-product t_i Y runs over the nonzero
+basis (rational, sparse, unitriangular; each row is kept as integer
+numerators over one denominator) and Y the block-diagonal y-Gram matrix.
+It is formed row by row as a sparse product: for each row i and each
+shape in its support, the half-product t_i Y runs over the nonzero
 entries of the block rows, and is scattered through an inverted index of
 T's columns into the rows j >= i that share a y-column with it.  Everything
 accumulates in integers over one common denominator per entry; each entry
@@ -38,8 +39,9 @@ assumed), so it is unimodular.  The y-Gram matrix is block diagonal by shape
 lam, and the block of lam is, up to the scalar prod_s s^{m_s}, the Kronecker
 product over the distinct part sizes s (largest first) of the permanent
 matrices P_s(m_s) = (perm [X]_s[c, c']), indexed by the colour multisets c
-of size m_s.  That the members of each shape run in the matching row-major
-order is checked from the indices every time the factors are taken.  Hence
+of size m_s.  The Gram index is built from that layout: the members of
+each shape are the row-major product of the colour multisets of each part
+size, so they run in the Kronecker order by construction.  Hence
 
     det(A (x) B) = det(A)^{dim B} det(B)^{dim A},
     SNF(A (x) B) = SNF(diag(a_i b_j))   (a, b the invariant factors of A, B,
@@ -65,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 
@@ -119,7 +120,8 @@ class IdentityPairing:
 @lru_cache(maxsize=None)
 def _multisets(colors: int, m: int) -> tuple[tuple[int, ...], ...]:
     # colour multisets of size m as descending tuples, in descending
-    # lexicographic order, built independently of pt.colorings
+    # lexicographic order: the rows of P_s(m) and the colours of the parts
+    # of size s in the Gram index
     return tuple(combinations_with_replacement(range(colors - 1, -1, -1), m))
 
 
@@ -233,11 +235,12 @@ def _x_single(n: int, color: int) -> tuple[tuple[pt.ColoredPartition, int], ...]
 
 
 @lru_cache(maxsize=None)
-def x_monomial_expansion(cp: pt.ColoredPartition) -> dict[pt.ColoredPartition, Fraction]:
-    """An x-monomial in the y-monomial basis: the product over its parts
-    x_{n_i} of their expansions _x_single.  The numerators are summed as
-    integers over the common denominator prod_i n_i!, and each coefficient
-    becomes a Fraction once, at the end."""
+def x_monomial_expansion(cp: pt.ColoredPartition) -> tuple[int, dict[pt.ColoredPartition, int]]:
+    """An x-monomial in the y-monomial basis, as (denominator, {y-monomial:
+    integer numerator}): the product over its parts x_{n_i} of their
+    expansions _x_single, with integer numerators summed over the common
+    denominator prod_i n_i!.  That is the least common denominator: the
+    numerator of prod_i (y_1^{(c_i)})^{n_i} is 1."""
     acc: dict[pt.ColoredPartition, int] = {(): 1}
     den = 1
     for s, c in cp:
@@ -249,7 +252,7 @@ def x_monomial_expansion(cp: pt.ColoredPartition) -> dict[pt.ColoredPartition, F
                 k = pt.merge_colored(k1, k2)
                 nxt[k] = nxt.get(k, 0) + v1 * v2
         acc = nxt
-    return {k: Fraction(v, den) for k, v in acc.items()}
+    return den, acc
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +292,20 @@ class _Assembly:
     def __init__(self, pairing, d: int):
         self.pairing = pairing
         self.d = d
-        self.index = pt.enum_colored(d, pairing.colors)
         self.shapes = pt.enum_partitions(d)
+        # per shape: (s, m_s) for each distinct part size s, largest first
+        self.factor_keys = {lam: tuple(pt.mults(lam).items()) for lam in self.shapes}
+        # per shape: its members, the row-major product of the colour
+        # multisets of each part size in factor_keys order, which is the
+        # order of the Kronecker product of its factors
         self.block_members = {
-            lam: [cp for cp in self.index if pt.shape(cp) == lam] for lam in self.shapes
+            lam: [
+                tuple((s, c) for (s, _), colors in zip(keys, combo) for c in colors)
+                for combo in product(*(_multisets(pairing.colors, m) for _, m in keys))
+            ]
+            for lam, keys in self.factor_keys.items()
         }
+        self.index = tuple(chain.from_iterable(self.block_members.values()))
 
     # -- y-Gram blocks --------------------------------------------------------
 
@@ -301,23 +313,11 @@ class _Assembly:
         """The y-block of shape lam as (denominator prod(s^m_s), factors): the
         block is the Kronecker product of the factors, in order, over the
         denominator.  factors maps (s, m_s) to P_s(m_s) = permanent_matrix
-        for each distinct part size s, largest first.
-
-        The Kronecker form needs the shape's members in the row-major order of
-        the per-size colour-multiset lists.  That is checked on every call,
-        from the indices alone, and a mismatch raises AssertionError.
-        """
-        sizes = pt.mults(lam)  # parts in descending order, so largest first
-        lists = [_multisets(self.pairing.colors, m) for m in sizes.values()]
-        kron_order = [
-            tuple((s, c) for s, colors in zip(sizes, combo) for c in colors)
-            for combo in product(*lists)
-        ]
-        if kron_order != self.block_members[lam]:
-            raise AssertionError(f"members of shape {lam} are not in Kronecker order")
+        for each distinct part size s, largest first, the order in which
+        block_members runs through the colour multisets."""
         den = 1
         factors = {}
-        for s, m in sizes.items():
+        for s, m in self.factor_keys[lam]:
             factors[s, m] = permanent_matrix(self.pairing, s, m)
             den *= s**m
         return den, factors
@@ -346,8 +346,8 @@ class _Assembly:
         """The x->y change of basis must be unitriangular under any order
         refining 'strictly finer shape comes later'; verified, not assumed."""
         for cp in self.index:
-            comb = x_monomial_expansion(cp)
-            if comb.get(cp, None) != 1:
+            den, comb = x_monomial_expansion(cp)
+            if comb.get(cp, None) != den:
                 raise AssertionError(f"diagonal coefficient of {cp} is not 1")
             lam = pt.shape(cp)
             for other in comb:
@@ -363,8 +363,8 @@ class _Assembly:
         formed row by row (Gustavson's row-wise sparse product).
 
         T is the x -> y change of basis and Y the block-diagonal y-Gram
-        matrix of y_blocks.  Row i of T times the lcm L_i of its
-        denominators is an integer vector t_i, and the block of shape lam
+        matrix of y_blocks.  Row i of T is the integer vector t_i over its
+        denominator L_i (x_monomial_expansion), and the block of shape lam
         times K / den_lam, K the lcm of the den_lam, is an integer matrix.
         For each shape lam in the support of row i, the half-product
         H = sum_a t_ia (K / den_lam) Y_lam[a] runs over the nonzero entries
@@ -409,14 +409,11 @@ class _Assembly:
         scales = []
         norms: dict[pt.Partition, int] = {}
         for x in self.index:
-            exp = x_monomial_expansion(x)
-            scale = math.lcm(*(c.denominator for c in exp.values()))
+            scale, exp = x_monomial_expansion(x)
             by_shape: dict[pt.Partition, list[tuple[int, int]]] = {}
-            for cp, coeff in exp.items():
+            for cp, t in exp.items():
                 lam = pt.shape(cp)
-                by_shape.setdefault(lam, []).append(
-                    (local[lam][cp], coeff.numerator * (scale // coeff.denominator))
-                )
+                by_shape.setdefault(lam, []).append((local[lam][cp], t))
             supports.append(by_shape)
             scales.append(scale)
             for lam, left in by_shape.items():
@@ -624,12 +621,12 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
     factor_invs = {
         (s, m): [tuple(smith[s][i] for i in c) for c in _multisets(dg.nodes, m)]
-        for s, m in {key for lam in asm.shapes for key in pt.mults(lam).items()}
+        for s, m in set(chain.from_iterable(asm.factor_keys.values()))
     }
     invs = [
         tuple(chain.from_iterable(values))
-        for lam in asm.shapes
-        for values in product(*(factor_invs[key] for key in pt.mults(lam).items()))
+        for keys in asm.factor_keys.values()
+        for values in product(*(factor_invs[key] for key in keys))
     ]
     return snf_of_diagonal(invs)
 

@@ -27,7 +27,7 @@ from . import partitions as pt
 from . import snf as snf_mod
 from .gram import cartan_graded, gram_det, gram_field_invariants
 from .qcartan import exponent_N, type_a
-from .qlaurent import ONE, LaurentPoly, QProduct, bracket_product
+from .qlaurent import LaurentPoly, QProduct, bracket_product
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +436,14 @@ def conjecture_report(
         last = now
         layers.append(LayerResult(name, status, {**details, **timing}))
 
+    # the product of the conjectured invariants, expanded once from all
+    # their bracket factors
     det = gram_det(type_a(ell), d)
-    det_ok = det == math.prod(graded_rhs, start=ONE)
+    det_ok = det == bracket_product(
+        f
+        for lam, mult in _weighted_partitions(ell, d)
+        for f in _graded_hill_factors(p, r, lam) * mult
+    )
     layer("determinant", "VERIFIED" if det_ok else "FAILED", {"theorem": True})
 
     snf_c = gram_field_invariants(type_a(ell), d)

@@ -285,41 +285,6 @@ def merge_colored(a: ColoredPartition, b: ColoredPartition) -> ColoredPartition:
     return tuple(sorted(a + b, key=lambda t: (-t[0], -t[1])))
 
 
-def colorings(lam: Partition, colors: int) -> tuple[ColoredPartition, ...]:
-    """All canonical colorings of lam, in descending lexicographic order on
-    the color vector."""
-    if colors < 1:
-        raise ValueError("need at least one color")
-    out: list[ColoredPartition] = []
-
-    def assign(i: int, prev_size: int, prev_color: int, acc: tuple):
-        if i == len(lam):
-            out.append(acc)
-            return
-        s = lam[i]
-        top = prev_color if s == prev_size else colors - 1
-        for c in range(top, -1, -1):
-            assign(i + 1, s, c, acc + ((s, c),))
-
-    assign(0, 0, -1, ())
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def enum_colored(d: int, colors: int) -> tuple[ColoredPartition, ...]:
-    """Omega_d: all colored partitions of d, partitions in descending
-    lexicographic order and color vectors descending within each partition.
-
-    |enum_colored(d, c)| = u_count(c, d).
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    out: list[ColoredPartition] = []
-    for lam in enum_partitions(d):
-        out.extend(colorings(lam, colors))
-    return tuple(out)
-
-
 def group_by_size(cp: ColoredPartition) -> dict[int, tuple[int, ...]]:
     """Colors of the parts of each size, in the canonical (descending) order."""
     out: dict[int, list[int]] = {}

@@ -37,27 +37,43 @@ from gcartan.qlaurent import ONE, LaurentPoly, quantum_int
 from gcartan.snf import multiset_equal_up_to_units, snf_laurent_field, snf_of_diagonal
 
 
+def _reference_index(colors, d):
+    """Every coloured partition of d in `colors` colours, one per
+    multipartition (component i holds the parts of colour i), sorted by
+    (shape, colour vector) descending."""
+    cps = (
+        pt.colored_partition((s, i) for i, lam in enumerate(mp) for s in lam)
+        for mp in pt.multipartitions(colors, d)
+    )
+    return sorted(cps, key=lambda cp: (pt.shape(cp), tuple(c for _, c in cp)), reverse=True)
+
+
+def _over_one_denominator(coeffs):
+    """{k: Fraction} as (least common denominator L, {k: L * coefficient})."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return den, {k: int(c * den) for k, c in coeffs.items()}
+
+
 class TestXExpansion:
     def test_first_coefficients(self):
-        assert x_monomial_expansion(((1, 0),)) == {((1, 0),): Fraction(1)}
+        assert x_monomial_expansion(((1, 0),)) == (1, {((1, 0),): 1})
         e2 = x_monomial_expansion(((2, 0),))
-        assert e2 == {((2, 0),): Fraction(1), ((1, 0), (1, 0)): Fraction(1, 2)}
+        # x_2 = y_2 + y_1^2 / 2
+        assert e2 == (2, {((2, 0),): 2, ((1, 0), (1, 0)): 1})
         e3 = x_monomial_expansion(((3, 1),))
-        assert e3 == {
-            ((3, 1),): Fraction(1),
-            ((2, 1), (1, 1)): Fraction(1),
-            ((1, 1), (1, 1), (1, 1)): Fraction(1, 6),
-        }
+        # x_3 = y_3 + y_2 y_1 + y_1^3 / 6
+        assert e3 == (6, {((3, 1),): 6, ((2, 1), (1, 1)): 6, ((1, 1), (1, 1), (1, 1)): 1})
 
     def test_monomial_extension(self):
-        exp = x_monomial_expansion(((2, 0), (1, 1)))
-        assert exp[((2, 0), (1, 1))] == 1
-        assert exp[((1, 1), (1, 0), (1, 0))] == Fraction(1, 2)
+        den, exp = x_monomial_expansion(((2, 0), (1, 1)))
+        assert den == 2
+        assert exp[((2, 0), (1, 1))] == den
+        assert Fraction(exp[((1, 1), (1, 0), (1, 0))], den) == Fraction(1, 2)
 
     def test_diagonal_coefficient_is_one(self):
-        for cp in pt.enum_colored(5, 2):
-            comb = x_monomial_expansion(cp)
-            assert comb[cp] == 1
+        for cp in _Assembly(CartanPairing(DynkinDiagram("A", 2)), 5).index:
+            den, comb = x_monomial_expansion(cp)
+            assert comb[cp] == den
             for other in comb:
                 if other != cp:
                     assert pt.shape(other) < pt.shape(cp)
@@ -65,7 +81,8 @@ class TestXExpansion:
 
     def test_integer_sums_match_a_fraction_reference(self):
         # every coloured partition with d <= 8 and 3 colours, against the
-        # coefficient products summed in Fractions term by term
+        # coefficient products summed in Fractions term by term, put over
+        # their least common denominator
         def single(n, color):
             out = {}
             for kappa in pt.enum_partitions(n):
@@ -85,10 +102,10 @@ class TestXExpansion:
             return acc
 
         for d in range(9):
-            for cp in pt.enum_colored(d, 3):
-                got = x_monomial_expansion(cp)
-                assert got == reference(cp), cp
-                assert all(type(c) is Fraction for c in got.values())
+            for cp in _reference_index(3, d):
+                den, nums = x_monomial_expansion(cp)
+                assert (den, nums) == _over_one_denominator(reference(cp)), cp
+                assert type(den) is int and all(type(c) is int for c in nums.values())
 
 
 class TestYPair:
@@ -104,7 +121,7 @@ class TestYPair:
     def test_symmetry(self):
         pairing = CartanPairing(DynkinDiagram("A", 2))
         rng = random.Random(3)
-        monos = pt.enum_colored(4, 2)
+        monos = _Assembly(pairing, 4).index
         for _ in range(40):
             m1 = rng.choice(monos)
             m2 = rng.choice(monos)
@@ -112,8 +129,9 @@ class TestYPair:
 
     def test_bar_invariance(self):
         pairing = CartanPairing(DynkinDiagram("A", 2))
-        for m1 in pt.enum_colored(3, 2):
-            for m2 in pt.enum_colored(3, 2):
+        monos = _Assembly(pairing, 3).index
+        for m1 in monos:
+            for m2 in monos:
                 num, den = y_pair(m1, m2, pairing)
                 assert num == num.bar()
 
@@ -322,14 +340,18 @@ class TestPermanent:
 
     def test_repeated_colours_against_permutation_sum(self):
         # every entry of P_s(m) for 1 to 3 colours and m <= 5; rows and
-        # columns are the colour multisets in the order of the colourings of
-        # the shape 1^m
+        # columns are the colour multisets in the order of the reference
+        # colourings of the shape 1^m
         for pairing in self.PAIRINGS:
             k = pairing.colors
             for s in (1, 2):
                 a = pairing.matrix(s)
                 for m in range(6):
-                    sets = [tuple(c for _, c in cp) for cp in pt.colorings((1,) * m, k)]
+                    sets = [
+                        tuple(c for _, c in cp)
+                        for cp in _reference_index(k, m)
+                        if pt.shape(cp) == (1,) * m
+                    ]
                     got = permanent_matrix(pairing, s, m)
                     assert len(got) == len(sets)
                     for c, row in zip(sets, got):
@@ -461,15 +483,17 @@ class TestKroneckerFactors:
         assert f1[3, 1] is f2[3, 1]
         assert len(f1[1, 2]) == 3  # colour multisets of size 2 from 2 colours
 
-    def test_permuted_members_fail_the_order_check(self, monkeypatch):
-        asm = _Assembly(CartanPairing(DynkinDiagram("A", 2)), 3)
-        lam = (2, 1)
-        members = asm.block_members[lam]
-        monkeypatch.setitem(asm.block_members, lam, members[1:] + members[:1])
-        with pytest.raises(AssertionError, match="Kronecker order"):
-            asm.kron_factors(lam)
-        with pytest.raises(AssertionError):
-            asm.det()
+    def test_index_matches_the_multipartition_reference(self):
+        # the index, built from the Kronecker layout, against one coloured
+        # partition per multipartition sorted by (shape, colour vector)
+        pairings = [CartanPairing(DynkinDiagram("A", n)) for n in range(1, 7)]
+        cases = [(p, d) for p in pairings for d in range(6)]
+        cases += [(CartanPairing(DynkinDiagram("D", 4)), d) for d in range(4)]
+        cases += [(CartanPairing(DynkinDiagram("E", 6)), d) for d in range(3)]
+        cases += [(IdentityPairing(), n) for n in range(7)]
+        for pairing, d in cases:
+            want = _reference_index(pairing.colors, d)
+            assert list(_Assembly(pairing, d).index) == want, (pairing, d)
 
     def test_field_invariants_match_bracket_products(self):
         # the theorem-backed sub-check at ell=4, d=5: the dense 30-row block
@@ -508,7 +532,10 @@ class TestAssembly:
         pairing = CartanPairing(dg)
         for d in range(dmax + 1):
             g = gram_matrix(dg, d)
-            exps = [x_monomial_expansion(cp).items() for cp in g.index]
+            exps = []
+            for cp in g.index:
+                den, nums = x_monomial_expansion(cp)
+                exps.append([(y, Fraction(t, den)) for y, t in nums.items()])
             for i in range(g.size):
                 for j in range(i, g.size):
                     want: dict[int, Fraction] = {}

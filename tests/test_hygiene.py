@@ -226,6 +226,15 @@ def test_gram_and_qlaurent_are_float_free():
     assert not found, f"floating point in src/gcartan (line, what): {found}"
 
 
+def test_gram_has_one_number_type():
+    # the assembly carries each x-expansion as integer numerators over one
+    # denominator: gram.py neither imports nor names Fraction
+    module = _parse(PACKAGE / "gram.py")
+    modules = {node.module for node in ast.walk(module) if isinstance(node, ast.ImportFrom)}
+    found = (_used_names(module) | modules) & {"Fraction", "fractions"}
+    assert not found, f"src/gcartan/gram.py names {sorted(found)}"
+
+
 def test_checked_determinant_is_formula_free():
     # gram_det and laurent_det confirm the closed determinant formula and the
     # conjectured diagonals: they may not call on them

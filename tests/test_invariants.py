@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gcartan import invariants, snf
@@ -23,7 +25,7 @@ from gcartan.invariants import (
     verify_tsaigo,
 )
 from gcartan.qcartan import exponent_N
-from gcartan.qlaurent import ONE, quantum_int
+from gcartan.qlaurent import ONE, bracket_product, quantum_int
 
 
 class TestHill:
@@ -134,6 +136,20 @@ class TestMultisets:
         for d in range(0, 5):
             g = sorted(x.at_one() for x in graded_hill_values(2, 2, d))
             assert g == sorted(hill_values(2, 2, d))
+
+    def test_one_bracket_product_is_the_product_of_the_values(self):
+        # layer 1 expands the conjectured determinant from every bracket
+        # factor of every weighted partition at once; on the criterion-8
+        # grid that is the product of the expanded diagonal entries
+        for p, r in ((2, 1), (3, 1), (2, 2)):
+            for d in range(0, 5):
+                factors = [
+                    f
+                    for lam, mult in invariants._weighted_partitions(p**r, d)
+                    for f in _graded_hill_factors(p, r, lam) * mult
+                ]
+                want = math.prod(graded_hill_values(p, r, d), start=ONE)
+                assert bracket_product(factors) == want, (p, r, d)
 
 
 class TestIdentityVerifiers:
