@@ -40,7 +40,8 @@ three of the block-det-field workload, the three of the integer-snf workload
 and the v=1 frontier points.
 
 One run appends one record to the JSON file --out (default BENCH_stages.json
-at the repository root): {"runs": [record, ...]}.  A record holds the git
+at the repository root): {"runs": [record, ...]}, one compact record per
+line, so each run adds one line to the file's diff.  A record holds the git
 revision, whether src/ differs from it, a SHA-256 of src/, the Python
 version, the machine, nproc, the load average before and after, and per
 point: dim, every sample's seconds per stage, the median per stage, every
@@ -232,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
         "points": points,
     }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
-    args.out.write_text(json.dumps({"runs": runs + [record]}, indent=1) + "\n")
+    lines = ",\n".join(json.dumps(run, separators=(",", ":")) for run in runs + [record])
+    args.out.write_text('{"runs": [\n' + lines + "\n]}\n")
     return 1 if any("error" in p for p in points) else 0
 
 

@@ -11,12 +11,13 @@ monomials with the same underlying partition this telescopes to
     < y^{(i)}_lam , y^{(j)}_lam >  =  sum over size-preserving bijections pi
                                       of prod_k [a_{i_k, j_pi(k)}]_{r_k} / r_k,
 
-a product of permanents, one per part size.  The matrices ([a_ij]_m) form a
-pairing family: CartanPairing takes them from the quantized Cartan matrices
-[X]_m of a finite diagram, and IdentityPairing is one colour with every
-weight 1, the K-pairing, under which x_n is the complete homogeneous h_n and
-the pairing is the Hall inner product.  One assembly, _Assembly, takes a
-family and builds the Gram matrix of either kind.
+a product of permanents, one per part size.  Since [n]_m(v) = [n](v^m),
+([a_ij]_m) is [X] = ([a_ij]) at v^m, so a pairing is one matrix:
+CartanPairing takes the quantized Cartan matrix [X] of a finite diagram, and
+IdentityPairing is one colour with weight 1, the K-pairing, under which x_n
+is the complete homogeneous h_n and the pairing is the Hall inner product.
+One assembly, _Assembly, takes a pairing and builds the Gram matrix of
+either kind.
 
 The Gram matrix on the x-basis is G = T Y T^t, with T the x-to-y change of
 basis (rational, sparse, unitriangular; each row is kept as integer
@@ -47,20 +48,22 @@ size, so they run in the Kronecker order by construction.  Hence
     SNF(A (x) B) = SNF(diag(a_i b_j))   (a, b the invariant factors of A, B,
                                          over a principal ideal domain).
 
-Over Q[v,v^-1], the invariant factors come from the Smith form of each
-k x k matrix [X]_s by Cauchy-Binet for permanents (gram_field_invariants).
-For the determinant, a factor that the colour reversal i -> k-1-i fixes
-entrywise (checked on every call; in type A it is the diagram automorphism)
-is split by a congruence into a plus and a minus block of about half its
-size; the factor, or each block, is eliminated.  P_s(m) is Sym^m([X]_s) up
-to a diagonal of multiplicity factorials, but det Sym^m = det^binom is the
-determinant theorem under test, so it is never used: no closed determinant
-formula enters this computation.  Each P_s(m) is computed once per process,
-column by column: column c' is one expansion of prod_{i in c'} (sum_j
-[X]_s[j][i] e_j), whose coefficient of e^c times prod_j mult_c(j)! is the
-permanent.  The dense y-blocks, built only for the full matrix, are the
-Kronecker products of the factors; the sparse product reads only their
-nonzero entries.
+Only part size 1 reaches a kernel: v -> v^s commutes with permanents,
+determinants and Smith forms, and P_s(m) is P(m) = P_1(m) at v^s, so the
+substitution is applied to results.  Over Q[v,v^-1], the invariant factors
+come from the Smith form of the k x k matrix [X] by Cauchy-Binet for
+permanents (gram_field_invariants).  For the determinant, a P(m) that the
+colour reversal i -> k-1-i fixes entrywise (checked on every call; in type A
+it is the diagram automorphism) is split by a congruence into a plus and a
+minus block of about half its size; the factor, or each block, is eliminated
+once per m.  P(m) is Sym^m([X]) up to a diagonal of multiplicity factorials,
+but det Sym^m = det^binom is the determinant theorem under test, so it is
+never used: no closed determinant formula enters this computation.  Each P(m)
+is computed once per process, column by column: column c' is one expansion of
+prod_{i in c'} (sum_j [X][j][i] e_j), whose coefficient of e^c times prod_j
+mult_c(j)! is the permanent.  The dense y-blocks, built only for the full
+matrix, are the Kronecker products of the factors; the sparse product reads
+only their nonzero entries.
 """
 
 from __future__ import annotations
@@ -78,13 +81,13 @@ from .snf import _slot_width, _unpack, snf_laurent_field, snf_of_diagonal
 
 
 # ---------------------------------------------------------------------------
-# pairing families A^{(s)}
+# pairings
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CartanPairing:
-    """A^{(s)} = [X]_s: the quantized Cartan family of a finite diagram."""
+    """[X] = [X]_1: the quantized Cartan matrix of a finite diagram."""
 
     diagram: DynkinDiagram
 
@@ -96,14 +99,14 @@ class CartanPairing:
     def label(self) -> str:
         return self.diagram.label()
 
-    def matrix(self, s: int):
-        return quantized_cartan(self.diagram, s)
+    def matrix(self):
+        return quantized_cartan(self.diagram, 1)
 
 
 @dataclass(frozen=True)
 class IdentityPairing:
-    """A^{(s)} = (1): the single-color pairing with trivial weights, the
-    K-pairing (the Hall inner product, with x_n = h_n)."""
+    """(1): the single-color pairing with trivial weight, the K-pairing (the
+    Hall inner product, with x_n = h_n)."""
 
     @property
     def colors(self) -> int:
@@ -113,7 +116,7 @@ class IdentityPairing:
     def label(self) -> str:
         return "K"
 
-    def matrix(self, s: int):
+    def matrix(self):
         return ((ONE,),)
 
 
@@ -128,15 +131,20 @@ def _multisets(colors: int, m: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def permanent_matrix(pairing, s: int, m: int) -> tuple[tuple[LaurentPoly, ...], ...]:
     """P_s(m) = (perm [X]_s[c, c']), indexed by the colour multisets c, c' of
-    size m in the order of _multisets; computed once per (pairing, s, m).
+    size m in the order of _multisets; memoised per (pairing, s, m).  Only
+    P(m) = P_1(m) is expanded: [X]_s is [X] at v^s, and v -> v^s commutes
+    with permanents, so P_s(m) is P(m) at v^s.
 
     A bijection from the positions of c to the positions of c' is a map from
     c' onto the colours of c, and each such map comes from prod_j mult_c(j)!
     bijections.  So column c' is one expansion of prod_{i in c'} (sum_j
-    [X]_s[j][i] e_j) in commuting variables e_j, and entry (c, c') is the
+    [X][j][i] e_j) in commuting variables e_j, and entry (c, c') is the
     coefficient of e^c times prod_j mult_c(j)!.
     """
-    a = pairing.matrix(s)
+    if s != 1:
+        base = permanent_matrix(pairing, 1, m)
+        return tuple(tuple(e.subst_power(s) for e in row) for row in base)
+    a = pairing.matrix()
     k = pairing.colors
     sets = _multisets(k, m)
     # per colour i, the nonzero entries a[j][i] of its linear form
@@ -309,27 +317,15 @@ class _Assembly:
 
     # -- y-Gram blocks --------------------------------------------------------
 
-    def kron_factors(self, lam: pt.Partition) -> tuple[int, dict]:
-        """The y-block of shape lam as (denominator prod(s^m_s), factors): the
-        block is the Kronecker product of the factors, in order, over the
-        denominator.  factors maps (s, m_s) to P_s(m_s) = permanent_matrix
-        for each distinct part size s, largest first, the order in which
-        block_members runs through the colour multisets."""
-        den = 1
-        factors = {}
-        for s, m in self.factor_keys[lam]:
-            factors[s, m] = permanent_matrix(self.pairing, s, m)
-            den *= s**m
-        return den, factors
-
     def y_blocks(self) -> dict:
         """Per shape: (denominator prod(s^m_s), dense integer block), the block
-        being the Kronecker product of kron_factors; only the full matrix
-        needs these."""
+        being the Kronecker product of the factors P_s(m_s) = permanent_matrix,
+        P(m_s) at v^s, over the distinct part sizes s in factor_keys order,
+        the order in which block_members runs through the colour multisets;
+        only the full matrix needs these."""
         blocks = {}
-        for lam in self.shapes:
-            den, factors = self.kron_factors(lam)
-            fs = list(factors.values()) or [((ONE,),)]
+        for lam, keys in self.factor_keys.items():
+            fs = [permanent_matrix(self.pairing, s, m) for s, m in keys] or [((ONE,),)]
             block = fs[0]
             for f in fs[1:]:
                 block = [
@@ -337,7 +333,7 @@ class _Assembly:
                     for ra in block
                     for rb in f
                 ]
-            blocks[lam] = den, block
+            blocks[lam] = math.prod(s**m for s, m in keys), block
         return blocks
 
     # -- the transition matrix x -> y ------------------------------------------
@@ -503,49 +499,54 @@ class _Assembly:
         det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the unitriangular
         change of basis contributes 1 (checked here).
 
-        Each distinct factor is computed once: its entries are mapped by
-        evaluate, the result is split by the colour reversal where
-        _reversal_split finds that it fixes them, and factor_det runs generic
-        elimination on each part (or on the whole factor)."""
+        P_s(m) is P(m) at v^s, so each P(m) is computed once, for every s:
+        its entries are mapped by evaluate, split by the colour reversal where
+        _reversal_split finds that it fixes them, and factor_det eliminates
+        each part (or the whole factor); the result is taken at v^s."""
         self.check_unitriangular()
+        colors = self.pairing.colors
         dets = {}
         num = one
         den = 1
         for lam in self.shapes:
-            d_block, factors = self.kron_factors(lam)
-            dim = math.prod(len(f) for f in factors.values())
-            for (s, m), f in factors.items():
-                if (s, m) not in dets:
-                    values = evaluate(f)
-                    split = _reversal_split(values, _reversal(self.pairing.colors, m))
+            keys = self.factor_keys[lam]
+            sizes = [len(_multisets(colors, m)) for _, m in keys]
+            dim = math.prod(sizes)
+            for (s, m), size in zip(keys, sizes):
+                if m not in dets:
+                    values = evaluate(permanent_matrix(self.pairing, 1, m))
+                    split = _reversal_split(values, _reversal(colors, m))
                     if split is None:
-                        dets[s, m] = factor_det(values)
+                        dets[m] = factor_det(values)
                     else:
                         plus, minus, pairs = split
-                        dets[s, m] = _divide_by_int(
-                            factor_det(plus) * factor_det(minus), 2**pairs
-                        )
-                num = num * dets[s, m] ** (dim // len(f))
-            den *= d_block**dim
+                        dets[m] = _divide_by_int(factor_det(plus) * factor_det(minus), 2**pairs)
+                num = num * _at_power(dets[m], s) ** (dim // size)
+                den *= s ** (m * dim)
         return _divide_by_int(num, den)
 
     def det(self) -> LaurentPoly:
         """det G = prod over shapes of the Kronecker-factored block
-        determinants, each distinct factor, or each half of its colour
+        determinants, each base factor P(m), or each half of its colour
         reversal split, by the generic multi-modular determinant
         (laurent_det: evaluation mod p, F_p elimination, Newton
-        interpolation, CRT under a Hadamard bound).  The identity
-        det Sym^m = det^binom is never used: it is the theorem under test."""
+        interpolation, CRT under a Hadamard bound), at v^s for each s.  The
+        identity det Sym^m = det^binom is never used: it is under test."""
         return self._kron_det(lambda f: f, laurent_det, ONE)
 
     def det_at_one(self) -> int:
-        """det G evaluated at v=1: each factor is evaluated at v=1 before it
-        is split, and each part goes to the multi-modular kernel of
-        laurent_det (F_p elimination modulo primes sized to a Hadamard
+        """det G at v=1, which v -> v^s fixes: each P(m) is evaluated at v=1
+        before it is split, and each part goes to the multi-modular kernel
+        of laurent_det (F_p elimination modulo primes sized to a Hadamard
         bound, symmetric lift)."""
         return self._kron_det(
             lambda f: [[e.at_one() for e in row] for row in f], _int_det_multimodular, 1
         )
+
+
+def _at_power(x, s: int):
+    # x at v^s; an integer, a value at v=1, is unchanged
+    return x if isinstance(x, int) else x.subst_power(s)
 
 
 def _divide_by_int(x, q: int):
@@ -580,8 +581,8 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     """Exact determinant of gram_matrix(dg, d).
 
     Exploits the run-time-verified unitriangular change of basis and the
-    Kronecker-factored shape blocks.  Each distinct factor is computed once:
-    where the colour reversal fixes its entries (checked, see
+    Kronecker-factored shape blocks.  det P(m) is computed once, and
+    det P_s(m) is it at v^s: where the colour reversal fixes P(m) (checked, see
     _reversal_split), laurent_det (evaluation and interpolation modulo primes
     sized to a Hadamard bound) runs on its plus and minus blocks, else on the
     whole factor.  No closed determinant formula is consulted.
@@ -592,7 +593,7 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
     """Exact determinant of the Gram matrix at v=1: the multi-modular kernel
     of laurent_det (F_p elimination, CRT, symmetric lift under a Hadamard
-    bound) on each distinct factor at v=1, or on the two blocks of its
+    bound) on each base factor P(m) at v=1, or on the two blocks of its
     colour reversal split; no closed formula involved."""
     return _Assembly(CartanPairing(dg), d).det_at_one()
 
@@ -609,18 +610,18 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     No P_s(m) is eliminated.  Cauchy-Binet for permanents (Minc, Permanents,
     1978) gives P_m(AB) = P_m(A) W^-1 P_m(B) for P_m(A) = (perm A[c, c']) on
     the colour multisets of size m, W = diag(prod_j mult_c(j)!) a unit; so
-    P_m(U) is invertible with U.  Hence U [X]_s V = D makes P_s(m)
-    equivalent to P_m(D) = W diag(prod_{i in c} D_i): [X]_s is eliminated
-    once per part size s (snf_laurent_field), and these products stand for
-    each factor.  No product is expanded: each diagonal entry goes to
-    snf_of_diagonal as its tuple of factors D_s[i], over the parts of the
-    shape, and the factor refinement runs on the few distinct D_s[i].
+    P_m(U) is invertible with U.  Hence U [X] V = D makes P_s(m) equivalent
+    to P_m(D) = W diag(prod_{i in c} D_i) at v^s, since v -> v^s keeps units
+    and divisibility: [X] is eliminated once (snf_laurent_field).  No
+    product is expanded: each diagonal entry goes to snf_of_diagonal as its
+    tuple of factors D_i at v^s, over the parts of the shape, and the factor
+    refinement runs on the few distinct ones.
     """
     asm = _Assembly(CartanPairing(dg), d)
     asm.check_unitriangular()
-    smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
+    smith = snf_laurent_field(quantized_cartan(dg, 1)).elements
     factor_invs = {
-        (s, m): [tuple(smith[s][i] for i in c) for c in _multisets(dg.nodes, m)]
+        (s, m): [tuple(smith[i].subst_power(s) for i in c) for c in _multisets(dg.nodes, m)]
         for s, m in set(chain.from_iterable(asm.factor_keys.values()))
     }
     invs = [

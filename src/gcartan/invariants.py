@@ -403,7 +403,7 @@ def conjecture_report(
 
     Layer 1 (theorem): the determinant of the Gram matrix equals the product
     of the conjectured invariants.  Layer 2: invariant factors over
-    Q[v,v^-1], read off the Smith form of each [X]_s by Cauchy-Binet for
+    Q[v,v^-1], read off the Smith form of [X] at v^s by Cauchy-Binet for
     permanents; its theorem-backed bracket-product sub-check checks that
     combinatorics, not an independent elimination of the Kronecker factors,
     and the I^v-multiset check is the conjecture's field-ring shadow.  Layer 3:

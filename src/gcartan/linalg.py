@@ -4,16 +4,17 @@ int_det is fraction-free Bareiss elimination over Z; every interior division
 is exact, and is checked to be so.  laurent_det is a multi-modular kernel:
 evaluation mod p at enough points, F_p elimination at each (on the upper
 triangle only when the matrix is symmetric), Newton interpolation, CRT and a
-symmetric lift under a Hadamard coefficient bound B (von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 5).  When the entries' exponent
-parities split into row and column parities (checked from the entries), the
-determinant is even or odd, and half the points suffice.  Every Kronecker
-factor of a Gram matrix with more than two rows, and every half of its colour
-reversal split, is so graded at each (ell, d) checked in the tests; a few 1-
-and 2-row ones are not, and take all the points.  The modulus is the smallest
-prime of PRIMES above 2B.  The table holds one prime per 30 bits up to 2190
-bits and five Mersenne primes up to 4423 bits; only a bound past the largest
-takes a product of primes.
+symmetric lift under a Hadamard coefficient bound B (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 5).  When the entries' exponent parities split
+into row and column parities (checked from the entries), the determinant is
+even or odd, and half the points suffice.  Every base factor P(m) of a Gram
+matrix checked is so graded, and so is each half of its colour reversal split
+when m(k-1) is even (k colours); when it is odd, the reversal flips the row
+parities and neither half is graded (both 126-row halves of P(5) at (ell, d) =
+(7,5)), and those take all the points.  The modulus is the smallest prime of
+PRIMES above 2B.  The table holds one prime per 30 bits up to 2190 bits and
+five Mersenne primes up to 4423 bits; only a bound past the largest takes a
+product of primes.
 
 Its prime loop, CRT and lift (`_lift`) also serve symmetric integer matrices
 (`_int_det_multimodular`).  Neither integer determinant wins everywhere, so
@@ -109,19 +110,18 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix over Z[v,v^-1], by evaluation
     and interpolation modulo primes of PRIMES.
 
-    Rows are scaled by units v^-lo_i into Z[v], and when every exponent is a
-    multiple of some step g, v^g is renamed u.  The determinant is then v^shift
-    times a polynomial P(u) of degree at most D, the sum of the row exponent
-    spans.  When every entry is bar-invariant, so is the determinant, and the
-    matrix is a polynomial matrix in w = u + u^-1 of row degrees hi_i; P is
-    then a polynomial in w of degree at most D = sum hi_i, and the value at
-    w = t serves both points z, z^-1 with z + z^-1 = t.  P is evaluated at
-    D + 1 nodes t = 0..D mod p (one power table per node, F_p elimination
-    per node, symmetric elimination on the upper triangle when the
-    coefficient rows are symmetric) and recovered by Newton interpolation.
+    Rows are scaled by units v^-lo_i into Z[v].  The determinant is then
+    v^shift times a polynomial P(v) of degree at most D, the sum of the row
+    exponent spans.  When every entry is bar-invariant, so is the determinant,
+    and the matrix is a polynomial matrix in w = v + v^-1 of row degrees hi_i;
+    P is then a polynomial in w of degree at most D = sum hi_i, and the value
+    at w = t serves both points z, z^-1 with z + z^-1 = t.  P is evaluated at
+    D + 1 nodes t = 0..D mod p (one power table per node, F_p elimination per
+    node, symmetric elimination on the upper triangle when the coefficient
+    rows are symmetric) and recovered by Newton interpolation.
 
     Half the nodes serve when the matrix is parity graded: every entry
-    (i, j) has exponents (in u, or degree in w) of one parity, which is
+    (i, j) has exponents (in v, or degree in w) of one parity, which is
     rho_i + kappa_j mod 2 for some row parities rho and column parities
     kappa (`_parity_grading` looks for them from the entries).  Then
     A(-x) = R A(x) K with R = diag((-1)^rho_i) and K = diag((-1)^kappa_j),
@@ -140,38 +140,30 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         return ONE
     bar = all(e.is_bar_invariant() for row in matrix for e in row)
     lows = []
-    step = 0
     bound_sq = 1
     for row in matrix:
         nonzero = [e for e in row if not e.is_zero]
         if not nonzero:
             return ZERO
         bound_sq *= sum(sum(abs(c) for _, c in e) ** 2 for e in nonzero)
-        lo = 0 if bar else min(e.min_exp for e in nonzero)
-        lows.append(lo)
-        step = math.gcd(step, *(k - lo for e in nonzero for k, _ in e))
-    # row i lies in v^lo_i Z[u, u^-1] for u = v^step, so the determinant is
-    # v^shift P(u); each entry becomes dense coefficients from u^0 (when
-    # bar-invariant, c_k is the coefficient of u^k + u^-k)
-    step = step or 1
+        lows.append(0 if bar else min(e.min_exp for e in nonzero))
+    # row i lies in v^lo_i Z[v], so the determinant is v^shift P(v); each
+    # entry becomes dense coefficients from v^0 (when bar-invariant, c_k is
+    # the coefficient of v^k + v^-k)
     degree = 0
     width = 1
     rows = []
     for row, lo in zip(matrix, lows):
-        dense = [
-            tuple(e.coefficient(lo + k * step) for k in range((e.max_exp - lo) // step + 1))
-            if e else ()
-            for e in row
-        ]
+        dense = [tuple(e.coefficient(k) for k in range(lo, e.max_exp + 1)) if e else () for e in row]
         span = max(map(len, dense)) - 1
         degree += span
         width = max(width, span + 1)
         rows.append(dense)
     parity = _parity_grading(rows)
     coeffs = _lift(bound_sq, lambda p: _interpolate_mod(rows, width, degree, bar, parity, p))
-    # coeffs run from u^0 up, or from u^-degree up when bar-invariant
-    shift = -degree * step if bar else sum(lows)
-    return LaurentPoly({shift + k * step: c for k, c in enumerate(coeffs) if c})
+    # coeffs run from v^0 up, or from v^-degree up when bar-invariant
+    shift = -degree if bar else sum(lows)
+    return LaurentPoly({shift + k: c for k, c in enumerate(coeffs) if c})
 
 
 def _parity_grading(rows) -> int | None:
@@ -273,10 +265,10 @@ def _interpolate_mod(
     rows, width: int, degree: int, bar: bool, parity: int | None, p: int
 ) -> list[int]:
     """Coefficients mod p of the determinant of the dense coefficient rows:
-    of P(u) from u^0 up to u^degree, or, when bar, of the Laurent polynomial
-    from u^-degree up to u^degree.
+    of P(v) from v^0 up to v^degree, or, when bar, of the Laurent polynomial
+    from v^-degree up to v^degree.
 
-    P is a polynomial in X = u, or X = w = u + u^-1 when bar.  Without a
+    P is a polynomial in X = v, or X = w = v + v^-1 when bar.  Without a
     parity grading (parity None), P is interpolated at the nodes
     t = 0..degree; with one, P(X) = X^parity Q(X^2), and Q is interpolated
     from P(t) / t^parity at the nodes x = t^2, t = parity..N + parity with
@@ -329,8 +321,8 @@ def _interpolate_mod(
     coeffs[first::power] = acc
     if not bar:
         return coeffs
-    # P(w) to the Laurent coefficients of u^-degree..u^degree, by Horner on
-    # w = u + u^-1
+    # P(w) to the Laurent coefficients of v^-degree..v^degree, by Horner on
+    # w = v + v^-1
     laurent = [0] * (2 * degree + 1)
     for k in range(degree, -1, -1):
         laurent = [(a + b) % p for a, b in zip(laurent[1:] + [0], [0] + laurent[:-1])]

@@ -95,8 +95,12 @@ def quantized_cartan(dg: DynkinDiagram, s: int) -> tuple[tuple[LaurentPoly, ...]
 
 @lru_cache(maxsize=None)
 def det_quantized(dg: DynkinDiagram, s: int) -> LaurentPoly:
-    """det [X]_s, exactly."""
-    return laurent_det(quantized_cartan(dg, s))
+    """det [X]_s, exactly: det [X]_1 by laurent_det, at v^s.  [n]_s(v) =
+    [n](v^s), so [X]_s is [X]_1 under the ring map v -> v^s, which commutes
+    with determinants."""
+    if s != 1:
+        return det_quantized(dg, 1).subst_power(s)
+    return laurent_det(quantized_cartan(dg, 1))
 
 
 # ---------------------------------------------------------------------------

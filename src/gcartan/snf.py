@@ -633,21 +633,21 @@ def snf_of_diagonal(values: Sequence[LaurentPoly | tuple[LaurentPoly, ...]]) -> 
 
 
 # the step cap of every caller; the stall rule ends a failing run long before
-# it (within 54 steps on every conjecture-report point checked), so the cap
-# only guards a progress loop that might never end
+# it (after 13-54 steps at the benchmark's report points, and 62-166 at the
+# frontier points (5,1,4), (7,1,3), (5,1,5) and (7,1,4)), so the cap only
+# guards a progress loop that might never end
 DIAG_BUDGET = 3000
 
 
 @dataclass(frozen=True)
 class DiagonalizationResult:
-    status: str  # "success" | "inconclusive"
     diagonal: InvariantMultiset | None
     steps: int
     stopped: str  # "cleared" | "stalled" | "budget"
 
     @property
     def success(self) -> bool:
-        return self.status == "success"
+        return self.stopped == "cleared"
 
 
 def _complexity(p: LaurentPoly):
@@ -724,10 +724,10 @@ def try_diagonalize_zlaurent(
     m = [list(row) for row in matrix]
     diag, steps, stopped = _diagonalize(m, _complexity, _reduce_zlaurent, budget)
     if stopped != "cleared":
-        return DiagonalizationResult("inconclusive", None, steps, stopped)
+        return DiagonalizationResult(None, steps, stopped)
     result = InvariantMultiset.polys(diag, RING_ZLAURENT)
     _success_sanity(matrix, diag)
-    return DiagonalizationResult("success", result, steps, "cleared")
+    return DiagonalizationResult(result, steps, "cleared")
 
 
 def _success_sanity(matrix, diag) -> None:

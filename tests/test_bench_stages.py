@@ -34,13 +34,13 @@ def test_stages_script_writes_a_run(tmp_path):
     # then one pass mod 2 at the cap of 4 digits
     assert point["passes"] == [[[2, 1, "ok"], [2, 4, "ok"]]]
     # the moduli of the one sample, as [bits of B, [bits of each prime]]:
-    # the 1x1 factors P_2(1) and P_1(2) are 2 and 8 at v=1, and each gets
+    # the 1x1 base factors P(1) and P(2) are 2 and 8 at v=1, and each gets
     # the 30-bit prime at the foot of the table
     assert point["moduli"] == [[[2, [30]], [4, [30]]]]
     # the laurent_det calls of gram_det, as [rows, nodes, [bits of each
-    # modulus], seconds]: P_2(1) = ([2]_2) is odd in u = v^2, so one node
-    # serves its degree 1; P_1(2) = (2 [2]^2) = (2 u + 4 + 2 u^-1) for
-    # u = v^2 mixes parities and takes both nodes of degree 1
+    # modulus], seconds], one per base factor (P_2(1) is P(1) at v^2):
+    # P(1) = ([2]) is w = v + v^-1, odd, so one node serves its degree 1;
+    # P(2) = (2 [2]^2) is 2 w^2, even of degree 2, and takes two nodes
     (calls,) = point["factor_dets"]
     assert [c[:3] for c in calls] == [[1, 1, [30]], [1, 2, [30]]]
     assert all(c[3] >= 0 for c in calls)

@@ -288,8 +288,9 @@ class TestColourReversalSplit:
         asm = _Assembly(CartanPairing(dg), d)
         assert asm.det() == shapovalov_det_formula(dg, d)
         assert asm.det_at_one() == shapovalov_det_formula(dg, d).at_one()
-        factors = {key for lam in asm.shapes for key in asm.kron_factors(lam)[1]}
-        assert len(seen) == 2 * len(factors)
+        # one base factor P(m) per distinct m serves every part size
+        ms = {m for keys in asm.factor_keys.values() for _, m in keys}
+        assert len(seen) == 2 * len(ms)
         assert all(seen) if splits else not any(seen)
 
 
@@ -307,7 +308,7 @@ def _brute_permanent(a, rows, cols):
 
 @dataclass(frozen=True)
 class _MatrixPairing:
-    """A pairing family with one fixed matrix for every s."""
+    """A pairing with one fixed matrix."""
 
     entries: tuple
 
@@ -315,7 +316,7 @@ class _MatrixPairing:
     def colors(self):
         return len(self.entries)
 
-    def matrix(self, s):
+    def matrix(self):
         return self.entries
 
 
@@ -339,13 +340,14 @@ class TestPermanent:
     ]
 
     def test_repeated_colours_against_permutation_sum(self):
-        # every entry of P_s(m) for 1 to 3 colours and m <= 5; rows and
-        # columns are the colour multisets in the order of the reference
-        # colourings of the shape 1^m
+        # every entry of P_s(m) for 1 to 3 colours and m <= 5, against the
+        # permanents of the pairing's matrix A at v^s; rows and columns are
+        # the colour multisets in the order of the reference colourings of
+        # the shape 1^m
         for pairing in self.PAIRINGS:
             k = pairing.colors
             for s in (1, 2):
-                a = pairing.matrix(s)
+                a = [[e.subst_power(s) for e in row] for row in pairing.matrix()]
                 for m in range(6):
                     sets = [
                         tuple(c for _, c in cp)
@@ -408,7 +410,7 @@ class TestCauchyBinet:
         invs = []
         for lam in asm.shapes:
             diag = [ONE]
-            for (s, m), f in asm.kron_factors(lam)[1].items():
+            for s, m in asm.factor_keys[lam]:
                 if (s, m) not in eliminated:
                     if s not in smith:
                         smith[s] = snf_laurent_field(quantized_cartan(dg, s)).elements
@@ -416,6 +418,7 @@ class TestCauchyBinet:
                         math.prod((smith[s][i] for i in c), start=ONE)
                         for c in gram._multisets(dg.nodes, m)
                     ]
+                    f = permanent_matrix(asm.pairing, s, m)
                     eliminated[s, m] = snf_laurent_field(f).elements
                     assert snf_of_diagonal(transfer).elements == eliminated[s, m], (s, m)
                 diag = [x * y for x in diag for y in eliminated[s, m]]
@@ -456,7 +459,6 @@ class TestKroneckerFactors:
         # each entry of a y-block is the product over part sizes s of the
         # permanents of the two members' colours of size s, summed over
         # permutations here; the block's denominator is prod s^m_s
-        pairing = CartanPairing(dg)
         perms = {}
         for d in range(dmax + 1):
             asm = _Assembly(CartanPairing(dg), d)
@@ -471,17 +473,20 @@ class TestKroneckerFactors:
                         for s in sizes:
                             key = (s, gx[s], gy[s])
                             if key not in perms:
-                                perms[key] = _brute_permanent(pairing.matrix(s), gx[s], gy[s])
+                                perms[key] = _brute_permanent(
+                                    quantized_cartan(dg, s), gx[s], gy[s]
+                                )
                             want = want * perms[key]
                         assert e == want, (dg, d, lam)
 
     def test_factors_are_memoised_per_size_and_multiplicity(self):
+        # the factor keys of two shapes that share P_3(1), largest part first
         asm = _Assembly(CartanPairing(DynkinDiagram("A", 2)), 5)
-        _, f1 = asm.kron_factors((3, 1, 1))
-        _, f2 = asm.kron_factors((3, 2))
-        assert list(f1) == [(3, 1), (1, 2)] and list(f2) == [(3, 1), (2, 1)]
-        assert f1[3, 1] is f2[3, 1]
-        assert len(f1[1, 2]) == 3  # colour multisets of size 2 from 2 colours
+        assert asm.factor_keys[3, 1, 1] == ((3, 1), (1, 2))
+        assert asm.factor_keys[3, 2] == ((3, 1), (2, 1))
+        assert permanent_matrix(asm.pairing, 3, 1) is permanent_matrix(asm.pairing, 3, 1)
+        # colour multisets of size 2 from 2 colours
+        assert len(permanent_matrix(asm.pairing, 1, 2)) == 3
 
     def test_index_matches_the_multipartition_reference(self):
         # the index, built from the Kronecker layout, against one coloured
@@ -517,6 +522,96 @@ class TestKroneckerFactors:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestPartSizeSubstitution:
+    """[n]_s(v) = [n](v^s): the kernels see part size 1, and v -> v^s is
+    applied to their results."""
+
+    DIAGRAMS = [DynkinDiagram("A", n) for n in range(1, 6)] + [
+        DynkinDiagram("D", 4),
+        DynkinDiagram("E", 6),
+    ]
+
+    @pytest.mark.parametrize("dg", DIAGRAMS, ids=str)
+    def test_factor_against_permanents_of_x_s(self, dg):
+        # P_s(m), taken from P(m) at v^s, against the permanents of [X]_s
+        sets = {m: gram._multisets(dg.nodes, m) for m in range(1, 4)}
+        for s in (1, 2, 3):
+            x_s = quantized_cartan(dg, s)
+            for m, cs in sets.items():
+                got = permanent_matrix(CartanPairing(dg), s, m)
+                want = tuple(tuple(_brute_permanent(x_s, c, c2) for c2 in cs) for c in cs)
+                assert got == want, (dg, s, m)
+
+    @pytest.mark.parametrize("dg", DIAGRAMS, ids=str)
+    def test_smith_form_of_x_s_is_that_of_x_at_v_s(self, dg):
+        # the canonical invariants of [X]_s, eliminated, against those of
+        # [X]_1 at v^s, which gram_field_invariants uses
+        base = snf_laurent_field(quantized_cartan(dg, 1)).elements
+        for s in range(1, 7):
+            got = snf_laurent_field(quantized_cartan(dg, s)).elements
+            assert got == tuple(x.subst_power(s) for x in base), (dg, s)
+
+
+def _exponent_step(matrix):
+    """The largest g with every exponent of row i in lo_i + g Z (lo_i = 0
+    for a bar-invariant matrix, else the row's least exponent); 0 when every
+    entry is a constant."""
+    bar = all(e.is_bar_invariant() for row in matrix for e in row)
+    step = 0
+    for row in matrix:
+        nonzero = [e for e in row if not e.is_zero]
+        lo = 0 if bar else min(e.min_exp for e in nonzero)
+        step = math.gcd(step, *(k - lo for e in nonzero for k, _ in e))
+    return step
+
+
+class TestKernelTraffic:
+    """Every kernel call sees part size 1: one base factor per m, one
+    Smith form of [X]_1."""
+
+    @pytest.mark.parametrize("ell, d", [(5, 4), (4, 5), (2, 12), (3, 8)])
+    def test_calls_per_base_factor(self, monkeypatch, ell, d):
+        dg = type_a(ell)
+        asm = _Assembly(CartanPairing(dg), d)
+        ms = {m for keys in asm.factor_keys.values() for _, m in keys}
+        calls = {"laurent": [], "field": 0, "at_one": 0}
+
+        def laurent(matrix):
+            calls["laurent"].append((len(matrix), _exponent_step(matrix)))
+            return laurent_det(matrix)
+
+        def field(matrix):
+            calls["field"] += 1
+            return snf_laurent_field(matrix)
+
+        at_one = gram._int_det_multimodular
+
+        def at_one_spy(matrix):
+            calls["at_one"] += 1
+            return at_one(matrix)
+
+        monkeypatch.setattr(gram, "laurent_det", laurent)
+        monkeypatch.setattr(gram, "snf_laurent_field", field)
+        monkeypatch.setattr(gram, "_int_det_multimodular", at_one_spy)
+        want_det = gram_det(dg, d)
+        assert want_det == shapovalov_det_formula(dg, d)
+        assert calls["laurent"]
+        # no matrix needs the exponent rename v^g -> u, unless it is 1x1
+        assert all(step <= 1 for rows, step in calls["laurent"] if rows > 1), calls["laurent"]
+        gram_field_invariants(dg, d)
+        assert calls["field"] == 1
+        assert gram_det_at_one(dg, d) == want_det.at_one()
+        # one kernel run per distinct m, two where the colour reversal splits
+        splits = [
+            _reversal_split(
+                [[e.at_one() for e in row] for row in permanent_matrix(asm.pairing, 1, m)],
+                _reversal(dg.nodes, m),
+            )
+            for m in ms
+        ]
+        assert calls["at_one"] == sum(1 if split is None else 2 for split in splits)
 
 
 class TestAssembly:
@@ -674,7 +769,7 @@ class TestKPairingAndSchur:
     def test_oracle_sees_the_assembly(self, monkeypatch, weight):
         # a weight other than 1 breaks orthonormality in degree 1; [3] - 2 is
         # 1 at v=1, so only the exact comparison over Z[v,v^-1] catches it
-        monkeypatch.setattr(IdentityPairing, "matrix", lambda self, s: ((weight,),))
+        monkeypatch.setattr(IdentityPairing, "matrix", lambda self: ((weight,),))
         permanent_matrix.cache_clear()
         try:
             assert not schur_orthonormality(3)

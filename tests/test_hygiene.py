@@ -254,14 +254,14 @@ def test_checked_determinant_is_formula_free():
 
 
 def test_field_invariants_eliminate_no_permanent_factor():
-    # layer 2 reads each factor's invariants off the Smith form of [X]_s
+    # layer 2 reads each factor's invariants off the Smith form of [X] at v^s
     # (Cauchy-Binet for permanents): it never builds a P_s(m) to eliminate it
     module = _parse(PACKAGE / "gram.py")
     fn = next(
         node for node in module.body
         if isinstance(node, ast.FunctionDef) and node.name == "gram_field_invariants"
     )
-    found = _used_names(fn) & {"permanent_matrix", "kron_factors"}
+    found = _used_names(fn) & {"permanent_matrix", "y_blocks"}
     assert not found, f"gram_field_invariants reads {sorted(found)}"
 
 

@@ -314,7 +314,7 @@ class TestConjectureReport:
         def other_diagonal(matrix, budget):
             res = real(matrix, budget=budget)
             ones = snf.InvariantMultiset.polys([ONE] * len(matrix), snf.RING_ZLAURENT)
-            return snf.DiagonalizationResult(res.status, ones, res.steps, res.stopped)
+            return snf.DiagonalizationResult(ones, res.steps, res.stopped)
 
         monkeypatch.setattr(snf, "try_diagonalize_zlaurent", other_diagonal)
         rep = conjecture_report(2, 1, 2)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gcartan import linalg
 from gcartan.gram import (
     CartanPairing,
-    _Assembly,
     _reversal,
     _reversal_split,
     gram_det,
@@ -122,8 +121,7 @@ class TestLaurentDet:
     def test_largest_factor_against_int_det_at_two(self):
         # P_1(4) at ell=5, the 35-row factor of shape 1^4, with rows scaled
         # into Z[v] and evaluated at v=2
-        _, factors = _Assembly(CartanPairing(type_a(5)), 4).kron_factors((1, 1, 1, 1))
-        f = factors[1, 4]
+        f = permanent_matrix(CartanPairing(type_a(5)), 1, 4)
         assert len(f) == 35
         lows = [min(e.min_exp for e in row if not e.is_zero) for row in f]
         at_two = [[at(e.shift(-lo), 2) for e in row] for row, lo in zip(f, lows)]
@@ -210,15 +208,15 @@ class TestParityGrading:
             # that of A_3: [2]^3 - 2 [2] is odd, of degree 3, so 2 nodes
             # (t = 1, 2) instead of 4
             ([[Q, -ONE, ZERO], [-ONE, Q, -ONE], [ZERO, -ONE, Q]], 2, "sym"),
-            # exponents in steps of 2 and rows shifted by v^0 and v^2: in u = v^2
-            # the determinant is u P(u) with P = 2 u^3 - 4 u odd and of degree
-            # at most 3 + 1, so 2 nodes instead of 5
+            # exponents in steps of 2 and rows shifted by v^0 and v^2: the
+            # determinant is v^2 P(v) with P = 2 v^6 - 4 v^2 even and of degree
+            # at most 6 + 2, so 5 nodes instead of 9
             ([[LaurentPoly({2: 1, 6: 2}), LaurentPoly({0: 5})],
-              [LaurentPoly({4: 1}), LaurentPoly({2: 1})]], 2, "full"),
-            # one off-grade entry, v^2 + v^4 + v^6 (u^0 + u^1 + u^2 after its
-            # row's shift), breaks the grading: the full 6 nodes of degree 3 + 2
+              [LaurentPoly({4: 1}), LaurentPoly({2: 1})]], 5, "full"),
+            # one off-grade entry, v^2 + v^3 + v^4 (1 + v + v^2 after its row's
+            # shift), breaks the grading: the full 9 nodes of degree 6 + 2
             ([[LaurentPoly({2: 1, 6: 2}), LaurentPoly({0: 5})],
-              [LaurentPoly({4: 1}), LaurentPoly({2: 1, 4: 1, 6: 1})]], 6, "full"),
+              [LaurentPoly({4: 1}), LaurentPoly({2: 1, 3: 1, 4: 1})]], 9, "full"),
             # the same in the symmetric bar-invariant Cartan matrix of A_2:
             # the off-grade entry [2] - 1 costs the full 3 nodes
             ([[Q, -ONE], [-ONE, Q - ONE]], 3, "sym"),
