@@ -525,24 +525,6 @@ class _Assembly:
                 den *= s ** (m * dim)
         return _divide_by_int(num, den)
 
-    def det(self) -> LaurentPoly:
-        """det G = prod over shapes of the Kronecker-factored block
-        determinants, each base factor P(m), or each half of its colour
-        reversal split, by the generic multi-modular determinant
-        (laurent_det: evaluation mod p, F_p elimination, Newton
-        interpolation, CRT under a Hadamard bound), at v^s for each s.  The
-        identity det Sym^m = det^binom is never used: it is under test."""
-        return self._kron_det(lambda f: f, laurent_det, ONE)
-
-    def det_at_one(self) -> int:
-        """det G at v=1, which v -> v^s fixes: each P(m) is evaluated at v=1
-        before it is split, and each part goes to the multi-modular kernel
-        of laurent_det (F_p elimination modulo primes sized to a Hadamard
-        bound, symmetric lift)."""
-        return self._kron_det(
-            lambda f: [[e.at_one() for e in row] for row in f], _int_det_multimodular, 1
-        )
-
 
 def _at_power(x, s: int):
     # x at v^s; an integer, a value at v=1, is unchanged
@@ -583,19 +565,23 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     Exploits the run-time-verified unitriangular change of basis and the
     Kronecker-factored shape blocks.  det P(m) is computed once, and
     det P_s(m) is it at v^s: where the colour reversal fixes P(m) (checked, see
-    _reversal_split), laurent_det (evaluation and interpolation modulo primes
-    sized to a Hadamard bound) runs on its plus and minus blocks, else on the
-    whole factor.  No closed determinant formula is consulted.
+    _reversal_split), laurent_det (evaluation mod p, F_p elimination, Newton
+    interpolation, CRT under a Hadamard bound) runs on its plus and minus
+    blocks, else on the whole factor.  No closed determinant formula is
+    consulted; in particular not det Sym^m = det^binom, which is under test.
     """
-    return _Assembly(CartanPairing(dg), d).det()
+    return _Assembly(CartanPairing(dg), d)._kron_det(lambda f: f, laurent_det, ONE)
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
-    """Exact determinant of the Gram matrix at v=1: the multi-modular kernel
-    of laurent_det (F_p elimination, CRT, symmetric lift under a Hadamard
-    bound) on each base factor P(m) at v=1, or on the two blocks of its
-    colour reversal split; no closed formula involved."""
-    return _Assembly(CartanPairing(dg), d).det_at_one()
+    """Exact determinant of the Gram matrix at v=1, which v -> v^s fixes, so
+    one result per P(m) serves every s: each P(m) is evaluated at v=1 before
+    it is split, and the multi-modular kernel of laurent_det (F_p elimination,
+    CRT, symmetric lift under a Hadamard bound) runs on it or on the two
+    blocks of its colour reversal split; no closed formula involved."""
+    return _Assembly(CartanPairing(dg), d)._kron_det(
+        lambda f: [[e.at_one() for e in row] for row in f], _int_det_multimodular, 1
+    )
 
 
 def gram_field_invariants(dg: DynkinDiagram, d: int):

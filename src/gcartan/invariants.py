@@ -195,8 +195,9 @@ def bracket_product_values(ell: int, d: int) -> list[LaurentPoly]:
 
 def verify_conjcheck(p: int, r: int, dmax: int) -> bool:
     """prod_s [ell]_s^{N_{ell,d,s}} = prod_{s,lam} I^v_{p,r}(lam)^{u(ell-2,d-s)}
-    for every d <= dmax, compared exactly via canonical cyclotomic factorization
-    (direct expansion is infeasible at the required exponents)."""
+    for every d <= dmax, compared exactly as QProducts: each side is a v-power
+    times prod_N (v^N - 1)^{f_N}, equal exactly when the data are (direct
+    expansion is infeasible at the required exponents)."""
     _check_p_r(p, r)
     if dmax < 0:
         raise ValueError("dmax must be >= 0")

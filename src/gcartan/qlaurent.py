@@ -116,12 +116,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> LaurentPoly:
-        other = _coerce_int_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, int):
             if not other:
@@ -310,10 +304,7 @@ def quantum_binomial(n: int, m: int, s: int = 1) -> LaurentPoly:
         raise ValueError("binomial needs m >= 0")
     num = quantum_factorial(n, s)
     den = quantum_factorial(m, s) * quantum_factorial(n - m, s)
-    q = divide_exact(num, den)
-    if q is None:
-        raise ArithmeticError("Gaussian binomial divisibility failed")
-    return q
+    return exact_quotient(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -324,9 +315,7 @@ def cyclotomic(m: int) -> LaurentPoly:
     num = LaurentPoly({m: 1, 0: -1})
     for d in range(1, m):
         if m % d == 0:
-            num = divide_exact(num, cyclotomic(d))
-            if num is None:
-                raise ArithmeticError(f"Phi_{d} does not divide v^{m} - 1")
+            num = exact_quotient(num, cyclotomic(d))
     return num
 
 
@@ -340,22 +329,14 @@ def kss_bracket(n: int, s: int) -> LaurentPoly:
     if s < 1:
         raise ValueError("s must be a positive integer")
     sign = -1 if s % 2 else 1
-    num = LaurentPoly({n * s: 1, -n * s: sign})
-    den = LaurentPoly({s: 1, -s: sign})
-    q = divide_exact(num, den)
-    if q is None:
-        raise ArithmeticError(f"{{n}}_s division not exact for n={n}, s={s}")
-    return q
+    return exact_quotient(LaurentPoly({n * s: 1, -n * s: sign}), LaurentPoly({s: 1, -s: sign}))
 
 
 def su_bracket(p: int) -> LaurentPoly:
     """[p]^su = (v^p + v^-p) / (v + v^-1) for odd p; equals 1 at v=1."""
     if p < 1 or p % 2 == 0:
         raise ValueError("[p]^su is defined for odd positive p only")
-    q = divide_exact(LaurentPoly({p: 1, -p: 1}), LaurentPoly({1: 1, -1: 1}))
-    if q is None:
-        raise ArithmeticError(f"[p]^su division not exact for p={p}")
-    return q
+    return exact_quotient(LaurentPoly({p: 1, -p: 1}), LaurentPoly({1: 1, -1: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +421,15 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     return LaurentPoly(q).shift(shift)
 
 
+def exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a / b for a quotient that must exist in Z[v,v^-1]; ArithmeticError
+    when b does not divide a."""
+    q = divide_exact(a, b)
+    if q is None:
+        raise ArithmeticError(f"{b} does not divide {a} in Z[v,v^-1]")
+    return q
+
+
 def vanishes_at_primitive_root(a: LaurentPoly, m: int) -> bool:
     """True iff a vanishes at exp(2*pi*i/m).  Phi_m is monic and is the
     minimal polynomial of that root, so a vanishes there exactly when Phi_m
@@ -451,22 +441,22 @@ def vanishes_at_primitive_root(a: LaurentPoly, m: int) -> bool:
 # canonical factorization of products of quantum integers
 # ---------------------------------------------------------------------------
 #
-# [n]_k = v^{-(n-1)k} * prod_{j | 2nk, j not| 2k} Phi_j(v).  A formal product
-# of brackets is therefore determined by a v-power and a multiset of
-# cyclotomic indices; two products are equal in Z[v,v^-1] iff these data
-# agree.  This lets huge products (degrees in the tens of thousands) be
-# compared exactly without expansion.
-
-
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    out += [n // d for d in reversed(out) if d * d != n]
-    return tuple(out)
+# [n]_k = v^{-(n-1)k} (v^{2nk} - 1) / (v^{2k} - 1), so a formal product of
+# brackets is v^shift prod_N (v^N - 1)^{f_N} with integer f_N.  As
+# v^N - 1 = prod_{d|N} Phi_d, the product's exponent of Phi_d is the sum of
+# f_N over the multiples N of d: a unitriangular change of basis in
+# divisibility order, so distinct f give distinct cyclotomic exponents (at a
+# largest N where two f differ, so do the exponents of Phi_N).  The Phi_d are
+# pairwise non-associate primes of Z[v,v^-1], whose units are +-v^k, so two
+# products are equal iff their shifts and their f agree.  This lets huge
+# products (degrees in the tens of thousands) be compared exactly without
+# expansion.
 
 
 class QProduct:
-    """A formal product of quantum integers in cyclotomic-factored form."""
+    """A formal product of quantum integers, v^vshift prod_N (v^N - 1)^f_N
+    with f = factors; by the canonicity above, equal data mean equal
+    products."""
 
     __slots__ = ("vshift", "factors")
 
@@ -475,30 +465,18 @@ class QProduct:
         self.factors: dict[int, int] = {}
 
     def mul_bracket(self, n: int, k: int, power: int = 1) -> "QProduct":
-        """Multiply by [n]_k^power (n >= 1, k >= 1)."""
-        if power == 0 or n == 1:
-            return self
+        """Multiply by [n]_k^power (n >= 1, k >= 1): add power to f_{2nk}
+        and -power to f_{2k}."""
         if n < 1 or k < 1 or power < 0:
             raise ValueError("QProduct tracks products of [n]_k with n,k >= 1")
         self.vshift -= (n - 1) * k * power
-        twok = set(_divisors(2 * k))
-        for j in _divisors(2 * n * k):
-            if j not in twok:
-                self.factors[j] = self.factors.get(j, 0) + power
-                if not self.factors[j]:
-                    del self.factors[j]
+        for m, f in ((2 * n * k, power), (2 * k, -power)):
+            f += self.factors.pop(m, 0)
+            if f:
+                self.factors[m] = f
         return self
-
-    def key(self) -> tuple:
-        return (self.vshift, tuple(sorted(self.factors.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QProduct):
             return NotImplemented
-        return self.key() == other.key()
-
-    def expand(self) -> LaurentPoly:
-        out = LaurentPoly({self.vshift: 1})
-        for j, e in sorted(self.factors.items()):
-            out = out * cyclotomic(j) ** e
-        return out
+        return self.vshift == other.vshift and self.factors == other.factors

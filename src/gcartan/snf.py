@@ -37,7 +37,9 @@ from typing import Sequence
 
 from .linalg import _require_square, int_det
 from .partitions import is_prime, p_adic_split
-from .qlaurent import ONE, ZERO, LaurentPoly, divide_exact, normalize_unit, sub_product
+from .qlaurent import (
+    ONE, ZERO, LaurentPoly, divide_exact, exact_quotient, normalize_unit, sub_product,
+)
 
 RING_ZINT = "ZInt"
 RING_QLAURENT = "QLaurent"
@@ -73,9 +75,6 @@ class InvariantMultiset:
         primitive = ring == RING_QLAURENT
         canon = [canonical_poly(v, primitive=primitive) if v else ZERO for v in values]
         return InvariantMultiset(ring, tuple(sorted(canon, key=_poly_sort_key)))
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def to_json(self) -> dict:
         if self.ring == RING_ZINT:
@@ -540,13 +539,6 @@ def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly]]) -> InvariantMulti
     return snf_of_diagonal(diag)
 
 
-def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    q = divide_exact(a, b)
-    if q is None:
-        raise ArithmeticError(f"{b} does not divide {a} in Z[v,v^-1]")
-    return q
-
-
 def _coprime_base(values: Sequence[LaurentPoly]) -> list[LaurentPoly]:
     """A pairwise coprime base over Q[v,v^-1] of canonical primitive nonunits
     such that every value is a unit times a product of their powers (factor
@@ -570,7 +562,7 @@ def _coprime_base(values: Sequence[LaurentPoly]) -> list[LaurentPoly]:
                 g = _poly_gcd(a, b)
                 if _span(g):
                     del base[i]
-                    todo += [g, _exact_quotient(b, g), _exact_quotient(a, g)]
+                    todo += [g, exact_quotient(b, g), exact_quotient(a, g)]
                     break
             else:
                 base.append(a)

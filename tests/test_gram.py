@@ -275,7 +275,7 @@ class TestColourReversalSplit:
          (DynkinDiagram("E", 6), 2, False), (DynkinDiagram("A", 1), 4, False)],
     )
     def test_every_factor_is_checked(self, monkeypatch, dg, d, splits):
-        # det and det_at_one put every distinct factor through the check
+        # gram_det and gram_det_at_one put every distinct factor through the check
         seen = []
         check = gram._reversal_split
 
@@ -286,8 +286,8 @@ class TestColourReversalSplit:
 
         monkeypatch.setattr(gram, "_reversal_split", spy)
         asm = _Assembly(CartanPairing(dg), d)
-        assert asm.det() == shapovalov_det_formula(dg, d)
-        assert asm.det_at_one() == shapovalov_det_formula(dg, d).at_one()
+        assert gram_det(dg, d) == shapovalov_det_formula(dg, d)
+        assert gram_det_at_one(dg, d) == shapovalov_det_formula(dg, d).at_one()
         # one base factor P(m) per distinct m serves every part size
         ms = {m for keys in asm.factor_keys.values() for _, m in keys}
         assert len(seen) == 2 * len(ms)

@@ -16,7 +16,6 @@ TEST_REFERENCES = {
     "partitions.has_rim_hook": "test_partitions.py::TestCores::test_idempotent_and_hook_free",
     "qcartan.DynkinDiagram.classical_det": "test_qcartan.py::TestDiagrams::test_classical_dets",
     "qlaurent.LaurentPoly.bar": "test_gram.py::TestYPair::test_bar_invariance",
-    "qlaurent.QProduct.expand": "test_qlaurent.py::TestQProduct::test_matches_expansion",
 }
 
 
@@ -270,6 +269,38 @@ def test_one_bracket_expander():
     # qlaurent.bracket_product, not by multiplying quantum integers
     found = _used_names(_parse(PACKAGE / "invariants.py")) & {"quantum_int", "quantum_factorial"}
     assert not found, f"src/gcartan/invariants.py reads {sorted(found)}"
+
+
+def test_one_exact_quotient():
+    # a quotient that must exist comes from qlaurent.exact_quotient: no other
+    # function binds a name to divide_exact(...) and raises when it is None
+    functions = [
+        (f"{path.stem}.{fn.name}", fn)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(_parse(path))
+        if isinstance(fn, ast.FunctionDef)
+    ]
+    found = []
+    for name, fn in functions:
+        if name == "qlaurent.exact_quotient":
+            continue
+        bound = {
+            t.id
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Assign, ast.NamedExpr))
+            and isinstance(node.value, ast.Call)
+            and "divide_exact" in _used_names(node.value.func)
+            for t in ast.walk(node)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+        }
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) in {f"{x} is None" for x in bound}
+            and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+        ]
+    assert not found, f"divide-or-raise outside qlaurent.exact_quotient: {found}"
 
 
 def test_prime_tables_are_literals():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcartan import linalg
+from gcartan import gram, linalg
 from gcartan.gram import (
     CartanPairing,
     _reversal,
@@ -255,23 +255,51 @@ class TestParityGrading:
         assert calls == {"sym": nodes + full, "full": 0}
 
     @pytest.mark.parametrize(
-        "dg, d",
-        [(type_a(5), 4), (type_a(4), 5), (type_a(3), 6), (DynkinDiagram("D", 4), 3),
-         (DynkinDiagram("E", 6), 2)],
-        ids=str,
+        "dg, d, ungraded",
+        [
+            pytest.param(type_a(5), 4, set(), id="A_4-4"),
+            pytest.param(type_a(4), 5, set(), id="A_3-5"),
+            pytest.param(type_a(3), 6, set(), id="A_2-6"),
+            pytest.param(DynkinDiagram("D", 4), 3, set(), id="D_4-3"),
+            pytest.param(DynkinDiagram("E", 6), 2, set(), id="E_6-2"),
+            # k = 4 colours: m(k-1) is odd for P(3) and P(5), whose 10- and
+            # 28-row halves are ungraded
+            pytest.param(type_a(5), 5, {(3, 10), (5, 28)}, id="A_4-5"),
+        ],
     )
-    def test_gram_factors_of_more_than_two_rows_are_graded(self, monkeypatch, dg, d):
+    def test_gram_factors_are_graded_unless_the_reversal_flips_parities(
+        self, monkeypatch, dg, d, ungraded
+    ):
+        # every factor of more than two rows that laurent_det receives is
+        # parity graded, and so is every half of a colour reversal split of
+        # P(m) with m(k-1) even; the halves with m(k-1) odd, where the
+        # reversal flips the row parities, are the ones listed
         seen = []
-        interpolate = linalg._interpolate_mod
+        factor = {}
+        reversal, split, interpolate = gram._reversal, gram._reversal_split, linalg._interpolate_mod
 
-        def spy(rows, width, degree, bar, parity, p):
-            seen.append((len(rows), parity))
+        def reversal_spy(colors, m):
+            factor.update(k=colors, m=m)
+            return reversal(colors, m)
+
+        def split_spy(f, sigma):
+            out = split(f, sigma)
+            factor["split"] = out is not None
+            return out
+
+        def interpolate_spy(rows, width, degree, bar, parity, p):
+            seen.append((factor["m"], factor["k"], factor["split"], len(rows), parity is not None))
             return interpolate(rows, width, degree, bar, parity, p)
 
-        monkeypatch.setattr(linalg, "_interpolate_mod", spy)
+        monkeypatch.setattr(gram, "_reversal", reversal_spy)
+        monkeypatch.setattr(gram, "_reversal_split", split_spy)
+        monkeypatch.setattr(linalg, "_interpolate_mod", interpolate_spy)
         gram_det(dg, d)
-        assert any(n > 2 for n, _ in seen)
-        assert all(parity is not None for n, parity in seen if n > 2), seen
+        big = [(m, k, halves, n, graded) for m, k, halves, n, graded in seen if n > 2]
+        assert any(graded for *_, graded in big)
+        for m, k, halves, n, graded in big:
+            assert graded or (halves and m * (k - 1) % 2), seen
+        assert {(m, n) for m, _, _, n, graded in big if not graded} == ungraded
 
 
 def _symmetric_mod(rng, n, p, kind):

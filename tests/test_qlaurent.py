@@ -13,6 +13,7 @@ from gcartan.qlaurent import (
     bracket_product,
     cyclotomic,
     divide_exact,
+    exact_quotient,
     kss_bracket,
     normalize_unit,
     quantum_binomial,
@@ -285,6 +286,15 @@ class TestUnitsAndDivision:
         if x % c:
             assert divide_exact(a * m + LaurentPoly({e: x}), m) is None
 
+    def test_exact_quotient(self):
+        # the quotient where it exists; ArithmeticError where it does not
+        assert exact_quotient(quantum_int(6), quantum_int(3)) == quantum_int(2, 3)
+        assert exact_quotient(ZERO, quantum_int(3)) == ZERO
+        with pytest.raises(ArithmeticError):
+            exact_quotient(LaurentPoly({1: 1, 0: 1}), LaurentPoly({1: 1, 0: -1}))
+        with pytest.raises(ArithmeticError):
+            exact_quotient(quantum_int(3), LaurentPoly.const(2))
+
 
 class TestSubProduct:
     @given(small_polys, small_polys, small_polys)
@@ -360,12 +370,61 @@ def _long_division_remainder(a, m):
     return LaurentPoly(dict(enumerate(rem)))
 
 
+def _qproduct(pairs):
+    qp = QProduct()
+    for n, k, power in pairs:
+        qp.mul_bracket(n, k, power)
+    return qp
+
+
+def _brackets(pairs):
+    return bracket_product((n, k) for n, k, power in pairs for _ in range(power))
+
+
+def _random_pairs(rng):
+    return [(rng.randint(1, 9), rng.randint(1, 5), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 4))]
+
+
+def _rewritten(rng, pairs):
+    # the same product: [ab]_k = [a]_{bk} [b]_k splits a bracket, and the
+    # factors are shuffled
+    out = []
+    for n, k, power in pairs:
+        splits = [(a, n // a) for a in range(2, n) if n % a == 0 and n // a * k <= 5]
+        if splits:
+            a, b = rng.choice(splits)
+            out += [(a, b * k, power), (b, k, power)]
+        else:
+            out.append((n, k, power))
+    rng.shuffle(out)
+    return out
+
+
+def _perturbed(rng, pairs):
+    # a near miss: one power up or down, or one bracket moved to another k
+    pairs = list(pairs) or [(2, 1, 1)]
+    i = rng.randrange(len(pairs))
+    n, k, power = pairs[i]
+    pairs[i] = rng.choice([(n, k, power + 1), (n, k, power - 1), (n, k % 5 + 1, power)])
+    return pairs
+
+
 class TestQProduct:
     def test_matches_expansion(self):
-        qp = QProduct()
-        qp.mul_bracket(4, 1, 2).mul_bracket(3, 2, 1).mul_bracket(2, 5, 3)
+        # v^vshift prod_N (v^N - 1)^f_N is the product: its factors with
+        # f_N < 0 moved to the other side, both sides expanded exactly
+        pairs = [(4, 1, 2), (3, 2, 1), (2, 5, 3)]
+        qp = _qproduct(pairs)
         direct = quantum_int(4) ** 2 * quantum_int(3, 2) * quantum_int(2, 5) ** 3
-        assert qp.expand() == direct
+        assert _brackets(pairs) == direct
+        lhs, rhs = LaurentPoly({qp.vshift: 1}), direct
+        for n, f in qp.factors.items():
+            if f > 0:
+                lhs = lhs * LaurentPoly({n: 1, 0: -1}) ** f
+            else:
+                rhs = rhs * LaurentPoly({n: 1, 0: -1}) ** -f
+        assert lhs == rhs
 
     def test_detects_distinct_products(self):
         a = QProduct().mul_bracket(2, 1, 2)
@@ -374,3 +433,25 @@ class TestQProduct:
 
     def test_bracket_factorizations_agree(self):
         assert QProduct().mul_bracket(6, 1) == QProduct().mul_bracket(2, 3).mul_bracket(3, 1)
+
+    def test_trivial_factors_and_bad_input(self):
+        # [1]_k and a zeroth power change nothing; n, k < 1 or a negative
+        # power is refused, [1]_0 included
+        assert QProduct().mul_bracket(1, 4, 3).mul_bracket(5, 2, 0) == QProduct()
+        for n, k, power in [(1, 0, 1), (0, 1, 1), (2, 0, 1), (2, 1, -1)]:
+            with pytest.raises(ValueError):
+                QProduct().mul_bracket(n, k, power)
+
+    def test_equal_exactly_when_the_expansions_are(self):
+        # random bracket products with powers (n <= 9, k <= 5), each against
+        # an independent product, a rewriting of itself or a near miss of one
+        rng = random.Random(20261019)
+        outcomes = []
+        for _ in range(600):
+            a = _random_pairs(rng)
+            b = rng.choice([lambda: _random_pairs(rng), lambda: _rewritten(rng, a),
+                            lambda: _perturbed(rng, _rewritten(rng, a))])()
+            same = _brackets(a) == _brackets(b)
+            assert (_qproduct(a) == _qproduct(b)) == same, (a, b)
+            outcomes.append(same)
+        assert 150 < sum(outcomes) < 450
