@@ -254,26 +254,10 @@ class TestParityGrading:
         assert laurent_det(part) == det
         assert calls == {"sym": nodes + full, "full": 0}
 
-    @pytest.mark.parametrize(
-        "dg, d, ungraded",
-        [
-            pytest.param(type_a(5), 4, set(), id="A_4-4"),
-            pytest.param(type_a(4), 5, set(), id="A_3-5"),
-            pytest.param(type_a(3), 6, set(), id="A_2-6"),
-            pytest.param(DynkinDiagram("D", 4), 3, set(), id="D_4-3"),
-            pytest.param(DynkinDiagram("E", 6), 2, set(), id="E_6-2"),
-            # k = 4 colours: m(k-1) is odd for P(3) and P(5), whose 10- and
-            # 28-row halves are ungraded
-            pytest.param(type_a(5), 5, {(3, 10), (5, 28)}, id="A_4-5"),
-        ],
-    )
-    def test_gram_factors_are_graded_unless_the_reversal_flips_parities(
-        self, monkeypatch, dg, d, ungraded
-    ):
-        # every factor of more than two rows that laurent_det receives is
-        # parity graded, and so is every half of a colour reversal split of
-        # P(m) with m(k-1) even; the halves with m(k-1) odd, where the
-        # reversal flips the row parities, are the ones listed
+    @staticmethod
+    def _big_factors(monkeypatch, dg, d):
+        # (m, k, split, rows, graded) for every factor of more than two rows
+        # that laurent_det receives while computing gram_det(dg, d)
         seen = []
         factor = {}
         reversal, split, interpolate = gram._reversal, gram._reversal_split, linalg._interpolate_mod
@@ -295,12 +279,42 @@ class TestParityGrading:
         monkeypatch.setattr(gram, "_reversal_split", split_spy)
         monkeypatch.setattr(linalg, "_interpolate_mod", interpolate_spy)
         gram_det(dg, d)
-        big = [(m, k, halves, n, graded) for m, k, halves, n, graded in seen if n > 2]
+        big = [entry for entry in seen if entry[3] > 2]
         assert any(graded for *_, graded in big)
-        for m, k, halves, n, graded in big:
-            assert graded or (halves and m * (k - 1) % 2), seen
-        assert {(m, n) for m, _, _, n, graded in big if not graded} == ungraded
+        return big
 
+    @pytest.mark.parametrize(
+        "dg, d",
+        [
+            pytest.param(type_a(5), 4, id="A_4-4"),
+            pytest.param(type_a(4), 5, id="A_3-5"),
+            pytest.param(type_a(3), 6, id="A_2-6"),
+            pytest.param(DynkinDiagram("D", 4), 3, id="D_4-3"),
+            pytest.param(DynkinDiagram("E", 6), 2, id="E_6-2"),
+        ],
+    )
+    def test_gram_factors_of_more_than_two_rows_are_graded(self, monkeypatch, dg, d):
+        big = self._big_factors(monkeypatch, dg, d)
+        assert all(graded for *_, graded in big), big
+
+    @pytest.mark.parametrize(
+        "dg, d, ungraded",
+        [
+            # k = 4 colours: m(k-1) is odd for P(3) and P(5), whose 10- and
+            # 28-row halves are ungraded
+            pytest.param(type_a(5), 5, {(3, 10), (5, 28)}, id="A_4-5"),
+        ],
+    )
+    def test_gram_factors_are_graded_unless_the_reversal_flips_parities(
+        self, monkeypatch, dg, d, ungraded
+    ):
+        # every half of a colour reversal split of P(m) with m(k-1) even is
+        # parity graded; the halves with m(k-1) odd, where the reversal flips
+        # the row parities, are the ones listed
+        big = self._big_factors(monkeypatch, dg, d)
+        for m, k, halves, n, graded in big:
+            assert graded or (halves and m * (k - 1) % 2), big
+        assert {(m, n) for m, _, _, n, graded in big if not graded} == ungraded
 
 def _symmetric_mod(rng, n, p, kind):
     m = [[0] * n for _ in range(n)]
