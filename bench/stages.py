@@ -1,17 +1,22 @@
 """Stage times of the v=1 path and of the per-shape Laurent path, point by point.
 
     python3 bench/stages.py [--points 7,4 9,4 ...] [--repeat N] [--out PATH]
+                            [--parent REV]
 
 Run from any directory; the package is imported from the `src/` next to
 this script.  For each (ell, d) point, each repeat runs in a fresh
 interpreter, so process-wide caches start cold as they do for every `gcart`
-call, and is killed after CAP_S seconds.  It times the four stages of
+call, and is killed after CAP_S seconds.  It times the three stages of
 criterion 7 in the order the integer-snf benchmark workload runs them:
 
-    assembly           gram.cartan_graded(ell, d)
-    at_one             GramMatrix.at_one()
+    at_one             gram.cartan_graded(ell, d).at_one(), C(1) built on
+                       integers, with the Laurent entries never built
     gram_det_at_one    |gram.gram_det_at_one(type_a(ell), d)|
     snf_int_certified  snf.snf_int_certified(C(1), |det|)
+
+then the Laurent Gram matrix that layer 4 of the report reads:
+
+    assembly           GramMatrix.entries of the same matrix
 
 then the three stages of the per-shape path that the block-det-field
 workload runs:
@@ -23,8 +28,8 @@ workload runs:
                        the factor determinants' Kronecker powers
     field_invariants   gram.gram_field_invariants(type_a(ell), d)
 
-The factors P_s(m) are memoised, and the v=1 stages have built them, so
-det_product does not include building them.  Each laurent_det call is
+The factors P(m) are memoised, and at_one builds them, so assembly and
+det_product do not include building them.  Each laurent_det call is
 recorded as [rows, nodes, [bits of each modulus], seconds], its nodes being
 the F_p eliminations it runs per modulus.  A digest of the v=1 invariants,
 of the determinant and of the field invariants lets two runs be checked to
@@ -47,6 +52,16 @@ version, the machine, nproc, the load average before and after, and per
 point: dim, every sample's seconds per stage, the median per stage, every
 sample's local passes, moduli and laurent_det calls, and the digests, or the
 error that stopped the point.
+
+With --parent REV, each point is sampled for the package of REV, checked out
+in a temporary `git worktree`, and for the package next to this script,
+alternately (the side that goes first alternates too), each sample in a
+fresh interpreter.  Both sides run this script's child program, so each
+stage times the same calls; a parent whose cartan_graded builds the Laurent
+matrix spends that build in at_one and reads it back in assembly.  The one
+record then holds the parent's revision and source digest and, per point,
+each side's samples and per-stage medians, the count of pairs that each
+side won per stage, and whether the two sides' digests agree.
 """
 
 from __future__ import annotations
@@ -56,15 +71,18 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 STAGES = (
-    "assembly", "at_one", "gram_det_at_one", "snf_int_certified",
+    "at_one", "gram_det_at_one", "snf_int_certified", "assembly",
     "factor_dets", "det_product", "field_invariants",
 )
 DIGESTS = ("invariants_sha256", "det_sha256", "field_invariants_sha256")
@@ -119,7 +137,6 @@ def sha(x):
     return hashlib.sha256(repr(x).encode()).hexdigest()
 t = [time.perf_counter()]
 g = gram.cartan_graded(ell, d)
-t.append(time.perf_counter())
 m = g.at_one()
 t.append(time.perf_counter())
 det = abs(gram.gram_det_at_one(type_a(ell), d))
@@ -127,6 +144,8 @@ t.append(time.perf_counter())
 inv = snf.snf_int_certified(m, det)
 t.append(time.perf_counter())
 moduli_at_one = list(moduli)
+g.entries
+t.append(time.perf_counter())
 gdet = gram.gram_det(type_a(ell), d)
 t_det = time.perf_counter() - t[-1]
 field = gram.gram_field_invariants(type_a(ell), d)
@@ -151,17 +170,17 @@ def _git(*args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def source_digest() -> str:
+def source_digest(src: Path = SRC) -> str:
     h = hashlib.sha256()
-    for path in sorted(SRC.rglob("*.py")):
-        h.update(str(path.relative_to(SRC)).encode() + b"\0" + path.read_bytes())
+    for path in sorted(src.rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 
-def run_point(ell: int, d: int) -> dict:
-    """One fresh-interpreter sample of the point: dim, seconds per stage and
-    the invariants digest, or {"error": ...}."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+def run_point(ell: int, d: int, src: Path = SRC) -> dict:
+    """One fresh-interpreter sample of the point with the package in src:
+    dim, seconds per stage and the invariants digest, or {"error": ...}."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, str(ell), str(d)],
@@ -175,16 +194,16 @@ def run_point(ell: int, d: int) -> dict:
     return {**out, "seconds": {k: round(x, 6) for k, x in zip(STAGES, out["seconds"])}}
 
 
-def measure(ell: int, d: int, repeat: int) -> dict:
-    samples = [run_point(ell, d) for _ in range(repeat)]
+def summarize(samples: list[dict]) -> dict:
+    """The samples of one point and one package, with the median per stage,
+    or {"error": ...}."""
     failed = next((s for s in samples if "error" in s), None)
     if failed is not None:
-        return {"point": [ell, d], "error": failed["error"]}
+        return {"error": failed["error"]}
     digests = {k: {s[k] for s in samples} for k in DIGESTS}
     if any(len(v) != 1 for v in digests.values()):
-        return {"point": [ell, d], "error": "samples disagree on an output"}
+        return {"error": "samples disagree on an output"}
     return {
-        "point": [ell, d],
         "dim": samples[0]["dim"],
         "seconds": {k: statistics.median(s["seconds"][k] for s in samples) for k in STAGES},
         "samples": [s["seconds"] for s in samples],
@@ -193,6 +212,51 @@ def measure(ell: int, d: int, repeat: int) -> dict:
         "factor_dets": [s["factor_dets"] for s in samples],
         **{k: v.pop() for k, v in digests.items()},
     }
+
+
+def measure(ell: int, d: int, repeat: int) -> dict:
+    return {"point": [ell, d], **summarize([run_point(ell, d) for _ in range(repeat)])}
+
+
+def compare(ell: int, d: int, repeat: int, parent_src: Path) -> dict:
+    """Interleaved samples of the parent's package and this one: per side the
+    summary, per stage the pairs each side won, and whether the digests
+    agree."""
+    sides: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(repeat):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            sides[side].append(run_point(ell, d, parent_src if side == "parent" else SRC))
+    rec = {"point": [ell, d], **{side: summarize(s) for side, s in sides.items()}}
+    failed = [f"{side}: {rec[side]['error']}" for side in sides if "error" in rec[side]]
+    if failed:
+        return {**rec, "error": "; ".join(failed)}
+    pairs = list(zip(sides["parent"], sides["change"]))
+    rec["wins"] = {
+        stage: {
+            "parent": sum(p["seconds"][stage] < c["seconds"][stage] for p, c in pairs),
+            "change": sum(c["seconds"][stage] < p["seconds"][stage] for p, c in pairs),
+        }
+        for stage in STAGES
+    }
+    rec["outputs_agree"] = all(rec["parent"][k] == rec["change"][k] for k in DIGESTS)
+    return rec
+
+
+@contextmanager
+def worktree(rev: str):
+    """A temporary detached `git worktree` of rev, removed on exit."""
+    tmp = Path(tempfile.mkdtemp(prefix="stages-parent-"))
+    path = tmp / "tree"
+    try:
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", str(path), rev],
+            cwd=ROOT, capture_output=True, text=True, check=True, timeout=120,
+        )
+        yield path
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(path)],
+                       cwd=ROOT, capture_output=True, timeout=120)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _point(text: str) -> tuple[int, int]:
@@ -205,33 +269,57 @@ def _point(text: str) -> tuple[int, int]:
     return ell, d
 
 
+def _shown(rec: dict, repeat: int) -> str:
+    if "error" in rec:
+        return rec["error"]
+    if "wins" not in rec:
+        return " ".join(f"{k} {v:.3f}" for k, v in rec["seconds"].items())
+    # parent / change medians, and the pairs the change won
+    return " ".join(
+        f"{k} {rec['parent']['seconds'][k]:.3f}/{rec['change']['seconds'][k]:.3f}"
+        f" ({rec['wins'][k]['change']}/{repeat})"
+        for k in STAGES
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--points", nargs="+", type=_point, default=list(POINTS), metavar="ELL,D")
-    ap.add_argument("--repeat", type=int, default=3, help="fresh interpreters per point")
+    ap.add_argument("--repeat", type=int, default=3, help="fresh interpreters per point (per side)")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_stages.json")
+    ap.add_argument("--parent", metavar="REV", help="sample REV's package too, interleaved")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
+    parent = None
+    if args.parent is not None:
+        parent = _git("rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}")
+        if not parent:
+            ap.error(f"unknown revision {args.parent!r}")
 
-    load_before = os.getloadavg()[0]
-    points = []
-    for ell, d in args.points:
-        rec = measure(ell, d, args.repeat)
-        points.append(rec)
-        shown = rec.get("error") or " ".join(f"{k} {v:.3f}" for k, v in rec["seconds"].items())
-        print(f"({ell},{d}) {shown}", file=sys.stderr)
-    record = {
-        "git_revision": _git("rev-parse", "HEAD"),
-        "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-        "src_sha256": source_digest(),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
-        "loadavg_1m": [load_before, os.getloadavg()[0]],
-        "repeat": args.repeat,
-        "points": points,
-    }
+    with worktree(parent) if parent else nullcontext() as tree:
+        load_before = os.getloadavg()[0]
+        points = []
+        for ell, d in args.points:
+            if tree is None:
+                rec = measure(ell, d, args.repeat)
+            else:
+                rec = compare(ell, d, args.repeat, tree / "src")
+            points.append(rec)
+            print(f"({ell},{d}) {_shown(rec, args.repeat)}", file=sys.stderr)
+        record = {
+            "git_revision": _git("rev-parse", "HEAD"),
+            "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+            "src_sha256": source_digest(),
+            **({"parent_revision": parent, "parent_src_sha256": source_digest(tree / "src")}
+               if tree is not None else {}),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "loadavg_1m": [load_before, os.getloadavg()[0]],
+            "repeat": args.repeat,
+            "points": points,
+        }
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     lines = ",\n".join(json.dumps(run, separators=(",", ":")) for run in runs + [record])
     args.out.write_text('{"runs": [\n' + lines + "\n]}\n")

@@ -25,9 +25,12 @@ numerators over one denominator) and Y the block-diagonal y-Gram matrix.
 It is formed row by row as a sparse product: for each row i and each
 shape in its support, the half-product t_i Y runs over the nonzero
 entries of the block rows, and is scattered through an inverted index of
-T's columns into the rows j >= i that share a y-column with it.  Everything
-accumulates in integers over one common denominator per entry; each entry
-is checked to be integral and bar-invariant, and is stored symmetrically.
+T's columns into the rows j >= i that share a y-column with it.  The one
+product runs over either ring: over Z[v,v^-1] on packed integers, or at v=1,
+where C(1) is built from P(m) at v=1 (which v -> v^s fixes) with no Laurent
+entry formed.  Everything accumulates over one common denominator per entry;
+each entry is checked to be integral (over Z[v,v^-1] also bar-invariant),
+and is stored symmetrically.
 
 For type A_{ell-1} the resulting matrix IS the graded Cartan matrix of a
 weight-d block at quantum characteristic ell.  For IdentityPairing it is the
@@ -61,16 +64,15 @@ but det Sym^m = det^binom is the determinant theorem under test, so it is
 never used: no closed determinant formula enters this computation.  Each P(m)
 is computed once per process, column by column: column c' is one expansion of
 prod_{i in c'} (sum_j [X][j][i] e_j), whose coefficient of e^c times prod_j
-mult_c(j)! is the permanent.  The dense y-blocks, built only for the full
-matrix, are the Kronecker products of the factors; the sparse product reads
-only their nonzero entries.
+mult_c(j)! is the permanent.  The dense y-blocks are the Kronecker products
+of the factors over the product's ring, and it reads only their nonzeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, product
 
 from . import partitions as pt
@@ -168,6 +170,15 @@ def permanent_matrix(pairing, s: int, m: int) -> tuple[tuple[LaurentPoly, ...], 
             [expansion[counts] * w if counts in expansion else ZERO for counts, w in row_keys]
         )
     return tuple(zip(*cols))
+
+
+@lru_cache(maxsize=None)
+def _factor_at_one(pairing, s: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """P_s(m) at v=1, which v -> v^s fixes: P(m) at v=1 for every s,
+    evaluated once per (pairing, m)."""
+    if s != 1:
+        return _factor_at_one(pairing, 1, m)
+    return tuple(tuple(e.at_one() for e in row) for row in permanent_matrix(pairing, 1, m))
 
 
 def _reversal(colors: int, m: int) -> tuple[int, ...]:
@@ -268,21 +279,33 @@ def x_monomial_expansion(cp: pt.ColoredPartition) -> tuple[int, dict[pt.ColoredP
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GramMatrix:
-    """A Gram matrix indexed by colored partitions, over Z[v,v^-1]."""
+    """A Gram matrix indexed by colored partitions, over Z[v,v^-1].
 
-    label: str
-    d: int
-    index: tuple[pt.ColoredPartition, ...]
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    Its entries over Z[v,v^-1] (`entries`) and its value at v=1 (`at_one()`)
+    are each built by the assembly's sparse product over that ring the first
+    time they are read, and kept; neither is derived from the other."""
+
+    def __init__(self, label: str, d: int, assembly: _Assembly):
+        self.label = label
+        self.d = d
+        self.index = assembly.index
+        self._assembly = assembly
+        self._at_one: list[list[int]] | None = None
 
     @property
     def size(self) -> int:
         return len(self.index)
 
+    @cached_property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        return self._assembly.matrix()
+
     def at_one(self) -> list[list[int]]:
-        return [[0 if e is ZERO else e.at_one() for e in row] for row in self.entries]
+        """C(1), the same list at every call."""
+        if self._at_one is None:
+            self._at_one = self._assembly.matrix_at_one()
+        return self._at_one
 
     def to_json(self) -> dict:
         return {
@@ -317,22 +340,19 @@ class _Assembly:
 
     # -- y-Gram blocks --------------------------------------------------------
 
-    def y_blocks(self) -> dict:
-        """Per shape: (denominator prod(s^m_s), dense integer block), the block
-        being the Kronecker product of the factors P_s(m_s) = permanent_matrix,
-        P(m_s) at v^s, over the distinct part sizes s in factor_keys order,
-        the order in which block_members runs through the colour multisets;
-        only the full matrix needs these."""
+    def y_blocks(self, factor) -> dict:
+        """Per shape: (denominator prod(s^m_s), dense block), the block being
+        the Kronecker product of the factors factor(pairing, s, m_s) over the
+        distinct part sizes s in factor_keys order, the order in which
+        block_members runs through the colour multisets.  factor is
+        permanent_matrix, P(m_s) at v^s, or _factor_at_one, its value at v=1."""
         blocks = {}
         for lam, keys in self.factor_keys.items():
-            fs = [permanent_matrix(self.pairing, s, m) for s, m in keys] or [((ONE,),)]
+            fs = [factor(self.pairing, s, m) for s, m in keys] or [factor(self.pairing, 1, 0)]
             block = fs[0]
             for f in fs[1:]:
-                block = [
-                    [x * y if x and y else ZERO for x in ra for y in rb]
-                    for ra in block
-                    for rb in f
-                ]
+                # a zero entry is kept as it is, so zeros stay shared
+                block = [[x and y and x * y for x in ra for y in rb] for ra in block for rb in f]
             blocks[lam] = math.prod(s**m for s, m in keys), block
         return blocks
 
@@ -352,51 +372,10 @@ class _Assembly:
                     # strict refinement must compare strictly smaller
                     raise AssertionError(f"{other} does not refine below {lam}")
 
-    # -- products ---------------------------------------------------------------
-
-    def matrix(self) -> GramMatrix:
-        """The Gram matrix on the x-basis as the sparse product G = T Y T^t,
-        formed row by row (Gustavson's row-wise sparse product).
-
-        T is the x -> y change of basis and Y the block-diagonal y-Gram
-        matrix of y_blocks.  Row i of T is the integer vector t_i over its
-        denominator L_i (x_monomial_expansion), and the block of shape lam
-        times K / den_lam, K the lcm of the den_lam, is an integer matrix.
-        For each shape lam in the support of row i, the half-product
-        H = sum_a t_ia (K / den_lam) Y_lam[a] runs over the nonzero entries
-        of the block rows, and each H[b] times t_jb is added to the
-        accumulator of every row j >= i that holds y-column b of lam, found
-        in an inverted index of T's columns.  So the work follows the
-        nonzeros of T and Y.
-
-        Every y-block entry, half-product and accumulator is one
-        Kronecker-packed int: the coefficient of v^e, signed, sits in the
-        W-bit slot e + E, where E is the largest |exponent| in Y, so adding
-        two polynomials or scaling one by an integer is one big-integer
-        operation.  No coefficient may reach into the next slot.  A
-        coefficient of the half-product for lam is at most N_lam (K /
-        den_lam) y_lam in absolute value, and one of an accumulator at most
-
-            B = sum over lam of N_lam^2 (K / den_lam) y_lam,
-
-        N_lam the largest 1-norm of a row of (t_i) on the y-columns of lam
-        and y_lam the largest |coefficient| in Y_lam: the bound (max row
-        1-norm of T)^2 max(K / den) max |y| taken shape by shape.  W is the
-        bit length of B plus a sign bit, rounded up as `snf._slot_width`
-        rounds, so a finished accumulator plus 2^(W-1) in every slot has
-        every slot in [0, 2^W) and is read off whole by `snf._unpack`.
-
-        Only the accumulators that received a contribution are finished,
-        each decoded once.  An entry that is not bar-invariant (its slots are
-        not a palindrome) raises AssertionError.  Otherwise entry (i, j) is
-        the accumulator divided by K L_i L_j, slot by slot from v^0 up and
-        mirrored to v^-1 down, and a remainder raises AssertionError.  The
-        packing changes how the sums are stored, not their values, so these
-        checks see the same coefficients as an unpacked sum would.  Every
-        other entry is the shared ZERO.
-        """
-        blocks = self.y_blocks()
-        common = math.lcm(*(den for den, _ in blocks.values()))
+    @cached_property
+    def t_rows(self):
+        """Per row i of T: [(y-column in the block, t_ia)] by shape, and L_i;
+        per shape lam: N_lam, the largest 1-norm of a row on lam's columns."""
         local = {
             lam: {cp: k for k, cp in enumerate(members)}
             for lam, members in self.block_members.items()
@@ -414,43 +393,38 @@ class _Assembly:
             scales.append(scale)
             for lam, left in by_shape.items():
                 norms[lam] = max(norms.get(lam, 0), sum(abs(t) for _, t in left))
+        return supports, scales, norms
 
-        # the packing: slot ex + top of W = 8 * width bits holds the
-        # coefficient of v^ex (see above)
-        terms = {
-            lam: [y._terms for row in block for y in row if y._terms]
-            for lam, (_, block) in blocks.items()
-        }
-        top = max(map(abs, chain.from_iterable(chain.from_iterable(terms.values()))), default=0)
-        bound = sum(
-            norms.get(lam, 0) ** 2
-            * (common // den)
-            * max(map(abs, chain.from_iterable(t.values() for t in terms[lam])), default=0)
-            for lam, (den, _) in blocks.items()
-        )
-        width = _slot_width(2 * bound + 1)  # B and a sign bit
-        bits = 8 * width
-        slots = 2 * top + 1
-        half = 1 << (bits - 1)
-        bias = half * (((1 << (bits * slots)) - 1) // ((1 << bits) - 1))  # half in every slot
+    # -- products ---------------------------------------------------------------
+
+    def _product(self, blocks, pack, finish, zero) -> list[list]:
+        """The Gram matrix on the x-basis as the sparse product G = T Y T^t,
+        formed row by row (Gustavson's row-wise sparse product) in the ring
+        of the y-blocks.
+
+        T is the x -> y change of basis and Y the block-diagonal y-Gram
+        matrix of blocks.  Row i of T is the integer vector t_i over its
+        denominator L_i (x_monomial_expansion), and the block of shape lam
+        times K / den_lam, K the lcm of the den_lam, has integer coefficients.
+        For each shape lam in the support of row i, the half-product
+        H = sum_a t_ia (K / den_lam) Y_lam[a] runs over the nonzero entries
+        of the block rows, and each H[b] times t_jb is added to the
+        accumulator of every row j >= i that holds y-column b of lam, found
+        in an inverted index of T's columns.  So the work follows the
+        nonzeros of T and Y.
+
+        Every block entry y goes in as pack(y).  Entry (i, j) is
+        finish(i, j, acc, K L_i L_j) for each accumulator acc that is not
+        zero, stored symmetrically, and every other entry is zero."""
+        common = math.lcm(*(den for den, _ in blocks.values()))
+        supports, scales, _ = self.t_rows
         # per shape: K / den and the packed nonzero entries of each block row
         sparse = {
-            lam: (
-                common // den,
-                [
-                    [
-                        (b, sum(c << bits * (ex + top) for ex, c in y._terms.items()))
-                        for b, y in enumerate(row)
-                        if y._terms
-                    ]
-                    for row in block
-                ],
-            )
+            lam: (common // den, [[(b, pack(y)) for b, y in enumerate(row) if y] for row in block])
             for lam, (den, block) in blocks.items()
         }
-
         n = len(self.index)
-        rows: list[list[LaurentPoly]] = [[ZERO] * n for _ in range(n)]
+        rows = [[zero] * n for _ in range(n)]
         # per shape and y-column b: [(j, t_jb)] over the rows j >= i seen so far
         holders = {lam: [[] for _ in members] for lam, members in self.block_members.items()}
         for i in range(n - 1, -1, -1):
@@ -471,37 +445,96 @@ class _Assembly:
                 for b, h in halves.items():
                     for j, t in cols[b]:
                         acc[j] = acc.get(j, 0) + h * t
-            for j, packed in acc.items():
-                if not packed:
-                    continue
-                den_ij = common * scales[i] * scales[j]
-                coeffs = _unpack(packed + bias, width, slots)
-                if coeffs != coeffs[::-1]:
-                    raise AssertionError(f"Gram entry {(i, j)} is not bar-invariant")
-                entry_terms = {}
-                for ex, x in enumerate(coeffs[top:]):
-                    if x != half:
-                        q, r = divmod(x - half, den_ij)
-                        if r:
-                            raise AssertionError(
-                                f"non-integral Gram entry at {(i, j)}: bug in the pairing"
-                            )
-                        entry_terms[ex] = entry_terms[-ex] = q
-                # every coefficient is a nonzero int: skip the constructor's checks
-                e = LaurentPoly.__new__(LaurentPoly)
-                e._terms = entry_terms
-                rows[i][j] = e
-                rows[j][i] = e
-        return GramMatrix(self.pairing.label, self.d, self.index, tuple(tuple(r) for r in rows))
+            for j, total in acc.items():
+                if total:
+                    rows[i][j] = rows[j][i] = finish(i, j, total, common * scales[i] * scales[j])
+        return rows
 
-    def _kron_det(self, evaluate, factor_det, one):
+    def matrix(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The Gram matrix over Z[v,v^-1]: _product on the blocks of
+        permanent_matrix.
+
+        Every y-block entry, half-product and accumulator is one
+        Kronecker-packed int: the coefficient of v^e, signed, sits in the
+        W-bit slot e + E, where E is the largest |exponent| in Y, so adding
+        two polynomials or scaling one by an integer is one big-integer
+        operation.  No coefficient may reach into the next slot.  A
+        coefficient of the half-product for lam is at most N_lam (K /
+        den_lam) y_lam in absolute value, and one of an accumulator at most
+
+            B = sum over lam of N_lam^2 (K / den_lam) y_lam,
+
+        N_lam the largest 1-norm of a row of (t_i) on the y-columns of lam
+        and y_lam the largest |coefficient| in Y_lam: the bound (max row
+        1-norm of T)^2 max(K / den) max |y| taken shape by shape.  W is the
+        bit length of B plus a sign bit, rounded up as `snf._slot_width`
+        rounds, so a finished accumulator plus 2^(W-1) in every slot has
+        every slot in [0, 2^W) and is read off whole by `snf._unpack`.
+
+        Each finished accumulator is decoded once.  An entry that is not
+        bar-invariant (its slots are not a palindrome) raises AssertionError.
+        Otherwise entry (i, j) is the accumulator divided by K L_i L_j, slot
+        by slot from v^0 up and mirrored to v^-1 down, and a remainder raises
+        AssertionError.  The packing changes how the sums are stored, not
+        their values, so these checks see the same coefficients as an
+        unpacked sum would.  Every other entry is the shared ZERO.
+        """
+        blocks = self.y_blocks(permanent_matrix)
+        common = math.lcm(*(den for den, _ in blocks.values()))
+        norms = self.t_rows[2]
+        # the packing: slot ex + top of W = 8 * width bits holds the
+        # coefficient of v^ex (see above)
+        terms = {
+            lam: [y._terms for row in block for y in row if y._terms]
+            for lam, (_, block) in blocks.items()
+        }
+        top = max(map(abs, chain.from_iterable(chain.from_iterable(terms.values()))), default=0)
+        bound = sum(
+            norms.get(lam, 0) ** 2
+            * (common // den)
+            * max(map(abs, chain.from_iterable(t.values() for t in terms[lam])), default=0)
+            for lam, (den, _) in blocks.items()
+        )
+        width = _slot_width(2 * bound + 1)  # B and a sign bit
+        bits = 8 * width
+        slots = 2 * top + 1
+        half = 1 << (bits - 1)
+        bias = half * (((1 << (bits * slots)) - 1) // ((1 << bits) - 1))  # half in every slot
+
+        def pack(y: LaurentPoly) -> int:
+            return sum(c << bits * (ex + top) for ex, c in y._terms.items())
+
+        def finish(i: int, j: int, packed: int, den_ij: int) -> LaurentPoly:
+            coeffs = _unpack(packed + bias, width, slots)
+            if coeffs != coeffs[::-1]:
+                raise AssertionError(f"Gram entry {(i, j)} is not bar-invariant")
+            entry_terms = {}
+            for ex, x in enumerate(coeffs[top:]):
+                if x != half:
+                    entry_terms[ex] = entry_terms[-ex] = _entry_quotient(i, j, x - half, den_ij)
+            # every coefficient is a nonzero int: skip the constructor's checks
+            e = LaurentPoly.__new__(LaurentPoly)
+            e._terms = entry_terms
+            return e
+
+        return tuple(map(tuple, self._product(blocks, pack, finish, ZERO)))
+
+    def matrix_at_one(self) -> list[list[int]]:
+        """The Gram matrix at v=1: _product on the integer blocks of
+        _factor_at_one, with int accumulators.  Entry (i, j) is the
+        accumulator divided by K L_i L_j, and a remainder raises
+        AssertionError; no Laurent polynomial is formed."""
+        return self._product(self.y_blocks(_factor_at_one), int, _entry_quotient, 0)
+
+    def _kron_det(self, factor, factor_det, one):
         """det G from the Kronecker factors of every shape:
         det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the unitriangular
         change of basis contributes 1 (checked here).
 
         P_s(m) is P(m) at v^s, so each P(m) is computed once, for every s:
-        its entries are mapped by evaluate, split by the colour reversal where
-        _reversal_split finds that it fixes them, and factor_det eliminates
+        factor(pairing, 1, m) gives it over the ring (permanent_matrix, or
+        _factor_at_one at v=1), it is split by the colour reversal where
+        _reversal_split finds that it fixes it, and factor_det eliminates
         each part (or the whole factor); the result is taken at v^s."""
         self.check_unitriangular()
         colors = self.pairing.colors
@@ -514,7 +547,7 @@ class _Assembly:
             dim = math.prod(sizes)
             for (s, m), size in zip(keys, sizes):
                 if m not in dets:
-                    values = evaluate(permanent_matrix(self.pairing, 1, m))
+                    values = factor(self.pairing, 1, m)
                     split = _reversal_split(values, _reversal(colors, m))
                     if split is None:
                         dets[m] = factor_det(values)
@@ -524,6 +557,14 @@ class _Assembly:
                 num = num * _at_power(dets[m], s) ** (dim // size)
                 den *= s ** (m * dim)
         return _divide_by_int(num, den)
+
+
+def _entry_quotient(i: int, j: int, x: int, den: int) -> int:
+    # a coefficient of Gram entry (i, j): x / den, which must be an integer
+    q, r = divmod(x, den)
+    if r:
+        raise AssertionError(f"non-integral Gram entry at {(i, j)}: bug in the pairing")
+    return q
 
 
 def _at_power(x, s: int):
@@ -550,13 +591,12 @@ def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _Assembly(CartanPairing(dg), d).matrix()
+    return GramMatrix(dg.label(), d, _Assembly(CartanPairing(dg), d))
 
 
 def cartan_graded(ell: int, d: int) -> GramMatrix:
     """C^v_{ell,d} with the type-A label attached."""
-    g = gram_matrix(type_a(ell), d)
-    return GramMatrix(f"ell={ell}", d, g.index, g.entries)
+    return GramMatrix(f"ell={ell}", d, gram_matrix(type_a(ell), d)._assembly)
 
 
 def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
@@ -570,18 +610,17 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     blocks, else on the whole factor.  No closed determinant formula is
     consulted; in particular not det Sym^m = det^binom, which is under test.
     """
-    return _Assembly(CartanPairing(dg), d)._kron_det(lambda f: f, laurent_det, ONE)
+    return _Assembly(CartanPairing(dg), d)._kron_det(permanent_matrix, laurent_det, ONE)
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
     """Exact determinant of the Gram matrix at v=1, which v -> v^s fixes, so
     one result per P(m) serves every s: each P(m) is evaluated at v=1 before
-    it is split, and the multi-modular kernel of laurent_det (F_p elimination,
-    CRT, symmetric lift under a Hadamard bound) runs on it or on the two
-    blocks of its colour reversal split; no closed formula involved."""
-    return _Assembly(CartanPairing(dg), d)._kron_det(
-        lambda f: [[e.at_one() for e in row] for row in f], _int_det_multimodular, 1
-    )
+    it is split (_factor_at_one, shared with GramMatrix.at_one), and the
+    multi-modular kernel of laurent_det (F_p elimination, CRT, symmetric lift
+    under a Hadamard bound) runs on it or on the two blocks of its colour
+    reversal split; no closed formula involved."""
+    return _Assembly(CartanPairing(dg), d)._kron_det(_factor_at_one, _int_det_multimodular, 1)
 
 
 def gram_field_invariants(dg: DynkinDiagram, d: int):
@@ -714,7 +753,7 @@ def schur_orthonormality(nmax: int) -> bool:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     for n in range(nmax + 1):
-        g = _Assembly(IdentityPairing(), n).matrix()
+        g = GramMatrix("K", n, _Assembly(IdentityPairing(), n))
         pos = {tuple(s for s, _ in cp): k for k, cp in enumerate(g.index)}
         rows = [[(pos[mu], c) for mu, c in schur_in_x(lam)] for lam in pt.enum_partitions(n)]
         for i, si in enumerate(rows):

@@ -419,8 +419,9 @@ def conjecture_report(
     INCONCLUSIVE.  No outcome of this layer refutes the conjecture.
 
     Every layer's details carry `elapsed_ms`, the time since the previous
-    layer ended (the full matrix is assembled in layer 3, which layer 4
-    reuses), and `dim`, the dimension of the Gram matrix.
+    layer ended (layer 3 builds C(1) on integers; the Laurent matrix is
+    assembled in layer 4, and charged to it), and `dim`, the dimension of the
+    Gram matrix.
     """
     start = time.monotonic()
     ell = p**r
@@ -460,9 +461,9 @@ def conjecture_report(
         {"theorem_subcheck": theorem_ok, "conjecture_check": conj_ok},
     )
 
-    # the full x-basis matrix is assembled here, so this layer's time
-    # includes the assembly that the next layer reuses.  Only a determinant
-    # that layer 1 has checked is handed to the local engine.
+    # C(1) is built here at v=1, without the Laurent entries, which layer 4
+    # builds.  Only a determinant that layer 1 has checked is handed to the
+    # local engine.
     gm = cartan_graded(ell, d)
     c1 = gm.at_one()
     snf_z = snf_mod.snf_int_certified(c1, abs(det.at_one())) if det_ok else snf_mod.snf_int(c1)

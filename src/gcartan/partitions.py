@@ -273,8 +273,8 @@ def _power_partitions(a: int, powers: list[int]) -> Iterator[Partition]:
 
 def colored_partition(pairs: Iterable[tuple[int, int]]) -> ColoredPartition:
     """Canonicalize (size, color) pairs: sizes descending, colors descending
-    within equal sizes."""
-    return tuple(sorted(((int(s), int(c)) for s, c in pairs), key=lambda t: (-t[0], -t[1])))
+    within equal sizes: (size, color) tuples sorted descending."""
+    return tuple(sorted(((int(s), int(c)) for s, c in pairs), reverse=True))
 
 
 def shape(cp: ColoredPartition) -> Partition:
@@ -282,7 +282,7 @@ def shape(cp: ColoredPartition) -> Partition:
 
 
 def merge_colored(a: ColoredPartition, b: ColoredPartition) -> ColoredPartition:
-    return tuple(sorted(a + b, key=lambda t: (-t[0], -t[1])))
+    return tuple(sorted(a + b, reverse=True))
 
 
 def group_by_size(cp: ColoredPartition) -> dict[int, tuple[int, ...]]:

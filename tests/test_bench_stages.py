@@ -6,6 +6,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# in the order the child runs them: the integer-snf stages, then the Laurent
+# entries, then the per-shape Laurent path
+STAGES = ["at_one", "gram_det_at_one", "snf_int_certified", "assembly",
+          "factor_dets", "det_product", "field_invariants"]
 
 
 def test_stages_script_writes_a_run(tmp_path):
@@ -23,8 +27,7 @@ def test_stages_script_writes_a_run(tmp_path):
     assert {"git_revision", "src_modified", "src_sha256", "python", "points"} <= set(run)
     (point,) = run["points"]
     assert point["point"] == [2, 2] and point["dim"] == 2
-    stages = ["assembly", "at_one", "gram_det_at_one", "snf_int_certified",
-              "factor_dets", "det_product", "field_invariants"]
+    stages = STAGES
     assert list(point["seconds"]) == stages
     assert all(t >= 0 for t in point["seconds"].values())
     assert len(point["samples"]) == 1 and len(point["invariants_sha256"]) == 64
@@ -53,4 +56,45 @@ def test_stages_script_rejects_a_bad_point(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2 and "expected ell,d" in proc.stderr
+    assert not (tmp_path / "stages.json").exists()
+
+
+def _worktrees():
+    proc = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=30, check=True)
+    return [line for line in proc.stdout.splitlines() if line.startswith("worktree ")]
+
+
+def test_stages_script_compares_with_a_parent(tmp_path):
+    # --parent HEAD: the committed package against the one next to the
+    # script, two interleaved pairs, in one record
+    out = tmp_path / "stages.json"
+    before = _worktrees()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "stages.py"),
+         "--points", "2,2", "--repeat", "2", "--parent", "HEAD", "--out", str(out)],
+        capture_output=True, text=True, timeout=240,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _worktrees() == before  # the temporary worktree is gone
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=30, check=True).stdout.strip()
+    (run,) = json.loads(out.read_text())["runs"]
+    assert run["parent_revision"] == head and len(run["parent_src_sha256"]) == 64
+    (point,) = run["points"]
+    assert point["point"] == [2, 2] and point["outputs_agree"] is True
+    for side in ("parent", "change"):
+        assert point[side]["dim"] == 2 and list(point[side]["seconds"]) == STAGES
+        assert len(point[side]["samples"]) == 2
+    assert list(point["wins"]) == STAGES
+    assert all(w["parent"] + w["change"] <= 2 for w in point["wins"].values())
+
+
+def test_stages_script_rejects_an_unknown_parent(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "stages.py"), "--points", "2,2",
+         "--parent", "no-such-revision", "--out", str(tmp_path / "stages.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and "unknown revision" in proc.stderr
     assert not (tmp_path / "stages.json").exists()

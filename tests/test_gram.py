@@ -173,20 +173,50 @@ class TestGramMatrix:
         for k in range(1, g.size + 1):
             assert int_det([row[:k] for row in m[:k]]) > 0
 
-    def test_at_one_skips_the_shared_zero(self, monkeypatch):
-        # only the nonzero entries are evaluated; ZERO maps to 0 directly
-        g = cartan_graded(3, 3)
-        want = [[sum(c for _, c in e) for e in row] for row in g.entries]
-        calls = []
-        at_one = LaurentPoly.at_one
+    # the criterion-7 grid, (3,8), and two diagrams with negative coefficients
+    AT_ONE_POINTS = (
+        [(type_a(ell), d) for ell in (2, 3, 4, 5, 8, 9) for d in range(5)]
+        + [(type_a(3), 8)]
+        + [(DynkinDiagram("D", 4), d) for d in range(4)]
+        + [(DynkinDiagram("E", 6), d) for d in range(3)]
+    )
 
-        def spy(self):
-            calls.append(self)
-            return at_one(self)
+    def test_at_one_is_the_entries_at_one(self):
+        # the integer route, run first on a fresh matrix, against the Laurent
+        # route evaluated entry by entry
+        for dg, d in self.AT_ONE_POINTS:
+            g = gram_matrix(dg, d)
+            c1 = g.at_one()
+            assert c1 == [[e.at_one() for e in row] for row in g.entries], (dg, d)
 
-        monkeypatch.setattr(LaurentPoly, "at_one", spy)
-        assert g.at_one() == want
-        assert len(calls) == sum(not e.is_zero for row in g.entries for e in row) < g.size**2
+    def test_at_one_builds_no_laurent_entry(self, monkeypatch):
+        # on a fresh matrix, C(1) leaves entries unbuilt and decodes no
+        # packed Laurent slot; it is built once and kept
+        def no_decode(*args):
+            raise AssertionError("a packed Laurent slot was decoded")
+
+        monkeypatch.setattr(gram, "_unpack", no_decode)
+        g = cartan_graded(3, 4)
+        c1 = g.at_one()
+        assert "entries" not in vars(g) and g.at_one() is c1
+        monkeypatch.undo()
+        assert c1 == [[e.at_one() for e in row] for row in g.entries]
+
+    def test_perturbed_integer_factor_is_caught(self, monkeypatch):
+        # P(2) of A_1 is (2 [2]^2), 8 at v=1; one more makes the entries of
+        # x_2 = y_2 + y_1^2 / 2 at d=2 gain 1/4 and 1/2
+        original = gram._factor_at_one
+
+        def perturbed(pairing, s, m):
+            f = original(pairing, s, m)
+            return ((f[0][0] + 1,),) if m == 2 else f
+
+        monkeypatch.setattr(gram, "_factor_at_one", perturbed)
+        g = gram_matrix(DynkinDiagram("A", 1), 2)
+        with pytest.raises(AssertionError, match="non-integral Gram entry"):
+            g.at_one()
+        # the Laurent route does not read the integer factors
+        assert g.entries[0][0] == LaurentPoly({2: 1, 0: 1, -2: 1})
 
 
 class TestGramDeterminant:
@@ -458,11 +488,17 @@ class TestKroneckerFactors:
     def test_dense_block_is_kron_of_factors(self, dg, dmax):
         # each entry of a y-block is the product over part sizes s of the
         # permanents of the two members' colours of size s, summed over
-        # permutations here; the block's denominator is prod s^m_s
+        # permutations here; the block's denominator is prod s^m_s.  The
+        # integer blocks are the same blocks at v=1
         perms = {}
         for d in range(dmax + 1):
             asm = _Assembly(CartanPairing(dg), d)
-            for lam, (den, block) in asm.y_blocks().items():
+            at_one = asm.y_blocks(gram._factor_at_one)
+            for lam, (den, block) in asm.y_blocks(permanent_matrix).items():
+                got_den, got_block = at_one[lam]
+                assert got_den == den and [list(row) for row in got_block] == [
+                    [e.at_one() for e in row] for row in block
+                ]
                 sizes = pt.mults(lam)
                 assert den == math.prod(s**m for s, m in sizes.items()), (dg, d, lam)
                 groups = [pt.group_by_size(cp) for cp in asm.block_members[lam]]
@@ -652,17 +688,19 @@ class TestAssembly:
         f = 2**200 + 1
         want = gram_matrix(dg, d)
         assert any(c < 0 for row in want.entries for e in row for c in e.terms.values())
+        want_at_one = want.at_one()
         original = _Assembly.y_blocks
 
-        def scaled(self):
+        def scaled(self, factor):
             return {
                 lam: (den, [[y * f for y in row] for row in block])
-                for lam, (den, block) in original(self).items()
+                for lam, (den, block) in original(self, factor).items()
             }
 
         monkeypatch.setattr(_Assembly, "y_blocks", scaled)
         got = gram_matrix(dg, d)
         assert got.entries == tuple(tuple(e * f for e in row) for row in want.entries)
+        assert got.at_one() == [[x * f for x in row] for row in want_at_one]
 
     @pytest.mark.parametrize(
         "delta, message",
@@ -676,15 +714,15 @@ class TestAssembly:
     def test_broken_block_entry_is_caught(self, monkeypatch, tmp_path, capsys, delta, message):
         original = _Assembly.y_blocks
 
-        def perturbed(self):
-            blocks = dict(original(self))
+        def perturbed(self, factor):
+            blocks = dict(original(self, factor))
             den, block = blocks[(1, 1)]
             blocks[(1, 1)] = den, [[block[0][0] + delta]]
             return blocks
 
         monkeypatch.setattr(_Assembly, "y_blocks", perturbed)
         with pytest.raises(AssertionError, match=message):
-            gram_matrix(DynkinDiagram("A", 1), 2)
+            gram_matrix(DynkinDiagram("A", 1), 2).entries
         code = cli.main(["gram", "--ell", "2", "--d", "2", "--cache-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 3 and "internal error" in err and message in err
@@ -727,8 +765,8 @@ def _n_matrix_count(rows, cols):
 
 def _k_gram(n):
     """The K-Gram matrix of degree n as (partitions, entries)."""
-    g = _Assembly(IdentityPairing(), n).matrix()
-    return [tuple(s for s, _ in cp) for cp in g.index], g.entries
+    asm = _Assembly(IdentityPairing(), n)
+    return [tuple(s for s, _ in cp) for cp in asm.index], asm.matrix()
 
 
 class TestKPairingAndSchur:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gcartan import partitions as pt
@@ -230,3 +232,18 @@ class TestColored:
         assert pt.shape(cp) == (2, 1, 1)
         assert pt.group_by_size(cp) == {2: (1,), 1: (2, 0)}
         assert pt.merge_colored(cp, ((3, 0),))[0] == (3, 0)
+
+    def test_keyless_order_is_the_keyed_order(self):
+        # (size, colour) tuples sorted descending are sizes descending, then
+        # colours descending within equal sizes: the order of the key
+        # (-size, -colour), on random canonical inputs with repeated parts
+        rng = random.Random(20260)
+        key = lambda t: (-t[0], -t[1])  # noqa: E731
+        for _ in range(2000):
+            a, b = (
+                tuple(sorted(((rng.randint(1, 5), rng.randint(0, 3))
+                              for _ in range(rng.randint(0, 6))), key=key))
+                for _ in range(2)
+            )
+            assert pt.merge_colored(a, b) == tuple(sorted(a + b, key=key))
+            assert pt.colored_partition(a + b) == tuple(sorted(a + b, key=key))
