@@ -28,12 +28,14 @@ workload runs:
                        the factor determinants' Kronecker powers
     field_invariants   gram.gram_field_invariants(type_a(ell), d)
 
-The factors P(m) are memoised, and at_one builds them, so assembly and
-det_product do not include building them.  Each laurent_det call is
-recorded as [rows, nodes, [bits of each modulus], seconds], its nodes being
-the F_p eliminations it runs per modulus.  A digest of the v=1 invariants,
-of the determinant and of the field invariants lets two runs be checked to
-agree on the output as well as compared on time.  It also records every
+The factors P(m) are memoised per ring.  at_one builds only the integer
+P(m), expanded from [X] at v=1, which gram_det_at_one reads back; assembly
+builds the Laurent P(m), which det_product reads back, so det_product does
+not include building them.  Each laurent_det call is recorded as [rows,
+nodes, [bits of each modulus], seconds], its nodes being the F_p
+eliminations it runs per modulus.  A digest of the v=1 invariants, of the
+determinant and of the field invariants lets two runs be checked to agree on
+the output as well as compared on time.  It also records every
 elimination pass of the local Smith engine (`snf._local_valuations`, wrapped
 from outside the package, as perfbench/spans.py wraps its spans): the bit
 length of the modulus, the digits, and the outcome, "ok", "short" (the
@@ -50,24 +52,28 @@ line, so each run adds one line to the file's diff.  A record holds the git
 revision, whether src/ differs from it, a SHA-256 of src/, the Python
 version, the machine, nproc, the load average before and after, and per
 point: dim, every sample's seconds per stage, the median per stage, every
-sample's local passes, moduli and laurent_det calls, and the digests, or the
-error that stopped the point.
+sample's local passes, moduli and laurent_det calls, every sample's time of
+the reference loop of perfbench/run.py (REF_CODE, imported from there, run in
+its own fresh interpreter after the sample) with its median, so runs on
+different days compare, and the digests, or the error that stopped the point.
 
-With --parent REV, each point is sampled for the package of REV, checked out
-in a temporary `git worktree`, and for the package next to this script,
-alternately (the side that goes first alternates too), each sample in a
-fresh interpreter.  Both sides run this script's child program, so each
-stage times the same calls; a parent whose cartan_graded builds the Laurent
-matrix spends that build in at_one and reads it back in assembly.  The one
-record then holds the parent's revision and source digest and, per point,
-each side's samples and per-stage medians, the count of pairs that each
-side won per stage, and whether the two sides' digests agree.
+With --parent REV, each point is sampled for the package of REV, its src/
+extracted by `git archive` into a temporary directory, and for the package
+next to this script, alternately (the side that goes first alternates too),
+each sample in a fresh interpreter.  Both sides run this script's child
+program, so each stage times the same calls; a parent that builds C(1) from
+the Laurent matrix, or from the Laurent P(m), spends that build in at_one and
+reads it back in assembly.  The one record then holds the parent's revision
+and source digest and, per point, each side's samples and per-stage medians,
+the count of pairs that each side won per stage, and whether the two sides'
+digests agree.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -75,12 +81,15 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT))
+from perfbench.run import REF_CODE  # noqa: E402
 STAGES = (
     "at_one", "gram_det_at_one", "snf_int_certified", "assembly",
     "factor_dets", "det_product", "field_invariants",
@@ -191,7 +200,10 @@ def run_point(ell: int, d: int, src: Path = SRC) -> dict:
     if proc.returncode:
         return {"error": proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else "failed"}
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {**out, "seconds": {k: round(x, 6) for k, x in zip(STAGES, out["seconds"])}}
+    ref = subprocess.run([sys.executable, "-c", REF_CODE], capture_output=True, text=True,
+                         timeout=30, check=True)
+    return {**out, "seconds": {k: round(x, 6) for k, x in zip(STAGES, out["seconds"])},
+            "ref_s": round(float(ref.stdout), 6)}
 
 
 def summarize(samples: list[dict]) -> dict:
@@ -210,6 +222,8 @@ def summarize(samples: list[dict]) -> dict:
         "passes": [s["passes"] for s in samples],
         "moduli": [s["moduli"] for s in samples],
         "factor_dets": [s["factor_dets"] for s in samples],
+        "ref_s": [s["ref_s"] for s in samples],
+        "ref_s_median": statistics.median(s["ref_s"] for s in samples),
         **{k: v.pop() for k, v in digests.items()},
     }
 
@@ -243,19 +257,17 @@ def compare(ell: int, d: int, repeat: int, parent_src: Path) -> dict:
 
 
 @contextmanager
-def worktree(rev: str):
-    """A temporary detached `git worktree` of rev, removed on exit."""
+def parent_tree(rev: str):
+    """A temporary directory holding rev's src/, extracted by `git archive`,
+    removed on exit."""
     tmp = Path(tempfile.mkdtemp(prefix="stages-parent-"))
-    path = tmp / "tree"
     try:
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(path), rev],
-            cwd=ROOT, capture_output=True, text=True, check=True, timeout=120,
-        )
-        yield path
+        tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+                             cwd=ROOT, capture_output=True, check=True, timeout=120).stdout
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            archive.extractall(tmp, filter="data")
+        yield tmp
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(path)],
-                       cwd=ROOT, capture_output=True, timeout=120)
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -297,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         if not parent:
             ap.error(f"unknown revision {args.parent!r}")
 
-    with worktree(parent) if parent else nullcontext() as tree:
+    with parent_tree(parent) if parent else nullcontext() as tree:
         load_before = os.getloadavg()[0]
         points = []
         for ell, d in args.points:

@@ -26,7 +26,8 @@ table and twisted that succeed, stdout and the notes written to stderr alike,
 so a hit replays both; each such invocation makes exactly one lookup.  The
 key is a hash of the package sources, so a cached run never outlives the
 code that produced it, together with the command and every argument but the
-cache's location (--force and --limit included).  While a cache directory is
+cache's location (--force and --limit included).  An entry that does not read
+back as a run is a miss and is overwritten.  While a cache directory is
 active, each invocation ends by writing one line
 "# cache: H hit(s), M miss(es)" to stderr; stdout does not change.
 
@@ -161,8 +162,9 @@ def _source_digest() -> str:
 
 
 class DiskCache:
-    """Content-addressed output cache; atomic write-temp-then-rename.  Counts
-    the hits and misses of its lookups."""
+    """Content-addressed cache of runs, each stored as a JSON object {"stdout":
+    text, "stderr": text}; atomic write-temp-then-rename.  Counts the hits and
+    misses of its lookups."""
 
     def __init__(self, root: Path | None):
         self.root = root
@@ -176,17 +178,23 @@ class DiskCache:
             h.update(b"\0" + str(p).encode())
         return h.hexdigest()
 
-    def get(self, key: str) -> str | None:
+    def get(self, key: str) -> dict | None:
+        """The run stored under key.  An entry that cannot be read back as a
+        run (absent, not JSON, or another shape) is a miss, and the next put
+        overwrites it."""
         if self.root is None:
             return None
-        f = self.root / key[:2] / key
-        if f.is_file():
+        try:
+            run = json.loads((self.root / key[:2] / key).read_text())
+        except (OSError, ValueError):
+            run = None
+        if isinstance(run, dict) and all(isinstance(run.get(k), str) for k in ("stdout", "stderr")):
             self.hits += 1
-            return f.read_text()
+            return run
         self.misses += 1
         return None
 
-    def put(self, key: str, text: str) -> None:
+    def put(self, key: str, run: dict) -> None:
         if self.root is None:
             return
         d = self.root / key[:2]
@@ -194,7 +202,7 @@ class DiskCache:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.write(json.dumps(run))
             os.replace(tmp, d / key)
         except BaseException:
             if os.path.exists(tmp):
@@ -691,9 +699,8 @@ def _run(args) -> int:
             k: v for k, v in vars(args).items() if k not in ("fn", "cache", "cache_dir")
         }
         cache_key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
-        hit = cache.get(cache_key)
-        if hit is not None:
-            run = json.loads(hit)
+        run = cache.get(cache_key)
+        if run is not None:
             sys.stderr.write(run["stderr"])
             sys.stdout.write(run["stdout"])
             return 0
@@ -714,7 +721,7 @@ def _run(args) -> int:
         sys.stderr.write(notes.getvalue())
     sys.stdout.write(text)
     if code == 0 and cache_key is not None:
-        cache.put(cache_key, json.dumps({"stdout": text, "stderr": notes.getvalue()}))
+        cache.put(cache_key, {"stdout": text, "stderr": notes.getvalue()})
     return code
 
 

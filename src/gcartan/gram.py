@@ -12,12 +12,12 @@ monomials with the same underlying partition this telescopes to
                                       of prod_k [a_{i_k, j_pi(k)}]_{r_k} / r_k,
 
 a product of permanents, one per part size.  Since [n]_m(v) = [n](v^m),
-([a_ij]_m) is [X] = ([a_ij]) at v^m, so a pairing is one matrix:
-CartanPairing takes the quantized Cartan matrix [X] of a finite diagram, and
-IdentityPairing is one colour with weight 1, the K-pairing, under which x_n
-is the complete homogeneous h_n and the pairing is the Hall inner product.
-One assembly, _Assembly, takes a pairing and builds the Gram matrix of
-either kind.
+([a_ij]_m) is [X] = ([a_ij]) at v^m, so a pairing is its k x k matrix [X],
+passed as it is: the quantized Cartan matrix quantized_cartan(dg, 1) of a
+finite diagram, or ((ONE,),) for schur_orthonormality.  One column expansion,
+permanent_matrix, gives the permanents over the ring of the matrix it is
+given: over Z[v,v^-1] from [X], over Z from [X] at v=1.  One assembly,
+_Assembly, takes [X] and builds the Gram matrix.
 
 The Gram matrix on the x-basis is G = T Y T^t, with T the x-to-y change of
 basis (rational, sparse, unitriangular; each row is kept as integer
@@ -27,15 +27,14 @@ shape in its support, the half-product t_i Y runs over the nonzero
 entries of the block rows, and is scattered through an inverted index of
 T's columns into the rows j >= i that share a y-column with it.  The one
 product runs over either ring: over Z[v,v^-1] on packed integers, or at v=1,
-where C(1) is built from P(m) at v=1 (which v -> v^s fixes) with no Laurent
-entry formed.  Everything accumulates over one common denominator per entry;
-each entry is checked to be integral (over Z[v,v^-1] also bar-invariant),
-and is stored symmetrically.
+where C(1) is built from the P(m) of [X] at v=1 (which v -> v^s fixes) with
+no Laurent polynomial formed or multiplied.  Everything accumulates over one
+common denominator per entry; each entry is checked to be integral (over
+Z[v,v^-1] also bar-invariant), and is stored symmetrically.
 
 For type A_{ell-1} the resulting matrix IS the graded Cartan matrix of a
-weight-d block at quantum characteristic ell.  For IdentityPairing it is the
-matrix of <h_lam, h_mu>, on which schur_orthonormality checks S G S^t = I
-exactly, S the Jacobi-Trudi rows of the Schur elements.
+weight-d block at quantum characteristic ell; schur_orthonormality builds
+it for one colour of weight 1.
 
 The determinant and the invariant factors go through that structure.  The
 x-to-y change of basis is unitriangular (verified at run time, not
@@ -62,9 +61,9 @@ minus block of about half its size; the factor, or each block, is eliminated
 once per m.  P(m) is Sym^m([X]) up to a diagonal of multiplicity factorials,
 but det Sym^m = det^binom is the determinant theorem under test, so it is
 never used: no closed determinant formula enters this computation.  Each P(m)
-is computed once per process, column by column: column c' is one expansion of
-prod_{i in c'} (sum_j [X][j][i] e_j), whose coefficient of e^c times prod_j
-mult_c(j)! is the permanent.  The dense y-blocks are the Kronecker products
+is computed once per process and ring, column by column: column c' is one
+expansion of prod_{i in c'} (sum_j [X][j][i] e_j), whose coefficient of e^c
+times prod_j mult_c(j)! is the permanent.  The dense y-blocks are the Kronecker products
 of the factors over the product's ring, and it reads only their nonzeros.
 """
 
@@ -82,46 +81,6 @@ from .qlaurent import ONE, ZERO, LaurentPoly
 from .snf import _slot_width, _unpack, snf_laurent_field, snf_of_diagonal
 
 
-# ---------------------------------------------------------------------------
-# pairings
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CartanPairing:
-    """[X] = [X]_1: the quantized Cartan matrix of a finite diagram."""
-
-    diagram: DynkinDiagram
-
-    @property
-    def colors(self) -> int:
-        return self.diagram.nodes
-
-    @property
-    def label(self) -> str:
-        return self.diagram.label()
-
-    def matrix(self):
-        return quantized_cartan(self.diagram, 1)
-
-
-@dataclass(frozen=True)
-class IdentityPairing:
-    """(1): the single-color pairing with trivial weight, the K-pairing (the
-    Hall inner product, with x_n = h_n)."""
-
-    @property
-    def colors(self) -> int:
-        return 1
-
-    @property
-    def label(self) -> str:
-        return "K"
-
-    def matrix(self):
-        return ((ONE,),)
-
-
 @lru_cache(maxsize=None)
 def _multisets(colors: int, m: int) -> tuple[tuple[int, ...], ...]:
     # colour multisets of size m as descending tuples, in descending
@@ -130,36 +89,48 @@ def _multisets(colors: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(colors - 1, -1, -1), m))
 
 
-@lru_cache(maxsize=None)
-def permanent_matrix(pairing, s: int, m: int) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """P_s(m) = (perm [X]_s[c, c']), indexed by the colour multisets c, c' of
-    size m in the order of _multisets; memoised per (pairing, s, m).  Only
+def permanent_matrix(a, s: int, m: int) -> tuple[tuple, ...]:
+    """P_s(m) = (perm [X]_s[c, c']) for the k x k matrix a = [X], indexed by
+    the colour multisets c, c' of size m in the order of _multisets, with
+    entries in the ring of a's entries: Z[v,v^-1], or Z for [X] at v=1.  Only
     P(m) = P_1(m) is expanded: [X]_s is [X] at v^s, and v -> v^s commutes
-    with permanents, so P_s(m) is P(m) at v^s.
+    with permanents, so P_s(m) is P(m) at v^s (and at v=1, P(m) itself).
 
     A bijection from the positions of c to the positions of c' is a map from
     c' onto the colours of c, and each such map comes from prod_j mult_c(j)!
     bijections.  So column c' is one expansion of prod_{i in c'} (sum_j
-    [X][j][i] e_j) in commuting variables e_j, and entry (c, c') is the
+    a[j][i] e_j) in commuting variables e_j, and entry (c, c') is the
     coefficient of e^c times prod_j mult_c(j)!.
     """
+    # memoised per (a, its ring, s, m): LaurentPoly.const(c) == c, so a alone
+    # would not tell [X] at v=1 from a constant Laurent matrix
+    return _permanents(a, _one(a), s, m)
+
+
+def _one(a):
+    # the unit of the ring of a's entries: Z[v,v^-1], or Z at v=1
+    return ONE if isinstance(a[0][0], LaurentPoly) else 1
+
+
+@lru_cache(maxsize=None, typed=True)
+def _permanents(a, one, s: int, m: int) -> tuple[tuple, ...]:
     if s != 1:
-        base = permanent_matrix(pairing, 1, m)
-        return tuple(tuple(e.subst_power(s) for e in row) for row in base)
-    a = pairing.matrix()
-    k = pairing.colors
+        base = _permanents(a, one, 1, m)
+        return tuple(tuple(_at_power(e, s) for e in row) for row in base)
+    k = len(a)
+    zero = 0 * one
     sets = _multisets(k, m)
     # per colour i, the nonzero entries a[j][i] of its linear form
-    forms = [[(j, a[j][i]) for j in range(k) if not a[j][i].is_zero] for i in range(k)]
+    forms = [[(j, a[j][i]) for j in range(k) if a[j][i]] for i in range(k)]
     row_keys = []
     for c in sets:
         counts = tuple(c.count(j) for j in range(k))
         row_keys.append((counts, math.prod(math.factorial(u) for u in counts)))
     cols = []
     for col in sets:
-        expansion = {(0,) * k: ONE}
+        expansion = {(0,) * k: one}
         for i in col:
-            nxt: dict[tuple[int, ...], LaurentPoly] = {}
+            nxt: dict[tuple[int, ...], object] = {}
             for mono, coeff in expansion.items():
                 for j, x in forms[i]:
                     key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
@@ -167,18 +138,9 @@ def permanent_matrix(pairing, s: int, m: int) -> tuple[tuple[LaurentPoly, ...], 
                     nxt[key] = nxt[key] + term if key in nxt else term
             expansion = nxt
         cols.append(
-            [expansion[counts] * w if counts in expansion else ZERO for counts, w in row_keys]
+            [expansion[counts] * w if counts in expansion else zero for counts, w in row_keys]
         )
     return tuple(zip(*cols))
-
-
-@lru_cache(maxsize=None)
-def _factor_at_one(pairing, s: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """P_s(m) at v=1, which v -> v^s fixes: P(m) at v=1 for every s,
-    evaluated once per (pairing, m)."""
-    if s != 1:
-        return _factor_at_one(pairing, 1, m)
-    return tuple(tuple(e.at_one() for e in row) for row in permanent_matrix(pairing, 1, m))
 
 
 def _reversal(colors: int, m: int) -> tuple[int, ...]:
@@ -217,10 +179,11 @@ def _reversal_split(f, sigma):
     return plus, minus, len(pairs)
 
 
-def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, pairing) -> tuple[LaurentPoly, int]:
-    """The pairing of two y-monomials as (integer numerator, denominator),
-    meaning numerator / denominator; zero unless the shapes agree.  The
-    numerator is one entry of P_s(m_s) per part size s."""
+def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, a) -> tuple[LaurentPoly, int]:
+    """The pairing of two y-monomials under the k x k matrix a = [X] as
+    (integer numerator, denominator), meaning numerator / denominator; zero
+    unless the shapes agree.  The numerator is one entry of P_s(m_s) per part
+    size s."""
     if pt.shape(m1) != pt.shape(m2):
         return ZERO, 1
     g2 = pt.group_by_size(m2)
@@ -228,8 +191,8 @@ def y_pair(m1: pt.ColoredPartition, m2: pt.ColoredPartition, pairing) -> tuple[L
     den = 1
     for s, colors in pt.group_by_size(m1).items():
         m = len(colors)
-        sets = _multisets(pairing.colors, m)
-        num = num * permanent_matrix(pairing, s, m)[sets.index(colors)][sets.index(g2[s])]
+        sets = _multisets(len(a), m)
+        num = num * permanent_matrix(a, s, m)[sets.index(colors)][sets.index(g2[s])]
         den *= s**m
     return num, den
 
@@ -317,11 +280,11 @@ class GramMatrix:
 
 
 class _Assembly:
-    """Shared state for building the Gram matrix of one pairing family in
-    degree d, and its determinant."""
+    """Shared state for building the Gram matrix of the pairing with k x k
+    matrix a = [X] (entries in Z[v,v^-1]) in degree d, and its determinant."""
 
-    def __init__(self, pairing, d: int):
-        self.pairing = pairing
+    def __init__(self, a, d: int):
+        self.a = a
         self.d = d
         self.shapes = pt.enum_partitions(d)
         # per shape: (s, m_s) for each distinct part size s, largest first
@@ -332,7 +295,7 @@ class _Assembly:
         self.block_members = {
             lam: [
                 tuple((s, c) for (s, _), colors in zip(keys, combo) for c in colors)
-                for combo in product(*(_multisets(pairing.colors, m) for _, m in keys))
+                for combo in product(*(_multisets(len(a), m) for _, m in keys))
             ]
             for lam, keys in self.factor_keys.items()
         }
@@ -340,15 +303,16 @@ class _Assembly:
 
     # -- y-Gram blocks --------------------------------------------------------
 
-    def y_blocks(self, factor) -> dict:
+    def y_blocks(self, a) -> dict:
         """Per shape: (denominator prod(s^m_s), dense block), the block being
-        the Kronecker product of the factors factor(pairing, s, m_s) over the
-        distinct part sizes s in factor_keys order, the order in which
-        block_members runs through the colour multisets.  factor is
-        permanent_matrix, P(m_s) at v^s, or _factor_at_one, its value at v=1."""
+        the Kronecker product of the factors permanent_matrix(a, s, m_s) over
+        the distinct part sizes s in factor_keys order, the order in which
+        block_members runs through the colour multisets.  a is [X], whose
+        factors are P(m_s) at v^s, or [X] at v=1, whose integer factors are
+        P(m_s) at v=1."""
         blocks = {}
         for lam, keys in self.factor_keys.items():
-            fs = [factor(self.pairing, s, m) for s, m in keys] or [factor(self.pairing, 1, 0)]
+            fs = [permanent_matrix(a, s, m) for s, m in keys] or [permanent_matrix(a, 1, 0)]
             block = fs[0]
             for f in fs[1:]:
                 # a zero entry is kept as it is, so zeros stay shared
@@ -451,8 +415,7 @@ class _Assembly:
         return rows
 
     def matrix(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        """The Gram matrix over Z[v,v^-1]: _product on the blocks of
-        permanent_matrix.
+        """The Gram matrix over Z[v,v^-1]: _product on the y-blocks of [X].
 
         Every y-block entry, half-product and accumulator is one
         Kronecker-packed int: the coefficient of v^e, signed, sits in the
@@ -479,7 +442,7 @@ class _Assembly:
         their values, so these checks see the same coefficients as an
         unpacked sum would.  Every other entry is the shared ZERO.
         """
-        blocks = self.y_blocks(permanent_matrix)
+        blocks = self.y_blocks(self.a)
         common = math.lcm(*(den for den, _ in blocks.values()))
         norms = self.t_rows[2]
         # the packing: slot ex + top of W = 8 * width bits holds the
@@ -520,26 +483,26 @@ class _Assembly:
         return tuple(map(tuple, self._product(blocks, pack, finish, ZERO)))
 
     def matrix_at_one(self) -> list[list[int]]:
-        """The Gram matrix at v=1: _product on the integer blocks of
-        _factor_at_one, with int accumulators.  Entry (i, j) is the
-        accumulator divided by K L_i L_j, and a remainder raises
-        AssertionError; no Laurent polynomial is formed."""
-        return self._product(self.y_blocks(_factor_at_one), int, _entry_quotient, 0)
+        """The Gram matrix at v=1: _product on the integer y-blocks of [X] at
+        v=1, with int accumulators.  Entry (i, j) is the accumulator divided
+        by K L_i L_j, and a remainder raises AssertionError; no Laurent
+        polynomial is formed or multiplied."""
+        return self._product(self.y_blocks(_at_one(self.a)), int, _entry_quotient, 0)
 
-    def _kron_det(self, factor, factor_det, one):
-        """det G from the Kronecker factors of every shape:
+    def _kron_det(self, a, factor_det):
+        """det G from the Kronecker factors of every shape, over the ring of
+        a's entries (a is [X], or [X] at v=1 for det G at v=1):
         det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the unitriangular
         change of basis contributes 1 (checked here).
 
-        P_s(m) is P(m) at v^s, so each P(m) is computed once, for every s:
-        factor(pairing, 1, m) gives it over the ring (permanent_matrix, or
-        _factor_at_one at v=1), it is split by the colour reversal where
+        P_s(m) is P(m) at v^s, so each P(m) = permanent_matrix(a, 1, m) is
+        computed once, for every s: it is split by the colour reversal where
         _reversal_split finds that it fixes it, and factor_det eliminates
         each part (or the whole factor); the result is taken at v^s."""
         self.check_unitriangular()
-        colors = self.pairing.colors
+        colors = len(a)
         dets = {}
-        num = one
+        num = _one(a)
         den = 1
         for lam in self.shapes:
             keys = self.factor_keys[lam]
@@ -547,7 +510,7 @@ class _Assembly:
             dim = math.prod(sizes)
             for (s, m), size in zip(keys, sizes):
                 if m not in dets:
-                    values = factor(self.pairing, 1, m)
+                    values = permanent_matrix(a, 1, m)
                     split = _reversal_split(values, _reversal(colors, m))
                     if split is None:
                         dets[m] = factor_det(values)
@@ -565,6 +528,11 @@ def _entry_quotient(i: int, j: int, x: int, den: int) -> int:
     if r:
         raise AssertionError(f"non-integral Gram entry at {(i, j)}: bug in the pairing")
     return q
+
+
+def _at_one(a):
+    # [X] at v=1: the integer matrix whose permanents are the P(m) at v=1
+    return tuple(tuple(e.at_one() for e in row) for row in a)
 
 
 def _at_power(x, s: int):
@@ -591,7 +559,7 @@ def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return GramMatrix(dg.label(), d, _Assembly(CartanPairing(dg), d))
+    return GramMatrix(dg.label(), d, _Assembly(quantized_cartan(dg, 1), d))
 
 
 def cartan_graded(ell: int, d: int) -> GramMatrix:
@@ -610,17 +578,20 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     blocks, else on the whole factor.  No closed determinant formula is
     consulted; in particular not det Sym^m = det^binom, which is under test.
     """
-    return _Assembly(CartanPairing(dg), d)._kron_det(permanent_matrix, laurent_det, ONE)
+    a = quantized_cartan(dg, 1)
+    return _Assembly(a, d)._kron_det(a, laurent_det)
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
     """Exact determinant of the Gram matrix at v=1, which v -> v^s fixes, so
-    one result per P(m) serves every s: each P(m) is evaluated at v=1 before
-    it is split (_factor_at_one, shared with GramMatrix.at_one), and the
+    one result per P(m) serves every s.  Each P(m) at v=1 is expanded over Z
+    from [X] at v=1 (the factors GramMatrix.at_one reads), and the
     multi-modular kernel of laurent_det (F_p elimination, CRT, symmetric lift
     under a Hadamard bound) runs on it or on the two blocks of its colour
-    reversal split; no closed formula involved."""
-    return _Assembly(CartanPairing(dg), d)._kron_det(_factor_at_one, _int_det_multimodular, 1)
+    reversal split; no Laurent polynomial is multiplied and no closed formula
+    is involved."""
+    a = quantized_cartan(dg, 1)
+    return _Assembly(a, d)._kron_det(_at_one(a), _int_det_multimodular)
 
 
 def gram_field_invariants(dg: DynkinDiagram, d: int):
@@ -642,9 +613,10 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     tuple of factors D_i at v^s, over the parts of the shape, and the factor
     refinement runs on the few distinct ones.
     """
-    asm = _Assembly(CartanPairing(dg), d)
+    a = quantized_cartan(dg, 1)
+    asm = _Assembly(a, d)
     asm.check_unitriangular()
-    smith = snf_laurent_field(quantized_cartan(dg, 1)).elements
+    smith = snf_laurent_field(a).elements
     factor_invs = {
         (s, m): [tuple(smith[i].subst_power(s) for i in c) for c in _multisets(dg.nodes, m)]
         for s, m in set(chain.from_iterable(asm.factor_keys.values()))
@@ -708,8 +680,11 @@ def block_sum(n: int, ell: int) -> BlockSum:
 
 
 # ---------------------------------------------------------------------------
-# the Schur orthonormality oracle on the K-Gram matrix of IdentityPairing
+# the Schur orthonormality oracle on the Gram matrix of the K-pairing
 # ---------------------------------------------------------------------------
+
+
+_K_PAIRING = ((ONE,),)
 
 
 @lru_cache(maxsize=None)
@@ -745,15 +720,17 @@ def schur_in_x(lam: pt.Partition) -> tuple[tuple[pt.Partition, int], ...]:
 def schur_orthonormality(nmax: int) -> bool:
     """Check S G S^t = I exactly over Z[v,v^-1] for every n <= nmax.
 
-    G is the degree-n Gram matrix of IdentityPairing, built by the same
-    assembly as every Cartan Gram matrix; row lam of S holds the coefficients
-    of the Jacobi-Trudi element schur_in_x(lam) on G's x-monomials.  The
-    entries are compared as Laurent polynomials, so a stray power of v fails
-    the check instead of vanishing at v=1."""
+    G is the degree-n Gram matrix of the K-pairing ((ONE,),), one colour
+    with weight 1, under which x_n is the complete homogeneous h_n and the
+    pairing is the Hall inner product: G is the matrix of <h_lam, h_mu>,
+    built by the same assembly as every Cartan Gram matrix.  Row lam of S
+    holds the coefficients of the Jacobi-Trudi element schur_in_x(lam) on
+    G's x-monomials.  The entries are compared as Laurent polynomials, so a
+    stray power of v fails the check instead of vanishing at v=1."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     for n in range(nmax + 1):
-        g = GramMatrix("K", n, _Assembly(IdentityPairing(), n))
+        g = GramMatrix("K", n, _Assembly(_K_PAIRING, n))
         pos = {tuple(s for s, _ in cp): k for k, cp in enumerate(g.index)}
         rows = [[(pos[mu], c) for mu, c in schur_in_x(lam)] for lam in pt.enum_partitions(n)]
         for i, si in enumerate(rows):

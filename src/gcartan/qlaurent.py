@@ -84,6 +84,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals the int c, so it hashes as c does
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- ring arithmetic --------------------------------------------------------

@@ -32,6 +32,8 @@ def test_stages_script_writes_a_run(tmp_path):
     assert all(t >= 0 for t in point["seconds"].values())
     assert len(point["samples"]) == 1 and len(point["invariants_sha256"]) == 64
     assert len(point["det_sha256"]) == 64 and len(point["field_invariants_sha256"]) == 64
+    # the reference loop of perfbench/run.py, timed once per sample
+    assert len(point["ref_s"]) == 1 and point["ref_s_median"] == point["ref_s"][0] > 0
     # the local passes of the one sample, as [modulus bits, digits, outcome]:
     # C(1) = [[3, 4], [4, 8]] has |det| 2^3, so the rank pass runs mod 3,
     # then one pass mod 2 at the cap of 4 digits
@@ -76,7 +78,7 @@ def test_stages_script_compares_with_a_parent(tmp_path):
         capture_output=True, text=True, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr
-    assert _worktrees() == before  # the temporary worktree is gone
+    assert _worktrees() == before  # the parent's tree is no git worktree
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True, timeout=30, check=True).stdout.strip()
     (run,) = json.loads(out.read_text())["runs"]
@@ -85,7 +87,7 @@ def test_stages_script_compares_with_a_parent(tmp_path):
     assert point["point"] == [2, 2] and point["outputs_agree"] is True
     for side in ("parent", "change"):
         assert point[side]["dim"] == 2 and list(point[side]["seconds"]) == STAGES
-        assert len(point[side]["samples"]) == 2
+        assert len(point[side]["samples"]) == len(point[side]["ref_s"]) == 2
     assert list(point["wins"]) == STAGES
     assert all(w["parent"] + w["change"] <= 2 for w in point["wins"].values())
 

@@ -132,6 +132,20 @@ class TestCacheCounts:
         code, out, err = run(capsys, *args)
         assert code == 2 and not out and "--force" in err
 
+    def test_an_unreadable_entry_is_a_miss(self, capsys, cache_dir):
+        # an entry that is not JSON is recomputed and overwritten, not a
+        # traceback with the verification-failure exit code
+        args = ("det", "--ell", "2", "--d", "2", "--cache-dir", cache_dir)
+        code1, out1, _ = run(capsys, *args)
+        (entry,) = [f for f in Path(cache_dir).glob("*/*") if not f.name.startswith(".")]
+        entry.write_text("{not json")
+        code2, out2, err2 = run(capsys, *args)
+        assert code1 == code2 == 0 and out2 == out1
+        assert err2.endswith("# cache: 0 hit(s), 1 miss(es)\n")
+        assert json.loads(entry.read_text())["stdout"] == out1
+        code3, out3, err3 = run(capsys, *args)
+        assert code3 == 0 and out3 == out1 and err3.endswith("# cache: 1 hit(s), 0 miss(es)\n")
+
     def test_no_line_without_a_cache(self, capsys):
         code, out, err = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
         assert code == 0 and out and err == ""
@@ -516,11 +530,11 @@ class TestSnfCommand:
 
     def test_qlaurent_checks_the_product_above_twenty_rows(self, capsys, tmp_path, cache_dir):
         # 21 rows: the check used to stop at 20 rows and still report VERIFIED
-        from gcartan.gram import CartanPairing, permanent_matrix
-        from gcartan.qcartan import type_a
+        from gcartan.gram import permanent_matrix
+        from gcartan.qcartan import quantized_cartan, type_a
 
         f = tmp_path / "m.json"
-        p = permanent_matrix(CartanPairing(type_a(4)), 1, 5)
+        p = permanent_matrix(quantized_cartan(type_a(4), 1), 1, 5)
         f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in p]}))
         code, out, _ = run(
             capsys, "snf", "--input", str(f), "--ring", "qlaurent", "--cache-dir", cache_dir

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,8 +12,6 @@ import pytest
 from gcartan import cli, gram
 from gcartan import partitions as pt
 from gcartan.gram import (
-    CartanPairing,
-    IdentityPairing,
     _Assembly,
     _reversal,
     _reversal_split,
@@ -71,7 +68,7 @@ class TestXExpansion:
         assert Fraction(exp[((1, 1), (1, 0), (1, 0))], den) == Fraction(1, 2)
 
     def test_diagonal_coefficient_is_one(self):
-        for cp in _Assembly(CartanPairing(DynkinDiagram("A", 2)), 5).index:
+        for cp in _Assembly(quantized_cartan(DynkinDiagram("A", 2), 1), 5).index:
             den, comb = x_monomial_expansion(cp)
             assert comb[cp] == den
             for other in comb:
@@ -110,7 +107,7 @@ class TestXExpansion:
 
 class TestYPair:
     def test_examples(self):
-        a1 = CartanPairing(DynkinDiagram("A", 1))
+        a1 = quantized_cartan(DynkinDiagram("A", 1), 1)
         assert y_pair(((1, 0),), ((1, 0),), a1) == (quantum_int(2), 1)
         assert y_pair(((1, 0), (1, 0)), ((2, 0),), a1)[0].is_zero
         two = quantum_int(2)
@@ -119,26 +116,25 @@ class TestYPair:
         assert y_pair(((2, 0),), ((2, 0),), a1) == (quantum_int(2, 2), 2)
 
     def test_symmetry(self):
-        pairing = CartanPairing(DynkinDiagram("A", 2))
+        x = quantized_cartan(DynkinDiagram("A", 2), 1)
         rng = random.Random(3)
-        monos = _Assembly(pairing, 4).index
+        monos = _Assembly(x, 4).index
         for _ in range(40):
             m1 = rng.choice(monos)
             m2 = rng.choice(monos)
-            assert y_pair(m1, m2, pairing) == y_pair(m2, m1, pairing)
+            assert y_pair(m1, m2, x) == y_pair(m2, m1, x)
 
     def test_bar_invariance(self):
-        pairing = CartanPairing(DynkinDiagram("A", 2))
-        monos = _Assembly(pairing, 3).index
+        x = quantized_cartan(DynkinDiagram("A", 2), 1)
+        monos = _Assembly(x, 3).index
         for m1 in monos:
             for m2 in monos:
-                num, den = y_pair(m1, m2, pairing)
+                num, den = y_pair(m1, m2, x)
                 assert num == num.bar()
 
     def test_identity_pairing_weight(self):
-        idp = IdentityPairing()
         # <y_2 y_1, y_2 y_1> = (1/2) * (1/1) with one bijection per size
-        assert y_pair(((2, 0), (1, 0)), ((2, 0), (1, 0)), idp) == (ONE, 2)
+        assert y_pair(((2, 0), (1, 0)), ((2, 0), (1, 0)), ((ONE,),)) == (ONE, 2)
 
 
 class TestGramMatrix:
@@ -191,27 +187,37 @@ class TestGramMatrix:
 
     def test_at_one_builds_no_laurent_entry(self, monkeypatch):
         # on a fresh matrix, C(1) leaves entries unbuilt and decodes no
-        # packed Laurent slot; it is built once and kept
+        # packed Laurent slot; it is built once and kept.  With the memo of
+        # permanent matrices cleared, neither C(1) nor its determinant
+        # multiplies a Laurent polynomial: every P(m) is expanded over Z
         def no_decode(*args):
             raise AssertionError("a packed Laurent slot was decoded")
 
+        def no_product(*args):
+            raise AssertionError("a Laurent polynomial was multiplied")
+
+        gram._permanents.cache_clear()
         monkeypatch.setattr(gram, "_unpack", no_decode)
+        monkeypatch.setattr(LaurentPoly, "__mul__", no_product)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", no_product)
         g = cartan_graded(3, 4)
         c1 = g.at_one()
         assert "entries" not in vars(g) and g.at_one() is c1
+        det1 = gram_det_at_one(type_a(3), 4)
         monkeypatch.undo()
         assert c1 == [[e.at_one() for e in row] for row in g.entries]
+        assert det1 == int_det(c1)
 
     def test_perturbed_integer_factor_is_caught(self, monkeypatch):
         # P(2) of A_1 is (2 [2]^2), 8 at v=1; one more makes the entries of
         # x_2 = y_2 + y_1^2 / 2 at d=2 gain 1/4 and 1/2
-        original = gram._factor_at_one
+        original = gram.permanent_matrix
 
-        def perturbed(pairing, s, m):
-            f = original(pairing, s, m)
-            return ((f[0][0] + 1,),) if m == 2 else f
+        def perturbed(a, s, m):
+            f = original(a, s, m)
+            return ((f[0][0] + 1,),) if m == 2 and isinstance(f[0][0], int) else f
 
-        monkeypatch.setattr(gram, "_factor_at_one", perturbed)
+        monkeypatch.setattr(gram, "permanent_matrix", perturbed)
         g = gram_matrix(DynkinDiagram("A", 1), 2)
         with pytest.raises(AssertionError, match="non-integral Gram entry"):
             g.at_one()
@@ -267,9 +273,9 @@ class TestColourReversalSplit:
     def test_split_against_unsplit(self, rank):
         # every P_s(m) with s m <= 4, the factors of the Gram matrices of
         # degree at most 4
-        pairing = CartanPairing(DynkinDiagram("A", rank))
+        x = quantized_cartan(DynkinDiagram("A", rank), 1)
         for s, m in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]:
-            f = permanent_matrix(pairing, s, m)
+            f = permanent_matrix(x, s, m)
             sigma = _reversal(rank, m)
             plus, minus, pairs = _reversal_split(f, sigma)
             assert pairs == len(minus) == sum(a < sigma[a] for a in range(len(f)))
@@ -286,17 +292,18 @@ class TestColourReversalSplit:
         for s, m in [(1, 1), (1, 2), (2, 1)]:
             sigma = _reversal(dg.nodes, m)
             assert any(sigma[a] != a for a in range(len(sigma)))
-            assert _reversal_split(permanent_matrix(CartanPairing(dg), s, m), sigma) is None
+            assert _reversal_split(permanent_matrix(quantized_cartan(dg, 1), s, m), sigma) is None
 
     def test_one_perturbed_entry_declines_the_split(self):
-        f = [list(row) for row in permanent_matrix(CartanPairing(DynkinDiagram("A", 3)), 1, 2)]
+        x = quantized_cartan(DynkinDiagram("A", 3), 1)
+        f = [list(row) for row in permanent_matrix(x, 1, 2)]
         sigma = _reversal(3, 2)
         assert _reversal_split(f, sigma) is not None
         f[0][1] = f[0][1] + ONE
         assert _reversal_split(f, sigma) is None
 
     def test_one_colour_is_not_split(self):
-        f = permanent_matrix(CartanPairing(DynkinDiagram("A", 1)), 1, 3)
+        f = permanent_matrix(quantized_cartan(DynkinDiagram("A", 1), 1), 1, 3)
         assert _reversal_split(f, _reversal(1, 3)) is None
 
     @pytest.mark.parametrize(
@@ -315,7 +322,7 @@ class TestColourReversalSplit:
             return out
 
         monkeypatch.setattr(gram, "_reversal_split", spy)
-        asm = _Assembly(CartanPairing(dg), d)
+        asm = _Assembly(quantized_cartan(dg, 1), d)
         assert gram_det(dg, d) == shapovalov_det_formula(dg, d)
         assert gram_det_at_one(dg, d) == shapovalov_det_formula(dg, d).at_one()
         # one base factor P(m) per distinct m serves every part size
@@ -336,21 +343,7 @@ def _brute_permanent(a, rows, cols):
     return out
 
 
-@dataclass(frozen=True)
-class _MatrixPairing:
-    """A pairing with one fixed matrix."""
-
-    entries: tuple
-
-    @property
-    def colors(self):
-        return len(self.entries)
-
-    def matrix(self):
-        return self.entries
-
-
-def _random_pairing(seed, k):
+def _random_matrix(seed, k):
     # not symmetric, with zeros, so neither is assumed
     rng = random.Random(seed)
 
@@ -359,14 +352,14 @@ def _random_pairing(seed, k):
             return LaurentPoly()
         return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(2)})
 
-    return _MatrixPairing(tuple(tuple(entry() for _ in range(k)) for _ in range(k)))
+    return tuple(tuple(entry() for _ in range(k)) for _ in range(k))
 
 
 class TestPermanent:
-    PAIRINGS = [CartanPairing(DynkinDiagram("A", n)) for n in (1, 2, 3)] + [
-        IdentityPairing(),
-        _random_pairing(11, 2),
-        _random_pairing(12, 3),
+    MATRICES = [quantized_cartan(DynkinDiagram("A", n), 1) for n in (1, 2, 3)] + [
+        ((ONE,),),
+        _random_matrix(11, 2),
+        _random_matrix(12, 3),
     ]
 
     def test_repeated_colours_against_permutation_sum(self):
@@ -374,30 +367,40 @@ class TestPermanent:
         # permanents of the pairing's matrix A at v^s; rows and columns are
         # the colour multisets in the order of the reference colourings of
         # the shape 1^m
-        for pairing in self.PAIRINGS:
-            k = pairing.colors
+        for x in self.MATRICES:
+            k = len(x)
             for s in (1, 2):
-                a = [[e.subst_power(s) for e in row] for row in pairing.matrix()]
+                a = [[e.subst_power(s) for e in row] for row in x]
                 for m in range(6):
                     sets = [
                         tuple(c for _, c in cp)
                         for cp in _reference_index(k, m)
                         if pt.shape(cp) == (1,) * m
                     ]
-                    got = permanent_matrix(pairing, s, m)
+                    got = permanent_matrix(x, s, m)
                     assert len(got) == len(sets)
                     for c, row in zip(sets, got):
                         assert len(row) == len(sets)
                         for c2, e in zip(sets, row):
-                            assert e == _brute_permanent(a, c, c2), (pairing, s, c, c2)
+                            assert e == _brute_permanent(a, c, c2), (x, s, c, c2)
 
     def test_distinct_colours(self):
         a = ((LaurentPoly({1: 1}), LaurentPoly({0: 2})), (LaurentPoly({0: 3}), LaurentPoly({-1: 1})))
-        p = permanent_matrix(_MatrixPairing(a), 1, 2)  # rows (1,1), (1,0), (0,0)
+        p = permanent_matrix(a, 1, 2)  # rows (1,1), (1,0), (0,0)
         # every colour once: the plain 2x2 permanent ad + bc
         assert p[1][1] == LaurentPoly({0: 7})
         # rows of colour 0 against columns of colour 1: 2! a[0][1]^2
         assert p[2][0] == LaurentPoly({0: 8})
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["laurent-first", "int-first"])
+    def test_the_memo_keeps_the_rings_apart(self, first):
+        # ((ONE,),) == ((1,),) with equal hashes, so a memo keyed on the
+        # matrix alone would hand the second call the first call's ring
+        gram._permanents.cache_clear()
+        calls = [(((ONE,),), LaurentPoly), (((1,),), int)]
+        for a, ring in calls[first:] + calls[:first]:
+            p = permanent_matrix(a, 1, 2)
+            assert p == ((2,),) and all(type(e) is ring for row in p for e in row), ring
 
 
 class TestCauchyBinet:
@@ -413,9 +416,9 @@ class TestCauchyBinet:
         # P_m(AB) = P_m(A) W^-1 P_m(B), W = diag(prod_j mult_c(j)!), on random
         # Laurent matrices; times det W, so every entry stays in Z[v,v^-1]
         for seed in range(3):
-            a = _random_pairing(100 * k + 10 * m + seed, k)
-            b = _random_pairing(200 * k + 10 * m + seed, k)
-            ab = _MatrixPairing(self._laurent_matmul(a.entries, b.entries))
+            a = _random_matrix(100 * k + 10 * m + seed, k)
+            b = _random_matrix(200 * k + 10 * m + seed, k)
+            ab = self._laurent_matmul(a, b)
             sets = gram._multisets(k, m)
             w = [math.prod(math.factorial(c.count(j)) for j in range(k)) for c in sets]
             det_w = math.prod(w)
@@ -434,7 +437,7 @@ class TestCauchyBinet:
         # elimination; and the whole result against the per-factor
         # eliminations, recombined
         dg = type_a(ell)
-        asm = _Assembly(CartanPairing(dg), d)
+        asm = _Assembly(quantized_cartan(dg, 1), d)
         smith = {}
         eliminated = {}
         invs = []
@@ -448,7 +451,7 @@ class TestCauchyBinet:
                         math.prod((smith[s][i] for i in c), start=ONE)
                         for c in gram._multisets(dg.nodes, m)
                     ]
-                    f = permanent_matrix(asm.pairing, s, m)
+                    f = permanent_matrix(asm.a, s, m)
                     eliminated[s, m] = snf_laurent_field(f).elements
                     assert snf_of_diagonal(transfer).elements == eliminated[s, m], (s, m)
                 diag = [x * y for x in diag for y in eliminated[s, m]]
@@ -468,7 +471,7 @@ class TestCauchyBinet:
         # gram_field_invariants hands snf_of_diagonal each diagonal entry as
         # its tuple of Smith-form factors; the same products expanded give
         # the same invariants
-        asm = _Assembly(CartanPairing(dg), d)
+        asm = _Assembly(quantized_cartan(dg, 1), d)
         smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
         expanded = [
             math.prod((smith[s][i] for (s, _), c in zip(keys, combo) for i in c), start=ONE)
@@ -492,9 +495,9 @@ class TestKroneckerFactors:
         # integer blocks are the same blocks at v=1
         perms = {}
         for d in range(dmax + 1):
-            asm = _Assembly(CartanPairing(dg), d)
-            at_one = asm.y_blocks(gram._factor_at_one)
-            for lam, (den, block) in asm.y_blocks(permanent_matrix).items():
+            asm = _Assembly(quantized_cartan(dg, 1), d)
+            at_one = asm.y_blocks(tuple(tuple(e.at_one() for e in row) for row in asm.a))
+            for lam, (den, block) in asm.y_blocks(asm.a).items():
                 got_den, got_block = at_one[lam]
                 assert got_den == den and [list(row) for row in got_block] == [
                     [e.at_one() for e in row] for row in block
@@ -517,24 +520,24 @@ class TestKroneckerFactors:
 
     def test_factors_are_memoised_per_size_and_multiplicity(self):
         # the factor keys of two shapes that share P_3(1), largest part first
-        asm = _Assembly(CartanPairing(DynkinDiagram("A", 2)), 5)
+        asm = _Assembly(quantized_cartan(DynkinDiagram("A", 2), 1), 5)
         assert asm.factor_keys[3, 1, 1] == ((3, 1), (1, 2))
         assert asm.factor_keys[3, 2] == ((3, 1), (2, 1))
-        assert permanent_matrix(asm.pairing, 3, 1) is permanent_matrix(asm.pairing, 3, 1)
+        assert permanent_matrix(asm.a, 3, 1) is permanent_matrix(asm.a, 3, 1)
         # colour multisets of size 2 from 2 colours
-        assert len(permanent_matrix(asm.pairing, 1, 2)) == 3
+        assert len(permanent_matrix(asm.a, 1, 2)) == 3
 
     def test_index_matches_the_multipartition_reference(self):
         # the index, built from the Kronecker layout, against one coloured
         # partition per multipartition sorted by (shape, colour vector)
-        pairings = [CartanPairing(DynkinDiagram("A", n)) for n in range(1, 7)]
-        cases = [(p, d) for p in pairings for d in range(6)]
-        cases += [(CartanPairing(DynkinDiagram("D", 4)), d) for d in range(4)]
-        cases += [(CartanPairing(DynkinDiagram("E", 6)), d) for d in range(3)]
-        cases += [(IdentityPairing(), n) for n in range(7)]
-        for pairing, d in cases:
-            want = _reference_index(pairing.colors, d)
-            assert list(_Assembly(pairing, d).index) == want, (pairing, d)
+        matrices = [quantized_cartan(DynkinDiagram("A", n), 1) for n in range(1, 7)]
+        cases = [(x, d) for x in matrices for d in range(6)]
+        cases += [(quantized_cartan(DynkinDiagram("D", 4), 1), d) for d in range(4)]
+        cases += [(quantized_cartan(DynkinDiagram("E", 6), 1), d) for d in range(3)]
+        cases += [(((ONE,),), n) for n in range(7)]
+        for x, d in cases:
+            want = _reference_index(len(x), d)
+            assert list(_Assembly(x, d).index) == want, (x, d)
 
     def test_field_invariants_match_bracket_products(self):
         # the theorem-backed sub-check at ell=4, d=5: the dense 30-row block
@@ -576,7 +579,7 @@ class TestPartSizeSubstitution:
         for s in (1, 2, 3):
             x_s = quantized_cartan(dg, s)
             for m, cs in sets.items():
-                got = permanent_matrix(CartanPairing(dg), s, m)
+                got = permanent_matrix(quantized_cartan(dg, 1), s, m)
                 want = tuple(tuple(_brute_permanent(x_s, c, c2) for c2 in cs) for c in cs)
                 assert got == want, (dg, s, m)
 
@@ -610,7 +613,7 @@ class TestKernelTraffic:
     @pytest.mark.parametrize("ell, d", [(5, 4), (4, 5), (2, 12), (3, 8)])
     def test_calls_per_base_factor(self, monkeypatch, ell, d):
         dg = type_a(ell)
-        asm = _Assembly(CartanPairing(dg), d)
+        asm = _Assembly(quantized_cartan(dg, 1), d)
         ms = {m for keys in asm.factor_keys.values() for _, m in keys}
         calls = {"laurent": [], "field": 0, "at_one": 0}
 
@@ -642,7 +645,7 @@ class TestKernelTraffic:
         # one kernel run per distinct m, two where the colour reversal splits
         splits = [
             _reversal_split(
-                [[e.at_one() for e in row] for row in permanent_matrix(asm.pairing, 1, m)],
+                [[e.at_one() for e in row] for row in permanent_matrix(asm.a, 1, m)],
                 _reversal(dg.nodes, m),
             )
             for m in ms
@@ -660,7 +663,7 @@ class TestAssembly:
         # entry (i, j) = sum over monomials a of x_i and b of x_j of
         # coeff_a coeff_b <y_a, y_b>, summed here pair by pair, with no
         # blocks, no shared denominators and no sparse index
-        pairing = CartanPairing(dg)
+        x = quantized_cartan(dg, 1)
         for d in range(dmax + 1):
             g = gram_matrix(dg, d)
             exps = []
@@ -672,7 +675,7 @@ class TestAssembly:
                     want: dict[int, Fraction] = {}
                     for ya, ca in exps[i]:
                         for yb, cb in exps[j]:
-                            num, den = y_pair(ya, yb, pairing)
+                            num, den = y_pair(ya, yb, x)
                             for e, c in num.terms.items():
                                 want[e] = want.get(e, 0) + ca * cb * c / den
                     want = {e: c for e, c in want.items() if c}
@@ -691,10 +694,10 @@ class TestAssembly:
         want_at_one = want.at_one()
         original = _Assembly.y_blocks
 
-        def scaled(self, factor):
+        def scaled(self, a):
             return {
                 lam: (den, [[y * f for y in row] for row in block])
-                for lam, (den, block) in original(self, factor).items()
+                for lam, (den, block) in original(self, a).items()
             }
 
         monkeypatch.setattr(_Assembly, "y_blocks", scaled)
@@ -714,8 +717,8 @@ class TestAssembly:
     def test_broken_block_entry_is_caught(self, monkeypatch, tmp_path, capsys, delta, message):
         original = _Assembly.y_blocks
 
-        def perturbed(self, factor):
-            blocks = dict(original(self, factor))
+        def perturbed(self, a):
+            blocks = dict(original(self, a))
             den, block = blocks[(1, 1)]
             blocks[(1, 1)] = den, [[block[0][0] + delta]]
             return blocks
@@ -765,7 +768,7 @@ def _n_matrix_count(rows, cols):
 
 def _k_gram(n):
     """The K-Gram matrix of degree n as (partitions, entries)."""
-    asm = _Assembly(IdentityPairing(), n)
+    asm = _Assembly(((ONE,),), n)
     return [tuple(s for s, _ in cp) for cp in asm.index], asm.matrix()
 
 
@@ -807,11 +810,7 @@ class TestKPairingAndSchur:
     def test_oracle_sees_the_assembly(self, monkeypatch, weight):
         # a weight other than 1 breaks orthonormality in degree 1; [3] - 2 is
         # 1 at v=1, so only the exact comparison over Z[v,v^-1] catches it
-        monkeypatch.setattr(IdentityPairing, "matrix", lambda self: ((weight,),))
-        permanent_matrix.cache_clear()
-        try:
-            assert not schur_orthonormality(3)
-        finally:
-            monkeypatch.undo()
-            permanent_matrix.cache_clear()
+        monkeypatch.setattr(gram, "_K_PAIRING", ((weight,),))
+        assert not schur_orthonormality(3)
+        monkeypatch.undo()
         assert schur_orthonormality(3)

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from gcartan import partitions as pt
-from gcartan.gram import CartanPairing, _Assembly
-from gcartan.qcartan import DynkinDiagram
+from gcartan.gram import _Assembly
+from gcartan.qcartan import DynkinDiagram, quantized_cartan
 
 
 def _gram_index(d, colors):
     # the coloured partitions of d that index the Gram matrix of A_colors
-    return _Assembly(CartanPairing(DynkinDiagram("A", colors)), d).index
+    return _Assembly(quantized_cartan(DynkinDiagram("A", colors), 1), d).index
 
 
 class TestEnumeration:

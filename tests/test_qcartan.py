@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import pytest
@@ -23,30 +22,16 @@ from gcartan.qcartan import (
 from gcartan.qlaurent import ONE, LaurentPoly, cyclotomic, kss_bracket, quantum_int
 
 
-@dataclass(frozen=True)
-class _IntegerPairing:
-    """A pairing with one fixed integer matrix f."""
-
-    f: tuple
-
-    @property
-    def colors(self):
-        return len(self.f)
-
-    def matrix(self):
-        return tuple(tuple(LaurentPoly.const(x) for x in row) for row in self.f)
-
-
 def sym_power_det(f, m) -> int:
     """det Sym^m(f) on the monomial basis of Sym^m(k^n), from the permanent
-    matrix of the pairing f: its entry (c, c') is the Sym^m(f) entry times
-    prod_j mult_c(j)!, so its determinant is det Sym^m(f) times the product
-    of those weights over all multisets c."""
-    pm = permanent_matrix(_IntegerPairing(tuple(map(tuple, f))), 1, m)
+    matrix of the integer matrix f, expanded over Z: its entry (c, c') is the
+    Sym^m(f) entry times prod_j mult_c(j)!, so its determinant is det
+    Sym^m(f) times the product of those weights over all multisets c."""
+    pm = permanent_matrix(tuple(map(tuple, f)), 1, m)
     weight = 1
     for c in combinations_with_replacement(range(len(f)), m):
         weight *= math.prod(math.factorial(c.count(j)) for j in set(c))
-    det, rest = divmod(int_det([[e.at_one() for e in row] for row in pm]), weight)
+    det, rest = divmod(int_det([list(row) for row in pm]), weight)
     assert rest == 0
     return det
 

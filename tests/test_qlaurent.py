@@ -52,6 +52,15 @@ class TestRingBasics:
         assert LaurentPoly({1: 1, -1: 1}) == LaurentPoly({-1: 1, 1: 1})
         assert LaurentPoly({1: 1}) != LaurentPoly({1: 2})
 
+    def test_a_constant_hashes_like_its_int(self):
+        # a constant equals its int, so the two are one set member and one
+        # dict key
+        for c in (0, 1, -1, 7, -(2**100)):
+            assert LaurentPoly.const(c) == c and hash(LaurentPoly.const(c)) == hash(c)
+        assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1
+        assert {ONE: "x"}.get(1) == "x" and {2: "y"}.get(LaurentPoly.const(2)) == "y"
+        assert len({ONE, LaurentPoly({1: 1}), LaurentPoly({-1: 1}), ONE + LaurentPoly({1: 1})}) == 4
+
     def test_additive_identity(self):
         x = LaurentPoly({5: 3, -2: 1})
         assert x + ZERO == x and ZERO + x == x
