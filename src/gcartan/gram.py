@@ -16,8 +16,9 @@ a product of permanents, one per part size.  Since [n]_m(v) = [n](v^m),
 passed as it is: the quantized Cartan matrix quantized_cartan(dg, 1) of a
 finite diagram, or ((ONE,),) for schur_orthonormality.  One column expansion,
 permanent_matrix, gives the permanents over the ring of the matrix it is
-given: over Z[v,v^-1] from [X], over Z from [X] at v=1.  One assembly,
-_Assembly, takes [X] and builds the Gram matrix.
+given: over Z[v,v^-1] from [X], over Z from [X] at v=1.  One class,
+GramMatrix, takes [X] and d and is the Gram matrix: its index, its entries,
+its value at v=1 and its determinant.
 
 The Gram matrix on the x-basis is G = T Y T^t, with T the x-to-y change of
 basis (rational, sparse, unitriangular; each row is kept as integer
@@ -243,49 +244,22 @@ def x_monomial_expansion(cp: pt.ColoredPartition) -> tuple[int, dict[pt.ColoredP
 
 
 class GramMatrix:
-    """A Gram matrix indexed by colored partitions, over Z[v,v^-1].
+    """The Gram matrix, over Z[v,v^-1], of the pairing with k x k matrix
+    a = [X] in degree d, indexed by colored partitions.
 
-    Its entries over Z[v,v^-1] (`entries`) and its value at v=1 (`at_one()`)
-    are each built by the assembly's sparse product over that ring the first
-    time they are read, and kept; neither is derived from the other."""
+    It holds the layout of the index by shape and the x -> y change of basis
+    T.  Its entries over Z[v,v^-1] (`entries`) and its value at v=1
+    (`at_one()`) are each built by the sparse product _product over that ring
+    the first time they are read, and kept; neither is derived from the
+    other.  Its determinant is taken from the Kronecker factors (_kron_det)
+    without building either."""
 
-    def __init__(self, label: str, d: int, assembly: _Assembly):
+    def __init__(self, label: str, d: int, a):
+        if d < 0:
+            raise ValueError("d must be nonnegative")
         self.label = label
         self.d = d
-        self.index = assembly.index
-        self._assembly = assembly
-        self._at_one: list[list[int]] | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
-
-    @cached_property
-    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        return self._assembly.matrix()
-
-    def at_one(self) -> list[list[int]]:
-        """C(1), the same list at every call."""
-        if self._at_one is None:
-            self._at_one = self._assembly.matrix_at_one()
-        return self._at_one
-
-    def to_json(self) -> dict:
-        return {
-            "diagram": self.label,
-            "d": self.d,
-            "index": [[list(pair) for pair in cp] for cp in self.index],
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-        }
-
-
-class _Assembly:
-    """Shared state for building the Gram matrix of the pairing with k x k
-    matrix a = [X] (entries in Z[v,v^-1]) in degree d, and its determinant."""
-
-    def __init__(self, a, d: int):
         self.a = a
-        self.d = d
         self.shapes = pt.enum_partitions(d)
         # per shape: (s, m_s) for each distinct part size s, largest first
         self.factor_keys = {lam: tuple(pt.mults(lam).items()) for lam in self.shapes}
@@ -300,6 +274,19 @@ class _Assembly:
             for lam, keys in self.factor_keys.items()
         }
         self.index = tuple(chain.from_iterable(self.block_members.values()))
+        self._c1: list[list[int]] | None = None  # C(1), built by at_one()
+
+    @property
+    def size(self) -> int:
+        return len(self.index)
+
+    def to_json(self) -> dict:
+        return {
+            "diagram": self.label,
+            "d": self.d,
+            "index": [[list(pair) for pair in cp] for cp in self.index],
+            "entries": [[e.to_json() for e in row] for row in self.entries],
+        }
 
     # -- y-Gram blocks --------------------------------------------------------
 
@@ -414,7 +401,8 @@ class _Assembly:
                     rows[i][j] = rows[j][i] = finish(i, j, total, common * scales[i] * scales[j])
         return rows
 
-    def matrix(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+    @cached_property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The Gram matrix over Z[v,v^-1]: _product on the y-blocks of [X].
 
         Every y-block entry, half-product and accumulator is one
@@ -482,16 +470,19 @@ class _Assembly:
 
         return tuple(map(tuple, self._product(blocks, pack, finish, ZERO)))
 
-    def matrix_at_one(self) -> list[list[int]]:
-        """The Gram matrix at v=1: _product on the integer y-blocks of [X] at
-        v=1, with int accumulators.  Entry (i, j) is the accumulator divided
-        by K L_i L_j, and a remainder raises AssertionError; no Laurent
-        polynomial is formed or multiplied."""
-        return self._product(self.y_blocks(_at_one(self.a)), int, _entry_quotient, 0)
+    def at_one(self) -> list[list[int]]:
+        """C(1), the same list at every call: _product on the integer
+        y-blocks of [X] at v=1, with int accumulators.  Entry (i, j) is the
+        accumulator divided by K L_i L_j, and a remainder raises
+        AssertionError; no Laurent polynomial is formed or multiplied."""
+        if self._c1 is None:
+            self._c1 = self._product(self.y_blocks(_at_one(self.a)), int, _entry_quotient, 0)
+        return self._c1
 
     def _kron_det(self, a, factor_det):
-        """det G from the Kronecker factors of every shape, over the ring of
-        a's entries (a is [X], or [X] at v=1 for det G at v=1):
+        """The determinant of this matrix from the Kronecker factors of every
+        shape, without building `entries` or `at_one()`, over the ring of a's
+        entries: a is self.a = [X] for det G, or [X] at v=1 for det G at v=1.
         det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the unitriangular
         change of basis contributes 1 (checked here).
 
@@ -557,14 +548,12 @@ def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:
     For dg = A_{ell-1} this is the graded Cartan matrix of a weight-d block
     at quantum characteristic ell.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    return GramMatrix(dg.label(), d, _Assembly(quantized_cartan(dg, 1), d))
+    return GramMatrix(dg.label(), d, quantized_cartan(dg, 1))
 
 
 def cartan_graded(ell: int, d: int) -> GramMatrix:
     """C^v_{ell,d} with the type-A label attached."""
-    return GramMatrix(f"ell={ell}", d, gram_matrix(type_a(ell), d)._assembly)
+    return GramMatrix(f"ell={ell}", d, quantized_cartan(type_a(ell), 1))
 
 
 def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
@@ -578,30 +567,31 @@ def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     blocks, else on the whole factor.  No closed determinant formula is
     consulted; in particular not det Sym^m = det^binom, which is under test.
     """
-    a = quantized_cartan(dg, 1)
-    return _Assembly(a, d)._kron_det(a, laurent_det)
+    g = gram_matrix(dg, d)
+    return g._kron_det(g.a, laurent_det)
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
-    """Exact determinant of the Gram matrix at v=1, which v -> v^s fixes, so
-    one result per P(m) serves every s.  Each P(m) at v=1 is expanded over Z
-    from [X] at v=1 (the factors GramMatrix.at_one reads), and the
-    multi-modular kernel of laurent_det (F_p elimination, CRT, symmetric lift
-    under a Hadamard bound) runs on it or on the two blocks of its colour
-    reversal split; no Laurent polynomial is multiplied and no closed formula
-    is involved."""
-    a = quantized_cartan(dg, 1)
-    return _Assembly(a, d)._kron_det(_at_one(a), _int_det_multimodular)
+    """Exact determinant of gram_matrix(dg, d) at v=1, which v -> v^s fixes,
+    so one result per P(m) serves every s.  GramMatrix._kron_det expands each
+    P(m) at v=1 over Z from [X] at v=1 (the factors GramMatrix.at_one reads),
+    and the multi-modular kernel of laurent_det (F_p elimination, CRT,
+    symmetric lift under a Hadamard bound) runs on it or on the two blocks of
+    its colour reversal split; no Laurent polynomial is multiplied and no
+    closed formula is involved."""
+    g = gram_matrix(dg, d)
+    return g._kron_det(_at_one(g.a), _int_det_multimodular)
 
 
 def gram_field_invariants(dg: DynkinDiagram, d: int):
     """Invariant factors of gram_matrix(dg, d) over Q[v,v^-1].
 
     Rationals are units of Q[v,v^-1], so the unitriangular change of basis
-    (runtime-checked) and the per-block denominators are unimodular: the
-    Gram matrix is equivalent to the direct sum of the Kronecker products of
-    the permanent matrices P_s(m_s).  Over a principal ideal domain the Smith
-    form of A (x) B is that of diag(a_i b_j), a and b those of A and B.
+    (GramMatrix.check_unitriangular) and the per-block denominators are
+    unimodular: the Gram matrix is equivalent to the direct sum of the
+    Kronecker products of the permanent matrices P_s(m_s) over its
+    factor_keys.  Over a principal ideal domain the Smith form of A (x) B is
+    that of diag(a_i b_j), a and b those of A and B.
 
     No P_s(m) is eliminated.  Cauchy-Binet for permanents (Minc, Permanents,
     1978) gives P_m(AB) = P_m(A) W^-1 P_m(B) for P_m(A) = (perm A[c, c']) on
@@ -613,17 +603,16 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     tuple of factors D_i at v^s, over the parts of the shape, and the factor
     refinement runs on the few distinct ones.
     """
-    a = quantized_cartan(dg, 1)
-    asm = _Assembly(a, d)
-    asm.check_unitriangular()
-    smith = snf_laurent_field(a).elements
+    g = gram_matrix(dg, d)
+    g.check_unitriangular()
+    smith = snf_laurent_field(g.a).elements
     factor_invs = {
         (s, m): [tuple(smith[i].subst_power(s) for i in c) for c in _multisets(dg.nodes, m)]
-        for s, m in set(chain.from_iterable(asm.factor_keys.values()))
+        for s, m in set(chain.from_iterable(g.factor_keys.values()))
     }
     invs = [
         tuple(chain.from_iterable(values))
-        for keys in asm.factor_keys.values()
+        for keys in g.factor_keys.values()
         for values in product(*(factor_invs[key] for key in keys))
     ]
     return snf_of_diagonal(invs)
@@ -722,15 +711,15 @@ def schur_orthonormality(nmax: int) -> bool:
 
     G is the degree-n Gram matrix of the K-pairing ((ONE,),), one colour
     with weight 1, under which x_n is the complete homogeneous h_n and the
-    pairing is the Hall inner product: G is the matrix of <h_lam, h_mu>,
-    built by the same assembly as every Cartan Gram matrix.  Row lam of S
-    holds the coefficients of the Jacobi-Trudi element schur_in_x(lam) on
-    G's x-monomials.  The entries are compared as Laurent polynomials, so a
+    pairing is the Hall inner product: G is the matrix of <h_lam, h_mu>, a
+    GramMatrix like every Cartan Gram matrix.  Row lam of S holds the
+    coefficients of the Jacobi-Trudi element schur_in_x(lam) on G's
+    x-monomials.  The entries are compared as Laurent polynomials, so a
     stray power of v fails the check instead of vanishing at v=1."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     for n in range(nmax + 1):
-        g = GramMatrix("K", n, _Assembly(_K_PAIRING, n))
+        g = GramMatrix("K", n, _K_PAIRING)
         pos = {tuple(s for s, _ in cp): k for k, cp in enumerate(g.index)}
         rows = [[(pos[mu], c) for mu, c in schur_in_x(lam)] for lam in pt.enum_partitions(n)]
         for i, si in enumerate(rows):

@@ -158,6 +158,8 @@ def blocks(n: int, ell: int) -> tuple[BlockLabel, ...]:
     """Bl_ell(n): all (rho, d) with rho an ell-core and |rho| + ell*d = n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     out = []
     for d in range(n // ell + 1):
         for rho in enum_partitions(n - ell * d):

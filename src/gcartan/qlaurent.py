@@ -296,6 +296,8 @@ def quantum_factorial(n: int, s: int = 1) -> LaurentPoly:
     """[n]_s! = prod_{m=1}^{n} [m]_s."""
     if n < 0:
         raise ValueError("quantum factorial needs n >= 0")
+    if s < 1:
+        raise ValueError("s must be a positive integer")
     return bracket_product((m, s) for m in range(1, n + 1))
 
 

@@ -721,6 +721,9 @@ class TestOptionPolicy:
         ),
         (("invariants", "--p", "2", "--ell", "6", "--partition", "1"), "got --p --ell"),
         (("table", "--ell", "3", "--dmax", "-1"), "dmax must be >= 0"),
+        # ell = 0 used to divide by zero (exit 3), and ell = -2 to sum no block
+        (("gram", "--ell", "0", "--blocks", "3"), "ell must be >= 2"),
+        (("gram", "--ell", "-2", "--blocks", "3"), "ell must be >= 2"),
         # no command reads an abbreviated option: irred's --diagram does not
         # take det's --d, nor det's --check a --che
         (("irred", "--d", "3", "--ell", "2"), "unrecognized arguments: --d 3"),

@@ -12,7 +12,7 @@ import pytest
 from gcartan import cli, gram
 from gcartan import partitions as pt
 from gcartan.gram import (
-    _Assembly,
+    GramMatrix,
     _reversal,
     _reversal_split,
     block_sum,
@@ -68,7 +68,7 @@ class TestXExpansion:
         assert Fraction(exp[((1, 1), (1, 0), (1, 0))], den) == Fraction(1, 2)
 
     def test_diagonal_coefficient_is_one(self):
-        for cp in _Assembly(quantized_cartan(DynkinDiagram("A", 2), 1), 5).index:
+        for cp in gram_matrix(DynkinDiagram("A", 2), 5).index:
             den, comb = x_monomial_expansion(cp)
             assert comb[cp] == den
             for other in comb:
@@ -118,7 +118,7 @@ class TestYPair:
     def test_symmetry(self):
         x = quantized_cartan(DynkinDiagram("A", 2), 1)
         rng = random.Random(3)
-        monos = _Assembly(x, 4).index
+        monos = GramMatrix("A:2", 4, x).index
         for _ in range(40):
             m1 = rng.choice(monos)
             m2 = rng.choice(monos)
@@ -126,7 +126,7 @@ class TestYPair:
 
     def test_bar_invariance(self):
         x = quantized_cartan(DynkinDiagram("A", 2), 1)
-        monos = _Assembly(x, 3).index
+        monos = GramMatrix("A:2", 3, x).index
         for m1 in monos:
             for m2 in monos:
                 num, den = y_pair(m1, m2, x)
@@ -151,6 +151,18 @@ class TestGramMatrix:
     def test_weight_zero(self):
         g = gram_matrix(DynkinDiagram("D", 4), 0)
         assert g.size == 1 and g.entries[0][0] == ONE
+
+    @pytest.mark.parametrize(
+        "build",
+        [gram_matrix, lambda dg, d: cartan_graded(3, d), gram_det, gram_det_at_one,
+         gram_field_invariants],
+        ids=["gram_matrix", "cartan_graded", "gram_det", "gram_det_at_one",
+             "gram_field_invariants"],
+    )
+    def test_negative_degree_is_refused_once(self, build):
+        # every entry point builds one GramMatrix, which refuses d < 0
+        with pytest.raises(ValueError, match="d must be nonnegative"):
+            build(type_a(3), -1)
 
     def test_symmetry_and_bar_invariance(self):
         for dg, d in [(DynkinDiagram("A", 2), 3), (DynkinDiagram("D", 4), 2)]:
@@ -322,11 +334,11 @@ class TestColourReversalSplit:
             return out
 
         monkeypatch.setattr(gram, "_reversal_split", spy)
-        asm = _Assembly(quantized_cartan(dg, 1), d)
+        g = gram_matrix(dg, d)
         assert gram_det(dg, d) == shapovalov_det_formula(dg, d)
         assert gram_det_at_one(dg, d) == shapovalov_det_formula(dg, d).at_one()
         # one base factor P(m) per distinct m serves every part size
-        ms = {m for keys in asm.factor_keys.values() for _, m in keys}
+        ms = {m for keys in g.factor_keys.values() for _, m in keys}
         assert len(seen) == 2 * len(ms)
         assert all(seen) if splits else not any(seen)
 
@@ -437,13 +449,13 @@ class TestCauchyBinet:
         # elimination; and the whole result against the per-factor
         # eliminations, recombined
         dg = type_a(ell)
-        asm = _Assembly(quantized_cartan(dg, 1), d)
+        g = gram_matrix(dg, d)
         smith = {}
         eliminated = {}
         invs = []
-        for lam in asm.shapes:
+        for lam in g.shapes:
             diag = [ONE]
-            for s, m in asm.factor_keys[lam]:
+            for s, m in g.factor_keys[lam]:
                 if (s, m) not in eliminated:
                     if s not in smith:
                         smith[s] = snf_laurent_field(quantized_cartan(dg, s)).elements
@@ -451,7 +463,7 @@ class TestCauchyBinet:
                         math.prod((smith[s][i] for i in c), start=ONE)
                         for c in gram._multisets(dg.nodes, m)
                     ]
-                    f = permanent_matrix(asm.a, s, m)
+                    f = permanent_matrix(g.a, s, m)
                     eliminated[s, m] = snf_laurent_field(f).elements
                     assert snf_of_diagonal(transfer).elements == eliminated[s, m], (s, m)
                 diag = [x * y for x in diag for y in eliminated[s, m]]
@@ -471,11 +483,11 @@ class TestCauchyBinet:
         # gram_field_invariants hands snf_of_diagonal each diagonal entry as
         # its tuple of Smith-form factors; the same products expanded give
         # the same invariants
-        asm = _Assembly(quantized_cartan(dg, 1), d)
+        g = gram_matrix(dg, d)
         smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
         expanded = [
             math.prod((smith[s][i] for (s, _), c in zip(keys, combo) for i in c), start=ONE)
-            for lam in asm.shapes
+            for lam in g.shapes
             for keys in [list(pt.mults(lam).items())]
             for combo in itertools.product(*(gram._multisets(dg.nodes, m) for _, m in keys))
         ]
@@ -495,16 +507,16 @@ class TestKroneckerFactors:
         # integer blocks are the same blocks at v=1
         perms = {}
         for d in range(dmax + 1):
-            asm = _Assembly(quantized_cartan(dg, 1), d)
-            at_one = asm.y_blocks(tuple(tuple(e.at_one() for e in row) for row in asm.a))
-            for lam, (den, block) in asm.y_blocks(asm.a).items():
+            g = gram_matrix(dg, d)
+            at_one = g.y_blocks(tuple(tuple(e.at_one() for e in row) for row in g.a))
+            for lam, (den, block) in g.y_blocks(g.a).items():
                 got_den, got_block = at_one[lam]
                 assert got_den == den and [list(row) for row in got_block] == [
                     [e.at_one() for e in row] for row in block
                 ]
                 sizes = pt.mults(lam)
                 assert den == math.prod(s**m for s, m in sizes.items()), (dg, d, lam)
-                groups = [pt.group_by_size(cp) for cp in asm.block_members[lam]]
+                groups = [pt.group_by_size(cp) for cp in g.block_members[lam]]
                 assert len(block) == len(groups)
                 for gx, row in zip(groups, block):
                     for gy, e in zip(groups, row):
@@ -520,12 +532,12 @@ class TestKroneckerFactors:
 
     def test_factors_are_memoised_per_size_and_multiplicity(self):
         # the factor keys of two shapes that share P_3(1), largest part first
-        asm = _Assembly(quantized_cartan(DynkinDiagram("A", 2), 1), 5)
-        assert asm.factor_keys[3, 1, 1] == ((3, 1), (1, 2))
-        assert asm.factor_keys[3, 2] == ((3, 1), (2, 1))
-        assert permanent_matrix(asm.a, 3, 1) is permanent_matrix(asm.a, 3, 1)
+        g = gram_matrix(DynkinDiagram("A", 2), 5)
+        assert g.factor_keys[3, 1, 1] == ((3, 1), (1, 2))
+        assert g.factor_keys[3, 2] == ((3, 1), (2, 1))
+        assert permanent_matrix(g.a, 3, 1) is permanent_matrix(g.a, 3, 1)
         # colour multisets of size 2 from 2 colours
-        assert len(permanent_matrix(asm.a, 1, 2)) == 3
+        assert len(permanent_matrix(g.a, 1, 2)) == 3
 
     def test_index_matches_the_multipartition_reference(self):
         # the index, built from the Kronecker layout, against one coloured
@@ -537,7 +549,7 @@ class TestKroneckerFactors:
         cases += [(((ONE,),), n) for n in range(7)]
         for x, d in cases:
             want = _reference_index(len(x), d)
-            assert list(_Assembly(x, d).index) == want, (x, d)
+            assert list(GramMatrix("X", d, x).index) == want, (x, d)
 
     def test_field_invariants_match_bracket_products(self):
         # the theorem-backed sub-check at ell=4, d=5: the dense 30-row block
@@ -613,8 +625,8 @@ class TestKernelTraffic:
     @pytest.mark.parametrize("ell, d", [(5, 4), (4, 5), (2, 12), (3, 8)])
     def test_calls_per_base_factor(self, monkeypatch, ell, d):
         dg = type_a(ell)
-        asm = _Assembly(quantized_cartan(dg, 1), d)
-        ms = {m for keys in asm.factor_keys.values() for _, m in keys}
+        g = gram_matrix(dg, d)
+        ms = {m for keys in g.factor_keys.values() for _, m in keys}
         calls = {"laurent": [], "field": 0, "at_one": 0}
 
         def laurent(matrix):
@@ -645,7 +657,7 @@ class TestKernelTraffic:
         # one kernel run per distinct m, two where the colour reversal splits
         splits = [
             _reversal_split(
-                [[e.at_one() for e in row] for row in permanent_matrix(asm.a, 1, m)],
+                [[e.at_one() for e in row] for row in permanent_matrix(g.a, 1, m)],
                 _reversal(dg.nodes, m),
             )
             for m in ms
@@ -692,7 +704,7 @@ class TestAssembly:
         want = gram_matrix(dg, d)
         assert any(c < 0 for row in want.entries for e in row for c in e.terms.values())
         want_at_one = want.at_one()
-        original = _Assembly.y_blocks
+        original = GramMatrix.y_blocks
 
         def scaled(self, a):
             return {
@@ -700,7 +712,7 @@ class TestAssembly:
                 for lam, (den, block) in original(self, a).items()
             }
 
-        monkeypatch.setattr(_Assembly, "y_blocks", scaled)
+        monkeypatch.setattr(GramMatrix, "y_blocks", scaled)
         got = gram_matrix(dg, d)
         assert got.entries == tuple(tuple(e * f for e in row) for row in want.entries)
         assert got.at_one() == [[x * f for x in row] for row in want_at_one]
@@ -715,7 +727,7 @@ class TestAssembly:
         ids=["non-integral", "not-bar-invariant"],
     )
     def test_broken_block_entry_is_caught(self, monkeypatch, tmp_path, capsys, delta, message):
-        original = _Assembly.y_blocks
+        original = GramMatrix.y_blocks
 
         def perturbed(self, a):
             blocks = dict(original(self, a))
@@ -723,7 +735,7 @@ class TestAssembly:
             blocks[(1, 1)] = den, [[block[0][0] + delta]]
             return blocks
 
-        monkeypatch.setattr(_Assembly, "y_blocks", perturbed)
+        monkeypatch.setattr(GramMatrix, "y_blocks", perturbed)
         with pytest.raises(AssertionError, match=message):
             gram_matrix(DynkinDiagram("A", 1), 2).entries
         code = cli.main(["gram", "--ell", "2", "--d", "2", "--cache-dir", str(tmp_path)])
@@ -768,8 +780,8 @@ def _n_matrix_count(rows, cols):
 
 def _k_gram(n):
     """The K-Gram matrix of degree n as (partitions, entries)."""
-    asm = _Assembly(((ONE,),), n)
-    return [tuple(s for s, _ in cp) for cp in asm.index], asm.matrix()
+    g = GramMatrix("K", n, ((ONE,),))
+    return [tuple(s for s, _ in cp) for cp in g.index], g.entries
 
 
 class TestKPairingAndSchur:

@@ -303,6 +303,20 @@ def test_one_exact_quotient():
     assert not found, f"divide-or-raise outside qlaurent.exact_quotient: {found}"
 
 
+def test_one_gram_class():
+    # one object per ([X], d): the Gram matrix holds its layout, T, both
+    # sparse products and the determinant, with no second class beside it
+    module = _parse(PACKAGE / "gram.py")
+    classes = [node.name for node in module.body if isinstance(node, ast.ClassDef)]
+    assert classes == ["GramMatrix", "BlockSum"], f"classes of gram.py: {classes}"
+    products = [
+        node.lineno
+        for node in ast.walk(module)
+        if isinstance(node, ast.FunctionDef) and node.name == "_product"
+    ]
+    assert len(products) == 1, f"_product defined at lines {products} of gram.py"
+
+
 def test_prime_tables_are_literals():
     # import does no primality work: the prime tables of linalg.py are
     # literals of int constants (certified in tests/test_linalg.py), and no

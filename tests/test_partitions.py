@@ -3,13 +3,13 @@ import random
 import pytest
 
 from gcartan import partitions as pt
-from gcartan.gram import _Assembly
-from gcartan.qcartan import DynkinDiagram, quantized_cartan
+from gcartan.gram import gram_matrix
+from gcartan.qcartan import DynkinDiagram
 
 
 def _gram_index(d, colors):
     # the coloured partitions of d that index the Gram matrix of A_colors
-    return _Assembly(quantized_cartan(DynkinDiagram("A", colors), 1), d).index
+    return gram_matrix(DynkinDiagram("A", colors), d).index
 
 
 class TestEnumeration:
@@ -86,6 +86,12 @@ class TestBlocks:
                         1 for lam in pt.enum_partitions(n) if pt.ell_core(lam, ell) == b.core
                     )
                 assert total == pt.partition_count(n)
+
+    @pytest.mark.parametrize("ell", [0, 1, -2])
+    def test_ell_is_checked(self, ell):
+        # ell = 0 would divide by zero, and a negative ell would give no block
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            pt.blocks(3, ell)
 
     def test_block_label_validation(self):
         with pytest.raises(ValueError):

@@ -151,6 +151,19 @@ class TestQuantumIntegers:
                         prod = prod * quantum_int(a, c * a ** (i - 1))
                     assert prod == quantum_int(a**b, c)
 
+    def test_s_is_checked_at_every_n(self):
+        # n = 0 expands no bracket, so s is checked before the expansion
+        for call in (
+            lambda: quantum_int(1, 0),
+            lambda: quantum_factorial(0, 0),
+            lambda: quantum_factorial(1, 0),
+            lambda: quantum_factorial(0, -1),
+            lambda: quantum_binomial(0, 0, -1),
+            lambda: quantum_binomial(3, 1, 0),
+        ):
+            with pytest.raises(ValueError, match="s must be a positive integer"):
+                call()
+
     def test_factorial_and_binomial(self):
         assert quantum_factorial(2) == quantum_int(2)
         assert quantum_factorial(3) == quantum_int(2) * quantum_int(3)
