@@ -27,16 +27,20 @@ so a hit replays both; each such invocation makes exactly one lookup.  The
 key is a hash of the package sources, so a cached run never outlives the
 code that produced it, together with the command and every argument but the
 cache's location (--force and --limit included).  An entry that does not read
-back as a run is a miss and is overwritten.  While a cache directory is
+back as a run is a miss and is overwritten; a run that cannot be stored
+adds the note "# cache: not stored: <error>" to stderr and keeps its exit
+code, so the cache never decides an outcome.  While a cache directory is
 active, each invocation ends by writing one line
 "# cache: H hit(s), M miss(es)" to stderr; stdout does not change.
 
-Exit codes:
+Exit codes, all decided in `main`:
   0  success
   1  verification failure: a computed result disagrees with its check
   2  usage error: bad arguments or input
-  3  internal error: an invariant of the computation itself broke (an
-     inexact division, an inconsistent intermediate result)
+  3  internal error: any other exception, such as a broken invariant of the
+     computation (an inexact division, an inconsistent intermediate result)
+     or an exhausted recursion limit; stderr gets one line
+     "internal error: <type>: <message>" and no traceback
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ def _source_digest() -> str:
 class DiskCache:
     """Content-addressed cache of runs, each stored as a JSON object {"stdout":
     text, "stderr": text}; atomic write-temp-then-rename.  Counts the hits and
-    misses of its lookups."""
+    misses of its lookups.  A root of None disables it: `main` then makes no
+    lookup and stores nothing."""
 
     def __init__(self, root: Path | None):
         self.root = root
@@ -182,8 +187,6 @@ class DiskCache:
         """The run stored under key.  An entry that cannot be read back as a
         run (absent, not JSON, or another shape) is a miss, and the next put
         overwrites it."""
-        if self.root is None:
-            return None
         try:
             run = json.loads((self.root / key[:2] / key).read_text())
         except (OSError, ValueError):
@@ -195,8 +198,6 @@ class DiskCache:
         return None
 
     def put(self, key: str, run: dict) -> None:
-        if self.root is None:
-            return
         d = self.root / key[:2]
         d.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp")
@@ -677,51 +678,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args.cache = _cache_from(args)
-    try:
-        return _run(args)
-    finally:
-        if args.cache.root is not None:
-            sys.stderr.write(
-                f"# cache: {args.cache.hits} hit(s), {args.cache.misses} miss(es)\n"
-            )
-
-
-def _run(args) -> int:
-    cache = args.cache
-    cache_key = None
-    if args.command in ("gram", "det", "table", "twisted"):
-        # where the cache lives never changes an output; --force and --limit
-        # stay in the key, so a refused request is never served a forced run
-        fields = {
-            k: v for k, v in vars(args).items() if k not in ("fn", "cache", "cache_dir")
-        }
-        cache_key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
-        run = cache.get(cache_key)
-        if run is not None:
-            sys.stderr.write(run["stderr"])
-            sys.stdout.write(run["stdout"])
-            return 0
+    """Run one command and decide its exit code: every exception that the
+    cache lookup, the command or the cache store raises ends here."""
+    args = build_parser().parse_args(argv)
+    cache = _cache_from(args)
     # the command's notes to stderr are kept, so that a cache hit replays them
     notes, text, code = io.StringIO(), "", 0
     try:
-        with contextlib.redirect_stderr(notes):
-            text = args.fn(args)
+        key = run = None
+        if cache.root is not None and args.command in ("gram", "det", "table", "twisted"):
+            # where the cache lives never changes an output; --force and
+            # --limit stay in the key, so a refused request is never served a
+            # forced run
+            fields = {k: v for k, v in vars(args).items() if k not in ("fn", "cache_dir")}
+            key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
+            run = cache.get(key)
+        if run is None:
+            with contextlib.redirect_stderr(notes):
+                out = args.fn(args)
+            run = {"stdout": out, "stderr": notes.getvalue()}
+            if key is not None:
+                try:
+                    cache.put(key, run)
+                except OSError as exc:  # a cache that cannot be written costs a note
+                    notes.write(f"# cache: not stored: {exc}\n")
+        else:
+            notes.write(run["stderr"])
+        text = run["stdout"]
     except (UsageError, ValueError) as exc:
         notes.write(f"error: {exc}\n")
         code = 2
     except VerificationFailure as exc:
         text, code = str(exc), 1
-    except (AssertionError, ArithmeticError) as exc:
+    except Exception as exc:
         notes.write(f"internal error: {type(exc).__name__}: {exc}\n")
         code = 3
-    finally:
-        sys.stderr.write(notes.getvalue())
+    sys.stderr.write(notes.getvalue())
     sys.stdout.write(text)
-    if code == 0 and cache_key is not None:
-        cache.put(cache_key, {"stdout": text, "stderr": notes.getvalue()})
+    if cache.root is not None:
+        sys.stderr.write(f"# cache: {cache.hits} hit(s), {cache.misses} miss(es)\n")
     return code
 
 

@@ -314,6 +314,7 @@ def bunkaito_decompose(p: int, r: int, d: int) -> BunkaitoReport:
     """Decompose S^{p,r}_d = {CUT_{p^r}(lam) != empty : lam in Par(d)} as a
     disjoint union of Sort(prod_j INFL_{d_j}(Psi^{p,r}_{a_j})) blocks and
     verify the multiset equality against the direct construction."""
+    _check_p_r(p, r)
     if d < 1:
         raise ValueError("d must be positive")
     ell = p**r

@@ -27,9 +27,10 @@ class LaurentPoly:
         t = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(e, int):
+                # type, not isinstance: a bool would serialise as "True"
+                if type(e) is not int:
                     raise TypeError(f"exponent {e!r} is not an integer")
-                if not isinstance(c, int):
+                if type(c) is not int:
                     raise TypeError(f"coefficient {c!r} is not an integer")
                 if c:
                     t[e] = c

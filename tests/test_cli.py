@@ -146,6 +146,35 @@ class TestCacheCounts:
         code3, out3, err3 = run(capsys, *args)
         assert code3 == 0 and out3 == out1 and err3.endswith("# cache: 1 hit(s), 0 miss(es)\n")
 
+    def test_a_cache_that_cannot_be_written_costs_a_note(self, capsys, tmp_path):
+        # --cache-dir names a regular file: the run succeeds as without a
+        # cache, and says that it was not stored
+        args = ("gram", "--ell", "2", "--d", "1")
+        code0, out0, err0 = run(capsys, *args, "--cache-dir", "")
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        code, out, err = run(capsys, *args, "--cache-dir", str(blocked))
+        assert (code0, err0) == (0, "") and (code, out) == (0, out0)
+        note, counts = err.splitlines(keepends=True)
+        assert note.startswith("# cache: not stored: ") and "Not a directory" in note
+        assert counts == "# cache: 0 hit(s), 1 miss(es)\n"
+        assert blocked.read_text() == ""
+
+    def test_a_failed_store_leaves_no_temp_file(self, capsys, cache_dir):
+        # the entry's path is a directory: the lookup is a miss, the rename
+        # fails, and the temp file is removed
+        args = ("det", "--ell", "2", "--d", "2", "--cache-dir", cache_dir)
+        code1, out1, _ = run(capsys, *args)
+        (entry,) = Path(cache_dir).glob("*/*")
+        entry.unlink()
+        (entry / "inside").mkdir(parents=True)
+        code2, out2, err2 = run(capsys, *args)
+        assert code1 == code2 == 0 and out2 == out1
+        note, counts = err2.splitlines(keepends=True)
+        assert note.startswith("# cache: not stored: ")
+        assert counts == "# cache: 0 hit(s), 1 miss(es)\n"
+        assert sorted(entry.parent.iterdir()) == [entry]
+
     def test_no_line_without_a_cache(self, capsys):
         code, out, err = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
         assert code == 0 and out and err == ""
@@ -163,7 +192,10 @@ class TestCacheKey:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("error", [AssertionError, ArithmeticError, ZeroDivisionError])
+    @pytest.mark.parametrize(
+        "error",
+        [AssertionError, ArithmeticError, ZeroDivisionError, TypeError, KeyError, RecursionError],
+    )
     def test_internal_error_exits_3(self, capsys, cache_dir, monkeypatch, error):
         def broken(args):
             raise error("inexact division")
@@ -172,6 +204,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "table", "--ell", "2", "--cache-dir", cache_dir)
         assert code == 3 and out == ""
         assert "internal error" in err and "inexact division" in err
+
+    def test_exhausted_recursion_exits_3(self, capsys):
+        # p^r = 2^2000 recurses past the interpreter's limit: an internal
+        # error, not the verification-failure exit of a traceback
+        code, out, err = run(capsys, "verify", "bunkaito", "--p", "2", "--r", "2000", "--d", "3",
+                             "--cache-dir", "")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
 
     def test_value_error_is_still_usage(self, capsys, cache_dir, monkeypatch):
         def bad_input(args):
@@ -721,6 +761,8 @@ class TestOptionPolicy:
         ),
         (("invariants", "--p", "2", "--ell", "6", "--partition", "1"), "got --p --ell"),
         (("table", "--ell", "3", "--dmax", "-1"), "dmax must be >= 0"),
+        # p = 1 makes ell = 1, so the check used to pass on two empty sides
+        (("verify", "bunkaito", "--p", "1", "--r", "1", "--d", "3"), "p must be prime"),
         # ell = 0 used to divide by zero (exit 3), and ell = -2 to sum no block
         (("gram", "--ell", "0", "--blocks", "3"), "ell must be >= 2"),
         (("gram", "--ell", "-2", "--blocks", "3"), "ell must be >= 2"),

@@ -743,6 +743,54 @@ class TestAssembly:
         assert code == 3 and "internal error" in err and message in err
 
 
+class TestUnitriangularCheck:
+    # every consumer of the x -> y change of basis checks it first: a broken
+    # expansion of one x-monomial is caught, not folded into a determinant
+    CHECKED = (gram_det, gram_det_at_one, gram_field_invariants)
+    DG, D = DynkinDiagram("A", 2), 3
+
+    @pytest.fixture(autouse=True)
+    def fresh_expansions(self):
+        gram.x_monomial_expansion.cache_clear()
+        yield
+        gram.x_monomial_expansion.cache_clear()
+
+    def _break(self, monkeypatch, change):
+        """Patch the expansion of the finest x-monomial of (DG, D) by
+        change(cp, den, numerators), on a copy of the cached value."""
+        original = gram.x_monomial_expansion
+        target = gram_matrix(self.DG, self.D).index[-1]
+
+        def broken(cp):
+            den, nums = original(cp)
+            return (den, change(cp, den, dict(nums))) if cp == target else (den, nums)
+
+        monkeypatch.setattr(gram, "x_monomial_expansion", broken)
+        return target
+
+    @pytest.mark.parametrize("fn", CHECKED, ids=lambda fn: fn.__name__)
+    def test_a_wrong_diagonal_is_caught(self, monkeypatch, fn):
+        def change(cp, den, nums):
+            nums[cp] = den + 1
+            return nums
+
+        self._break(monkeypatch, change)
+        with pytest.raises(AssertionError, match="diagonal coefficient"):
+            fn(self.DG, self.D)
+
+    @pytest.mark.parametrize("fn", CHECKED, ids=lambda fn: fn.__name__)
+    def test_a_coarser_monomial_is_caught(self, monkeypatch, fn):
+        # the finest x-monomial gains the y-monomial of the coarsest shape
+        def change(cp, den, nums):
+            nums[((self.D, 0),)] = 1
+            return nums
+
+        target = self._break(monkeypatch, change)
+        assert pt.shape(target) == (1,) * self.D
+        with pytest.raises(AssertionError, match="does not refine"):
+            fn(self.DG, self.D)
+
+
 class TestBlockSum:
     def test_examples(self):
         bs = block_sum(2, 2)

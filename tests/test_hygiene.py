@@ -342,3 +342,34 @@ def test_prime_tables_are_literals():
         if isinstance(node, ast.Call)
     ]
     assert calls == ["tuple"], calls
+
+
+def _broad_handlers(node: ast.AST, where: str):
+    """(enclosing function, line) of every except clause under node that
+    catches Exception or BaseException, or everything, and has no bare
+    `raise` to re-raise what it caught."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        if isinstance(child, ast.ExceptHandler) and (
+            child.type is None or _used_names(child.type) & {"Exception", "BaseException"}
+        ):
+            if not any(isinstance(n, ast.Raise) and n.exc is None for n in ast.walk(child)):
+                yield where, child.lineno
+        yield from _broad_handlers(child, inner)
+
+
+def test_one_exit_handler():
+    # cli.main alone decides exit codes: one try covers the cache lookup,
+    # the command and the cache store, with no helper that runs the command
+    # outside it, and nothing else in the package swallows every exception
+    # (a cleanup that re-raises, as DiskCache.put's, passes)
+    cli = _parse(PACKAGE / "cli.py")
+    runs = [node.lineno for node in ast.walk(cli)
+            if isinstance(node, ast.FunctionDef) and node.name == "_run"]
+    assert not runs, f"cli.py defines _run at lines {runs}"
+    found = [
+        f"{path.stem}.{fn}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn, line in _broad_handlers(_parse(path), "<module>")
+    ]
+    assert [name.split(":")[0] for name in found] == ["cli.main"], found

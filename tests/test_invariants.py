@@ -208,6 +208,16 @@ class TestBunkaito:
         with pytest.raises(ValueError):
             bunkaito_decompose(2, 1, 0)
 
+    @pytest.mark.parametrize(
+        "p, r, message",
+        [(1, 1, "p must be prime, got 1"), (4, 1, "p must be prime, got 4"), (2, 0, "r must be >= 1")],
+    )
+    def test_p_and_r_are_checked(self, p, r, message):
+        # p = 1 makes ell = 1, which cuts every part: both sides were empty
+        # and the check passed with nothing in it
+        with pytest.raises(ValueError, match=message):
+            bunkaito_decompose(p, r, 3)
+
     def test_medium(self):
         assert bunkaito_decompose(2, 2, 6).verified
         assert bunkaito_decompose(3, 1, 5).verified

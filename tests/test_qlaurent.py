@@ -48,6 +48,16 @@ class TestRingBasics:
         with pytest.raises(TypeError):
             LaurentPoly({0: 1, 1: Fraction(0, 3)})
 
+    def test_rejects_bools(self):
+        # a bool is an int subclass, but to_json would write it as "True",
+        # which from_json refuses
+        with pytest.raises(TypeError, match="coefficient True"):
+            LaurentPoly({0: True})
+        with pytest.raises(TypeError, match="exponent True"):
+            LaurentPoly({True: 2})
+        with pytest.raises(TypeError, match="exponent False"):
+            LaurentPoly({2: 1, False: 3})
+
     def test_equality_is_term_equality(self):
         assert LaurentPoly({1: 1, -1: 1}) == LaurentPoly({-1: 1, 1: 1})
         assert LaurentPoly({1: 1}) != LaurentPoly({1: 2})
