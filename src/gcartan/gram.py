@@ -13,7 +13,7 @@ monomials with the same underlying partition this telescopes to
 
 a product of permanents, one per part size.  Since [n]_m(v) = [n](v^m),
 ([a_ij]_m) is [X] = ([a_ij]) at v^m, so a pairing is its k x k matrix [X],
-passed as it is: the quantized Cartan matrix quantized_cartan(dg, 1) of a
+passed as it is: the quantized Cartan matrix quantized_cartan(dg) of a
 finite diagram, or ((ONE,),) for schur_orthonormality.  One column expansion,
 permanent_matrix, gives the permanents over the ring of the matrix it is
 given: over Z[v,v^-1] from [X], over Z from [X] at v=1.  One class,
@@ -209,9 +209,7 @@ def _x_single(n: int, color: int) -> tuple[tuple[pt.ColoredPartition, int], ...]
     # as integer numerators over n! (each prod_u m_u(kappa)! divides n!)
     out = []
     for kappa in pt.enum_partitions(n):
-        denom = 1
-        for m in pt.mults(kappa).values():
-            denom *= math.factorial(m)
+        denom = math.prod(map(math.factorial, pt.mults(kappa).values()))
         cp = pt.colored_partition((k, color) for k in kappa)
         out.append((cp, math.factorial(n) // denom))
     return tuple(out)
@@ -479,21 +477,25 @@ class GramMatrix:
             self._c1 = self._product(self.y_blocks(_at_one(self.a)), int, _entry_quotient, 0)
         return self._c1
 
-    def _kron_det(self, a, factor_det):
+    def _kron_det(self, a):
         """The determinant of this matrix from the Kronecker factors of every
         shape, without building `entries` or `at_one()`, over the ring of a's
         entries: a is self.a = [X] for det G, or [X] at v=1 for det G at v=1.
         det(A (x) B) = det(A)^{dim B} det(B)^{dim A}, and the unitriangular
         change of basis contributes 1 (checked here).
 
-        P_s(m) is P(m) at v^s, so each P(m) = permanent_matrix(a, 1, m) is
-        computed once, for every s: it is split by the colour reversal where
-        _reversal_split finds that it fixes it, and factor_det eliminates
-        each part (or the whole factor); the result is taken at v^s."""
+        The ring picks the kernel: laurent_det over Z[v,v^-1], and its
+        multi-modular integer kernel _int_det_multimodular at v=1.  P_s(m) is
+        P(m) at v^s, so each P(m) = permanent_matrix(a, 1, m) is computed
+        once, for every s: it is split by the colour reversal where
+        _reversal_split finds that it fixes it, and the kernel eliminates
+        each part (or the whole factor); the result is taken at v^s and
+        multiplied in shape by shape."""
         self.check_unitriangular()
         colors = len(a)
-        dets = {}
         num = _one(a)
+        factor_det = laurent_det if num is ONE else _int_det_multimodular
+        dets = {}
         den = 1
         for lam in self.shapes:
             keys = self.factor_keys[lam]
@@ -548,39 +550,40 @@ def gram_matrix(dg: DynkinDiagram, d: int) -> GramMatrix:
     For dg = A_{ell-1} this is the graded Cartan matrix of a weight-d block
     at quantum characteristic ell.
     """
-    return GramMatrix(dg.label(), d, quantized_cartan(dg, 1))
+    return GramMatrix(dg.label(), d, quantized_cartan(dg))
 
 
 def cartan_graded(ell: int, d: int) -> GramMatrix:
     """C^v_{ell,d} with the type-A label attached."""
-    return GramMatrix(f"ell={ell}", d, quantized_cartan(type_a(ell), 1))
+    return GramMatrix(f"ell={ell}", d, quantized_cartan(type_a(ell)))
 
 
 def gram_det(dg: DynkinDiagram, d: int) -> LaurentPoly:
     """Exact determinant of gram_matrix(dg, d).
 
     Exploits the run-time-verified unitriangular change of basis and the
-    Kronecker-factored shape blocks.  det P(m) is computed once, and
-    det P_s(m) is it at v^s: where the colour reversal fixes P(m) (checked, see
-    _reversal_split), laurent_det (evaluation mod p, F_p elimination, Newton
-    interpolation, CRT under a Hadamard bound) runs on its plus and minus
-    blocks, else on the whole factor.  No closed determinant formula is
-    consulted; in particular not det Sym^m = det^binom, which is under test.
+    Kronecker-factored shape blocks (GramMatrix._kron_det on [X]).  det P(m)
+    is computed once, and det P_s(m) is it at v^s: where the colour reversal
+    fixes P(m) (checked, see _reversal_split), laurent_det (evaluation mod p,
+    F_p elimination, Newton interpolation, CRT under a Hadamard bound) runs on
+    its plus and minus blocks, else on the whole factor.  No closed
+    determinant formula is consulted; in particular not det Sym^m =
+    det^binom, which is under test.
     """
     g = gram_matrix(dg, d)
-    return g._kron_det(g.a, laurent_det)
+    return g._kron_det(g.a)
 
 
 def gram_det_at_one(dg: DynkinDiagram, d: int) -> int:
     """Exact determinant of gram_matrix(dg, d) at v=1, which v -> v^s fixes,
-    so one result per P(m) serves every s.  GramMatrix._kron_det expands each
-    P(m) at v=1 over Z from [X] at v=1 (the factors GramMatrix.at_one reads),
-    and the multi-modular kernel of laurent_det (F_p elimination, CRT,
-    symmetric lift under a Hadamard bound) runs on it or on the two blocks of
-    its colour reversal split; no Laurent polynomial is multiplied and no
-    closed formula is involved."""
+    so one result per P(m) serves every s.  GramMatrix._kron_det, handed [X]
+    at v=1, expands each P(m) at v=1 over Z (the factors GramMatrix.at_one
+    reads), and for that integer ring runs the multi-modular kernel of
+    laurent_det (F_p elimination, CRT, symmetric lift under a Hadamard bound)
+    on it or on the two blocks of its colour reversal split; no Laurent
+    polynomial is multiplied and no closed formula is involved."""
     g = gram_matrix(dg, d)
-    return g._kron_det(_at_one(g.a), _int_det_multimodular)
+    return g._kron_det(_at_one(g.a))
 
 
 def gram_field_invariants(dg: DynkinDiagram, d: int):

@@ -145,10 +145,11 @@ def asy_Q(ell: int, lam: pt.Partition) -> LaurentPoly:
 
 def composite_hill(ell: int, lam: pt.Partition) -> int:
     """I_ell(lam) = prod over prime divisors p of ell of I_{p, nu_p(ell)}(lam)."""
-    out = 1
-    for p in pt.prime_divisors(ell):
-        out *= hill_invariant(p, pt.p_adic_split(ell, p)[1], lam)
-    return out
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    return math.prod(
+        hill_invariant(p, pt.p_adic_split(ell, p)[1], lam) for p in pt.prime_divisors(ell)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +425,9 @@ def conjecture_report(
     assembled in layer 4, and charged to it), and `dim`, the dimension of the
     Gram matrix.
     """
+    _check_p_r(p, r)
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     start = time.monotonic()
     ell = p**r
     dim = pt.u_count(ell - 1, d)

@@ -73,12 +73,23 @@ def _require_square(matrix: Sequence[Sequence]) -> int:
     return n
 
 
+def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A copy of matrix as lists of rows, every entry an int: anything else,
+    bools included, raises TypeError rather than being truncated by int()."""
+    rows = [list(row) for row in matrix]
+    bad = [x for row in rows for x in row if type(x) is not int]
+    if bad:
+        raise TypeError(f"not an integer entry: {bad[0]!r}")
+    return rows
+
+
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination."""
+    """Determinant of an integer matrix by Bareiss elimination; an entry that
+    is not an int raises TypeError."""
     n = _require_square(matrix)
     if n == 0:
         return 1
-    m = [list(map(int, row)) for row in matrix]
+    m = _int_rows(matrix)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -216,9 +227,7 @@ def _int_det_multimodular(matrix: Sequence[Sequence[int]]) -> int:
     n = _require_square(matrix)
     if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    bound_sq = 1
-    for row in matrix:
-        bound_sq *= sum(x * x for x in row)
+    bound_sq = math.prod(sum(x * x for x in row) for row in matrix)
     if not bound_sq:
         return 0
     upper = [row[i:] for i, row in enumerate(matrix)]

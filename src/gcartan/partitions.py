@@ -254,7 +254,9 @@ def psi_set(p: int, r: int, a: int) -> tuple[Partition, ...]:
         raise ValueError(f"p must be prime, got {p}")
     if r < 1 or a < 1:
         raise ValueError("need r >= 1 and a >= 1")
-    return tuple(sorted(_power_partitions(a, [p**h for h in range(r)]), reverse=True))
+    # the parts are the powers p^h <= a, and p >= 2 makes h < a.bit_length()
+    powers = [p**h for h in range(min(r, a.bit_length())) if p**h <= a]
+    return tuple(sorted(_power_partitions(a, powers), reverse=True))
 
 
 def _power_partitions(a: int, powers: list[int]) -> Iterator[Partition]:

@@ -87,20 +87,20 @@ def type_a(ell: int) -> DynkinDiagram:
 
 
 @lru_cache(maxsize=None)
-def quantized_cartan(dg: DynkinDiagram, s: int) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """The rows of [X]_s = ([a_ij]_s): entrywise quantum integers of the
-    Cartan matrix."""
-    return tuple(tuple(quantum_int(x, s) for x in row) for row in dg.cartan_matrix())
+def quantized_cartan(dg: DynkinDiagram) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of [X] = ([a_ij]): entrywise quantum integers of the Cartan
+    matrix.  [X]_s = ([a_ij]_s) is [X] at v^s, since [n]_s(v) = [n](v^s), so
+    every caller takes [X] and substitutes v -> v^s into its results."""
+    return tuple(tuple(quantum_int(x) for x in row) for row in dg.cartan_matrix())
 
 
 @lru_cache(maxsize=None)
 def det_quantized(dg: DynkinDiagram, s: int) -> LaurentPoly:
-    """det [X]_s, exactly: det [X]_1 by laurent_det, at v^s.  [n]_s(v) =
-    [n](v^s), so [X]_s is [X]_1 under the ring map v -> v^s, which commutes
-    with determinants."""
+    """det [X]_s, exactly: det [X] by laurent_det, at v^s.  [X]_s is [X]
+    under the ring map v -> v^s, which commutes with determinants."""
     if s != 1:
         return det_quantized(dg, 1).subst_power(s)
-    return laurent_det(quantized_cartan(dg, 1))
+    return laurent_det(quantized_cartan(dg))
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +118,7 @@ def _exponents_binomial(f: tuple[int, ...], d: int) -> tuple[int, ...]:
     out = [0] * (d + 1)
     for lam in pt.enum_partitions(d):
         ms = pt.mults(lam)
-        full = 1
-        for u, m in ms.items():
-            full *= math.comb(m + f[u - 1] - 1, m)
+        full = math.prod(math.comb(m + f[u - 1] - 1, m) for u, m in ms.items())
         for s, m in ms.items():
             top = m + f[s - 1] - 1
             out[s] += math.comb(top, m - 1) * (full // math.comb(top, m))
@@ -177,21 +175,14 @@ def exponent_N(colors: int, d: int, s: int) -> int:
     return a
 
 
-def _power_product(factor, exponents) -> LaurentPoly:
-    """prod_{s=1}^{d} factor(s)^{exponents[s - 1]}, skipping zero exponents."""
-    out = ONE
-    for s, n in enumerate(exponents, 1):
-        if n:
-            out = out * factor(s) ** n
-    return out
-
-
 def shapovalov_det_formula(dg: DynkinDiagram, d: int) -> LaurentPoly:
     """prod_{s=1}^{d} (det [X]_s)^{N_{|I|,d,s}} as an explicit Laurent polynomial."""
     if d < 0:
         raise ValueError("d must be >= 0")
     exponents = [exponent_N(dg.nodes, d, s) for s in range(1, d + 1)]
-    return _power_product(lambda s: det_quantized(dg, s), exponents)
+    return math.prod(
+        (det_quantized(dg, s) ** n for s, n in enumerate(exponents, 1) if n), start=ONE
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +334,8 @@ def twisted_det_formula(td: TwistedDiagram, d: int) -> LaurentPoly:
     computed anywhere in this package.
     """
     f = tuple(td.f(i) for i in range(1, d + 1))
-    return _power_product(td.gamma, _exponents_binomial(f, d)[1:])
+    exponents = _exponents_binomial(f, d)[1:]
+    return math.prod((td.gamma(s) ** n for s, n in enumerate(exponents, 1) if n), start=ONE)
 
 
 def folding_det_check(td: TwistedDiagram, t: int) -> bool:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
 
-from .linalg import _require_square, int_det
+from .linalg import _int_rows, _require_square, int_det
 from .partitions import is_prime, p_adic_split
 from .qlaurent import (
     ONE, ZERO, LaurentPoly, divide_exact, exact_quotient, normalize_unit, sub_product,
@@ -212,9 +212,10 @@ def _snf_int_dense(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     value and clears with nearest-integer quotients (gcd descent, each
     remainder at most half the pivot); then the divisibility chain is
     restored by gcd/lcm swaps on the diagonal (`snf_int_diagonal`), an
-    equivalence of diagonal matrices.
+    equivalence of diagonal matrices.  An entry that is not an int raises
+    TypeError.
     """
-    m = [list(map(int, r)) for r in matrix]
+    m = _int_rows(matrix)
     diag, _, stopped = _diagonalize(m, abs, _reduce_int)
     if stopped != "cleared":
         raise ArithmeticError(f"integer elimination {stopped}")
@@ -610,11 +611,7 @@ def snf_of_diagonal(values: Sequence[LaurentPoly | tuple[LaurentPoly, ...]]) -> 
     for i in range(sum(counts.values())):
         exps = tuple(col[i] for col in columns)
         if exps not in powers:
-            p = ONE
-            for b, e in zip(base, exps):
-                if e:
-                    p = p * b**e
-            powers[exps] = p
+            powers[exps] = math.prod((b**e for b, e in zip(base, exps) if e), start=ONE)
         invs.append(powers[exps])
     return InvariantMultiset.polys(invs + [ZERO] * (len(values) - len(invs)), RING_QLAURENT)
 

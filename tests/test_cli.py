@@ -205,13 +205,39 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "internal error" in err and "inexact division" in err
 
-    def test_exhausted_recursion_exits_3(self, capsys):
-        # p^r = 2^2000 recurses past the interpreter's limit: an internal
-        # error, not the verification-failure exit of a traceback
+    def test_exhausted_recursion_exits_3(self):
+        # under a recursion limit of 45 the walk of Par(40) recurses past it:
+        # an internal error, not the verification-failure exit of a
+        # traceback.  The same run at d = 5 passes under the same limit, so
+        # the partition walk is the recursion
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        procs = {}
+        for d in (40, 5):
+            code = (
+                "import sys\n"
+                "from gcartan import cli\n"
+                "sys.setrecursionlimit(45)\n"
+                "raise SystemExit(cli.main(['verify', 'tsaigo', '--p', '2', '--r', '1',"
+                f" '--d', '{d}', '--u', '1', '--cache-dir', '']))\n"
+            )
+            procs[d] = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            )
+        deep, shallow = procs[40], procs[5]
+        assert (deep.returncode, deep.stdout) == (3, ""), deep.stderr
+        assert deep.stderr.startswith("internal error: RecursionError: ")
+        assert deep.stderr.count("\n") == 1
+        assert shallow.returncode == 0, shallow.stderr
+        assert json.loads(shallow.stdout)["ok"] is True
+
+    def test_bunkaito_at_a_large_r_passes(self, capsys):
+        # only the powers p^h <= a are parts of Psi^{p,r}_a: 2^2000 once
+        # recursed once per power and exited 3
         code, out, err = run(capsys, "verify", "bunkaito", "--p", "2", "--r", "2000", "--d", "3",
                              "--cache-dir", "")
-        assert (code, out) == (3, "")
-        assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ok"] is True
 
     def test_value_error_is_still_usage(self, capsys, cache_dir, monkeypatch):
         def bad_input(args):
@@ -574,7 +600,7 @@ class TestSnfCommand:
         from gcartan.qcartan import quantized_cartan, type_a
 
         f = tmp_path / "m.json"
-        p = permanent_matrix(quantized_cartan(type_a(4), 1), 1, 5)
+        p = permanent_matrix(quantized_cartan(type_a(4)), 1, 5)
         f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in p]}))
         code, out, _ = run(
             capsys, "snf", "--input", str(f), "--ring", "qlaurent", "--cache-dir", cache_dir

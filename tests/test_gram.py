@@ -34,6 +34,11 @@ from gcartan.qlaurent import ONE, LaurentPoly, quantum_int
 from gcartan.snf import multiset_equal_up_to_units, snf_laurent_field, snf_of_diagonal
 
 
+def _x_s(dg, s):
+    """[X]_s = ([a_ij]_s), built entry by entry from quantum_int(a_ij, s)."""
+    return tuple(tuple(quantum_int(x, s) for x in row) for row in dg.cartan_matrix())
+
+
 def _reference_index(colors, d):
     """Every coloured partition of d in `colors` colours, one per
     multipartition (component i holds the parts of colour i), sorted by
@@ -107,7 +112,7 @@ class TestXExpansion:
 
 class TestYPair:
     def test_examples(self):
-        a1 = quantized_cartan(DynkinDiagram("A", 1), 1)
+        a1 = quantized_cartan(DynkinDiagram("A", 1))
         assert y_pair(((1, 0),), ((1, 0),), a1) == (quantum_int(2), 1)
         assert y_pair(((1, 0), (1, 0)), ((2, 0),), a1)[0].is_zero
         two = quantum_int(2)
@@ -116,7 +121,7 @@ class TestYPair:
         assert y_pair(((2, 0),), ((2, 0),), a1) == (quantum_int(2, 2), 2)
 
     def test_symmetry(self):
-        x = quantized_cartan(DynkinDiagram("A", 2), 1)
+        x = quantized_cartan(DynkinDiagram("A", 2))
         rng = random.Random(3)
         monos = GramMatrix("A:2", 4, x).index
         for _ in range(40):
@@ -125,7 +130,7 @@ class TestYPair:
             assert y_pair(m1, m2, x) == y_pair(m2, m1, x)
 
     def test_bar_invariance(self):
-        x = quantized_cartan(DynkinDiagram("A", 2), 1)
+        x = quantized_cartan(DynkinDiagram("A", 2))
         monos = GramMatrix("A:2", 3, x).index
         for m1 in monos:
             for m2 in monos:
@@ -285,7 +290,7 @@ class TestColourReversalSplit:
     def test_split_against_unsplit(self, rank):
         # every P_s(m) with s m <= 4, the factors of the Gram matrices of
         # degree at most 4
-        x = quantized_cartan(DynkinDiagram("A", rank), 1)
+        x = quantized_cartan(DynkinDiagram("A", rank))
         for s, m in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]:
             f = permanent_matrix(x, s, m)
             sigma = _reversal(rank, m)
@@ -304,10 +309,10 @@ class TestColourReversalSplit:
         for s, m in [(1, 1), (1, 2), (2, 1)]:
             sigma = _reversal(dg.nodes, m)
             assert any(sigma[a] != a for a in range(len(sigma)))
-            assert _reversal_split(permanent_matrix(quantized_cartan(dg, 1), s, m), sigma) is None
+            assert _reversal_split(permanent_matrix(quantized_cartan(dg), s, m), sigma) is None
 
     def test_one_perturbed_entry_declines_the_split(self):
-        x = quantized_cartan(DynkinDiagram("A", 3), 1)
+        x = quantized_cartan(DynkinDiagram("A", 3))
         f = [list(row) for row in permanent_matrix(x, 1, 2)]
         sigma = _reversal(3, 2)
         assert _reversal_split(f, sigma) is not None
@@ -315,7 +320,7 @@ class TestColourReversalSplit:
         assert _reversal_split(f, sigma) is None
 
     def test_one_colour_is_not_split(self):
-        f = permanent_matrix(quantized_cartan(DynkinDiagram("A", 1), 1), 1, 3)
+        f = permanent_matrix(quantized_cartan(DynkinDiagram("A", 1)), 1, 3)
         assert _reversal_split(f, _reversal(1, 3)) is None
 
     @pytest.mark.parametrize(
@@ -368,7 +373,7 @@ def _random_matrix(seed, k):
 
 
 class TestPermanent:
-    MATRICES = [quantized_cartan(DynkinDiagram("A", n), 1) for n in (1, 2, 3)] + [
+    MATRICES = [quantized_cartan(DynkinDiagram("A", n)) for n in (1, 2, 3)] + [
         ((ONE,),),
         _random_matrix(11, 2),
         _random_matrix(12, 3),
@@ -458,7 +463,7 @@ class TestCauchyBinet:
             for s, m in g.factor_keys[lam]:
                 if (s, m) not in eliminated:
                     if s not in smith:
-                        smith[s] = snf_laurent_field(quantized_cartan(dg, s)).elements
+                        smith[s] = snf_laurent_field(_x_s(dg, s)).elements
                     transfer = [
                         math.prod((smith[s][i] for i in c), start=ONE)
                         for c in gram._multisets(dg.nodes, m)
@@ -484,7 +489,7 @@ class TestCauchyBinet:
         # its tuple of Smith-form factors; the same products expanded give
         # the same invariants
         g = gram_matrix(dg, d)
-        smith = {s: snf_laurent_field(quantized_cartan(dg, s)).elements for s in range(1, d + 1)}
+        smith = {s: snf_laurent_field(_x_s(dg, s)).elements for s in range(1, d + 1)}
         expanded = [
             math.prod((smith[s][i] for (s, _), c in zip(keys, combo) for i in c), start=ONE)
             for lam in g.shapes
@@ -525,7 +530,7 @@ class TestKroneckerFactors:
                             key = (s, gx[s], gy[s])
                             if key not in perms:
                                 perms[key] = _brute_permanent(
-                                    quantized_cartan(dg, s), gx[s], gy[s]
+                                    _x_s(dg, s), gx[s], gy[s]
                                 )
                             want = want * perms[key]
                         assert e == want, (dg, d, lam)
@@ -542,10 +547,10 @@ class TestKroneckerFactors:
     def test_index_matches_the_multipartition_reference(self):
         # the index, built from the Kronecker layout, against one coloured
         # partition per multipartition sorted by (shape, colour vector)
-        matrices = [quantized_cartan(DynkinDiagram("A", n), 1) for n in range(1, 7)]
+        matrices = [quantized_cartan(DynkinDiagram("A", n)) for n in range(1, 7)]
         cases = [(x, d) for x in matrices for d in range(6)]
-        cases += [(quantized_cartan(DynkinDiagram("D", 4), 1), d) for d in range(4)]
-        cases += [(quantized_cartan(DynkinDiagram("E", 6), 1), d) for d in range(3)]
+        cases += [(quantized_cartan(DynkinDiagram("D", 4)), d) for d in range(4)]
+        cases += [(quantized_cartan(DynkinDiagram("E", 6)), d) for d in range(3)]
         cases += [(((ONE,),), n) for n in range(7)]
         for x, d in cases:
             want = _reference_index(len(x), d)
@@ -589,9 +594,9 @@ class TestPartSizeSubstitution:
         # P_s(m), taken from P(m) at v^s, against the permanents of [X]_s
         sets = {m: gram._multisets(dg.nodes, m) for m in range(1, 4)}
         for s in (1, 2, 3):
-            x_s = quantized_cartan(dg, s)
+            x_s = _x_s(dg, s)
             for m, cs in sets.items():
-                got = permanent_matrix(quantized_cartan(dg, 1), s, m)
+                got = permanent_matrix(quantized_cartan(dg), s, m)
                 want = tuple(tuple(_brute_permanent(x_s, c, c2) for c2 in cs) for c in cs)
                 assert got == want, (dg, s, m)
 
@@ -599,9 +604,9 @@ class TestPartSizeSubstitution:
     def test_smith_form_of_x_s_is_that_of_x_at_v_s(self, dg):
         # the canonical invariants of [X]_s, eliminated, against those of
         # [X]_1 at v^s, which gram_field_invariants uses
-        base = snf_laurent_field(quantized_cartan(dg, 1)).elements
+        base = snf_laurent_field(quantized_cartan(dg)).elements
         for s in range(1, 7):
-            got = snf_laurent_field(quantized_cartan(dg, s)).elements
+            got = snf_laurent_field(_x_s(dg, s)).elements
             assert got == tuple(x.subst_power(s) for x in base), (dg, s)
 
 
@@ -675,7 +680,7 @@ class TestAssembly:
         # entry (i, j) = sum over monomials a of x_i and b of x_j of
         # coeff_a coeff_b <y_a, y_b>, summed here pair by pair, with no
         # blocks, no shared denominators and no sparse index
-        x = quantized_cartan(dg, 1)
+        x = quantized_cartan(dg)
         for d in range(dmax + 1):
             g = gram_matrix(dg, d)
             exps = []

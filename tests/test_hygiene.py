@@ -317,6 +317,24 @@ def test_one_gram_class():
     assert len(products) == 1, f"_product defined at lines {products} of gram.py"
 
 
+def test_gram_kernels_are_chosen_once():
+    # the ring of [X] picks the determinant kernel: laurent_det over
+    # Z[v,v^-1], _int_det_multimodular at v=1, read in GramMatrix._kron_det
+    # alone, so no caller hands _kron_det a kernel its matrix already fixes
+    kernels = {"laurent_det", "_int_det_multimodular"}
+    reads = {}
+    for stmt in _parse(PACKAGE / "gram.py").body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes = [(f"{stmt.name}.{getattr(n, 'name', '')}", n) for n in stmt.body]
+        else:
+            scopes = [(getattr(stmt, "name", "<module>"), stmt)]
+        for where, scope in scopes:
+            for kind, name, _ in _reads(scope, False):
+                if kind == "name" and name in kernels:
+                    reads.setdefault(where, set()).add(name)
+    assert reads == {"GramMatrix._kron_det": kernels}, reads
+
+
 def test_prime_tables_are_literals():
     # import does no primality work: the prime tables of linalg.py are
     # literals of int constants (certified in tests/test_linalg.py), and no

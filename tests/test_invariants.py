@@ -79,6 +79,13 @@ class TestHill:
         lam = (3, 2, 1, 1)
         assert composite_hill(6, lam) == hill_invariant(2, 1, lam) * hill_invariant(3, 1, lam)
 
+    @pytest.mark.parametrize("ell", [1, 0, -3])
+    def test_composite_refuses_ell_below_2(self, ell):
+        # as kor_invariant and asy_Q do; ell = 1 has no prime divisor and
+        # gave the empty product 1
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            composite_hill(ell, (3,))
+
 
 class TestKor:
     def test_examples(self):
@@ -222,8 +229,22 @@ class TestBunkaito:
         assert bunkaito_decompose(2, 2, 6).verified
         assert bunkaito_decompose(3, 1, 5).verified
 
+    def test_large_r(self):
+        # ell = 2^2000 exceeds d, so nothing is cut: the blocks hold only the
+        # parts 1 and 2, and the powers above them are never walked
+        rep = bunkaito_decompose(2, 2000, 3)
+        assert rep.verified and rep.total == 3 and len(rep.components) == 2
+
 
 class TestConjectureReport:
+    @pytest.mark.parametrize(
+        "p, r, d, message",
+        [(2, 0, 3, "r must be >= 1"), (1, 1, 3, "p must be prime"), (2, 1, -1, "d must be nonnegative")],
+    )
+    def test_arguments_are_checked_first(self, p, r, d, message):
+        with pytest.raises(ValueError, match=message):
+            conjecture_report(p, r, d)
+
     def test_trivial_case_all_verified(self):
         rep = conjecture_report(2, 1, 1)
         assert [lay.status for lay in rep.layers] == ["VERIFIED"] * 4

@@ -120,7 +120,7 @@ class TestLaurentDet:
     def test_largest_factor_against_int_det_at_two(self):
         # P_1(4) at ell=5, the 35-row factor of shape 1^4, with rows scaled
         # into Z[v] and evaluated at v=2
-        f = permanent_matrix(quantized_cartan(type_a(5), 1), 1, 4)
+        f = permanent_matrix(quantized_cartan(type_a(5)), 1, 4)
         assert len(f) == 35
         lows = [min(e.min_exp for e in row if not e.is_zero) for row in f]
         at_two = [[at(e.shift(-lo), 2) for e in row] for row, lo in zip(f, lows)]
@@ -242,7 +242,7 @@ class TestParityGrading:
     def test_reversal_halves(self, monkeypatch, ell, m, half, rows, nodes, full, digest):
         # the digest is of the determinant as computed on all the nodes
         # before the grading was used; the full-node route must still give it
-        f = permanent_matrix(quantized_cartan(type_a(ell), 1), 1, m)
+        f = permanent_matrix(quantized_cartan(type_a(ell)), 1, m)
         part = _reversal_split(f, _reversal(ell - 1, m))[half]
         assert len(part) == rows
         calls = _count_eliminations(monkeypatch)
@@ -455,7 +455,7 @@ class TestIntDetMod:
     def test_every_factor_and_reversal_half_at_one(self, dg):
         # every P_s(m) with s m <= 4 at v=1, and the two halves of its colour
         # reversal split where there is one
-        x = quantized_cartan(dg, 1)
+        x = quantized_cartan(dg)
         for s, m in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]:
             f = [[e.at_one() for e in row] for row in permanent_matrix(x, s, m)]
             split = _reversal_split(f, _reversal(dg.nodes, m))

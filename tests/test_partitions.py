@@ -167,6 +167,8 @@ class TestPsiSets:
         assert set(pt.psi_set(2, 2, 3)) == {(2, 1), (1, 1, 1)}
         for a in range(1, 6):
             assert pt.psi_set(5, 1, a) == ((1,) * a,)
+        # only the powers p^h <= a are parts: 2^2000 needs no deeper walk
+        assert pt.psi_set(2, 2000, 3) == pt.psi_set(2, 2, 3)
         with pytest.raises(ValueError):
             pt.psi_set(4, 1, 3)
 
@@ -189,7 +191,7 @@ class TestPsiSets:
         # j < r-1, and sum_{h>=k} a_h p^{h-k} >= sum_{h>=k} m_{p^h} p^{h-k}
         # for every k < r, with equality at k = 0
         for p in (2, 3, 5):
-            for r in (1, 2, 3):
+            for r in (1, 2, 3, 4):
                 powers = [p**h for h in range(r)]
                 for a in range(1, 21):
                     digits, rest = [], a

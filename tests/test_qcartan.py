@@ -77,16 +77,24 @@ class TestDiagrams:
             parse_diagram("F:4")
 
 
+def _x_s(dg, s):
+    """[X]_s = ([a_ij]_s), built entry by entry from quantum_int(a_ij, s)."""
+    return tuple(tuple(quantum_int(x, s) for x in row) for row in dg.cartan_matrix())
+
+
 class TestQuantizedCartan:
     def test_entries(self):
-        q = quantized_cartan(DynkinDiagram("A", 2), 2)
-        assert q[0][0] == quantum_int(2, 2)
+        dg = DynkinDiagram("A", 2)
+        q = quantized_cartan(dg)
+        assert q[0][0] == quantum_int(2)
         assert q[0][1] == -ONE
+        # [X] at v^s is [X]_s, which every caller of [X] relies on
+        for s in (1, 2, 3):
+            assert tuple(tuple(e.subst_power(s) for e in row) for row in q) == _x_s(dg, s)
 
     def test_at_one_is_classical(self):
         for dg in (DynkinDiagram("A", 3), DynkinDiagram("D", 5), DynkinDiagram("E", 6)):
-            for s in (1, 3):
-                q = quantized_cartan(dg, s)
+            for q in (quantized_cartan(dg), _x_s(dg, 3)):
                 assert [[e.at_one() for e in row] for row in q] == [
                     list(r) for r in dg.cartan_matrix()
                 ]
@@ -103,7 +111,7 @@ class TestQuantizedCartan:
         )
         for dg in diagrams:
             for s in range(1, 9):
-                assert det_quantized(dg, s) == laurent_det(quantized_cartan(dg, s)), (dg, s)
+                assert det_quantized(dg, s) == laurent_det(_x_s(dg, s)), (dg, s)
 
     def test_det_at_one_classical(self):
         for dg in ALL_FINITE:

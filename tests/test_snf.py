@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -161,6 +162,17 @@ class TestSnfInt:
         assert snf_int([[1, 0], [0, 1]]).elements == (1, 1)
         assert snf_int([[3, 4], [4, 8]]).elements == (1, 8)
         assert snf_int([[2, 0], [0, 6]]).elements == (2, 6)
+
+    def test_non_integer_entries_are_refused(self):
+        # int() would truncate them: det [[2.9, 1], [1, 2]] is 4.8, not 3
+        for bad in ([[2.9, 1], [1, 2]], [[Fraction(3, 2)]], [[True, 0], [0, 1]]):
+            with pytest.raises(TypeError, match="not an integer entry"):
+                int_det(bad)
+        for bad in ([[2.5, 0], [0, 0]], [[Fraction(1, 2)]], [[0, False], [1, 1]]):
+            with pytest.raises(TypeError, match="not an integer entry"):
+                snf_int(bad)
+            with pytest.raises(TypeError, match="not an integer entry"):
+                _snf_int_dense(bad)
 
     def test_chain_and_product(self):
         rng = random.Random(11)
