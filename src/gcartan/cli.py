@@ -255,6 +255,14 @@ def _finite_diagram(args) -> tuple[qc.DynkinDiagram, str]:
     return dg, dg.label()
 
 
+def _dimension(m: int, d: int) -> int:
+    """u(m, d), the size of a weight-d matrix on m nodes; d < 0 is refused
+    here, before u_count would refuse it with its own message."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    return pt.u_count(m, d)
+
+
 def _size_guard(args, n: int) -> None:
     if n > args.limit and not args.force:
         raise UsageError(
@@ -278,7 +286,7 @@ def cmd_gram(args) -> str:
         payload, idx, mat = bs.to_json(), [cp for _, g in bs.blocks for cp in g.index], bs.matrix()
     else:
         dg, label = _finite_diagram(args)
-        _size_guard(args, pt.u_count(dg.nodes, args.d))
+        _size_guard(args, _dimension(dg.nodes, args.d))
         g = gram_matrix(dg, args.d)
         payload, idx, mat = {**g.to_json(), "diagram": label}, g.index, g.entries
     return _emit(
@@ -315,7 +323,7 @@ def cmd_det(args) -> str:
     }
     ok = True
     if args.check:
-        _size_guard(args, pt.u_count(dg.nodes, args.d))
+        _size_guard(args, _dimension(dg.nodes, args.d))
         actual = gram_det(dg, args.d)
         ok = actual == formula
         payload["check"] = {"gram_det_equals_formula": ok}
@@ -445,7 +453,7 @@ def cmd_snf(args) -> str:
     if args.ring == "zint":
         # one Bareiss |det| serves both the route and the product check
         det_abs = abs(int_det(m))
-        ms = snf_mod.snf_int_with_det(m, det_abs)
+        ms = snf_mod.snf_int(m, det_abs)
         checks = {
             "product_equals_abs_det": math.prod(ms.elements) == det_abs,
             "divisibility_chain": all(
@@ -527,7 +535,7 @@ def cmd_invariants(args) -> str:
 
 def cmd_report(args) -> str:
     inv._check_p_r(args.p, args.r)
-    _size_guard(args, pt.u_count(args.p**args.r - 1, args.d))
+    _size_guard(args, _dimension(args.p**args.r - 1, args.d))
     rep = inv.conjecture_report(args.p, args.r, args.d)
     return _checked(_emit(args, rep.to_json()), rep.ok)
 

@@ -78,7 +78,7 @@ from itertools import chain, combinations_with_replacement, product
 from . import partitions as pt
 from .linalg import _int_det_multimodular, laurent_det
 from .qcartan import DynkinDiagram, quantized_cartan, type_a
-from .qlaurent import ONE, ZERO, LaurentPoly
+from .qlaurent import ONE, ZERO, LaurentPoly, _owned
 from .snf import _slot_width, _unpack, snf_laurent_field, snf_of_diagonal
 
 
@@ -461,10 +461,8 @@ class GramMatrix:
             for ex, x in enumerate(coeffs[top:]):
                 if x != half:
                     entry_terms[ex] = entry_terms[-ex] = _entry_quotient(i, j, x - half, den_ij)
-            # every coefficient is a nonzero int: skip the constructor's checks
-            e = LaurentPoly.__new__(LaurentPoly)
-            e._terms = entry_terms
-            return e
+            # every coefficient is a nonzero int
+            return _owned(entry_terms)
 
         return tuple(map(tuple, self._product(blocks, pack, finish, ZERO)))
 

@@ -53,11 +53,7 @@ def hill_invariant(p: int, r: int, lam: pt.Partition) -> int:
     for n, m in pt.mults(lam).items():
         if n % ell == 0:
             continue
-        e += (r - pt.p_adic_split(n, p)[1]) * m
-        t = p
-        while t <= m:
-            e += m // t
-            t *= p
+        e += (r - pt.p_adic_split(n, p)[1]) * m + pt.factorial_valuation(m, p)
     return p**e
 
 
@@ -98,11 +94,7 @@ def kor_invariant(ell: int, lam: pt.Partition) -> int:
             base = ell // math.gcd(ell, k)
             out *= base**f
             for q in pt.prime_divisors(base):
-                # Legendre's formula for nu_q(f!)
-                t = q
-                while t <= f:
-                    out *= q ** (f // t)
-                    t *= q
+                out *= q ** pt.factorial_valuation(f, q)
     return out
 
 
@@ -330,7 +322,7 @@ def bunkaito_decompose(p: int, r: int, d: int) -> BunkaitoReport:
     e = 0
     while d - ell * e >= 1:
         m = d - ell * e
-        mult = pt.partition_count(e)
+        mult = pt.u_count(1, e)
         for pairs in _types(m, p):
             components.append(BunkaitoComponent(e, pairs, mult))
             # expand Sort(prod INFL_{d_j}(Psi_{a_j})), checking disjoint support

@@ -7,7 +7,8 @@ a run of equal sizes.  Everything here is a pure function over these values.
 
 Covers enumeration, ell-cores via the abacus (first-column beta-numbers on
 ell runners), class-regular sets, block labels, the CUT/INFL/RED/Sort
-operators, p-adic splittings, and the digit-constrained sets Psi^{p,r}_a.
+operators, p-adic splittings, nu_p(n!), and the digit-constrained sets
+Psi^{p,r}_a.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def enum_partitions(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return tuple(_gen_partitions(n, n))
-
-
-@lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    return u_count(1, n)
 
 
 @lru_cache(maxsize=None)
@@ -216,6 +212,18 @@ def p_adic_split(n: int, p: int) -> tuple[int, int]:
         n //= p
         v += 1
     return n, v
+
+
+def factorial_valuation(n: int, p: int) -> int:
+    """nu_p(n!), the exponent of p in n!, for n >= 0 and p >= 2: by Legendre's
+    formula, the sum of floor(n / p^t) over t >= 1."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    v, t = 0, p
+    while t <= n:
+        v += n // t
+        t *= p
+    return v
 
 
 def is_prime(p: int) -> bool:

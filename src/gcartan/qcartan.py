@@ -282,21 +282,16 @@ class TwistedDiagram:
     # finite-part Cartan data (for the folding check; not defined for A2_even)
 
     def finite_cartan(self) -> tuple[tuple[int, ...], ...]:
-        if self.kind == "A2_odd":  # type C_n: long root at the end
+        if self.kind in ("A2_odd", "D2"):
+            # A_n's matrix with one -2 by the last node: C_n (A2_odd, long
+            # root at the end) above the diagonal, B_n (D2, short root at the
+            # end) below it; B_1 is A_1
             n = self.n
-            m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-            for i in range(n - 1):
-                m[i][i + 1] = m[i + 1][i] = -1
-            m[n - 2][n - 1] = -2
-            return tuple(tuple(r) for r in m)
-        if self.kind == "D2":  # type B_n: short root at the end
-            n = self.n
-            m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-            for i in range(n - 1):
-                m[i][i + 1] = m[i + 1][i] = -1
+            m = [list(r) for r in DynkinDiagram("A", n).cartan_matrix()]
             if n >= 2:
-                m[n - 1][n - 2] = -2
-            return tuple(tuple(r) for r in m)
+                i, j = (n - 2, n - 1) if self.kind == "A2_odd" else (n - 1, n - 2)
+                m[i][j] = -2
+            return tuple(map(tuple, m))
         if self.kind == "E6_2":  # type F_4, short roots first
             return ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
         if self.kind == "D4_3":  # type G_2, short root first
@@ -333,6 +328,8 @@ def twisted_det_formula(td: TwistedDiagram, d: int) -> LaurentPoly:
     This evaluates a conjectured closed formula; no twisted Gram matrix is
     computed anywhere in this package.
     """
+    if d < 0:
+        raise ValueError("d must be >= 0")
     f = tuple(td.f(i) for i in range(1, d + 1))
     exponents = _exponents_binomial(f, d)[1:]
     return math.prod((td.gamma(s) ** n for s, n in enumerate(exponents, 1) if n), start=ONE)

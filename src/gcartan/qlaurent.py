@@ -103,16 +103,12 @@ class LaurentPoly:
                 r[e] = s
             else:
                 r.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = r
-        return out
+        return _owned(r)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _owned({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> LaurentPoly:
         other = _coerce_int_poly(other)
@@ -124,9 +120,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return ZERO
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {e: c * other for e, c in self._terms.items()}
-            return out
+            return _owned({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -141,9 +135,7 @@ class LaurentPoly:
                     r[e] = s
                 else:
                     del r[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = r
-        return out
+        return _owned(r)
 
     __rmul__ = __mul__
 
@@ -163,23 +155,17 @@ class LaurentPoly:
 
     def bar(self) -> LaurentPoly:
         """The Q-algebra involution v -> v^-1 (exponent negation)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
+        return _owned({-e: c for e, c in self._terms.items()})
 
     def subst_power(self, s: int) -> LaurentPoly:
         """The ring homomorphism v -> v^s for nonzero s."""
         if s == 0:
             raise ValueError("v -> v^0 is not a ring homomorphism of Z[v,v^-1]")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e * s: c for e, c in self._terms.items()}
-        return out
+        return _owned({e * s: c for e, c in self._terms.items()})
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiplication by the unit v^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
+        return _owned({e + k: c for e, c in self._terms.items()})
 
     def at_one(self) -> int:
         """Exact evaluation at v = 1."""
@@ -235,6 +221,16 @@ def _json_int(x) -> int:
     if type(x) is not int:  # JSON true and 2.5 are not integers
         raise ValueError(f"not an integer: {x!r}")
     return x
+
+
+def _owned(terms: dict[int, int]) -> LaurentPoly:
+    """A LaurentPoly on `terms` as given, without the constructor's checks:
+    only for terms a caller computed itself, every exponent an int and every
+    coefficient a nonzero int, and which nothing else holds.  Input from
+    outside goes through `LaurentPoly(terms)`, which checks it."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out
 
 
 def _coerce_int_poly(x):
@@ -378,9 +374,7 @@ def sub_product(a: LaurentPoly, q: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 r[e] = s
             else:
                 del r[e]
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._terms = r
-    return out
+    return _owned(r)
 
 
 def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
@@ -399,9 +393,7 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
             if rem:
                 return None
             t[e - k] = y
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = t
-        return out
+        return _owned(t)
     shift = a.min_exp - b.min_exp
     ra = a.shift(-a.min_exp).terms
     rb = b.shift(-b.min_exp).terms

@@ -10,10 +10,9 @@ multiset comparison.
 Over Z, `snf_int_certified` is the engine for a nonsingular matrix with
 known |det| (Storjohann's local Smith form, Algorithms for Matrix Canonical
 Forms, ETH 2000); the conjecture report gives it the determinant its first
-layer checked.  `snf_int` computes |det| by Bareiss for every other caller
-and hands a singular matrix, whose rank the local engine cannot certify,
-to dense elimination (`snf_int_with_det` is that route for a caller that
-has already computed |det|).
+layer checked.  `snf_int` takes |det| from a caller that already holds
+it, computes it by Bareiss for any other caller, and hands a singular
+matrix, whose rank the local engine cannot certify, to dense elimination.
 
 The dense engines share one elimination loop (`_diagonalize`): pivot on an
 entry of least size, clear its column by row operations, clear its row the
@@ -188,20 +187,15 @@ def _reduce_int(row: list[int], prow: list[int]) -> list[int] | None:
     return [a - q * b for a, b in zip(row, prow)] if q else None
 
 
-def snf_int(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
+def snf_int(matrix: Sequence[Sequence[int]], det_abs: int | None = None) -> InvariantMultiset:
     """Invariant factors d_1 | d_2 | ... of a square integer matrix, zeros
-    last, for callers that do not hold |det|: a Bareiss |det| (`int_det`,
-    which rejects a non-square matrix) goes to `snf_int_with_det`.
+    last.  det_abs is its |det| for a caller that already holds it; by
+    default a Bareiss |det| (`int_det`, which rejects a non-square matrix).
+    A nonsingular matrix goes to `snf_int_certified`, a singular one to
+    `_snf_int_dense`, the one path that handles singular input.
     """
-    return snf_int_with_det(matrix, abs(int_det(matrix)))
-
-
-def snf_int_with_det(matrix: Sequence[Sequence[int]], det_abs: int) -> InvariantMultiset:
-    """Invariant factors of a square integer matrix whose |det| is det_abs,
-    for a caller that also needs |det| for itself: `snf_int_certified` when
-    det_abs > 0, and `_snf_int_dense`, the one path that handles singular
-    input, when det_abs == 0.
-    """
+    if det_abs is None:
+        det_abs = abs(int_det(matrix))
     return snf_int_certified(matrix, det_abs) if det_abs else _snf_int_dense(matrix)
 
 

@@ -95,6 +95,11 @@ class TestGramCommand:
         want = snf_laurent_field(cartan_graded(3, 2).entries).to_json()["elements"]
         assert obj["status"] == "VERIFIED" and obj["invariants"] == want
 
+    def test_negative_weight_is_usage(self, capsys):
+        # refused before the size guard counts the matrix
+        code, out, err = run(capsys, "gram", "--ell", "3", "--d", "-1", "--cache-dir", "")
+        assert (code, out, err) == (2, "", "error: d must be nonnegative\n")
+
     def test_cache_idempotent(self, capsys, cache_dir):
         args = ("gram", "--ell", "3", "--d", "2", "--cache-dir", cache_dir)
         code1, out1, _ = run(capsys, *args)
@@ -486,6 +491,10 @@ class TestTwistedCommand:
         assert err1 == note + "# cache: 0 hit(s), 1 miss(es)\n"
         assert err2 == note + "# cache: 1 hit(s), 0 miss(es)\n"
 
+    def test_negative_weight_is_usage(self, capsys):
+        code, out, err = run(capsys, "twisted", "--diagram", "tE6", "--d", "-1", "--cache-dir", "")
+        assert (code, out, err) == (2, "", "error: d must be >= 0\n")
+
     def test_requires_twisted_label(self, capsys, cache_dir):
         code, _, err = run(
             capsys, "twisted", "--diagram", "A:2", "--d", "1", "--cache-dir", cache_dir
@@ -689,6 +698,12 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["report", "--p", "5", "--r", "1", "--d", "3", "--format", "csv"])
         assert exc.value.code == 2 and "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_negative_weight_is_usage(self, capsys, monkeypatch):
+        # refused before the size guard counts the matrix
+        monkeypatch.setattr(cli.inv, "conjecture_report", self._never)
+        code, out, err = run(capsys, "report", "--p", "2", "--r", "1", "--d", "-1", "--cache-dir", "")
+        assert (code, out, err) == (2, "", "error: d must be nonnegative\n")
 
     def test_size_guard(self, capsys, monkeypatch):
         # the Gram matrix at p=2, r=1, d=4 has 5 rows

@@ -391,3 +391,32 @@ def test_one_exit_handler():
         for fn, line in _broad_handlers(_parse(path), "<module>")
     ]
     assert [name.split(":")[0] for name in found] == ["cli.main"], found
+
+
+def _raw_laurent_constructions(node: ast.AST, where: str):
+    """(enclosing class or function path, line) of every read of
+    LaurentPoly.__new__ and every store to an attribute `_terms` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{where}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) else where
+        if isinstance(child, ast.Attribute) and (
+            (child.attr == "__new__" and ast.unparse(child.value) == "LaurentPoly")
+            or (child.attr == "_terms" and isinstance(child.ctx, ast.Store))
+        ):
+            yield inner, child.lineno
+        yield from _raw_laurent_constructions(child, inner)
+
+
+def test_one_raw_laurent_constructor():
+    # a LaurentPoly on terms its caller computed, without the constructor's
+    # checks, is built by qlaurent._owned alone; LaurentPoly.__init__ is the
+    # only other place that sets _terms
+    found = [
+        f"{where}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, line in _raw_laurent_constructions(_parse(path), path.stem)
+    ]
+    places = sorted({name.split(":")[0] for name in found})
+    assert places == ["qlaurent.LaurentPoly.__init__", "qlaurent._owned"], found
+    assert len(found) == 3, found

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ class TestEnumeration:
     def test_counts(self):
         assert len(pt.enum_partitions(4)) == 5
         assert len(pt.enum_partitions(10)) == 42
-        assert pt.partition_count(10) == 42
+        assert pt.u_count(1, 10) == 42
 
     def test_descending_lex_order(self):
         pars = pt.enum_partitions(6)
@@ -85,7 +86,7 @@ class TestBlocks:
                     total += sum(
                         1 for lam in pt.enum_partitions(n) if pt.ell_core(lam, ell) == b.core
                     )
-                assert total == pt.partition_count(n)
+                assert total == pt.u_count(1, n)
 
     @pytest.mark.parametrize("ell", [0, 1, -2])
     def test_ell_is_checked(self, ell):
@@ -154,6 +155,19 @@ class TestOperators:
         assert pt.p_adic_split(8, 2) == (1, 3)
         with pytest.raises(ValueError):
             pt.p_adic_split(0, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_factorial_valuation(self, p):
+        # Legendre's count against the p-adic split of n! itself
+        assert pt.factorial_valuation(0, p) == 0
+        for n in range(1, 61):
+            assert pt.factorial_valuation(n, p) == pt.p_adic_split(math.factorial(n), p)[1], n
+
+    def test_factorial_valuation_refuses_p_below_2(self):
+        # p = 1 would never leave the loop over the powers of p
+        for p in (1, 0, -2):
+            with pytest.raises(ValueError):
+                pt.factorial_valuation(5, p)
 
     def test_prime_helpers(self):
         assert pt.prime_divisors(1) == ()

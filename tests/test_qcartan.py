@@ -193,6 +193,51 @@ class TestIrreducibility:
                 assert irreducible_at(dg, ell, "closed_form") == irreducible_at(dg, ell, "exact")
 
 
+# the finite Cartan matrices of the folding check, written out: C_n for
+# A^(2)_{2n-1} (the -2 above the diagonal, by the last node) and B_n for
+# D^(2)_{n+1} (the -2 below it)
+C_N = {
+    3: ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    4: ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+    5: (
+        (2, -1, 0, 0, 0),
+        (-1, 2, -1, 0, 0),
+        (0, -1, 2, -1, 0),
+        (0, 0, -1, 2, -2),
+        (0, 0, 0, -1, 2),
+    ),
+    6: (
+        (2, -1, 0, 0, 0, 0),
+        (-1, 2, -1, 0, 0, 0),
+        (0, -1, 2, -1, 0, 0),
+        (0, 0, -1, 2, -1, 0),
+        (0, 0, 0, -1, 2, -2),
+        (0, 0, 0, 0, -1, 2),
+    ),
+}
+B_N = {
+    1: ((2,),),
+    2: ((2, -1), (-2, 2)),
+    3: ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    4: ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2)),
+    5: (
+        (2, -1, 0, 0, 0),
+        (-1, 2, -1, 0, 0),
+        (0, -1, 2, -1, 0),
+        (0, 0, -1, 2, -1),
+        (0, 0, 0, -2, 2),
+    ),
+    6: (
+        (2, -1, 0, 0, 0, 0),
+        (-1, 2, -1, 0, 0, 0),
+        (0, -1, 2, -1, 0, 0),
+        (0, 0, -1, 2, -1, 0),
+        (0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, -2, 2),
+    ),
+}
+
+
 class TestTwisted:
     def test_table_rows(self):
         td = TwistedDiagram("A2_odd", 4)
@@ -221,6 +266,12 @@ class TestTwisted:
         # d=2 pattern of the untwisted rank-one case)
         assert twisted_det_formula(td, 2) == quantum_int(3) ** 2 * kss_bracket(3, 2)
 
+    def test_negative_weight_is_refused(self):
+        # d is checked before the exponents enumerate partitions of d
+        for td in (TwistedDiagram("E6_2"), TwistedDiagram("A2_odd", 3)):
+            with pytest.raises(ValueError, match=r"^d must be >= 0$"):
+                twisted_det_formula(td, -1)
+
     def test_at_one_gives_cartan_power(self):
         # at v=1 each gamma factor is a positive integer, so the formula
         # specializes to a positive integer
@@ -240,6 +291,14 @@ class TestTwisted:
         for td, ts in cases:
             for t in ts:
                 assert folding_det_check(td, t), (td, t)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_finite_cartan_c(self, n):
+        assert TwistedDiagram("A2_odd", n).finite_cartan() == C_N[n]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_finite_cartan_b(self, n):
+        assert TwistedDiagram("D2", n).finite_cartan() == B_N[n]
 
     def test_folding_counts(self):
         # f_{X,t} = |I(t)| in particular at t=1 and t=twist
