@@ -14,9 +14,12 @@ criterion 7 in the order the integer-snf benchmark workload runs them:
     gram_det_at_one    |gram.gram_det_at_one(type_a(ell), d)|
     snf_int_certified  snf.snf_int_certified(C(1), |det|)
 
-then the Laurent Gram matrix that layer 4 of the report reads:
+then the Laurent Gram matrix that layer 4 of the report reads, and layer 4:
 
     assembly           GramMatrix.entries of the same matrix
+    diagonalize        snf.try_diagonalize_zlaurent on those entries, at
+                       points whose Gram dimension is at most DIAG_MAX_DIM
+                       (that of (4,5)); null at larger points
 
 then the three stages of the per-shape path that the block-det-field
 workload runs:
@@ -35,9 +38,12 @@ not include building them.  Each laurent_det call is recorded as [rows,
 nodes, [bits of each modulus], seconds], its nodes being the F_p
 eliminations it runs per modulus.  A digest of the v=1 invariants, of the
 determinant and of the field invariants lets two runs be checked to agree on
-the output as well as compared on time.  It also records every
+the output as well as compared on time; so does one of the diagonalizer's
+steps, stop reason and diagonal, which are also recorded as
+diagonalize_steps and diagonalize_stopped.  It also records every
 elimination pass of the local Smith engine (`snf._local_valuations`, wrapped
-from outside the package, as perfbench/spans.py wraps its spans): the bit
+from outside the package, as perfbench/spans.py wraps its spans) during the
+v=1 stages, not those of the diagonalizer's cross-check: the bit
 length of the modulus, the digits, and the outcome, "ok", "short" (the
 precision ran out) or "split" (a proper factor of the modulus was met).
 Likewise it records every choice of moduli for the multi-modular
@@ -91,13 +97,17 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(ROOT))
 from perfbench.run import REF_CODE  # noqa: E402
 STAGES = (
-    "at_one", "gram_det_at_one", "snf_int_certified", "assembly",
+    "at_one", "gram_det_at_one", "snf_int_certified", "assembly", "diagonalize",
     "factor_dets", "det_product", "field_invariants",
 )
-DIGESTS = ("invariants_sha256", "det_sha256", "field_invariants_sha256")
+DIGESTS = ("invariants_sha256", "det_sha256", "field_invariants_sha256", "diagonalize_sha256")
 # block-det-field points (its det points are (5,4) and (4,5)), integer-snf
 # points, then the v=1 frontier
 POINTS = ((5, 4), (4, 5), (2, 12), (7, 4), (5, 5), (3, 8), (9, 4), (7, 5), (4, 7), (5, 6))
+# the largest Gram dimension whose diagonalize stage runs, that of (4,5):
+# layer 4 takes 0.4-0.7 s there, but 65 s at (7,4), 315 rows, many times
+# all the other stages of that point together
+DIAG_MAX_DIM = 108
 # seconds allowed per sample; factor_dets at (9,4) and (7,5), 70-140 s on a
 # shared 2-core machine, is the slowest stage of the default points
 CAP_S = 300.0
@@ -106,7 +116,7 @@ CHILD = """
 import hashlib, json, math, sys, time
 from gcartan import gram, linalg, snf
 from gcartan.qcartan import type_a
-ell, d = int(sys.argv[1]), int(sys.argv[2])
+ell, d, diag_max_dim = (int(x) for x in sys.argv[1:4])
 passes = []
 local = snf._local_valuations
 def record(matrix, p, digits):
@@ -152,8 +162,13 @@ det = abs(gram.gram_det_at_one(type_a(ell), d))
 t.append(time.perf_counter())
 inv = snf.snf_int_certified(m, det)
 t.append(time.perf_counter())
-moduli_at_one = list(moduli)
-g.entries
+moduli_at_one, passes_at_one = list(moduli), list(passes)
+entries = g.entries
+t.append(time.perf_counter())
+diag = None
+if g.size <= diag_max_dim:
+    diag = snf.try_diagonalize_zlaurent(entries)
+    diag_s = time.perf_counter() - t[-1]
 t.append(time.perf_counter())
 gdet = gram.gram_det(type_a(ell), d)
 t_det = time.perf_counter() - t[-1]
@@ -161,13 +176,18 @@ field = gram.gram_field_invariants(type_a(ell), d)
 field_s = time.perf_counter() - t[-1] - t_det
 factor_s = sum(x[-1] for x in factor_dets)
 print(json.dumps({"dim": g.size,
-                  "seconds": [b - a for a, b in zip(t, t[1:])]
-                             + [factor_s, t_det - factor_s, field_s],
-                  "passes": passes, "moduli": moduli_at_one, "factor_dets": factor_dets,
+                  "seconds": [b - a for a, b in zip(t, t[1:-1])]
+                             + [diag_s if diag else None, factor_s, t_det - factor_s, field_s],
+                  "passes": passes_at_one, "moduli": moduli_at_one, "factor_dets": factor_dets,
                   "invariants_sha256": sha(inv.elements),
                   "det_sha256": sha(sorted(gdet.terms.items())),
                   "field_invariants_sha256":
-                      sha([sorted(e.terms.items()) for e in field.elements])}))
+                      sha([sorted(e.terms.items()) for e in field.elements]),
+                  "diagonalize_steps": diag and diag.steps,
+                  "diagonalize_stopped": diag and diag.stopped,
+                  "diagonalize_sha256": diag and sha([
+                      diag.steps, diag.stopped,
+                      diag.diagonal and [sorted(e.terms.items()) for e in diag.diagonal.elements]])}))
 """
 
 
@@ -192,7 +212,7 @@ def run_point(ell: int, d: int, src: Path = SRC) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, str(ell), str(d)],
+            [sys.executable, "-c", CHILD, str(ell), str(d), str(DIAG_MAX_DIM)],
             env=env, capture_output=True, text=True, timeout=CAP_S,
         )
     except subprocess.TimeoutExpired:
@@ -202,7 +222,8 @@ def run_point(ell: int, d: int, src: Path = SRC) -> dict:
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     ref = subprocess.run([sys.executable, "-c", REF_CODE], capture_output=True, text=True,
                          timeout=30, check=True)
-    return {**out, "seconds": {k: round(x, 6) for k, x in zip(STAGES, out["seconds"])},
+    seconds = {k: None if x is None else round(x, 6) for k, x in zip(STAGES, out["seconds"])}
+    return {**out, "seconds": seconds,
             "ref_s": round(float(ref.stdout), 6)}
 
 
@@ -217,15 +238,22 @@ def summarize(samples: list[dict]) -> dict:
         return {"error": "samples disagree on an output"}
     return {
         "dim": samples[0]["dim"],
-        "seconds": {k: statistics.median(s["seconds"][k] for s in samples) for k in STAGES},
+        "seconds": {k: _median([s["seconds"][k] for s in samples]) for k in STAGES},
         "samples": [s["seconds"] for s in samples],
         "passes": [s["passes"] for s in samples],
         "moduli": [s["moduli"] for s in samples],
         "factor_dets": [s["factor_dets"] for s in samples],
         "ref_s": [s["ref_s"] for s in samples],
         "ref_s_median": statistics.median(s["ref_s"] for s in samples),
+        "diagonalize_steps": samples[0]["diagonalize_steps"],
+        "diagonalize_stopped": samples[0]["diagonalize_stopped"],
         **{k: v.pop() for k, v in digests.items()},
     }
+
+
+def _median(seconds: list) -> float | None:
+    # a stage that did not run (null) has a null median
+    return None if None in seconds else statistics.median(seconds)
 
 
 def measure(ell: int, d: int, repeat: int) -> dict:
@@ -245,13 +273,12 @@ def compare(ell: int, d: int, repeat: int, parent_src: Path) -> dict:
     if failed:
         return {**rec, "error": "; ".join(failed)}
     pairs = list(zip(sides["parent"], sides["change"]))
-    rec["wins"] = {
-        stage: {
-            "parent": sum(p["seconds"][stage] < c["seconds"][stage] for p, c in pairs),
-            "change": sum(c["seconds"][stage] < p["seconds"][stage] for p, c in pairs),
-        }
-        for stage in STAGES
-    }
+    rec["wins"] = {}
+    for stage in STAGES:
+        timed = [(p["seconds"][stage], c["seconds"][stage]) for p, c in pairs]
+        timed = [(p, c) for p, c in timed if p is not None and c is not None]
+        rec["wins"][stage] = {"parent": sum(p < c for p, c in timed),
+                              "change": sum(c < p for p, c in timed)}
     rec["outputs_agree"] = all(rec["parent"][k] == rec["change"][k] for k in DIGESTS)
     return rec
 
@@ -285,13 +312,17 @@ def _shown(rec: dict, repeat: int) -> str:
     if "error" in rec:
         return rec["error"]
     if "wins" not in rec:
-        return " ".join(f"{k} {v:.3f}" for k, v in rec["seconds"].items())
+        return " ".join(f"{k} {_secs(v)}" for k, v in rec["seconds"].items())
     # parent / change medians, and the pairs the change won
     return " ".join(
-        f"{k} {rec['parent']['seconds'][k]:.3f}/{rec['change']['seconds'][k]:.3f}"
+        f"{k} {_secs(rec['parent']['seconds'][k])}/{_secs(rec['change']['seconds'][k])}"
         f" ({rec['wins'][k]['change']}/{repeat})"
         for k in STAGES
     )
+
+
+def _secs(x: float | None) -> str:
+    return "-" if x is None else f"{x:.3f}"
 
 
 def main(argv: list[str] | None = None) -> int:

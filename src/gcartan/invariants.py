@@ -218,6 +218,8 @@ def verify_tsaigo(p: int, r: int, d: int, u: int) -> bool:
     false without the exclusion.
     """
     _check_p_r(p, r)
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     if u < 1 or u % p == 0:
         raise ValueError("u must be a positive integer not divisible by p")
     ell = p**r

@@ -22,6 +22,26 @@ the diagonal (Kannan & Bachem, SIAM J. Comput. 8, 1979: diagonalize first,
 then restore divisibility).  Diagonal matrices take no elimination: over Z
 by gcd/lcm swaps, over Q[v,v^-1] by factor refinement into a pairwise
 coprime base and a sort of each base element's exponents.
+
+The Z[v,v^-1] diagonalizer runs that loop on packed entries (`_Slots`).
+Each nonzero entry is one int, its polynomial shifted to lowest exponent 0
+and evaluated at 2^64 with balanced (signed) digits, kept beside its lowest
+exponent and a bound on its |coefficients|.  A row update a - q*b is then
+one big-integer product, one shift and one subtraction, and the pivot scan
+reads each entry's span off its bit length: only the entries that tie
+their row's least span are decoded (`_unpack` plus a bias) to their full
+key, and only the pivot column's entries to the LaurentPoly form that the
+quotient code (`divide_exact`, then `_end_quotient`) reads.  So the
+pivots, quotients, steps and diagonal are those of the same loop on
+LaurentPoly entries.  Every coefficient stays below the slot bound 2^62:
+each update is proven below it from max|a| + |q|_1 max|b|, or after both
+bounds are tightened by decoding, or else computed exactly by
+`sub_product`, and a coefficient that reaches the bound restarts the run on
+wider slots.  The largest coefficient of a run is 47 bits at (5,1,3), the
+most at the benchmark's report points, and 31, 40, 27 and 26 bits at the
+frontier points (5,1,4), (7,1,3), (2,2,5) and (3,1,5).  At those six
+points tightening always suffices (92 times at (5,1,3), 404 at (7,1,3)):
+no entry is computed exactly and no run restarts.
 """
 
 from __future__ import annotations
@@ -31,13 +51,14 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
+from operator import attrgetter
 from typing import Sequence
 
 from .linalg import _int_rows, _require_square, int_det
 from .partitions import is_prime, p_adic_split
 from .qlaurent import (
-    ONE, ZERO, LaurentPoly, divide_exact, exact_quotient, normalize_unit, sub_product,
+    ONE, ZERO, LaurentPoly, _owned, divide_exact, exact_quotient, normalize_unit, sub_product,
 )
 
 RING_ZINT = "ZInt"
@@ -106,17 +127,26 @@ def _clear_column(m: list[list], reduce) -> bool:
     return changed
 
 
+def _least_by(key):
+    """The row scan of an engine that keys every nonzero entry: the least
+    (key(e), j) over the nonzero entries e = row[j], or None for a zero row."""
+    return lambda row: min(((key(e), j) for j, e in enumerate(row) if e), default=None)
+
+
 def _diagonalize(
-    m: list[list], key, reduce, budget: int | None = None
+    m: list[list], least, reduce, unit, budget: int | None = None
 ) -> tuple[list | None, int, str]:
     """Diagonalize the square list of rows m by pivot passes.
 
-    A pass pivots on the first nonzero entry of least key(e) in m, scanning
-    row by row, and moves it to (0, 0).  It clears the pivot's column with
-    the row operations reduce(row, m[0]), which return the new row or None
-    to leave the row alone; then it transposes m, clears again (this clears
-    the pivot's row) and transposes back.  Once the pivot's row and column
-    are clear (at once if m is zero), the pivot joins the diagonal and the
+    A pass pivots on the first nonzero entry of least key in m, scanning row
+    by row: least(row) gives the least key over the row's nonzero entries
+    and the first column that holds it, or None for a zero row, and the scan
+    stops at the key `unit` of a unit, the least key in each ring here.  The
+    pivot moves to (0, 0).  The pass clears the pivot's column with the row
+    operations reduce(row, m[0]), which return the new row or None to leave
+    the row alone; then it transposes m, clears again (this clears the
+    pivot's row) and transposes back.  Once the pivot's row and column are
+    clear (at once if m is zero), the pivot joins the diagonal and the
     passes go on in the trailing block.  Returns (diagonal, steps, stopped):
     steps is the number of passes, and stopped is "cleared" (the diagonal
     is equivalent to m), "stalled" (a pass changed nothing while the pivot's
@@ -125,23 +155,20 @@ def _diagonalize(
     """
     diag = []
     steps = 0
-    # a unit has the least key in each ring here, so the scan may stop at one
-    one = next((e**0 for row in m for e in row if e), None)
-    unit_key = None if one is None else key(one)
     while m:
         steps += 1
         if budget is not None and steps > budget:
             return None, steps, "budget"
         best = None
         for i, row in enumerate(m):
-            c = min(map(key, filter(None, row)), default=None)
-            if c is not None and (best is None or c < best_key):
-                best, best_key = i, c
-                if c == unit_key:
+            found = least(row)
+            if found is not None and (best is None or found[0] < best[1][0]):
+                best = i, found
+                if found[0] == unit:
                     break
         if best is not None:
-            m[0], m[best] = m[best], m[0]
-            j = next(j for j, e in enumerate(m[0]) if e and key(e) == best_key)
+            i, (_, j) = best
+            m[0], m[i] = m[i], m[0]
             if j:
                 for row in m:
                     row[0], row[j] = row[j], row[0]
@@ -210,7 +237,7 @@ def _snf_int_dense(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     TypeError.
     """
     m = _int_rows(matrix)
-    diag, _, stopped = _diagonalize(m, abs, _reduce_int)
+    diag, _, stopped = _diagonalize(m, _least_by(abs), _reduce_int, 1)
     if stopped != "cleared":
         raise ArithmeticError(f"integer elimination {stopped}")
     return snf_int_diagonal(diag)
@@ -528,7 +555,8 @@ def snf_laurent_field(matrix: Sequence[Sequence[LaurentPoly]]) -> InvariantMulti
     """
     _require_square(matrix)
     m = [_strip_row(list(row)) for row in matrix]
-    diag, _, stopped = _diagonalize(m, lambda e: (_span(e), len(e._terms)), _reduce_field)
+    least = _least_by(lambda e: (_span(e), len(e._terms)))
+    diag, _, stopped = _diagonalize(m, least, _reduce_field, (0, 1))
     if stopped != "cleared":
         raise ArithmeticError(f"field-ring elimination {stopped}")
     return snf_of_diagonal(diag)
@@ -616,9 +644,12 @@ def snf_of_diagonal(values: Sequence[LaurentPoly | tuple[LaurentPoly, ...]]) -> 
 
 
 # the step cap of every caller; the stall rule ends a failing run long before
-# it (after 13-54 steps at the benchmark's report points, and 62-166 at the
-# frontier points (5,1,4), (7,1,3), (5,1,5) and (7,1,4)), so the cap only
-# guards a progress loop that might never end
+# it (after 13-54 steps at the benchmark's report points, and 22-166 at the
+# frontier points (3,1,5), (2,2,5), (2,2,6), (5,1,4), (7,1,3), (5,1,5) and
+# (7,1,4), the same on packed entries as on LaurentPoly entries), so the cap
+# only guards a progress loop that might never end.  On packed entries a
+# pass at (7,1,4) (315 rows) takes 0.39 s on average (64.9 s for its 166),
+# so a run to the cap there would take about 20 minutes.
 DIAG_BUDGET = 3000
 
 
@@ -679,12 +710,118 @@ def _reducing_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly | None:
     return None if q.is_zero else q
 
 
-def _reduce_zlaurent(row: list[LaurentPoly], prow: list[LaurentPoly]):
-    q = _reducing_quotient(row[0], prow[0])
-    if q is None:
-        return None
-    # a zero in the pivot row leaves the entry as it is
-    return [a if b.is_zero else sub_product(a, q, b) for a, b in zip(row, prow)]
+class _SlotOverflow(ArithmeticError):
+    """A coefficient reached the slot bound; args[0] is a slot width, in
+    bits, whose bound it is below."""
+
+
+class _Entry:
+    """A nonzero entry of the Z[v,v^-1] diagonalizer: v^lo * sum_k c_k v^k
+    with c_0 != 0, packed as the int value = sum_k c_k 2^(W k) at the slot
+    width W of its run, beside span (the degree of the sum), an upper bound
+    on every |c_k|, and its LaurentPoly and key once decoded."""
+
+    __slots__ = ("value", "lo", "span", "bound", "poly", "key")
+
+    def __init__(self, value: int, lo: int, span: int, bound: int, poly=None):
+        self.value, self.lo, self.span, self.bound, self.poly, self.key = (
+            value, lo, span, bound, poly, None)
+
+
+_SPAN = attrgetter("span")
+
+
+class _Slots:
+    """The Z[v,v^-1] diagonalizer's entries packed in slots of `bits` bits,
+    a multiple of 64, with the row scan and the row reduction that
+    `_diagonalize` runs on them; a zero entry is None.
+
+    Every coefficient stays below the slot bound 2^(bits-2), one bit inside
+    the 2^(bits-1) that balanced digits need.  So the digits c_k of value
+    are the signed coefficients, value.bit_length() // bits is the span, and
+    adding the bias sum_k 2^(bits-1) 2^(bits k) makes every slot
+    non-negative for `_unpack`.  A row update a - q*b is one packed product,
+    one shift and one subtraction once max|a| + |q|_1 max|b| is below the
+    bound; failing that, the two entries' bounds are tightened to their
+    decoded maxima, and failing that too, the entry is computed exactly by
+    `sub_product`.  A coefficient at or above the bound raises
+    _SlotOverflow: nothing wraps.
+    """
+
+    def __init__(self, bits: int):
+        self.bits, self.nbytes = bits, bits // 8
+        self.limit, self.half = 1 << (bits - 2), 1 << (bits - 1)
+        self.half_slot = bytes(self.nbytes - 1) + b"\x80"
+
+    def pack(self, p: LaurentPoly) -> _Entry:
+        """p, nonzero, as an entry that holds p as its decoded form."""
+        t = p._terms
+        lo, top = min(t), max(map(abs, t.values()))
+        if top >= self.limit:
+            # the least multiple of 64 bits whose bound 2^(bits-2) is above top
+            raise _SlotOverflow(-(-(top.bit_length() + 2) // 64) * 64)
+        value = sum(c << self.bits * (e - lo) for e, c in t.items())
+        return _Entry(value, lo, max(t) - lo, top, p)
+
+    def poly(self, e: _Entry) -> LaurentPoly:
+        if e.poly is None:
+            n, half = e.span + 1, self.half
+            slots = _unpack(e.value + int.from_bytes(self.half_slot * n, "little"), self.nbytes, n)
+            e.poly = _owned({e.lo + k: u - half for k, u in enumerate(slots) if u != half})
+        return e.poly
+
+    def key(self, e: _Entry):
+        if e.key is None:
+            e.key = _complexity(self.poly(e))
+        return e.key
+
+    def least(self, row: list):
+        """The least key over the row's nonzero entries and its first column:
+        the span leads the key, so only the entries of least span are
+        decoded and keyed."""
+        s = min(map(_SPAN, filter(None, row)), default=None)
+        if s is None:
+            return None
+        return min((self.key(e), j) for j, e in enumerate(row) if e and e.span == s)
+
+    def tighten(self, a: _Entry | None, b: _Entry, norm: int) -> int:
+        """The bound on a - q*b, |q|_1 = norm, from the decoded maxima of a
+        and b, which become their bounds."""
+        for e in filter(None, (a, b)):
+            e.bound = max(map(abs, self.poly(e)._terms.values()))
+        return norm * b.bound + (a.bound if a else 0)
+
+    def exact(self, a: _Entry | None, q: LaurentPoly, b: _Entry) -> _Entry | None:
+        r = sub_product(self.poly(a) if a else ZERO, q, self.poly(b))
+        return self.pack(r) if r else None
+
+    def reduce(self, row: list, prow: list) -> list | None:
+        q = _reducing_quotient(self.poly(row[0]), self.poly(prow[0]))
+        if q is None:
+            return None
+        packed, norm = self.pack(q), sum(map(abs, q._terms.values()))
+        bits, limit, low = self.bits, self.limit, (1 << self.bits) - 1
+        out = list(row)
+        # a zero in the pivot row leaves the entry as it is
+        for j in compress(range(len(prow)), prow):
+            a, b = out[j], prow[j]
+            bound = norm * b.bound + (a.bound if a else 0)
+            if bound >= limit and (bound := self.tighten(a, b, norm)) >= limit:
+                out[j] = self.exact(a, q, b)
+                continue
+            prod, lo = packed.value * b.value, packed.lo + b.lo
+            if not a:
+                value = -prod
+            elif lo > a.lo:
+                value, lo = a.value - (prod << bits * (lo - a.lo)), a.lo
+            elif lo < a.lo:
+                value = (a.value << bits * (a.lo - lo)) - prod
+            elif (value := a.value - prod) and not value & low:
+                # the lowest slots cancelled
+                k = ((value & -value).bit_length() - 1) // bits
+                value, lo = value >> bits * k, lo + k
+            out[j] = _Entry(value, lo, value.bit_length() // bits, bound) if value else None
+        return out
 
 
 def try_diagonalize_zlaurent(
@@ -702,12 +839,31 @@ def try_diagonalize_zlaurent(
     Inconclusive; it never claims non-equivalence.  `stopped` says why it
     ended: "cleared", "stalled" or "budget".  On Success the result is
     cross-checked against the complete field-ring and v=1 invariants.
+
+    The loop runs on packed entries (`_Slots`, see the module docstring),
+    which give the pivots, steps, stop reason and diagonal that it gives on
+    LaurentPoly entries, in less time: at (5,1,4), (7,1,3) and (2,2,5) it
+    took 0.98, 1.01 and 0.65 s against 4.12, 2.92 and 2.32 s on LaurentPoly
+    entries (medians of 3 fresh-interpreter samples interleaved with the
+    LaurentPoly engine, on a shared 2-core x86-64 machine, CPython 3.11).
+    The input is packed at 64-bit slots, or wider where a coefficient
+    needs it, and a run whose coefficients outgrow its slots restarts on
+    slots at least twice as wide; the passes do not depend on the width,
+    so the restart retraces them.
     """
     _require_square(matrix)
-    m = [list(row) for row in matrix]
-    diag, steps, stopped = _diagonalize(m, _complexity, _reduce_zlaurent, budget)
+    bits = 64
+    while True:
+        slots = _Slots(bits)
+        try:
+            m = [[slots.pack(e) if e else None for e in row] for row in matrix]
+            diag, steps, stopped = _diagonalize(m, slots.least, slots.reduce, (0, 1, 1), budget)
+            break
+        except _SlotOverflow as wider:
+            bits = max(2 * bits, wider.args[0])
     if stopped != "cleared":
         return DiagonalizationResult(None, steps, stopped)
+    diag = [slots.poly(e) if e else ZERO for e in diag]
     result = InvariantMultiset.polys(diag, RING_ZLAURENT)
     _success_sanity(matrix, diag)
     return DiagonalizationResult(result, steps, "cleared")

@@ -7,8 +7,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # in the order the child runs them: the integer-snf stages, then the Laurent
-# entries, then the per-shape Laurent path
-STAGES = ["at_one", "gram_det_at_one", "snf_int_certified", "assembly",
+# entries and layer 4's diagonalizer on them, then the per-shape Laurent path
+STAGES = ["at_one", "gram_det_at_one", "snf_int_certified", "assembly", "diagonalize",
           "factor_dets", "det_product", "field_invariants"]
 
 
@@ -32,6 +32,9 @@ def test_stages_script_writes_a_run(tmp_path):
     assert all(t >= 0 for t in point["seconds"].values())
     assert len(point["samples"]) == 1 and len(point["invariants_sha256"]) == 64
     assert len(point["det_sha256"]) == 64 and len(point["field_invariants_sha256"]) == 64
+    # C^v_{2,2} is diagonalized over Z[v,v^-1] in 3 passes
+    assert (point["diagonalize_steps"], point["diagonalize_stopped"]) == (3, "cleared")
+    assert len(point["diagonalize_sha256"]) == 64
     # the reference loop of perfbench/run.py, timed once per sample
     assert len(point["ref_s"]) == 1 and point["ref_s_median"] == point["ref_s"][0] > 0
     # the local passes of the one sample, as [modulus bits, digits, outcome]:
@@ -49,6 +52,23 @@ def test_stages_script_writes_a_run(tmp_path):
     (calls,) = point["factor_dets"]
     assert [c[:3] for c in calls] == [[1, 1, [30]], [1, 2, [30]]]
     assert all(c[3] >= 0 for c in calls)
+
+
+def test_diagonalize_stage_is_null_above_its_dimension(monkeypatch):
+    # past DIAG_MAX_DIM rows the diagonalizer does not run: its seconds,
+    # steps, stop reason and digest are null, and a summary keeps them so
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import stages
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    monkeypatch.setattr(stages, "DIAG_MAX_DIM", 1)
+    sample = stages.run_point(2, 2)
+    assert sample["dim"] == 2 and sample["seconds"]["diagonalize"] is None
+    assert sample["diagonalize_steps"] is sample["diagonalize_sha256"] is None
+    summary = stages.summarize([sample])
+    assert summary["seconds"]["diagonalize"] is None and summary["diagonalize_stopped"] is None
+    assert all(summary["seconds"][k] >= 0 for k in STAGES if k != "diagonalize")
 
 
 def test_stages_script_rejects_a_bad_point(tmp_path):
@@ -89,6 +109,7 @@ def test_stages_script_compares_with_a_parent(tmp_path):
         assert point[side]["dim"] == 2 and list(point[side]["seconds"]) == STAGES
         assert len(point[side]["samples"]) == len(point[side]["ref_s"]) == 2
     assert list(point["wins"]) == STAGES
+    assert point["parent"]["diagonalize_steps"] == point["change"]["diagonalize_steps"] == 3
     assert all(w["parent"] + w["change"] <= 2 for w in point["wins"].values())
 
 

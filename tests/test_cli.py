@@ -804,6 +804,11 @@ class TestOptionPolicy:
         (("table", "--ell", "3", "--dmax", "-1"), "dmax must be >= 0"),
         # p = 1 makes ell = 1, so the check used to pass on two empty sides
         (("verify", "bunkaito", "--p", "1", "--r", "1", "--d", "3"), "p must be prime"),
+        # a negative d used to reach the partition enumeration's message
+        (
+            ("verify", "tsaigo", "--p", "2", "--r", "1", "--d", "-2", "--u", "1"),
+            "d must be nonnegative",
+        ),
         # ell = 0 used to divide by zero (exit 3), and ell = -2 to sum no block
         (("gram", "--ell", "0", "--blocks", "3"), "ell must be >= 2"),
         (("gram", "--ell", "-2", "--blocks", "3"), "ell must be >= 2"),

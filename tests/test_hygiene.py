@@ -420,3 +420,34 @@ def test_one_raw_laurent_constructor():
     places = sorted({name.split(":")[0] for name in found})
     assert places == ["qlaurent.LaurentPoly.__init__", "qlaurent._owned"], found
     assert len(found) == 3, found
+
+
+def test_one_elimination_loop():
+    # snf.py has one pivot-pass loop: only _diagonalize calls _clear_column,
+    # transposes a matrix by zip(*rows) or returns the stop reasons
+    # "stalled" and "budget", and each dense engine calls it itself
+    module = _parse(PACKAGE / "snf.py")
+    scopes = {}
+    for stmt in module.body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes.update((f"{stmt.name}.{n.name}", n) for n in stmt.body
+                          if isinstance(n, ast.FunctionDef))
+        elif isinstance(stmt, ast.FunctionDef):
+            scopes[stmt.name] = stmt
+    found = {"clears": set(), "transposes": set(), "stops": set()}
+    for where, fn in scopes.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "_clear_column" and where != "_clear_column":
+                found["clears"].add(where)
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "zip"
+                  and len(node.args) == 1 and isinstance(node.args[0], ast.Starred)):
+                found["transposes"].add(where)
+            elif isinstance(node, ast.Return) and node.value is not None and any(
+                isinstance(c, ast.Constant) and c.value in ("stalled", "budget")
+                for c in ast.walk(node.value)
+            ):
+                found["stops"].add(where)
+    assert all(v == {"_diagonalize"} for v in found.values()), found
+    for engine in ("_snf_int_dense", "snf_laurent_field", "try_diagonalize_zlaurent"):
+        calls = {ast.unparse(n.func) for n in ast.walk(scopes[engine]) if isinstance(n, ast.Call)}
+        assert "_diagonalize" in calls, f"{engine} does not call _diagonalize"

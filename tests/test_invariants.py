@@ -188,6 +188,14 @@ class TestIdentityVerifiers:
         with pytest.raises(ValueError):
             verify_tsaigo(2, 1, 3, 2)
 
+    def test_tsaigo_refuses_negative_d(self):
+        # refused after p and r, as conjecture_report refuses it, not by the
+        # partition enumeration's "n must be nonnegative"
+        with pytest.raises(ValueError, match="d must be nonnegative"):
+            verify_tsaigo(2, 1, -2, 1)
+        with pytest.raises(ValueError, match="p must be prime"):
+            verify_tsaigo(4, 1, -2, 1)
+
     def test_saigo2(self):
         assert verify_saigo2(2, 2)
         assert verify_saigo2(3, 0)

@@ -21,6 +21,7 @@ from gcartan.qlaurent import (
     divide_exact,
     normalize_unit,
     quantum_int,
+    sub_product,
 )
 from gcartan.snf import (
     RING_QLAURENT,
@@ -643,6 +644,141 @@ class TestTryDiagonalize:
                 for j in range(i + 1, n):
                     m[j][i] = m[i][j]
             try_diagonalize_zlaurent(m, budget=2000)
+
+
+def _reduce_zlaurent(row, prow):
+    """The dict-based row reduction that the packed engine replaced: each
+    entry a - q*b term by term on LaurentPoly entries."""
+    q = snf._reducing_quotient(row[0], prow[0])
+    if q is None:
+        return None
+    # a zero in the pivot row leaves the entry as it is
+    return [a if b.is_zero else sub_product(a, q, b) for a, b in zip(row, prow)]
+
+
+def _reference_diagonalize(matrix, budget):
+    """((diagonal, steps, stopped), pivots) of the dict-based engine: every
+    entry a LaurentPoly keyed by snf._complexity, through the shared loop,
+    with (rows, pivot) for every row reduction."""
+    pivots = []
+
+    def reduce(row, prow):
+        pivots.append((len(row), prow[0]))
+        return _reduce_zlaurent(row, prow)
+
+    m = [list(row) for row in matrix]
+    least = snf._least_by(snf._complexity)
+    diag, steps, stopped = snf._diagonalize(m, least, reduce, (0, 1, 1), budget)
+    diagonal = None if diag is None else InvariantMultiset.polys(diag, RING_ZLAURENT)
+    return (diagonal, steps, stopped), pivots
+
+
+class _PackedSpy:
+    """Spies on the packed engine's slots: per run at one slot width, the
+    (rows, pivot) of every row reduction, and the count of tightenings and
+    exact entries."""
+
+    def __init__(self, monkeypatch):
+        self.runs = {}  # _Slots -> [(rows, pivot)]
+        self.tightened = self.exact = 0
+        reduce, tighten, exact = snf._Slots.reduce, snf._Slots.tighten, snf._Slots.exact
+
+        def spy_reduce(slots, row, prow):
+            self.runs.setdefault(slots, []).append((len(row), slots.poly(prow[0])))
+            return reduce(slots, row, prow)
+
+        def spy_tighten(slots, *args):
+            self.tightened += 1
+            return tighten(slots, *args)
+
+        def spy_exact(slots, *args):
+            self.exact += 1
+            return exact(slots, *args)
+
+        monkeypatch.setattr(snf._Slots, "reduce", spy_reduce)
+        monkeypatch.setattr(snf._Slots, "tighten", spy_tighten)
+        monkeypatch.setattr(snf._Slots, "exact", spy_exact)
+
+    def run(self, matrix, budget):
+        """(diagonal, steps, stopped), the pivots of the run that finished,
+        and the slot widths of the runs before it."""
+        self.runs.clear()
+        res = try_diagonalize_zlaurent(matrix, budget)
+        runs = list(self.runs.items())
+        pivots = runs[-1][1] if runs else []
+        return (res.diagonal, res.steps, res.stopped), pivots, [s.bits for s, _ in runs[:-1]]
+
+
+def _assert_same_run(spy, matrix, budget):
+    want, want_pivots = _reference_diagonalize(matrix, budget)
+    got, got_pivots, widened = spy.run(matrix, budget)
+    assert got == want
+    assert got_pivots == want_pivots
+    return widened
+
+
+# the Gram points of the criterion-8 grid (ell in 2, 3, 4 and d <= 4)
+CRITERION_8_GRAM = [(ell, d) for ell in (2, 3, 4) for d in range(5)]
+
+# coefficients below the slot bound 2^62 of 64-bit slots, where the run
+# starts at 64 bits, and above it up to past 2^64, where it starts wider;
+# small ones besides, so that quotients exist
+_BELOW_SLOT_BOUND = [2**59 + 1, 2**61 - 1, 2**62 - 1]
+_ABOVE_SLOT_BOUND = [2**62, 2**63 + 1, 2**64 - 1, 2**64 + 1]
+
+
+@st.composite
+def _wide_laurent_matrix(draw):
+    wide = st.sampled_from(draw(st.sampled_from([_BELOW_SLOT_BOUND, _ABOVE_SLOT_BOUND])))
+    coefficients = st.one_of(st.integers(-3, 3), wide, wide.map(lambda c: -c))
+    terms = st.dictionaries(st.integers(-2, 2), coefficients, max_size=3)
+    n = draw(st.integers(1, 4))
+    return [[LaurentPoly(draw(terms)) for _ in range(n)] for _ in range(n)]
+
+
+class TestPackedDiagonalizer:
+    """try_diagonalize_zlaurent, on packed entries, against the dict-based
+    engine it replaced: the same diagonal, steps, stop reason and pivots."""
+
+    @pytest.mark.parametrize("ell, d", CRITERION_8_GRAM)
+    def test_matches_reference_on_criterion_8_grid(self, monkeypatch, ell, d):
+        spy = _PackedSpy(monkeypatch)
+        matrix = cartan_graded(ell, d).entries
+        for budget in (snf.DIAG_BUDGET, 1):
+            assert _assert_same_run(spy, matrix, budget) == []
+
+    @pytest.mark.parametrize("ell, d", [(5, 3), (3, 5), (5, 4)])
+    def test_matches_reference_beyond_the_grid(self, monkeypatch, ell, d):
+        spy = _PackedSpy(monkeypatch)
+        assert _assert_same_run(spy, cartan_graded(ell, d).entries, snf.DIAG_BUDGET) == []
+
+    def test_matches_reference_about_the_slot_bound(self, monkeypatch):
+        # coefficients straddle 2^62 and 2^64: the bounds are tightened,
+        # entries are computed exactly, and a run at 64-bit slots restarts
+        # wider, each at least once, and the outcome never changes
+        spy = _PackedSpy(monkeypatch)
+        seen = {"tightened": 0, "exact": 0, "widened_mid_run": 0, "widened_at_input": 0}
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(_wide_laurent_matrix(), st.sampled_from([snf.DIAG_BUDGET, 1]))
+        def check(matrix, budget):
+            spy.tightened = spy.exact = 0
+            widened = _assert_same_run(spy, matrix, budget)
+            # every exact entry follows one tightening that did not suffice
+            seen["tightened"] += spy.tightened - spy.exact
+            seen["exact"] += spy.exact
+            if widened:
+                mid_run = any(slots.bits == 64 and pivots for slots, pivots in spy.runs.items())
+                seen["widened_mid_run" if mid_run else "widened_at_input"] += 1
+
+        check()
+        assert all(seen.values()), seen
+
+    def test_budget_one_stops_after_one_pass(self, monkeypatch):
+        spy = _PackedSpy(monkeypatch)
+        matrix = cartan_graded(5, 3).entries
+        assert _assert_same_run(spy, matrix, 1) == []
+        assert spy.run(matrix, 1)[0] == (None, 2, "budget")
 
 
 class TestDetIdealGcds:
