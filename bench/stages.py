@@ -49,8 +49,10 @@ precision ran out) or "split" (a proper factor of the modulus was met).
 Likewise it records every choice of moduli for the multi-modular
 determinant (`linalg._moduli`): the bit length of the Hadamard bound B and
 of each prime chosen during the v=1 stages.  The default points are the
-three of the block-det-field workload, the three of the integer-snf workload
-and the v=1 frontier points.
+three of the block-det-field workload, the three of the integer-snf workload,
+the v=1 frontier points and the five Gram points of the conjecture-report
+workload, (5,3), (3,4), (4,3), (2,4) and (5,2), where the diagonalize stage
+and its digest time layer 4 at the benchmark's own points.
 
 One run appends one record to the JSON file --out (default BENCH_stages.json
 at the repository root): {"runs": [record, ...]}, one compact record per
@@ -102,8 +104,12 @@ STAGES = (
 )
 DIGESTS = ("invariants_sha256", "det_sha256", "field_invariants_sha256", "diagonalize_sha256")
 # block-det-field points (its det points are (5,4) and (4,5)), integer-snf
-# points, then the v=1 frontier
-POINTS = ((5, 4), (4, 5), (2, 12), (7, 4), (5, 5), (3, 8), (9, 4), (7, 5), (4, 7), (5, 6))
+# points, the v=1 frontier, then the Gram points of the conjecture-report
+# workload (report-p-r-d reads the Gram matrix at ell = p^r, d)
+POINTS = (
+    (5, 4), (4, 5), (2, 12), (7, 4), (5, 5), (3, 8), (9, 4), (7, 5), (4, 7), (5, 6),
+    (5, 3), (3, 4), (4, 3), (2, 4), (5, 2),
+)
 # the largest Gram dimension whose diagonalize stage runs, that of (4,5):
 # layer 4 takes 0.4-0.7 s there, but 65 s at (7,4), 315 rows, many times
 # all the other stages of that point together

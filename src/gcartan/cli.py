@@ -314,6 +314,8 @@ def _factored_latex(parts: list[dict]) -> str:
 
 def cmd_det(args) -> str:
     dg, label = _finite_diagram(args)
+    if args.check:
+        _size_guard(args, _dimension(dg.nodes, args.d))
     formula = qc.shapovalov_det_formula(dg, args.d)
     payload = {
         "diagram": label,
@@ -323,7 +325,6 @@ def cmd_det(args) -> str:
     }
     ok = True
     if args.check:
-        _size_guard(args, _dimension(dg.nodes, args.d))
         actual = gram_det(dg, args.d)
         ok = actual == formula
         payload["check"] = {"gram_det_equals_formula": ok}

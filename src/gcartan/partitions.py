@@ -65,17 +65,19 @@ def enum_class_regular(n: int, ell: int) -> tuple[Partition, ...]:
 def u_count(m: int, n: int) -> int:
     """u(m, n) = |Par_m(n)|, the number of m-multipartitions of n.
 
-    Computed by exact integer dynamic programming on the generating function
-    prod_k (1 - q^k)^(-m).  Note u(0,0) = 1 and u(0,n) = 0 for n >= 1.
+    The logarithmic derivative of the generating function
+    prod_k (1 - q^k)^(-m) gives t u(m, t) = m sum_{k=1}^{t} sigma(k) u(m, t-k),
+    sigma the divisor sum: O(n^2) exact integer steps for any m, so a size
+    guard can count a huge m at once, and each division by t is exact.  Note
+    u(0,0) = 1 and u(0,n) = 0 for n >= 1.
     """
     if m < 0 or n < 0:
         raise ValueError("u_count needs nonnegative arguments")
-    dp = [1] + [0] * n
-    for _ in range(m):
-        for k in range(1, n + 1):
-            for t in range(k, n + 1):
-                dp[t] += dp[t - k]
-    return dp[n]
+    sigma = [sum(k for k in range(1, t + 1) if t % k == 0) for t in range(n + 1)]
+    u = [1]
+    for t in range(1, n + 1):
+        u.append(m * sum(sigma[k] * u[t - k] for k in range(1, t + 1)) // t)
+    return u[n]
 
 
 def multipartitions(m: int, n: int) -> Iterator[tuple[Partition, ...]]:

@@ -380,13 +380,16 @@ def sub_product(a: LaurentPoly, q: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     """Return q with a = q*b if q exists in Z[v,v^-1], else None.  A monomial
     b = c v^k divides a exactly when c divides every coefficient of a, and
-    is handled term by term; any other b by long division."""
+    is handled term by term; any other b by long division in a's own
+    exponents: each quotient term v^k cancels the remainder's top term, and
+    k below min(a) - min(b) means b does not divide a."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
-    if len(b._terms) == 1:
-        ((k, c),) = b._terms.items()
+    tb = b._terms
+    if len(tb) == 1:
+        ((k, c),) = tb.items()
         t = {}
         for e, x in a._terms.items():
             y, rem = divmod(x, c)
@@ -394,29 +397,22 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
                 return None
             t[e - k] = y
         return _owned(t)
-    shift = a.min_exp - b.min_exp
-    ra = a.shift(-a.min_exp).terms
-    rb = b.shift(-b.min_exp).terms
-    db = max(rb)
-    lead_b = rb[db]
+    r, top = dict(a._terms), max(tb)
+    lead, floor = tb[top], min(r) - min(tb)
     q: dict[int, int] = {}
-    r = ra
     while r:
-        dr = max(r)
-        if dr < db:
+        k = max(r) - top
+        c, rem = divmod(r[k + top], lead)
+        if rem or k < floor:
             return None
-        c, rem = divmod(r[dr], lead_b)
-        if rem:
-            return None
-        q[dr - db] = c
-        for e, cb in rb.items():
-            ee = e + dr - db
-            s = r.get(ee, 0) - c * cb
+        q[k] = c
+        for e, cb in tb.items():
+            s = r.get(e + k, 0) - c * cb
             if s:
-                r[ee] = s
+                r[e + k] = s
             else:
-                r.pop(ee, None)
-    return LaurentPoly(q).shift(shift)
+                del r[e + k]
+    return _owned(q)
 
 
 def exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

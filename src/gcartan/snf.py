@@ -41,7 +41,13 @@ wider slots.  The largest coefficient of a run is 47 bits at (5,1,3), the
 most at the benchmark's report points, and 31, 40, 27 and 26 bits at the
 frontier points (5,1,4), (7,1,3), (2,2,5) and (3,1,5).  At those six
 points tightening always suffices (92 times at (5,1,3), 404 at (7,1,3)):
-no entry is computed exactly and no run restarts.
+no entry is computed exactly and no run restarts.  Further out it does not,
+which is why `_Slots.exact` stays beside the restart.  Full runs at
+(7,1,4), (2,2,6) and (5,1,5) computed 5, 0 and 0 entries exactly, after
+5644, 311 and 3921 tightenings, in 166, 45 and 95 steps and 64.5, 6.5 and
+16.5 s (shared 2-core x86-64 machine, CPython 3.11).  With a restart in
+place of each exact entry, (7,1,4) would re-run its 65 s pass up to five
+times.
 """
 
 from __future__ import annotations
@@ -476,59 +482,49 @@ def _span(p: LaurentPoly) -> int:
 
 def _pseudo_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, int]:
     """(q, r, scale) with scale*a = q*b + r, span(r) < span(b), scale a power
-    of b's leading coefficient (a unit over Q[v,v^-1])."""
+    of b's leading coefficient (a unit over Q[v,v^-1]).  The long division
+    runs in a's own exponents, as `divide_exact`'s does: it stops once the
+    next quotient term v^k has k below min(a) - min(b)."""
     if b.is_zero:
         raise ZeroDivisionError
     if a.is_zero:
         return ZERO, ZERO, 1
-    sa, sb = a.min_exp, b.min_exp
-    ra = a.shift(-sa).terms
-    db = b.max_exp - sb
-    rb = b.shift(-sb).terms
-    lead = rb[db]
+    r, tb = dict(a._terms), b._terms
+    top = max(tb)
+    lead, floor = tb[top], min(r) - min(tb)
     q: dict[int, int] = {}
     scale = 1
-    while ra:
-        da = max(ra)
-        if da < db:
+    while r:
+        k = max(r) - top
+        if k < floor:
             break
-        c = ra[da]
+        c = r[k + top]
         if c % lead:
             # scale the running remainder (and the quotient built so far)
             scale *= lead
-            ra = {e: x * lead for e, x in ra.items()}
+            r = {e: x * lead for e, x in r.items()}
             q = {e: x * lead for e, x in q.items()}
             c *= lead
-        f = c // lead
-        q[da - db] = q.get(da - db, 0) + f
-        for e, cb in rb.items():
-            ee = e + da - db
-            s = ra.get(ee, 0) - f * cb
+        f = q[k] = c // lead
+        for e, cb in tb.items():
+            s = r.get(e + k, 0) - f * cb
             if s:
-                ra[ee] = s
+                r[e + k] = s
             else:
-                ra.pop(ee, None)
-    return LaurentPoly(q).shift(sa - sb), LaurentPoly(ra).shift(sa), scale
+                del r[e + k]
+    return _owned(q), _owned(r), scale
 
 
 def _strip_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
     # integer content and a common v-power are units over Q[v,v^-1]
-    g = 0
-    lo = None
+    g, lo = 0, None
     for e in row:
-        if not e.is_zero:
-            g = math.gcd(g, e.content())
-            lo = e.min_exp if lo is None else min(lo, e.min_exp)
+        if t := e._terms:
+            g, low = math.gcd(g, *t.values()), min(t)
+            lo = low if lo is None else min(lo, low)
     if g <= 1 and not lo:
         return row
-    out = []
-    for e in row:
-        if e.is_zero:
-            out.append(e)
-        else:
-            t = {ex - lo: c // g for ex, c in e._terms.items()}
-            out.append(LaurentPoly(t))
-    return out
+    return [_owned({x - lo: c // g for x, c in e._terms.items()}) if e else e for e in row]
 
 
 def _reduce_field(row: list[LaurentPoly], prow: list[LaurentPoly]):
@@ -675,26 +671,31 @@ def _end_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly:
     while each step makes e simpler, and return the sum of those monomials.
 
     Coefficient division is Euclidean (floor quotients, remainders allowed),
-    so this also grinds down end coefficients, not just end exponents.
+    so this also grinds down end coefficients, not just end exponents.  e is
+    nonzero, and at most 256 steps are taken.
     """
+    tp = piv._terms
+    hi_p, lo_p = max(tp), min(tp)
+    top_p, low_p = tp[hi_p], tp[lo_p]
     q: dict[int, int] = {}
-    guard = 0
-    while not e.is_zero and guard < 256:
-        guard += 1
-        te, tp = e._terms, piv._terms
-        hi_e, hi_p = max(te), max(tp)
-        lo_e, lo_p = min(te), min(tp)
+    key = _complexity(e)
+    for _ in range(256):
+        te = e._terms
+        hi_e, lo_e = max(te), min(te)
         if hi_e - lo_e < hi_p - lo_p:
             break
-        for k, c in ((hi_e - hi_p, te[hi_e] // tp[hi_p]), (lo_e - lo_p, te[lo_e] // tp[lo_p])):
+        for k, c in ((hi_e - hi_p, te[hi_e] // top_p), (lo_e - lo_p, te[lo_e] // low_p)):
             if c:
+                # `-`, not sub_product: perfbench/selftest.py needs this __sub__ (and __add__) call
                 nxt = e - piv.shift(k) * c
-                if nxt.is_zero or _complexity(nxt) < _complexity(e):
+                if not nxt or (nxt_key := _complexity(nxt)) < key:
                     break
         else:
             break
-        e = nxt
         q[k] = q.get(k, 0) + c
+        if not nxt:
+            break
+        e, key = nxt, nxt_key
     return LaurentPoly(q)
 
 

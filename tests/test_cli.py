@@ -287,6 +287,14 @@ class TestDetCommand:
         code, out, err = run(capsys, *argv, "--check")
         assert (code, out) == (1, want) and err.startswith("determinant mismatch:\n")
 
+    def test_check_is_refused_before_the_formula(self, capsys, monkeypatch):
+        # the Gram matrix at ell=4, d=8 has 810 rows; the closed formula there
+        # takes seconds, and a refused --check must not compute it first
+        monkeypatch.setattr(cli.qc, "shapovalov_det_formula", TestOptionPolicy._never)
+        argv = ("det", "--ell", "4", "--d", "8", "--check", "--limit", "10", "--cache-dir", "")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "810 x 810 (> 10)" in err and "--force" in err
+
     def test_negative_weight_is_usage(self, capsys):
         # the empty product over s <= d would claim determinant 1
         code, out, err = run(capsys, "det", "--ell", "3", "--d", "-1", "--cache-dir", "")
@@ -892,6 +900,32 @@ class TestOptionPolicy:
             monkeypatch.setattr(module, fn, self._never)
         code, out, err = run(capsys, *argv, "--cache-dir", "")
         assert (code, out) == (2, "") and message in err, err
+
+
+class TestHugeSizeGuard:
+    # the guard counts u(m, d) rows in O(d^2) steps for any m, so a huge ell
+    # or r is refused at once; in a subprocess with a timeout, so that a
+    # guard that loops m times fails here rather than hanging the suite
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["gram", "--ell", "100000000", "--d", "2"], 5000000049999999),
+            (["report", "--p", "2", "--r", "40", "--d", "1"], 2**40 - 1),
+        ],
+        ids=["gram", "report"],
+    )
+    def test_refused_at_once(self, argv, rows):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcartan.cli", *argv, "--cache-dir", ""],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"matrix would be {rows} x {rows} (> 2000)" in proc.stderr
 
 
 class TestOptimisedInterpreter:

@@ -111,6 +111,12 @@ class TestCounting:
         assert pt.u_count(2, 3) == 10
         assert pt.u_count(1, 6) == 11
 
+    def test_u_count_at_a_huge_m(self):
+        # u(m, 2) = 2m ((2) or (1,1) in one component) + C(m, 2) ((1) in
+        # two) = (m^2 + 3m) / 2, counted without m steps
+        m = 10**12
+        assert pt.u_count(m, 2) == (m * m + 3 * m) // 2
+
     def test_u_count_matches_enumeration(self):
         for m in range(0, 4):
             for n in range(0, 7):

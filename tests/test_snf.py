@@ -646,6 +646,205 @@ class TestTryDiagonalize:
             try_diagonalize_zlaurent(m, budget=2000)
 
 
+# The quotient code as it was before its long divisions ran in the
+# dividend's own exponents, kept as independent references: the packed
+# engine's reference (_reduce_zlaurent) calls snf._reducing_quotient, so it
+# cannot see a change there.
+
+
+def _divide_exact_reference(a, b):
+    """qlaurent.divide_exact with a and b shifted to lowest exponent 0 and
+    the quotient shifted back."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return ZERO
+    if len(b.terms) == 1:
+        ((k, c),) = b.terms.items()
+        t = {}
+        for e, x in a.terms.items():
+            y, rem = divmod(x, c)
+            if rem:
+                return None
+            t[e - k] = y
+        return LaurentPoly(t)
+    shift = a.min_exp - b.min_exp
+    ra = a.shift(-a.min_exp).terms
+    rb = b.shift(-b.min_exp).terms
+    db = max(rb)
+    lead_b = rb[db]
+    q = {}
+    r = ra
+    while r:
+        dr = max(r)
+        if dr < db:
+            return None
+        c, rem = divmod(r[dr], lead_b)
+        if rem:
+            return None
+        q[dr - db] = c
+        for e, cb in rb.items():
+            ee = e + dr - db
+            s = r.get(ee, 0) - c * cb
+            if s:
+                r[ee] = s
+            else:
+                r.pop(ee, None)
+    return LaurentPoly(q).shift(shift)
+
+
+def _pseudo_divmod_reference(a, b):
+    """snf._pseudo_divmod with a and b shifted to lowest exponent 0, and the
+    quotient and remainder shifted back."""
+    if b.is_zero:
+        raise ZeroDivisionError
+    if a.is_zero:
+        return ZERO, ZERO, 1
+    sa, sb = a.min_exp, b.min_exp
+    ra = a.shift(-sa).terms
+    db = b.max_exp - sb
+    rb = b.shift(-sb).terms
+    lead = rb[db]
+    q = {}
+    scale = 1
+    while ra:
+        da = max(ra)
+        if da < db:
+            break
+        c = ra[da]
+        if c % lead:
+            scale *= lead
+            ra = {e: x * lead for e, x in ra.items()}
+            q = {e: x * lead for e, x in q.items()}
+            c *= lead
+        f = c // lead
+        q[da - db] = q.get(da - db, 0) + f
+        for e, cb in rb.items():
+            ee = e + da - db
+            s = ra.get(ee, 0) - f * cb
+            if s:
+                ra[ee] = s
+            else:
+                ra.pop(ee, None)
+    return LaurentPoly(q).shift(sa - sb), LaurentPoly(ra).shift(sa), scale
+
+
+def _end_quotient_reference(e, piv):
+    """snf._end_quotient reading the pivot's ends and keying e afresh at
+    every step."""
+    q = {}
+    guard = 0
+    while not e.is_zero and guard < 256:
+        guard += 1
+        te, tp = e.terms, piv.terms
+        hi_e, hi_p = max(te), max(tp)
+        lo_e, lo_p = min(te), min(tp)
+        if hi_e - lo_e < hi_p - lo_p:
+            break
+        for k, c in ((hi_e - hi_p, te[hi_e] // tp[hi_p]), (lo_e - lo_p, te[lo_e] // tp[lo_p])):
+            if c:
+                nxt = e - piv.shift(k) * c
+                if nxt.is_zero or snf._complexity(nxt) < snf._complexity(e):
+                    break
+        else:
+            break
+        e = nxt
+        q[k] = q.get(k, 0) + c
+    return LaurentPoly(q)
+
+
+_NONZERO_COEFFICIENTS = st.integers(-9, 9).filter(bool)
+# negative exponents, and leading coefficients that are not 1 and may be
+# negative; a monomial about one time in three
+_NONZERO_POLYS = st.one_of(
+    st.builds(lambda k, c: LaurentPoly({k: c}), st.integers(-6, 6), _NONZERO_COEFFICIENTS),
+    st.dictionaries(st.integers(-6, 6), _NONZERO_COEFFICIENTS, min_size=1, max_size=5).map(
+        LaurentPoly
+    ),
+    st.dictionaries(st.integers(-4, 4), _NONZERO_COEFFICIENTS, min_size=2, max_size=4).map(
+        LaurentPoly
+    ),
+)
+
+
+@st.composite
+def _division_pairs(draw):
+    """(a, b) with b nonzero and a zero, any polynomial, a multiple of b, or
+    a multiple of b plus one term, so that exact and inexact divisions are
+    both common."""
+    b = draw(_NONZERO_POLYS)
+    kind = draw(st.sampled_from(["zero", "any", "multiple", "perturbed"]))
+    if kind == "zero":
+        return ZERO, b
+    if kind == "any":
+        return draw(_NONZERO_POLYS), b
+    a = draw(_NONZERO_POLYS) * b
+    if kind == "perturbed":
+        a = a + LaurentPoly({draw(st.integers(-12, 12)): draw(_NONZERO_COEFFICIENTS)})
+    return a, b
+
+
+class TestQuotientsAgainstReferences:
+    """divide_exact, _pseudo_divmod, _end_quotient and _reducing_quotient
+    against the references above, which shift every operand to lowest
+    exponent 0."""
+
+    @given(_division_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_divide_exact(self, pair):
+        a, b = pair
+        before = a.terms
+        got = divide_exact(a, b)
+        assert got == _divide_exact_reference(a, b)
+        assert a.terms == before  # the dividend is not consumed
+        if got is not None:
+            assert got * b == a and 0 not in got.terms.values()
+
+    @given(_division_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_pseudo_divmod(self, pair):
+        a, b = pair
+        before = a.terms
+        got = snf._pseudo_divmod(a, b)
+        assert got == _pseudo_divmod_reference(a, b)
+        assert a.terms == before
+        for part in got[:2]:
+            assert 0 not in part.terms.values()
+
+    @given(_division_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_pseudo_divmod_contract(self, pair):
+        # scale * a = q * b + r, with r zero or of smaller span than b, and
+        # scale a power of b's leading coefficient: one factor at most per
+        # quotient term, of which there are at most span(a) + 1
+        a, b = pair
+        q, r, scale = snf._pseudo_divmod(a, b)
+        assert a * scale == q * b + r
+        assert r.is_zero or snf._span(r) < snf._span(b)
+        lead = b.coefficient(b.max_exp)
+        span_a = snf._span(a) if a else 0
+        assert scale in {lead**j for j in range(span_a + 2)}
+
+    @given(_NONZERO_POLYS, _NONZERO_POLYS)
+    @settings(max_examples=400, deadline=None)
+    def test_end_quotient(self, e, piv):
+        assert snf._end_quotient(e, piv) == _end_quotient_reference(e, piv)
+
+    @given(_division_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_reducing_quotient(self, pair):
+        # the exact quotient where there is one, else the end quotient; None
+        # for a zero dividend or a zero end quotient
+        e, piv = pair
+        want = None
+        if e:
+            want = _divide_exact_reference(e, piv)
+            if want is None:
+                want = _end_quotient_reference(e, piv)
+            want = want or None
+        assert snf._reducing_quotient(e, piv) == want
+
+
 def _reduce_zlaurent(row, prow):
     """The dict-based row reduction that the packed engine replaced: each
     entry a - q*b term by term on LaurentPoly entries."""
