@@ -48,22 +48,16 @@ def hill_invariant(p: int, r: int, lam: pt.Partition) -> int:
     """I_{p,r}(lam): the power of p with
     log_p = sum over n not in p^r Z of ((r - nu_p(n)) m_n + sum_t floor(m_n / p^t))."""
     _check_p_r(p, r)
-    ell = p**r
     e = 0
-    for n, m in pt.mults(lam).items():
-        if n % ell == 0:
-            continue
+    for n, m in pt.mults(pt.cut(lam, p**r)).items():
         e += (r - pt.p_adic_split(n, p)[1]) * m + pt.factorial_valuation(m, p)
     return p**e
 
 
 def _graded_hill_factors(p: int, r: int, lam: pt.Partition) -> tuple[tuple[int, int], ...]:
     # the bracket parameters (n, s) with I^v = prod [n]_s
-    ell = p**r
     out = []
-    for n, m in sorted(pt.mults(lam).items()):
-        if n % ell == 0:
-            continue
+    for n, m in sorted(pt.mults(pt.cut(lam, p**r)).items()):
         nun = pt.p_adic_split(n, p)[1]
         for k in range(1, m + 1):
             ak, nuk = pt.p_adic_split(k, p)
@@ -86,15 +80,11 @@ def kor_invariant(ell: int, lam: pt.Partition) -> int:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     out = 1
-    for k, m in pt.mults(lam).items():
-        if k % ell == 0:
-            continue
-        f = m // ell
-        if f:
-            base = ell // math.gcd(ell, k)
-            out *= base**f
-            for q in pt.prime_divisors(base):
-                out *= q ** pt.factorial_valuation(f, q)
+    for k, f in pt.mults(pt.red(pt.cut(lam, ell), ell)).items():
+        base = ell // math.gcd(ell, k)
+        out *= base**f
+        for q in pt.prime_divisors(base):
+            out *= q ** pt.factorial_valuation(f, q)
     return out
 
 
@@ -110,11 +100,9 @@ def graded_kor(p: int, r: int, lam: pt.Partition) -> LaurentPoly:
     _check_p_r(p, r)
     ell = p**r
     factors = []
-    for k, m in pt.mults(lam).items():
-        if k % ell == 0:
-            continue
+    for k, f in pt.mults(pt.red(pt.cut(lam, ell), ell)).items():
         nuk = pt.p_adic_split(k, p)[1]
-        for t in range(1, m // ell + 1):
+        for t in range(1, f + 1):
             at, nut = pt.p_adic_split(t, p)
             factors.append((p ** (r - nuk + nut), at * p**nuk))
     return bracket_product(factors)
@@ -126,9 +114,7 @@ def asy_Q(ell: int, lam: pt.Partition) -> LaurentPoly:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     factors = []
-    for n, m in pt.mults(lam).items():
-        if n % ell == 0:
-            continue
+    for m in pt.mults(pt.cut(lam, ell)).values():
         for k in range(1, m + 1):
             ak, nuk = pt.p_adic_split(k, ell)
             factors.append((ell ** (1 + nuk), ak))
@@ -222,13 +208,10 @@ def verify_tsaigo(p: int, r: int, d: int, u: int) -> bool:
         raise ValueError("d must be nonnegative")
     if u < 1 or u % p == 0:
         raise ValueError("u must be a positive integer not divisible by p")
-    ell = p**r
     left: Counter = Counter()
     right: Counter = Counter()
     for lam in pt.enum_partitions(d):
-        for n, m in pt.mults(lam).items():
-            if n % ell == 0:
-                continue
+        for n, m in pt.mults(pt.cut(lam, p**r)).items():
             nun = pt.p_adic_split(n, p)[1]
             for k in range(1, m + 1):
                 ak, nuk = pt.p_adic_split(k, p)

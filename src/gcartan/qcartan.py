@@ -21,7 +21,6 @@ from .qlaurent import (
     ONE,
     LaurentPoly,
     kss_bracket,
-    normalize_unit,
     quantum_int,
     su_bracket,
     vanishes_at_primitive_root,
@@ -339,8 +338,8 @@ def folding_det_check(td: TwistedDiagram, t: int) -> bool:
     """Validate the twisted table against the folded finite Cartan data.
 
     Builds Y^(t) over I(t) = {i : d_i | t} with diagonal [B_ii]_t and
-    off-diagonal B_ij, and checks det Y^(t) = gamma_{X,t} up to the canonical
-    unit together with f_{X,t} = |I(t)|.
+    off-diagonal B_ij, and checks f_{X,t} = |I(t)| and det Y^(t) = gamma_{X,t}
+    exactly.
     """
     if td.kind == "A2_even":
         raise ValueError("the folding construction excludes A^(2)_{2n}")
@@ -355,13 +354,7 @@ def folding_det_check(td: TwistedDiagram, t: int) -> bool:
         [quantum_int(2, t) if i == j else LaurentPoly.const(b[i][j]) for j in sel]
         for i in sel
     ]
-    det = laurent_det(y)
-    gamma = td.gamma(t)
-    if det == gamma:
-        return True
-    if det.is_zero or gamma.is_zero:
-        return False
-    return normalize_unit(det)[1] == normalize_unit(gamma)[1]
+    return laurent_det(y) == td.gamma(t)
 
 
 # ---------------------------------------------------------------------------

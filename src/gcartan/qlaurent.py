@@ -207,12 +207,18 @@ class LaurentPoly:
     @staticmethod
     def from_json(obj: dict) -> LaurentPoly:
         """Inverse of to_json.  Exponents and coefficients must be integers
-        or integer strings, not bools or floats; anything else raises
+        or integer strings, not bools or floats, and no two keys may name
+        one exponent ("1" and "01", "0" and "-0"); anything else raises
         ValueError."""
         terms = obj.get("terms") if isinstance(obj, dict) else None
         if not isinstance(terms, dict):
             raise ValueError(f"expected {{'terms': {{exponent: coefficient}}}}, got {obj!r}")
-        return LaurentPoly({_json_int(e): _json_int(c) for e, c in terms.items()})
+        out: dict[int, int] = {}
+        for e, c in terms.items():
+            if (k := _json_int(e)) in out:
+                raise ValueError(f"exponent {k} is given twice")
+            out[k] = _json_int(c)
+        return LaurentPoly(out)
 
 
 def _json_int(x) -> int:

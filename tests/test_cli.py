@@ -418,6 +418,20 @@ class TestVerifyCommand:
         assert json.loads(out)["ok"] is False
 
 
+    @pytest.mark.parametrize("unit", [-1, LaurentPoly({2: 1})], ids=["minus-one", "v-squared"])
+    def test_folding_fails_on_gamma_off_by_a_unit(self, capsys, cache_dir, monkeypatch, unit):
+        # det Y^(t) is compared with gamma_{X,t} exactly, not up to a unit
+        from gcartan.qcartan import TwistedDiagram
+
+        gamma = TwistedDiagram.gamma
+        monkeypatch.setattr(TwistedDiagram, "gamma", lambda td, t: gamma(td, t) * unit)
+        code, out, _ = run(
+            capsys, "verify", "folding", "--diagram", "tD4", "--tmax", "2",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 1 and json.loads(out)["ok"] is False
+
+
 class TestIrredCommand:
     def test_reducible_case(self, capsys, cache_dir):
         code, out, _ = run(
@@ -534,6 +548,22 @@ class TestSnfCommand:
         assert obj["invariants"] == ["1", "0"] and obj["status"] == "VERIFIED"
         assert obj["checks"] == {"product_equals_abs_det": True, "divisibility_chain": True}
 
+    def test_qlaurent_singular(self, capsys, tmp_path, cache_dir):
+        # det [[v, 1], [v^2, v]] = 0: the product check asks for a zero product
+        v = LaurentPoly({1: 1})
+        f = tmp_path / "m.json"
+        rows = [[v, LaurentPoly.const(1)], [v * v, v]]
+        f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in rows]}))
+        code, out, _ = run(
+            capsys, "snf", "--input", str(f), "--ring", "qlaurent", "--cache-dir", cache_dir
+        )
+        assert code == 0
+        obj = json.loads(out)
+        invariants = [LaurentPoly.from_json(e) for e in obj["invariants"]]
+        assert invariants == [LaurentPoly.const(1), LaurentPoly.const(0)]
+        assert obj["status"] == "VERIFIED"
+        assert obj["checks"] == {"product_matches_det_up_to_unit": True}
+
     @pytest.mark.parametrize(
         "rows, want", [([[3, 4], [4, 8]], ["1", "8"]), ([[2, 4], [1, 2]], ["1", "0"])],
         ids=["nonsingular", "singular"],
@@ -636,8 +666,12 @@ class TestSnfCommand:
             ('{"entries": [[{"0": "1"}]]}', "zlaurent"),
             ('{"rows": [[1, 0], [0]]}', "zint"),
             (None, "zint"),
+            ('{"entries": [[{"terms": {"1": "2", "01": "3"}}]]}', "zlaurent"),
         ],
-        ids=["float", "bool", "float-coefficient", "no-terms", "ragged", "missing-file"],
+        ids=[
+            "float", "bool", "float-coefficient", "no-terms", "ragged", "missing-file",
+            "repeated-exponent",
+        ],
     )
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, cache_dir, text, ring):
         f = tmp_path / "m.json"

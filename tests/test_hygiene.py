@@ -271,6 +271,19 @@ def test_one_bracket_expander():
     assert not found, f"src/gcartan/invariants.py reads {sorted(found)}"
 
 
+def test_one_cut_and_one_red():
+    # the closed forms drop the parts in ell*Z through partitions.cut and floor
+    # the multiplicities by ell through partitions.red: invariants.py holds no
+    # `x % ell` or `x // ell` of its own (`ell // k` is no such filter)
+    found = [
+        f"invariants.py:{node.lineno}"
+        for node in ast.walk(_parse(PACKAGE / "invariants.py"))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mod, ast.FloorDiv))
+        and isinstance(node.right, ast.Name) and node.right.id == "ell"
+    ]
+    assert not found, f"a CUT or RED written out: {found}"
+
+
 def test_one_exact_quotient():
     # a quotient that must exist comes from qlaurent.exact_quotient: no other
     # function binds a name to divide_exact(...) and raises when it is None

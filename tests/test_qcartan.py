@@ -292,6 +292,16 @@ class TestTwisted:
             for t in ts:
                 assert folding_det_check(td, t), (td, t)
 
+    @pytest.mark.parametrize("unit", [-1, LaurentPoly({2: 1})], ids=["minus-one", "v-squared"])
+    def test_folding_is_exact(self, monkeypatch, unit):
+        # gamma_{X,t} off by a unit fails the check at every t
+        gamma = TwistedDiagram.gamma
+        monkeypatch.setattr(TwistedDiagram, "gamma", lambda td, t: gamma(td, t) * unit)
+        for td in (TwistedDiagram("A2_odd", 3), TwistedDiagram("D2", 2), TwistedDiagram("E6_2"),
+                   TwistedDiagram("D4_3")):
+            for t in range(1, 7):
+                assert not folding_det_check(td, t), (td, t)
+
     @pytest.mark.parametrize("n", range(3, 7))
     def test_finite_cartan_c(self, n):
         assert TwistedDiagram("A2_odd", n).finite_cartan() == C_N[n]

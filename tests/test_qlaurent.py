@@ -107,6 +107,15 @@ class TestRingBasics:
         p = LaurentPoly({10**20: 3, -5: -(10**30)})
         assert LaurentPoly.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize(
+        "terms, exponent",
+        [({"1": "2", "01": "3"}, 1), ({"0": "5", "-0": "7"}, 0), ({"-2": 1, -2: 4}, -2)],
+    )
+    def test_from_json_refuses_a_repeated_exponent(self, terms, exponent):
+        # two keys naming one exponent used to keep whichever came last
+        with pytest.raises(ValueError, match=rf"^exponent {exponent} is given twice$"):
+            LaurentPoly.from_json({"terms": terms})
+
 
 class TestBarAndSubst:
     def test_bar_example(self):
