@@ -13,7 +13,8 @@ what the command renders: json, csv and latex for gram, det, twisted and
 table; json and csv for verify, irred and invariants; json alone for snf and
 report.  The commands that build a Gram matrix, gram, det (with --check) and
 report, refuse one of more than --limit N rows (default 2000) unless given
---force; no other command takes either flag.
+--force, and det refuses an [X] of more than --limit rows, with or without
+--check; no other command takes either flag.
 
 Matrix JSON has one shape: `gram` writes "entries" as a list of rows of
 Laurent polynomials (LaurentPoly.to_json), and `snf --input` reads that key
@@ -53,6 +54,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -82,26 +84,13 @@ class VerificationFailure(Exception):
 
 def poly_latex(p: LaurentPoly) -> str:
     """Render a Laurent polynomial, recognizing quantum brackets [n]_s."""
-    if p.is_zero:
-        return "0"
     n = len(p)
-    if p == LaurentPoly.const(1):
-        return "1"
     if n >= 2 and p.max_exp % (n - 1) == 0:
         s = p.max_exp // (n - 1)
         if s >= 1 and p == quantum_int(n, s):
             return f"[{n}]" if s == 1 else f"[{n}]_{{{s}}}"
-    bits = []
-    for e, c in sorted(p.terms.items(), reverse=True):
-        coeff = "" if abs(c) == 1 and e != 0 else str(abs(c))
-        if e == 0:
-            body = str(abs(c))
-        elif e == 1:
-            body = f"{coeff}v"
-        else:
-            body = f"{coeff}v^{{{e}}}"
-        bits.append(("+ " if c > 0 else "- ") + body if bits else ("-" + body if c < 0 else body))
-    return " ".join(bits)
+    # str(p) in LaTeX: no `*`, and braces around each exponent
+    return re.sub(r"\^(-?\d+)", r"^{\1}", str(p).replace("*", ""))
 
 
 def _entry_str(p: LaurentPoly) -> str:
@@ -308,12 +297,15 @@ def _det_factored_parts(dg: qc.DynkinDiagram, d: int) -> list[dict]:
     return parts
 
 
-def _factored_latex(parts: list[dict]) -> str:
-    return " ".join(f"({p['det_factor']})^{{{p['exponent']}}}" for p in parts) or "1"
+def _factored(parts: list[dict], power: str = "^{{{}}}") -> str:
+    """The product of (det_factor)^exponent over parts, each power written
+    by `power` (LaTeX braces by default), or "1" for none."""
+    return " ".join(f"({p['det_factor']})" + power.format(p["exponent"]) for p in parts) or "1"
 
 
 def cmd_det(args) -> str:
     dg, label = _finite_diagram(args)
+    _size_guard(args, dg.nodes)  # the formula takes the determinant of [X]
     if args.check:
         _size_guard(args, _dimension(dg.nodes, args.d))
     formula = qc.shapovalov_det_formula(dg, args.d)
@@ -335,7 +327,7 @@ def cmd_det(args) -> str:
             )
 
     def latex_fn(out):
-        out.write(_factored_latex(payload["factored"]) + " = " + poly_latex(formula) + "\n")
+        out.write(_factored(payload["factored"]) + " = " + poly_latex(formula) + "\n")
 
     def csv_fn(out):
         out.write(_entry_str(formula) + "\n")
@@ -426,6 +418,15 @@ def _int_entry(x) -> int:
     return x
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's pairs as a dict; a repeated key raises ValueError,
+    where json.load would keep the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("a JSON object gives one key twice")
+    return obj
+
+
 def _read_matrix(path: str, ring: str):
     """The square matrix --ring `ring` works on, from a JSON object: its
     "rows", a list of integer rows, for zint; its "entries", a list of rows
@@ -435,7 +436,7 @@ def _read_matrix(path: str, ring: str):
     key, parse = ("rows", _int_entry) if ring == "zint" else ("entries", LaurentPoly.from_json)
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read a matrix from {path}: {exc}") from None
     rows = obj.get(key) if isinstance(obj, dict) else None
@@ -559,7 +560,7 @@ def cmd_table(args) -> str:
     def latex_fn(out):
         out.write("\\begin{tabular}{rrl}\n  $d$ & $\\dim$ & $\\det$ \\\\ \\hline\n")
         for row in rows:
-            det = _factored_latex(row["determinant"])
+            det = _factored(row["determinant"])
             out.write(f"  {row['d']} & {row['dimension']} & ${det}$ \\\\\n")
         out.write("\\end{tabular}\n")
 
@@ -569,10 +570,7 @@ def cmd_table(args) -> str:
         w = _csv.writer(out, lineterminator="\n")
         w.writerow(["d", "dimension", "determinant"])
         for row in rows:
-            det = " ".join(
-                f"({p['det_factor']})^{p['exponent']}" for p in row["determinant"]
-            ) or "1"
-            w.writerow([row["d"], row["dimension"], det])
+            w.writerow([row["d"], row["dimension"], _factored(row["determinant"], "^{}")])
 
     return _emit(args, payload, csv_fn=csv_fn, latex_fn=latex_fn)
 

@@ -444,11 +444,11 @@ def conjecture_report(
     )
 
     # C(1) is built here at v=1, without the Laurent entries, which layer 4
-    # builds.  Only a determinant that layer 1 has checked is handed to the
-    # local engine.
+    # builds.  Only a determinant that layer 1 has checked is handed to
+    # snf_int; without one it takes a Bareiss |det| of its own.
     gm = cartan_graded(ell, d)
     c1 = gm.at_one()
-    snf_z = snf_mod.snf_int_certified(c1, abs(det.at_one())) if det_ok else snf_mod.snf_int(c1)
+    snf_z = snf_mod.snf_int(c1, abs(det.at_one()) if det_ok else None)
     int_ok = snf_z.elements == snf_mod.snf_int_diagonal(hill_values(p, r, d)).elements
     layer(
         "integer-invariants",

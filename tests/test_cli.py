@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcartan import cli
 from gcartan.qlaurent import LaurentPoly, quantum_int
@@ -23,6 +25,62 @@ def run(capsys, *argv):
 @pytest.fixture()
 def cache_dir(tmp_path):
     return str(tmp_path / "cache")
+
+
+def _term_loop_latex(p):
+    """The term-by-term LaTeX writer that cli.poly_latex replaced by a
+    rewrite of str(p), kept as the reference its output must match."""
+    if p.is_zero:
+        return "0"
+    n = len(p)
+    if p == LaurentPoly.const(1):
+        return "1"
+    if n >= 2 and p.max_exp % (n - 1) == 0:
+        s = p.max_exp // (n - 1)
+        if s >= 1 and p == quantum_int(n, s):
+            return f"[{n}]" if s == 1 else f"[{n}]_{{{s}}}"
+    bits = []
+    for e, c in sorted(p.terms.items(), reverse=True):
+        coeff = "" if abs(c) == 1 and e != 0 else str(abs(c))
+        if e == 0:
+            body = str(abs(c))
+        elif e == 1:
+            body = f"{coeff}v"
+        else:
+            body = f"{coeff}v^{{{e}}}"
+        bits.append(("+ " if c > 0 else "- ") + body if bits else ("-" + body if c < 0 else body))
+    return " ".join(bits)
+
+
+_BRACKETS = [quantum_int(n, s) for n in range(1, 9) for s in range(1, 5)]
+_coefficients = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-30, 30),
+    st.integers(2**64, 2**70),
+    st.integers(-(2**70), -(2**64)),
+)
+_polys = st.dictionaries(st.integers(-12, 12), _coefficients, max_size=5).map(LaurentPoly)
+
+
+class TestPolyLatex:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_brackets(self, n, s):
+        for p in (quantum_int(n, s), -quantum_int(n, s)):
+            assert cli.poly_latex(p) == _term_loop_latex(p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_polys, st.sampled_from([LaurentPoly()] + _BRACKETS))
+    def test_matches_the_term_loop(self, p, bracket):
+        # a polynomial, and a bracket plus or times it: brackets that must be
+        # recognised, and near misses that must not
+        for q in (p, bracket + p, bracket * p):
+            assert cli.poly_latex(q) == _term_loop_latex(q)
+
+    def test_examples(self):
+        p = LaurentPoly({-3: 1, 0: -1, 1: 2, 12: -(2**65)})
+        assert cli.poly_latex(p) == f"-{2**65}v^{{12}} + 2v - 1 + v^{{-3}}"
+        assert cli.poly_latex(quantum_int(3, 2)) == "[3]_{2}"
 
 
 class TestGramCommand:
@@ -294,6 +352,23 @@ class TestDetCommand:
         argv = ("det", "--ell", "4", "--d", "8", "--check", "--limit", "10", "--cache-dir", "")
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "810 x 810 (> 10)" in err and "--force" in err
+
+    def test_x_is_refused_without_check(self):
+        # the closed formula takes the determinant of the 199-row [X]; in a
+        # subprocess with a timeout, so that a formula run before the guard
+        # fails here rather than slowing the suite
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        argv = ["det", "--ell", "200", "--d", "1", "--limit", "10", "--cache-dir", ""]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcartan.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "matrix would be 199 x 199 (> 10)" in proc.stderr
 
     def test_negative_weight_is_usage(self, capsys):
         # the empty product over s <= d would claim determinant 1
@@ -667,10 +742,12 @@ class TestSnfCommand:
             ('{"rows": [[1, 0], [0]]}', "zint"),
             (None, "zint"),
             ('{"entries": [[{"terms": {"1": "2", "01": "3"}}]]}', "zlaurent"),
+            ('{"entries": [[{"terms": {"1": "2", "1": "3"}}]]}', "zlaurent"),
+            ('{"rows": [[1]], "rows": [[2]]}', "zint"),
         ],
         ids=[
             "float", "bool", "float-coefficient", "no-terms", "ragged", "missing-file",
-            "repeated-exponent",
+            "repeated-exponent", "repeated-key-terms", "repeated-key-rows",
         ],
     )
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, cache_dir, text, ring):

@@ -464,3 +464,38 @@ def test_one_elimination_loop():
     for engine in ("_snf_int_dense", "snf_laurent_field", "try_diagonalize_zlaurent"):
         calls = {ast.unparse(n.func) for n in ast.walk(scopes[engine]) if isinstance(n, ast.Call)}
         assert "_diagonalize" in calls, f"{engine} does not call _diagonalize"
+
+
+def test_one_polynomial_printer():
+    # LaurentPoly.__str__ writes a polynomial term by term; cli.poly_latex
+    # rewrites its text, and only _entry_str, the CSV cell form, walks the
+    # terms itself
+    found = {
+        getattr(stmt, "name", "<module>")
+        for stmt in _parse(PACKAGE / "cli.py").body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    }
+    assert found == {"_entry_str"}, f"cli.py reads .terms in {sorted(found)}"
+
+
+def test_one_factored_product_writer():
+    # a factored determinant is built by _det_factored_parts and written, in
+    # LaTeX and CSV alike, by _factored: no other function names "det_factor"
+    found = {"built": set(), "read": set()}
+    for stmt in _parse(PACKAGE / "cli.py").body:
+        names = [n for n in ast.walk(stmt) if isinstance(n, ast.Constant) and n.value == "det_factor"]
+        keys = [k for n in ast.walk(stmt) if isinstance(n, ast.Dict) for k in n.keys if k in names]
+        where = getattr(stmt, "name", "<module>")
+        if keys:
+            found["built"].add(where)
+        if len(names) > len(keys):
+            found["read"].add(where)
+    assert found == {"built": {"_det_factored_parts"}, "read": {"_factored"}}, found
+
+
+def test_integer_invariants_route_through_snf_int():
+    # layer 3 of conjecture_report hands C(1) to snf.snf_int, which alone
+    # picks the engine for a nonsingular or a singular matrix
+    found = _used_names(_parse(PACKAGE / "invariants.py")) & {"snf_int_certified", "_snf_int_dense"}
+    assert not found, f"src/gcartan/invariants.py reads {sorted(found)}"
