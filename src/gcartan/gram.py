@@ -679,31 +679,24 @@ _K_PAIRING = ((ONE,),)
 
 @lru_cache(maxsize=None)
 def schur_in_x(lam: pt.Partition) -> tuple[tuple[pt.Partition, int], ...]:
-    """The Schur element as an integer polynomial in the x_n, by the
-    determinant det(x_{lam_i - i + j}) with x_0 = 1 and x_m = 0 for m < 0."""
-    lam = tuple(lam)
-    L = len(lam)
-    if L == 0:
-        return (((), 1),)
+    """The Schur element as an integer polynomial in the x_n: the Jacobi-Trudi
+    determinant det(x_{lam_i - i + j}), with x_0 = 1 and x_m = 0 for m < 0,
+    by Laplace expansion along the rows.  Row i pairs with each column j not
+    yet used, with the sign (-1)^k when j is the k-th of those columns
+    (counting from 0), times the expansion of the later rows on the columns
+    that remain; an empty minor is 1."""
     acc: dict[pt.Partition, int] = {}
 
-    def expand(row: int, used: int, sign: int, parts: tuple):
-        if row == L:
-            key = tuple(sorted(parts, reverse=True))
+    def expand(row: int, cols: tuple[int, ...], sign: int, parts: tuple):
+        if not cols:
+            key = tuple(sorted(filter(None, parts), reverse=True))
             acc[key] = acc.get(key, 0) + sign
-            return
-        local = 0  # cofactor sign tracks the index among the unused columns
-        for col in range(L):
-            bit = 1 << col
-            if used & bit:
-                continue
-            m = lam[row] - (row + 1) + (col + 1)
+        for k, col in enumerate(cols):
+            m = lam[row] - row + col
             if m >= 0:
-                s = sign if local % 2 == 0 else -sign
-                expand(row + 1, used | bit, s, parts + ((m,) if m > 0 else ()))
-            local += 1
+                expand(row + 1, cols[:k] + cols[k + 1 :], (-1) ** k * sign, parts + (m,))
 
-    expand(0, 0, 1, ())
+    expand(0, tuple(range(len(lam))), 1, ())
     return tuple((k, v) for k, v in acc.items() if v)
 
 

@@ -10,7 +10,6 @@ E_8 attaches node 8 to node 5 of a path of 7.  Internally nodes are 0-based.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -125,23 +124,19 @@ def _exponents_binomial(f: tuple[int, ...], d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _part_counts(k: int) -> tuple[int, ...]:
-    # entry s is sum over lam of k of m_s(lam), the parts of size s in Par(k)
-    counts = Counter(s for lam in pt.enum_partitions(k) for s in lam)
-    return tuple(counts[s] for s in range(k + 1))
-
-
-@lru_cache(maxsize=None)
 def _exponents_multipartition(colors: int, d: int) -> tuple[int, ...]:
     # N_s = sum over colors-tuples of partitions with total size d of
     # m_s(lam_1); marginalizing the other components counts them with
-    # multiplicity u(colors-1, d-|lam_1|)
+    # multiplicity u(colors-1, d-|lam_1|).  Over Par(k) the parts of size s
+    # number sum_{j>=1} p(k - js): the partitions of k with at least j parts
+    # equal to s are those of k - js with j parts s added.
+    p = [pt.u_count(1, n) for n in range(d + 1)]
     out = [0] * (d + 1)
     for k in range(d + 1):
         rest = pt.u_count(colors - 1, d - k)
         if rest:
-            for s, m in enumerate(_part_counts(k)):
-                out[s] += m * rest
+            for s in range(1, k + 1):
+                out[s] += rest * sum(p[k - j * s] for j in range(1, k // s + 1))
     return tuple(out)
 
 
@@ -298,16 +293,19 @@ class TwistedDiagram:
         raise ValueError("A^(2)_{2n} has no folding data here")
 
     def d_weights(self) -> tuple[int, ...]:
-        """d_i = a_i^v / a_i on the finite part (the symmetrizer of B)."""
-        if self.kind == "A2_odd":
-            return tuple([1] * (self.n - 1) + [2])
-        if self.kind == "D2":
-            return tuple([2] * (self.n - 1) + [1])
-        if self.kind == "E6_2":
-            return (1, 1, 2, 2)
-        if self.kind == "D4_3":
-            return (1, 3)
-        raise ValueError("A^(2)_{2n} has no folding data here")
+        """d_i = a_i^v / a_i on the finite part: the symmetrizer of B =
+        finite_cartan(), the least positive integers with d_i B_ij = d_j B_ji.
+        Each node i after the first is joined to an earlier node j, so
+        d_i = d_j B_ji / B_ij; one pass in node order scales the weights
+        already fixed by -B_ij > 0 to keep them integers, and the gcd is
+        divided out at the end."""
+        b = self.finite_cartan()
+        d = [1]
+        for i in range(1, len(b)):
+            j = next(j for j in range(i) if b[i][j])
+            d = [x * -b[i][j] for x in d] + [d[j] * -b[j][i]]
+        g = math.gcd(*d)
+        return tuple(x // g for x in d)
 
     def __str__(self) -> str:
         return {

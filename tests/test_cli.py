@@ -121,6 +121,21 @@ class TestGramCommand:
         )
         assert code == 0 and "[2]" in out and "pmatrix" in out
 
+    def test_csv_of_degree_zero(self, capsys):
+        # the one index at d = 0 is the empty colored partition
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--d", "0", "--format", "csv",
+                           "--cache-dir", "")
+        assert (code, out) == (0, "index,()\n(),1*v^0\n")
+
+    def test_csv_of_a_block_sum_writes_zero_cells(self, capsys):
+        # rank 7 at ell=2: blocks of 2 and 3 rows, and 0 between them
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--blocks", "7", "--format", "csv",
+                           "--cache-dir", "")
+        rows = [line.split(",") for line in out.splitlines()]
+        assert code == 0 and len(rows) == 6 and all(len(row) == 6 for row in rows)
+        assert [row[3:] for row in rows[1:3]] == [["0", "0", "0"]] * 2
+        assert [row[1:3] for row in rows[3:]] == [["0", "0"]] * 3
+
     def test_size_guard(self, capsys, cache_dir):
         code, _, err = run(
             capsys, "gram", "--ell", "5", "--d", "3", "--limit", "10", "--cache-dir", cache_dir
@@ -237,6 +252,18 @@ class TestCacheCounts:
         assert note.startswith("# cache: not stored: ")
         assert counts == "# cache: 0 hit(s), 1 miss(es)\n"
         assert sorted(entry.parent.iterdir()) == [entry]
+
+    def test_default_directory_is_under_home(self, capsys, tmp_path, monkeypatch):
+        # no --cache-dir and no GCART_CACHE_DIR: the cache is ~/.cache/gcart
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("GCART_CACHE_DIR", raising=False)
+        args = ("det", "--ell", "3", "--d", "2")
+        code1, out1, err1 = run(capsys, *args)
+        code2, out2, err2 = run(capsys, *args)
+        assert code1 == code2 == 0 and out1 == out2
+        assert err1 == "# cache: 0 hit(s), 1 miss(es)\n"
+        assert err2 == "# cache: 1 hit(s), 0 miss(es)\n"
+        assert len([f for f in (tmp_path / ".cache" / "gcart").rglob("*") if f.is_file()]) == 1
 
     def test_no_line_without_a_cache(self, capsys):
         code, out, err = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
@@ -375,6 +402,10 @@ class TestDetCommand:
         code, out, err = run(capsys, "det", "--ell", "3", "--d", "-1", "--cache-dir", "")
         assert (code, out, err) == (2, "", "error: d must be >= 0\n")
 
+    def test_unparsable_diagram_is_usage(self, capsys):
+        code, out, err = run(capsys, "det", "--diagram", "Q:3", "--d", "2", "--cache-dir", "")
+        assert code == 2 and not out and "unrecognized diagram label 'Q:3'" in err
+
     def test_e8(self, capsys, cache_dir):
         from gcartan.qlaurent import cyclotomic
 
@@ -503,6 +534,17 @@ class TestVerifyCommand:
         code, out, _ = run(
             capsys, "verify", "folding", "--diagram", "tD4", "--tmax", "2",
             "--cache-dir", cache_dir,
+        )
+        assert code == 1 and json.loads(out)["ok"] is False
+
+    def test_folding_fails_on_a_wrong_count(self, capsys, monkeypatch):
+        # f_{X,t} is compared with |I(t)|, the nodes whose weight divides t
+        from gcartan.qcartan import TwistedDiagram
+
+        f = TwistedDiagram.f
+        monkeypatch.setattr(TwistedDiagram, "f", lambda td, t: f(td, t) + 1)
+        code, out, _ = run(
+            capsys, "verify", "folding", "--diagram", "tA2:3", "--tmax", "2", "--cache-dir", ""
         )
         assert code == 1 and json.loads(out)["ok"] is False
 

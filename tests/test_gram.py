@@ -837,6 +837,20 @@ def _k_gram(n):
     return [tuple(s for s, _ in cp) for cp in g.index], g.entries
 
 
+def _jacobi_trudi_leibniz(lam):
+    """det(x_{lam_i - i + j}) as a sum over permutations with their signs,
+    the reference for schur_in_x's Laplace expansion."""
+    acc = {}
+    for perm in itertools.permutations(range(len(lam))):
+        parts = [lam[i] - i + j for i, j in enumerate(perm)]
+        if min(parts, default=0) < 0:
+            continue
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        key = tuple(sorted((m for m in parts if m), reverse=True))
+        acc[key] = acc.get(key, 0) + (-1) ** inversions
+    return {k: v for k, v in acc.items() if v}
+
+
 class TestKPairingAndSchur:
     def test_jacobi_trudi(self):
         assert dict(schur_in_x(())) == {(): 1}
@@ -844,6 +858,11 @@ class TestKPairingAndSchur:
         assert dict(schur_in_x((4,))) == {(4,): 1}
         assert dict(schur_in_x((1, 1))) == {(1, 1): 1, (2,): -1}
         assert dict(schur_in_x((2, 1))) == {(2, 1): 1, (3,): -1}
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_jacobi_trudi_matches_the_permutation_sum(self, n):
+        for lam in pt.enum_partitions(n):
+            assert dict(schur_in_x(lam)) == _jacobi_trudi_leibniz(lam), lam
 
     def test_k_pair_examples(self):
         assert _k_gram(0) == ([()], ((ONE,),))

@@ -1,6 +1,9 @@
 """Checks over the package's source text rather than its behaviour."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -499,3 +502,23 @@ def test_integer_invariants_route_through_snf_int():
     # picks the engine for a nonsingular or a singular matrix
     found = _used_names(_parse(PACKAGE / "invariants.py")) & {"snf_int_certified", "_snf_int_dense"}
     assert not found, f"src/gcartan/invariants.py reads {sorted(found)}"
+
+
+def test_one_partition_walk_in_the_exponent_forms():
+    # the two closed forms of N share no enumeration: only the binomial form
+    # walks Par(d); the multipartition form counts parts through u_count
+    found = {
+        getattr(stmt, "name", "<module>")
+        for stmt in _parse(PACKAGE / "qcartan.py").body
+        if _used_names(stmt) & {"enum_partitions", "mults"}
+    }
+    assert found == {"_exponents_binomial"}, f"qcartan.py walks partitions in {sorted(found)}"
+
+
+def test_cli_import_loads_no_fraction_module():
+    # `fractions` imports `decimal`, about 2 ms of every `import gcartan.cli`
+    code = "import sys, gcartan.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -165,6 +165,13 @@ class TestIdentityVerifiers:
         assert verify_conjcheck(5, 1, 0)
         assert verify_conjcheck(2, 2, 5) and verify_conjcheck(3, 1, 5)
 
+    def test_conjcheck_fails_on_a_dropped_factor(self, monkeypatch):
+        # the right side loses one bracket per partition with any factor
+        real = invariants._graded_hill_factors
+        monkeypatch.setattr(invariants, "_graded_hill_factors", lambda p, r, lam: real(p, r, lam)[:-1])
+        assert not verify_conjcheck(2, 1, 4)
+        assert not verify_conjcheck(3, 1, 3)
+
     def test_conjcheck_refuses_an_empty_range(self):
         # no degree to check is not a pass
         with pytest.raises(ValueError, match="dmax must be >= 0"):

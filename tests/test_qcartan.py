@@ -1,9 +1,12 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
 
+from gcartan import partitions as pt
+from gcartan import qcartan
 from gcartan.gram import permanent_matrix
 from gcartan.linalg import int_det, laurent_det
 from gcartan.qcartan import (
@@ -138,6 +141,18 @@ class TestCyclotomicClosedForms:
         assert det_quantized(DynkinDiagram("E", 8), 1) == LaurentPoly({-8: 1}) * cyclotomic(60)
 
 
+def _exponents_multipartition_reference(colors, d):
+    """The multipartition form of N as it read before: the parts of size s
+    over Par(k) counted by enumerating Par(k)."""
+    out = [0] * (d + 1)
+    for k in range(d + 1):
+        rest = pt.u_count(colors - 1, d - k)
+        counts = Counter(s for lam in pt.enum_partitions(k) for s in lam)
+        for s in range(1, k + 1):
+            out[s] += counts[s] * rest
+    return tuple(out)
+
+
 class TestExponents:
     def test_examples(self):
         assert exponent_N(1, 2, 1) == 2
@@ -150,6 +165,26 @@ class TestExponents:
             for d in range(0, 8):
                 for s in range(1, d + 1):
                     exponent_N(colors, d, s)
+
+    @pytest.mark.parametrize("colors", range(1, 7))
+    def test_multipartition_form_matches_the_enumeration(self, colors):
+        # the closed count sum_j p(k - js) of the parts s over Par(k)
+        for d in range(21):
+            want = _exponents_multipartition_reference(colors, d)
+            assert qcartan._exponents_multipartition(colors, d) == want, d
+
+    def test_disagreeing_forms_raise(self, monkeypatch):
+        real = qcartan._exponents_multipartition
+
+        def off_by_one(colors, d):
+            out = list(real(colors, d))
+            out[1] += 1
+            return tuple(out)
+
+        monkeypatch.setattr(qcartan, "_exponents_multipartition", off_by_one)
+        with pytest.raises(AssertionError, match="exponent formulas disagree at colors=2, d=3, s=1"):
+            exponent_N(2, 3, 1)
+        assert exponent_N(2, 3, 2) == real(2, 3)[2]
 
     def test_shapovalov_formula_values(self):
         a1 = DynkinDiagram("A", 1)
@@ -238,6 +273,22 @@ B_N = {
 }
 
 
+def _d_weights_reference(td):
+    """The symmetrizer of B as the hand-written lists it replaced."""
+    if td.kind == "A2_odd":
+        return tuple([1] * (td.n - 1) + [2])
+    if td.kind == "D2":
+        return tuple([2] * (td.n - 1) + [1])
+    return {"E6_2": (1, 1, 2, 2), "D4_3": (1, 3)}[td.kind]
+
+
+FOLDED = (
+    [TwistedDiagram("A2_odd", n) for n in range(3, 13)]
+    + [TwistedDiagram("D2", n) for n in range(1, 13)]
+    + [TwistedDiagram("E6_2"), TwistedDiagram("D4_3")]
+)
+
+
 class TestTwisted:
     def test_table_rows(self):
         td = TwistedDiagram("A2_odd", 4)
@@ -317,9 +368,36 @@ class TestTwisted:
         td = TwistedDiagram("A2_odd", 5)
         assert td.f(1) == 4 and td.f(2) == 5
 
+    @pytest.mark.parametrize("td", FOLDED, ids=str)
+    def test_d_weights_symmetrize_b(self, td):
+        d, b = td.d_weights(), td.finite_cartan()
+        assert d == _d_weights_reference(td)
+        assert math.gcd(*d) == 1 and min(d) >= 1
+        n = len(b)
+        assert all(d[i] * b[i][j] == d[j] * b[j][i] for i in range(n) for j in range(n))
+
+    def test_d_weights_are_least(self, monkeypatch):
+        # short-long-short: the pass reaches (2, 4, 2) and divides out the 2
+        b = ((2, -2, 0), (-1, 2, -1), (0, -2, 2))
+        monkeypatch.setattr(TwistedDiagram, "finite_cartan", lambda td: b)
+        assert TwistedDiagram("D2", 3).d_weights() == (1, 2, 1)
+
+    def test_folding_fails_on_a_wrong_count(self, monkeypatch):
+        # f_{X,t} must be |I(t)|: one more node fails the check at every t
+        f = TwistedDiagram.f
+        monkeypatch.setattr(TwistedDiagram, "f", lambda td, t: f(td, t) + 1)
+        for td in (TwistedDiagram("A2_odd", 3), TwistedDiagram("D2", 2), TwistedDiagram("E6_2"),
+                   TwistedDiagram("D4_3")):
+            for t in range(1, 7):
+                assert not folding_det_check(td, t), (td, t)
+
     def test_folding_rejects_a2even(self):
         with pytest.raises(ValueError):
             folding_det_check(TwistedDiagram("A2_even", 2), 1)
+
+    def test_d_weights_refuse_a2even(self):
+        with pytest.raises(ValueError, match="no folding data"):
+            TwistedDiagram("A2_even", 2).d_weights()
 
 
 def test_type_a_helper():

@@ -620,6 +620,20 @@ class TestTryDiagonalize:
         want = InvariantMultiset.polys([ONE, quantum_int(2) * quantum_int(4)], RING_ZLAURENT)
         assert multiset_equal_up_to_units(res.diagonal, want)
 
+    @pytest.mark.parametrize(
+        "matrix, diag, message",
+        [
+            # 1 + v is no unit over Q[v,v^-1]
+            ([[LaurentPoly({0: 1, 1: 1}), ZERO], [ZERO, ONE]], [ONE, ONE], "field-ring"),
+            # 2 is a unit over Q[v,v^-1] but not over Z
+            ([[LaurentPoly.const(2)]], [ONE], "v=1"),
+        ],
+        ids=["field-ring", "at-one"],
+    )
+    def test_success_sanity_refuses_a_wrong_diagonal(self, matrix, diag, message):
+        with pytest.raises(AssertionError, match=f"diagonalization changed the {message} invariants"):
+            snf._success_sanity(matrix, diag)
+
     def test_budget_exhaustion_is_inconclusive(self):
         c = cartan_graded(3, 2).entries
         res = try_diagonalize_zlaurent(c, budget=1)
