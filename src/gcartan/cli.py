@@ -14,12 +14,17 @@ table; json and csv for verify, irred and invariants; json alone for snf and
 report.  The commands that build a Gram matrix, gram, det (with --check) and
 report, refuse one of more than --limit N rows (default 2000) unless given
 --force, and det refuses an [X] of more than --limit rows, with or without
---check; no other command takes either flag.
+--check; no other command takes either flag.  Each guard counts its rows
+before building anything: gram --blocks N sizes its block sum as
+|CRP_ell(N)|, without enumerating a partition.
 
 Matrix JSON has one shape: `gram` writes "entries" as a list of rows of
 Laurent polynomials (LaurentPoly.to_json), and `snf --input` reads that key
 for --ring qlaurent and zlaurent, and "rows", a list of integer rows, for
---ring zint.
+--ring zint.  snf's status is VERIFIED when every check of its invariants
+holds, FAILED (exit 1) when one does not, and INCONCLUSIVE when zlaurent's
+diagonalizer stops without a diagonal; snf.multiset_equal_up_to_units
+judges each check that compares invariant multisets.
 
 The cache lives in --cache-dir, else in GCART_CACHE_DIR, else in
 ~/.cache/gcart; an empty path disables it.  It holds the runs of gram, det,
@@ -66,7 +71,7 @@ from . import qcartan as qc
 from . import snf as snf_mod
 from .gram import block_sum, gram_det, gram_matrix, schur_orthonormality
 from .linalg import int_det, laurent_det
-from .qlaurent import LaurentPoly, normalize_unit, quantum_int
+from .qlaurent import LaurentPoly, quantum_int
 
 
 class UsageError(Exception):
@@ -268,9 +273,8 @@ def cmd_gram(args) -> str:
     if args.blocks is not None:
         if args.diagram is not None:
             raise UsageError("--blocks sums the blocks of --ell; it takes no --diagram")
-        _size_guard(
-            args, sum(pt.u_count(args.ell - 1, b.weight) for b in pt.blocks(args.blocks, args.ell))
-        )
+        # the block sum has |CRP_ell(N)| rows, counted without walking Par(N)
+        _size_guard(args, pt.class_regular_count(args.blocks, args.ell))
         bs = block_sum(args.blocks, args.ell)
         payload, idx, mat = bs.to_json(), [cp for _, g in bs.blocks for cp in g.index], bs.matrix()
     else:
@@ -452,41 +456,36 @@ def _read_matrix(path: str, ring: str):
 
 def cmd_snf(args) -> str:
     m = _read_matrix(args.input, args.ring)
+    same = snf_mod.multiset_equal_up_to_units
     if args.ring == "zint":
         # one Bareiss |det| serves both the route and the product check
         det_abs = abs(int_det(m))
         ms = snf_mod.snf_int(m, det_abs)
         checks = {
             "product_equals_abs_det": math.prod(ms.elements) == det_abs,
-            "divisibility_chain": all(
-                b == 0 or (a != 0 and b % a == 0) for a, b in zip(ms.elements, ms.elements[1:])
-            ),
+            # invariants in Smith form are their own Smith form
+            "divisibility_chain": same(snf_mod.snf_int_diagonal(ms.elements), ms),
         }
     elif args.ring == "qlaurent":
         ms = snf_mod.snf_laurent_field(m)
-        d = laurent_det(m)
         prod = math.prod(ms.elements, start=LaurentPoly.const(1))
-        if d.is_zero:
-            ok = prod.is_zero
-        else:
-            ok = not prod.is_zero and (
-                normalize_unit(prod)[1] == snf_mod.canonical_poly(d, primitive=True)
-            )
-        checks = {"product_matches_det_up_to_unit": ok}
+        polys = snf_mod.InvariantMultiset.polys
+        checks = {"product_matches_det_up_to_unit": same(polys([prod]), polys([laurent_det(m)]))}
     else:
         res = snf_mod.try_diagonalize_zlaurent(m)
         ms = res.diagonal
         checks = {"elementary_steps": res.steps}
         if not res.success:
             checks["stopped"] = res.stopped
+    ok = all(v for v in checks.values() if isinstance(v, bool))
     payload = {
         "matrix": args.input,
         "ring": args.ring,
         "invariants": [] if ms is None else ms.to_json()["elements"],
-        "status": "INCONCLUSIVE" if ms is None else "VERIFIED",
+        "status": "INCONCLUSIVE" if ms is None else "VERIFIED" if ok else "FAILED",
         "checks": checks,
     }
-    return _checked(_emit(args, payload), all(v for v in checks.values() if isinstance(v, bool)))
+    return _checked(_emit(args, payload), ok)
 
 
 def _invariant_table(args) -> list[tuple]:
@@ -655,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["zint", "qlaurent", "zlaurent"],
         help="zint takes the local Smith form at the primes of |det| for a "
         "nonsingular matrix, dense elimination for a singular one; zlaurent runs a "
-        "greedy diagonalizer: VERIFIED, or INCONCLUSIVE with the reason it stopped "
-        "(stalled, or its step cap)",
+        "greedy diagonalizer.  Status VERIFIED, FAILED (exit 1) when a check fails, "
+        "or, for zlaurent, INCONCLUSIVE with the reason it stopped (stalled, or its "
+        "step cap)",
     )
     common(s, ["json"])
     s.set_defaults(fn=cmd_snf)

@@ -449,7 +449,7 @@ def conjecture_report(
     gm = cartan_graded(ell, d)
     c1 = gm.at_one()
     snf_z = snf_mod.snf_int(c1, abs(det.at_one()) if det_ok else None)
-    int_ok = snf_z.elements == snf_mod.snf_int_diagonal(hill_values(p, r, d)).elements
+    int_ok = snf_mod.multiset_equal_up_to_units(snf_z, snf_mod.snf_int_diagonal(hill_values(p, r, d)))
     layer(
         "integer-invariants",
         "VERIFIED" if int_ok else "FAILED",

@@ -61,6 +61,23 @@ def enum_class_regular(n: int, ell: int) -> tuple[Partition, ...]:
     return tuple(lam for lam in enum_partitions(n) if all(p % ell for p in lam))
 
 
+def class_regular_count(n: int, ell: int) -> int:
+    """|CRP_ell(n)|, the coefficient of q^n in prod_{ell does not divide k}
+    1/(1 - q^k), counted in O(n^2) integer steps without enumerating.  It
+    equals the sum of u(ell-1, w) over the blocks of rank n, since both count
+    the ell-regular partitions of n, so it is the size of the block sum."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    c = [1] + [0] * n
+    for k in range(1, n + 1):
+        if k % ell:
+            for t in range(k, n + 1):
+                c[t] += c[t - k]
+    return c[n]
+
+
 @lru_cache(maxsize=None)
 def u_count(m: int, n: int) -> int:
     """u(m, n) = |Par_m(n)|, the number of m-multipartitions of n.

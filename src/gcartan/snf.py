@@ -4,8 +4,9 @@ Smith normal form over Z and over Q[v,v^-1] (both genuine principal-ideal
 settings, so the invariant factors are complete equivalence invariants), a
 greedy diagonalizer over Z[v,v^-1] (which is NOT a PID: it reports Success,
 cross-checked against both complete invariants, or Inconclusive at its first
-stall or step cap, and never claims a negative), and unit-normalized
-multiset comparison.
+stall or step cap, and never claims a negative), and the comparison of
+multisets of invariant factors up to units (`multiset_equal_up_to_units`),
+through which every such verdict of the package goes.
 
 Over Z, `snf_int_certified` is the engine for a nonsingular matrix with
 known |det| (Storjohann's local Smith form, Algorithms for Matrix Canonical
@@ -111,6 +112,10 @@ class InvariantMultiset:
 
 
 def multiset_equal_up_to_units(a: InvariantMultiset, b: InvariantMultiset) -> bool:
+    """The one judge of two multisets of invariant factors: equal when their
+    canonical forms are, on one ring.  Both sides must be built here (by
+    `InvariantMultiset.polys` or an engine of this module), so that each
+    element is in the canonical form of its ring; a ring mismatch raises."""
     if a.ring != b.ring:
         raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
     return a.elements == b.elements
@@ -874,7 +879,7 @@ def _success_sanity(matrix, diag) -> None:
     if not multiset_equal_up_to_units(snf_of_diagonal(diag), snf_laurent_field(matrix)):
         raise AssertionError("diagonalization changed the field-ring invariants")
     a = snf_int([[e.at_one() for e in row] for row in matrix])
-    if a.elements != snf_int_diagonal([e.at_one() for e in diag]).elements:
+    if not multiset_equal_up_to_units(a, snf_int_diagonal([e.at_one() for e in diag])):
         raise AssertionError("diagonalization changed the v=1 invariants")
 
 

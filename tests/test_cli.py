@@ -152,6 +152,14 @@ class TestGramCommand:
         code, _, _ = run(capsys, *args, "--limit", "6")
         assert code == 0
 
+    def test_size_guard_at_the_class_regular_count(self, capsys):
+        # rank 20 at ell=2 has |CRP_2(20)| = 64 rows over all its blocks
+        args = ("gram", "--ell", "2", "--blocks", "20", "--cache-dir", "")
+        code, out, err = run(capsys, *args, "--limit", "63")
+        assert (code, out) == (2, "") and "matrix would be 64 x 64 (> 63)" in err
+        code, out, _ = run(capsys, *args, "--limit", "64")
+        assert code == 0 and sum(len(b["gram"]["index"]) for b in json.loads(out)["blocks"]) == 64
+
     @pytest.mark.parametrize("ring", ["qlaurent", "zlaurent"])
     def test_output_is_snf_input(self, capsys, tmp_path, ring):
         # the matrix JSON gram writes is the one snf --input reads
@@ -775,6 +783,40 @@ class TestSnfCommand:
         assert obj["checks"]["product_matches_det_up_to_unit"] is True
 
     @pytest.mark.parametrize(
+        "ring, key, rows, wrong_det, check",
+        [
+            # 2v+2 = 2[2]: the field invariants are 1 and v+1, whose product
+            # is no unit times 7
+            ("qlaurent", "entries", [[LaurentPoly({1: 2, 0: 2}), LaurentPoly()],
+                                     [LaurentPoly(), LaurentPoly.const(3)]],
+             LaurentPoly.const(7), "product_matches_det_up_to_unit"),
+            # a |det| of 0 sends the matrix to the dense engine, which finds
+            # the invariants 2 and 6, whose product is not 0
+            ("zint", "rows", [[2, 0], [0, 6]], 0, "product_equals_abs_det"),
+        ],
+        ids=["qlaurent", "zint"],
+    )
+    def test_a_failed_check_is_failed(self, capsys, tmp_path, monkeypatch, ring, key, rows,
+                                      wrong_det, check):
+        monkeypatch.setattr(cli, "laurent_det" if ring == "qlaurent" else "int_det",
+                            lambda m: wrong_det)
+        f = tmp_path / "m.json"
+        if ring == "qlaurent":
+            rows = [[e.to_json() for e in row] for row in rows]
+        f.write_text(json.dumps({key: rows}))
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", ring, "--cache-dir", "")
+        obj = json.loads(out)
+        assert (code, obj["status"], obj["checks"][check]) == (1, "FAILED", False)
+
+    def test_zint_on_the_empty_matrix(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": []}))
+        code, out, err = run(capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", "")
+        obj = json.loads(out)
+        assert (code, err, obj["invariants"], obj["status"]) == (0, "", [], "VERIFIED")
+        assert obj["checks"] == {"product_equals_abs_det": True, "divisibility_chain": True}
+
+    @pytest.mark.parametrize(
         "text, ring",
         [
             ('{"rows": [[2.7, 0], [0, 4.9]]}', "zint"),
@@ -1079,6 +1121,22 @@ class TestHugeSizeGuard:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert f"matrix would be {rows} x {rows} (> 2000)" in proc.stderr
+
+    def test_block_sum_is_refused_before_any_enumeration(self):
+        # the guard used to walk Par(N - ell*d) for every weight d: 43.6 s
+        # at N = 60 before it refused
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcartan.cli", "gram", "--ell", "2", "--blocks", "60",
+             "--limit", "10", "--cache-dir", ""],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "matrix would be 10880 x 10880 (> 10)" in proc.stderr
 
 
 class TestOptimisedInterpreter:

@@ -522,3 +522,43 @@ def test_cli_import_loads_no_fraction_module():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_one_judge_of_invariant_multisets():
+    # two multisets of invariant factors are compared by
+    # snf.multiset_equal_up_to_units alone, which checks their rings: no other
+    # comparison has an `.elements` attribute as an operand
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _parse(path).body:
+            if getattr(stmt, "name", None) == "multiset_equal_up_to_units":
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "elements"
+                    for x in (node.left, *node.comparators)
+                )
+            ]
+    assert not found, f"invariant multisets compared outside the judge: {found}"
+
+
+def test_cli_keeps_no_canonical_form():
+    # `gcart snf` hands its multisets to snf.py's judge: cli.py normalizes no
+    # polynomial itself
+    found = _used_names(_parse(PACKAGE / "cli.py")) & {"normalize_unit", "canonical_poly"}
+    assert not found, f"src/gcartan/cli.py reads {sorted(found)}"
+
+
+def test_cli_enumerates_no_partitions():
+    # a size guard counts its rows (u_count, class_regular_count) before any
+    # work: cli.py calls no partition enumerator
+    enumerators = {"blocks", "enum_partitions", "enum_class_regular", "multipartitions"}
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(_parse(PACKAGE / "cli.py"))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in enumerators
+    ]
+    assert not found, f"partition enumerators called: {found}"

@@ -382,3 +382,10 @@ class TestConjectureReport:
         lay = rep.layer("integral-diagonalization")
         assert lay.details["stopped"] == "stalled"
         assert lay.details["note"] == invariants._DIAG_STOPS["stalled"]
+
+
+@pytest.mark.parametrize("fn", [kor_invariant, asy_Q], ids=["kor", "asy"])
+def test_ell_below_two_is_refused(fn):
+    with pytest.raises(ValueError) as exc:
+        fn(1, (1,))
+    assert str(exc.value) == "ell must be >= 2"

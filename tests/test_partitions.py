@@ -128,6 +128,54 @@ class TestCounting:
         for n in range(0, 8):
             assert pt.enum_class_regular(n, 9) == pt.enum_partitions(n)
 
+    @pytest.mark.parametrize("ell", range(2, 8))
+    def test_class_regular_count(self, ell):
+        # |CRP_ell(n)| three ways: the product formula, the enumeration, and
+        # u(ell-1, w) summed over the blocks of rank n
+        for n in range(23):
+            blocks = sum(pt.u_count(ell - 1, b.weight) for b in pt.blocks(n, ell))
+            assert pt.class_regular_count(n, ell) == len(pt.enum_class_regular(n, ell)) == blocks
+
+    @pytest.mark.parametrize(
+        "n, ell, message",
+        [(-1, 2, "n must be nonnegative"), (-1, 1, "n must be nonnegative"),
+         (3, 1, "ell must be >= 2"), (3, 0, "ell must be >= 2")],
+    )
+    def test_class_regular_count_refusals(self, n, ell, message):
+        # the messages of `blocks`, in its order: n first, then ell
+        with pytest.raises(ValueError, match=message):
+            pt.class_regular_count(n, ell)
+
+
+REFUSALS = [
+    (lambda: pt.enum_partitions(-1), "n must be nonnegative"),
+    (lambda: pt.blocks(-1, 2), "n must be nonnegative"),
+    (lambda: pt.enum_class_regular(3, 1), "ell must be >= 2"),
+    (lambda: pt.ell_core((2,), 1), "ell must be >= 2"),
+    (lambda: pt.red((2,), 1), "ell must be >= 2"),
+    (lambda: pt.u_count(-1, 0), "u_count needs nonnegative arguments"),
+    (lambda: pt.BlockLabel((), -1, 2), "weight must be nonnegative"),
+    (lambda: pt.cut((2,), 0), "d must be positive"),
+    (lambda: pt.infl((2,), 0), "d must be positive"),
+    (lambda: pt.p_adic_split(4, 1), "p must be >= 2"),
+    (lambda: pt.prime_divisors(0), "n must be positive"),
+    (lambda: pt.psi_set(2, 0, 1), "need r >= 1 and a >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    REFUSALS,
+    ids=[
+        "enum_partitions", "blocks", "enum_class_regular", "ell_core", "red", "u_count",
+        "BlockLabel", "cut", "infl", "p_adic_split", "prime_divisors", "psi_set",
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
 
 class TestOperators:
     def test_cut(self):

@@ -404,3 +404,22 @@ def test_type_a_helper():
     assert type_a(2) == DynkinDiagram("A", 1)
     with pytest.raises(ValueError):
         type_a(1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exponent_N(0, 1, 1), "colors must be >= 1"),
+        (lambda: exponent_N(1, -1, 1), "d must be >= 0"),
+        (lambda: exponent_N(1, 1, 0), "s must be >= 1"),
+        (lambda: irreducible_at(type_a(3), 0), "ell must be >= 1"),
+        (lambda: irreducible_at(type_a(3), 2, "x"), "unknown mode 'x'"),
+        (lambda: folding_det_check(parse_diagram("tA2:3"), 0), "t must be >= 1"),
+        (lambda: parse_diagram("A:x"), "bad diagram rank in 'A:x'"),
+    ],
+    ids=["N-colors", "N-d", "N-s", "irreducible-ell", "irreducible-mode", "folding-t", "rank"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -496,3 +496,32 @@ class TestQProduct:
             assert (_qproduct(a) == _qproduct(b)) == same, (a, b)
             outcomes.append(same)
         assert 150 < sum(outcomes) < 450
+
+
+V = LaurentPoly({1: 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ZERO.min_exp, "zero polynomial has no exponents"),
+        (lambda: ZERO.max_exp, "zero polynomial has no exponents"),
+        (lambda: V**-1, "negative powers are not defined in Z[v,v^-1]"),
+        (lambda: quantum_factorial(-1), "quantum factorial needs n >= 0"),
+        (lambda: quantum_binomial(3, -1), "binomial needs m >= 0"),
+        (lambda: kss_bracket(3, 0), "s must be a positive integer"),
+    ],
+    ids=["min_exp", "max_exp", "negative-power", "factorial", "binomial", "kss"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_integers_mix_with_polynomials():
+    # an int operand is the constant polynomial, on either side
+    assert V + 1 == 1 + V == LaurentPoly({1: 1, 0: 1})
+    assert V - 1 == LaurentPoly({1: 1, 0: -1})
+    with pytest.raises(TypeError):
+        ONE + "a"

@@ -1060,8 +1060,37 @@ class TestMultisets:
         with pytest.raises(ValueError):
             multiset_equal_up_to_units(a, b)
 
+    def test_the_diagonalizer_cross_checks_through_the_judge(self, monkeypatch):
+        # both halves of its cross-check, over Q[v,v^-1] and at v=1, compare
+        # multisets built on one ring
+        seen = []
+        judge = snf.multiset_equal_up_to_units
+
+        def spy(a, b):
+            seen.append((a.ring, b.ring))
+            return judge(a, b)
+
+        monkeypatch.setattr(snf, "multiset_equal_up_to_units", spy)
+        m = [[quantum_int(2), ZERO], [ZERO, quantum_int(3)]]
+        assert try_diagonalize_zlaurent(m).success
+        assert seen == [(RING_QLAURENT, RING_QLAURENT), (RING_ZINT, RING_ZINT)]
+
     def test_json(self):
         a = snf_int_diagonal([2, 1])
         assert a.to_json() == {"ring": RING_ZINT, "elements": ["1", "2"]}
         b = InvariantMultiset.polys([quantum_int(2)], RING_ZLAURENT)
         assert b.to_json()["ring"] == RING_ZLAURENT
+
+
+class TestRefusals:
+    def test_certified_refuses_a_zero_det(self):
+        with pytest.raises(ValueError) as exc:
+            snf_int_certified([[1]], 0)
+        assert str(exc.value) == "det_abs must be the positive |det| of a nonsingular matrix"
+
+    def test_certified_on_the_empty_matrix(self):
+        assert snf_int_certified([], 1) == InvariantMultiset(RING_ZINT, ())
+
+    def test_pseudo_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            snf._pseudo_divmod(LaurentPoly({1: 1}), ZERO)
