@@ -54,7 +54,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import io
 import json
 import math
@@ -152,7 +151,10 @@ def _checked(text: str, ok: bool) -> str:
 @functools.lru_cache(maxsize=1)
 def _source_digest() -> str:
     """sha256 over the package's *.py sources.  Computed on first use, not at
-    import, so importing the package stays cheap."""
+    import, so importing the package stays cheap; so is hashlib, whose
+    OpenSSL module every command would otherwise load."""
+    import hashlib
+
     h = hashlib.sha256()
     for f in sorted(Path(__file__).resolve().parent.glob("*.py")):
         h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
@@ -171,6 +173,8 @@ class DiskCache:
         self.misses = 0
 
     def key(self, *parts) -> str:
+        import hashlib
+
         h = hashlib.sha256()
         h.update(_source_digest().encode())
         for p in parts:
@@ -535,8 +539,10 @@ def cmd_invariants(args) -> str:
 
 
 def cmd_report(args) -> str:
+    # the size guard first: _check_p_r's trial division takes O(sqrt p)
+    # steps, and a p or r that it refuses counts as ell = 1, with no rows
+    _size_guard(args, _dimension(max(args.p, 1) ** max(args.r, 0) - 1, args.d))
     inv._check_p_r(args.p, args.r)
-    _size_guard(args, _dimension(args.p**args.r - 1, args.d))
     rep = inv.conjecture_report(args.p, args.r, args.d)
     return _checked(_emit(args, rep.to_json()), rep.ok)
 

@@ -31,24 +31,34 @@ exponent and a bound on its |coefficients|.  A row update a - q*b is then
 one big-integer product, one shift and one subtraction, and the pivot scan
 reads each entry's span off its bit length: only the entries that tie
 their row's least span are decoded (`_unpack` plus a bias) to their full
-key, and only the pivot column's entries to the LaurentPoly form that the
-quotient code (`divide_exact`, then `_end_quotient`) reads.  So the
+key.  The quotients are found on the packed ints too (`_Slots.quotient`).
+Evaluation at 2^64 is a ring map, so a nonzero remainder of a by b as
+integers proves that b does not divide a; a zero remainder is a candidate
+only, since values can divide where the polynomials do not (2^65 + 1
+divides 2^256 + 2^61, but 2v + 1 does not divide v^4 + 2^61), and the
+candidate q, decoded, is taken when |q|_1 max|b| is below the slot
+bound, which puts every coefficient of q*b in the slot range, so that q*b,
+equal to a at 2^64, is a; otherwise `divide_exact` decides on the decoded
+entries.  Failing an exact quotient, the end-monomial grinding runs on the
+packed int, one shifted multiply-subtract per step (`_Slots.grind`).  So the
 pivots, quotients, steps and diagonal are those of the same loop on
 LaurentPoly entries.  Every coefficient stays below the slot bound 2^62:
 each update is proven below it from max|a| + |q|_1 max|b|, or after both
 bounds are tightened by decoding, or else computed exactly by
-`sub_product`, and a coefficient that reaches the bound restarts the run on
-wider slots.  The largest coefficient of a run is 47 bits at (5,1,3), the
-most at the benchmark's report points, and 31, 40, 27 and 26 bits at the
-frontier points (5,1,4), (7,1,3), (2,2,5) and (3,1,5).  At those six
-points tightening always suffices (92 times at (5,1,3), 404 at (7,1,3)):
-no entry is computed exactly and no run restarts.  Further out it does not,
+`sub_product` (a grinding step, by `_end_quotient` on wider slots), and a
+coefficient that reaches the bound restarts the run on wider slots.  The
+largest coefficient of a run is 47 bits at (5,1,3), the most at the
+benchmark's report points, and 31, 40, 27 and 26 bits at the frontier
+points (5,1,4), (7,1,3), (2,2,5) and (3,1,5).  At those six points
+tightening always suffices (92 times at (5,1,3), 404 at (7,1,3)): no entry
+is computed exactly and no run restarts, and of the 1441 and 5152 quotients
+there, 18 and 4 are decided by `divide_exact`.  Further out it does not,
 which is why `_Slots.exact` stays beside the restart.  Full runs at
 (7,1,4), (2,2,6) and (5,1,5) computed 5, 0 and 0 entries exactly, after
 5644, 311 and 3921 tightenings, in 166, 45 and 95 steps and 64.5, 6.5 and
-16.5 s (shared 2-core x86-64 machine, CPython 3.11).  With a restart in
-place of each exact entry, (7,1,4) would re-run its 65 s pass up to five
-times.
+16.5 s (shared 2-core x86-64 machine, CPython 3.11, before the quotients
+were packed).  With a restart in place of each exact entry, (7,1,4) would
+re-run its 65 s pass up to five times.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import count
 from operator import attrgetter
 from typing import Sequence
 
@@ -648,9 +658,11 @@ def snf_of_diagonal(values: Sequence[LaurentPoly | tuple[LaurentPoly, ...]]) -> 
 # it (after 13-54 steps at the benchmark's report points, and 22-166 at the
 # frontier points (3,1,5), (2,2,5), (2,2,6), (5,1,4), (7,1,3), (5,1,5) and
 # (7,1,4), the same on packed entries as on LaurentPoly entries), so the cap
-# only guards a progress loop that might never end.  On packed entries a
-# pass at (7,1,4) (315 rows) takes 0.39 s on average (64.9 s for its 166),
-# so a run to the cap there would take about 20 minutes.
+# only guards a progress loop that might never end.  With packed entries
+# and packed quotients a pass at (7,1,4) (315 rows) takes 0.24 s on average
+# (39.8 s for its 166, against 64.9 s with LaurentPoly quotients; single
+# runs, shared 2-core x86-64 machine, CPython 3.11), so a run to the cap
+# there would take about 12 minutes.
 DIAG_BUDGET = 3000
 
 
@@ -671,49 +683,20 @@ def _complexity(p: LaurentPoly):
     return (max(t) - min(t), len(t), sum(map(abs, t.values())))
 
 
-def _end_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly:
+def _end_quotient(e: LaurentPoly, piv: LaurentPoly, steps: int = 256) -> LaurentPoly:
     """Shrink e by monomial multiples of piv, working from both exponent ends,
     while each step makes e simpler, and return the sum of those monomials.
 
     Coefficient division is Euclidean (floor quotients, remainders allowed),
-    so this also grinds down end coefficients, not just end exponents.  e is
-    nonzero, and at most 256 steps are taken.
+    so this also grinds down end coefficients, not just end exponents.  e and
+    piv are nonzero, and at most `steps` steps are taken.  The steps run on
+    slots wide enough for the first of them (`_Slots.grind`): |c| <= max|e| + 1
+    for its monomial c v^k, so max|e| + |c| max|piv| is below 2^(bits-2)
+    once bits >= bitlen max|e| + bitlen max|piv| + 2.
     """
-    tp = piv._terms
-    hi_p, lo_p = max(tp), min(tp)
-    top_p, low_p = tp[hi_p], tp[lo_p]
-    q: dict[int, int] = {}
-    key = _complexity(e)
-    for _ in range(256):
-        te = e._terms
-        hi_e, lo_e = max(te), min(te)
-        if hi_e - lo_e < hi_p - lo_p:
-            break
-        for k, c in ((hi_e - hi_p, te[hi_e] // top_p), (lo_e - lo_p, te[lo_e] // low_p)):
-            if c:
-                # `-`, not sub_product: perfbench/selftest.py needs this __sub__ (and __add__) call
-                nxt = e - piv.shift(k) * c
-                if not nxt or (nxt_key := _complexity(nxt)) < key:
-                    break
-        else:
-            break
-        q[k] = q.get(k, 0) + c
-        if not nxt:
-            break
-        e, key = nxt, nxt_key
-    return LaurentPoly(q)
-
-
-def _reducing_quotient(e: LaurentPoly, piv: LaurentPoly) -> LaurentPoly | None:
-    """q with e - q*piv zero or simpler than e: the exact quotient if piv
-    divides e, else the quotient of e's end-monomial reduction; None when
-    neither gives a nonzero q."""
-    if e.is_zero:
-        return None
-    q = divide_exact(e, piv)
-    if q is None:
-        q = _end_quotient(e, piv)
-    return None if q.is_zero else q
+    need = sum(max(map(abs, p._terms.values())).bit_length() for p in (e, piv)) + 2
+    slots = _Slots(-(-need // 64) * 64)
+    return LaurentPoly(slots.grind(slots.pack(e), slots.pack(piv), steps))
 
 
 class _SlotOverflow(ArithmeticError):
@@ -739,8 +722,8 @@ _SPAN = attrgetter("span")
 
 class _Slots:
     """The Z[v,v^-1] diagonalizer's entries packed in slots of `bits` bits,
-    a multiple of 64, with the row scan and the row reduction that
-    `_diagonalize` runs on them; a zero entry is None.
+    a multiple of 64, with the row scan, the quotients and the row reduction
+    that `_diagonalize` runs on them; a zero entry is None.
 
     Every coefficient stays below the slot bound 2^(bits-2), one bit inside
     the 2^(bits-1) that balanced digits need.  So the digits c_k of value
@@ -757,7 +740,10 @@ class _Slots:
     def __init__(self, bits: int):
         self.bits, self.nbytes = bits, bits // 8
         self.limit, self.half = 1 << (bits - 2), 1 << (bits - 1)
+        self.low = (1 << bits) - 1
         self.half_slot = bytes(self.nbytes - 1) + b"\x80"
+        # the pivot row of the last reduce, its pivot, nonzero columns and end digits
+        self.pivot = (None, None, (), (0, 0))
 
     def pack(self, p: LaurentPoly) -> _Entry:
         """p, nonzero, as an entry that holds p as its decoded form."""
@@ -769,17 +755,47 @@ class _Slots:
         value = sum(c << self.bits * (e - lo) for e, c in t.items())
         return _Entry(value, lo, max(t) - lo, top, p)
 
+    def digits(self, value: int, n: int) -> list[int]:
+        """The n balanced digits of value, lowest first; value must have n
+        such digits, each in [-2^(bits-1), 2^(bits-1)).  Slot k of value
+        plus the bias is u = c_k + 2^(bits-1); at 64 bits, u with its top
+        bit flipped is c_k as a signed 8-byte int, so `array` decodes the
+        whole row in C."""
+        bias = int.from_bytes(self.half_slot * n, "little")
+        if self.nbytes == 8:
+            signed = array("q", ((value + bias) ^ bias).to_bytes(8 * n, "little"))
+            if _BIG_ENDIAN:
+                signed.byteswap()
+            return signed.tolist()
+        half = self.half
+        return [u - half for u in _unpack(value + bias, self.nbytes, n)]
+
     def poly(self, e: _Entry) -> LaurentPoly:
         if e.poly is None:
-            n, half = e.span + 1, self.half
-            slots = _unpack(e.value + int.from_bytes(self.half_slot * n, "little"), self.nbytes, n)
-            e.poly = _owned({e.lo + k: u - half for k, u in enumerate(slots) if u != half})
+            digits = self.digits(e.value, e.span + 1)
+            e.poly = _owned({e.lo + k: c for k, c in enumerate(digits) if c})
         return e.poly
 
     def key(self, e: _Entry):
         if e.key is None:
             e.key = _complexity(self.poly(e))
         return e.key
+
+    def ends(self, e: _Entry) -> tuple[int, int]:
+        """e's top digit, by a rounded shift (the digits below it sum to less
+        than half its unit), and its lowest digit, from the lowest slot."""
+        at = self.bits * e.span
+        low = e.value & self.low
+        return (e.value + (1 << at >> 1)) >> at, low - (low >= self.half) * (self.low + 1)
+
+    def entry(self, value: int, lo: int, bound: int) -> _Entry | None:
+        """The entry v^lo * value, its lowest zero slots stripped; None for 0."""
+        if not value:
+            return None
+        if not value & self.low:
+            k = ((value & -value).bit_length() - 1) // self.bits
+            value, lo = value >> self.bits * k, lo + k
+        return _Entry(value, lo, value.bit_length() // self.bits, bound)
 
     def least(self, row: list):
         """The least key over the row's nonzero entries and its first column:
@@ -797,41 +813,113 @@ class _Slots:
             e.bound = max(map(abs, self.poly(e)._terms.values()))
         return norm * b.bound + (a.bound if a else 0)
 
-    def exact(self, a: _Entry | None, q: LaurentPoly, b: _Entry) -> _Entry | None:
-        r = sub_product(self.poly(a) if a else ZERO, q, self.poly(b))
+    def exact(self, a: _Entry | None, q: _Entry, b: _Entry) -> _Entry | None:
+        r = sub_product(self.poly(a) if a else ZERO, self.poly(q), self.poly(b))
         return self.pack(r) if r else None
 
-    def reduce(self, row: list, prow: list) -> list | None:
-        q = _reducing_quotient(self.poly(row[0]), self.poly(prow[0]))
-        if q is None:
+    def quotient(self, a: _Entry, b: _Entry) -> tuple[_Entry, int] | None:
+        """(q, |q|_1) with a - q*b zero or simpler than a: the exact quotient
+        if b divides a, else the end quotient (`grind`); None when neither
+        gives a nonzero q.
+
+        Evaluation at 2^bits is a ring map, so a remainder of a.value by
+        b.value proves that b does not divide a.  A zero remainder gives a
+        candidate q, its balanced digits; if |q|_1 max|b| is below the slot
+        bound, every coefficient of q*b is in the slot range, so q*b, equal
+        to a at 2^bits, is a.  Otherwise `divide_exact` decides on the
+        decoded entries: at 64-bit slots the value of 2v + 1 divides that of
+        v^4 + 2^61, with the candidate digits 2^61, -2^62, -2^63, 1, but the
+        polynomial does not."""
+        if a.span < b.span:
             return None
-        packed, norm = self.pack(q), sum(map(abs, q._terms.values()))
-        bits, limit, low = self.bits, self.limit, (1 << self.bits) - 1
+        value, rem = divmod(a.value, b.value)
+        if not rem:
+            d = self.digits(value, (value.bit_length() + 1) // self.bits + 1)
+            while not d[-1]:
+                d.pop()
+            norm = sum(map(abs, d))
+            if norm * b.bound < self.limit:
+                # the row update reads |q|_1 alone; it bounds every |q_k| too
+                return _Entry(value, a.lo - b.lo, len(d) - 1, norm), norm
+            q = divide_exact(self.poly(a), self.poly(b))
+            if q is not None:
+                return self.pack(q), sum(map(abs, q._terms.values()))
+        t = {k: c for k, c in self.grind(a, b).items() if c}
+        return (self.pack(_owned(t)), sum(map(abs, t.values()))) if t else None
+
+    def grind(self, e: _Entry, piv: _Entry, steps: int = 256) -> dict[int, int]:
+        """`_end_quotient` of e by piv on packed values, its monomials by
+        exponent: each step is one shifted multiply-subtract, and the keys
+        are compared on the span first, so a step is decoded only when its
+        span ties.  A step whose bound max|e| + |c| max|piv| reaches the slot
+        bound after both are tightened hands e and the steps left to
+        `_end_quotient`, on wider slots."""
+        bits, limit = self.bits, self.limit
+        top_p, low_p = self.pivot[3] if self.pivot[1] is piv else self.ends(piv)
+        q: dict[int, int] = {}
+        for i in range(steps):
+            if e.span < piv.span:
+                break
+            top, low = self.ends(e)
+            for at, c in ((e.span - piv.span, top // top_p), (0, low // low_p)):
+                if c:
+                    bound = e.bound + abs(c) * piv.bound
+                    if bound >= limit and (bound := self.tighten(e, piv, abs(c))) >= limit:
+                        rest = _end_quotient(self.poly(e), self.poly(piv), steps - i)
+                        for k, x in rest._terms.items():
+                            q[k] = q.get(k, 0) + x
+                        return q
+                    nxt = self.entry(e.value - (c * piv.value << bits * at), e.lo, bound)
+                    if nxt is None or nxt.span < e.span or (
+                        nxt.span == e.span and self.key(nxt) < self.key(e)
+                    ):
+                        break
+            else:
+                break
+            k = e.lo - piv.lo + at
+            q[k] = q.get(k, 0) + c
+            if nxt is None:
+                break
+            e = nxt
+        return q
+
+    def reduce(self, row: list, prow: list) -> list | None:
+        piv = prow[0]
+        if self.pivot[0] is not prow or self.pivot[1] is not piv:
+            # a zero in the pivot row leaves the entry as it is
+            self.pivot = (prow, piv, [(j, b) for j, b in enumerate(prow) if b], self.ends(piv))
+        found = self.quotient(row[0], piv)
+        if found is None:
+            return None
+        q, norm = found
+        qv, qlo = q.value, q.lo
+        bits, limit = self.bits, self.limit
         out = list(row)
-        # a zero in the pivot row leaves the entry as it is
-        for j in compress(range(len(prow)), prow):
-            a, b = out[j], prow[j]
+        for j, b in self.pivot[2]:
+            a = out[j]
             bound = norm * b.bound + (a.bound if a else 0)
             if bound >= limit and (bound := self.tighten(a, b, norm)) >= limit:
                 out[j] = self.exact(a, q, b)
                 continue
-            prod, lo = packed.value * b.value, packed.lo + b.lo
+            prod, lo = qv * b.value, qlo + b.lo
             if not a:
                 value = -prod
             elif lo > a.lo:
                 value, lo = a.value - (prod << bits * (lo - a.lo)), a.lo
             elif lo < a.lo:
                 value = (a.value << bits * (a.lo - lo)) - prod
-            elif (value := a.value - prod) and not value & low:
-                # the lowest slots cancelled
-                k = ((value & -value).bit_length() - 1) // bits
-                value, lo = value >> bits * k, lo + k
-            out[j] = _Entry(value, lo, value.bit_length() // bits, bound) if value else None
+            else:
+                # only here can the lowest slots cancel
+                out[j] = self.entry(a.value - prod, lo, bound)
+                continue
+            out[j] = _Entry(value, lo, value.bit_length() // bits, bound)
         return out
 
 
 def try_diagonalize_zlaurent(
-    matrix: Sequence[Sequence[LaurentPoly]], budget: int = DIAG_BUDGET
+    matrix: Sequence[Sequence[LaurentPoly]],
+    budget: int = DIAG_BUDGET,
+    field_invariants: InvariantMultiset | None = None,
 ) -> DiagonalizationResult:
     """Greedy elementary reduction over Z[v,v^-1], by the shared loop.
 
@@ -844,7 +932,11 @@ def try_diagonalize_zlaurent(
     Success (with a diagonal unimodularly equivalent to the input) or
     Inconclusive; it never claims non-equivalence.  `stopped` says why it
     ended: "cleared", "stalled" or "budget".  On Success the result is
-    cross-checked against the complete field-ring and v=1 invariants.
+    cross-checked against the complete field-ring and v=1 invariants.  A
+    caller that holds the field-ring invariants of matrix from a computation
+    that shares no code with this one passes them as `field_invariants`, and
+    the check compares with them instead of eliminating matrix over
+    Q[v,v^-1]; by default it eliminates.
 
     The loop runs on packed entries (`_Slots`, see the module docstring),
     which give the pivots, steps, stop reason and diagonal that it gives on
@@ -852,6 +944,11 @@ def try_diagonalize_zlaurent(
     took 0.98, 1.01 and 0.65 s against 4.12, 2.92 and 2.32 s on LaurentPoly
     entries (medians of 3 fresh-interpreter samples interleaved with the
     LaurentPoly engine, on a shared 2-core x86-64 machine, CPython 3.11).
+    With the quotients found on the packed ints as well, (5,1,4), (7,1,3),
+    (2,2,5) and (3,1,5) took 0.321, 0.283, 0.256 and 0.040 s against 0.441,
+    0.438, 0.306 and 0.062 s with LaurentPoly quotients (medians of 3
+    interleaved fresh-interpreter samples, same machine), in the same steps
+    with the same stops.
     The input is packed at 64-bit slots, or wider where a coefficient
     needs it, and a run whose coefficients outgrow its slots restarts on
     slots at least twice as wide; the passes do not depend on the width,
@@ -871,12 +968,15 @@ def try_diagonalize_zlaurent(
         return DiagonalizationResult(None, steps, stopped)
     diag = [slots.poly(e) if e else ZERO for e in diag]
     result = InvariantMultiset.polys(diag, RING_ZLAURENT)
-    _success_sanity(matrix, diag)
+    _success_sanity(matrix, diag, field_invariants)
     return DiagonalizationResult(result, steps, "cleared")
 
 
-def _success_sanity(matrix, diag) -> None:
-    if not multiset_equal_up_to_units(snf_of_diagonal(diag), snf_laurent_field(matrix)):
+def _success_sanity(matrix, diag, field_invariants: InvariantMultiset | None = None) -> None:
+    # the field-ring invariants of matrix: a caller's, else by elimination
+    if field_invariants is None:
+        field_invariants = snf_laurent_field(matrix)
+    if not multiset_equal_up_to_units(snf_of_diagonal(diag), field_invariants):
         raise AssertionError("diagonalization changed the field-ring invariants")
     a = snf_int([[e.at_one() for e in row] for row in matrix])
     if not multiset_equal_up_to_units(a, snf_int_diagonal([e.at_one() for e in diag])):

@@ -920,6 +920,19 @@ class TestReportCommand:
         assert code == 0 and json.loads(out)["params"]["d"] == 4
 
 
+    def test_size_guard_precedes_the_primality_test(self, capsys, monkeypatch):
+        # trial division of p = 10^15 + 37 took 2.4 s before the refusal
+        def never(p):
+            raise AssertionError("p was tested for primality")
+
+        monkeypatch.setattr(cli.inv.pt, "is_prime", never)
+        code, out, err = run(
+            capsys, "report", "--p", "1000000000000037", "--r", "1", "--d", "2",
+            "--limit", "10", "--cache-dir", "",
+        )
+        assert (code, out) == (2, "") and "(> 10); pass --force to proceed" in err
+
+
 class TestTableCommand:
     def test_json(self, capsys, cache_dir):
         code, out, _ = run(

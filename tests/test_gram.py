@@ -319,6 +319,46 @@ class TestColourReversalSplit:
         f[0][1] = f[0][1] + ONE
         assert _reversal_split(f, sigma) is None
 
+    @staticmethod
+    def _rows_eliminated(monkeypatch):
+        rows = []
+
+        def laurent(matrix):
+            rows.append(len(matrix))
+            return laurent_det(matrix)
+
+        monkeypatch.setattr(gram, "laurent_det", laurent)
+        return rows
+
+    def test_one_half_where_the_reversal_negates_v(self, monkeypatch):
+        # the factors at d = 3 are P(1) and P(3); at A_4, where m(k-1) is odd
+        # for both, plus(-v) = 2 R minus(v) K, so only their minus halves are
+        # eliminated: 2 rows of P(1), and 10 of P(3)'s 20
+        rows = self._rows_eliminated(monkeypatch)
+        assert gram_det(type_a(5), 3) == shapovalov_det_formula(type_a(5), 3)
+        assert sorted(rows) == [2, 10]
+        assert len(permanent_matrix(quantized_cartan(type_a(5)), 1, 3)) == 20
+
+    def test_perturbed_minus_half_takes_both_halves(self, monkeypatch):
+        check = gram._reversal_split
+
+        def perturbed(f, sigma):
+            out = check(f, sigma)
+            if out is not None and len(f) == 20:
+                plus, minus, pairs = out
+                minus = [list(row) for row in minus]
+                minus[0][0] = minus[0][0] + ONE
+                out = plus, minus, pairs
+            return out
+
+        monkeypatch.setattr(gram, "_reversal_split", perturbed)
+        rows = self._rows_eliminated(monkeypatch)
+        # the perturbed P(3) has another determinant, which the final
+        # division of the Gram determinant then refuses
+        with pytest.raises(AssertionError, match="determinant not divisible"):
+            gram_det(type_a(5), 3)
+        assert sorted(rows) == [2, 10, 10]
+
     def test_one_colour_is_not_split(self):
         f = permanent_matrix(quantized_cartan(DynkinDiagram("A", 1)), 1, 3)
         assert _reversal_split(f, _reversal(1, 3)) is None

@@ -516,8 +516,11 @@ def test_one_partition_walk_in_the_exponent_forms():
 
 
 def test_cli_import_loads_no_fraction_module():
-    # `fractions` imports `decimal`, about 2 ms of every `import gcartan.cli`
-    code = "import sys, gcartan.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    # `fractions` imports `decimal`, about 2 ms of every `import gcartan.cli`;
+    # `hashlib` loads OpenSSL's `_hashlib`, about 2 ms and 3.6 MB of RSS, and
+    # is imported by the two functions that hash
+    code = ("import sys, gcartan.cli; "
+            "print(sorted({'fractions', 'decimal', '_hashlib'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)

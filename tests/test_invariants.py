@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -357,8 +358,8 @@ class TestConjectureReport:
         # representative refutes nothing
         real = snf.try_diagonalize_zlaurent
 
-        def other_diagonal(matrix, budget):
-            res = real(matrix, budget=budget)
+        def other_diagonal(matrix, budget, field_invariants=None):
+            res = real(matrix, budget=budget, field_invariants=field_invariants)
             ones = snf.InvariantMultiset.polys([ONE] * len(matrix), snf.RING_ZLAURENT)
             return snf.DiagonalizationResult(ones, res.steps, res.stopped)
 
@@ -368,6 +369,34 @@ class TestConjectureReport:
         lay = rep.layer("integral-diagonalization")
         assert lay.details["stopped"] == "cleared" and lay.details["multiset_match"] is False
         assert lay.details["note"] == "diagonal found but not the conjectured representative"
+
+    @pytest.mark.parametrize("p, r, d", [(2, 1, 4), (5, 1, 2)])
+    def test_success_check_reads_layer_2(self, monkeypatch, tmp_path, capsys, p, r, d):
+        # on success the diagonalizer's field-ring check compares with layer
+        # 2's invariants: snf_laurent_field never sees the n x n Gram matrix.
+        # `gcart snf --ring zlaurent` holds no such invariants, and still
+        # eliminates the matrix
+        from gcartan import cli
+        from gcartan.gram import cartan_graded
+
+        n = pt.u_count(p**r - 1, d)
+        sizes = []
+        field = snf.snf_laurent_field
+
+        def spy(matrix):
+            sizes.append(len(matrix))
+            return field(matrix)
+
+        monkeypatch.setattr(snf, "snf_laurent_field", spy)
+        rep = conjecture_report(p, r, d)
+        assert [lay.status for lay in rep.layers] == ["VERIFIED"] * 4
+        assert n not in sizes
+        f = tmp_path / "m.json"
+        rows = cartan_graded(p**r, d).entries
+        f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in rows]}))
+        code = cli.main(["snf", "--input", str(f), "--ring", "zlaurent", "--cache-dir", ""])
+        assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "VERIFIED"
+        assert sizes.count(n) == 1
 
     def test_stop_after_a_failed_layer_is_inconclusive(self, monkeypatch):
         # a stalled diagonalizer is CONSISTENT only while the field and v=1

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcartan import snf
@@ -634,6 +634,17 @@ class TestTryDiagonalize:
         with pytest.raises(AssertionError, match=f"diagonalization changed the {message} invariants"):
             snf._success_sanity(matrix, diag)
 
+    def test_success_sanity_compares_with_given_field_invariants(self):
+        # the caller's field-ring invariants stand in for the elimination
+        m = [[quantum_int(2), ZERO], [ZERO, quantum_int(3)]]
+        diag = [quantum_int(2), quantum_int(3)]
+        snf._success_sanity(m, diag, snf_laurent_field(m))
+        other = snf_of_diagonal([ONE, quantum_int(2) * quantum_int(3) * quantum_int(5)])
+        with pytest.raises(AssertionError, match="diagonalization changed the field-ring invariants"):
+            snf._success_sanity(m, diag, other)
+        with pytest.raises(AssertionError, match="diagonalization changed the field-ring invariants"):
+            try_diagonalize_zlaurent(m, field_invariants=other)
+
     def test_budget_exhaustion_is_inconclusive(self):
         c = cartan_graded(3, 2).entries
         res = try_diagonalize_zlaurent(c, budget=1)
@@ -662,8 +673,9 @@ class TestTryDiagonalize:
 
 # The quotient code as it was before its long divisions ran in the
 # dividend's own exponents, kept as independent references: the packed
-# engine's reference (_reduce_zlaurent) calls snf._reducing_quotient, so it
-# cannot see a change there.
+# engine finds its quotients on packed integers (snf._Slots.quotient), and
+# its reference (_reduce_zlaurent) builds them from these, so that it shares
+# no quotient code with it.
 
 
 def _divide_exact_reference(a, b):
@@ -767,6 +779,11 @@ def _end_quotient_reference(e, piv):
     return LaurentPoly(q)
 
 
+# at 64-bit slots 2v + 1 divides v^4 + 2^61 as integers, but not as
+# polynomials
+_INTEGER_ONLY_DIVIDEND = LaurentPoly({4: 1, 0: 2**61})
+_INTEGER_ONLY_DIVISOR = LaurentPoly({1: 2, 0: 1})
+
 _NONZERO_COEFFICIENTS = st.integers(-9, 9).filter(bool)
 # negative exponents, and leading coefficients that are not 1 and may be
 # negative; a monomial about one time in three
@@ -844,25 +861,94 @@ class TestQuotientsAgainstReferences:
     def test_end_quotient(self, e, piv):
         assert snf._end_quotient(e, piv) == _end_quotient_reference(e, piv)
 
-    @given(_division_pairs())
+    @given(_division_pairs(), st.sampled_from([64, 128]))
+    @example((_INTEGER_ONLY_DIVIDEND, _INTEGER_ONLY_DIVISOR), 64)
     @settings(max_examples=400, deadline=None)
-    def test_reducing_quotient(self, pair):
+    def test_reducing_quotient(self, pair, bits):
         # the exact quotient where there is one, else the end quotient; None
         # for a zero dividend or a zero end quotient
         e, piv = pair
-        want = None
-        if e:
-            want = _divide_exact_reference(e, piv)
-            if want is None:
-                want = _end_quotient_reference(e, piv)
-            want = want or None
-        assert snf._reducing_quotient(e, piv) == want
+        want = _reducing_quotient_reference(e, piv)
+        if want is not None:
+            want = want, sum(map(abs, want.terms.values()))
+        assert _slots_quotient(e, piv, bits) == want
+
+    def test_integer_division_that_is_no_polynomial_division(self, monkeypatch):
+        # 2v + 1 does not divide v^4 + 2^61, but at 64-bit slots their values
+        # divide as integers; the candidate's digits fail the slot-bound
+        # check, and divide_exact decides
+        slots = snf._Slots(64)
+        a, b = slots.pack(_INTEGER_ONLY_DIVIDEND), slots.pack(_INTEGER_ONLY_DIVISOR)
+        value, rem = divmod(a.value, b.value)
+        assert rem == 0
+        assert slots.digits(value, 4) == [2**61, -(2**62), -(2**63), 1]
+        calls = []
+
+        def spy(x, y):
+            calls.append((x, y))
+            return divide_exact(x, y)
+
+        monkeypatch.setattr(snf, "divide_exact", spy)
+        # the end quotient's coefficients outgrow 64-bit slots
+        with pytest.raises(snf._SlotOverflow):
+            slots.quotient(a, b)
+        assert calls == [(_INTEGER_ONLY_DIVIDEND, _INTEGER_ONLY_DIVISOR)]
+        want = _end_quotient_reference(_INTEGER_ONLY_DIVIDEND, _INTEGER_ONLY_DIVISOR)
+        assert _slots_quotient(_INTEGER_ONLY_DIVIDEND, _INTEGER_ONLY_DIVISOR, 64) == (
+            want, sum(map(abs, want.terms.values())))
+
+
+def test_end_quotient_hands_over_to_wider_slots(monkeypatch):
+    # at 64-bit slots the first step of v^4 + 2^61 by 2v + 1 would reach
+    # 2^61 + 2 * 2^61 > 2^62 even with tightened bounds: the grind hands the
+    # steps left to _end_quotient, on wider slots, and its sum is unchanged
+    calls = []
+    end_quotient = snf._end_quotient
+
+    def spy(e, piv, steps=256):
+        calls.append(steps)
+        return end_quotient(e, piv, steps)
+
+    monkeypatch.setattr(snf, "_end_quotient", spy)
+    slots = snf._Slots(64)
+    got = slots.grind(slots.pack(_INTEGER_ONLY_DIVIDEND), slots.pack(_INTEGER_ONLY_DIVISOR))
+    assert calls == [256]
+    want = _end_quotient_reference(_INTEGER_ONLY_DIVIDEND, _INTEGER_ONLY_DIVISOR)
+    assert LaurentPoly(got) == want
+
+
+def _reducing_quotient_reference(e, piv):
+    """The exact quotient of e by piv where there is one, else the end
+    quotient; None for a zero e or a zero end quotient."""
+    if e.is_zero:
+        return None
+    q = _divide_exact_reference(e, piv)
+    if q is None:
+        q = _end_quotient_reference(e, piv)
+    return q or None
+
+
+def _slots_quotient(e, piv, bits):
+    """snf._Slots(bits).quotient of e by piv as (q, |q|_1), or None; None
+    for a zero e, which the diagonalizer never reduces.  A quotient that
+    outgrows the slots is found again on the wider slots it asks for, as
+    the diagonalizer restarts."""
+    if e.is_zero:
+        return None
+    while True:
+        slots = snf._Slots(bits)
+        try:
+            found = slots.quotient(slots.pack(e), slots.pack(piv))
+            break
+        except snf._SlotOverflow as wider:
+            bits = wider.args[0]
+    return None if found is None else (slots.poly(found[0]), found[1])
 
 
 def _reduce_zlaurent(row, prow):
     """The dict-based row reduction that the packed engine replaced: each
     entry a - q*b term by term on LaurentPoly entries."""
-    q = snf._reducing_quotient(row[0], prow[0])
+    q = _reducing_quotient_reference(row[0], prow[0])
     if q is None:
         return None
     # a zero in the pivot row leaves the entry as it is
