@@ -13,10 +13,10 @@ what the command renders: json, csv and latex for gram, det, twisted and
 table; json and csv for verify, irred and invariants; json alone for snf and
 report.  The commands that build a Gram matrix, gram, det (with --check) and
 report, refuse one of more than --limit N rows (default 2000) unless given
---force, and det refuses an [X] of more than --limit rows, with or without
---check; no other command takes either flag.  Each guard counts its rows
-before building anything: gram --blocks N sizes its block sum as
-|CRP_ell(N)|, without enumerating a partition.
+--force, and so do they for an [X] of more than --limit rows, det with or
+without --check; no other command takes either flag.  Each makes one call to
+_size_guard, which counts both before building anything: gram --blocks N
+sizes its block sum as |CRP_ell(N)|, without enumerating a partition.
 
 Matrix JSON has one shape: `gram` writes "entries" as a list of rows of
 Laurent polynomials (LaurentPoly.to_json), and `snf --input` reads that key
@@ -71,10 +71,6 @@ from . import snf as snf_mod
 from .gram import block_sum, gram_det, gram_matrix, schur_orthonormality
 from .linalg import int_det, laurent_det
 from .qlaurent import LaurentPoly, quantum_int
-
-
-class UsageError(Exception):
-    pass
 
 
 class VerificationFailure(Exception):
@@ -261,11 +257,21 @@ def _dimension(m: int, d: int) -> int:
     return pt.u_count(m, d)
 
 
-def _size_guard(args, n: int) -> None:
+# a count below 2^_TEXT_BITS has at most 4300 digits, as many as CPython
+# writes as text by default; the size guard words a larger one by its bits
+_TEXT_BITS = 14284
+
+
+def _size_guard(args, nodes: int, rows: int) -> None:
+    """The one refusal by size, made before a command builds anything: [X]
+    has `nodes` rows and the Gram matrix or block sum `rows`, and the larger
+    may not exceed --limit unless --force."""
+    n = max(nodes, rows)
     if n > args.limit and not args.force:
-        raise UsageError(
-            f"matrix would be {n} x {n} (> {args.limit}); pass --force to proceed"
-        )
+        bits = n.bit_length()
+        size = (f"be {n} x {n}" if bits <= _TEXT_BITS
+                else f"have 2^{bits - 1} rows or more, over --limit")
+        raise ValueError(f"matrix would {size} (> {args.limit}); pass --force to proceed")
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +282,14 @@ def _size_guard(args, n: int) -> None:
 def cmd_gram(args) -> str:
     if args.blocks is not None:
         if args.diagram is not None:
-            raise UsageError("--blocks sums the blocks of --ell; it takes no --diagram")
+            raise ValueError("--blocks sums the blocks of --ell; it takes no --diagram")
         # the block sum has |CRP_ell(N)| rows, counted without walking Par(N)
-        _size_guard(args, pt.class_regular_count(args.blocks, args.ell))
+        _size_guard(args, args.ell - 1, pt.class_regular_count(args.blocks, args.ell))
         bs = block_sum(args.blocks, args.ell)
         payload, idx, mat = bs.to_json(), [cp for _, g in bs.blocks for cp in g.index], bs.matrix()
     else:
         dg, label = _finite_diagram(args)
-        _size_guard(args, _dimension(dg.nodes, args.d))
+        _size_guard(args, dg.nodes, _dimension(dg.nodes, args.d))
         g = gram_matrix(dg, args.d)
         payload, idx, mat = {**g.to_json(), "diagram": label}, g.index, g.entries
     return _emit(
@@ -313,9 +319,8 @@ def _factored(parts: list[dict], power: str = "^{{{}}}") -> str:
 
 def cmd_det(args) -> str:
     dg, label = _finite_diagram(args)
-    _size_guard(args, dg.nodes)  # the formula takes the determinant of [X]
-    if args.check:
-        _size_guard(args, _dimension(dg.nodes, args.d))
+    # the formula takes the determinant of [X], and --check builds the Gram matrix
+    _size_guard(args, dg.nodes, _dimension(dg.nodes, args.d) if args.check else 0)
     formula = qc.shapovalov_det_formula(dg, args.d)
     payload = {
         "diagram": label,
@@ -446,16 +451,16 @@ def _read_matrix(path: str, ring: str):
         with open(path) as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read a matrix from {path}: {exc}") from None
+        raise ValueError(f"cannot read a matrix from {path}: {exc}") from None
     rows = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(rows, list) or any(
         not isinstance(r, list) or len(r) != len(rows) for r in rows
     ):
-        raise UsageError(f"--ring {ring} reads '{key}', a square list of rows")
+        raise ValueError(f"--ring {ring} reads '{key}', a square list of rows")
     try:
         return [[parse(x) for x in row] for row in rows]
     except ValueError as exc:
-        raise UsageError(f"bad matrix entry: {exc}") from None
+        raise ValueError(f"bad matrix entry: {exc}") from None
 
 
 def cmd_snf(args) -> str:
@@ -515,7 +520,7 @@ def _invariant_table(args) -> list[tuple]:
 def cmd_invariants(args) -> str:
     given = [f"--{k}" for k in ("p", "r", "ell") if getattr(args, k) is not None]
     if given not in (["--p", "--r"], ["--ell"]):
-        raise UsageError(f"give --p and --r, or --ell; got {' '.join(given) or 'neither'}")
+        raise ValueError(f"give --p and --r, or --ell; got {' '.join(given) or 'neither'}")
     lam = pt.partition(int(x) for x in args.partition.split(",") if x.strip())
     rows = [(prov, params, f(*params, lam)) for prov, params, f in _invariant_table(args)]
     payload = {
@@ -539,10 +544,13 @@ def cmd_invariants(args) -> str:
 
 
 def cmd_report(args) -> str:
-    # the size guard first: _check_p_r's trial division takes O(sqrt p)
-    # steps, and a p or r that it refuses counts as ell = 1, with no rows
-    _size_guard(args, _dimension(max(args.p, 1) ** max(args.r, 0) - 1, args.d))
-    inv._check_p_r(args.p, args.r)
+    # the size guard first: the report's primality test takes O(sqrt p)
+    # steps, and a p or r that it refuses counts as ell = 1, with no rows.
+    # [X] has p^r - 1 rows, formed only while r (bit length of p - 1) is at
+    # most _TEXT_BITS; past that, 2^_TEXT_BITS, below p^r - 1, stands in
+    p, r = max(args.p, 1), max(args.r, 0)
+    nodes = p**r - 1 if r * (p.bit_length() - 1) <= _TEXT_BITS else 1 << _TEXT_BITS
+    _size_guard(args, nodes, _dimension(nodes, args.d))
     rep = inv.conjecture_report(args.p, args.r, args.d)
     return _checked(_emit(args, rep.to_json()), rep.ok)
 
@@ -718,7 +726,7 @@ def main(argv=None) -> int:
         else:
             notes.write(run["stderr"])
         text = run["stdout"]
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         notes.write(f"error: {exc}\n")
         code = 2
     except VerificationFailure as exc:

@@ -647,7 +647,8 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
     """
     g = gram_matrix(dg, d)
     g.check_unitriangular()
-    smith = snf_laurent_field(g.a).elements
+    # at d = 0 there is no factor to read the Smith form of [X]
+    smith = snf_laurent_field(g.a).elements if d else ()
     factor_invs = {
         (s, m): [tuple(smith[i].subst_power(s) for i in c) for c in _multisets(dg.nodes, m)]
         for s, m in set(chain.from_iterable(g.factor_keys.values()))

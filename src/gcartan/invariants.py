@@ -395,13 +395,11 @@ def conjecture_report(
     details give the steps and why it stopped.  When layer 2's theorem
     sub-check holds, the field-ring half of the diagonalizer's success check
     reads layer 2's invariants instead of eliminating the Gram matrix a
-    second time: the whole report took 0.0065 s against 0.0107 s at
-    (5,1,2), and 0.0045 against 0.0055 s at (2,1,4) (medians of 5 fresh
-    interpreters, shared 2-core x86-64 machine, CPython 3.11); its v=1 half
-    is unchanged.  Success with the conjectured multiset verifies the
-    conjecture at this size (VERIFIED).  Any other diagonal, or a stop with
-    all three earlier checks holding, is CONSISTENT; a stop otherwise is
-    INCONCLUSIVE.  No outcome of this layer refutes the conjecture.
+    second time; its v=1 half computes its own.  Success with the
+    conjectured multiset verifies the conjecture at this size (VERIFIED).
+    Any other diagonal, or a stop with all three earlier checks holding, is
+    CONSISTENT; a stop otherwise is INCONCLUSIVE.  No outcome of this layer
+    refutes the conjecture.
 
     Every layer's details carry `elapsed_ms`, the time since the previous
     layer ended (layer 3 builds C(1) on integers; the Laurent matrix is

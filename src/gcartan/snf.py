@@ -657,12 +657,10 @@ def snf_of_diagonal(values: Sequence[LaurentPoly | tuple[LaurentPoly, ...]]) -> 
 # the step cap of every caller; the stall rule ends a failing run long before
 # it (after 13-54 steps at the benchmark's report points, and 22-166 at the
 # frontier points (3,1,5), (2,2,5), (2,2,6), (5,1,4), (7,1,3), (5,1,5) and
-# (7,1,4), the same on packed entries as on LaurentPoly entries), so the cap
-# only guards a progress loop that might never end.  With packed entries
-# and packed quotients a pass at (7,1,4) (315 rows) takes 0.24 s on average
-# (39.8 s for its 166, against 64.9 s with LaurentPoly quotients; single
-# runs, shared 2-core x86-64 machine, CPython 3.11), so a run to the cap
-# there would take about 12 minutes.
+# (7,1,4)), so the cap only guards a progress loop that might never end.  A
+# pass at (7,1,4) (315 rows) takes 0.24 s on average (39.8 s for its 166;
+# single run, shared 2-core x86-64 machine, CPython 3.11), so a run to the
+# cap there would take about 12 minutes.
 DIAG_BUDGET = 3000
 
 
@@ -939,20 +937,11 @@ def try_diagonalize_zlaurent(
     Q[v,v^-1]; by default it eliminates.
 
     The loop runs on packed entries (`_Slots`, see the module docstring),
-    which give the pivots, steps, stop reason and diagonal that it gives on
-    LaurentPoly entries, in less time: at (5,1,4), (7,1,3) and (2,2,5) it
-    took 0.98, 1.01 and 0.65 s against 4.12, 2.92 and 2.32 s on LaurentPoly
-    entries (medians of 3 fresh-interpreter samples interleaved with the
-    LaurentPoly engine, on a shared 2-core x86-64 machine, CPython 3.11).
-    With the quotients found on the packed ints as well, (5,1,4), (7,1,3),
-    (2,2,5) and (3,1,5) took 0.321, 0.283, 0.256 and 0.040 s against 0.441,
-    0.438, 0.306 and 0.062 s with LaurentPoly quotients (medians of 3
-    interleaved fresh-interpreter samples, same machine), in the same steps
-    with the same stops.
-    The input is packed at 64-bit slots, or wider where a coefficient
-    needs it, and a run whose coefficients outgrow its slots restarts on
-    slots at least twice as wide; the passes do not depend on the width,
-    so the restart retraces them.
+    which give the pivots, steps, stop reason and diagonal of the same loop
+    on LaurentPoly entries.  The input is packed at 64-bit slots, or wider
+    where a coefficient needs it, and a run whose coefficients outgrow its
+    slots restarts on slots at least twice as wide; the passes do not depend
+    on the width, so the restart retraces them.
     """
     _require_square(matrix)
     bits = 64

@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcartan import cli
+from gcartan import cli, gram
 from gcartan.qlaurent import LaurentPoly, quantum_int
 
 
@@ -1150,6 +1151,58 @@ class TestHugeSizeGuard:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "matrix would be 10880 x 10880 (> 10)" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--p", "3", "--r", "10000000", "--d", "0"],
+            ["report", "--p", "1000000000000037", "--r", "1", "--d", "400"],
+        ],
+        ids=["huge-r", "huge-count"],
+    )
+    def test_count_of_too_many_digits(self, argv):
+        # forming 3^(10^7) took 11 s, and CPython writes no int of more than
+        # 4300 digits as text; in a subprocess with a timeout, so that a
+        # guard that forms p^r fails here rather than hanging the suite
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcartan.cli", *argv, "--limit", "10", "--cache-dir", ""],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.monotonic() - start < 2
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "--limit" in proc.stderr and "--force" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestXSizeGuard:
+    # [X] has ell - 1 rows at every weight and rank; the guard counts them
+    # beside the Gram matrix, so a command that builds [X] before its guard
+    # exits 3 here
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (("gram", "--ell", "3001", "--d", "0"), 3000),
+            (("gram", "--ell", "3001", "--blocks", "1"), 3000),
+            (("report", "--p", "1009", "--r", "1", "--d", "0"), 1008),
+        ],
+        ids=["gram", "blocks", "report"],
+    )
+    def test_refused_before_x_is_built(self, capsys, monkeypatch, argv, rows):
+        monkeypatch.setattr(gram, "quantized_cartan", TestOptionPolicy._never)
+        code, out, err = run(capsys, *argv, "--limit", "10", "--cache-dir", "")
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix would be {rows} x {rows} (> 10); pass --force to proceed\n"
+
+    def test_forced(self, capsys):
+        argv = ("gram", "--ell", "30", "--d", "0", "--limit", "10", "--force", "--cache-dir", "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["entries"]) == 1
 
 
 class TestOptimisedInterpreter:

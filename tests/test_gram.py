@@ -538,6 +538,16 @@ class TestCauchyBinet:
         ]
         assert gram_field_invariants(dg, d) == snf_of_diagonal(expanded)
 
+    @pytest.mark.parametrize("ell", range(2, 8))
+    def test_weight_zero_eliminates_nothing(self, monkeypatch, ell):
+        # at d = 0 no Kronecker factor reads the Smith form of [X], so [X] is
+        # not eliminated; the invariants are those of the 1 x 1 Gram matrix
+        want = snf_laurent_field(gram_matrix(type_a(ell), 0).entries)
+        calls = []
+        monkeypatch.setattr(gram, "snf_laurent_field", lambda m: calls.append(m))
+        got = gram_field_invariants(type_a(ell), 0)
+        assert not calls and multiset_equal_up_to_units(got, want)
+
 
 class TestKroneckerFactors:
     @pytest.mark.parametrize(

@@ -565,3 +565,21 @@ def test_cli_enumerates_no_partitions():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in enumerators
     ]
     assert not found, f"partition enumerators called: {found}"
+
+
+def test_one_size_guard():
+    # cli._size_guard alone refuses a command by size: each command that
+    # builds [X] calls it once per branch with [X]'s row count beside the
+    # Gram matrix's, and no other function words the refusal
+    calls, wording = {}, set()
+    for stmt in _parse(PACKAGE / "cli.py").body:
+        where = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_size_guard":
+                assert len(node.args) == 3, f"cli.py:{node.lineno}"
+                calls.setdefault(where, []).append(ast.unparse(node.args[1]))
+            elif isinstance(node, ast.Constant) and "pass --force to proceed" in str(node.value):
+                wording.add(where)
+    nodes = {"cmd_gram": ["args.ell - 1", "dg.nodes"], "cmd_det": ["dg.nodes"], "cmd_report": ["nodes"]}
+    assert {k: sorted(v) for k, v in calls.items()} == nodes, calls
+    assert wording == {"_size_guard"}, wording
