@@ -547,10 +547,13 @@ def cmd_report(args) -> str:
     # the size guard first: the report's primality test takes O(sqrt p)
     # steps, and a p or r that it refuses counts as ell = 1, with no rows.
     # [X] has p^r - 1 rows, formed only while r (bit length of p - 1) is at
-    # most _TEXT_BITS; past that, 2^_TEXT_BITS, below p^r - 1, stands in
+    # most _TEXT_BITS; past that, 2^_TEXT_BITS, below p^r - 1, stands in and
+    # sizes the refusal alone, since counting u(2^_TEXT_BITS, d) rows takes
+    # O(d^2) products of numbers of d * _TEXT_BITS bits
     p, r = max(args.p, 1), max(args.r, 0)
-    nodes = p**r - 1 if r * (p.bit_length() - 1) <= _TEXT_BITS else 1 << _TEXT_BITS
-    _size_guard(args, nodes, _dimension(nodes, args.d))
+    huge = r * (p.bit_length() - 1) > _TEXT_BITS
+    nodes = 1 << _TEXT_BITS if huge else p**r - 1
+    _size_guard(args, nodes, _dimension(0 if huge else nodes, args.d))
     rep = inv.conjecture_report(args.p, args.r, args.d)
     return _checked(_emit(args, rep.to_json()), rep.ok)
 

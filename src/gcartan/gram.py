@@ -71,7 +71,6 @@ of the factors over the product's ring, and it reads only their nonzeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, product
 
@@ -666,13 +665,11 @@ def gram_field_invariants(dg: DynkinDiagram, d: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockSum:
-    """The direct sum of C^v_{ell,d} over the blocks of rank n."""
+class BlockSum(pt.Record):
+    """The direct sum of C^v_{ell,d} over the blocks of rank n: `blocks` is a
+    tuple of (BlockLabel, GramMatrix) pairs."""
 
-    ell: int
-    n: int
-    blocks: tuple[tuple[pt.BlockLabel, GramMatrix], ...]
+    __slots__ = ("ell", "n", "blocks")
 
     @property
     def size(self) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import partitions as pt
@@ -261,18 +260,14 @@ def verify_conjequiv(p: int, r: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BunkaitoComponent:
-    weight: int  # e, with multiplicity p(e)
-    pairs: tuple  # ((d_j, a_j), ...) with distinct p'-parts d_j
-    multiplicity: int
+class BunkaitoComponent(pt.Record):
+    # weight e, with multiplicity p(e); pairs ((d_j, a_j), ...) with distinct
+    # p'-parts d_j
+    __slots__ = ("weight", "pairs", "multiplicity")
 
 
-@dataclass(frozen=True)
-class BunkaitoReport:
-    components: tuple[BunkaitoComponent, ...]
-    total: int
-    verified: bool
+class BunkaitoReport(pt.Record):
+    __slots__ = ("components", "total", "verified")
 
 
 def _types(m: int, p: int, min_d: int = 1) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -332,23 +327,16 @@ def bunkaito_decompose(p: int, r: int, d: int) -> BunkaitoReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LayerResult:
-    name: str
-    status: str  # VERIFIED | CONSISTENT | INCONCLUSIVE | FAILED
-    details: dict = field(default_factory=dict)
+class LayerResult(pt.Record):
+    # status: VERIFIED | CONSISTENT | INCONCLUSIVE | FAILED; details: a dict
+    __slots__ = ("name", "status", "details")
 
     def to_json(self) -> dict:
         return {"name": self.name, "status": self.status, **self.details}
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    p: int
-    r: int
-    d: int
-    layers: tuple[LayerResult, ...]
-    elapsed_ms: int
+class ConjectureReport(pt.Record):
+    __slots__ = ("p", "r", "d", "layers", "elapsed_ms")
 
     def layer(self, name: str) -> LayerResult:
         for lay in self.layers:

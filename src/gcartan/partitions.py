@@ -13,12 +13,59 @@ Psi^{p,r}_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 Partition = tuple  # tuple[int, ...], weakly decreasing, positive entries
 ColoredPartition = tuple  # tuple[tuple[int, int], ...] in canonical order
+
+
+class Record:
+    """The base of the package's frozen records: a subclass names its fields,
+    in order, as its __slots__, and any trailing defaults in `_defaults`.
+
+    Fields are given by position or keyword, and `_check()` validates them
+    once they are set.  Equality and hash are by type and field values, the
+    repr is `Name(field=value, ...)`, a field cannot be set or deleted
+    afterwards, and `pickle` and `copy` rebuild a record from its values.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), *self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -150,15 +197,12 @@ def has_rim_hook(lam: Partition, ell: int) -> bool:
     return any(b >= ell and (b - ell) not in beta for b in beta)
 
 
-@dataclass(frozen=True)
-class BlockLabel:
+class BlockLabel(Record):
     """A block (rho, d): an ell-core rho and weight d with |rho| + ell*d = n."""
 
-    core: Partition
-    weight: int
-    ell: int
+    __slots__ = ("core", "weight", "ell")
 
-    def __post_init__(self):
+    def _check(self):
         if not is_ell_core(self.core, self.ell):
             raise ValueError(f"{self.core} is not a {self.ell}-core")
         if self.weight < 0:

@@ -10,9 +10,7 @@ E_8 attaches node 8 to node 5 of a path of 7.  Internally nodes are 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
 
 from . import partitions as pt
 from .linalg import laurent_det
@@ -26,14 +24,12 @@ from .qlaurent import (
 )
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(pt.Record):
     """A finite simply-laced diagram: A_n (n>=1), D_m (m>=4), E_6/E_7/E_8."""
 
-    family: Literal["A", "D", "E"]
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
+    def _check(self):
         f, r = self.family, self.rank
         if f == "A" and r >= 1:
             return
@@ -221,18 +217,17 @@ def irreducible_at(dg: DynkinDiagram, ell: int, mode: str = "closed_form") -> bo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedDiagram:
+class TwistedDiagram(pt.Record):
     """A twisted affine ADE diagram.
 
     kinds: "A2_odd" (n>=3) is A^(2)_{2n-1}, "A2_even" (n>=1) is A^(2)_{2n},
     "D2" (n>=1) is D^(2)_{n+1}, "E6_2" is E^(2)_6, "D4_3" is D^(3)_4.
     """
 
-    kind: Literal["A2_odd", "A2_even", "D2", "E6_2", "D4_3"]
-    n: int = 0
+    __slots__ = ("kind", "n")
+    _defaults = {"n": 0}
 
-    def __post_init__(self):
+    def _check(self):
         k, n = self.kind, self.n
         if k == "A2_odd" and n >= 3:
             return

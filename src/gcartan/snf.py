@@ -67,13 +67,12 @@ import math
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
 from typing import Sequence
 
 from .linalg import _int_rows, _require_square, int_det
-from .partitions import is_prime, p_adic_split
+from .partitions import Record, is_prime, p_adic_split
 from .qlaurent import (
     ONE, ZERO, LaurentPoly, _owned, divide_exact, exact_quotient, normalize_unit, sub_product,
 )
@@ -100,12 +99,10 @@ def _poly_sort_key(p: LaurentPoly):
     return (0, p.max_exp, tuple(sorted(p.terms.items())))
 
 
-@dataclass(frozen=True)
-class InvariantMultiset:
+class InvariantMultiset(Record):
     """A multiset of invariant factors in unit-normalized canonical form."""
 
-    ring: str
-    elements: tuple
+    __slots__ = ("ring", "elements")
 
     @staticmethod
     def polys(values: Sequence[LaurentPoly], ring: str = RING_QLAURENT) -> "InvariantMultiset":
@@ -394,8 +391,9 @@ def _local_valuations(
     return vals
 
 
-# the product of the primes below 2^10
-_SMALL_PRIMORIAL = math.prod(filter(is_prime, range(1 << 10)))
+# the product of the 172 primes below 2^10, 1420 bits: a literal, so that
+# import does no primality work (certified in tests/test_snf.py)
+_SMALL_PRIMORIAL = 0xb7d179681be0a7a10ce608f14cffea50afd39a59245bffbdf693d70b90e9f5290e3f3207dfbb1a846ae30dd5a0d15624eb7bbf2afbd475edd69edb0e5ddc2aeb5527f60251e309b8ca6954052ecebde40c7f814e7a8e177184db0f824bcfa569b61e9feb556ac85cb3f9603d84d4027d5e50e4d87eea836597d939d5a417eb50cd1f89b1edad20531561e05ee10dfbd68f9888c7ec39e79b3ad7114ce5331fa90a6f89ab8848a2d994923d086ba0b993c32
 
 
 def _coprime_split(p: int, g: int) -> list[int]:
@@ -664,11 +662,9 @@ def snf_of_diagonal(values: Sequence[LaurentPoly | tuple[LaurentPoly, ...]]) -> 
 DIAG_BUDGET = 3000
 
 
-@dataclass(frozen=True)
-class DiagonalizationResult:
-    diagonal: InvariantMultiset | None
-    steps: int
-    stopped: str  # "cleared" | "stalled" | "budget"
+class DiagonalizationResult(Record):
+    # diagonal: an InvariantMultiset, or None; stopped: "cleared" | "stalled" | "budget"
+    __slots__ = ("diagonal", "steps", "stopped")
 
     @property
     def success(self) -> bool:

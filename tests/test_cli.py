@@ -1157,13 +1157,15 @@ class TestHugeSizeGuard:
         [
             ["report", "--p", "3", "--r", "10000000", "--d", "0"],
             ["report", "--p", "1000000000000037", "--r", "1", "--d", "400"],
+            ["report", "--p", "3", "--r", "1000000", "--d", "400"],
         ],
-        ids=["huge-r", "huge-count"],
+        ids=["huge-r", "huge-count", "huge-r-count"],
     )
     def test_count_of_too_many_digits(self, argv):
         # forming 3^(10^7) took 11 s, and CPython writes no int of more than
-        # 4300 digits as text; in a subprocess with a timeout, so that a
-        # guard that forms p^r fails here rather than hanging the suite
+        # 4300 digits as text; counting u(2^14284, 400) rows took 21 s; in a
+        # subprocess with a timeout, so that a guard that forms p^r or counts
+        # the rows of its stand-in fails here rather than hanging the suite
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
         start = time.monotonic()

@@ -376,6 +376,18 @@ def test_prime_tables_are_literals():
         if isinstance(node, ast.Call)
     ]
     assert calls == ["tuple"], calls
+    # nor does snf.py: its _SMALL_PRIMORIAL is a literal too (certified in
+    # tests/test_snf.py), and no statement outside a function or class
+    # reaches is_prime or prime_divisors, called or passed
+    found = [
+        f"snf.py:{node.lineno}"
+        for stmt in _parse(PACKAGE / "snf.py").body
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef, ast.ImportFrom))
+        for node in ast.walk(stmt)
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+        in {"is_prime", "prime_divisors"}
+    ]
+    assert not found, found
 
 
 def _broad_handlers(node: ast.AST, where: str):
@@ -525,6 +537,25 @@ def test_cli_import_loads_no_fraction_module():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records derive from partitions.Record: `dataclasses` imports
+    # `inspect` (and with it `ast`, `dis` and `tokenize`) and execs generated
+    # methods, 12-18 ms of `import gcartan.cli` under `python -X importtime`
+    code = "import sys, gcartan.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert not found, f"dataclasses imported in src/gcartan: {found}"
 
 
 def test_one_judge_of_invariant_multisets():

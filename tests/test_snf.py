@@ -11,7 +11,7 @@ from gcartan import snf
 from gcartan.gram import cartan_graded, gram_det_at_one, gram_matrix
 from gcartan.invariants import hill_values
 from gcartan.linalg import int_det, laurent_det
-from gcartan.partitions import p_adic_split, prime_divisors
+from gcartan.partitions import is_prime, p_adic_split, prime_divisors
 from gcartan.qcartan import DynkinDiagram, type_a
 from gcartan.qlaurent import (
     ONE,
@@ -219,6 +219,14 @@ class TestSnfInt:
         p = 100003
         assert snf_int_certified([[p, 0], [0, p]], p * p).elements == (p, p)
         assert snf_int_certified([[2 * p, 0], [0, p]], 2 * p * p).elements == (p, 2 * p)
+
+    def test_small_primorial_is_certified(self):
+        # snf._SMALL_PRIMORIAL is a literal, so that import does no primality
+        # work: it is the product of the 172 primes below 2^10
+        primes = list(filter(is_prime, range(1 << 10)))
+        assert len(primes) == 172
+        assert snf._SMALL_PRIMORIAL == math.prod(primes)
+        assert snf._SMALL_PRIMORIAL.bit_length() == 1420
 
     @given(st.lists(st.integers(-60, 60), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
