@@ -8,15 +8,16 @@ any work.  verify's options follow the identity:
 state stay in their commands: gram --blocks takes --ell, not --diagram, and
 invariants takes --p and --r, or --ell.
 
-Every command takes --format and --cache-dir PATH.  --format offers only
-what the command renders: json, csv and latex for gram, det, twisted and
-table; json and csv for verify, irred and invariants; json alone for snf and
-report.  The commands that build a Gram matrix, gram, det (with --check) and
-report, refuse one of more than --limit N rows (default 2000) unless given
---force, and so do they for an [X] of more than --limit rows, det with or
-without --check; no other command takes either flag.  Each makes one call to
-_size_guard, which counts both before building anything: gram --blocks N
-sizes its block sum as |CRP_ell(N)|, without enumerating a partition.
+Every command takes --format, which offers only what the command renders:
+json, csv and latex for gram, det, twisted and table; json and csv for
+verify, irred and invariants; json alone for snf and report.  The commands
+that build a Gram matrix, gram, det (with --check) and report, refuse one of
+more than --limit N rows (default 2000) unless given --force, and so do they
+for an [X] of more than --limit rows, det with or without --check; no other
+command takes either flag.  Each makes one call to _size_guard, which counts
+both before building anything: gram --blocks N sizes its block sum as
+|CRP_ell(N)|, without enumerating a partition, and a weight --d over --limit
+is refused uncounted, since u(m, d) >= d for m, d >= 1.
 
 Matrix JSON has one shape: `gram` writes "entries" as a list of rows of
 Laurent polynomials (LaurentPoly.to_json), and `snf --input` reads that key
@@ -25,19 +26,6 @@ for --ring qlaurent and zlaurent, and "rows", a list of integer rows, for
 holds, FAILED (exit 1) when one does not, and INCONCLUSIVE when zlaurent's
 diagonalizer stops without a diagonal; snf.multiset_equal_up_to_units
 judges each check that compares invariant multisets.
-
-The cache lives in --cache-dir, else in GCART_CACHE_DIR, else in
-~/.cache/gcart; an empty path disables it.  It holds the runs of gram, det,
-table and twisted that succeed, stdout and the notes written to stderr alike,
-so a hit replays both; each such invocation makes exactly one lookup.  The
-key is a hash of the package sources, so a cached run never outlives the
-code that produced it, together with the command and every argument but the
-cache's location (--force and --limit included).  An entry that does not read
-back as a run is a miss and is overwritten; a run that cannot be stored
-adds the note "# cache: not stored: <error>" to stderr and keeps its exit
-code, so the cache never decides an outcome.  While a cache directory is
-active, each invocation ends by writing one line
-"# cache: H hit(s), M miss(es)" to stderr; stdout does not change.
 
 Exit codes, all decided in `main`:
   0  success
@@ -52,16 +40,12 @@ Exit codes, all decided in `main`:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import io
 import json
 import math
-import os
 import re
 import sys
-import tempfile
-from pathlib import Path
 
 from . import __version__
 from . import invariants as inv
@@ -140,82 +124,6 @@ def _checked(text: str, ok: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=1)
-def _source_digest() -> str:
-    """sha256 over the package's *.py sources.  Computed on first use, not at
-    import, so importing the package stays cheap; so is hashlib, whose
-    OpenSSL module every command would otherwise load."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for f in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
-    return h.hexdigest()
-
-
-class DiskCache:
-    """Content-addressed cache of runs, each stored as a JSON object {"stdout":
-    text, "stderr": text}; atomic write-temp-then-rename.  Counts the hits and
-    misses of its lookups.  A root of None disables it: `main` then makes no
-    lookup and stores nothing."""
-
-    def __init__(self, root: Path | None):
-        self.root = root
-        self.hits = 0
-        self.misses = 0
-
-    def key(self, *parts) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(_source_digest().encode())
-        for p in parts:
-            h.update(b"\0" + str(p).encode())
-        return h.hexdigest()
-
-    def get(self, key: str) -> dict | None:
-        """The run stored under key.  An entry that cannot be read back as a
-        run (absent, not JSON, or another shape) is a miss, and the next put
-        overwrites it."""
-        try:
-            run = json.loads((self.root / key[:2] / key).read_text())
-        except (OSError, ValueError):
-            run = None
-        if isinstance(run, dict) and all(isinstance(run.get(k), str) for k in ("stdout", "stderr")):
-            self.hits += 1
-            return run
-        self.misses += 1
-        return None
-
-    def put(self, key: str, run: dict) -> None:
-        d = self.root / key[:2]
-        d.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(run))
-            os.replace(tmp, d / key)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-def _cache_from(args) -> DiskCache:
-    root = args.cache_dir if args.cache_dir is not None else os.environ.get("GCART_CACHE_DIR")
-    if root is None:
-        default = Path.home() / ".cache" / "gcart"
-        return DiskCache(default)
-    if root == "":
-        return DiskCache(None)
-    return DiskCache(Path(root))
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
@@ -249,12 +157,17 @@ def _finite_diagram(args) -> tuple[qc.DynkinDiagram, str]:
     return dg, dg.label()
 
 
-def _dimension(m: int, d: int) -> int:
-    """u(m, d), the size of a weight-d matrix on m nodes; d < 0 is refused
-    here, before u_count would refuse it with its own message."""
-    if d < 0:
+def _dimension(args, m: int) -> int | None:
+    """u(m, d) at d = --d, the size of a weight-d matrix on m nodes, counted
+    in O(d^2) big-int steps; d < 0 is refused here, before u_count would
+    refuse it with its own message.  None, uncounted, for a d over --limit
+    on m >= 1 nodes without --force: u(m, d) >= d there, so the size guard
+    refuses it as it stands."""
+    if args.d < 0:
         raise ValueError("d must be nonnegative")
-    return pt.u_count(m, d)
+    if m >= 1 and args.d > args.limit and not args.force:
+        return None
+    return pt.u_count(m, args.d)
 
 
 # a count below 2^_TEXT_BITS has at most 4300 digits, as many as CPython
@@ -262,15 +175,20 @@ def _dimension(m: int, d: int) -> int:
 _TEXT_BITS = 14284
 
 
-def _size_guard(args, nodes: int, rows: int) -> None:
+def _size_guard(args, nodes: int, rows: int | None) -> None:
     """The one refusal by size, made before a command builds anything: [X]
     has `nodes` rows and the Gram matrix or block sum `rows`, and the larger
-    may not exceed --limit unless --force."""
-    n = max(nodes, rows)
+    may not exceed --limit unless --force.  Rows of None are those of a
+    weight-d Gram matrix that _dimension left uncounted, at least d."""
+    n = max(nodes, args.d if rows is None else rows)
     if n > args.limit and not args.force:
         bits = n.bit_length()
-        size = (f"be {n} x {n}" if bits <= _TEXT_BITS
-                else f"have 2^{bits - 1} rows or more, over --limit")
+        if bits > _TEXT_BITS:
+            size = f"have 2^{bits - 1} rows or more, over --limit"
+        elif rows is None:
+            size = f"have {n} rows or more, over --limit"
+        else:
+            size = f"be {n} x {n}"
         raise ValueError(f"matrix would {size} (> {args.limit}); pass --force to proceed")
 
 
@@ -289,7 +207,7 @@ def cmd_gram(args) -> str:
         payload, idx, mat = bs.to_json(), [cp for _, g in bs.blocks for cp in g.index], bs.matrix()
     else:
         dg, label = _finite_diagram(args)
-        _size_guard(args, dg.nodes, _dimension(dg.nodes, args.d))
+        _size_guard(args, dg.nodes, _dimension(args, dg.nodes))
         g = gram_matrix(dg, args.d)
         payload, idx, mat = {**g.to_json(), "diagram": label}, g.index, g.entries
     return _emit(
@@ -320,7 +238,7 @@ def _factored(parts: list[dict], power: str = "^{{{}}}") -> str:
 def cmd_det(args) -> str:
     dg, label = _finite_diagram(args)
     # the formula takes the determinant of [X], and --check builds the Gram matrix
-    _size_guard(args, dg.nodes, _dimension(dg.nodes, args.d) if args.check else 0)
+    _size_guard(args, dg.nodes, _dimension(args, dg.nodes) if args.check else 0)
     formula = qc.shapovalov_det_formula(dg, args.d)
     payload = {
         "diagram": label,
@@ -553,7 +471,7 @@ def cmd_report(args) -> str:
     p, r = max(args.p, 1), max(args.r, 0)
     huge = r * (p.bit_length() - 1) > _TEXT_BITS
     nodes = 1 << _TEXT_BITS if huge else p**r - 1
-    _size_guard(args, nodes, _dimension(0 if huge else nodes, args.d))
+    _size_guard(args, nodes, _dimension(args, 0 if huge else nodes))
     rep = inv.conjecture_report(args.p, args.r, args.d)
     return _checked(_emit(args, rep.to_json()), rep.ok)
 
@@ -609,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, formats, guard=False):
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--cache-dir", default=None, help="cache directory ('' disables)")
         if guard:
             p.add_argument("--force", action="store_true")
             p.add_argument("--limit", type=int, default=2000, help="matrix size guard")
@@ -703,44 +620,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and decide its exit code: every exception that the
-    cache lookup, the command or the cache store raises ends here."""
+    command raises ends here."""
     args = build_parser().parse_args(argv)
-    cache = _cache_from(args)
-    # the command's notes to stderr are kept, so that a cache hit replays them
-    notes, text, code = io.StringIO(), "", 0
+    text, code = "", 0
     try:
-        key = run = None
-        if cache.root is not None and args.command in ("gram", "det", "table", "twisted"):
-            # where the cache lives never changes an output; --force and
-            # --limit stay in the key, so a refused request is never served a
-            # forced run
-            fields = {k: v for k, v in vars(args).items() if k not in ("fn", "cache_dir")}
-            key = cache.key("output", args.command, json.dumps(fields, default=str, sort_keys=True))
-            run = cache.get(key)
-        if run is None:
-            with contextlib.redirect_stderr(notes):
-                out = args.fn(args)
-            run = {"stdout": out, "stderr": notes.getvalue()}
-            if key is not None:
-                try:
-                    cache.put(key, run)
-                except OSError as exc:  # a cache that cannot be written costs a note
-                    notes.write(f"# cache: not stored: {exc}\n")
-        else:
-            notes.write(run["stderr"])
-        text = run["stdout"]
+        text = args.fn(args)
     except ValueError as exc:
-        notes.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {exc}\n")
         code = 2
     except VerificationFailure as exc:
         text, code = str(exc), 1
     except Exception as exc:
-        notes.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         code = 3
-    sys.stderr.write(notes.getvalue())
     sys.stdout.write(text)
-    if cache.root is not None:
-        sys.stderr.write(f"# cache: {cache.hits} hit(s), {cache.misses} miss(es)\n")
     return code
 
 

@@ -137,6 +137,8 @@ def u_count(m: int, n: int) -> int:
     """
     if m < 0 or n < 0:
         raise ValueError("u_count needs nonnegative arguments")
+    if m == 0:
+        return int(n == 0)
     sigma = [sum(k for k in range(1, t + 1) if t % k == 0) for t in range(n + 1)]
     u = [1]
     for t in range(1, n + 1):

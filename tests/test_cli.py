@@ -23,11 +23,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-@pytest.fixture()
-def cache_dir(tmp_path):
-    return str(tmp_path / "cache")
-
-
 def _term_loop_latex(p):
     """The term-by-term LaTeX writer that cli.poly_latex replaced by a
     rewrite of str(p), kept as the reference its output must match."""
@@ -85,10 +80,8 @@ class TestPolyLatex:
 
 
 class TestGramCommand:
-    def test_json(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "gram", "--ell", "2", "--d", "2", "--format", "json", "--cache-dir", cache_dir
-        )
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--d", "2", "--format", "json")
         assert code == 0
         obj = json.loads(out)
         assert obj["d"] == 2 and obj["diagram"] == "ell=2"
@@ -97,54 +90,44 @@ class TestGramCommand:
         assert entries[0][0] == LaurentPoly({2: 1, 0: 1, -2: 1})
         assert entries[0][1] == quantum_int(2) ** 2
 
-    def test_trivial_weight(self, capsys, cache_dir):
-        code, out, _ = run(capsys, "gram", "--diagram", "A:1", "--d", "0", "--cache-dir", cache_dir)
+    def test_trivial_weight(self, capsys):
+        code, out, _ = run(capsys, "gram", "--diagram", "A:1", "--d", "0")
         assert code == 0
         obj = json.loads(out)
         assert obj["entries"] == [[{"terms": {"0": "1"}}]]
 
-    def test_blocks_mode(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "gram", "--blocks", "4", "--ell", "2", "--cache-dir", cache_dir
-        )
+    def test_blocks_mode(self, capsys):
+        code, out, _ = run(capsys, "gram", "--blocks", "4", "--ell", "2")
         assert code == 0
         obj = json.loads(out)
         assert len(obj["blocks"]) == 1
         assert obj["blocks"][0]["label"]["weight"] == 2
 
-    def test_csv_and_latex(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "gram", "--ell", "2", "--d", "1", "--format", "csv", "--cache-dir", cache_dir
-        )
+    def test_csv_and_latex(self, capsys):
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--d", "1", "--format", "csv")
         assert code == 0 and "1*v^1 + 1*v^-1" in out
-        code, out, _ = run(
-            capsys, "gram", "--ell", "2", "--d", "1", "--format", "latex", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--d", "1", "--format", "latex")
         assert code == 0 and "[2]" in out and "pmatrix" in out
 
     def test_csv_of_degree_zero(self, capsys):
         # the one index at d = 0 is the empty colored partition
-        code, out, _ = run(capsys, "gram", "--ell", "2", "--d", "0", "--format", "csv",
-                           "--cache-dir", "")
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--d", "0", "--format", "csv")
         assert (code, out) == (0, "index,()\n(),1*v^0\n")
 
     def test_csv_of_a_block_sum_writes_zero_cells(self, capsys):
         # rank 7 at ell=2: blocks of 2 and 3 rows, and 0 between them
-        code, out, _ = run(capsys, "gram", "--ell", "2", "--blocks", "7", "--format", "csv",
-                           "--cache-dir", "")
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--blocks", "7", "--format", "csv")
         rows = [line.split(",") for line in out.splitlines()]
         assert code == 0 and len(rows) == 6 and all(len(row) == 6 for row in rows)
         assert [row[3:] for row in rows[1:3]] == [["0", "0", "0"]] * 2
         assert [row[1:3] for row in rows[3:]] == [["0", "0"]] * 3
 
-    def test_size_guard(self, capsys, cache_dir):
-        code, _, err = run(
-            capsys, "gram", "--ell", "5", "--d", "3", "--limit", "10", "--cache-dir", cache_dir
-        )
+    def test_size_guard(self, capsys):
+        code, _, err = run(capsys, "gram", "--ell", "5", "--d", "3", "--limit", "10")
         assert code == 2 and "--force" in err
         # the whole block sum is guarded: rank 8 at ell=2 has blocks of
         # weights 4 and 1, 5 + 1 rows in all, each within a limit of 5
-        args = ("gram", "--blocks", "8", "--ell", "2", "--cache-dir", cache_dir)
+        args = ("gram", "--blocks", "8", "--ell", "2")
         for limit in ("3", "5"):
             code, out, err = run(capsys, *args, "--limit", limit)
             assert code == 2 and f"6 x 6 (> {limit})" in err and "--force" in err and not out
@@ -155,7 +138,7 @@ class TestGramCommand:
 
     def test_size_guard_at_the_class_regular_count(self, capsys):
         # rank 20 at ell=2 has |CRP_2(20)| = 64 rows over all its blocks
-        args = ("gram", "--ell", "2", "--blocks", "20", "--cache-dir", "")
+        args = ("gram", "--ell", "2", "--blocks", "20")
         code, out, err = run(capsys, *args, "--limit", "63")
         assert (code, out) == (2, "") and "matrix would be 64 x 64 (> 63)" in err
         code, out, _ = run(capsys, *args, "--limit", "64")
@@ -167,11 +150,11 @@ class TestGramCommand:
         from gcartan.gram import cartan_graded
         from gcartan.snf import snf_laurent_field
 
-        code, out, _ = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
+        code, out, _ = run(capsys, "gram", "--ell", "3", "--d", "2")
         assert code == 0
         f = tmp_path / "g.json"
         f.write_text(out)
-        code, out, err = run(capsys, "snf", "--input", str(f), "--ring", ring, "--cache-dir", "")
+        code, out, err = run(capsys, "snf", "--input", str(f), "--ring", ring)
         assert (code, err) == (0, "")
         obj = json.loads(out)
         want = snf_laurent_field(cartan_graded(3, 2).entries).to_json()["elements"]
@@ -179,115 +162,40 @@ class TestGramCommand:
 
     def test_negative_weight_is_usage(self, capsys):
         # refused before the size guard counts the matrix
-        code, out, err = run(capsys, "gram", "--ell", "3", "--d", "-1", "--cache-dir", "")
+        code, out, err = run(capsys, "gram", "--ell", "3", "--d", "-1")
         assert (code, out, err) == (2, "", "error: d must be nonnegative\n")
 
-    def test_cache_idempotent(self, capsys, cache_dir):
-        args = ("gram", "--ell", "3", "--d", "2", "--cache-dir", cache_dir)
+    def test_a_repeat_gives_the_same_output(self, capsys):
+        args = ("gram", "--ell", "3", "--d", "2")
         code1, out1, _ = run(capsys, *args)
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0 and out1 == out2
 
 
-class TestCacheCounts:
-    def test_miss_then_hit(self, capsys, cache_dir):
-        # each run looks up its output once: absent the first time, found
-        # the second
-        args = ("gram", "--ell", "3", "--d", "2", "--cache-dir", cache_dir)
-        code1, out1, err1 = run(capsys, *args)
-        code2, out2, err2 = run(capsys, *args)
-        assert code1 == code2 == 0 and out1 == out2
-        assert err1 == "# cache: 0 hit(s), 1 miss(es)\n"
-        assert err2 == "# cache: 1 hit(s), 0 miss(es)\n"
-
-    def test_key_leaves_out_the_location_but_not_the_guard(self, capsys, cache_dir, monkeypatch):
-        # the cache's location never changes an output, so a trailing slash
-        # or the same path from GCART_CACHE_DIR finds the first run's entry
-        args = ("gram", "--ell", "3", "--d", "2")
-        code1, out1, err1 = run(capsys, *args, "--cache-dir", cache_dir)
-        code2, out2, err2 = run(capsys, *args, "--cache-dir", cache_dir + "/")
-        monkeypatch.setenv("GCART_CACHE_DIR", cache_dir)
-        code3, out3, err3 = run(capsys, *args)
-        assert code1 == code2 == code3 == 0 and out1 == out2 == out3
-        assert err1 == "# cache: 0 hit(s), 1 miss(es)\n"
-        assert err2 == err3 == "# cache: 1 hit(s), 0 miss(es)\n"
-        # --force is in the key: a forced run's entry never answers a request
-        # the size guard refuses
-        args = ("gram", "--ell", "5", "--d", "3", "--limit", "10")
-        code, out, _ = run(capsys, *args, "--force")
-        assert code == 0 and out
-        code, out, err = run(capsys, *args)
-        assert code == 2 and not out and "--force" in err
-
-    def test_an_unreadable_entry_is_a_miss(self, capsys, cache_dir):
-        # an entry that is not JSON is recomputed and overwritten, not a
-        # traceback with the verification-failure exit code
-        args = ("det", "--ell", "2", "--d", "2", "--cache-dir", cache_dir)
-        code1, out1, _ = run(capsys, *args)
-        (entry,) = [f for f in Path(cache_dir).glob("*/*") if not f.name.startswith(".")]
-        entry.write_text("{not json")
-        code2, out2, err2 = run(capsys, *args)
-        assert code1 == code2 == 0 and out2 == out1
-        assert err2.endswith("# cache: 0 hit(s), 1 miss(es)\n")
-        assert json.loads(entry.read_text())["stdout"] == out1
-        code3, out3, err3 = run(capsys, *args)
-        assert code3 == 0 and out3 == out1 and err3.endswith("# cache: 1 hit(s), 0 miss(es)\n")
-
-    def test_a_cache_that_cannot_be_written_costs_a_note(self, capsys, tmp_path):
-        # --cache-dir names a regular file: the run succeeds as without a
-        # cache, and says that it was not stored
-        args = ("gram", "--ell", "2", "--d", "1")
-        code0, out0, err0 = run(capsys, *args, "--cache-dir", "")
-        blocked = tmp_path / "file"
-        blocked.write_text("")
-        code, out, err = run(capsys, *args, "--cache-dir", str(blocked))
-        assert (code0, err0) == (0, "") and (code, out) == (0, out0)
-        note, counts = err.splitlines(keepends=True)
-        assert note.startswith("# cache: not stored: ") and "Not a directory" in note
-        assert counts == "# cache: 0 hit(s), 1 miss(es)\n"
-        assert blocked.read_text() == ""
-
-    def test_a_failed_store_leaves_no_temp_file(self, capsys, cache_dir):
-        # the entry's path is a directory: the lookup is a miss, the rename
-        # fails, and the temp file is removed
-        args = ("det", "--ell", "2", "--d", "2", "--cache-dir", cache_dir)
-        code1, out1, _ = run(capsys, *args)
-        (entry,) = Path(cache_dir).glob("*/*")
-        entry.unlink()
-        (entry / "inside").mkdir(parents=True)
-        code2, out2, err2 = run(capsys, *args)
-        assert code1 == code2 == 0 and out2 == out1
-        note, counts = err2.splitlines(keepends=True)
-        assert note.startswith("# cache: not stored: ")
-        assert counts == "# cache: 0 hit(s), 1 miss(es)\n"
-        assert sorted(entry.parent.iterdir()) == [entry]
-
-    def test_default_directory_is_under_home(self, capsys, tmp_path, monkeypatch):
-        # no --cache-dir and no GCART_CACHE_DIR: the cache is ~/.cache/gcart
-        monkeypatch.setenv("HOME", str(tmp_path))
-        monkeypatch.delenv("GCART_CACHE_DIR", raising=False)
-        args = ("det", "--ell", "3", "--d", "2")
-        code1, out1, err1 = run(capsys, *args)
-        code2, out2, err2 = run(capsys, *args)
-        assert code1 == code2 == 0 and out1 == out2
-        assert err1 == "# cache: 0 hit(s), 1 miss(es)\n"
-        assert err2 == "# cache: 1 hit(s), 0 miss(es)\n"
-        assert len([f for f in (tmp_path / ".cache" / "gcart").rglob("*") if f.is_file()]) == 1
-
-    def test_no_line_without_a_cache(self, capsys):
-        code, out, err = run(capsys, "gram", "--ell", "3", "--d", "2", "--cache-dir", "")
+class TestNoState:
+    # gcart reads its arguments and, for snf, its --input file; it writes
+    # stdout and stderr and nothing else
+    def test_a_successful_run_writes_nothing_to_stderr(self, capsys):
+        code, out, err = run(capsys, "gram", "--ell", "3", "--d", "2")
         assert code == 0 and out and err == ""
 
-
-class TestCacheKey:
-    def test_key_changes_with_source_digest(self, monkeypatch):
-        # a code change must not be served output cached by older code
-        cache = cli.DiskCache(None)
-        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
-        before = cache.key("output", "det", "{}")
-        assert cache.key("output", "det", "{}") == before
-        monkeypatch.setattr(cli, "_source_digest", lambda: "1" * 64)
-        assert cache.key("output", "det", "{}") != before
+    def test_runs_leave_no_files(self, tmp_path):
+        home, work = tmp_path / "home", tmp_path / "work"
+        home.mkdir()
+        work.mkdir()
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, HOME=str(home), XDG_CACHE_HOME=str(home),
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        for argv in (
+            ["gram", "--ell", "3", "--d", "2"],
+            ["det", "--ell", "3", "--d", "2"],
+            ["table", "--ell", "3", "--dmax", "3"],
+            ["twisted", "--diagram", "tA2:3", "--d", "2"],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "gcartan.cli", *argv], cwd=work,
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, bool(proc.stdout)) == (0, True), proc.stderr
+        assert list(home.iterdir()) == list(work.iterdir()) == []
 
 
 class TestExitCodes:
@@ -295,12 +203,12 @@ class TestExitCodes:
         "error",
         [AssertionError, ArithmeticError, ZeroDivisionError, TypeError, KeyError, RecursionError],
     )
-    def test_internal_error_exits_3(self, capsys, cache_dir, monkeypatch, error):
+    def test_internal_error_exits_3(self, capsys, monkeypatch, error):
         def broken(args):
             raise error("inexact division")
 
         monkeypatch.setattr(cli, "cmd_table", broken)
-        code, out, err = run(capsys, "table", "--ell", "2", "--cache-dir", cache_dir)
+        code, out, err = run(capsys, "table", "--ell", "2")
         assert code == 3 and out == ""
         assert "internal error" in err and "inexact division" in err
 
@@ -318,7 +226,7 @@ class TestExitCodes:
                 "from gcartan import cli\n"
                 "sys.setrecursionlimit(45)\n"
                 "raise SystemExit(cli.main(['verify', 'tsaigo', '--p', '2', '--r', '1',"
-                f" '--d', '{d}', '--u', '1', '--cache-dir', '']))\n"
+                f" '--d', '{d}', '--u', '1']))\n"
             )
             procs[d] = subprocess.run(
                 [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -333,37 +241,32 @@ class TestExitCodes:
     def test_bunkaito_at_a_large_r_passes(self, capsys):
         # only the powers p^h <= a are parts of Psi^{p,r}_a: 2^2000 once
         # recursed once per power and exited 3
-        code, out, err = run(capsys, "verify", "bunkaito", "--p", "2", "--r", "2000", "--d", "3",
-                             "--cache-dir", "")
+        code, out, err = run(capsys, "verify", "bunkaito", "--p", "2", "--r", "2000", "--d", "3")
         assert (code, err) == (0, "")
         assert json.loads(out)["ok"] is True
 
-    def test_value_error_is_still_usage(self, capsys, cache_dir, monkeypatch):
+    def test_value_error_is_still_usage(self, capsys, monkeypatch):
         def bad_input(args):
             raise ValueError("d must be nonnegative")
 
         monkeypatch.setattr(cli, "cmd_table", bad_input)
-        code, _, err = run(capsys, "table", "--ell", "2", "--cache-dir", cache_dir)
+        code, _, err = run(capsys, "table", "--ell", "2")
         assert code == 2 and "d must be nonnegative" in err
 
 
 class TestDetCommand:
-    def test_value_and_check(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "det", "--ell", "2", "--d", "2", "--check", "--cache-dir", cache_dir
-        )
+    def test_value_and_check(self, capsys):
+        code, out, _ = run(capsys, "det", "--ell", "2", "--d", "2", "--check")
         assert code == 0
         obj = json.loads(out)
         assert LaurentPoly.from_json(obj["value"]) == quantum_int(2) ** 2 * quantum_int(2, 2)
         assert obj["check"] == {"gram_det_equals_formula": True}
 
-    def test_check_mismatch(self, capsys, cache_dir, monkeypatch):
+    def test_check_mismatch(self, capsys, monkeypatch):
         # a Gram determinant that differs from the closed formula exits 1
         # with both in the payload and the pair on stderr
         monkeypatch.setattr(cli, "gram_det", lambda dg, d: LaurentPoly.const(3))
-        code, out, err = run(
-            capsys, "det", "--ell", "2", "--d", "2", "--check", "--cache-dir", cache_dir
-        )
+        code, out, err = run(capsys, "det", "--ell", "2", "--d", "2", "--check")
         assert code == 1
         check = json.loads(out)["check"]
         assert check["gram_det_equals_formula"] is False
@@ -374,7 +277,7 @@ class TestDetCommand:
     @pytest.mark.parametrize("fmt", ["csv", "latex"])
     def test_check_mismatch_exits_1_in_every_format(self, capsys, fmt, monkeypatch):
         # the failure prints the text the format renders, not a usage error
-        argv = ("det", "--ell", "2", "--d", "2", "--format", fmt, "--cache-dir", "")
+        argv = ("det", "--ell", "2", "--d", "2", "--format", fmt)
         code, want, _ = run(capsys, *argv)
         assert code == 0 and want
         monkeypatch.setattr(cli, "gram_det", lambda dg, d: LaurentPoly.const(1))
@@ -385,7 +288,7 @@ class TestDetCommand:
         # the Gram matrix at ell=4, d=8 has 810 rows; the closed formula there
         # takes seconds, and a refused --check must not compute it first
         monkeypatch.setattr(cli.qc, "shapovalov_det_formula", TestOptionPolicy._never)
-        argv = ("det", "--ell", "4", "--d", "8", "--check", "--limit", "10", "--cache-dir", "")
+        argv = ("det", "--ell", "4", "--d", "8", "--check", "--limit", "10")
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "810 x 810 (> 10)" in err and "--force" in err
 
@@ -395,7 +298,7 @@ class TestDetCommand:
         # fails here rather than slowing the suite
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-        argv = ["det", "--ell", "200", "--d", "1", "--limit", "10", "--cache-dir", ""]
+        argv = ["det", "--ell", "200", "--d", "1", "--limit", "10"]
         proc = subprocess.run(
             [sys.executable, "-m", "gcartan.cli", *argv],
             env=dict(os.environ, PYTHONPATH=path),
@@ -408,35 +311,33 @@ class TestDetCommand:
 
     def test_negative_weight_is_usage(self, capsys):
         # the empty product over s <= d would claim determinant 1
-        code, out, err = run(capsys, "det", "--ell", "3", "--d", "-1", "--cache-dir", "")
+        code, out, err = run(capsys, "det", "--ell", "3", "--d", "-1")
         assert (code, out, err) == (2, "", "error: d must be >= 0\n")
 
     def test_unparsable_diagram_is_usage(self, capsys):
-        code, out, err = run(capsys, "det", "--diagram", "Q:3", "--d", "2", "--cache-dir", "")
+        code, out, err = run(capsys, "det", "--diagram", "Q:3", "--d", "2")
         assert code == 2 and not out and "unrecognized diagram label 'Q:3'" in err
 
-    def test_e8(self, capsys, cache_dir):
+    def test_e8(self, capsys):
         from gcartan.qlaurent import cyclotomic
 
-        code, out, _ = run(capsys, "det", "--diagram", "E:8", "--d", "1", "--cache-dir", cache_dir)
+        code, out, _ = run(capsys, "det", "--diagram", "E:8", "--d", "1")
         assert code == 0
         obj = json.loads(out)
         assert LaurentPoly.from_json(obj["value"]) == LaurentPoly({-8: 1}) * cyclotomic(60)
 
-    def test_d_zero(self, capsys, cache_dir):
-        code, out, _ = run(capsys, "det", "--ell", "3", "--d", "0", "--cache-dir", cache_dir)
+    def test_d_zero(self, capsys):
+        code, out, _ = run(capsys, "det", "--ell", "3", "--d", "0")
         assert code == 0
         assert LaurentPoly.from_json(json.loads(out)["value"]) == LaurentPoly.const(1)
 
-    def test_latex_brackets(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "det", "--ell", "2", "--d", "2", "--format", "latex", "--cache-dir", cache_dir
-        )
+    def test_latex_brackets(self, capsys):
+        code, out, _ = run(capsys, "det", "--ell", "2", "--d", "2", "--format", "latex")
         assert code == 0 and "([2])^{2}" in out and "[2]_{2}" in out
 
 
 class TestVerifyCommand:
-    def test_pass_cases(self, capsys, cache_dir):
+    def test_pass_cases(self, capsys):
         cases = [
             ("verify", "conjcheck", "--p", "2", "--r", "2", "--dmax", "4"),
             ("verify", "tsaigo", "--p", "3", "--r", "2", "--d", "6", "--u", "1"),
@@ -449,35 +350,33 @@ class TestVerifyCommand:
             ("verify", "folding", "--diagram", "tD4", "--tmax", "6"),
         ]
         for argv in cases:
-            code, out, _ = run(capsys, *argv, "--cache-dir", cache_dir)
+            code, out, _ = run(capsys, *argv)
             assert code == 0, argv
             assert json.loads(out)["ok"] is True
 
-    def test_schur_orth_output(self, capsys, cache_dir):
+    def test_schur_orth_output(self, capsys):
         for nmax in range(9):
-            code, out, err = run(
-                capsys, "verify", "schur-orth", "--nmax", str(nmax), "--cache-dir", cache_dir
-            )
+            code, out, err = run(capsys, "verify", "schur-orth", "--nmax", str(nmax))
             assert code == 0
             assert out == (
                 '{\n  "identity": "schur-orth",\n  "ok": true,\n'
                 f'  "params": {{\n    "nmax": {nmax}\n  }}\n}}\n'
             )
-            assert err == "# cache: 0 hit(s), 0 miss(es)\n"
+            assert err == ""
 
-    def test_unknown_identity(self, capsys, cache_dir):
+    def test_unknown_identity(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "nope", "--cache-dir", cache_dir])
+            cli.main(["verify", "nope"])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "argument identity: invalid choice: 'nope'" in err
 
-    def test_missing_params(self, capsys, cache_dir):
+    def test_missing_params(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "conjcheck", "--p", "2", "--cache-dir", cache_dir])
+            cli.main(["verify", "conjcheck", "--p", "2"])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "required: --r, --dmax" in err
 
-    def test_nformula_disagreement_is_a_verification_failure(self, capsys, cache_dir, monkeypatch):
+    def test_nformula_disagreement_is_a_verification_failure(self, capsys, monkeypatch):
         # the command checks that the two closed forms of N agree, so a
         # disagreement exits 1 with its payload, not 3 as an internal error
         real = cli.qc._exponents_multipartition
@@ -488,9 +387,7 @@ class TestVerifyCommand:
             return tuple(out)
 
         monkeypatch.setattr(cli.qc, "_exponents_multipartition", off_by_one)
-        code, out, _ = run(
-            capsys, "verify", "nformula", "--pmax", "4", "--dmax", "6", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "verify", "nformula", "--pmax", "4", "--dmax", "6")
         assert code == 1
         obj = json.loads(out)
         assert obj["ok"] is False and obj["params"] == {"pmax": 4, "dmax": 6}
@@ -504,9 +401,9 @@ class TestVerifyCommand:
             (("tsaigo", "--p", "2", "--r", "-1", "--d", "5", "--u", "1"), "r must be >= 1"),
         ],
     )
-    def test_out_of_range_p_r_is_usage(self, capsys, cache_dir, argv, message):
+    def test_out_of_range_p_r_is_usage(self, capsys, argv, message):
         # I^v_{p,r} is defined for prime p and r >= 1 only
-        code, out, err = run(capsys, "verify", *argv, "--cache-dir", cache_dir)
+        code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and not out and message in err
 
     @pytest.mark.parametrize(
@@ -522,28 +419,25 @@ class TestVerifyCommand:
     )
     def test_empty_range_is_usage(self, capsys, argv, message):
         # a check over an empty range checks nothing, so it may not report ok
-        code, out, err = run(capsys, "verify", *argv, "--cache-dir", "")
+        code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and not out and message in err
 
-    def test_failure_exit_code(self, capsys, cache_dir, monkeypatch):
+    def test_failure_exit_code(self, capsys, monkeypatch):
         # plumbing test: a failing verifier must yield exit code 1
         monkeypatch.setattr(cli.inv, "verify_saigo2", lambda ell, n: False)
-        code, out, _ = run(capsys, "verify", "saigo2", "--ell", "2", "--n", "2", "--cache-dir", cache_dir)
+        code, out, _ = run(capsys, "verify", "saigo2", "--ell", "2", "--n", "2")
         assert code == 1
         assert json.loads(out)["ok"] is False
 
 
     @pytest.mark.parametrize("unit", [-1, LaurentPoly({2: 1})], ids=["minus-one", "v-squared"])
-    def test_folding_fails_on_gamma_off_by_a_unit(self, capsys, cache_dir, monkeypatch, unit):
+    def test_folding_fails_on_gamma_off_by_a_unit(self, capsys, monkeypatch, unit):
         # det Y^(t) is compared with gamma_{X,t} exactly, not up to a unit
         from gcartan.qcartan import TwistedDiagram
 
         gamma = TwistedDiagram.gamma
         monkeypatch.setattr(TwistedDiagram, "gamma", lambda td, t: gamma(td, t) * unit)
-        code, out, _ = run(
-            capsys, "verify", "folding", "--diagram", "tD4", "--tmax", "2",
-            "--cache-dir", cache_dir,
-        )
+        code, out, _ = run(capsys, "verify", "folding", "--diagram", "tD4", "--tmax", "2")
         assert code == 1 and json.loads(out)["ok"] is False
 
     def test_folding_fails_on_a_wrong_count(self, capsys, monkeypatch):
@@ -552,29 +446,23 @@ class TestVerifyCommand:
 
         f = TwistedDiagram.f
         monkeypatch.setattr(TwistedDiagram, "f", lambda td, t: f(td, t) + 1)
-        code, out, _ = run(
-            capsys, "verify", "folding", "--diagram", "tA2:3", "--tmax", "2", "--cache-dir", ""
-        )
+        code, out, _ = run(capsys, "verify", "folding", "--diagram", "tA2:3", "--tmax", "2")
         assert code == 1 and json.loads(out)["ok"] is False
 
 
 class TestIrredCommand:
-    def test_reducible_case(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "irred", "--diagram", "A:4", "--ell", "10", "--cache-dir", cache_dir
-        )
+    def test_reducible_case(self, capsys):
+        code, out, _ = run(capsys, "irred", "--diagram", "A:4", "--ell", "10")
         assert code == 0
         obj = json.loads(out)
         assert obj["irreducible"] is False
         assert obj["modes"] == {"closed_form": False, "exact": False}
 
-    def test_irreducible_case(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "irred", "--ell", "7", "--diagram", "E:8", "--cache-dir", cache_dir
-        )
+    def test_irreducible_case(self, capsys):
+        code, out, _ = run(capsys, "irred", "--ell", "7", "--diagram", "E:8")
         assert code == 0 and json.loads(out)["irreducible"] is True
 
-    def test_each_mode_against_a_disagreeing_closed_form(self, capsys, cache_dir, monkeypatch):
+    def test_each_mode_against_a_disagreeing_closed_form(self, capsys, monkeypatch):
         # the exact test finds A_4 reducible at ell = 10; the patched closed
         # form says irreducible.  exact reports the exact answer alone, and
         # only both cross-checks
@@ -586,7 +474,7 @@ class TestIrredCommand:
             return not real(dg, ell, mode) if mode == "closed_form" else real(dg, ell, mode)
 
         monkeypatch.setattr(cli.qc, "irreducible_at", patched)
-        base = ("irred", "--diagram", "A:4", "--ell", "10", "--cache-dir", cache_dir)
+        base = ("irred", "--diagram", "A:4", "--ell", "10")
         expected = {
             "closed_form": (0, True, ["closed_form"]),
             "exact": (0, False, ["exact"]),
@@ -612,77 +500,63 @@ class TestIrredCommand:
             "irreducible_at",
             lambda dg, ell, mode: real(dg, ell, mode) ^ (mode == "closed_form"),
         )
-        code, out, _ = run(
-            capsys, "irred", "--diagram", "A:4", "--ell", "10", "--format", "csv", "--cache-dir", ""
-        )
+        code, out, _ = run(capsys, "irred", "--diagram", "A:4", "--ell", "10", "--format", "csv")
         assert (code, out) == (1, "A:4,10,True\n")
 
 
 class TestTwistedCommand:
-    def test_banner_and_value(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "twisted", "--diagram", "tA2e:1", "--d", "1", "--cache-dir", cache_dir
-        )
+    def test_banner_and_value(self, capsys):
+        code, out, _ = run(capsys, "twisted", "--diagram", "tA2e:1", "--d", "1")
         assert code == 0
         obj = json.loads(out)
         assert obj["status"] == "CONJECTURAL"
         assert LaurentPoly.from_json(obj["value"]) == quantum_int(3)
         assert obj["epsilon"] == 1
 
-    def test_cache_hit_replays_the_note(self, capsys, cache_dir):
+    def test_every_run_writes_the_note(self, capsys):
         args = ("twisted", "--diagram", "tA2:3", "--d", "2", "--format", "csv")
-        args += ("--cache-dir", cache_dir)
         note = "# CONJECTURAL: evaluated from an unproven closed formula\n"
         code1, out1, err1 = run(capsys, *args)
         code2, out2, err2 = run(capsys, *args)
         assert code1 == code2 == 0 and out1 == out2
-        assert err1 == note + "# cache: 0 hit(s), 1 miss(es)\n"
-        assert err2 == note + "# cache: 1 hit(s), 0 miss(es)\n"
+        assert err1 == err2 == note
 
     def test_negative_weight_is_usage(self, capsys):
-        code, out, err = run(capsys, "twisted", "--diagram", "tE6", "--d", "-1", "--cache-dir", "")
+        code, out, err = run(capsys, "twisted", "--diagram", "tE6", "--d", "-1")
         assert (code, out, err) == (2, "", "error: d must be >= 0\n")
 
-    def test_requires_twisted_label(self, capsys, cache_dir):
-        code, _, err = run(
-            capsys, "twisted", "--diagram", "A:2", "--d", "1", "--cache-dir", cache_dir
-        )
+    def test_requires_twisted_label(self, capsys):
+        code, _, err = run(capsys, "twisted", "--diagram", "A:2", "--d", "1")
         assert code == 2
 
 
 class TestSnfCommand:
-    def test_zint(self, capsys, tmp_path, cache_dir):
+    def test_zint(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"rows": [[2, 0], [0, 6]]}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "zint")
         assert code == 0
         obj = json.loads(out)
         assert obj["invariants"] == ["2", "6"] and obj["status"] == "VERIFIED"
         assert obj["checks"]["product_equals_abs_det"] is True
 
-    def test_zint_singular(self, capsys, tmp_path, cache_dir):
+    def test_zint_singular(self, capsys, tmp_path):
         # a singular matrix takes the dense loop, the only path that gives zeros
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"rows": [[2, 4], [1, 2]]}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "zint")
         assert code == 0
         obj = json.loads(out)
         assert obj["invariants"] == ["1", "0"] and obj["status"] == "VERIFIED"
         assert obj["checks"] == {"product_equals_abs_det": True, "divisibility_chain": True}
 
-    def test_qlaurent_singular(self, capsys, tmp_path, cache_dir):
+    def test_qlaurent_singular(self, capsys, tmp_path):
         # det [[v, 1], [v^2, v]] = 0: the product check asks for a zero product
         v = LaurentPoly({1: 1})
         f = tmp_path / "m.json"
         rows = [[v, LaurentPoly.const(1)], [v * v, v]]
         f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in rows]}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "qlaurent", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "qlaurent")
         assert code == 0
         obj = json.loads(out)
         invariants = [LaurentPoly.from_json(e) for e in obj["invariants"]]
@@ -694,7 +568,7 @@ class TestSnfCommand:
         "rows, want", [([[3, 4], [4, 8]], ["1", "8"]), ([[2, 4], [1, 2]], ["1", "0"])],
         ids=["nonsingular", "singular"],
     )
-    def test_zint_runs_bareiss_once(self, capsys, tmp_path, cache_dir, monkeypatch, rows, want):
+    def test_zint_runs_bareiss_once(self, capsys, tmp_path, monkeypatch, rows, want):
         # one |det| serves the route and the product check: a second
         # Bareiss on the full matrix took 5 s at 315 rows
         from gcartan import linalg, snf
@@ -709,65 +583,55 @@ class TestSnfCommand:
         monkeypatch.setattr(snf, "int_det", counted)
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"rows": rows}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "zint")
         assert code == 0
         obj = json.loads(out)
         assert obj["invariants"] == want and obj["status"] == "VERIFIED"
         assert obj["checks"]["product_equals_abs_det"] is True
         assert calls == [2]
 
-    def test_qlaurent(self, capsys, tmp_path, cache_dir):
+    def test_qlaurent(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         entries = [[quantum_int(2).to_json(), LaurentPoly().to_json()],
                    [LaurentPoly().to_json(), (quantum_int(2) * quantum_int(3)).to_json()]]
         f.write_text(json.dumps({"entries": entries}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "qlaurent", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "qlaurent")
         assert code == 0
         assert json.loads(out)["status"] == "VERIFIED"
 
-    def test_zlaurent(self, capsys, tmp_path, cache_dir):
+    def test_zlaurent(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         entries = [[quantum_int(4).to_json()]]
         f.write_text(json.dumps({"entries": entries}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "zlaurent", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "zlaurent")
         assert code == 0
         assert json.loads(out)["status"] == "VERIFIED"
 
-    def test_zlaurent_inconclusive_says_why(self, capsys, tmp_path, cache_dir):
+    def test_zlaurent_inconclusive_says_why(self, capsys, tmp_path):
         from gcartan.gram import cartan_graded
 
         f = tmp_path / "m.json"
         entries = [[e.to_json() for e in row] for row in cartan_graded(3, 3).entries]
         f.write_text(json.dumps({"entries": entries}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "zlaurent", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "zlaurent")
         assert code == 0
         obj = json.loads(out)
         assert obj["status"] == "INCONCLUSIVE" and obj["checks"]["stopped"] == "stalled"
 
-    def test_zint_checks_the_product_above_thirty_rows(self, capsys, tmp_path, cache_dir):
+    def test_zint_checks_the_product_above_thirty_rows(self, capsys, tmp_path):
         # 36 rows: the product-versus-determinant check used to stop at 30
         # rows and still report VERIFIED
         from gcartan.gram import cartan_graded
 
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"rows": cartan_graded(3, 5).at_one()}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "zint")
         assert code == 0
         obj = json.loads(out)
         assert obj["status"] == "VERIFIED" and len(obj["invariants"]) == 36
         assert obj["checks"]["product_equals_abs_det"] is True
 
-    def test_qlaurent_checks_the_product_above_twenty_rows(self, capsys, tmp_path, cache_dir):
+    def test_qlaurent_checks_the_product_above_twenty_rows(self, capsys, tmp_path):
         # 21 rows: the check used to stop at 20 rows and still report VERIFIED
         from gcartan.gram import permanent_matrix
         from gcartan.qcartan import quantized_cartan, type_a
@@ -775,9 +639,7 @@ class TestSnfCommand:
         f = tmp_path / "m.json"
         p = permanent_matrix(quantized_cartan(type_a(4)), 1, 5)
         f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in p]}))
-        code, out, _ = run(
-            capsys, "snf", "--input", str(f), "--ring", "qlaurent", "--cache-dir", cache_dir
-        )
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", "qlaurent")
         assert code == 0
         obj = json.loads(out)
         assert obj["status"] == "VERIFIED" and len(obj["invariants"]) == 21
@@ -805,14 +667,14 @@ class TestSnfCommand:
         if ring == "qlaurent":
             rows = [[e.to_json() for e in row] for row in rows]
         f.write_text(json.dumps({key: rows}))
-        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", ring, "--cache-dir", "")
+        code, out, _ = run(capsys, "snf", "--input", str(f), "--ring", ring)
         obj = json.loads(out)
         assert (code, obj["status"], obj["checks"][check]) == (1, "FAILED", False)
 
     def test_zint_on_the_empty_matrix(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"rows": []}))
-        code, out, err = run(capsys, "snf", "--input", str(f), "--ring", "zint", "--cache-dir", "")
+        code, out, err = run(capsys, "snf", "--input", str(f), "--ring", "zint")
         obj = json.loads(out)
         assert (code, err, obj["invariants"], obj["status"]) == (0, "", [], "VERIFIED")
         assert obj["checks"] == {"product_equals_abs_det": True, "divisibility_chain": True}
@@ -835,22 +697,19 @@ class TestSnfCommand:
             "repeated-exponent", "repeated-key-terms", "repeated-key-rows",
         ],
     )
-    def test_malformed_input_is_usage_error(self, capsys, tmp_path, cache_dir, text, ring):
+    def test_malformed_input_is_usage_error(self, capsys, tmp_path, text, ring):
         f = tmp_path / "m.json"
         if text is not None:
             f.write_text(text)
-        code, out, err = run(
-            capsys, "snf", "--input", str(f), "--ring", ring, "--cache-dir", cache_dir
-        )
+        code, out, err = run(capsys, "snf", "--input", str(f), "--ring", ring)
         assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestInvariantsCommand:
-    def test_prime_power(self, capsys, cache_dir):
+    def test_prime_power(self, capsys):
         code, out, _ = run(
             capsys,
             "invariants", "--p", "2", "--r", "1", "--partition", "1,1",
-            "--cache-dir", cache_dir,
         )
         assert code == 0
         rows = {r["provenance"]: r for r in json.loads(out)["invariants"]}
@@ -858,19 +717,16 @@ class TestInvariantsCommand:
         assert LaurentPoly.from_json(rows["GradedHill"]["value"]) == quantum_int(2) * quantum_int(4)
         assert rows["KOR"]["value"] == "2"
 
-    def test_composite(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "invariants", "--ell", "6", "--partition", "1,1,1", "--cache-dir", cache_dir
-        )
+    def test_composite(self, capsys):
+        code, out, _ = run(capsys, "invariants", "--ell", "6", "--partition", "1,1,1")
         assert code == 0
         rows = {r["provenance"]: r for r in json.loads(out)["invariants"]}
         assert set(rows) == {"KOR", "Hill", "ASY"}
 
-    def test_csv(self, capsys, cache_dir):
+    def test_csv(self, capsys):
         code, out, _ = run(
             capsys,
             "invariants", "--p", "2", "--r", "1", "--partition", "1,1", "--format", "csv",
-            "--cache-dir", cache_dir,
         )
         assert code == 0
         assert out == (
@@ -883,10 +739,8 @@ class TestInvariantsCommand:
 
 
 class TestReportCommand:
-    def test_report(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "report", "--p", "2", "--r", "1", "--d", "3", "--cache-dir", cache_dir
-        )
+    def test_report(self, capsys):
+        code, out, _ = run(capsys, "report", "--p", "2", "--r", "1", "--d", "3")
         assert code == 0
         obj = json.loads(out)
         assert [lay["status"] for lay in obj["layers"]].count("FAILED") == 0
@@ -906,12 +760,12 @@ class TestReportCommand:
     def test_negative_weight_is_usage(self, capsys, monkeypatch):
         # refused before the size guard counts the matrix
         monkeypatch.setattr(cli.inv, "conjecture_report", self._never)
-        code, out, err = run(capsys, "report", "--p", "2", "--r", "1", "--d", "-1", "--cache-dir", "")
+        code, out, err = run(capsys, "report", "--p", "2", "--r", "1", "--d", "-1")
         assert (code, out, err) == (2, "", "error: d must be nonnegative\n")
 
     def test_size_guard(self, capsys, monkeypatch):
         # the Gram matrix at p=2, r=1, d=4 has 5 rows
-        argv = ("report", "--p", "2", "--r", "1", "--d", "4", "--limit", "4", "--cache-dir", "")
+        argv = ("report", "--p", "2", "--r", "1", "--d", "4", "--limit", "4")
         real = cli.inv.conjecture_report
         monkeypatch.setattr(cli.inv, "conjecture_report", self._never)
         code, out, err = run(capsys, *argv)
@@ -929,30 +783,24 @@ class TestReportCommand:
         monkeypatch.setattr(cli.inv.pt, "is_prime", never)
         code, out, err = run(
             capsys, "report", "--p", "1000000000000037", "--r", "1", "--d", "2",
-            "--limit", "10", "--cache-dir", "",
+            "--limit", "10",
         )
         assert (code, out) == (2, "") and "(> 10); pass --force to proceed" in err
 
 
 class TestTableCommand:
-    def test_json(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "table", "--ell", "2", "--dmax", "3", "--cache-dir", cache_dir
-        )
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "table", "--ell", "2", "--dmax", "3")
         assert code == 0
         obj = json.loads(out)
         assert [r["dimension"] for r in obj["rows"]] == [1, 1, 2, 3]
 
-    def test_latex(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "table", "--ell", "3", "--dmax", "2", "--format", "latex", "--cache-dir", cache_dir
-        )
+    def test_latex(self, capsys):
+        code, out, _ = run(capsys, "table", "--ell", "3", "--dmax", "2", "--format", "latex")
         assert code == 0 and "tabular" in out
 
-    def test_csv(self, capsys, cache_dir):
-        code, out, _ = run(
-            capsys, "table", "--ell", "2", "--dmax", "3", "--format", "csv", "--cache-dir", cache_dir
-        )
+    def test_csv(self, capsys):
+        code, out, _ = run(capsys, "table", "--ell", "2", "--dmax", "3", "--format", "csv")
         assert code == 0
         assert out == (
             "d,dimension,determinant\n"
@@ -964,7 +812,7 @@ class TestTableCommand:
 
     def test_negative_dmax_is_usage(self, capsys):
         # an empty range of weights would print a table of no rows
-        code, out, err = run(capsys, "table", "--ell", "3", "--dmax", "-1", "--cache-dir", "")
+        code, out, err = run(capsys, "table", "--ell", "3", "--dmax", "-1")
         assert (code, out, err) == (2, "", "error: dmax must be >= 0\n")
 
 
@@ -1038,6 +886,13 @@ class TestOptionPolicy:
         (("verify", "conjcheck", "--p", "2"), "required: --r, --dmax"),
         (("det", "--diagram", "tD4", "--d", "1"), "--diagram: tD4 is not a finite"),
         (("twisted", "--diagram", "A:3", "--d", "1"), "--diagram: A:3 is not a twisted"),
+        # a weight over --limit, refused without counting its u(m, d) >= d rows
+        (
+            ("gram", "--ell", "3", "--d", "11", "--limit", "10"),
+            "error: matrix would have 11 rows or more, over --limit (> 10); pass --force",
+        ),
+        (("det", "--ell", "3", "--d", "11", "--check", "--limit", "10"), "have 11 rows or more"),
+        (("report", "--p", "3", "--r", "1", "--d", "11", "--limit", "10"), "have 11 rows or more"),
     ]
 
     @classmethod
@@ -1070,7 +925,7 @@ class TestOptionPolicy:
         for name, parser in commands.items():
             argv = [*name.split(), *self.TINY[name]] + ([str(matrix)] if name == "snf" else [])
             for fmt in self._option(parser, "--format").choices:
-                code, out, err = run(capsys, *argv, "--format", fmt, "--cache-dir", "")
+                code, out, err = run(capsys, *argv, "--format", fmt)
                 assert (code, bool(out)) == (0, True), (name, fmt, err)
 
     def test_size_guard_only_where_a_gram_matrix_is_built(self):
@@ -1086,7 +941,7 @@ class TestOptionPolicy:
         for name, (params, _) in cli.VERIFY.items():
             actions = commands[f"verify {name}"]._actions
             flags = {a.option_strings[-1] for a in actions} - {"--help"}
-            assert flags == {f"--{k}" for k in params} | {"--format", "--cache-dir"}, name
+            assert flags == {f"--{k}" for k in params} | {"--format"}, name
             required = {a.option_strings[-1] for a in actions if a.required}
             assert required == {f"--{k}" for k in params}, name
 
@@ -1107,7 +962,7 @@ class TestOptionPolicy:
             (cli.inv, "verify_conjcheck"),
         ]:
             monkeypatch.setattr(module, fn, self._never)
-        code, out, err = run(capsys, *argv, "--cache-dir", "")
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and message in err, err
 
 
@@ -1127,7 +982,7 @@ class TestHugeSizeGuard:
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
-            [sys.executable, "-m", "gcartan.cli", *argv, "--cache-dir", ""],
+            [sys.executable, "-m", "gcartan.cli", *argv],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -1143,7 +998,7 @@ class TestHugeSizeGuard:
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-m", "gcartan.cli", "gram", "--ell", "2", "--blocks", "60",
-             "--limit", "10", "--cache-dir", ""],
+             "--limit", "10"],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -1170,7 +1025,7 @@ class TestHugeSizeGuard:
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
         start = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "gcartan.cli", *argv, "--limit", "10", "--cache-dir", ""],
+            [sys.executable, "-m", "gcartan.cli", *argv, "--limit", "10"],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
@@ -1180,6 +1035,34 @@ class TestHugeSizeGuard:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "--limit" in proc.stderr and "--force" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["gram", "--ell", "3", "--d", "10000"], "10000"),
+            (["report", "--p", "3", "--r", "1000000", "--d", "10000"], "2^14284"),
+        ],
+        ids=["gram", "report-huge-r"],
+    )
+    def test_weight_over_the_limit_is_not_counted(self, argv, rows):
+        # u(m, d) >= d for m, d >= 1, so a d over --limit is refused as it
+        # stands: counting u(2, 10000) took 9.1 s, and u(0, 10000), the
+        # report's count beside its stand-in for p^r - 1 nodes, 5.6 s
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcartan.cli", *argv, "--limit", "10"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.monotonic() - start < 2
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: matrix would have {rows} rows or more, over --limit"
+                               " (> 10); pass --force to proceed\n")
 
 
 class TestXSizeGuard:
@@ -1197,12 +1080,12 @@ class TestXSizeGuard:
     )
     def test_refused_before_x_is_built(self, capsys, monkeypatch, argv, rows):
         monkeypatch.setattr(gram, "quantized_cartan", TestOptionPolicy._never)
-        code, out, err = run(capsys, *argv, "--limit", "10", "--cache-dir", "")
+        code, out, err = run(capsys, *argv, "--limit", "10")
         assert (code, out) == (2, "")
         assert err == f"error: matrix would be {rows} x {rows} (> 10); pass --force to proceed\n"
 
     def test_forced(self, capsys):
-        argv = ("gram", "--ell", "30", "--d", "0", "--limit", "10", "--force", "--cache-dir", "")
+        argv = ("gram", "--ell", "30", "--d", "0", "--limit", "10", "--force")
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(json.loads(out)["entries"]) == 1
 
@@ -1225,7 +1108,7 @@ class TestOptimisedInterpreter:
         outs = []
         for flags in ([], ["-O"]):
             proc = subprocess.run(
-                [sys.executable, *flags, "-m", "gcartan.cli", *argv, "--cache-dir", ""],
+                [sys.executable, *flags, "-m", "gcartan.cli", *argv],
                 env=env,
                 capture_output=True,
                 timeout=120,

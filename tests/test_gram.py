@@ -781,7 +781,7 @@ class TestAssembly:
         ],
         ids=["non-integral", "not-bar-invariant"],
     )
-    def test_broken_block_entry_is_caught(self, monkeypatch, tmp_path, capsys, delta, message):
+    def test_broken_block_entry_is_caught(self, monkeypatch, capsys, delta, message):
         original = GramMatrix.y_blocks
 
         def perturbed(self, a):
@@ -793,7 +793,7 @@ class TestAssembly:
         monkeypatch.setattr(GramMatrix, "y_blocks", perturbed)
         with pytest.raises(AssertionError, match=message):
             gram_matrix(DynkinDiagram("A", 1), 2).entries
-        code = cli.main(["gram", "--ell", "2", "--d", "2", "--cache-dir", str(tmp_path)])
+        code = cli.main(["gram", "--ell", "2", "--d", "2"])
         err = capsys.readouterr().err
         assert code == 3 and "internal error" in err and message in err
 

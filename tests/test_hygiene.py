@@ -405,10 +405,9 @@ def _broad_handlers(node: ast.AST, where: str):
 
 
 def test_one_exit_handler():
-    # cli.main alone decides exit codes: one try covers the cache lookup,
-    # the command and the cache store, with no helper that runs the command
-    # outside it, and nothing else in the package swallows every exception
-    # (a cleanup that re-raises, as DiskCache.put's, passes)
+    # cli.main alone decides exit codes: one try covers the command, with no
+    # helper that runs the command outside it, and nothing else in the
+    # package swallows every exception (a cleanup that re-raises passes)
     cli = _parse(PACKAGE / "cli.py")
     runs = [node.lineno for node in ast.walk(cli)
             if isinstance(node, ast.FunctionDef) and node.name == "_run"]
@@ -419,6 +418,45 @@ def test_one_exit_handler():
         for fn, line in _broad_handlers(_parse(path), "<module>")
     ]
     assert [name.split(":")[0] for name in found] == ["cli.main"], found
+
+
+def _state_uses(node: ast.AST):
+    """(line, what) of each way under node to keep state between runs: a
+    read of os.environ or os.getenv, a call of Path.home, an import of
+    tempfile or hashlib, and an open for writing."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and ast.unparse(n) in ("os.environ", "os.getenv"):
+            yield n.lineno, ast.unparse(n)
+        elif isinstance(n, ast.Attribute) and n.attr in ("home", "write_text", "write_bytes"):
+            yield n.lineno, n.attr
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [n.module] if isinstance(n, ast.ImportFrom) else [a.name for a in n.names]
+            names += [a.name for a in n.names if isinstance(n, ast.ImportFrom)]
+            for name in set(names) & {"tempfile", "hashlib", "environ", "getenv"}:
+                yield n.lineno, f"import {name}"
+        elif isinstance(n, ast.Call) and ast.unparse(n.func) in ("open", "os.fdopen", "io.open"):
+            mode = [k.value for k in n.keywords if k.arg == "mode"] + n.args[1:2]
+            if mode and not (isinstance(mode[0], ast.Constant) and set(mode[0].value) <= set("rbt")):
+                yield n.lineno, f"{ast.unparse(n.func)} for writing"
+
+
+def test_no_state_between_runs():
+    # gcart reads its arguments and `snf --input`, and writes stdout and
+    # stderr: no module reads the environment, finds a home directory, makes
+    # a temporary file, hashes or opens a file for writing
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, what in _state_uses(_parse(path))
+    ]
+    assert not found, found
+
+
+def test_state_uses_are_found():
+    source = ("import os, tempfile\nfrom hashlib import sha256\nfrom os import environ\n"
+              "x = os.environ.get('A')\np = Path.home()\nopen(p, 'w')\nopen(p, mode='a')\n"
+              "os.fdopen(3, 'wb')\np.write_text('')\nopen(p)\nopen(p, 'rb')\n")
+    assert sorted(line for line, _ in _state_uses(ast.parse(source))) == list(range(1, 10))
 
 
 def _raw_laurent_constructions(node: ast.AST, where: str):
@@ -530,13 +568,15 @@ def test_one_partition_walk_in_the_exponent_forms():
 def test_cli_import_loads_no_fraction_module():
     # `fractions` imports `decimal`, about 2 ms of every `import gcartan.cli`;
     # `hashlib` loads OpenSSL's `_hashlib`, about 2 ms and 3.6 MB of RSS, and
-    # is imported by the two functions that hash
+    # gcart hashes nothing, so neither the import nor a run loads it
     code = ("import sys, gcartan.cli; "
-            "print(sorted({'fractions', 'decimal', '_hashlib'} & set(sys.modules)))")
+            "print(sorted({'fractions', 'decimal', '_hashlib'} & set(sys.modules)), file=sys.stderr); "
+            "code = gcartan.cli.main(['det', '--ell', '3', '--d', '2']); "
+            "print(code, '_hashlib' in sys.modules, file=sys.stderr)")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "[]\n0 False\n"), proc.stderr
 
 
 def test_cli_import_loads_no_dataclasses():

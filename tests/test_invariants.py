@@ -394,7 +394,7 @@ class TestConjectureReport:
         f = tmp_path / "m.json"
         rows = cartan_graded(p**r, d).entries
         f.write_text(json.dumps({"entries": [[e.to_json() for e in row] for row in rows]}))
-        code = cli.main(["snf", "--input", str(f), "--ring", "zlaurent", "--cache-dir", ""])
+        code = cli.main(["snf", "--input", str(f), "--ring", "zlaurent"])
         assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "VERIFIED"
         assert sizes.count(n) == 1
 
