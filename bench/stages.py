@@ -140,8 +140,11 @@ def record_moduli(bound_sq):
 linalg._moduli = record_moduli
 eliminations = [0]
 def counted(kernel):
+    # one node per matrix eliminated: a kernel given a list of matrices (its
+    # rows' entries are lists) eliminates them together, one given a matrix
+    # (its rows' entries are ints) eliminates that one
     def run(m, p):
-        eliminations[0] += 1
+        eliminations[0] += len(m) if m and isinstance(m[0][0], list) else 1
         return kernel(m, p)
     return run
 linalg._sym_det_mod = counted(linalg._sym_det_mod)

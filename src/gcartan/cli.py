@@ -17,7 +17,8 @@ for an [X] of more than --limit rows, det with or without --check; no other
 command takes either flag.  Each makes one call to _size_guard, which counts
 both before building anything: gram --blocks N sizes its block sum as
 |CRP_ell(N)|, without enumerating a partition, and a weight --d over --limit
-is refused uncounted, since u(m, d) >= d for m, d >= 1.
+is refused uncounted, since u(m, d) >= d for m, d >= 1, as is a rank
+--blocks N >= 10 over --limit, since |CRP_ell(N)| >= N there.
 
 Matrix JSON has one shape: `gram` writes "entries" as a list of rows of
 Laurent polynomials (LaurentPoly.to_json), and `snf --input` reads that key
@@ -170,6 +171,20 @@ def _dimension(args, m: int) -> int | None:
     return pt.u_count(m, args.d)
 
 
+def _block_rows(args) -> int | None:
+    """|CRP_ell(N)| at N = --blocks, the rows of the block sum, counted in
+    O(N^2) big-int steps.  None, uncounted, for N >= 10 over --limit without
+    --force (and ell >= 2, which the count checks): the partitions of N into
+    distinct parts are ell-regular for every ell >= 2, and there are q(N) >= N
+    of them once N >= 10 (q(10) = 10, and q is nondecreasing), so the size
+    guard refuses N rows as they stand.  Below 10 the bound fails:
+    |CRP_2(9)| = 8."""
+    n = args.blocks
+    if args.ell >= 2 and n >= 10 and n > args.limit and not args.force:
+        return None
+    return pt.class_regular_count(n, args.ell)
+
+
 # a count below 2^_TEXT_BITS has at most 4300 digits, as many as CPython
 # writes as text by default; the size guard words a larger one by its bits
 _TEXT_BITS = 14284
@@ -178,9 +193,10 @@ _TEXT_BITS = 14284
 def _size_guard(args, nodes: int, rows: int | None) -> None:
     """The one refusal by size, made before a command builds anything: [X]
     has `nodes` rows and the Gram matrix or block sum `rows`, and the larger
-    may not exceed --limit unless --force.  Rows of None are those of a
-    weight-d Gram matrix that _dimension left uncounted, at least d."""
-    n = max(nodes, args.d if rows is None else rows)
+    may not exceed --limit unless --force.  Rows of None are those left
+    uncounted: at least d for a weight-d Gram matrix (_dimension), at least
+    N for the block sum of rank N (_block_rows)."""
+    n = max(nodes, rows if rows is not None else args.d if args.d is not None else args.blocks)
     if n > args.limit and not args.force:
         bits = n.bit_length()
         if bits > _TEXT_BITS:
@@ -202,7 +218,7 @@ def cmd_gram(args) -> str:
         if args.diagram is not None:
             raise ValueError("--blocks sums the blocks of --ell; it takes no --diagram")
         # the block sum has |CRP_ell(N)| rows, counted without walking Par(N)
-        _size_guard(args, args.ell - 1, pt.class_regular_count(args.blocks, args.ell))
+        _size_guard(args, args.ell - 1, _block_rows(args))
         bs = block_sum(args.blocks, args.ell)
         payload, idx, mat = bs.to_json(), [cp for _, g in bs.blocks for cp in g.index], bs.matrix()
     else:

@@ -64,7 +64,9 @@ but det Sym^m = det^binom is the determinant theorem under test, so it is
 never used: no closed determinant formula enters this computation.  Each P(m)
 is computed once per process and ring, column by column: column c' is one
 expansion of prod_{i in c'} (sum_j [X][j][i] e_j), whose coefficient of e^c
-times prod_j mult_c(j)! is the permanent.  The dense y-blocks are the Kronecker products
+times prod_j mult_c(j)! is the permanent.  The expansion runs over Z in both
+rings: over Z[v,v^-1] on [X]'s entries packed into ints, each entry of P(m)
+decoded once.  The dense y-blocks are the Kronecker products
 of the factors over the product's ring, and it reads only their nonzeros.
 """
 
@@ -77,8 +79,11 @@ from itertools import chain, combinations_with_replacement, product
 from . import partitions as pt
 from .linalg import _int_det_multimodular, laurent_det
 from .qcartan import DynkinDiagram, quantized_cartan, type_a
-from .qlaurent import ONE, ZERO, LaurentPoly, _owned
-from .snf import _slot_width, _unpack, snf_laurent_field, snf_of_diagonal
+from .qlaurent import (
+    ONE, ZERO, LaurentPoly, _owned, _signed_pack, _slot_width, _unpack, _unpack_signed,
+    power_product,
+)
+from .snf import snf_laurent_field, snf_of_diagonal
 
 
 @lru_cache(maxsize=None)
@@ -114,32 +119,63 @@ def _one(a):
 
 @lru_cache(maxsize=None, typed=True)
 def _permanents(a, one, s: int, m: int) -> tuple[tuple, ...]:
+    """P_s(m) for [X] = a over the ring of one, as permanent_matrix gives it.
+
+    Over Z the columns are expanded as they stand.  Over Z[v,v^-1] each
+    entry of a is packed into one int, its coefficient of v^e in the W-bit
+    slot e - lo, lo the lowest exponent in a: evaluation at v = 2^W after a
+    shift by v^-lo, a ring map.  The same integer expansion then runs on the
+    packed matrix, and each entry, a sum of products of m packed entries, is
+    decoded once from its balanced slots, the slot k holding the
+    coefficient of v^(k + m lo).  Each coefficient of a product of entries
+    of the columns c' is at most the product of their columns' 1-norms, so
+    one of P(m) is at most max_i |column i|_1^m times the multiplicity
+    weight, at most m!; W is that bound's width with a sign bit, rounded up
+    as `_slot_width` rounds, so no coefficient reaches into the next slot."""
     if s != 1:
         base = _permanents(a, one, 1, m)
         return tuple(tuple(_at_power(e, s) for e in row) for row in base)
+    if one is not ONE:
+        return _expand_permanents(a, m)
+    nonzero = [e for row in a for e in row if e]
+    lo = min((e.min_exp for e in nonzero), default=0)
+    span = max((e.max_exp for e in nonzero), default=0) - lo + 1
+    top = max(sum(sum(map(abs, x._terms.values())) for x in col) for col in zip(*a))
+    width = _slot_width(2 * top**m * math.factorial(m) + 1)
+    packed = tuple(tuple(_signed_pack(x._terms, lo, 1, span, width) for x in row) for row in a)
+    slots = m * (span - 1) + 1
+
+    def decoded(x: int) -> LaurentPoly:
+        # most entries of a large P(m) are 0: the shared ZERO, undecoded
+        if not x:
+            return ZERO
+        return _owned({j + m * lo: c for j, c in enumerate(_unpack_signed(x, width, slots)) if c})
+
+    return tuple(tuple(map(decoded, row)) for row in _expand_permanents(packed, m))
+
+
+def _expand_permanents(a, m: int) -> tuple[tuple[int, ...], ...]:
+    # P(m) of the integer matrix a, column by column: entry (c, c') is the
+    # coefficient of e^c in prod_{i in c'} (sum_j a[j][i] e_j) times
+    # prod_j mult_c(j)!
     k = len(a)
-    zero = 0 * one
     sets = _multisets(k, m)
     # per colour i, the nonzero entries a[j][i] of its linear form
     forms = [[(j, a[j][i]) for j in range(k) if a[j][i]] for i in range(k)]
-    row_keys = []
-    for c in sets:
-        counts = tuple(c.count(j) for j in range(k))
-        row_keys.append((counts, math.prod(math.factorial(u) for u in counts)))
+    counts = [tuple(c.count(j) for j in range(k)) for c in sets]
+    row_keys = [(u, math.prod(map(math.factorial, u))) for u in counts]
     cols = []
     for col in sets:
-        expansion = {(0,) * k: one}
+        expansion = {(0,) * k: 1}
         for i in col:
-            nxt: dict[tuple[int, ...], object] = {}
+            nxt: dict[tuple[int, ...], int] = {}
             for mono, coeff in expansion.items():
                 for j, x in forms[i]:
                     key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
                     term = coeff * x
                     nxt[key] = nxt[key] + term if key in nxt else term
             expansion = nxt
-        cols.append(
-            [expansion[counts] * w if counts in expansion else zero for counts, w in row_keys]
-        )
+        cols.append([expansion[counts] * w if counts in expansion else 0 for counts, w in row_keys])
     return tuple(zip(*cols))
 
 
@@ -438,9 +474,10 @@ class GramMatrix:
         N_lam the largest 1-norm of a row of (t_i) on the y-columns of lam
         and y_lam the largest |coefficient| in Y_lam: the bound (max row
         1-norm of T)^2 max(K / den) max |y| taken shape by shape.  W is the
-        bit length of B plus a sign bit, rounded up as `snf._slot_width`
+        bit length of B plus a sign bit, rounded up as `_slot_width`
         rounds, so a finished accumulator plus 2^(W-1) in every slot has
-        every slot in [0, 2^W) and is read off whole by `snf._unpack`.
+        every slot in [0, 2^W) and is read off whole by `_unpack`, with the
+        one bias of every entry.
 
         Each finished accumulator is decoded once.  An entry that is not
         bar-invariant (its slots are not a palindrome) raises AssertionError.
@@ -510,7 +547,10 @@ class GramMatrix:
         once, for every s: it is split by the colour reversal where
         _reversal_split finds that it fixes it, and the kernel eliminates
         each part (or the whole factor); the result is taken at v^s and
-        multiplied in shape by shape.  Over Z[v,v^-1], where the plus half is
+        raised once per (m, s) to its exponent summed over the shapes, and
+        `power_product` folds the powers into the largest, each product over
+        Z[v,v^-1] choosing between the dict and a Kronecker-packed one (see
+        `LaurentPoly.__mul__`).  Over Z[v,v^-1], where the plus half is
         the image of the minus half under v -> -v (`_mirrored`, checked from
         the entries: m(k-1) odd for k colours), only the minus half is
         eliminated, and det P(m) = sign^pairs det minus(-v) det minus(v).
@@ -520,10 +560,11 @@ class GramMatrix:
         CPython 3.11)."""
         self.check_unitriangular()
         colors = len(a)
-        num = _one(a)
-        laurent = num is ONE
+        laurent = _one(a) is ONE
         factor_det = laurent_det if laurent else _int_det_multimodular
         dets = {}
+        # the exponent of P_s(m) = P(m) at v^s in the determinant, per (m, s)
+        powers: dict[tuple[int, int], int] = {}
         den = 1
         for lam in self.shapes:
             keys = self.factor_keys[lam]
@@ -546,8 +587,9 @@ class GramMatrix:
                             dets[m] = _at_minus_v(half) * half * sign**pairs
                         else:
                             dets[m] = _divide_by_int(factor_det(plus) * factor_det(minus), 2**pairs)
-                num = num * _at_power(dets[m], s) ** (dim // size)
+                powers[m, s] = powers.get((m, s), 0) + dim // size
                 den *= s ** (m * dim)
+        num = power_product(((_at_power(dets[m], s), n) for (m, s), n in powers.items()), _one(a))
         return _divide_by_int(num, den)
 
 

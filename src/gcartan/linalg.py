@@ -3,7 +3,9 @@
 int_det is fraction-free Bareiss elimination over Z; every interior division
 is exact, and is checked to be so.  laurent_det is a multi-modular kernel:
 evaluation mod p at enough points, F_p elimination at each (on the upper
-triangle only when the matrix is symmetric), Newton interpolation, CRT and a
+triangle only when the matrix is symmetric, every point's elimination in
+lockstep so that one modular inverse per step serves all their pivots),
+Newton interpolation on packed ints, CRT and a
 symmetric lift under a Hadamard coefficient bound B (von zur Gathen & Gerhard,
 Modern Computer Algebra, ch. 5).  When the entries' exponent parities split
 into row and column parities (checked from the entries), the determinant is
@@ -34,10 +36,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly
+from .qlaurent import ONE, ZERO, LaurentPoly, _pack, _slot_width, _unpack, _unpack_signed
 
 # The moduli of laurent_det, smallest first: for b = 30, 60, ..., 2190 (one
 # prime per 30-bit digit of a CPython int) the largest Proth prime below 2^b,
@@ -63,6 +66,9 @@ PRIMES = tuple(
     [(1 << b) - (d << b // 2) + 1 for b, d in PROTH_LADDER]
     + [(1 << k) - 1 for k in MERSENNE_EXPONENTS]
 )
+# the most matrix entries that `_interpolate_mod` hands `_sym_det_mod` at
+# once, which holds each node's upper triangle and reduced rows together
+_LOCKSTEP_ENTRIES = 1 << 15
 
 
 def _require_square(matrix: Sequence[Sequence]) -> int:
@@ -231,7 +237,7 @@ def _int_det_multimodular(matrix: Sequence[Sequence[int]]) -> int:
     if not bound_sq:
         return 0
     upper = [row[i:] for i, row in enumerate(matrix)]
-    return _lift(bound_sq, lambda p: [_sym_det_mod([[x % p for x in row] for row in upper], p)])[0]
+    return _lift(bound_sq, lambda p: _sym_det_mod([[[x % p for x in row] for row in upper]], p))[0]
 
 
 def _lift(bound_sq: int, residues) -> list[int]:
@@ -284,7 +290,16 @@ def _interpolate_mod(
     N = floor((degree - parity) / 2).  Either way the nodes are distinct
     mod p, since t is far below p / 2 (the smallest table prime is above
     2^29).  When the coefficient rows are symmetric, only the upper triangle
-    is evaluated and eliminated."""
+    is evaluated, and the nodes are eliminated together by `_sym_det_mod`,
+    at most _LOCKSTEP_ENTRIES matrix entries at a time.
+
+    The two changes of basis after the Newton interpolation run on packed
+    ints, reduced mod p only now and then: the Newton form to monomials
+    (Horner, acc <- acc (x - x_i) + c_i, a shift, a small multiple and an
+    add), and P(w) to the Laurent coefficients (Horner on w = v + v^-1, a
+    shift and two adds).  Their slots, as wide as p^2, are reduced mod p
+    whenever a bound on their coefficients would reach the slots' sign bit,
+    so they stay that wide at any degree."""
     n = len(rows)
     symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
     first, power = (0, 1) if parity is None else (parity, 2)
@@ -294,22 +309,29 @@ def _interpolate_mod(
     inv = [0, 1]
     for k in range(2, 2 * first + 2 * len(ts)):
         inv.append(-(p // k) * inv[p % k] % p)
-    values = []
-    for t in ts:
-        # powers t^k, or when bar T_k(t) = z^k + z^-k with T_0 = 2 (but the
-        # constant coefficient counts once) and T_{k+1} = t T_k - T_{k-1}
+
+    def evaluated(t: int) -> list[list[int]]:
+        # the matrix at the node t (its upper triangle when symmetric), from
+        # the powers t^k, or when bar T_k(t) = z^k + z^-k with T_0 = 2 (but
+        # the constant coefficient counts once) and T_{k+1} = t T_k - T_{k-1}
         table = [1, t]
         for k in range(1, width - 1):
             if bar:
                 table.append((t * table[k] - (table[k - 1] if k > 1 else 2)) % p)
             else:
                 table.append(t * table[k] % p)
-        if symmetric:
-            upper = [[sum(map(mul, cs, table)) % p for cs in row[i:]] for i, row in enumerate(rows)]
-            value = _sym_det_mod(upper, p)
-        else:
-            value = _det_mod([[sum(map(mul, cs, table)) % p for cs in row] for row in rows], p)
-        values.append(value * inv[t] % p if first else value)
+        return [[sum(map(mul, cs, table)) % p for cs in (row[i:] if symmetric else row)]
+                for i, row in enumerate(rows)]
+
+    if symmetric:
+        chunk = max(1, _LOCKSTEP_ENTRIES // (n * n))
+        values = []
+        for at in range(0, len(ts), chunk):
+            values += _sym_det_mod([evaluated(t) for t in ts[at : at + chunk]], p)
+    else:
+        values = [_det_mod(evaluated(t), p) for t in ts]
+    if first:
+        values = [value * inv[t] % p for value, t in zip(values, ts)]
     # Newton coefficients by divided differences, in place: the gap
     # x_i - x_{i-j} is j for x = t, and j (t_i + t_{i-j}) for x = t^2
     for j in range(1, len(ts)):
@@ -317,26 +339,34 @@ def _interpolate_mod(
             gap = inv[j] if power == 1 else inv[j] * inv[ts[i] + ts[i - j]] % p
             values[i] = (values[i] - values[i - 1]) * gap % p
     # Horner on the Newton form, acc <- acc (x - x_i) + c_i, gives Q's
-    # coefficients in x; P's in X are every power-th from X^first on
-    acc: list[int] = []
-    for i in range(len(ts) - 1, -1, -1):
-        x = ts[i] ** power
-        nxt = [0] + acc
-        for e, a in enumerate(acc):
-            nxt[e] -= x * a
-        nxt[0] += values[i]
-        acc = [a % p for a in nxt]
+    # coefficients in x, that of x^e in slot e of acc (P's in X are every
+    # power-th from X^first on).  A step takes a bound M on |every
+    # coefficient| to M (1 + x_i) + p.  Slots are as wide as p^2; before M
+    # would reach a slot's sign bit, every slot is reduced mod p and M is p
+    nbytes = _slot_width(p * p)
+    limit = 1 << (8 * nbytes - 1)
+    acc = bound = 0
+    for x, c in zip([t**power for t in reversed(ts)], reversed(values)):
+        if bound * (1 + x) + p >= limit:
+            acc, bound = _pack([a % p for a in _unpack_signed(acc, nbytes, len(ts))], nbytes), p
+        acc = (acc << 8 * nbytes) - x * acc + c
+        bound = bound * (1 + x) + p
     coeffs = [0] * (degree + 1)
-    coeffs[first::power] = acc
+    coeffs[first::power] = [c % p for c in _unpack_signed(acc, nbytes, len(ts))]
     if not bar:
         return coeffs
     # P(w) to the Laurent coefficients of v^-degree..v^degree, by Horner on
-    # w = v + v^-1
-    laurent = [0] * (2 * degree + 1)
-    for k in range(degree, -1, -1):
-        laurent = [(a + b) % p for a, b in zip(laurent[1:] + [0], [0] + laurent[:-1])]
-        laurent[degree] = (laurent[degree] + coeffs[k]) % p
-    return laurent
+    # w = v + v^-1: after j steps the coefficient of v^e sits in slot e + j,
+    # so a step is laurent (v^2 + 1), over one slot more, plus c in slot j.
+    # The coefficients only add, a step taking M to 2M + p, and are reduced
+    # as above
+    laurent = bound = 0
+    for j, c in enumerate(reversed(coeffs)):
+        if 2 * bound + p >= limit:
+            laurent, bound = _pack([u % p for u in _unpack(laurent, nbytes, 2 * j - 1)], nbytes), p
+        laurent = (laurent << 16 * nbytes) + laurent + (c << 8 * nbytes * j)
+        bound = 2 * bound + p
+    return [u % p for u in _unpack(laurent, nbytes, 2 * degree + 1)]
 
 
 def _det_mod(m: list[list[int]], p: int) -> int:
@@ -362,10 +392,11 @@ def _det_mod(m: list[list[int]], p: int) -> int:
     return det
 
 
-def _sym_det_mod(upper: list[list[int]], p: int) -> int:
-    """Determinant mod p of the symmetric matrix whose row i, from the
-    diagonal on, is upper[i]: symmetric elimination (A = L D L^t) on the upper
-    triangle only.
+def _sym_det_mod(uppers: list[list[list[int]]], p: int) -> list[int]:
+    """Determinants mod p of symmetric matrices of one size, matrix m given
+    by its upper triangle, row i from the diagonal on being uppers[m][i]:
+    symmetric elimination (A = L D L^t) on the upper triangle only, all the
+    matrices in lockstep.
 
     A row is left unreduced until it becomes the pivot row.  Row k of the
     Schur complement is then a_kx - sum_{l<k} (a_lk / d_l) a_lx over the
@@ -373,33 +404,57 @@ def _sym_det_mod(upper: list[list[int]], p: int) -> int:
     pivot in a nonzero row k, with a_kj != 0, is repaired by the congruence
     row/col k += c row/col j, which keeps the determinant and makes the pivot
     2c a_kj + c^2 a_jj: nonzero for c = 1 or c = 2, since p is odd.  A zero
-    row k makes the matrix singular.
+    row k makes its matrix singular, and it drops out.  At each step one
+    modular inverse serves the pivots of every matrix (Montgomery's trick:
+    the inverse of their product, unwound by the prefix products, three
+    products mod p per pivot in place of a `pow` each).
     """
-    n = len(upper)
-    # cols[x]: entry x of every reduced pivot row so far; inverses: 1/d_l
-    cols: list[list[int]] = [[] for _ in range(n)]
-    inverses: list[int] = []
+    n = len(uppers[0]) if uppers else 0
+    dets = [1] * len(uppers)
+    # per matrix: cols[x], entry x of every reduced pivot row so far, and the
+    # inverses 1/d_l of its pivots
+    cols = [[[] for _ in range(n)] for _ in uppers]
+    inverses: list[list[int]] = [[] for _ in uppers]
 
-    def reduced(i: int, k: int) -> list[int]:
-        # entries k.. of row i after the pivots 0..k-1; a_ix = a_xi for x < i
-        f = [a * w % p for a, w in zip(cols[i], inverses)]
+    def reduced(m: int, i: int, k: int) -> list[int]:
+        # entries k.. of row i of matrix m after the pivots 0..k-1; a_ix = a_xi
+        # for x < i
+        upper, mcols = uppers[m], cols[m]
+        f = [a * w % p for a, w in zip(mcols[i], inverses[m])]
         row = [upper[x][i - x] for x in range(k, i)] + upper[i]
-        return [(a - sum(map(mul, f, cols[x]))) % p for x, a in enumerate(row, k)]
+        return [(a - sum(map(mul, f, mcols[x]))) % p for x, a in enumerate(row, k)]
 
-    det = 1
     for k in range(n):
-        row = reduced(k, k)
-        if not row[0]:
-            j = next((j for j in range(1, n - k) if row[j]), None)
-            if j is None:
-                return 0
-            other = reduced(k + j, k)
-            c = 1 if (2 * row[j] + other[j]) % p else 2
-            row = [(a + c * b) % p for a, b in zip(row, other)]
-            row[0] = (row[0] + c * row[j]) % p
-        det = det * row[0] % p
-        inverses.append(pow(row[0], -1, p))
-        for x, a in enumerate(row[1:], k + 1):
-            cols[x].append(a)
-    return det
+        pivots = {}
+        # a singular matrix has det 0 and drops out; every other det is a
+        # product of nonzero pivots
+        for m in [m for m, det in enumerate(dets) if det]:
+            row = reduced(m, k, k)
+            if not row[0]:
+                j = next((j for j in range(1, n - k) if row[j]), None)
+                if j is None:
+                    dets[m] = 0
+                    continue
+                other = reduced(m, k + j, k)
+                c = 1 if (2 * row[j] + other[j]) % p else 2
+                row = [(a + c * b) % p for a, b in zip(row, other)]
+                row[0] = (row[0] + c * row[j]) % p
+            dets[m] = dets[m] * row[0] % p
+            pivots[m] = row[0]
+            for x, a in enumerate(row[1:], k + 1):
+                cols[m][x].append(a)
+        for m, w in zip(pivots, _inverses_mod(list(pivots.values()), p)):
+            inverses[m].append(w)
+    return dets
 
+
+def _inverses_mod(xs: list[int], p: int) -> list[int]:
+    """The inverses mod p of the nonzero residues xs, by one `pow`: with
+    prefix products q_i = x_0 ... x_{i-1}, 1/x_i = q_i / q_{i+1}, and
+    1/q_i = x_i / q_{i+1} walks the inverse of the full product down."""
+    prefix = list(accumulate(xs, lambda a, b: a * b % p, initial=1))
+    inv = pow(prefix.pop(), -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i], inv = inv * prefix[i] % p, inv * xs[i] % p
+    return out

@@ -18,6 +18,7 @@ from .qlaurent import (
     ONE,
     LaurentPoly,
     kss_bracket,
+    power_product,
     quantum_int,
     su_bracket,
     vanishes_at_primitive_root,
@@ -170,9 +171,8 @@ def shapovalov_det_formula(dg: DynkinDiagram, d: int) -> LaurentPoly:
     if d < 0:
         raise ValueError("d must be >= 0")
     exponents = [exponent_N(dg.nodes, d, s) for s in range(1, d + 1)]
-    return math.prod(
-        (det_quantized(dg, s) ** n for s, n in enumerate(exponents, 1) if n), start=ONE
-    )
+    powers = ((det_quantized(dg, s), n) for s, n in enumerate(exponents, 1) if n)
+    return power_product(powers, ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def twisted_det_formula(td: TwistedDiagram, d: int) -> LaurentPoly:
         raise ValueError("d must be >= 0")
     f = tuple(td.f(i) for i in range(1, d + 1))
     exponents = _exponents_binomial(f, d)[1:]
-    return math.prod((td.gamma(s) ** n for s, n in enumerate(exponents, 1) if n), start=ONE)
+    return power_product(((td.gamma(s), n) for s, n in enumerate(exponents, 1) if n), ONE)
 
 
 def folding_det_check(td: TwistedDiagram, t: int) -> bool:

@@ -30,7 +30,7 @@ and evaluated at 2^64 with balanced (signed) digits, kept beside its lowest
 exponent and a bound on its |coefficients|.  A row update a - q*b is then
 one big-integer product, one shift and one subtraction, and the pivot scan
 reads each entry's span off its bit length: only the entries that tie
-their row's least span are decoded (`_unpack` plus a bias) to their full
+their row's least span are decoded (`_unpack_signed`) to their full
 key.  The quotients are found on the packed ints too (`_Slots.quotient`).
 Evaluation at 2^64 is a ring map, so a nonzero remainder of a by b as
 integers proves that b does not divide a; a zero remainder is a candidate
@@ -64,8 +64,6 @@ re-run its 65 s pass up to five times.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from collections import Counter
 from itertools import count
 from operator import attrgetter
@@ -74,7 +72,8 @@ from typing import Sequence
 from .linalg import _int_rows, _require_square, int_det
 from .partitions import Record, is_prime, p_adic_split
 from .qlaurent import (
-    ONE, ZERO, LaurentPoly, _owned, divide_exact, exact_quotient, normalize_unit, sub_product,
+    ONE, ZERO, LaurentPoly, _owned, _pack, _slot_width, _unpack, _unpack_signed, divide_exact,
+    exact_quotient, normalize_unit, sub_product,
 )
 
 RING_ZINT = "ZInt"
@@ -259,50 +258,6 @@ def _snf_int_dense(matrix: Sequence[Sequence[int]]) -> InvariantMultiset:
     if stopped != "cleared":
         raise ArithmeticError(f"integer elimination {stopped}")
     return snf_int_diagonal(diag)
-
-
-# unsigned array typecodes by item size in bytes, for 1, 2, 4 and 8
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _slot_width(bound: int) -> int:
-    """Bytes per slot for slots that must hold every integer in [0, bound]:
-    the least of 1, 2, 4 and 8 bytes that does, else the least whole number
-    of bytes.  The first four widths are the item sizes of `array`, which
-    packs and unpacks a whole row in C (see `_pack`)."""
-    nbytes = (bound.bit_length() + 7) // 8
-    return next((w for w in (1, 2, 4, 8) if nbytes <= w), nbytes)
-
-
-def _pack(row: Sequence[int], width: int) -> int:
-    """One int whose width-byte slots hold the non-negative entries of row,
-    the first entry in the lowest slot.
-
-    A width of 1, 2, 4 or 8 bytes (as `_slot_width` picks) goes through an
-    unsigned `array` of that item size, byteswapped on big-endian hosts, so
-    the row is converted in one C call; an entry that does not fit raises
-    OverflowError there.  Any other width takes the per-entry route."""
-    code = _TYPECODES.get(width)
-    if code is None:
-        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]), "little")
-    packed = array(code, row)
-    if _BIG_ENDIAN:
-        packed.byteswap()
-    return int.from_bytes(packed, "little")
-
-
-def _unpack(packed: int, width: int, n: int) -> list[int]:
-    """The n width-byte slots of packed, lowest first: the inverse of `_pack`,
-    by an `array` of the slot's item size where there is one."""
-    raw = packed.to_bytes(width * n, "little")
-    code = _TYPECODES.get(width)
-    if code is None:
-        return [int.from_bytes(raw[j : j + width], "little") for j in range(0, width * n, width)]
-    slots = array(code, raw)
-    if _BIG_ENDIAN:
-        slots.byteswap()
-    return slots.tolist()
 
 
 def _local_valuations(
@@ -721,13 +676,12 @@ class _Slots:
 
     Every coefficient stays below the slot bound 2^(bits-2), one bit inside
     the 2^(bits-1) that balanced digits need.  So the digits c_k of value
-    are the signed coefficients, value.bit_length() // bits is the span, and
-    adding the bias sum_k 2^(bits-1) 2^(bits k) makes every slot
-    non-negative for `_unpack`.  A row update a - q*b is one packed product,
-    one shift and one subtraction once max|a| + |q|_1 max|b| is below the
-    bound; failing that, the two entries' bounds are tightened to their
-    decoded maxima, and failing that too, the entry is computed exactly by
-    `sub_product`.  A coefficient at or above the bound raises
+    are the signed coefficients, which `_unpack_signed` reads, and
+    value.bit_length() // bits is the span.  A row update a - q*b is one
+    packed product, one shift and one subtraction once max|a| + |q|_1 max|b|
+    is below the bound; failing that, the two entries' bounds are tightened
+    to their decoded maxima, and failing that too, the entry is computed
+    exactly by `sub_product`.  A coefficient at or above the bound raises
     _SlotOverflow: nothing wraps.
     """
 
@@ -735,7 +689,6 @@ class _Slots:
         self.bits, self.nbytes = bits, bits // 8
         self.limit, self.half = 1 << (bits - 2), 1 << (bits - 1)
         self.low = (1 << bits) - 1
-        self.half_slot = bytes(self.nbytes - 1) + b"\x80"
         # the pivot row of the last reduce, its pivot, nonzero columns and end digits
         self.pivot = (None, None, (), (0, 0))
 
@@ -749,24 +702,9 @@ class _Slots:
         value = sum(c << self.bits * (e - lo) for e, c in t.items())
         return _Entry(value, lo, max(t) - lo, top, p)
 
-    def digits(self, value: int, n: int) -> list[int]:
-        """The n balanced digits of value, lowest first; value must have n
-        such digits, each in [-2^(bits-1), 2^(bits-1)).  Slot k of value
-        plus the bias is u = c_k + 2^(bits-1); at 64 bits, u with its top
-        bit flipped is c_k as a signed 8-byte int, so `array` decodes the
-        whole row in C."""
-        bias = int.from_bytes(self.half_slot * n, "little")
-        if self.nbytes == 8:
-            signed = array("q", ((value + bias) ^ bias).to_bytes(8 * n, "little"))
-            if _BIG_ENDIAN:
-                signed.byteswap()
-            return signed.tolist()
-        half = self.half
-        return [u - half for u in _unpack(value + bias, self.nbytes, n)]
-
     def poly(self, e: _Entry) -> LaurentPoly:
         if e.poly is None:
-            digits = self.digits(e.value, e.span + 1)
+            digits = _unpack_signed(e.value, self.nbytes, e.span + 1)
             e.poly = _owned({e.lo + k: c for k, c in enumerate(digits) if c})
         return e.poly
 
@@ -828,7 +766,7 @@ class _Slots:
             return None
         value, rem = divmod(a.value, b.value)
         if not rem:
-            d = self.digits(value, (value.bit_length() + 1) // self.bits + 1)
+            d = _unpack_signed(value, self.nbytes, (value.bit_length() + 1) // self.bits + 1)
             while not d[-1]:
                 d.pop()
             norm = sum(map(abs, d))

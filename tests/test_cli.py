@@ -993,7 +993,8 @@ class TestHugeSizeGuard:
 
     def test_block_sum_is_refused_before_any_enumeration(self):
         # the guard used to walk Par(N - ell*d) for every weight d: 43.6 s
-        # at N = 60 before it refused
+        # at N = 60 before it refused; a rank N >= 10 over --limit is now
+        # refused uncounted, as at least N rows
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
@@ -1005,7 +1006,7 @@ class TestHugeSizeGuard:
             timeout=10,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert "matrix would be 10880 x 10880 (> 10)" in proc.stderr
+        assert "matrix would have 60 rows or more, over --limit (> 10)" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",
@@ -1063,6 +1064,33 @@ class TestHugeSizeGuard:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: matrix would have {rows} rows or more, over --limit"
                                " (> 10); pass --force to proceed\n")
+
+    def test_rank_over_the_limit_is_not_counted(self):
+        # |CRP_ell(N)| >= q(N) >= N for N >= 10, q the count of partitions
+        # into distinct parts: counting |CRP_2(10000)| took 2.9 s
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcartan.cli", "gram", "--ell", "2", "--blocks", "10000",
+             "--limit", "10"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.monotonic() - start < 2
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: matrix would have 10000 rows or more, over --limit"
+                               " (> 10); pass --force to proceed\n")
+
+    def test_a_rank_below_ten_is_counted(self, capsys):
+        # |CRP_2(9)| = 8 < 9: below 10 the rank is no lower bound, so the
+        # count decides
+        code, out, _ = run(capsys, "gram", "--ell", "2", "--blocks", "9", "--limit", "8")
+        assert code == 0 and sum(len(b["gram"]["index"]) for b in json.loads(out)["blocks"]) == 8
+        code, _, err = run(capsys, "gram", "--ell", "2", "--blocks", "9", "--limit", "7")
+        assert code == 2 and "matrix would be 8 x 8 (> 7)" in err
 
 
 class TestXSizeGuard:

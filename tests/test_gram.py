@@ -215,6 +215,7 @@ class TestGramMatrix:
 
         gram._permanents.cache_clear()
         monkeypatch.setattr(gram, "_unpack", no_decode)
+        monkeypatch.setattr(gram, "_unpack_signed", no_decode)
         monkeypatch.setattr(LaurentPoly, "__mul__", no_product)
         monkeypatch.setattr(LaurentPoly, "__rmul__", no_product)
         g = cartan_graded(3, 4)
@@ -275,6 +276,13 @@ class TestGramDeterminant:
     def test_full_bareiss_against_blocks(self):
         g = gram_matrix(DynkinDiagram("A", 2), 4)
         assert laurent_det(g.entries) == gram_det(DynkinDiagram("A", 2), 4)
+
+    @pytest.mark.parametrize("ell, d", [(7, 4), (5, 5), (3, 8)])
+    def test_det_at_one_against_bareiss_at_the_frontier(self, ell, d):
+        # the product of the factor determinants' powers over Z, the ring
+        # of [X] at v=1, against Bareiss on the whole C(1) of 315, 252 and
+        # 185 rows
+        assert gram_det_at_one(type_a(ell), d) == int_det(cartan_graded(ell, d).at_one())
 
     def test_matches_formula_at_ell_6_d_4(self):
         # the 70-row factor P_1(4) of A_5, split by the colour reversal
@@ -412,6 +420,29 @@ def _random_matrix(seed, k):
     return tuple(tuple(entry() for _ in range(k)) for _ in range(k))
 
 
+def _laurent_permanents(a, m):
+    """P(m) of the matrix a over Z[v,v^-1], column by column as a dict
+    expansion of LaurentPoly coefficients: entry (c, c') is the coefficient
+    of e^c in prod_{i in c'} (sum_j a[j][i] e_j) times prod_j mult_c(j)!."""
+    k = len(a)
+    sets = list(itertools.combinations_with_replacement(range(k - 1, -1, -1), m))
+    cols = []
+    for col in sets:
+        expansion = {(0,) * k: ONE}
+        for i in col:
+            nxt = {}
+            for mono, coeff in expansion.items():
+                for j in range(k):
+                    key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                    nxt[key] = nxt.get(key, LaurentPoly()) + coeff * a[j][i]
+            expansion = nxt
+        cols.append([
+            expansion.get(counts, LaurentPoly()) * math.prod(map(math.factorial, counts))
+            for counts in (tuple(c.count(j) for j in range(k)) for c in sets)
+        ])
+    return tuple(zip(*cols))
+
+
 class TestPermanent:
     MATRICES = [quantized_cartan(DynkinDiagram("A", n)) for n in (1, 2, 3)] + [
         ((ONE,),),
@@ -440,6 +471,19 @@ class TestPermanent:
                         assert len(row) == len(sets)
                         for c2, e in zip(sets, row):
                             assert e == _brute_permanent(a, c, c2), (x, s, c, c2)
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+    def test_packed_expansion_against_a_dict_expansion(self, ell):
+        # P(m) over Z[v,v^-1] is expanded on packed ints and decoded once per
+        # entry; against the expansion over LaurentPoly coefficients, for
+        # [X] of A_{ell-1} and, at ell = 2, 3 and 4, a random matrix of as
+        # many colours with negative exponents and mixed signs
+        xs = [quantized_cartan(type_a(ell))]
+        if ell <= 4:
+            xs.append(_random_matrix(ell, ell - 1))
+        for x in xs:
+            for m in range(5):
+                assert permanent_matrix(x, 1, m) == _laurent_permanents(x, m), (x, m)
 
     def test_distinct_colours(self):
         a = ((LaurentPoly({1: 1}), LaurentPoly({0: 2})), (LaurentPoly({0: 3}), LaurentPoly({-1: 1})))

@@ -171,9 +171,10 @@ def _count_eliminations(monkeypatch):
     calls = {"sym": 0, "full": 0}
     sym, full = linalg._sym_det_mod, linalg._det_mod
 
-    def spy_sym(upper, p):
-        calls["sym"] += 1
-        return sym(upper, p)
+    def spy_sym(uppers, p):
+        # one node per matrix: the kernel eliminates a list of them together
+        calls["sym"] += len(uppers)
+        return sym(uppers, p)
 
     def spy_full(m, p):
         calls["full"] += 1
@@ -347,7 +348,7 @@ class TestSymmetricKernel:
                         m = _symmetric_mod(rng, n, p, kind)
                         want = linalg._det_mod([row[:] for row in m], p) % p
                         upper = [row[i:] for i, row in enumerate(m)]
-                        assert linalg._sym_det_mod(upper, p) == want, (p, kind, m)
+                        assert linalg._sym_det_mod([upper], p) == [want], (p, kind, m)
                         singular += want == 0
         assert singular > 100
 
@@ -361,7 +362,7 @@ class TestSymmetricKernel:
         ],
     )
     def test_zero_pivot_repairs(self, m, p, det):
-        assert linalg._sym_det_mod([row[i:] for i, row in enumerate(m)], p) == det
+        assert linalg._sym_det_mod([[row[i:] for i, row in enumerate(m)]], p) == [det]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 5).flatmap(
@@ -372,6 +373,20 @@ class TestSymmetricKernel:
             for j in range(i):
                 m[i][j] = m[j][i]
         assert laurent_det(m) == leibniz(m)
+
+    def test_lockstep_matches_one_at_a_time(self):
+        # matrices eliminated together, sharing one inverse per step, give
+        # each its own determinant, singular ones and zero-pivot repairs
+        # among them
+        rng = random.Random(20261021)
+        for p in (3, 7, (1 << 89) - 1):
+            for n in range(1, 7):
+                kinds = ["plain", "zero diagonal", "singular"] * 4
+                ms = [_symmetric_mod(rng, n, p, kind) for kind in kinds]
+                uppers = [[row[i:] for i, row in enumerate(m)] for m in ms]
+                alone = [linalg._sym_det_mod([u], p)[0] for u in uppers]
+                assert linalg._sym_det_mod(uppers, p) == alone
+                assert alone == [linalg._det_mod([r[:] for r in m], p) % p for m in ms]
 
     def test_only_symmetric_rows_take_the_symmetric_kernel(self, monkeypatch):
         calls = _count_eliminations(monkeypatch)

@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gcartan import qlaurent
 from gcartan.qlaurent import (
     ONE,
     ZERO,
@@ -16,6 +18,7 @@ from gcartan.qlaurent import (
     exact_quotient,
     kss_bracket,
     normalize_unit,
+    power_product,
     quantum_binomial,
     quantum_factorial,
     quantum_int,
@@ -115,6 +118,105 @@ class TestRingBasics:
         # two keys naming one exponent used to keep whichever came last
         with pytest.raises(ValueError, match=rf"^exponent {exponent} is given twice$"):
             LaurentPoly.from_json({"terms": terms})
+
+
+def _schoolbook(a: LaurentPoly, b: LaurentPoly) -> dict:
+    # the reference product: every pair of terms, summed in a dict
+    out: dict[int, int] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def product_operands(draw, terms=80, bits=2000):
+    """A Laurent polynomial of 1 to `terms` terms at the exponents
+    lo + step k, with coefficients of 1 to `bits` bits that are all
+    positive, all negative or mixed; seeded by the draw, so hypothesis
+    shrinks the shape."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, terms))
+    step = draw(st.sampled_from([1, 2, 3]))
+    lo = draw(st.integers(-60, 60))
+    bits = draw(st.integers(1, bits))
+    signs = draw(st.sampled_from([(1,), (-1,), (1, -1)]))
+    ks = sorted(rng.sample(range(2 * n), n)) if draw(st.booleans()) else range(n)
+    return LaurentPoly(
+        {lo + step * k: rng.choice(signs) * rng.randint(1, 2**bits - 1) for k in ks}
+    )
+
+
+def _all_ones(n: int, k: int, sign: int, step: int = 2) -> LaurentPoly:
+    # n terms at step apart, every coefficient sign (2^k - 1)
+    return LaurentPoly({step * i - n: sign * (2**k - 1) for i in range(n)})
+
+
+class TestKroneckerProduct:
+    """LaurentPoly products, which take a Kronecker-packed big-integer
+    product or the dict schoolbook by an estimate of their costs, against a
+    dict schoolbook kept here."""
+
+    # every coefficient 2^k - 1 of one sign: the middle coefficient of the
+    # product is min(|a|_1 max|b|, |b|_1 max|a|), the slot bound itself
+    @example(_all_ones(40, 64, 1), _all_ones(30, 64, 1))
+    @example(_all_ones(40, 63, -1), _all_ones(64, 57, -1))
+    @example(_all_ones(200, 1000, 1, 3), _all_ones(17, 1000, 1, 3))
+    @given(product_operands(), product_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_the_schoolbook(self, a, b):
+        want = _schoolbook(a, b)
+        assert (a * b).terms == want and (b * a).terms == want
+        # the packed path alone, whatever the estimate would choose, on a
+        # shorter operand of two terms or more, as __mul__ hands it over
+        x, y = (a, b) if len(a) <= len(b) else (b, a)
+        if len(x) >= 2:
+            with mock.patch.object(qlaurent, "_DICT_TERM", 10**9):
+                assert qlaurent._packed_product(x.terms, y.terms) == want
+
+    def test_the_bound_is_met_exactly(self):
+        a, b = _all_ones(40, 64, 1), _all_ones(30, 64, 1)
+        top = max(map(abs, (a * b).terms.values()))
+        assert top == min(40 * (2**64 - 1) ** 2, 30 * (2**64 - 1) ** 2)
+
+    @given(product_operands(terms=40, bits=400), st.integers(0, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_power_matches_repeated_schoolbook(self, a, n):
+        want = ONE
+        for _ in range(n):
+            want = LaurentPoly(_schoolbook(want, a))
+        assert a**n == want
+        assert power_product([(a, n), (a, 1)], ONE) == LaurentPoly(_schoolbook(want, a))
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b, packed",
+        [
+            # balanced operands of wide coefficients, as the powers of the
+            # factor determinants at (7,4) and (5,4) are
+            ((500, 260, 1), (250, 420, -1), True),
+            ((280, 180, 1), (140, 180, 1), True),
+            # one short operand: the schoolbook
+            ((1877, 200, 1), (15, 30, 1), False),
+            # a long operand of wide coefficients against a narrow one, as
+            # in shapovalov_det_formula(A_2, 10): the schoolbook
+            ((3925, 1800, 1), (75, 55, 1), False),
+        ],
+    )
+    def test_the_estimate_picks_the_path(self, shape_a, shape_b, packed):
+        a, b = _all_ones(*shape_a), _all_ones(*shape_b)
+        with mock.patch.object(qlaurent, "_signed_pack", side_effect=qlaurent._signed_pack) as spy:
+            assert (a * b).terms == _schoolbook(a, b)
+        assert spy.called == packed
+
+
+class TestPowerProduct:
+    def test_both_rings(self):
+        # over Z the factors are ints, which have no len: the product orders
+        # them by their bits
+        assert power_product([(3, 4), (-2, 3), (10**30, 2)], 1) == 3**4 * (-2) ** 3 * 10**60
+        assert power_product([], 1) == 1 and power_product([], ONE) == ONE
+        q = quantum_int(3)
+        assert power_product([(q, 3), (V, 2), (q, 0)], ONE) == q * q * q * V * V
 
 
 class TestBarAndSubst:

@@ -889,7 +889,7 @@ class TestQuotientsAgainstReferences:
         a, b = slots.pack(_INTEGER_ONLY_DIVIDEND), slots.pack(_INTEGER_ONLY_DIVISOR)
         value, rem = divmod(a.value, b.value)
         assert rem == 0
-        assert slots.digits(value, 4) == [2**61, -(2**62), -(2**63), 1]
+        assert snf._unpack_signed(value, slots.nbytes, 4) == [2**61, -(2**62), -(2**63), 1]
         calls = []
 
         def spy(x, y):
