@@ -46,6 +46,9 @@ from outside the package, as perfbench/spans.py wraps its spans) during the
 v=1 stages, not those of the diagonalizer's cross-check: the bit
 length of the modulus, the digits, and the outcome, "ok", "short" (the
 precision ran out) or "split" (a proper factor of the modulus was met).
+The rank pass on GF(2) bitsets (`snf._full_rank_mod2`, where the package
+has it) is recorded as the engine's pass mod 2 that it replaces, [2, 1,
+"ok"] or [2, 1, "short"], so records of either package compare.
 Likewise it records every choice of moduli for the multi-modular
 determinant (`linalg._moduli`): the bit length of the Hadamard bound B and
 of each prime chosen during the v=1 stages.  The default points are the
@@ -131,6 +134,15 @@ def record(matrix, p, digits):
     passes.append([p.bit_length(), digits, outcome])
     return got
 snf._local_valuations = record
+# the rank pass on GF(2) bitsets, where the package has it, as the engine's
+# pass mod 2 that it replaces
+full_rank_mod2 = getattr(snf, "_full_rank_mod2", None)
+def record_mod2(matrix):
+    got = full_rank_mod2(matrix)
+    passes.append([2, 1, "ok" if got else "short"])
+    return got
+if full_rank_mod2 is not None:
+    snf._full_rank_mod2 = record_mod2
 moduli = []
 choose = linalg._moduli
 def record_moduli(bound_sq):

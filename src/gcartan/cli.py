@@ -11,10 +11,10 @@ invariants takes --p and --r, or --ell.
 Every command takes --format, which offers only what the command renders:
 json, csv and latex for gram, det, twisted and table; json and csv for
 verify, irred and invariants; json alone for snf and report.  The commands
-that build a Gram matrix, gram, det (with --check) and report, refuse one of
-more than --limit N rows (default 2000) unless given --force, and so do they
-for an [X] of more than --limit rows, det with or without --check; no other
-command takes either flag.  Each makes one call to _size_guard, which counts
+that build a Gram matrix or expand its determinant, gram, det and report,
+refuse one of more than --limit N rows (default 2000) unless given --force,
+and so do they for an [X] of more than --limit rows; no other command takes
+either flag.  Each makes one call to _size_guard, which counts
 both before building anything: gram --blocks N sizes its block sum as
 |CRP_ell(N)|, without enumerating a partition, and a weight --d over --limit
 is refused uncounted, since u(m, d) >= d for m, d >= 1, as is a rank
@@ -253,8 +253,9 @@ def _factored(parts: list[dict], power: str = "^{{{}}}") -> str:
 
 def cmd_det(args) -> str:
     dg, label = _finite_diagram(args)
-    # the formula takes the determinant of [X], and --check builds the Gram matrix
-    _size_guard(args, dg.nodes, _dimension(args, dg.nodes) if args.check else 0)
+    # the formula expands the Gram matrix's determinant, and --check builds
+    # it; a negative d is left to the formula's own refusal
+    _size_guard(args, dg.nodes, _dimension(args, dg.nodes) if args.d >= 0 else 0)
     formula = qc.shapovalov_det_formula(dg, args.d)
     payload = {
         "diagram": label,

@@ -268,28 +268,58 @@ def _local_valuations(
     Layered elimination: at level L the block is a residue matrix mod p^k,
     k = digits - L.  Every row is packed into one int with W-bit slots, one
     per column (`_pack`), so clearing a column from a row is one big-integer
-    multiply-add.  Columns are searched in order for a row whose entry is a
-    unit mod p; that row is reduced, scaled so the pivot is 1, and each other
-    open row R_i with entry x is cleared by R_i += (p^k - x) * R_pivot.  Each
-    pivot is an invariant of valuation L.  The open rows and the columns that
-    held no unit form the Schur complement, all divisible by p: it is
-    divided by p and taken one level up, mod p^(k-1).  Returns None when the
-    precision runs out with a block left, which happens only if an invariant
-    has valuation >= digits; for a nonsingular matrix digits = v_p(det) + 1
-    is always enough.
+    multiply-add.  Columns are searched in turn (see Order) for a row whose
+    entry is a unit mod p; that row is reduced, scaled so the pivot is 1,
+    and each other open row R_i with entry x is cleared by R_i += (p^k - x)
+    * R_pivot.  Each pivot is an invariant of valuation L.  The open rows
+    and the columns that held no unit form the Schur complement, all
+    divisible by p: it is divided by p and taken one level up, mod
+    p^(k-1).  Returns None when the precision runs out with a block left,
+    which happens only if an invariant has valuation >= digits; for a
+    nonsingular matrix digits = v_p(det) + 1 is always enough.
+
+    Order.  The rows and columns are taken last index first.  Any order of
+    unit pivots gives the same local Smith form, and the Gram matrix at v=1
+    is T Y T^t with T upper unitriangular in its index order (finer shapes
+    later, `GramMatrix.check_unitriangular`): reversed, it is L Y L^t with L
+    lower unitriangular, and elimination from the top keeps the fill inside
+    L's pattern.  At (7,4) the main pass makes 3390 row updates, against
+    17,644 in index order; at (7,5) 18,776 against 190,913.
+
+    Symmetric input.  The reduced rows are tested once for symmetry.  While
+    the open block of a symmetric input is symmetric, column c of the open
+    rows is row c at their columns: one `_unpack` of row c replaces one read
+    per open row, and (c, c) is the pivot when it is a unit, its row already
+    unpacked.  A column whose diagonal entry is 0 mod p but that holds a
+    unit in an open row i takes a 2 x 2 pivot: row i clears column c, and
+    column i, read out of turn by the reads below, is cleared by the first
+    open row with a unit there, the updated row c.  The open rows before c
+    are those of columns that held no unit, which stay 0 mod p (so i > c,
+    and by symmetry their entries in column i are 0 mod p), and row c holds
+    the unit (c, i) plus a multiple of (c, c).  Rows and columns c and i
+    close together, and the open block, the Schur complement of a symmetric
+    2 x 2 block, is symmetric again.  A non-symmetric input is read column
+    by column throughout.  At (7,4) and (7,5) every pivot is diagonal.  At
+    (5,5), (3,8) and (9,4) 3, 36 and 306 pivots are 2 x 2; they make more
+    row updates than off-diagonal pivots read column by column (7080
+    against 5694 at (5,5), 31,147 against 12,930 at (9,4)), yet the whole
+    engine is faster: 0.24 against 0.29 s at (9,4), 0.027 against 0.034 s
+    at (5,5) (warm, min of 3).
 
     Slots.  All slots stay non-negative and rows are reduced only when they
     become pivots, so a slot holds at most a residue plus n products of two
     residues, p^k + n (p^k - 1)^2, and no carry crosses a slot within a
-    level.  W is that bound's width rounded up to 1, 2, 4 or 8 bytes, or to
-    whole bytes above 8 (`_slot_width`), so that rows of up to 8-byte slots
-    are packed and unpacked by `array` in C.  Column c of a row is read as
+    level; a column read off a row is slots of the same bound.  W is that
+    bound's width rounded up to 1, 2, 4 or 8 bytes, or to whole bytes
+    above 8 (`_slot_width`), so that rows of up to 8-byte slots are packed
+    and unpacked by `array` in C.  Otherwise column c of a row is read as
     (row & (mask << at)) >> at when 2c < n and as (row >> at) & mask
     otherwise, at = cW: each read touches the c slots below the column or
     the n - c from it up, whichever is fewer.  A wider slot only leaves more
-    room, and either read gives the same slot, so no residue depends on
-    them: every check of `snf_int_certified` (the rank pass, the precision
-    cap and the product against |det|) sees the same values at any width.
+    room, and every read gives a value congruent to the entry mod p^k, so no
+    residue depends on them: every check of `snf_int_certified` (the rank
+    pass, the precision cap and the product against |det|) sees the same
+    values at any width.
 
     p need not be prime.  A pivot candidate that shares a proper factor with
     p ends the elimination, which returns that factor gcd(candidate, p).
@@ -297,7 +327,8 @@ def _local_valuations(
     p sees the same elimination and the valuations hold at each of them.
     """
     mod = p**digits
-    rows = [[x % mod for x in row] for row in matrix]
+    rows = [[x % mod for x in reversed(row)] for row in reversed(matrix)]
+    sym = all(row[i:] == [r[i] for r in rows[i:]] for i, row in enumerate(rows))
     vals: list[int] = []
     level = 0
     while rows:
@@ -308,14 +339,22 @@ def _local_valuations(
         packed = [_pack(row, width) for row in rows]
         open_rows = list(range(n))
         no_unit: list[int] = []
-        for c in range(n):
+        todo, pair = list(range(n - 1, -1, -1)), False
+        while todo:
+            c = todo.pop()
             at = c * slot
-            if 2 * c < n:
+            if sym:  # column c of the open rows is row c at their columns
+                entries = _unpack(packed[c], width, n)
+                col = [entries[i] for i in open_rows]
+            elif 2 * c < n:
                 window = mask << at
                 col = [(packed[i] & window) >> at for i in open_rows]
             else:
                 col = [(packed[i] >> at) & mask for i in open_rows]
-            k = next((t for t, x in enumerate(col) if x % p), None)
+            if sym and entries[c] % p:
+                k = open_rows.index(c)
+            else:
+                k = next((t for t, x in enumerate(col) if x % p), None)
             if k is not None and (g := math.gcd(col[k], p)) > 1:
                 return g
             if k is None:
@@ -323,7 +362,14 @@ def _local_valuations(
                 continue
             pivot = open_rows.pop(k)
             del col[k]
-            entries = _unpack(packed[pivot], width, n)
+            if not (sym and pivot == c):
+                entries = _unpack(packed[pivot], width, n)
+            if pair:  # a 2 x 2 pivot done: symmetric again
+                sym, pair = True, False
+            elif sym and pivot != c:  # a 2 x 2 pivot: column `pivot` next
+                todo.remove(pivot)
+                todo.append(pivot)
+                sym, pair = False, True
             inv = pow(entries[c], -1, mod)
             prow = _pack([x * inv % mod for x in entries], width)
             for i, x in zip(open_rows, col):
@@ -344,6 +390,22 @@ def _local_valuations(
         mod //= p
         level += 1
     return vals
+
+
+def _full_rank_mod2(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether a square integer matrix is nonsingular mod 2, by elimination
+    over GF(2) on one int per row, bit j holding entry j mod 2: each row is
+    XORed with the kept row of its top bit until its top bit is new, and is
+    then kept, or until it is zero, which proves the rows dependent."""
+    kept: dict[int, int] = {}
+    for row in matrix:
+        r = int(bytes([48 | x & 1 for x in reversed(row)]), 2)
+        while r and (top := r.bit_length()) in kept:
+            r ^= kept[top]
+        if not r:
+            return False
+        kept[top] = r
+    return True
 
 
 # the product of the 172 primes below 2^10, 1420 bits: a literal, so that
@@ -397,14 +459,17 @@ def snf_int_certified(matrix: Sequence[Sequence[int]], det_abs: int) -> Invarian
     does not divide det_abs must find a full-rank matrix, else the matrix is
     singular (or q divides its |det|) and ArithmeticError is raised.  This
     catches a singular matrix whose det_abs has no prime to work at, such
-    as det_abs = 1.  det_abs is still trusted for its prime support: a prime
-    of the true |det| that det_abs lacks, other than q, goes unseen.
+    as det_abs = 1.  When q = 2, as for every odd det_abs, the pass runs on
+    GF(2) bitsets (`_full_rank_mod2`), 4-6 times faster than the engine mod
+    2 at (7,4), (9,4) and (7,5).  det_abs is still trusted for its prime
+    support: a prime of the true |det| that det_abs lacks, other than q,
+    goes unseen.
     """
     n = _require_square(matrix)
     if det_abs <= 0:
         raise ValueError("det_abs must be the positive |det| of a nonsingular matrix")
     q = next(r for r in count(2) if det_abs % r and is_prime(r))
-    if _local_valuations(matrix, q, 1) is None:
+    if not (_full_rank_mod2(matrix) if q == 2 else _local_valuations(matrix, q, 1) is not None):
         raise ArithmeticError(
             f"the matrix is singular mod {q}, a prime that does not divide det_abs: "
             "the matrix is singular or det_abs is not its |det|"

@@ -54,6 +54,22 @@ def test_stages_script_writes_a_run(tmp_path):
     assert all(c[3] >= 0 for c in calls)
 
 
+def test_stages_script_records_the_rank_pass_on_bitsets(tmp_path):
+    # |det C(1)| at (5,2) is a power of 5, odd, so the smallest prime prime
+    # to it is 2 and the rank pass runs on GF(2) bitsets; it is recorded as
+    # the engine's pass mod 2 was, [2, 1, outcome], then one pass mod 5
+    out = tmp_path / "stages.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "stages.py"),
+         "--points", "5,2", "--repeat", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ((point,),) = (run["points"] for run in json.loads(out.read_text())["runs"])
+    assert point["point"] == [5, 2] and point["dim"] == 14
+    assert point["passes"] == [[[2, 1, "ok"], [3, 7, "ok"]]]
+
+
 def test_diagonalize_stage_is_null_above_its_dimension(monkeypatch):
     # past DIAG_MAX_DIM rows the diagonalizer does not run: its seconds,
     # steps, stop reason and digest are null, and a summary keeps them so

@@ -309,6 +309,16 @@ class TestDetCommand:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "matrix would be 199 x 199 (> 10)" in proc.stderr
 
+    def test_gram_matrix_is_refused_without_check(self, capsys, monkeypatch):
+        # the formula expands the determinant of the u(2, 12) = 1165-row Gram
+        # matrix at ell=3, d=12 (tens of seconds, 18.8 MB of JSON), so the
+        # guard counts that matrix's rows with or without --check
+        monkeypatch.setattr(cli.qc, "shapovalov_det_formula", TestOptionPolicy._never)
+        code, out, err = run(capsys, "det", "--ell", "3", "--d", "12", "--limit", "1000")
+        assert (code, out) == (2, "") and "1165 x 1165 (> 1000)" in err
+        code, out, err = run(capsys, "det", "--ell", "3", "--d", "12", "--limit", "10")
+        assert (code, out) == (2, "") and "have 12 rows or more" in err
+
     def test_negative_weight_is_usage(self, capsys):
         # the empty product over s <= d would claim determinant 1
         code, out, err = run(capsys, "det", "--ell", "3", "--d", "-1")

@@ -114,6 +114,34 @@ def _unimodular_times_diagonal(draw, primes=(2, 3, 5), top=12):
 
 
 @st.composite
+def _symmetric_blocks(draw, primes=(2, 3, 5), top=4):
+    """(E B E^t, |det|), B block diagonal and E a product of elementary row
+    additions: blocks s and s [[a, 1], [1, 0]], s a product of powers (at
+    most top) of the primes, so that a 2 x 2 block's diagonal may hold no
+    unit at a level where its off-diagonal entries do."""
+    n = draw(st.integers(1, 6))
+    exps = st.integers(0, top)
+    m = [[0] * n for _ in range(n)]
+    det, i = 1, 0
+    while i < n:
+        s = math.prod(p ** draw(exps) for p in primes)
+        if i + 1 < n and draw(st.booleans()):
+            m[i][i] = s * draw(st.sampled_from([0, 1, 2, 3, 5, 6, 30]))
+            m[i][i + 1] = m[i + 1][i] = s
+            det, i = det * s * s, i + 2
+        else:
+            m[i][i] = s
+            det, i = det * s, i + 1
+    idx = st.integers(0, n - 1)
+    for i, j, c in draw(st.lists(st.tuples(idx, idx, st.integers(-2, 2)), max_size=2 * n)):
+        if i != j:  # row i += c row j, then column i += c column j
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[i] += c * row[j]
+    return m, det
+
+
+@st.composite
 def _often_singular(draw, entries, zero, max_rows=4):
     """Square matrices of 1..max_rows rows whose rows may be zeroed or
     replaced by a multiple of an earlier row, so many are singular."""
@@ -352,23 +380,35 @@ class TestSnfInt:
             det = abs(gram_det_at_one(type_a(3), 8))
             want = snf_int_diagonal(hill_values(3, 1, 8)).elements
         passes = []
-        local = snf._local_valuations
+        local, full_rank_mod2 = snf._local_valuations, snf._full_rank_mod2
 
         def record(matrix, p, digits):
             got = local(matrix, p, digits)
             passes.append((p, digits, got))
             return got
 
+        def record_mod2(matrix):
+            # the rank pass at q = 2 runs on bitsets, one digit mod 2
+            got = full_rank_mod2(matrix)
+            passes.append((2, 1, got or None))
+            return got
+
         monkeypatch.setattr(snf, "_local_valuations", record)
+        monkeypatch.setattr(snf, "_full_rank_mod2", record_mod2)
         assert snf_int_certified(m, det).elements == want
         rank, *local_passes = passes
+        # at (3,8) |det| is a power of 3, so q = 2 and the rank pass is the
+        # bitset one; in the synthetic case |det| is even and q = 3
+        assert (rank[0] == 2) == (case == "cartan 3,8")
         assert det % rank[0] and rank[1] == 1
         moduli = [p for p, _, _ in local_passes]
         assert len(moduli) == len(set(moduli)) and all(det % p == 0 for p in moduli)
         assert all(got is not None for _, _, got in local_passes)
         if case == "synthetic":
-            # the modulus 10 = 2 * 5 is split where the elimination meets 2
-            assert [(p, k) for p, k, _ in local_passes] == [(10, 2), (2, 15), (5, 2)]
+            # the modulus 10 = 2 * 5 is split where the elimination meets 2:
+            # from the last index, the third column is 0 mod 10 and the
+            # second meets 88 mod 100; the part prime to 2 runs first
+            assert [(p, k) for p, k, _ in local_passes] == [(10, 2), (5, 2), (2, 15)]
         else:
             assert [(p, k) for p, k, _ in local_passes] == [(3, 17)]
 
@@ -430,6 +470,50 @@ class TestSnfInt:
         assert snf_int_certified(m, 6 * p**3).elements == (1, p, 6 * p * p)
         assert snf_int_certified(m, 6 * p**3).elements == _snf_int_dense(m).elements
         assert max(widths) > 8 and min(widths) <= 8
+
+
+class TestLocalValuations:
+    @given(
+        st.one_of(_unimodular_times_diagonal(top=4), _symmetric_blocks()),
+        st.sampled_from([2, 3, 5, 6]),
+    )
+    # a diagonal pivot from the last index, then an off-diagonal one ends the
+    # symmetric reads; a diagonal with no unit at all, at the first column
+    @example(([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 1), 2)
+    @example(([[2, 1], [1, 0]], 1), 2)
+    @example(([[5, 0, 0], [0, 0, 5], [0, 5, 10]], 125), 5)
+    @example(([[12, 6, 0], [6, 0, 0], [0, 0, 6]], 216), 6)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_valuations(self, case, p):
+        # the valuations of the invariants at each prime of p, or a proper
+        # factor of a composite p; the symmetric inputs take the reads off
+        # rows until their first off-diagonal pivot
+        m, det = case
+        dense = _snf_int_dense(m).elements
+        primes = prime_divisors(p)
+        digits = sum(p_adic_split(det, q)[1] for q in primes) + 1
+        got = snf._local_valuations(m, p, digits)
+        if isinstance(got, int):
+            assert len(primes) > 1 and got in primes
+        else:
+            for q in primes:
+                assert got == [p_adic_split(d, q)[1] for d in dense]
+
+    @given(
+        st.integers(0, 40), st.integers(0, 2**32), st.sampled_from(["dense", "sparse", "dependent"])
+    )
+    @example(0, 0, "dense")
+    @settings(max_examples=150, deadline=None)
+    def test_full_rank_mod2_matches_the_engine(self, n, seed, kind):
+        # sparse rows are often zero mod 2; a dependent matrix has a row that
+        # is the sum of two others
+        rng = random.Random(seed)
+        m = [[rng.randint(-9, 9) * (kind != "sparse" or rng.random() < 0.1) for _ in range(n)]
+             for _ in range(n)]
+        if kind == "dependent" and n >= 3:
+            i, j, k = rng.sample(range(n), 3)
+            m[i] = [a + b for a, b in zip(m[j], m[k])]
+        assert snf._full_rank_mod2(m) == (snf._local_valuations(m, 2, 1) is not None)
 
 
 class TestPackedRows:
